@@ -33,9 +33,7 @@ fn bench_fig4(c: &mut Criterion) {
 
     let mut m = run_matrix(ExperimentParams {
         packets: 10_000,
-        seed: 42,
-        threads: vf_sim::default_threads(),
-        shards: 1,
+        ..ExperimentParams::quick(42)
     });
     println!(
         "\nFig. 4 — {}",

@@ -28,9 +28,7 @@ fn bench_fig5(c: &mut Criterion) {
 
     let mut m = run_matrix(ExperimentParams {
         packets: 10_000,
-        seed: 42,
-        threads: vf_sim::default_threads(),
-        shards: 1,
+        ..ExperimentParams::quick(42)
     });
     println!(
         "\nFig. 5 — {}",

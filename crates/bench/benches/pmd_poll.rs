@@ -47,9 +47,7 @@ fn bench_pmd_roundtrip(c: &mut Criterion) {
     println!("\nE15 rows (5 000 packets per cell):");
     let rows = pmd_tails(ExperimentParams {
         packets: 5_000,
-        seed: 42,
-        threads: vf_sim::default_threads(),
-        shards: 1,
+        ..ExperimentParams::quick(42)
     });
     println!("{}", render_pmd(&rows));
     let _ = PAPER_PAYLOADS; // payload list documented above

@@ -47,9 +47,7 @@ fn bench_table1(c: &mut Criterion) {
 
     let mut m = run_matrix(ExperimentParams {
         packets: 10_000,
-        seed: 42,
-        threads: vf_sim::default_threads(),
-        shards: 1,
+        ..ExperimentParams::quick(42)
     });
     println!(
         "\nTable I — Tail latencies for data movement with VirtIO and XDMA\n{}",

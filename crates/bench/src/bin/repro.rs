@@ -1,7 +1,7 @@
 //! `repro` — regenerate every figure and table of the paper.
 //!
 //! ```sh
-//! repro [--packets N] [--seed S] [--shards N] [--quick] [--trace FILE] <artifact>...
+//! repro [--packets N] [--seed S] [--quick] [--trace FILE] <artifact>...
 //!
 //! artifacts:
 //!   fig3 fig4 fig5 table1          the paper's evaluation (§V)
@@ -29,11 +29,8 @@
 //!
 //! With `--quick`, runs use 2 000 packets instead of the paper's 50 000.
 //!
-//! `--shards N` caps the in-run sharded engine (E25) on the `mq`,
-//! `ooo`, and `tenants` artifacts. Results are bit-identical at every
-//! shard count — the determinism contract of `vf_sim::shard` — so the
-//! flag only affects wall-clock, never output. `VF_THREADS` pins sweep
-//! and shard parallelism.
+//! `VF_THREADS` caps sweep parallelism; output is identical at every
+//! thread count.
 //!
 //! The `trace` artifact runs a short traced round-trip batch for every
 //! driver model, prints the per-round-trip latency-attribution table,
@@ -66,7 +63,6 @@ fn main() {
     let mut csv_dir: Option<PathBuf> = None;
     let mut out_path: Option<PathBuf> = None;
     let mut trace_path: Option<PathBuf> = None;
-    let mut shards = 1usize;
     let mut artifacts: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -90,11 +86,6 @@ fn main() {
             "--trace" => {
                 i += 1;
                 trace_path = Some(PathBuf::from(&args[i]));
-            }
-            "--shards" => {
-                i += 1;
-                shards = args[i].parse().expect("--shards N");
-                assert!(shards >= 1, "--shards must be >= 1");
             }
             "--quick" => packets = 2_000,
             "--help" | "-h" => {
@@ -145,7 +136,6 @@ fn main() {
     }
     let params = ExperimentParams {
         packets,
-        seed,
         // Tracing is per-thread: a global capture must keep every run on
         // the thread that owns the session.
         threads: if trace_path.is_some() {
@@ -153,7 +143,7 @@ fn main() {
         } else {
             vf_sim::default_threads()
         },
-        shards,
+        ..ExperimentParams::quick(seed)
     };
     eprintln!(
         "# testbed: Alinx AX7A200 model, PCIe Gen2 x2, Fedora 37 host model; {packets} packets/config, seed {seed}"
@@ -603,7 +593,7 @@ fn write_matrix_csv(dir: &PathBuf, m: &mut experiments::Matrix) -> std::io::Resu
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [--packets N] [--seed S] [--shards N] [--quick] [--csv DIR] [--out FILE] [--trace FILE] <artifact>...\n\
+        "usage: repro [--packets N] [--seed S] [--quick] [--csv DIR] [--out FILE] [--trace FILE] <artifact>...\n\
          artifacts: fig3 fig4 fig5 table1 portability xdma-irq-ablation\n\
          \u{20}          virtio-features bypass devtypes csum-offload noise-sweep\n\
          \u{20}          pipeline deployment card-memory pmd pmd-crossover packed\n\

@@ -437,9 +437,8 @@ mod tests {
     fn renderers_produce_full_tables() {
         let params = ExperimentParams {
             packets: 150,
-            seed: 19,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(19)
         };
         let mut m = experiments::run_matrix(params);
         let f3 = render_fig3(&experiments::fig3(&mut m));
@@ -456,9 +455,8 @@ mod tests {
     fn pmd_renders() {
         let params = ExperimentParams {
             packets: 150,
-            seed: 23,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(23)
         };
         let s = render_pmd(&experiments::pmd_tails(params));
         assert!(s.contains("VirtIO-PMD"));
@@ -472,9 +470,8 @@ mod tests {
     fn packed_renders() {
         let params = ExperimentParams {
             packets: 150,
-            seed: 29,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(29)
         };
         let s = render_packed(&experiments::packed_ring(params));
         assert!(s.contains("packed"));
@@ -485,9 +482,8 @@ mod tests {
     fn mq_renders_and_scales() {
         let params = ExperimentParams {
             packets: 600,
-            seed: 31,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(31)
         };
         let rows = experiments::mq_scaling(params, 256);
         let s = render_mq(256, &rows);
@@ -512,9 +508,8 @@ mod tests {
     fn ooo_renders_both_layouts() {
         let params = ExperimentParams {
             packets: 150,
-            seed: 37,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(37)
         };
         let rows = experiments::pipeline_depth(params, 256);
         let s = render_ooo(256, &rows);
@@ -529,9 +524,8 @@ mod tests {
     fn tenants_render_scaling_and_noisy() {
         let params = ExperimentParams {
             packets: 600,
-            seed: 41,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(41)
         };
         let rows = experiments::tenant_scaling(params, 256);
         let s = render_tenants(256, &rows);
@@ -553,9 +547,8 @@ mod tests {
     fn blk_renders_every_cell() {
         let rows = experiments::blk_storage(ExperimentParams {
             packets: 200,
-            seed: 43,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(43)
         });
         let s = render_blk(&rows);
         assert!(s.contains("E24"));
@@ -573,9 +566,8 @@ mod tests {
     fn bypass_render() {
         let rows = experiments::bypass(ExperimentParams {
             packets: 150,
-            seed: 1,
             threads: 2,
-            shards: 1,
+            ..ExperimentParams::quick(1)
         });
         let s = render_bypass(&rows);
         assert!(s.contains("4096B"));

@@ -46,9 +46,11 @@ pub struct ExperimentParams {
     pub seed: u64,
     /// Worker threads for sweeps.
     pub threads: usize,
-    /// Shard cap for the in-run parallel engine on the MQ/tenant
-    /// sweeps (E25); `1` is the monolithic loop and results are
-    /// bit-identical at every value.
+    /// Unused: nothing reads it. It exists only because the `vfbench`
+    /// benchmark package sets it, and a later change to that package
+    /// drops it together with [`TestbedOptions::shards`].
+    ///
+    /// [`TestbedOptions::shards`]: crate::TestbedOptions::shards
     pub shards: usize,
 }
 
@@ -972,7 +974,6 @@ pub fn mq_scaling(params: ExperimentParams, payload: usize) -> Vec<MqRow> {
             let mut cfg =
                 TestbedConfig::paper(DriverKind::VirtioMq, payload, params.packets, params.seed);
             cfg.options.mq_queue_pairs = q;
-            cfg.options.shards = params.shards;
             cfg
         })
         .collect();
@@ -1054,7 +1055,6 @@ pub fn pipeline_depth(params: ExperimentParams, payload: usize) -> Vec<OooRow> {
                 let mut cfg = TestbedConfig::paper(driver, payload, params.packets, params.seed);
                 cfg.options.mq_queue_pairs = queues;
                 cfg.options.pipeline_depth = depth;
-                cfg.options.shards = params.shards;
                 configs.push(cfg);
             }
         }
@@ -1140,7 +1140,6 @@ pub fn tenant_scaling(params: ExperimentParams, payload: usize) -> Vec<TenantRow
             cfg.options.mq_queue_pairs = tenants;
             cfg.options.tenant_vhost = true;
             cfg.options.tenant_policy = policy;
-            cfg.options.shards = params.shards;
             configs.push(cfg);
         }
     }
@@ -1217,7 +1216,6 @@ pub fn noisy_neighbor(params: ExperimentParams, payload: usize) -> Vec<NoisyRow>
             cfg.options.mq_queue_pairs = NOISY_TENANTS;
             cfg.options.tenant_vhost = true;
             cfg.options.tenant_policy = policy;
-            cfg.options.shards = params.shards;
             if noisy {
                 cfg.options.tenant_configs = tenant_cfgs.clone();
             }
@@ -1366,9 +1364,8 @@ mod tests {
     fn tiny() -> ExperimentParams {
         ExperimentParams {
             packets: 300,
-            seed: 7,
             threads: 4,
-            shards: 1,
+            ..ExperimentParams::quick(7)
         }
     }
 
@@ -1376,9 +1373,8 @@ mod tests {
     fn matrix_has_all_cells() {
         let mut m = run_matrix(ExperimentParams {
             packets: 120,
-            seed: 3,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(3)
         });
         assert_eq!(m.cells.len(), 10);
         for driver in [DriverKind::Virtio, DriverKind::Xdma] {
@@ -1394,9 +1390,8 @@ mod tests {
     fn headline_shapes_hold() {
         let mut m = run_matrix(ExperimentParams {
             packets: 2_500,
-            seed: 11,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(11)
         });
         // Table I shape: VirtIO wins p95 at every payload.
         for row in table1(&mut m) {
@@ -1428,9 +1423,8 @@ mod tests {
         let rows = pipeline_depth(
             ExperimentParams {
                 packets: 400,
-                seed: 13,
                 threads: 8,
-                shards: 1,
+                ..ExperimentParams::quick(13)
             },
             256,
         );
@@ -1482,9 +1476,8 @@ mod tests {
     fn noise_sweep_monotone_tails() {
         let rows = noise_sweep(ExperimentParams {
             packets: 1500,
-            seed: 5,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(5)
         });
         assert_eq!(rows.len(), 4);
         // Zero noise leaves only deterministic buffer-alignment effects
@@ -1504,9 +1497,8 @@ mod tests {
     fn event_idx_reduces_notifications() {
         let rows = virtio_features(ExperimentParams {
             packets: 400,
-            seed: 9,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(9)
         });
         assert_eq!(rows.len(), 6);
         for r in &rows {
@@ -1521,9 +1513,8 @@ mod tests {
     fn xdma_ablation_slows_xdma() {
         let rows = xdma_irq_ablation(ExperimentParams {
             packets: 400,
-            seed: 4,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(4)
         });
         for r in &rows {
             assert!(
@@ -1540,9 +1531,8 @@ mod tests {
     fn console_cheaper_than_net() {
         let rows = device_types(ExperimentParams {
             packets: 400,
-            seed: 8,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(8)
         });
         let console64 = rows
             .iter()
@@ -1560,9 +1550,8 @@ mod tests {
     fn pmd_beats_kernel_mean_and_tail() {
         let rows = pmd_tails(ExperimentParams {
             packets: 800,
-            seed: 21,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(21)
         });
         assert_eq!(rows.len(), 5);
         for r in &rows {
@@ -1592,9 +1581,8 @@ mod tests {
     fn pmd_crossover_cpu_amortizes_with_load() {
         let rows = pmd_crossover(ExperimentParams {
             packets: 400,
-            seed: 6,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(6)
         });
         assert_eq!(rows.len(), 5);
         // The busy poller's CPU bill per packet shrinks as load rises
@@ -1629,9 +1617,8 @@ mod tests {
     fn packed_ring_halves_descriptor_reads() {
         let rows = packed_ring(ExperimentParams {
             packets: 500,
-            seed: 13,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(13)
         });
         assert_eq!(rows.len(), 5);
         for r in &rows {
@@ -1657,9 +1644,8 @@ mod tests {
     fn csum_offload_shrinks_software_component() {
         let rows = csum_offload(ExperimentParams {
             packets: 600,
-            seed: 2,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(2)
         });
         let big = rows.iter().find(|r| r.payload == 1024).unwrap();
         assert!(big.sw_component_offload < big.sw_component_sw_csum);
@@ -1674,9 +1660,8 @@ mod tests {
         let rows = noisy_neighbor(
             ExperimentParams {
                 packets: 1_200,
-                seed: 5,
                 threads: 8,
-                shards: 1,
+                ..ExperimentParams::quick(5)
             },
             256,
         );
@@ -1705,9 +1690,8 @@ mod tests {
     fn blk_storage_scales_with_depth() {
         let rows = blk_storage(ExperimentParams {
             packets: 250,
-            seed: 31,
             threads: 8,
-            shards: 1,
+            ..ExperimentParams::quick(31)
         });
         assert_eq!(rows.len(), BLK_WORKLOADS.len());
         for row in &rows {

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use vf_fpga::{bar0, MmioEvent};
 use vf_hostsw::SockError;
-use vf_sim::{SampleSet, ShardableWorld, SimRng, Time, World};
+use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
 use vf_tenant::{ArbiterPolicy, Decision, QosArbiter, TenantClass, TenantConfig, VhostWorker};
 use vf_virtio::net;
 
@@ -824,30 +824,11 @@ impl World for TenantPipelinedWorld {
     }
 }
 
-impl ShardableWorld for TenantPipelinedWorld {
-    fn lookahead(&self) -> Time {
-        self.parts.mq.link.cfg.min_lookahead()
-    }
-
-    /// Tenants share the QoS arbiter and the multi-tag wire's gap
-    /// backfill on top of it, so — like the MQ world — there is no
-    /// inter-tenant lookahead and the world stays one coupled
-    /// component (DESIGN §2.1.2).
-    fn partition(self, _max_shards: usize) -> Vec<Self> {
-        vec![self]
-    }
-}
-
 /// Run the E21 pipelined multi-tenant workload: `mq_queue_pairs`
 /// tenants (from `cfg.options`), each active tenant with a
 /// `depth`-deep window (per-tenant overrides via
 /// [`TenantConfig::depth`]), until the active tenants drain
 /// `cfg.packets` total round trips.
-///
-/// Like [`run_mq`](crate::mq::run_mq), always drives the sharded
-/// engine with the cap from `cfg.options.shards`; the coupled tenant
-/// world resolves to one shard, so results are bit-identical for any
-/// shard count.
 pub fn run_tenants(cfg: &TestbedConfig, depth: usize) -> TenantThroughputResult {
     assert_eq!(
         cfg.driver,
@@ -863,22 +844,17 @@ pub fn run_tenants(cfg: &TestbedConfig, depth: usize) -> TenantThroughputResult 
         );
     }
     let tenants = world.parts.mq.pairs;
+    let mut sim = Simulation::new(world);
     let start = Time::from_us(10);
-    let initial = (0..tenants)
-        .filter(|&t| !world.queues[t as usize].paused)
-        .map(|t| (start, TenantPipeEv::Pump(t)))
-        .collect();
-    let (worlds, now, outcome) = vf_sim::run_partitioned(
-        world,
-        cfg.options.shards,
-        vf_sim::default_threads(),
-        initial,
-        Time::from_secs(3600),
-        500_000_000,
-    );
+    for t in 0..tenants {
+        if !sim.world.queues[t as usize].paused {
+            sim.schedule_at(start, TenantPipeEv::Pump(t));
+        }
+    }
+    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
     assert_eq!(outcome, vf_sim::RunOutcome::Idle, "tenant pipeline wedged");
-    let elapsed = now - start;
-    let w = worlds.into_iter().next().expect("coupled world, one shard");
+    let elapsed = sim.now() - start;
+    let w = sim.world;
     assert_eq!(w.received, cfg.packets, "packets lost");
     let stats = w.parts.mq.run_stats();
     let link = &w.parts.mq.link;
@@ -982,26 +958,6 @@ mod tests {
         }
         assert_eq!(a.arb_grants, b.arb_grants);
         assert_eq!(a.arb_queued, b.arb_queued);
-    }
-
-    /// E25: sharded tenant runs are bit-identical to single-shard —
-    /// pps, fairness index, per-tenant latency raws, and arbiter
-    /// counters all match for any shard count.
-    #[test]
-    fn sharded_tenants_match_single_shard_bitwise() {
-        let one = run_tenants(&vhost_cfg(4, 600), 8);
-        for shards in [2, 4] {
-            let mut c = vhost_cfg(4, 600);
-            c.options.shards = shards;
-            let n = run_tenants(&c, 8);
-            assert_eq!(one.pps.to_bits(), n.pps.to_bits(), "{shards} shards");
-            assert_eq!(one.jain_index.to_bits(), n.jain_index.to_bits());
-            assert_eq!(one.arb_grants, n.arb_grants);
-            assert_eq!(one.arb_queued, n.arb_queued);
-            for (x, y) in one.per_tenant_latency.iter().zip(&n.per_tenant_latency) {
-                assert_eq!(x.raw(), y.raw(), "{shards} shards");
-            }
-        }
     }
 
     #[test]

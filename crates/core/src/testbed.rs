@@ -169,13 +169,11 @@ pub struct TestbedOptions {
     /// 16 MiB) leaves the random-I/O sweeps room to address distinct
     /// slots at every I/O size.
     pub blk_capacity_sectors: u64,
-    /// E25 (MQ/tenant worlds): shard cap for the conservative parallel
-    /// engine (`vf_sim::shard`). `1` (default) runs the monolithic
-    /// loop; `> 1` lets the world partition into up to this many shards
-    /// synchronized by the link's [`min_lookahead`] — results are
-    /// bit-identical to `shards = 1` by the engine's merge contract.
+    /// Unused: nothing reads it. It exists only because the `vfbench`
+    /// benchmark package sets it, and a later change to that package
+    /// drops it together with [`ExperimentParams::shards`].
     ///
-    /// [`min_lookahead`]: vf_pcie::LinkConfig::min_lookahead
+    /// [`ExperimentParams::shards`]: crate::experiments::ExperimentParams::shards
     pub shards: usize,
 }
 

@@ -20,11 +20,7 @@ pub struct LogicOutcome {
 
 /// A block of user logic attached to the controller's RX/TX queue
 /// interface.
-///
-/// `Send` so a device embedding boxed logic can run as a shard on a
-/// worker thread (`vf_sim::shard`) — hardware state machines are plain
-/// data, so this costs implementors nothing.
-pub trait UserLogic: Send {
+pub trait UserLogic {
     /// Process one ingress frame (from the host).
     fn on_frame(&mut self, frame: &[u8]) -> LogicOutcome;
 

@@ -145,22 +145,6 @@ impl LinkConfig {
         self.gen.ps_per_byte_per_lane() / self.lanes as u64
     }
 
-    /// Minimum one-way flight time across every tag of this link: a
-    /// lower bound on the delay between any TLP leaving one side and
-    /// its first symbol arriving at the other, regardless of direction,
-    /// tag context, payload, or wire contention.
-    ///
-    /// Every one-way path in the model is `propagation` plus
-    /// non-negative terms — serialization, wire-gap queueing, credit
-    /// stalls, and endpoint/root-complex latencies only ever *add* —
-    /// so the infimum is `propagation` itself. This is the conservative
-    /// lookahead a sharded simulation may advance without hearing from
-    /// the far side (`vf_sim::shard`), and a handy floor when sanity-
-    /// checking trace timestamps.
-    pub fn min_lookahead(&self) -> Time {
-        self.propagation
-    }
-
     /// Serialization time for `bytes` on the wire.
     pub fn serialize(&self, bytes: usize) -> Time {
         Time::from_ps(bytes as u64 * self.ps_per_byte())
@@ -688,39 +672,6 @@ mod tests {
         assert_eq!(PcieGen::Gen2.ps_per_byte_per_lane(), 2_000);
         assert_eq!(LinkConfig::gen2_x2().ps_per_byte(), 1_000);
         assert_eq!(LinkConfig::with(PcieGen::Gen3, 8).ps_per_byte(), 127);
-    }
-
-    #[test]
-    fn min_lookahead_is_the_propagation_floor() {
-        // The paper's board: 150 ns PHY + chipset flight each way.
-        assert_eq!(LinkConfig::gen2_x2().min_lookahead(), Time::from_ns(150));
-        // Portability variants keep the propagation floor — wider or
-        // faster lanes change serialization, not flight time.
-        for (gen, lanes) in [(PcieGen::Gen1, 1), (PcieGen::Gen3, 8)] {
-            assert_eq!(
-                LinkConfig::with(gen, lanes).min_lookahead(),
-                Time::from_ns(150)
-            );
-        }
-        let mut cfg = LinkConfig::gen2_x2();
-        cfg.propagation = Time::from_ns(42);
-        assert_eq!(cfg.min_lookahead(), Time::from_ns(42));
-    }
-
-    #[test]
-    fn min_lookahead_bounds_every_one_way_path() {
-        // Behavioral check: no TLP ever crosses the link faster than
-        // the advertised lookahead, even a minimal doorbell on an idle
-        // wire — serialization only adds to the propagation floor.
-        let mut link = idle();
-        let floor = link.cfg.min_lookahead();
-        let t0 = Time::from_us(1);
-        let arrival = link.mmio_write(t0, 4);
-        assert!(arrival >= t0 + floor, "{arrival} beat the flight time");
-        // Round trips clear the floor twice (request + completion).
-        let mut link = idle();
-        let rt = link.mmio_read(t0, 4);
-        assert!(rt >= t0 + floor + floor);
     }
 
     #[test]

@@ -100,10 +100,8 @@ pub enum RunOutcome {
 }
 
 /// A boxed delivery observer: called with each event's timestamp and a
-/// shared view of its message just before `World::deliver`. `Send` so a
-/// hooked simulation can run as a shard on a worker thread (see
-/// [`crate::shard`]).
-pub type DeliveryHook<M> = Box<dyn FnMut(Time, &M) + Send>;
+/// shared view of its message just before `World::deliver`.
+pub type DeliveryHook<M> = Box<dyn FnMut(Time, &M)>;
 
 /// A discrete-event simulation over world `W`.
 pub struct Simulation<W: World> {
@@ -157,17 +155,6 @@ impl<W: World> Simulation<W> {
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Timestamp of the earliest pending event, or `None` when idle.
-    ///
-    /// Takes `&mut self` because the exact peek may cascade lower wheel
-    /// levels to locate the minimum; the queue's contents are unchanged.
-    /// This is the lower-bound-timestamp a sharded coordinator reads
-    /// during its window exchange (see [`crate::shard`]).
-    #[inline]
-    pub fn next_event_at(&mut self) -> Option<Time> {
-        self.queue.next_at()
     }
 
     /// Schedule a message from outside the event loop (initial stimulus,
@@ -402,21 +389,22 @@ mod tests {
 
     #[test]
     fn delivery_hook_observes_every_event_in_order() {
-        use std::sync::{Arc, Mutex};
-        let seen: Arc<Mutex<Vec<(Time, u32)>>> = Arc::default();
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let seen: Rc<RefCell<Vec<(Time, u32)>>> = Rc::default();
         let mut sim = Simulation::new(Countdown { log: Vec::new() });
-        let seen2 = Arc::clone(&seen);
+        let seen2 = Rc::clone(&seen);
         sim.set_delivery_hook(Some(Box::new(move |t, msg: &u32| {
-            seen2.lock().unwrap().push((t, *msg));
+            seen2.borrow_mut().push((t, *msg));
         })));
         sim.schedule(Time::from_ns(5), 2);
         sim.run_to_idle();
-        assert_eq!(*seen.lock().unwrap(), sim.world.log);
+        assert_eq!(*seen.borrow(), sim.world.log);
         // Removing the hook stops observation without disturbing the run.
         sim.set_delivery_hook(None);
         sim.schedule(Time::from_ns(1), 0);
         sim.run_to_idle();
-        assert_eq!(seen.lock().unwrap().len(), 3);
+        assert_eq!(seen.borrow().len(), 3);
         assert_eq!(sim.world.log.len(), 4);
     }
 

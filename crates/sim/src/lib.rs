@@ -18,9 +18,7 @@
 //!   variance and tails;
 //! * [`stats`] — exact-percentile sample sets, streaming moments, and
 //!   histograms matching the paper's reporting (mean ± σ, p95/p99/p99.9);
-//! * [`sweep`] — order-preserving parallel parameter sweeps;
-//! * [`shard`] — conservative parallel sharding of one simulation across
-//!   worker threads with a deterministic timestamp-ordered merge (E25).
+//! * [`sweep`] — order-preserving parallel parameter sweeps.
 //!
 //! Nothing in this crate knows about PCIe, VirtIO, or FPGAs; those models
 //! live in the crates layered above (see DESIGN.md §2).
@@ -55,7 +53,6 @@ pub mod baseline;
 pub mod engine;
 pub mod noise;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod sweep;
 pub mod time;
@@ -64,7 +61,6 @@ pub mod wheel;
 pub use engine::{RunOutcome, Scheduler, Simulation, World};
 pub use noise::{Jitter, NoiseModel, SpikeClass};
 pub use rng::SimRng;
-pub use shard::{run_partitioned, Coupled, Outbox, ShardWorld, ShardableWorld, ShardedSimulation};
 pub use stats::{Histogram, SampleSet, Summary, Welford};
 pub use sweep::{default_threads, parallel_map, MAX_THREADS};
 pub use time::{Time, FPGA_CYCLE};

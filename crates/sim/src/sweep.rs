@@ -17,7 +17,8 @@ use std::thread;
 /// balances sweeps whose per-item cost varies by orders of magnitude (a
 /// 64 B run finishes long before a 1 KiB run).
 ///
-/// Panics in `f` are propagated to the caller.
+/// A panic in `f` is re-raised on the caller with its original payload,
+/// so the caller sees the failing point's own message.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, max_threads: usize, f: F) -> Vec<O>
 where
     I: Sync,
@@ -60,7 +61,10 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect()
     });
 
@@ -76,8 +80,8 @@ where
         .collect()
 }
 
-/// Default thread count for sweeps and shard windows: the `VF_THREADS`
-/// environment variable when set to a positive integer (clamped to
+/// Default thread count for sweeps: the `VF_THREADS` environment
+/// variable when set to a positive integer (clamped to
 /// [`MAX_THREADS`]), otherwise the machine's parallelism, leaving the
 /// result at least 1.
 ///
@@ -143,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let _ = parallel_map(vec![0u32, 1, 2], 2, |&x| {
             assert_ne!(x, 1, "boom");

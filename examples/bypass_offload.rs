@@ -22,9 +22,7 @@ fn main() {
     // The standard experiment-grade comparison table first.
     let rows = experiments::bypass(ExperimentParams {
         packets: 3_000,
-        seed: 42,
-        threads: vf_sim::default_threads(),
-        shards: 1,
+        ..ExperimentParams::quick(42)
     });
     println!("bypass DMA vs full driver path:");
     println!(

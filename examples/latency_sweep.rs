@@ -17,9 +17,7 @@ fn main() {
         .unwrap_or(5_000);
     let params = ExperimentParams {
         packets,
-        seed: 42,
-        threads: vf_sim::default_threads(),
-        shards: 1,
+        ..ExperimentParams::quick(42)
     };
     eprintln!("running the 2 × 5 measurement matrix ({packets} packets per cell)...");
     let t0 = std::time::Instant::now();

@@ -224,76 +224,6 @@ fn e24_blk_qd_sweep_matches_promotion_golden() {
     assert_eq!(r.verify_failures, 0);
 }
 
-/// E25: the shard knob must be invisible in the E19 sweep. Every row of
-/// `mq_scaling` — throughput, latency, coalescing rates, link
-/// occupancy — must be bit-identical whether the worlds run on the
-/// monolithic loop (`shards: 1`) or ride the sharded engine
-/// (`shards: 4`). The MQ world is wire-coupled, so it declares itself
-/// indivisible and the sharded engine's single-shard fast path runs the
-/// exact monolithic event loop; this golden pins that routing.
-#[test]
-fn e19_mq_scaling_is_bit_identical_at_any_shard_count() {
-    use virtio_fpga::experiments::{mq_scaling, ExperimentParams};
-    let mut single = ExperimentParams::quick(42);
-    single.packets = 400;
-    let mut sharded = single;
-    sharded.shards = 4;
-    let a = mq_scaling(single, 256);
-    let b = mq_scaling(sharded, 256);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.queues, y.queues);
-        assert_eq!(x.pps.to_bits(), y.pps.to_bits(), "{}q pps", x.queues);
-        assert_eq!(
-            x.latency_us.to_bits(),
-            y.latency_us.to_bits(),
-            "{}q latency",
-            x.queues
-        );
-        assert_eq!(
-            x.doorbells_per_packet.to_bits(),
-            y.doorbells_per_packet.to_bits()
-        );
-        assert_eq!(x.irqs_per_packet.to_bits(), y.irqs_per_packet.to_bits());
-        assert_eq!(x.link_util_up.to_bits(), y.link_util_up.to_bits());
-        assert_eq!(x.link_util_down.to_bits(), y.link_util_down.to_bits());
-    }
-}
-
-/// E25: same pin for the E21 sweep — every `tenant_scaling` row across
-/// all arbiter policies and tenant counts must be bit-identical at
-/// `shards: 4` and `shards: 1`, including the fairness and arbitration
-/// statistics that would expose any reordering of the shared walker.
-#[test]
-fn e21_tenant_scaling_is_bit_identical_at_any_shard_count() {
-    use virtio_fpga::experiments::{tenant_scaling, ExperimentParams};
-    let mut single = ExperimentParams::quick(7);
-    single.packets = 300;
-    let mut sharded = single;
-    sharded.shards = 4;
-    let a = tenant_scaling(single, 256);
-    let b = tenant_scaling(sharded, 256);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!((x.tenants, x.policy), (y.tenants, y.policy));
-        let tag = format!("{} x{}", x.policy, x.tenants);
-        assert_eq!(x.pps.to_bits(), y.pps.to_bits(), "{tag} pps");
-        assert_eq!(
-            x.worst_p99_us.to_bits(),
-            y.worst_p99_us.to_bits(),
-            "{tag} p99"
-        );
-        assert_eq!(x.jain.to_bits(), y.jain.to_bits(), "{tag} jain");
-        assert_eq!(
-            x.queued_frac.to_bits(),
-            y.queued_frac.to_bits(),
-            "{tag} queued"
-        );
-        assert_eq!(x.link_util_up.to_bits(), y.link_util_up.to_bits());
-        assert_eq!(x.link_util_down.to_bits(), y.link_util_down.to_bits());
-    }
-}
-
 /// A multi-queue world cut down to one pair is the same workload as the
 /// E12 pipelined single-queue run: same payload, depth, and suppression
 /// behavior. The aggregate throughput must land in the same regime. The

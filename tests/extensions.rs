@@ -9,9 +9,8 @@ use virtio_fpga::{DriverKind, Testbed, TestbedConfig};
 fn params(packets: usize) -> ExperimentParams {
     ExperimentParams {
         packets,
-        seed: 23,
         threads: 8,
-        shards: 1,
+        ..ExperimentParams::quick(23)
     }
 }
 

@@ -15,9 +15,7 @@ fn matrix() -> &'static std::sync::Mutex<Matrix> {
     M.get_or_init(|| {
         std::sync::Mutex::new(experiments::run_matrix(ExperimentParams {
             packets: 10_000,
-            seed: 42,
-            threads: vf_sim::default_threads(),
-            shards: 1,
+            ..ExperimentParams::quick(42)
         }))
     })
 }
