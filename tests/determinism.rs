@@ -247,3 +247,145 @@ fn mq_single_pair_matches_e12_pipelined_throughput() {
         r12.pps
     );
 }
+
+/// Bit-exact fingerprint of a pipelined MQ run: throughput, pooled
+/// latency sum and wire utilization as raw f64 bits, plus the counters.
+fn mq_fingerprint(r: &virtio_fpga::MqThroughputResult) -> [u64; 7] {
+    let latency_sum: f64 = r
+        .per_queue_latency
+        .iter()
+        .map(|s| s.raw().iter().sum::<f64>())
+        .sum();
+    [
+        r.pps.to_bits(),
+        latency_sum.to_bits(),
+        r.link_util_up.to_bits(),
+        r.link_util_down.to_bits(),
+        r.doorbells,
+        r.irqs,
+        r.peak_np_inflight,
+    ]
+}
+
+/// One E19/E20 `run_mq` cell: 4 pairs, 256 B, 2000 packets, seed 42.
+fn mq_cell(driver: virtio_fpga::DriverKind, depth: usize) -> [u64; 7] {
+    let mut cfg = TestbedConfig::paper(driver, 256, 2000, 42);
+    cfg.options.mq_queue_pairs = 4;
+    cfg.options.pipeline_depth = depth;
+    let r = virtio_fpga::run_mq(&cfg, 16);
+    assert_eq!(r.verify_failures, 0);
+    mq_fingerprint(&r)
+}
+
+/// Split-ring MQ over the serial walkers (NP depth 1). Captured before
+/// the split and packed walkers were merged behind one ring type; the
+/// merge must not move a bit.
+#[test]
+fn mq_split_serial_walker_matches_golden() {
+    assert_eq!(
+        mq_cell(DriverKind::VirtioMq, 1),
+        [
+            0x41100cd63083622d,
+            0x411548e8d3f7cedc,
+            0x3fc409945020f893,
+            0x3fc0854a5328293d,
+            128,
+            128,
+            0,
+        ],
+        "split MQ at depth 1 drifted"
+    );
+}
+
+/// Split-ring MQ over the pipelined walkers (NP depth 4).
+#[test]
+fn mq_split_pipelined_walker_matches_golden() {
+    assert_eq!(
+        mq_cell(DriverKind::VirtioMq, 4),
+        [
+            0x411879e340c6fdc0,
+            0x41066af553f7cedc,
+            0x3fce8e7f9496e71c,
+            0x3fc93193b2814a15,
+            128,
+            128,
+            4,
+        ],
+        "split MQ at depth 4 drifted"
+    );
+}
+
+/// Packed-ring MQ over the serial walkers (NP depth 1).
+#[test]
+fn mq_packed_serial_walker_matches_golden() {
+    assert_eq!(
+        mq_cell(DriverKind::VirtioMqPacked, 1),
+        [
+            0x4108bac5cf497de3,
+            0x411e00a7da1cac04,
+            0x3fbd9cef33d121c2,
+            0x3fbacfff9608acb0,
+            2000,
+            2000,
+            0,
+        ],
+        "packed MQ at depth 1 drifted"
+    );
+}
+
+/// Packed-ring MQ over the pipelined walkers (NP depth 4).
+#[test]
+fn mq_packed_pipelined_walker_matches_golden() {
+    assert_eq!(
+        mq_cell(DriverKind::VirtioMqPacked, 4),
+        [
+            0x4112661e8e21b5a1,
+            0x411171dc6f9db22b,
+            0x3fc6083e96a7a1d5,
+            0x3fc3f2d76166e90f,
+            2000,
+            2000,
+            4,
+        ],
+        "packed MQ at depth 4 drifted"
+    );
+}
+
+/// E21 tenant cell on packed rings: 4 vhost-relayed tenants, 256 B,
+/// 2000 packets, seed 42. Pins the packed tenant front ends, the
+/// packed ctrl queue and the arbiter's grant sequence.
+#[test]
+fn tenant_packed_cell_matches_golden() {
+    let mut cfg = TestbedConfig::paper(DriverKind::VirtioTenant, 256, 2000, 42);
+    cfg.options.mq_queue_pairs = 4;
+    cfg.options.tenant_vhost = true;
+    cfg.options.tenant_packed = true;
+    let r = virtio_fpga::run_tenants(&cfg, 16);
+    assert_eq!(r.verify_failures, 0);
+    let latency_sum: f64 = r
+        .per_tenant_latency
+        .iter()
+        .map(|s| s.raw().iter().sum::<f64>())
+        .sum();
+    assert_eq!(
+        [
+            r.pps.to_bits(),
+            latency_sum.to_bits(),
+            r.jain_index.to_bits(),
+            r.doorbells,
+            r.irqs,
+            r.arb_grants,
+            r.arb_queued,
+        ],
+        [
+            0x40f48958243712b0,
+            0x41346a654dd2f1ab,
+            0x3feffff46d9c35ca,
+            2000,
+            2000,
+            128,
+            127,
+        ],
+        "packed tenant cell drifted"
+    );
+}
