@@ -27,8 +27,8 @@ use std::collections::HashMap;
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice};
 use vf_hostsw::{
-    probe_mq, probe_mq_packed, Ipv4Addr, MacAddr, MultiCoreHost, SockError, UdpStack,
-    VirtioNetMqDriver, VirtioNetMqPackedDriver, CTRL_QUEUE_SIZE,
+    probe_mq, Ipv4Addr, MacAddr, MultiCoreHost, SockError, UdpStack, VirtioNetMqDriver,
+    CTRL_QUEUE_SIZE,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
@@ -117,69 +117,6 @@ const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [
 /// `dst_port % pairs` steering maps flow `i` exactly to pair `i`.
 pub(crate) const FLOW_PORT_BASE: u16 = 40_000;
 
-/// The front end driving an MQ world: split rings (E19) or packed
-/// rings (E20's MQ×packed fusion). Both expose the same pair-indexed
-/// data path and control-queue surface, so the worlds are layout-blind.
-pub(crate) enum MqDriver {
-    Split(VirtioNetMqDriver),
-    Packed(VirtioNetMqPackedDriver),
-}
-
-impl MqDriver {
-    pub(crate) fn xmit(
-        &mut self,
-        mem: &mut HostMemory,
-        pair: u16,
-        frame: &[u8],
-        cost: &mut vf_hostsw::CostEngine,
-    ) -> vf_hostsw::XmitResult {
-        match self {
-            MqDriver::Split(d) => d.xmit(mem, pair, frame, cost),
-            MqDriver::Packed(d) => d.xmit(mem, pair, frame, cost),
-        }
-    }
-
-    pub(crate) fn napi_poll(
-        &mut self,
-        mem: &mut HostMemory,
-        pair: u16,
-        cost: &mut vf_hostsw::CostEngine,
-    ) -> (Vec<vf_hostsw::RxFrame>, Time) {
-        match self {
-            MqDriver::Split(d) => d.napi_poll(mem, pair, cost),
-            MqDriver::Packed(d) => d.napi_poll(mem, pair, cost),
-        }
-    }
-
-    fn set_queue_pairs(&mut self, mem: &mut HostMemory, pairs: u16) -> bool {
-        match self {
-            MqDriver::Split(d) => d.set_queue_pairs(mem, pairs),
-            MqDriver::Packed(d) => d.set_queue_pairs(mem, pairs),
-        }
-    }
-
-    fn set_rss(&mut self, mem: &mut HostMemory, table: &[u16], key: &[u8]) -> bool {
-        match self {
-            MqDriver::Split(d) => d.set_rss(mem, table, key),
-            MqDriver::Packed(d) => d.set_rss(mem, table, key),
-        }
-    }
-
-    fn ctrl_ack(&mut self, mem: &mut HostMemory) -> Option<u8> {
-        match self {
-            MqDriver::Split(d) => d.ctrl_ack(mem),
-            MqDriver::Packed(d) => d.ctrl_ack(mem),
-        }
-    }
-
-    pub(crate) fn csum_offload(&self, pair: u16) -> bool {
-        match self {
-            MqDriver::Split(d) => d.pairs[pair as usize].csum_offload(),
-            MqDriver::Packed(d) => d.pairs[pair as usize].csum_offload(),
-        }
-    }
-}
-
 /// The Toeplitz indirection table the MQ bring-up programs: every slot
 /// defaults to `slot % pairs`, then each measured flow's hash slot is
 /// pinned to its pair — so flow `i` (UDP source port
@@ -207,7 +144,7 @@ pub(crate) struct MqParts {
     pub(crate) mem: HostMemory,
     pub(crate) link: PcieLink,
     pub(crate) device: VirtioFpgaDevice,
-    pub(crate) driver: MqDriver,
+    pub(crate) driver: VirtioNetMqDriver,
     pub(crate) stack: UdpStack,
     pub(crate) host: MultiCoreHost,
     pub(crate) payload_rng: SimRng,
@@ -295,19 +232,12 @@ impl MqParts {
         if cfg.options.csum_offload {
             want |= net::feature::CSUM | net::feature::GUEST_CSUM;
         }
-        let mut driver = if packed {
+        if packed {
             want |= feature::RING_PACKED;
-            let drv = VirtioNetMqPackedDriver::init(&mut mem, cfg.options.queue_size, pairs, want);
-            let out =
-                probe_mq_packed(&mut Transport(&mut device), &drv, want).expect("mq packed probe");
-            assert_eq!(out.max_pairs, pairs);
-            MqDriver::Packed(drv)
-        } else {
-            let drv = VirtioNetMqDriver::init(&mut mem, cfg.options.queue_size, pairs, want);
-            let out = probe_mq(&mut Transport(&mut device), &drv, want).expect("mq probe");
-            assert_eq!(out.max_pairs, pairs);
-            MqDriver::Split(drv)
-        };
+        }
+        let mut driver = VirtioNetMqDriver::init(&mut mem, cfg.options.queue_size, pairs, want);
+        let out = probe_mq(&mut Transport(&mut device), &driver, want).expect("mq probe");
+        assert_eq!(out.max_pairs, pairs);
         device.msix_enable();
         // One vector per queue: 2N data vectors + the ctrl vector.
         for v in 0..(2 * pairs as u64 + 1) {
@@ -324,7 +254,7 @@ impl MqParts {
         let ctrl_command = |device: &mut VirtioFpgaDevice,
                             mem: &mut HostMemory,
                             link: &mut PcieLink,
-                            driver: &mut MqDriver,
+                            driver: &mut VirtioNetMqDriver,
                             notify: bool| {
             assert!(notify, "ctrl command must ring the doorbell");
             let ev = device.mmio_write(
@@ -445,7 +375,7 @@ impl World for MqWorld {
                 let mut payload = vec![0u8; self.payload];
                 parts.payload_rng.fill_bytes(&mut payload);
                 self.expected = payload.clone();
-                let offload = parts.driver.csum_offload(pair);
+                let offload = parts.driver.pairs[pair as usize].csum_offload();
 
                 let cpu = parts.host.cpu_for_pair(pair);
                 let (frame, d) = parts
@@ -651,7 +581,7 @@ pub struct MqThroughputResult {
     /// Fraction of the run the downstream (host→device) wire was busy.
     pub link_util_down: f64,
     /// Highest number of non-posted reads one walker tag held in
-    /// flight (0 when the serial walkers ran, i.e. depth 1).
+    /// flight (0 when the serial TX walker ran, i.e. depth 1).
     pub peak_np_inflight: u64,
 }
 

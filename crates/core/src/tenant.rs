@@ -271,7 +271,7 @@ impl World for TenantWorld {
                 let mut payload = vec![0u8; self.payload];
                 parts.mq.payload_rng.fill_bytes(&mut payload);
                 self.expected = payload.clone();
-                let offload = parts.mq.driver.csum_offload(tenant);
+                let offload = parts.mq.driver.pairs[tenant as usize].csum_offload();
 
                 let cpu = parts.mq.host.cpu_for_pair(tenant);
                 let (frame, d) = parts

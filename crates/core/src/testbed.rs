@@ -23,7 +23,7 @@ use vf_fpga::user_logic::{ConsoleEcho, UdpEcho, UserLogic};
 use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign};
 use vf_hostsw::{
     CostEngine, Ipv4Addr, MacAddr, SockError, UdpStack, VirtioConsoleDriver, VirtioNetDriver,
-    VirtioPackedDriver, VirtioTransport, XdmaCharDriver,
+    VirtioTransport, XdmaCharDriver,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SimRng, Time, World};
@@ -51,9 +51,10 @@ pub enum DriverKind {
     /// RX/TX with batched ring operations.
     VirtioPmd,
     /// In-kernel VirtIO driver over the VirtIO 1.2 *packed* virtqueue
-    /// layout (E17): same socket/NAPI stack as [`DriverKind::Virtio`],
-    /// but one descriptor ring per queue that the device fetches with
-    /// fewer PCIe reads.
+    /// layout (E17): the same `VirtioNetDriver` and socket/NAPI stack as
+    /// [`DriverKind::Virtio`], negotiating `RING_PACKED` (without
+    /// EVENT_IDX), so each queue is one descriptor ring that the
+    /// device's walkers fetch with fewer PCIe reads.
     VirtioPacked,
     /// Multi-queue in-kernel VirtIO driver (`VIRTIO_NET_F_MQ`, E19):
     /// N RX/TX queue pairs plus the control virtqueue, each pair's
@@ -61,10 +62,9 @@ pub enum DriverKind {
     /// comes from [`TestbedOptions::mq_queue_pairs`].
     VirtioMq,
     /// MQ×packed fusion (E20): the multi-queue front end of
-    /// [`DriverKind::VirtioMq`] over the packed virtqueue layout of
+    /// [`DriverKind::VirtioMq`] negotiating the packed layout of
     /// [`DriverKind::VirtioPacked`] — N packed queue pairs plus a
-    /// packed control virtqueue, packed walkers per pair on the
-    /// device side.
+    /// packed control virtqueue, served by the same device walkers.
     VirtioMqPacked,
     /// Multi-tenant vhost multiplexing (E21): M simulated guest VMs,
     /// each owning one queue-pair slice of the device (its own MSI-X
@@ -410,7 +410,6 @@ impl VirtioTransport for Transport<'_> {
 /// Front-end driver variants.
 enum FrontEnd {
     Net(Box<VirtioNetDriver>),
-    PackedNet(Box<VirtioPackedDriver>),
     Console(Box<VirtioConsoleDriver>),
 }
 
@@ -513,18 +512,12 @@ impl VirtioWorld {
                     // the doorbell — so that bit is never requested.
                     want |= feature::RING_PACKED;
                     want &= !feature::RING_EVENT_IDX;
-                    let driver = VirtioPackedDriver::init(&mut mem, cfg.options.queue_size, want);
-                    let out = vf_hostsw::probe_packed(&mut Transport(&mut device), &driver, want)
-                        .expect("packed probe must succeed");
-                    assert_eq!(out.mtu, 1500);
-                    FrontEnd::PackedNet(Box::new(driver))
-                } else {
-                    let driver = VirtioNetDriver::init(&mut mem, cfg.options.queue_size, want);
-                    let out = vf_hostsw::probe(&mut Transport(&mut device), &driver, want)
-                        .expect("probe must succeed");
-                    assert_eq!(out.mtu, 1500);
-                    FrontEnd::Net(Box::new(driver))
                 }
+                let driver = VirtioNetDriver::init(&mut mem, cfg.options.queue_size, want);
+                let out = vf_hostsw::probe(&mut Transport(&mut device), &driver, want)
+                    .expect("probe must succeed");
+                assert_eq!(out.mtu, 1500);
+                FrontEnd::Net(Box::new(driver))
             }
             DeviceType::Rng | DeviceType::Block => unreachable!("persona rejected above"),
             DeviceType::Console => {
@@ -573,7 +566,6 @@ impl VirtioWorld {
     fn csum_offload(&self) -> bool {
         match &self.front {
             FrontEnd::Net(d) => d.csum_offload(),
-            FrontEnd::PackedNet(d) => d.csum_offload(),
             FrontEnd::Console(_) => false,
         }
     }
@@ -637,9 +629,9 @@ impl World for VirtioWorld {
                 if self.rec.packets_left == 0 {
                     return;
                 }
-                let rtt_name = match self.front {
+                let rtt_name = match &self.front {
+                    FrontEnd::Net(d) if d.is_packed() => "rtt_virtio_packed",
                     FrontEnd::Net(_) => "rtt_virtio",
-                    FrontEnd::PackedNet(_) => "rtt_virtio_packed",
                     FrontEnd::Console(_) => "rtt_virtio_console",
                 };
                 self.rec.begin_rtt(now, rtt_name, self.payload as u64);
@@ -652,39 +644,6 @@ impl World for VirtioWorld {
 
                 let notify = match &mut self.front {
                     FrontEnd::Net(driver) => {
-                        let (frame, cpu) = self
-                            .stack
-                            .sendto(
-                                self.fpga_ip,
-                                self.src_port,
-                                Self::DST_PORT,
-                                &payload,
-                                offload,
-                                &mut self.cost,
-                            )
-                            .expect("send path configured");
-                        vf_trace::span_at(
-                            vf_trace::Layer::Syscall,
-                            "sendto",
-                            t,
-                            t + cpu,
-                            payload.len() as u64,
-                            0,
-                        );
-                        t += cpu;
-                        let res = driver.xmit(&mut self.mem, &frame, &mut self.cost);
-                        vf_trace::span_at(
-                            vf_trace::Layer::Driver,
-                            "virtio_xmit",
-                            t,
-                            t + res.cpu,
-                            frame.len() as u64,
-                            0,
-                        );
-                        t += res.cpu;
-                        res.notify
-                    }
-                    FrontEnd::PackedNet(driver) => {
                         let (frame, cpu) = self
                             .stack
                             .sendto(
@@ -786,16 +745,10 @@ impl World for VirtioWorld {
                 vf_trace::set_now(t_irq);
                 let mut t = t_irq + self.cost.irq_to_napi();
                 let mut delivered_payload: Option<Vec<u8>> = None;
-                // Harvest frames from the ring (layout-specific), then
+                // Harvest frames from the ring (device-specific), then
                 // run the shared netif_receive path over them.
                 let frames = match &mut self.front {
                     FrontEnd::Net(driver) => {
-                        let (frames, cpu) = driver.napi_poll(&mut self.mem, &mut self.cost);
-                        vf_trace::span_at(vf_trace::Layer::Driver, "napi_poll", t, t + cpu, 0, 0);
-                        t += cpu;
-                        frames
-                    }
-                    FrontEnd::PackedNet(driver) => {
                         let (frames, cpu) = driver.napi_poll(&mut self.mem, &mut self.cost);
                         vf_trace::span_at(vf_trace::Layer::Driver, "napi_poll", t, t + cpu, 0, 0);
                         t += cpu;

@@ -33,10 +33,11 @@ use vf_virtio::console::VirtioConsoleConfig;
 use vf_virtio::net::{
     internet_checksum, VirtioNetConfig, VirtioNetHdr, HDR_F_DATA_VALID, HDR_F_NEEDS_CSUM,
 };
-use vf_virtio::packed::{PackedDesc, PackedDeviceQueue};
 use vf_virtio::pci::CfgEvent;
 use vf_virtio::rng::EntropySource;
-use vf_virtio::{feature, net, CommonCfg, DeviceQueue, DeviceType, GuestMemory, IsrStatus};
+use vf_virtio::{
+    feature, net, CommonCfg, DeviceRing, DeviceType, GuestMemory, IsrStatus, RingChain,
+};
 
 use crate::counters::RoundTripCounters;
 use crate::mem::{Bram, CardStore};
@@ -166,9 +167,9 @@ enum CtrlAction {
     },
 }
 
-/// Decode a `{class, command, data...}` control command (shared by the
-/// split and packed ctrl-vq walks). Returns the ack byte and the state
-/// change to apply, if the command was well-formed.
+/// Decode a `{class, command, data...}` control command. Returns the
+/// ack byte and the state change to apply, if the command was
+/// well-formed.
 fn decode_ctrl_command(cmd: &[u8], max_pairs: u16) -> (u8, Option<CtrlAction>) {
     match (cmd.first(), cmd.get(1)) {
         (Some(&net::ctrl::CLASS_MQ), Some(&net::ctrl::MQ_VQ_PAIRS_SET)) if cmd.len() >= 4 => {
@@ -204,6 +205,35 @@ fn decode_ctrl_command(cmd: &[u8], max_pairs: u16) -> (u8, Option<CtrlAction>) {
             (net::ctrl::OK, Some(CtrlAction::SetRss { table, key }))
         }
         _ => (net::ctrl::ERR, None),
+    }
+}
+
+/// A staged TX frame and the net header split off its front.
+type Staged = (Vec<u8>, Option<VirtioNetHdr>);
+
+/// Split the `hdr_len`-byte device-type header off a staged TX buffer,
+/// in place.
+fn split_hdr(mut data: Vec<u8>, hdr_len: usize) -> Staged {
+    if hdr_len == 0 || data.len() < hdr_len {
+        return (data, None);
+    }
+    let hdr = VirtioNetHdr::from_bytes(&data[..hdr_len]);
+    data.drain(..hdr_len);
+    (data, Some(hdr))
+}
+
+/// The device-side ring of queue `n`. Panics if the driver never enabled
+/// it.
+fn ring(rings: &mut [Option<DeviceRing>], n: u16) -> &mut DeviceRing {
+    rings[n as usize].as_mut().expect("queue not enabled")
+}
+
+/// A timed DMA read, through the tag's non-posted window when `np`.
+fn dma_read(link: &mut PcieLink, np: bool, t: Time, addr: u64, len: usize) -> Time {
+    if np {
+        link.dma_read_np(t, addr, len)
+    } else {
+        link.dma_read(t, addr, len)
     }
 }
 
@@ -312,12 +342,9 @@ pub struct VirtioFpgaDevice {
     pub msix: MsixTable,
     /// Device persona (net/console/block).
     pub persona: Persona,
-    /// Device-side queues, created as the driver enables them.
-    queues: Vec<Option<DeviceQueue>>,
-    /// Packed-ring device-side queues: a queue lives in exactly one of
-    /// `queues`/`packed_queues`, decided by the negotiated `RING_PACKED`
-    /// bit when the driver enables it (E17).
-    packed_queues: Vec<Option<PackedDeviceQueue>>,
+    /// Device-side rings, created as the driver enables them, in the
+    /// layout the negotiated `RING_PACKED` bit selects (E17).
+    rings: Vec<Option<DeviceRing>>,
     /// Attached user logic.
     pub logic: Box<dyn UserLogic>,
     /// Frame staging memory (BRAM by default; DDR for the E14 ablation).
@@ -423,8 +450,7 @@ impl VirtioFpgaDevice {
             isr: IsrStatus::default(),
             msix: MsixTable::new(vectors as usize),
             persona,
-            queues: queue_sizes.iter().map(|_| None).collect(),
-            packed_queues: queue_sizes.iter().map(|_| None).collect(),
+            rings: queue_sizes.iter().map(|_| None).collect(),
             logic,
             staging: CardStore::Bram(Bram::new(256 * 1024)),
             timing: ControllerTiming::default(),
@@ -450,19 +476,6 @@ impl VirtioFpgaDevice {
     /// True once the driver completed initialization.
     pub fn is_live(&self) -> bool {
         self.common.negotiation.is_live()
-    }
-
-    /// The device-side queue `n` (panics if not yet enabled).
-    pub fn queue(&mut self, n: u16) -> &mut DeviceQueue {
-        self.queues[n as usize].as_mut().expect("queue not enabled")
-    }
-
-    /// The packed device-side queue `n` (panics if not enabled as
-    /// packed).
-    pub fn packed_queue(&mut self, n: u16) -> &mut PackedDeviceQueue {
-        self.packed_queues[n as usize]
-            .as_mut()
-            .expect("packed queue not enabled")
     }
 
     /// BAR0 MMIO read.
@@ -496,33 +509,20 @@ impl VirtioFpgaDevice {
                     Ok(Some(CfgEvent::QueueEnabled(n))) => {
                         let negotiated = self.common.negotiation.negotiated();
                         let regs = self.common.queue(n);
-                        if negotiated & feature::RING_PACKED != 0 {
-                            let mut q = PackedDeviceQueue::new(regs.desc, regs.size);
-                            q.set_metrics_index(n as u32);
-                            self.packed_queues[n as usize] = Some(q);
-                            self.queues[n as usize] = None;
+                        self.rings[n as usize] = Some(if negotiated & feature::RING_PACKED != 0 {
+                            DeviceRing::packed(regs.desc, regs.size, n)
                         } else {
-                            let event_idx = negotiated & feature::RING_EVENT_IDX != 0;
-                            let indirect = negotiated & feature::RING_INDIRECT_DESC != 0;
-                            let mut q = DeviceQueue::new(regs.layout(), event_idx, indirect);
-                            // Odd queues are the host-driven transmitqs
-                            // in this controller's net/console personas
-                            // (`tx_queue_of_pair`); even rings are
-                            // pre-posted (RX, control) and must not arm
-                            // the stall watchdog while idle.
-                            q.set_metrics_index(n as u32, n % 2 == 1);
-                            self.queues[n as usize] = Some(q);
-                            self.packed_queues[n as usize] = None;
-                        }
+                            DeviceRing::split(
+                                regs.layout(),
+                                negotiated & feature::RING_EVENT_IDX != 0,
+                                negotiated & feature::RING_INDIRECT_DESC != 0,
+                                n,
+                            )
+                        });
                         Some(MmioEvent::QueueEnabled(n))
                     }
                     Ok(Some(CfgEvent::Reset)) => {
-                        for q in &mut self.queues {
-                            *q = None;
-                        }
-                        for q in &mut self.packed_queues {
-                            *q = None;
-                        }
+                        self.rings.fill(None);
                         Some(MmioEvent::Reset)
                     }
                     Ok(Some(CfgEvent::StatusWrite(_))) | Ok(None) => None,
@@ -581,9 +581,11 @@ impl VirtioFpgaDevice {
         self.msix.enabled = true;
     }
 
-    /// Process a doorbell on the TX queue (net/console): walk new avail
-    /// entries, fetch each chain's data via timed DMA reads, stage in
-    /// BRAM, complete the used entries, then run user logic per frame.
+    /// Process a doorbell on the TX queue (net/console): walk the newly
+    /// published chains, fetch each chain's data via timed DMA reads,
+    /// stage it in BRAM, complete the used entries, then run user logic
+    /// per frame. The ring layout only changes where the walker reads
+    /// and writes (see [`DeviceRing`]).
     ///
     /// The `h2c` counter runs from doorbell arrival to the last used
     /// write; the `processing` counter covers user logic (deducted per
@@ -596,26 +598,14 @@ impl VirtioFpgaDevice {
         link: &mut PcieLink,
     ) -> TxOutcome {
         link.select_dma_context(tx_queue as usize);
-        if self.packed_queues[tx_queue as usize].is_some() {
-            return self.process_tx_notify_packed(arrival, tx_queue, mem, link);
-        }
-        if link.cfg.max_outstanding_np > 1 {
-            // E20: the tag's non-posted window admits concurrent reads —
-            // take the pipelined walker. The serial path below is kept
-            // byte-for-byte so depth-1 runs stay bit-identical to the
-            // determinism goldens.
-            return self.process_tx_notify_split_pipelined(arrival, tx_queue, mem, link);
-        }
-        let hdr_len = self.persona.hdr_len();
         let csum_feature = matches!(self.persona, Persona::Net { .. })
             && self.features() & net::feature::CSUM != 0;
-        let timing = self.timing;
-        let q = self.queues[tx_queue as usize]
-            .as_mut()
-            .expect("TX queue not enabled");
-        let layout = *q.layout();
-
-        let mut t = arrival + timing.notify_decode;
+        // E20: with more than one non-posted read allowed on the tag,
+        // the pipelined walker overlaps descriptor fetches with payload
+        // DMA. The serial walker's schedule at depth 1 is the one the
+        // determinism goldens pin, so both walkers stay.
+        let pipelined = link.cfg.max_outstanding_np > 1;
+        let mut t = arrival + self.timing.notify_decode;
         self.counters.h2c.start(arrival);
         vf_trace::instant(
             vf_trace::Layer::Device,
@@ -625,82 +615,23 @@ impl VirtioFpgaDevice {
             0,
         );
 
-        // Read the driver's avail index and the new ring entries in one
-        // burst — idx and entries are contiguous, so the RTL fetches one
-        // beat-aligned block instead of issuing per-field reads.
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
-        vf_trace::instant(vf_trace::Layer::Device, "desc_read_split", t, 0, 0);
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            // Descriptor chain: the driver allocates chains contiguously,
-            // so the controller fetches the whole chain in one read
-            // (using the table location plus the chain-length hint).
-            let (chain, fetches) = q
-                .resolve_at(mem, pos)
-                .expect("driver published a corrupt chain");
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+        // Split: the avail index and the new ring entries in one burst —
+        // idx and entries are contiguous, so the RTL fetches one
+        // beat-aligned block instead of issuing per-field reads. Packed:
+        // nothing, the descriptors carry their own availability.
+        let ring = ring(&mut self.rings, tx_queue);
+        let desc_trace = ring.desc_trace();
+        if let Some((addr, len)) = ring.prologue(mem, false) {
+            t = dma_read(link, pipelined, t, addr, len);
             self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                "desc_read_split",
-                t,
-                fetches as u64,
-                0,
-            );
-            t += timing.per_desc * fetches as u64;
-            // Payload DMA: read the readable buffers into BRAM, merging
-            // physically adjacent buffers into single bursts (virtio-net
-            // lays the header immediately before the frame).
-            let mut data = Vec::with_capacity(chain.readable_len() as usize);
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for buf in chain.bufs.iter().filter(|b| !b.writable) {
-                data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
-                match bursts.last_mut() {
-                    Some((start, len)) if *start + *len as u64 == buf.addr => {
-                        *len += buf.len as usize;
-                    }
-                    _ => bursts.push((buf.addr, buf.len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                t = link.dma_read(t, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            t += self.staging.access_time(data.len());
-            // Complete the used entry (8-byte entry + 2-byte idx, posted;
-            // avail_event update rides along under EVENT_IDX).
-            q.advance();
-            let old_used = q.complete(mem, chain.head, 0);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                // TX completion interrupt (normally suppressed by the
-                // driver's parked used_event).
-                if let Some((_addr, _data)) = self.msix.fire(tx_queue as usize) {
-                    outcome.tx_irq_at = Some(link.msix_write(t));
-                    self.stats.irqs_sent += 1;
-                }
-            }
-            outcome.chains += 1;
-            self.stats.tx_chains += 1;
-
-            // Split off the device-type header.
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
+            vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 0, 0);
         }
+        let mut outcome = TxOutcome::default();
+        let (mut t, staged) = if pipelined {
+            self.tx_walk_pipelined(t, tx_queue, desc_trace, mem, link, &mut outcome)
+        } else {
+            self.tx_walk_serial(t, tx_queue, desc_trace, mem, link, &mut outcome)
+        };
         self.counters.h2c.stop(t);
 
         t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
@@ -708,10 +639,55 @@ impl VirtioFpgaDevice {
         outcome
     }
 
-    /// Pipelined split-ring TX walker (E20): taken when the link grants
-    /// the DMA tag more than one outstanding non-posted read. Instead of
-    /// sitting out a full descriptor-fetch round trip before touching a
-    /// chain's payload, the walker keeps a prefetch cursor up to
+    /// Serial TX walker: each chain's descriptor fetch, payload DMA and
+    /// used write-back in turn. Returns when the last used write is on
+    /// the wire, with the staged frames.
+    fn tx_walk_serial(
+        &mut self,
+        mut t: Time,
+        tx_queue: u16,
+        desc_trace: &'static str,
+        mem: &mut HostMemory,
+        link: &mut PcieLink,
+        outcome: &mut TxOutcome,
+    ) -> (Time, Vec<Staged>) {
+        let hdr_len = self.persona.hdr_len();
+        let mut staged = Vec::new();
+        while let Some(chain) = ring(&mut self.rings, tx_queue)
+            .next_chain(mem)
+            .expect("driver published a corrupt chain")
+        {
+            // Descriptor chain: the driver allocates chains contiguously,
+            // so the controller fetches the whole chain in one read
+            // (using the table location plus the chain-length hint).
+            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(
+                vf_trace::Layer::Device,
+                desc_trace,
+                t,
+                chain.fetches as u64,
+                0,
+            );
+            t += self.timing.per_desc * chain.fetches as u64;
+            let data;
+            (data, t) = self.stage_payload(&chain, t, false, mem, link);
+            // TX completion interrupt: normally suppressed by the
+            // driver's parked used_event, never raised on packed TX.
+            let irq_at;
+            (t, irq_at) = self.complete_chain(tx_queue, &chain, 0, t, mem, link);
+            outcome.tx_irq_at = irq_at.or(outcome.tx_irq_at);
+            outcome.chains += 1;
+            self.stats.tx_chains += 1;
+            staged.push(split_hdr(data, hdr_len));
+        }
+        (t, staged)
+    }
+
+    /// Pipelined TX walker (E20): taken when the link grants the DMA
+    /// tag more than one outstanding non-posted read. Instead of sitting
+    /// out a full descriptor-fetch round trip before touching a chain's
+    /// payload, the walker keeps a prefetch cursor up to
     /// `max_outstanding_np` chains ahead of the completion cursor — the
     /// descriptor burst of chain *k+1* is on the wire while chain *k*'s
     /// payload is still streaming back, and every read goes through the
@@ -719,56 +695,31 @@ impl VirtioFpgaDevice {
     /// enforces the depth. Used-ring writes stay strictly ordered posted
     /// writes: reordering those would let the driver observe a used
     /// index covering an entry that has not landed (see DESIGN.md).
-    fn process_tx_notify_split_pipelined(
+    fn tx_walk_pipelined(
         &mut self,
-        arrival: Time,
+        mut t: Time,
         tx_queue: u16,
+        desc_trace: &'static str,
         mem: &mut HostMemory,
         link: &mut PcieLink,
-    ) -> TxOutcome {
+        outcome: &mut TxOutcome,
+    ) -> (Time, Vec<Staged>) {
         let hdr_len = self.persona.hdr_len();
-        let csum_feature = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::CSUM != 0;
         let timing = self.timing;
-        let q = self.queues[tx_queue as usize]
-            .as_mut()
-            .expect("TX queue not enabled");
-        let layout = *q.layout();
-
-        let mut t = arrival + timing.notify_decode;
-        self.counters.h2c.start(arrival);
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "notify",
-            arrival,
-            tx_queue as u64,
-            0,
-        );
-
-        // Avail index + new ring entries in one burst, as on the serial
-        // path — this read also names every chain the pipeline covers.
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read_np(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
-        vf_trace::instant(vf_trace::Layer::Device, "desc_read_split", t, 0, 0);
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        // Resolve the published chains up front (the avail entries just
-        // fetched name them all); DMA timing happens below.
-        let mut chains = Vec::with_capacity(pending);
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = q
-                .resolve_at(mem, pos)
-                .expect("driver published a corrupt chain");
-            q.advance();
-            chains.push((chain, fetches));
+        // Take every published chain up front (the split avail entries
+        // just fetched name them all); DMA timing happens below.
+        let ring = ring(&mut self.rings, tx_queue);
+        let mut chains = Vec::new();
+        while let Some(chain) = ring
+            .next_chain(mem)
+            .expect("driver published a corrupt chain")
+        {
+            chains.push(chain);
         }
 
         let depth = link.cfg.max_outstanding_np;
         let n = chains.len();
+        let mut staged = Vec::with_capacity(n);
         let mut desc_done = vec![Time::ZERO; n];
         let mut prefetched = 0usize;
         let mut issue_t = t;
@@ -777,16 +728,16 @@ impl VirtioFpgaDevice {
             // Prefetch descriptor bursts up to `depth` chains ahead of
             // the chain being completed.
             while prefetched < n && prefetched < k + depth {
-                let (chain, fetches) = &chains[prefetched];
+                let chain = &chains[prefetched];
                 issue_t += timing.fsm_step;
                 desc_done[prefetched] =
-                    link.dma_read_np(issue_t, layout.desc_addr(chain.head), 16 * fetches);
+                    link.dma_read_np(issue_t, chain.desc_read.0, chain.desc_read.1);
                 self.stats.desc_reads += 1;
                 vf_trace::instant(
                     vf_trace::Layer::Device,
-                    "desc_read_split",
+                    desc_trace,
                     desc_done[prefetched],
-                    *fetches as u64,
+                    chain.fetches as u64,
                     0,
                 );
                 prefetched += 1;
@@ -796,54 +747,20 @@ impl VirtioFpgaDevice {
                 vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, d as i64);
                 vf_metrics::hist_record("fpga.walker.depth_hist", tx_queue as u32, d);
             }
-            let (chain, fetches) = &chains[k];
+            let chain = &chains[k];
             // Payload DMA starts once this chain's descriptors are
             // parsed and the (single) payload datapath is free.
-            let mut ct = (desc_done[k] + timing.per_desc * *fetches as u64).max(t);
-            let mut data = Vec::with_capacity(chain.readable_len() as usize);
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for buf in chain.bufs.iter().filter(|b| !b.writable) {
-                data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
-                match bursts.last_mut() {
-                    Some((start, len)) if *start + *len as u64 == buf.addr => {
-                        *len += buf.len as usize;
-                    }
-                    _ => bursts.push((buf.addr, buf.len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                ct = link.dma_read_np(ct, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            ct += self.staging.access_time(data.len());
-            // Used entry + index: posted, fire-and-forget — the walker
-            // moves on while they drain, but they stay ordered against
-            // each other on the tag.
-            let q = self.queues[tx_queue as usize]
-                .as_mut()
-                .expect("TX queue not enabled");
-            let old_used = q.complete(mem, chain.head, 0);
-            let mut w = link.dma_write(ct, layout.used_ring_addr(old_used % layout.size), 8);
-            w = link.dma_write(w, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                if let Some((_addr, _data)) = self.msix.fire(tx_queue as usize) {
-                    outcome.tx_irq_at = Some(link.msix_write(w));
-                    self.stats.irqs_sent += 1;
-                }
-            }
+            let ct = (desc_done[k] + timing.per_desc * chain.fetches as u64).max(t);
+            let (data, ct) = self.stage_payload(chain, ct, true, mem, link);
+            // Used write-back: posted, fire-and-forget — the walker
+            // moves on while it drains, but the writes stay ordered
+            // against each other on the tag.
+            let (w, irq_at) = self.complete_chain(tx_queue, chain, 0, ct, mem, link);
+            outcome.tx_irq_at = irq_at.or(outcome.tx_irq_at);
             last_write = last_write.max(w);
             outcome.chains += 1;
             self.stats.tx_chains += 1;
-
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
+            staged.push(split_hdr(data, hdr_len));
             t = ct;
         }
         // The notify is done when the last used write is visible.
@@ -855,21 +772,77 @@ impl VirtioFpgaDevice {
         if vf_metrics::is_enabled() && n > 0 {
             vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, 0);
         }
-        self.counters.h2c.stop(t);
+        (t, staged)
+    }
 
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
-        outcome.done_at = t;
-        outcome
+    /// Payload DMA: read `chain`'s readable buffers into the staging
+    /// memory, merging physically adjacent buffers into single bursts
+    /// (virtio-net lays the header immediately before the frame). `np`
+    /// issues the bursts through the tag's non-posted window. Returns the
+    /// staged bytes and the instant they are in staging memory.
+    fn stage_payload(
+        &mut self,
+        chain: &RingChain,
+        mut t: Time,
+        np: bool,
+        mem: &HostMemory,
+        link: &mut PcieLink,
+    ) -> (Vec<u8>, Time) {
+        let mut data = Vec::with_capacity(chain.readable_len());
+        let mut burst: Option<(u64, usize)> = None;
+        for buf in chain.bufs.iter().filter(|b| !b.writable) {
+            data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
+            match &mut burst {
+                Some((start, len)) if *start + *len as u64 == buf.addr => {
+                    *len += buf.len as usize;
+                }
+                _ => {
+                    if let Some((addr, len)) = burst.replace((buf.addr, buf.len as usize)) {
+                        t = dma_read(link, np, t, addr, len);
+                    }
+                }
+            }
+        }
+        if let Some((addr, len)) = burst {
+            t = dma_read(link, np, t, addr, len);
+        }
+        CardMemory::write(&mut self.staging, 0, &data);
+        t += self.staging.access_time(data.len());
+        (data, t)
+    }
+
+    /// Publish `chain`'s completion on `queue` from `t`: the ring's used
+    /// write-back as posted DMA, then the queue's MSI-X vector if the
+    /// ring asks for an interrupt. Returns the instant the write-back is
+    /// on the wire and the interrupt's arrival, if one fired.
+    fn complete_chain(
+        &mut self,
+        queue: u16,
+        chain: &RingChain,
+        written: u32,
+        mut t: Time,
+        mem: &mut HostMemory,
+        link: &mut PcieLink,
+    ) -> (Time, Option<Time>) {
+        let used = ring(&mut self.rings, queue).complete(mem, chain, written);
+        for &(addr, len) in used.writes() {
+            t = link.dma_write(t, addr, len);
+        }
+        let mut irq_at = None;
+        if used.irq && self.msix.fire(queue as usize).is_some() {
+            irq_at = Some(link.msix_write(t));
+            self.stats.irqs_sent += 1;
+        }
+        (t, irq_at)
     }
 
     /// User logic pass over staged TX frames (measured separately by the
     /// `processing` counter and deducted by the harness per §IV-B).
-    /// Shared by the split- and packed-ring TX paths — ring layout is
-    /// invisible past the staging BRAM.
+    /// Ring layout is invisible past the staging BRAM.
     fn user_logic_pass(
         &mut self,
         mut t: Time,
-        staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)>,
+        staged: Vec<Staged>,
         csum_feature: bool,
         outcome: &mut TxOutcome,
     ) -> Time {
@@ -915,237 +888,12 @@ impl VirtioFpgaDevice {
         t
     }
 
-    /// Packed-ring TX path (E17): the availability flag rides inside the
-    /// descriptor itself, so the controller issues **one** descriptor
-    /// burst per chain — a 64-byte read covers the whole short chain plus
-    /// the look-ahead slot whose stale AVAIL phase terminates the walk —
-    /// against the split ring's avail-index read *and* table fetch. One
-    /// 16-byte used-descriptor write completes a chain (split: 8-byte
-    /// used entry + 2-byte index). The packed net front end runs without
-    /// `RING_EVENT_IDX` and leaves TX interrupts disabled, so this path
-    /// never fires the TX vector.
-    fn process_tx_notify_packed(
-        &mut self,
-        arrival: Time,
-        tx_queue: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> TxOutcome {
-        if link.cfg.max_outstanding_np > 1 {
-            // E20: pipelined packed walker (see the split twin above).
-            return self.process_tx_notify_packed_pipelined(arrival, tx_queue, mem, link);
-        }
-        let hdr_len = self.persona.hdr_len();
-        let csum_feature = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::CSUM != 0;
-        let timing = self.timing;
-
-        let mut t = arrival + timing.notify_decode;
-        self.counters.h2c.start(arrival);
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "notify",
-            arrival,
-            tx_queue as u64,
-            0,
-        );
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        loop {
-            let q = self.packed_queues[tx_queue as usize]
-                .as_mut()
-                .expect("TX queue not enabled");
-            let fetch_slot = q.next_slot();
-            let Some(chain) = q.try_take(mem) else { break };
-            t = link.dma_read(t, q.desc_addr(fetch_slot), 64);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                "desc_read_packed",
-                t,
-                chain.bufs.len() as u64,
-                0,
-            );
-            t += timing.per_desc * chain.bufs.len() as u64;
-            // Payload DMA into BRAM, merging physically adjacent readable
-            // buffers into single bursts (same RTL as the split path).
-            let mut data = Vec::new();
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for &(addr, len, writable) in &chain.bufs {
-                if writable {
-                    continue;
-                }
-                data.extend_from_slice(mem.slice(addr, len as usize));
-                match bursts.last_mut() {
-                    Some((start, blen)) if *start + *blen as u64 == addr => {
-                        *blen += len as usize;
-                    }
-                    _ => bursts.push((addr, len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                t = link.dma_read(t, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            t += self.staging.access_time(data.len());
-            // Complete: flip the head descriptor to used — a single
-            // 16-byte posted write.
-            let start_slot = chain.start_slot;
-            q.complete(mem, &chain, 0);
-            let used_addr = q.desc_addr(start_slot);
-            t = link.dma_write(t, used_addr, PackedDesc::SIZE as usize);
-            outcome.chains += 1;
-            self.stats.tx_chains += 1;
-
-            // Split off the device-type header.
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
-        }
-        self.counters.h2c.stop(t);
-
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
-        outcome.done_at = t;
-        outcome
-    }
-
-    /// Pipelined packed-ring TX walker (E20): drains the window of
-    /// published descriptors with [`PackedDeviceQueue::take_burst`],
-    /// then overlaps the 64-byte descriptor burst of chain *k+1* with
-    /// the payload DMA of chain *k* through the tag's non-posted window.
-    /// Used-descriptor writes remain ordered posted writes, and — as on
-    /// the serial packed path — the TX vector never fires.
-    fn process_tx_notify_packed_pipelined(
-        &mut self,
-        arrival: Time,
-        tx_queue: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> TxOutcome {
-        let hdr_len = self.persona.hdr_len();
-        let csum_feature = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::CSUM != 0;
-        let timing = self.timing;
-
-        let mut t = arrival + timing.notify_decode;
-        self.counters.h2c.start(arrival);
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "notify",
-            arrival,
-            tx_queue as u64,
-            0,
-        );
-        let mut outcome = TxOutcome::default();
-        let mut staged: Vec<(Vec<u8>, Option<VirtioNetHdr>)> = Vec::new();
-
-        // Drain every published chain in one windowed burst. The chain's
-        // start slot is both where its 64-byte descriptor burst reads
-        // and where its used descriptor writes back.
-        let q = self.packed_queues[tx_queue as usize]
-            .as_mut()
-            .expect("TX queue not enabled");
-        let chains: Vec<(u64, vf_virtio::packed::PackedChain)> = {
-            let size = usize::from(u16::MAX);
-            q.take_burst(mem, size)
-                .into_iter()
-                .map(|chain| (q.desc_addr(chain.start_slot), chain))
-                .collect()
-        };
-
-        let depth = link.cfg.max_outstanding_np;
-        let n = chains.len();
-        let mut desc_done = vec![Time::ZERO; n];
-        let mut prefetched = 0usize;
-        let mut issue_t = t;
-        let mut last_write = t;
-        for k in 0..n {
-            while prefetched < n && prefetched < k + depth {
-                let (desc_addr, chain) = &chains[prefetched];
-                issue_t += timing.fsm_step;
-                desc_done[prefetched] = link.dma_read_np(issue_t, *desc_addr, 64);
-                self.stats.desc_reads += 1;
-                vf_trace::instant(
-                    vf_trace::Layer::Device,
-                    "desc_read_packed",
-                    desc_done[prefetched],
-                    chain.bufs.len() as u64,
-                    0,
-                );
-                prefetched += 1;
-            }
-            if vf_metrics::is_enabled() {
-                let d = (prefetched - k) as u64;
-                vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, d as i64);
-                vf_metrics::hist_record("fpga.walker.depth_hist", tx_queue as u32, d);
-            }
-            let (used_addr, chain) = &chains[k];
-            let mut ct = (desc_done[k] + timing.per_desc * chain.bufs.len() as u64).max(t);
-            let mut data = Vec::new();
-            let mut bursts: Vec<(u64, usize)> = Vec::new();
-            for &(addr, len, writable) in &chain.bufs {
-                if writable {
-                    continue;
-                }
-                data.extend_from_slice(mem.slice(addr, len as usize));
-                match bursts.last_mut() {
-                    Some((start, blen)) if *start + *blen as u64 == addr => {
-                        *blen += len as usize;
-                    }
-                    _ => bursts.push((addr, len as usize)),
-                }
-            }
-            for (addr, len) in bursts {
-                ct = link.dma_read_np(ct, addr, len);
-            }
-            CardMemory::write(&mut self.staging, 0, &data);
-            ct += self.staging.access_time(data.len());
-            // Flip the head descriptor to used: one posted 16-byte
-            // write the walker does not wait out.
-            let q = self.packed_queues[tx_queue as usize]
-                .as_mut()
-                .expect("TX queue not enabled");
-            q.complete(mem, chain, 0);
-            let w = link.dma_write(ct, *used_addr, PackedDesc::SIZE as usize);
-            last_write = last_write.max(w);
-            outcome.chains += 1;
-            self.stats.tx_chains += 1;
-
-            let (hdr, frame) = if hdr_len > 0 && data.len() >= hdr_len {
-                (
-                    Some(VirtioNetHdr::from_bytes(&data[..hdr_len])),
-                    data[hdr_len..].to_vec(),
-                )
-            } else {
-                (None, data)
-            };
-            staged.push((frame, hdr));
-            t = ct;
-        }
-        t = t.max(last_write);
-        self.stats.walker_peak_inflight = self
-            .stats
-            .walker_peak_inflight
-            .max(link.np_peak_in_flight() as u64);
-        if vf_metrics::is_enabled() && n > 0 {
-            vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, 0);
-        }
-        self.counters.h2c.stop(t);
-
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
-        outcome.done_at = t;
-        outcome
-    }
-
-    /// Deliver one response into the RX queue: fetch an RX buffer's
-    /// descriptor, DMA-write header+data, complete, and interrupt.
+    /// Deliver one response into the RX queue: find a posted RX buffer,
+    /// DMA-write header+data, complete, and interrupt.
+    ///
+    /// The split ring answers "is a buffer posted?" with an avail-index
+    /// read and "where?" with a descriptor-table fetch; the packed ring
+    /// answers both with one 16-byte descriptor read (E17).
     ///
     /// The `c2h` counter runs from `ready_at` to the MSI-X write hitting
     /// the wire.
@@ -1158,26 +906,26 @@ impl VirtioFpgaDevice {
         link: &mut PcieLink,
     ) -> RxOutcome {
         link.select_dma_context(rx_queue as usize);
-        if self.packed_queues[rx_queue as usize].is_some() {
-            return self.deliver_response_packed(ready_at, rx_queue, response, mem, link);
-        }
         let hdr_len = self.persona.hdr_len();
         let guest_csum = matches!(self.persona, Persona::Net { .. })
             && self.features() & net::feature::GUEST_CSUM != 0;
         let timing = self.timing;
-        let q = self.queues[rx_queue as usize]
-            .as_mut()
-            .expect("RX queue not enabled");
-        let layout = *q.layout();
 
         self.counters.c2h.start(ready_at);
         let mut t = ready_at + timing.fsm_step;
 
-        // Check for a posted RX buffer: one burst covers the avail index
-        // and the next ring entry.
-        t = link.dma_read(t, layout.avail_idx_addr(), 8);
-        self.stats.desc_reads += 1;
-        if q.pending(mem) == 0 {
+        let ring = ring(&mut self.rings, rx_queue);
+        let packed = matches!(ring, DeviceRing::Packed { .. });
+        let desc_trace = ring.desc_trace();
+        if let Some((addr, len)) = ring.prologue(mem, true) {
+            t = link.dma_read(t, addr, len);
+            self.stats.desc_reads += 1;
+            if packed {
+                // The packed prologue *is* the descriptor fetch.
+                vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 1, 0);
+            }
+        }
+        let Some(chain) = ring.next_chain(mem).expect("corrupt RX chain") else {
             self.stats.rx_dropped += 1;
             let _ = self.counters.c2h.stop(t);
             return RxOutcome {
@@ -1185,20 +933,19 @@ impl VirtioFpgaDevice {
                 done_at: t,
                 delivered: false,
             };
+        };
+        if !packed {
+            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(
+                vf_trace::Layer::Device,
+                desc_trace,
+                t,
+                chain.fetches as u64,
+                0,
+            );
         }
-        let pos = q.last_avail();
-        let (chain, fetches) = q.resolve_at(mem, pos).expect("corrupt RX chain");
-        t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
-        self.stats.desc_reads += 1;
-        vf_trace::instant(
-            vf_trace::Layer::Device,
-            "desc_read_split",
-            t,
-            fetches as u64,
-            0,
-        );
-        t += timing.per_desc * fetches as u64;
-        q.advance();
+        t += timing.per_desc * chain.fetches as u64;
 
         // Write header + data into the (single) writable buffer.
         let buf = chain.bufs[0];
@@ -1221,20 +968,11 @@ impl VirtioFpgaDevice {
         t += self.staging.access_time(response.data.len());
         t = link.dma_write(t, buf.addr, total);
 
-        // Used entry + index.
-        let old_used = q.complete(mem, chain.head, total as u32);
-        t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-        t = link.dma_write(t, layout.used_idx_addr(), 2);
-
-        // Interrupt.
-        let mut irq_at = None;
-        if q.should_interrupt(mem, old_used) {
-            if let Some((_addr, _data)) = self.msix.fire(rx_queue as usize) {
-                let at = link.msix_write(t);
-                irq_at = Some(at);
-                self.stats.irqs_sent += 1;
-                t = at;
-            }
+        // Used write-back, then the interrupt.
+        let irq_at;
+        (t, irq_at) = self.complete_chain(rx_queue, &chain, total as u32, t, mem, link);
+        if let Some(at) = irq_at {
+            t = at;
         }
         let _ = self.counters.c2h.stop(t);
         self.stats.rx_frames += 1;
@@ -1245,90 +983,20 @@ impl VirtioFpgaDevice {
         }
     }
 
-    /// Packed-ring RX path (E17): one 16-byte descriptor read tells the
-    /// controller both *whether* a buffer is available (the AVAIL/USED
-    /// phase bits ride in the descriptor) and *where* it is — the split
-    /// ring needs an avail-index read plus a descriptor-table fetch for
-    /// the same answer. Completion is again a single 16-byte write. The
-    /// packed front end runs without `RING_EVENT_IDX`, so the RX vector
-    /// always fires.
-    fn deliver_response_packed(
+    /// Issue `queue`'s walker prologue read (see [`DeviceRing::prologue`])
+    /// from `t`, untraced.
+    fn batch_prologue(
         &mut self,
-        ready_at: Time,
-        rx_queue: u16,
-        response: &PendingResponse,
-        mem: &mut HostMemory,
+        queue: u16,
+        mut t: Time,
+        mem: &HostMemory,
         link: &mut PcieLink,
-    ) -> RxOutcome {
-        let hdr_len = self.persona.hdr_len();
-        let guest_csum = matches!(self.persona, Persona::Net { .. })
-            && self.features() & net::feature::GUEST_CSUM != 0;
-        let timing = self.timing;
-
-        self.counters.c2h.start(ready_at);
-        let mut t = ready_at + timing.fsm_step;
-
-        let q = self.packed_queues[rx_queue as usize]
-            .as_mut()
-            .expect("RX queue not enabled");
-        let fetch_slot = q.next_slot();
-        t = link.dma_read(t, q.desc_addr(fetch_slot), PackedDesc::SIZE as usize);
-        self.stats.desc_reads += 1;
-        vf_trace::instant(vf_trace::Layer::Device, "desc_read_packed", t, 1, 0);
-        let Some(chain) = q.try_take(mem) else {
-            self.stats.rx_dropped += 1;
-            let _ = self.counters.c2h.stop(t);
-            return RxOutcome {
-                irq_at: None,
-                done_at: t,
-                delivered: false,
-            };
-        };
-        t += timing.per_desc;
-
-        // Write header + data into the (single) writable buffer.
-        let (buf_addr, buf_len, writable) = chain.bufs[0];
-        assert!(writable, "RX chain must be device-writable");
-        let total = hdr_len + response.data.len();
-        assert!(total as u32 <= buf_len, "RX buffer too small");
-        if hdr_len > 0 {
-            let hdr = VirtioNetHdr {
-                flags: if response.csum_valid || guest_csum {
-                    HDR_F_DATA_VALID
-                } else {
-                    0
-                },
-                num_buffers: 1,
-                ..Default::default()
-            };
-            hdr.write_to(mem, buf_addr);
+    ) -> Time {
+        if let Some((addr, len)) = ring(&mut self.rings, queue).prologue(mem, false) {
+            t = link.dma_read(t, addr, len);
+            self.stats.desc_reads += 1;
         }
-        GuestMemory::write(mem, buf_addr + hdr_len as u64, &response.data);
-        t += self.staging.access_time(response.data.len());
-        t = link.dma_write(t, buf_addr, total);
-
-        // Single used-descriptor write back at the chain's start slot.
-        let start_slot = chain.start_slot;
-        q.complete(mem, &chain, total as u32);
-        let used_addr = q.desc_addr(start_slot);
-        t = link.dma_write(t, used_addr, PackedDesc::SIZE as usize);
-
-        // Interrupt — unconditional: no EVENT_IDX suppression on the
-        // packed front end.
-        let mut irq_at = None;
-        if let Some((_addr, _data)) = self.msix.fire(rx_queue as usize) {
-            let at = link.msix_write(t);
-            irq_at = Some(at);
-            self.stats.irqs_sent += 1;
-            t = at;
-        }
-        let _ = self.counters.c2h.stop(t);
-        self.stats.rx_frames += 1;
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: true,
-        }
+        t
     }
 
     /// Process a doorbell on a block-device request queue: parse each
@@ -1352,23 +1020,16 @@ impl VirtioFpgaDevice {
     ) -> BlkOutcome {
         link.select_dma_context(queue as usize);
         let timing = self.timing;
-        let q = self.queues[queue as usize]
-            .as_mut()
-            .expect("request queue not enabled");
-        let layout = *q.layout();
-        let mut t = arrival + timing.notify_decode;
         // One burst covers the avail index and every new ring entry (the
         // same coalescing the rng walker does), instead of a per-request
         // 2-byte ring read.
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
-        let mut completions = Vec::with_capacity(pending);
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = match q.resolve_at(mem, pos) {
-                Ok(r) => r,
+        let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
+        let mut completions = Vec::new();
+        loop {
+            let ring = ring(&mut self.rings, queue);
+            let chain = match ring.next_chain(mem) {
+                Ok(Some(chain)) => chain,
+                Ok(None) => break,
                 Err(_) => {
                     // The device cannot even tell where the chain ends;
                     // a real controller would raise NEEDS_RESET. Stop
@@ -1378,17 +1039,16 @@ impl VirtioFpgaDevice {
                 }
             };
             // Burst-fetch the chain's descriptor table.
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
             self.stats.desc_reads += 1;
             vf_trace::instant(
                 vf_trace::Layer::Device,
-                "desc_read_split",
+                ring.desc_trace(),
                 t,
-                fetches as u64,
+                chain.fetches as u64,
                 0,
             );
-            t += timing.per_desc * fetches as u64;
-            q.advance();
+            t += timing.per_desc * chain.fetches as u64;
 
             // H2C phase: header read + request data movement (reads for
             // OUT payloads, writes for IN fills).
@@ -1397,7 +1057,7 @@ impl VirtioFpgaDevice {
             let Persona::Block { disk, .. } = &mut self.persona else {
                 panic!("block notify on a non-block persona");
             };
-            let (status, written) = match BlkRequest::parse(mem, &chain) {
+            let (status, written) = match BlkRequest::parse(mem, &chain.bufs) {
                 Ok(req) => {
                     let mut bytes = 0usize;
                     for &(addr, len, writable) in &req.data {
@@ -1447,22 +1107,15 @@ impl VirtioFpgaDevice {
                 }
             };
             self.stats.blk_requests += 1;
-            let old_used = q.complete(mem, chain.head, written);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
+            let irq_at;
+            (t, irq_at) = self.complete_chain(queue, &chain, written, t, mem, link);
             let done_at = t;
-            let mut irq_at = None;
-            if q.should_interrupt(mem, old_used) {
-                if let Some(_msg) = self.msix.fire(queue as usize) {
-                    let at = link.msix_write(t);
-                    irq_at = Some(at);
-                    self.stats.irqs_sent += 1;
-                    t = at;
-                }
+            if let Some(at) = irq_at {
+                t = at;
             }
             let _ = self.counters.c2h.stop(t);
             completions.push(BlkCompletion {
-                head: chain.head,
+                head: chain.id,
                 status,
                 done_at,
                 irq_at,
@@ -1486,24 +1139,16 @@ impl VirtioFpgaDevice {
     ) -> RxOutcome {
         link.select_dma_context(queue as usize);
         let timing = self.timing;
-        let q = self.queues[queue as usize]
-            .as_mut()
-            .expect("request queue not enabled");
-        let layout = *q.layout();
-        let mut t = arrival + timing.notify_decode;
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
+        let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
         let mut irq_at = None;
         let mut any = false;
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = q.resolve_at(mem, pos).expect("corrupt rng chain");
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+        while let Some(chain) = ring(&mut self.rings, queue)
+            .next_chain(mem)
+            .expect("corrupt rng chain")
+        {
+            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
             self.stats.desc_reads += 1;
-            t += timing.per_desc * fetches as u64;
-            q.advance();
+            t += timing.per_desc * chain.fetches as u64;
             let Persona::Rng { src } = &mut self.persona else {
                 panic!("rng notify on a non-rng persona");
             };
@@ -1517,15 +1162,9 @@ impl VirtioFpgaDevice {
                 t = link.dma_write(t, buf.addr, buf.len as usize);
                 written += buf.len;
             }
-            let old_used = q.complete(mem, chain.head, written);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                if let Some(_msg) = self.msix.fire(queue as usize) {
-                    irq_at = Some(link.msix_write(t));
-                    self.stats.irqs_sent += 1;
-                }
-            }
+            let irq;
+            (t, irq) = self.complete_chain(queue, &chain, written, t, mem, link);
+            irq_at = irq.or(irq_at);
             any = true;
         }
         RxOutcome {
@@ -1563,29 +1202,18 @@ impl VirtioFpgaDevice {
             _ => panic!("ctrl notify on a non-net persona"),
         };
         link.select_dma_context(queue as usize);
-        if self.packed_queues[queue as usize].is_some() {
-            return self.process_ctrl_notify_packed(arrival, queue, max_pairs, mem, link);
-        }
         let timing = self.timing;
-        let q = self.queues[queue as usize]
-            .as_mut()
-            .expect("ctrl queue not enabled");
-        let layout = *q.layout();
-        let mut t = arrival + timing.notify_decode;
-        let avail_idx = q.fetch_avail_idx(mem);
-        let pending = avail_idx.wrapping_sub(q.last_avail()) as usize;
-        t = link.dma_read(t, layout.avail_idx_addr(), (2 + 2 * pending).min(64));
-        self.stats.desc_reads += 1;
+        let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
         let mut irq_at = None;
         let mut any = false;
         let mut actions = Vec::new();
-        while q.last_avail() != avail_idx {
-            let pos = q.last_avail();
-            let (chain, fetches) = q.resolve_at(mem, pos).expect("corrupt ctrl chain");
-            t = link.dma_read(t, layout.desc_addr(chain.head), 16 * fetches);
+        while let Some(chain) = ring(&mut self.rings, queue)
+            .next_chain(mem)
+            .expect("corrupt ctrl chain")
+        {
+            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
             self.stats.desc_reads += 1;
-            t += timing.per_desc * fetches as u64;
-            q.advance();
+            t += timing.per_desc * chain.fetches as u64;
             // Gather the readable command bytes: class, command, data.
             let mut cmd = Vec::new();
             for buf in chain.bufs.iter().filter(|b| !b.writable) {
@@ -1597,88 +1225,16 @@ impl VirtioFpgaDevice {
                 .iter()
                 .rev()
                 .find(|b| b.writable)
-                .expect("ctrl chain needs a writable ack buffer");
+                .expect("ctrl chain needs a writable ack buffer")
+                .addr;
             let (status, action) = decode_ctrl_command(&cmd, max_pairs);
             actions.extend(action);
-            GuestMemory::write(mem, ack.addr, &[status]);
-            t = link.dma_write(t, ack.addr, 1);
+            GuestMemory::write(mem, ack, &[status]);
+            t = link.dma_write(t, ack, 1);
             self.stats.ctrl_commands += 1;
-            let old_used = q.complete(mem, chain.head, 1);
-            t = link.dma_write(t, layout.used_ring_addr(old_used % layout.size), 8);
-            t = link.dma_write(t, layout.used_idx_addr(), 2);
-            if q.should_interrupt(mem, old_used) {
-                if let Some(_msg) = self.msix.fire(queue as usize) {
-                    irq_at = Some(link.msix_write(t));
-                    self.stats.irqs_sent += 1;
-                }
-            }
-            any = true;
-        }
-        for action in actions {
-            self.apply_ctrl_action(action);
-        }
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: any,
-        }
-    }
-
-    /// Packed-ring control virtqueue (E20's MQ × packed fusion): same
-    /// command set, packed-layout walk — one 64-byte descriptor burst
-    /// per chain, one 16-byte used write, unconditional completion
-    /// vector (no EVENT_IDX on the packed front end).
-    fn process_ctrl_notify_packed(
-        &mut self,
-        arrival: Time,
-        queue: u16,
-        max_pairs: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> RxOutcome {
-        let timing = self.timing;
-        let mut t = arrival + timing.notify_decode;
-        let mut irq_at = None;
-        let mut any = false;
-        let mut actions = Vec::new();
-        loop {
-            let q = self.packed_queues[queue as usize]
-                .as_mut()
-                .expect("ctrl queue not enabled");
-            let fetch_slot = q.next_slot();
-            let Some(chain) = q.try_take(mem) else { break };
-            t = link.dma_read(t, q.desc_addr(fetch_slot), 64);
-            self.stats.desc_reads += 1;
-            t += timing.per_desc * chain.bufs.len() as u64;
-            let mut cmd = Vec::new();
-            for &(addr, len, writable) in &chain.bufs {
-                if writable {
-                    continue;
-                }
-                cmd.extend_from_slice(mem.slice(addr, len as usize));
-                t = link.dma_read(t, addr, len as usize);
-            }
-            let &(ack_addr, _, _) = chain
-                .bufs
-                .iter()
-                .rev()
-                .find(|b| b.2)
-                .expect("ctrl chain needs a writable ack buffer");
-            let (status, action) = decode_ctrl_command(&cmd, max_pairs);
-            actions.extend(action);
-            GuestMemory::write(mem, ack_addr, &[status]);
-            t = link.dma_write(t, ack_addr, 1);
-            self.stats.ctrl_commands += 1;
-            let start_slot = chain.start_slot;
-            let q = self.packed_queues[queue as usize]
-                .as_mut()
-                .expect("ctrl queue not enabled");
-            q.complete(mem, &chain, 1);
-            t = link.dma_write(t, q.desc_addr(start_slot), PackedDesc::SIZE as usize);
-            if let Some(_msg) = self.msix.fire(queue as usize) {
-                irq_at = Some(link.msix_write(t));
-                self.stats.irqs_sent += 1;
-            }
+            let irq;
+            (t, irq) = self.complete_chain(queue, &chain, 1, t, mem, link);
+            irq_at = irq.or(irq_at);
             any = true;
         }
         for action in actions {
@@ -1775,10 +1331,11 @@ mod tests {
     use vf_pcie::{enumerate, LinkConfig, MmioAllocator, MSI_ADDR_BASE};
     use vf_sim::Time;
     use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-    use vf_virtio::packed::{PackedBuffer, PackedDriverQueue};
+    use vf_virtio::packed::{PackedDesc, PackedDriverQueue};
     use vf_virtio::pci::common;
     use vf_virtio::ring::VirtqueueLayout;
     use vf_virtio::status;
+    use vf_virtio::DriverRing;
 
     use crate::user_logic::UdpEcho;
 
@@ -1794,12 +1351,14 @@ mod tests {
     }
 
     /// Minimal driver-side bring-up against the device's MMIO interface:
-    /// status dance, features, queue programming, MSI-X arming.
+    /// status dance, features, queue programming, MSI-X arming. `packed`
+    /// negotiates the packed layout instead of split + EVENT_IDX.
     fn bring_up(
         dev: &mut VirtioFpgaDevice,
         mem: &mut HostMemory,
         queue_size: u16,
-    ) -> (DriverQueue, DriverQueue) {
+        packed: bool,
+    ) -> (DriverRing, DriverRing) {
         use common as c;
         dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
         dev.mmio_write(
@@ -1812,7 +1371,12 @@ mod tests {
             1,
             (status::ACKNOWLEDGE | status::DRIVER) as u64,
         );
-        let accept = feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::CSUM;
+        let layout_bit = if packed {
+            feature::RING_PACKED
+        } else {
+            feature::RING_EVENT_IDX
+        };
+        let accept = feature::VERSION_1 | layout_bit | net::feature::CSUM;
         dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
         dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
         dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
@@ -1825,17 +1389,9 @@ mod tests {
         assert!(dev.mmio_read(bar0::COMMON + c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK != 0);
 
         // Rings.
-        let rx_base = mem.alloc(
-            VirtqueueLayout::contiguous(0, queue_size).total_bytes() as usize,
-            4096,
-        );
-        let tx_base = mem.alloc(
-            VirtqueueLayout::contiguous(0, queue_size).total_bytes() as usize,
-            4096,
-        );
-        let rx_layout = VirtqueueLayout::contiguous(rx_base, queue_size);
-        let tx_layout = VirtqueueLayout::contiguous(tx_base, queue_size);
-        for (qi, layout) in [(0u16, rx_layout), (1u16, tx_layout)] {
+        let rx = DriverRing::alloc(mem, queue_size, packed, true);
+        let tx = DriverRing::alloc(mem, queue_size, packed, true);
+        for (qi, layout) in [(0u16, rx.areas()), (1u16, tx.areas())] {
             dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, qi as u64);
             dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, queue_size as u64);
             dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, qi as u64);
@@ -1873,8 +1429,6 @@ mod tests {
             dev.mmio_write(bar0::MSIX_TABLE + v * 16 + 12, 4, 0); // unmask
         }
 
-        let rx = DriverQueue::new(mem, rx_layout, true);
-        let tx = DriverQueue::new(mem, tx_layout, true);
         // TX interrupts are unwanted (virtio-net policy).
         tx.park_used_event(mem);
         (rx, tx)
@@ -2295,16 +1849,8 @@ mod tests {
         ctrl.add(
             &mut mem,
             &[
-                PackedBuffer {
-                    addr: cmd_buf,
-                    len: 4,
-                    writable: false,
-                },
-                PackedBuffer {
-                    addr: ack_buf,
-                    len: 1,
-                    writable: true,
-                },
+                BufferSpec::readable(cmd_buf, 4),
+                BufferSpec::writable(ack_buf, 1),
             ],
         )
         .unwrap();
@@ -2316,34 +1862,45 @@ mod tests {
         assert!(ctrl.pop_used(&mem).is_some());
     }
 
+    /// Both ring layouts run every net walker test below.
+    const LAYOUTS: [bool; 2] = [false, true];
+
+    /// Publish one `hdr + frame` TX chain the way virtio-net lays it
+    /// out.
+    fn publish_tx(mem: &mut HostMemory, tx: &mut DriverRing, hdr: VirtioNetHdr, frame: &[u8]) {
+        let hdr_buf = mem.alloc(12, 16);
+        let data_buf = mem.alloc(frame.len(), 64);
+        hdr.write_to(mem, hdr_buf);
+        GuestMemory::write(mem, data_buf, frame);
+        tx.publish(
+            mem,
+            &[
+                BufferSpec::readable(hdr_buf, 12),
+                BufferSpec::readable(data_buf, frame.len() as u32),
+            ],
+        )
+        .unwrap();
+    }
+
+    /// The pipelined TX walker (split and packed) overlaps descriptor
+    /// fetches with payload DMA, on the same descriptor-read count as
+    /// the serial one.
     #[test]
     fn pipelined_split_walker_overlaps_descriptor_fetches() {
-        let run = |np: usize| -> (Time, u64, u64) {
+        let run = |np: usize, packed: bool| -> (Time, u64, u64) {
             let mut dev = net_device();
             let mut mem = HostMemory::testbed_default();
             let mut cfg = LinkConfig::gen2_x2();
             cfg.max_outstanding_np = np;
             cfg.relaxed_ordering = np > 1;
             let mut link = PcieLink::new(cfg);
-            let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64);
+            let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64, packed);
             for _ in 0..8 {
-                let frame = udp_frame(256);
-                let hdr_buf = mem.alloc(12, 16);
-                let data_buf = mem.alloc(frame.len(), 64);
-                VirtioNetHdr {
+                let hdr = VirtioNetHdr {
                     num_buffers: 1,
                     ..Default::default()
-                }
-                .write_to(&mut mem, hdr_buf);
-                GuestMemory::write(&mut mem, data_buf, &frame);
-                tx.add_and_publish(
-                    &mut mem,
-                    &[
-                        BufferSpec::readable(hdr_buf, 12),
-                        BufferSpec::readable(data_buf, frame.len() as u32),
-                    ],
-                )
-                .unwrap();
+                };
+                publish_tx(&mut mem, &mut tx, hdr, &udp_frame(256));
             }
             let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
             assert_eq!(out.chains, 8);
@@ -2354,152 +1911,143 @@ mod tests {
                 dev.stats.walker_peak_inflight,
             )
         };
-        let (serial, serial_reads, serial_peak) = run(1);
-        let (piped, piped_reads, piped_peak) = run(4);
-        assert!(
-            piped < serial,
-            "pipelined TX walk ({piped}) must beat serial ({serial})"
-        );
-        // Identical descriptor-fetch counts: trace attribution reconciles.
-        assert_eq!(piped_reads, serial_reads);
-        assert_eq!(serial_peak, 0, "serial path must not touch the NP window");
-        assert!(piped_peak > 1, "walker never went deeper than 1");
+        for packed in LAYOUTS {
+            let (serial, serial_reads, serial_peak) = run(1, packed);
+            let (piped, piped_reads, piped_peak) = run(4, packed);
+            assert!(
+                piped < serial,
+                "packed={packed}: pipelined TX walk ({piped}) must beat serial ({serial})"
+            );
+            // Identical descriptor-fetch counts: trace attribution reconciles.
+            assert_eq!(piped_reads, serial_reads, "packed={packed}");
+            assert_eq!(serial_peak, 0, "serial path must not touch the NP window");
+            assert!(
+                piped_peak > 1,
+                "packed={packed}: walker never went deeper than 1"
+            );
+        }
     }
 
     #[test]
     fn echo_round_trip_through_rings() {
-        let mut dev = net_device();
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 64);
+        for packed in LAYOUTS {
+            let mut dev = net_device();
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (mut rx, mut tx) = bring_up(&mut dev, &mut mem, 64, packed);
 
-        // Post one RX buffer.
-        let rx_buf = mem.alloc(2048, 64);
-        rx.add_and_publish(&mut mem, &[BufferSpec::writable(rx_buf, 2048)])
-            .unwrap();
+            // Post one RX buffer.
+            let rx_buf = mem.alloc(2048, 64);
+            rx.publish(&mut mem, &[BufferSpec::writable(rx_buf, 2048)])
+                .unwrap();
 
-        // Driver transmits hdr + frame.
-        let frame = udp_frame(64);
-        let hdr_buf = mem.alloc(12, 16);
-        let data_buf = mem.alloc(frame.len(), 64);
-        VirtioNetHdr {
-            num_buffers: 1,
-            ..Default::default()
+            // Driver transmits hdr + frame.
+            let frame = udp_frame(64);
+            let hdr = VirtioNetHdr {
+                num_buffers: 1,
+                ..Default::default()
+            };
+            publish_tx(&mut mem, &mut tx, hdr, &frame);
+
+            // Doorbell → TX processing.
+            let t0 = Time::from_us(100);
+            let out = dev.process_tx_notify(t0, 1, &mut mem, &mut link);
+            assert_eq!(out.chains, 1);
+            assert_eq!(out.responses.len(), 1);
+            assert!(out.done_at > t0);
+            assert!(out.tx_irq_at.is_none(), "TX interrupt should be suppressed");
+            assert_eq!(dev.counters.h2c.count(), 1);
+            assert!(dev.counters.h2c.last > Time::ZERO);
+            assert_eq!(dev.counters.processing.count(), 1);
+
+            // Deliver the echo into the RX queue.
+            let resp = out.responses[0].clone();
+            let rxo = dev.deliver_response(resp.ready_at, 0, &resp, &mut mem, &mut link);
+            assert!(rxo.delivered);
+            let irq_at = rxo.irq_at.expect("RX interrupt must fire");
+            assert!(irq_at > resp.ready_at);
+            assert_eq!(dev.counters.c2h.count(), 1);
+
+            // Driver sees the frame.
+            let used = rx.pop_used(&mut mem).unwrap();
+            assert_eq!(used.len as usize, 12 + frame.len());
+            let got = GuestMemory::read_vec(&mem, rx_buf + 12, frame.len());
+            // The echo swapped src/dst IPs.
+            assert_eq!(&got[26..30], &[10, 0, 0, 2]);
+            assert_eq!(&got[30..34], &[10, 0, 0, 1]);
         }
-        .write_to(&mut mem, hdr_buf);
-        GuestMemory::write(&mut mem, data_buf, &frame);
-        tx.add_and_publish(
-            &mut mem,
-            &[
-                BufferSpec::readable(hdr_buf, 12),
-                BufferSpec::readable(data_buf, frame.len() as u32),
-            ],
-        )
-        .unwrap();
-
-        // Doorbell → TX processing.
-        let t0 = Time::from_us(100);
-        let out = dev.process_tx_notify(t0, 1, &mut mem, &mut link);
-        assert_eq!(out.chains, 1);
-        assert_eq!(out.responses.len(), 1);
-        assert!(out.done_at > t0);
-        assert!(out.tx_irq_at.is_none(), "TX interrupt should be suppressed");
-        assert_eq!(dev.counters.h2c.count(), 1);
-        assert!(dev.counters.h2c.last > Time::ZERO);
-        assert_eq!(dev.counters.processing.count(), 1);
-
-        // Deliver the echo into the RX queue.
-        let resp = out.responses[0].clone();
-        let rxo = dev.deliver_response(resp.ready_at, 0, &resp, &mut mem, &mut link);
-        assert!(rxo.delivered);
-        let irq_at = rxo.irq_at.expect("RX interrupt must fire");
-        assert!(irq_at > resp.ready_at);
-        assert_eq!(dev.counters.c2h.count(), 1);
-
-        // Driver sees the frame.
-        let used = rx.pop_used(&mut mem).unwrap();
-        assert_eq!(used.len as usize, 12 + frame.len());
-        let got = GuestMemory::read_vec(&mem, rx_buf + 12, frame.len());
-        // The echo swapped src/dst IPs.
-        assert_eq!(&got[26..30], &[10, 0, 0, 2]);
-        assert_eq!(&got[30..34], &[10, 0, 0, 1]);
     }
 
     #[test]
     fn csum_offload_fills_udp_checksum() {
-        let mut dev = net_device();
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64);
+        for packed in LAYOUTS {
+            let mut dev = net_device();
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64, packed);
 
-        let mut frame = udp_frame(32);
-        // UDP length field must be valid for checksum math.
-        let udp_len = (8 + 32u16).to_be_bytes();
-        frame[38..40].copy_from_slice(&udp_len);
-        let hdr_buf = mem.alloc(12, 16);
-        let data_buf = mem.alloc(frame.len(), 64);
-        VirtioNetHdr {
-            flags: HDR_F_NEEDS_CSUM,
-            csum_start: 34,
-            csum_offset: 6,
-            num_buffers: 1,
-            ..Default::default()
+            let mut frame = udp_frame(32);
+            // UDP length field must be valid for checksum math.
+            let udp_len = (8 + 32u16).to_be_bytes();
+            frame[38..40].copy_from_slice(&udp_len);
+            let hdr = VirtioNetHdr {
+                flags: HDR_F_NEEDS_CSUM,
+                csum_start: 34,
+                csum_offset: 6,
+                num_buffers: 1,
+                ..Default::default()
+            };
+            publish_tx(&mut mem, &mut tx, hdr, &frame);
+            let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+            assert_eq!(dev.stats.csum_offloads, 1);
+            let resp = &out.responses[0];
+            assert!(resp.csum_valid);
+            // The echoed frame carries a non-zero UDP checksum that
+            // verifies: swapping src/dst leaves the pseudo-header sum
+            // unchanged.
+            let c = u16::from_be_bytes([resp.data[40], resp.data[41]]);
+            assert_ne!(c, 0);
+            let mut zeroed = resp.data[34..].to_vec();
+            zeroed[6] = 0;
+            zeroed[7] = 0;
+            let mut pseudo = 0u32;
+            for chunk in resp.data[26..34].chunks(2) {
+                pseudo += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
+            }
+            pseudo += 17 + zeroed.len() as u32;
+            assert_eq!(internet_checksum(&zeroed, pseudo), c);
         }
-        .write_to(&mut mem, hdr_buf);
-        GuestMemory::write(&mut mem, data_buf, &frame);
-        tx.add_and_publish(
-            &mut mem,
-            &[
-                BufferSpec::readable(hdr_buf, 12),
-                BufferSpec::readable(data_buf, frame.len() as u32),
-            ],
-        )
-        .unwrap();
-        let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
-        assert_eq!(dev.stats.csum_offloads, 1);
-        let resp = &out.responses[0];
-        assert!(resp.csum_valid);
-        // The echoed frame carries a non-zero UDP checksum that verifies:
-        // swapping src/dst leaves the pseudo-header sum unchanged.
-        let c = u16::from_be_bytes([resp.data[40], resp.data[41]]);
-        assert_ne!(c, 0);
-        let mut zeroed = resp.data[34..].to_vec();
-        zeroed[6] = 0;
-        zeroed[7] = 0;
-        let mut pseudo = 0u32;
-        for chunk in resp.data[26..34].chunks(2) {
-            pseudo += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
-        }
-        pseudo += 17 + zeroed.len() as u32;
-        assert_eq!(internet_checksum(&zeroed, pseudo), c);
     }
 
     #[test]
     fn rx_exhaustion_drops_frame() {
-        let mut dev = net_device();
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 64); // no RX buffers posted
-        let resp = PendingResponse {
-            data: vec![0u8; 64],
-            ready_at: Time::ZERO,
-            csum_valid: false,
-        };
-        let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
-        assert!(!out.delivered);
-        assert!(out.irq_at.is_none());
-        assert_eq!(dev.stats.rx_dropped, 1);
+        for packed in LAYOUTS {
+            let mut dev = net_device();
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (_rx, _tx) = bring_up(&mut dev, &mut mem, 64, packed); // no RX buffers posted
+            let resp = PendingResponse {
+                data: vec![0u8; 64],
+                ready_at: Time::ZERO,
+                csum_valid: false,
+            };
+            let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+            assert!(!out.delivered);
+            assert!(out.irq_at.is_none());
+            assert_eq!(dev.stats.rx_dropped, 1);
+            assert_eq!(dev.stats.desc_reads, 1, "one read finds the ring empty");
+        }
     }
 
     #[test]
     fn reset_tears_down_queues() {
         let mut dev = net_device();
         let mut mem = HostMemory::testbed_default();
-        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 16);
+        let (_rx, _tx) = bring_up(&mut dev, &mut mem, 16, false);
         let ev = dev.mmio_write(bar0::COMMON + common::DEVICE_STATUS, 1, 0);
         assert_eq!(ev, Some(MmioEvent::Reset));
         assert!(!dev.is_live());
-        assert!(dev.queues.iter().all(|q| q.is_none()));
+        assert!(dev.rings.iter().all(|q| q.is_none()));
     }
 
     #[test]

@@ -1,21 +1,10 @@
-//! Shared multi-queue ctrl-vq commands and bring-up choreography.
-//!
-//! The split (`virtio_mq`) and packed (`virtio_mq_packed`) multi-queue
-//! front ends — and any further consumer such as the per-tenant front
-//! end in `vf-tenant` — negotiate `VIRTIO_NET_F_MQ` identically: the
-//! same `MQ_VQ_PAIRS_SET` / `MQ_RSS_CONFIG` command serialization
-//! (VirtIO 1.2 §5.1.6.5.5) and the same modern-PCI probe choreography
-//! over `2N + 1` queues. This module holds that logic exactly once;
-//! the front ends keep only what genuinely differs between layouts
-//! (ring publish shape, notify suppression, descriptor-area
-//! programming).
+//! Multi-queue ctrl-vq commands: the `MQ_VQ_PAIRS_SET` /
+//! `MQ_RSS_CONFIG` serialization (VirtIO 1.2 §5.1.6.5.5) the MQ front
+//! end ([`crate::virtio_mq`]) sends over either ring layout, and the
+//! probe outcome it reports.
 
 use vf_pcie::HostMemory;
-use vf_virtio::pci::common;
-use vf_virtio::ring::VirtqueueLayout;
-use vf_virtio::{feature as core_feature, net, status, GuestMemory};
-
-use crate::virtio_net::{ProbeError, VirtioTransport};
+use vf_virtio::{net, GuestMemory};
 
 /// Ring size of the control virtqueue — commands are rare and serial,
 /// so it stays small regardless of the data-queue depth.
@@ -82,169 +71,6 @@ pub fn write_rss_cmd(
     GuestMemory::write(mem, rss_buf, &cmd);
     GuestMemory::write(mem, ack_buf, &[0xAA]);
     cmd.len() as u32
-}
-
-/// One queue's programming parameters for the common-config loop.
-#[derive(Clone, Copy, Debug)]
-pub struct QueueProg {
-    /// Queue index (also its MSI-X vector: vector = queue index).
-    pub queue: u16,
-    /// Ring size in descriptors.
-    pub size: u16,
-    /// Descriptor-area guest-physical address.
-    pub desc: u64,
-    /// Driver-area (avail ring) address; zero for packed queues.
-    pub driver_area: u64,
-    /// Device-area (used ring) address; zero for packed queues.
-    pub device_area: u64,
-}
-
-impl QueueProg {
-    /// Programming entry for a split-ring queue from its layout.
-    pub fn split(queue: u16, layout: &VirtqueueLayout) -> Self {
-        QueueProg {
-            queue,
-            size: layout.size,
-            desc: layout.desc,
-            driver_area: layout.avail,
-            device_area: layout.used,
-        }
-    }
-
-    /// Programming entry for a packed-ring queue: only the descriptor
-    /// ring has an address; driver/device areas are written zero.
-    pub fn packed(queue: u16, ring: u64, size: u16) -> Self {
-        QueueProg {
-            queue,
-            size,
-            desc: ring,
-            driver_area: 0,
-            device_area: 0,
-        }
-    }
-}
-
-/// Modern-PCI bring-up shared by every MQ front end: status dance,
-/// feature windows, `FEATURES_OK` + MQ validation, `NUM_QUEUES` /
-/// `max_virtqueue_pairs` checks, per-queue programming with MSI-X
-/// vector = queue index, `DRIVER_OK`, and device-config reads.
-///
-/// `require_ring_packed` reproduces the packed front end's extra rule:
-/// if `RING_PACKED` does not land in the accepted set, the probe writes
-/// `FAILED` (without `FEATURES_OK`) and aborts *before* any driver
-/// feature write. `program` receives the device's advertised
-/// `max_virtqueue_pairs` (which fixes the ctrl queue index) and returns
-/// every queue to program, in order.
-pub fn probe_mq_common<T: VirtioTransport>(
-    transport: &mut T,
-    num_pairs: u16,
-    want_features: u64,
-    require_ring_packed: bool,
-    program: impl FnOnce(u16) -> Vec<QueueProg>,
-) -> Result<MqProbeOutcome, ProbeError> {
-    use common as c;
-    transport.common_write(c::DEVICE_STATUS, 1, 0);
-    transport.common_write(c::DEVICE_STATUS, 1, status::ACKNOWLEDGE as u64);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER) as u64,
-    );
-
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 0);
-    let lo = transport.common_read(c::DEVICE_FEATURE, 4);
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 1);
-    let hi = transport.common_read(c::DEVICE_FEATURE, 4);
-    let offered = lo | (hi << 32);
-    let accept = (offered & want_features) | core_feature::VERSION_1;
-    if require_ring_packed && accept & core_feature::RING_PACKED == 0 {
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FAILED) as u64,
-        );
-        return Err(ProbeError::FeaturesRejected);
-    }
-
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 0);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 1);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept >> 32);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-    );
-    if transport.common_read(c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK == 0 {
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::FAILED) as u64,
-        );
-        return Err(ProbeError::FeaturesRejected);
-    }
-    // Driving N pairs without MQ negotiated would be a spec violation.
-    if num_pairs > 1 && accept & net::feature::MQ == 0 {
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::FAILED) as u64,
-        );
-        return Err(ProbeError::FeaturesRejected);
-    }
-
-    let need = 2 * num_pairs + 1;
-    let num_queues = transport.common_read(c::NUM_QUEUES, 2) as u16;
-    if num_queues < need {
-        return Err(ProbeError::NotEnoughQueues {
-            have: num_queues,
-            need,
-        });
-    }
-
-    // `max_virtqueue_pairs` sits at device-config offset 8 and fixes
-    // the ctrl queue's index; readable once FEATURES_OK is set.
-    let max_pairs = transport.device_cfg_read(8, 2) as u16;
-    if max_pairs < num_pairs {
-        return Err(ProbeError::NotEnoughQueues {
-            have: 2 * max_pairs + 1,
-            need,
-        });
-    }
-
-    for q in program(max_pairs) {
-        transport.common_write(c::QUEUE_SELECT, 2, q.queue as u64);
-        transport.common_write(c::QUEUE_SIZE, 2, q.size as u64);
-        // Per-queue MSI-X routing: vector = queue index.
-        transport.common_write(c::QUEUE_MSIX_VECTOR, 2, q.queue as u64);
-        transport.common_write(c::QUEUE_DESC_LO, 4, q.desc & 0xFFFF_FFFF);
-        transport.common_write(c::QUEUE_DESC_HI, 4, q.desc >> 32);
-        transport.common_write(c::QUEUE_DRIVER_LO, 4, q.driver_area & 0xFFFF_FFFF);
-        transport.common_write(c::QUEUE_DRIVER_HI, 4, q.driver_area >> 32);
-        transport.common_write(c::QUEUE_DEVICE_LO, 4, q.device_area & 0xFFFF_FFFF);
-        transport.common_write(c::QUEUE_DEVICE_HI, 4, q.device_area >> 32);
-        transport.common_write(c::QUEUE_ENABLE, 2, 1);
-    }
-
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-    );
-
-    let mut mac = [0u8; 6];
-    let mac_lo = transport.device_cfg_read(0, 4);
-    let mac_hi = transport.device_cfg_read(4, 2);
-    mac[..4].copy_from_slice(&(mac_lo as u32).to_le_bytes());
-    mac[4..].copy_from_slice(&(mac_hi as u16).to_le_bytes());
-    let mtu = transport.device_cfg_read(10, 2) as u16;
-
-    Ok(MqProbeOutcome {
-        features: accept,
-        mac,
-        mtu,
-        max_pairs,
-    })
 }
 
 #[cfg(test)]

@@ -396,7 +396,7 @@ mod tests {
     fn served(mem: &mut HostMemory, dev: &mut DeviceQueue, disk: &mut MemDisk) -> usize {
         let mut n = 0;
         while let Some(chain) = dev.pop_chain(mem).unwrap() {
-            let req = BlkRequest::parse(mem, &chain).unwrap();
+            let req = BlkRequest::parse(mem, &chain.bufs).unwrap();
             let (_status, written) = disk.execute(mem, &req);
             dev.complete(mem, chain.head, written);
             n += 1;

@@ -3,7 +3,7 @@
 //! header, the data buffers, and a 1-byte writable status footer
 //! (VirtIO 1.2 §5.2.6).
 
-use crate::device_queue::Chain;
+use crate::device_queue::ChainBuf;
 use crate::mem::GuestMemory;
 
 /// Queue index of the request queue.
@@ -106,17 +106,17 @@ pub enum BlkParseError {
 }
 
 impl BlkRequest {
-    /// Parse a request chain: readable 16-byte header, data descriptors,
-    /// writable 1-byte status.
-    pub fn parse<M: GuestMemory>(mem: &M, chain: &Chain) -> Result<BlkRequest, BlkParseError> {
-        if chain.bufs.len() < 2 {
+    /// Parse a request chain's buffers: readable 16-byte header, data
+    /// descriptors, writable 1-byte status.
+    pub fn parse<M: GuestMemory>(mem: &M, bufs: &[ChainBuf]) -> Result<BlkRequest, BlkParseError> {
+        if bufs.len() < 2 {
             return Err(BlkParseError::TooShort);
         }
-        let hdr = chain.bufs[0];
+        let hdr = bufs[0];
         if hdr.writable || hdr.len != 16 {
             return Err(BlkParseError::BadHeader);
         }
-        let status = *chain.bufs.last().unwrap();
+        let status = *bufs.last().unwrap();
         if !status.writable || status.len != 1 {
             return Err(BlkParseError::BadStatus);
         }
@@ -128,7 +128,7 @@ impl BlkRequest {
             other => return Err(BlkParseError::UnknownType(other)),
         };
         let sector = mem.read_u64(hdr.addr + 8);
-        let data = chain.bufs[1..chain.bufs.len() - 1]
+        let data = bufs[1..bufs.len() - 1]
             .iter()
             .map(|b| (b.addr, b.len, b.writable))
             .collect();
@@ -251,21 +251,17 @@ impl MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_queue::{Chain, ChainBuf};
+    use crate::device_queue::ChainBuf;
     use crate::mem::VecMemory;
 
-    fn chain_of(bufs: &[(u64, u32, bool)]) -> Chain {
-        Chain {
-            head: 0,
-            bufs: bufs
-                .iter()
-                .map(|&(addr, len, writable)| ChainBuf {
-                    addr,
-                    len,
-                    writable,
-                })
-                .collect(),
-        }
+    fn chain_of(bufs: &[(u64, u32, bool)]) -> Vec<ChainBuf> {
+        bufs.iter()
+            .map(|&(addr, len, writable)| ChainBuf {
+                addr,
+                len,
+                writable,
+            })
+            .collect()
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   as a timed PCIe DMA read), used publishing, interrupt suppression;
 //! * [`ring`] — the `virtq_desc`/`virtq_avail`/`virtq_used` memory layout
 //!   and the EVENT_IDX predicate;
+//! * [`packed`] — the VirtIO 1.2 packed layout, both halves;
+//! * [`layout`] — one ring type per side ([`DeviceRing`], [`DriverRing`])
+//!   over both layouts, so walkers and front ends are written once;
 //! * [`features`] — feature negotiation and the device-status state
 //!   machine;
 //! * [`pci`] — the modern-PCI transport register file (common config,
@@ -57,6 +60,7 @@ pub mod device_queue;
 pub mod device_type;
 pub mod driver_queue;
 pub mod features;
+pub mod layout;
 pub mod loopback;
 pub mod mem;
 pub mod net;
@@ -69,8 +73,9 @@ pub use device_queue::{Chain, ChainBuf, ChainError, DeviceQueue};
 pub use device_type::DeviceType;
 pub use driver_queue::{BufferSpec, DriverQueue, QueueError};
 pub use features::{driver_init, feature, status, Negotiation, NegotiationError};
+pub use layout::{DeviceRing, DriverRing, RingChain, Used};
 pub use loopback::{AtomicMemory, LoopbackPair, MemHandle};
 pub use mem::{GuestMemory, VecMemory};
-pub use packed::{PackedBuffer, PackedDesc, PackedDeviceQueue, PackedDriverQueue};
+pub use packed::{PackedDesc, PackedDeviceQueue, PackedDriverQueue};
 pub use pci::{CfgEvent, CommonCfg, IsrStatus, QueueRegs, MSI_NO_VECTOR};
 pub use ring::{vring_need_event, Desc, UsedElem, VirtqueueLayout};

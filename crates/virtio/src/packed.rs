@@ -20,7 +20,8 @@
 //! * driver makes a descriptor available: `AVAIL = wrap`, `USED = !wrap`;
 //! * device marks it used: `AVAIL = USED = wrap(device)`.
 
-use crate::driver_queue::QueueError;
+use crate::device_queue::ChainBuf;
+use crate::driver_queue::{BufferSpec, QueueError};
 use crate::mem::GuestMemory;
 
 /// Packed-descriptor flag: buffer continues in the next descriptor.
@@ -87,17 +88,6 @@ impl PackedDesc {
     }
 }
 
-/// A buffer to add (mirrors the split queue's `BufferSpec`).
-#[derive(Clone, Copy, Debug)]
-pub struct PackedBuffer {
-    /// Guest-physical address.
-    pub addr: u64,
-    /// Length.
-    pub len: u32,
-    /// Device-writable?
-    pub writable: bool,
-}
-
 /// Driver side of a packed queue.
 #[derive(Clone, Debug)]
 pub struct PackedDriverQueue {
@@ -129,8 +119,8 @@ pub struct PackedDeviceQueue {
 pub struct PackedChain {
     /// Buffer id (from the chain's last descriptor).
     pub id: u16,
-    /// The buffers in order: `(addr, len, writable)`.
-    pub bufs: Vec<(u64, u32, bool)>,
+    /// The buffers in order.
+    pub bufs: Vec<ChainBuf>,
     /// Ring slot the used entry must be written to.
     pub start_slot: u16,
     /// Wrap value for the used entry.
@@ -168,10 +158,20 @@ impl PackedDriverQueue {
         self.free
     }
 
+    /// Ring base guest-physical address.
+    pub fn ring_addr(&self) -> u64 {
+        self.ring
+    }
+
+    /// Descriptors in the ring.
+    pub fn size(&self) -> u16 {
+        self.size
+    }
+
     /// Add a chain; returns its buffer id, or `None` if the ring is
     /// full. The head descriptor's ownership flags are written last (a
     /// real driver orders them with a write barrier).
-    pub fn add<M: GuestMemory>(&mut self, mem: &mut M, bufs: &[PackedBuffer]) -> Option<u16> {
+    pub fn add<M: GuestMemory>(&mut self, mem: &mut M, bufs: &[BufferSpec]) -> Option<u16> {
         let n = bufs.len() as u16;
         if n == 0 || n > self.free {
             return None;
@@ -241,7 +241,7 @@ impl PackedDriverQueue {
     pub fn add_batch<M: GuestMemory>(
         &mut self,
         mem: &mut M,
-        chains: &[&[PackedBuffer]],
+        chains: &[&[BufferSpec]],
     ) -> Result<Vec<u16>, QueueError> {
         let total: usize = chains.iter().map(|c| c.len()).sum();
         if chains.iter().any(|c| c.is_empty()) {
@@ -347,7 +347,11 @@ impl PackedDeviceQueue {
         loop {
             let d = PackedDesc::read_at(mem, self.ring, self.slot);
             vf_metrics::counter_add("virtio.queue.desc_reads", self.metrics_index, 1);
-            bufs.push((d.addr, d.len, d.flags & PACKED_F_WRITE != 0));
+            bufs.push(ChainBuf {
+                addr: d.addr,
+                len: d.len,
+                writable: d.flags & PACKED_F_WRITE != 0,
+            });
             id = d.id;
             self.advance();
             guard += 1;
@@ -364,22 +368,6 @@ impl PackedDeviceQueue {
         })
     }
 
-    /// Take up to `max` available chains in one call — the fetch
-    /// pattern of the pipelined walker (E20), which drains the window
-    /// of published descriptors before overlapping their payload DMA,
-    /// instead of polling one chain per FSM pass. Each element still
-    /// costs the device one descriptor read; the caller times them.
-    pub fn take_burst<M: GuestMemory>(&mut self, mem: &M, max: usize) -> Vec<PackedChain> {
-        let mut chains = Vec::new();
-        while chains.len() < max {
-            match self.try_take(mem) {
-                Some(c) => chains.push(c),
-                None => break,
-            }
-        }
-        chains
-    }
-
     fn advance(&mut self) {
         self.slot += 1;
         if self.slot == self.size {
@@ -391,17 +379,30 @@ impl PackedDeviceQueue {
     /// Publish a used entry for `chain`: a single descriptor write at
     /// the chain's start slot (AVAIL = USED = wrap).
     pub fn complete<M: GuestMemory>(&self, mem: &mut M, chain: &PackedChain, written: u32) {
+        self.complete_at(mem, chain.id, chain.start_slot, chain.wrap, written);
+    }
+
+    /// [`Self::complete`] for a chain known only by its buffer `id`, the
+    /// `slot` it started at and that slot's `wrap` value.
+    pub fn complete_at<M: GuestMemory>(
+        &self,
+        mem: &mut M,
+        id: u16,
+        slot: u16,
+        wrap: bool,
+        written: u32,
+    ) {
         let mut flags = 0u16;
-        if chain.wrap {
+        if wrap {
             flags |= PACKED_F_AVAIL | PACKED_F_USED;
         }
         PackedDesc {
             addr: 0,
             len: written,
-            id: chain.id,
+            id,
             flags,
         }
-        .write_at(mem, self.ring, chain.start_slot);
+        .write_at(mem, self.ring, slot);
         vf_metrics::counter_add(vf_metrics::names::QUEUE_USED, self.metrics_index, 1);
     }
 }
@@ -441,19 +442,19 @@ mod tests {
     fn single_descriptor_round_trip() {
         let (mut mem, mut drv, mut dev) = setup(8);
         let id = drv
-            .add(
-                &mut mem,
-                &[PackedBuffer {
-                    addr: 0x5000,
-                    len: 64,
-                    writable: false,
-                }],
-            )
+            .add(&mut mem, &[BufferSpec::readable(0x5000, 64)])
             .unwrap();
         assert_eq!(drv.num_free(), 7);
         let chain = dev.try_take(&mem).unwrap();
         assert_eq!(chain.id, id);
-        assert_eq!(chain.bufs, vec![(0x5000, 64, false)]);
+        assert_eq!(
+            chain.bufs,
+            vec![ChainBuf {
+                addr: 0x5000,
+                len: 64,
+                writable: false
+            }]
+        );
         dev.complete(&mut mem, &chain, 0);
         let used = drv.pop_used(&mem).unwrap();
         assert_eq!(used.id, id);
@@ -474,28 +475,16 @@ mod tests {
             .add(
                 &mut mem,
                 &[
-                    PackedBuffer {
-                        addr: 0x5000,
-                        len: 12,
-                        writable: false,
-                    },
-                    PackedBuffer {
-                        addr: 0x6000,
-                        len: 100,
-                        writable: false,
-                    },
-                    PackedBuffer {
-                        addr: 0x7000,
-                        len: 2048,
-                        writable: true,
-                    },
+                    BufferSpec::readable(0x5000, 12),
+                    BufferSpec::readable(0x6000, 100),
+                    BufferSpec::writable(0x7000, 2048),
                 ],
             )
             .unwrap();
         let chain = dev.try_take(&mem).unwrap();
         assert_eq!(chain.id, id);
         assert_eq!(chain.bufs.len(), 3);
-        assert!(chain.bufs[2].2);
+        assert!(chain.bufs[2].writable);
         dev.complete(&mut mem, &chain, 500);
         let used = drv.pop_used(&mem).unwrap();
         assert_eq!(used.len, 500);
@@ -511,16 +500,12 @@ mod tests {
             let id = drv
                 .add(
                     &mut mem,
-                    &[PackedBuffer {
-                        addr: 0x5000 + i as u64 * 64,
-                        len: 64,
-                        writable: false,
-                    }],
+                    &[BufferSpec::readable(0x5000 + i as u64 * 64, 64)],
                 )
                 .unwrap();
             let chain = dev.try_take(&mem).unwrap();
             assert_eq!(chain.id, id);
-            assert_eq!(chain.bufs[0].0, 0x5000 + i as u64 * 64);
+            assert_eq!(chain.bufs[0].addr, 0x5000 + i as u64 * 64);
             dev.complete(&mut mem, &chain, i);
             assert_eq!(drv.pop_used(&mem).unwrap().len, i);
         }
@@ -531,27 +516,9 @@ mod tests {
     fn full_ring_rejects_add() {
         let (mut mem, mut drv, _dev) = setup(4);
         for _ in 0..4 {
-            assert!(drv
-                .add(
-                    &mut mem,
-                    &[PackedBuffer {
-                        addr: 0,
-                        len: 1,
-                        writable: false
-                    }]
-                )
-                .is_some());
+            assert!(drv.add(&mut mem, &[BufferSpec::readable(0, 1)]).is_some());
         }
-        assert!(drv
-            .add(
-                &mut mem,
-                &[PackedBuffer {
-                    addr: 0,
-                    len: 1,
-                    writable: false
-                }]
-            )
-            .is_none());
+        assert!(drv.add(&mut mem, &[BufferSpec::readable(0, 1)]).is_none());
     }
 
     #[test]
@@ -589,15 +556,8 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..5u64 {
             ids.push(
-                drv.add(
-                    &mut mem,
-                    &[PackedBuffer {
-                        addr: 0x5000 + i * 256,
-                        len: 256,
-                        writable: false,
-                    }],
-                )
-                .unwrap(),
+                drv.add(&mut mem, &[BufferSpec::readable(0x5000 + i * 256, 256)])
+                    .unwrap(),
             );
         }
         for expect in &ids {
@@ -611,50 +571,14 @@ mod tests {
     }
 
     #[test]
-    fn take_burst_drains_window_in_order() {
-        let (mut mem, mut drv, mut dev) = setup(16);
-        let mut ids = Vec::new();
-        for i in 0..6u64 {
-            ids.push(
-                drv.add(
-                    &mut mem,
-                    &[PackedBuffer {
-                        addr: 0x5000 + i * 128,
-                        len: 128,
-                        writable: false,
-                    }],
-                )
-                .unwrap(),
-            );
-        }
-        // Bounded burst takes the oldest chains, in publish order.
-        let first = dev.take_burst(&mem, 4);
-        assert_eq!(first.iter().map(|c| c.id).collect::<Vec<_>>(), ids[..4]);
-        // The remainder (and nothing more) on the next burst.
-        let rest = dev.take_burst(&mem, 16);
-        assert_eq!(rest.iter().map(|c| c.id).collect::<Vec<_>>(), ids[4..]);
-        assert!(dev.take_burst(&mem, 16).is_empty());
-        for chain in first.iter().chain(&rest) {
-            dev.complete(&mut mem, chain, 0);
-        }
-        for expect in &ids {
-            assert_eq!(drv.pop_used(&mem).unwrap().id, *expect);
-        }
-    }
-
-    #[test]
     fn add_batch_longer_than_ring_is_rejected() {
         // Same regression class as the split queue's publish_batch: a
         // burst with more descriptors than free slots must be rejected
         // atomically instead of lapping the ring.
         let (mut mem, mut drv, mut dev) = setup(4);
-        let buf = |addr| PackedBuffer {
-            addr,
-            len: 64,
-            writable: false,
-        };
-        let chains: Vec<[PackedBuffer; 1]> = (0..5).map(|i| [buf(0x5000 + i * 64)]).collect();
-        let refs: Vec<&[PackedBuffer]> = chains.iter().map(|c| &c[..]).collect();
+        let buf = |addr| BufferSpec::readable(addr, 64);
+        let chains: Vec<[BufferSpec; 1]> = (0..5).map(|i| [buf(0x5000 + i * 64)]).collect();
+        let refs: Vec<&[BufferSpec]> = chains.iter().map(|c| &c[..]).collect();
         let err = drv.add_batch(&mut mem, &refs).unwrap_err();
         assert_eq!(err, QueueError::NoSpace { needed: 5, free: 4 });
         // Nothing became visible to the device.
@@ -672,11 +596,7 @@ mod tests {
     #[test]
     fn add_batch_rejects_empty_chain() {
         let (mut mem, mut drv, _dev) = setup(4);
-        let one = [PackedBuffer {
-            addr: 0x5000,
-            len: 8,
-            writable: false,
-        }];
+        let one = [BufferSpec::readable(0x5000, 8)];
         let err = drv.add_batch(&mut mem, &[&one, &[]]).unwrap_err();
         assert_eq!(err, QueueError::EmptyChain);
         assert_eq!(drv.num_free(), 4);

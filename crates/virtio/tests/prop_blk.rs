@@ -8,21 +8,17 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use vf_virtio::block::{blk_status, BlkReqType, BlkRequest, MemDisk, SECTOR_SIZE};
-use vf_virtio::device_queue::{Chain, ChainBuf};
+use vf_virtio::device_queue::ChainBuf;
 use vf_virtio::{GuestMemory, VecMemory};
 
-fn chain_of(bufs: &[(u64, u32, bool)]) -> Chain {
-    Chain {
-        head: 0,
-        bufs: bufs
-            .iter()
-            .map(|&(addr, len, writable)| ChainBuf {
-                addr,
-                len,
-                writable,
-            })
-            .collect(),
-    }
+fn chain_of(bufs: &[(u64, u32, bool)]) -> Vec<ChainBuf> {
+    bufs.iter()
+        .map(|&(addr, len, writable)| ChainBuf {
+            addr,
+            len,
+            writable,
+        })
+        .collect()
 }
 
 fn req_type_strategy() -> impl Strategy<Value = BlkReqType> {

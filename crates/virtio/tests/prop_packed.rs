@@ -10,15 +10,15 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use vf_virtio::packed::{
-    PackedBuffer, PackedDesc, PackedDeviceQueue, PackedDriverQueue, PACKED_F_AVAIL, PACKED_F_USED,
+    PackedDesc, PackedDeviceQueue, PackedDriverQueue, PACKED_F_AVAIL, PACKED_F_USED,
 };
-use vf_virtio::VecMemory;
+use vf_virtio::{BufferSpec, VecMemory};
 
 const RING: u64 = 0x1000;
 
-fn bufs(chain_len: usize, tag: usize) -> Vec<PackedBuffer> {
+fn bufs(chain_len: usize, tag: usize) -> Vec<BufferSpec> {
     (0..chain_len)
-        .map(|i| PackedBuffer {
+        .map(|i| BufferSpec {
             addr: 0x10_000 + (tag * 8 + i) as u64 * 64,
             len: 64,
             writable: i + 1 == chain_len,

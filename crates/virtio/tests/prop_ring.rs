@@ -188,8 +188,8 @@ proptest! {
 mod packed_props {
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use vf_virtio::packed::{PackedBuffer, PackedDeviceQueue, PackedDriverQueue};
-    use vf_virtio::VecMemory;
+    use vf_virtio::packed::{PackedDeviceQueue, PackedDriverQueue};
+    use vf_virtio::{BufferSpec, VecMemory};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -208,8 +208,8 @@ mod packed_props {
             let mut dev = PackedDeviceQueue::new(0x1000, size);
             let mut queued: std::collections::VecDeque<(u16, usize)> = Default::default();
             for (k, &n) in chains.iter().enumerate() {
-                let bufs: Vec<PackedBuffer> = (0..n)
-                    .map(|i| PackedBuffer {
+                let bufs: Vec<BufferSpec> = (0..n)
+                    .map(|i| BufferSpec {
                         addr: 0x10_000 + (k * 8 + i) as u64 * 64,
                         len: 64,
                         writable: i == n - 1,
@@ -241,7 +241,7 @@ mod packed_props {
                 let chain = dev.try_take(&mem).expect("pending chain");
                 prop_assert_eq!(chain.id, id);
                 prop_assert_eq!(chain.bufs.len(), len);
-                prop_assert!(chain.bufs.last().unwrap().2, "last buffer writable");
+                prop_assert!(chain.bufs.last().unwrap().writable, "last buffer writable");
                 dev.complete(&mut mem, &chain, 1);
                 prop_assert_eq!(drv.pop_used(&mem).unwrap().id, id);
             }
@@ -256,7 +256,7 @@ mod layout_equivalence {
     use proptest::prelude::*;
     use vf_virtio::device_queue::DeviceQueue;
     use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-    use vf_virtio::packed::{PackedBuffer, PackedDeviceQueue, PackedDriverQueue};
+    use vf_virtio::packed::{PackedDeviceQueue, PackedDriverQueue};
     use vf_virtio::ring::VirtqueueLayout;
     use vf_virtio::VecMemory;
 
@@ -283,34 +283,23 @@ mod layout_equivalence {
 
             for (k, &(readable, writable)) in chains.iter().enumerate() {
                 let mut sbufs = Vec::new();
-                let mut pbufs = Vec::new();
                 for i in 0..readable + writable {
                     let addr = 0x10_000 + (k * 8 + i) as u64 * 256;
                     let len = 32 + i as u32;
                     let w = i >= readable;
-                    sbufs.push(if w {
-                        BufferSpec::writable(addr, len)
-                    } else {
-                        BufferSpec::readable(addr, len)
-                    });
-                    pbufs.push(PackedBuffer {
+                    sbufs.push(BufferSpec {
                         addr,
                         len,
                         writable: w,
                     });
                 }
                 sdrv.add_and_publish(&mut smem, &sbufs).unwrap();
-                pdrv.add(&mut pmem, &pbufs).unwrap();
+                pdrv.add(&mut pmem, &sbufs).unwrap();
 
                 let schain = sdev.pop_chain(&smem).unwrap().unwrap();
                 let pchain = pdev.try_take(&pmem).unwrap();
                 // Identical buffer lists, element by element.
-                prop_assert_eq!(schain.bufs.len(), pchain.bufs.len());
-                for (sb, pb) in schain.bufs.iter().zip(&pchain.bufs) {
-                    prop_assert_eq!(sb.addr, pb.0);
-                    prop_assert_eq!(sb.len, pb.1);
-                    prop_assert_eq!(sb.writable, pb.2);
-                }
+                prop_assert_eq!(&schain.bufs, &pchain.bufs);
                 // Complete on both; both drivers observe it.
                 sdev.complete(&mut smem, schain.head, 5);
                 pdev.complete(&mut pmem, &pchain, 5);

@@ -9,8 +9,8 @@
 
 use vf_pcie::{LinkConfig, PcieLink};
 use vf_sim::Time;
-use vf_virtio::packed::{dma_ops_per_transfer, PackedBuffer, PackedDeviceQueue, PackedDriverQueue};
-use vf_virtio::{GuestMemory, VecMemory};
+use vf_virtio::packed::{dma_ops_per_transfer, PackedDeviceQueue, PackedDriverQueue};
+use vf_virtio::{BufferSpec, GuestMemory, VecMemory};
 
 fn main() {
     let mut mem = VecMemory::new(1 << 20);
@@ -26,25 +26,14 @@ fn main() {
         let id = drv
             .add(
                 &mut mem,
-                &[
-                    PackedBuffer {
-                        addr: req,
-                        len: 8,
-                        writable: false,
-                    },
-                    PackedBuffer {
-                        addr: resp,
-                        len: 8,
-                        writable: true,
-                    },
-                ],
+                &[BufferSpec::readable(req, 8), BufferSpec::writable(resp, 8)],
             )
             .expect("ring has room");
         let chain = dev.try_take(&mem).expect("chain visible");
         assert_eq!(chain.id, id);
         // Device echoes the request into the response buffer.
-        let data = mem.read_vec(chain.bufs[0].0, 8);
-        mem.write(chain.bufs[1].0, &data);
+        let data = mem.read_vec(chain.bufs[0].addr, 8);
+        mem.write(chain.bufs[1].addr, &data);
         dev.complete(&mut mem, &chain, 8);
         let used = drv.pop_used(&mem).expect("completion visible");
         assert_eq!(used.len, 8);
