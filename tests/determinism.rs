@@ -351,15 +351,14 @@ fn mq_packed_pipelined_walker_matches_golden() {
     );
 }
 
-/// E21 tenant cell on packed rings: 4 vhost-relayed tenants, 256 B,
-/// 2000 packets, seed 42. Pins the packed tenant front ends, the
-/// packed ctrl queue and the arbiter's grant sequence.
-#[test]
-fn tenant_packed_cell_matches_golden() {
+/// Bit-exact fingerprint of a pipelined tenant run: throughput, pooled
+/// latency sum and Jain index as raw f64 bits, plus the counters and
+/// the arbiter's grant/queue totals.
+fn tenant_cell(vhost: bool, packed: bool) -> [u64; 7] {
     let mut cfg = TestbedConfig::paper(DriverKind::VirtioTenant, 256, 2000, 42);
     cfg.options.mq_queue_pairs = 4;
-    cfg.options.tenant_vhost = true;
-    cfg.options.tenant_packed = true;
+    cfg.options.tenant_vhost = vhost;
+    cfg.options.tenant_packed = packed;
     let r = virtio_fpga::run_tenants(&cfg, 16);
     assert_eq!(r.verify_failures, 0);
     let latency_sum: f64 = r
@@ -367,16 +366,24 @@ fn tenant_packed_cell_matches_golden() {
         .iter()
         .map(|s| s.raw().iter().sum::<f64>())
         .sum();
+    [
+        r.pps.to_bits(),
+        latency_sum.to_bits(),
+        r.jain_index.to_bits(),
+        r.doorbells,
+        r.irqs,
+        r.arb_grants,
+        r.arb_queued,
+    ]
+}
+
+/// E21 tenant cell on packed rings: 4 vhost-relayed tenants, 256 B,
+/// 2000 packets, seed 42. Pins the packed tenant front ends, the
+/// packed ctrl queue and the arbiter's grant sequence.
+#[test]
+fn tenant_packed_cell_matches_golden() {
     assert_eq!(
-        [
-            r.pps.to_bits(),
-            latency_sum.to_bits(),
-            r.jain_index.to_bits(),
-            r.doorbells,
-            r.irqs,
-            r.arb_grants,
-            r.arb_queued,
-        ],
+        tenant_cell(true, true),
         [
             0x40f48958243712b0,
             0x41346a654dd2f1ab,
@@ -387,5 +394,96 @@ fn tenant_packed_cell_matches_golden() {
             127,
         ],
         "packed tenant cell drifted"
+    );
+}
+
+/// E21 tenant cell on split rings with the vhost backend off: the
+/// tenants ring the device directly while the arbiter still queues
+/// their doorbells. Captured before the MQ and tenant worlds merged;
+/// the merge must not move a bit.
+#[test]
+fn tenant_split_direct_cell_matches_golden() {
+    assert_eq!(
+        tenant_cell(false, false),
+        [
+            0x40f352b7f8c4e972,
+            0x41364e0fb1a9fbe8,
+            0x3feffff360a9d99e,
+            128,
+            128,
+            128,
+            127,
+        ],
+        "split direct tenant cell drifted"
+    );
+}
+
+/// One serial `Testbed::run` over 4 queue pairs (or 4 tenants): 256 B,
+/// 2000 packets, seed 42.
+fn serial_mq_cell(driver: DriverKind, vhost: bool) -> RunResult {
+    let mut cfg = TestbedConfig::paper(driver, 256, 2000, 42);
+    cfg.options.mq_queue_pairs = 4;
+    cfg.options.tenant_vhost = vhost;
+    Testbed::new(cfg).run()
+}
+
+/// Serial split-ring MQ world over 4 pairs. Captured before the MQ and
+/// tenant worlds merged; the merge must not move a bit.
+#[test]
+fn mq_split_serial_world_matches_golden() {
+    assert_golden(
+        serial_mq_cell(DriverKind::VirtioMq, false),
+        &Fingerprint {
+            mean: 0x40408a083126e978,
+            p99: 0x404553126e978d50,
+            max: 0x40526ccccccccccd,
+            hw_mean: 0x4032aa9de8b3b29d,
+            sw_mean: 0x402c26dcc20d5632,
+            proc_mean: 0x3fd5810624dd2fd0,
+            sum: 0x40f026cbffffffff,
+            notifications: 2000,
+            irqs: 2000,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// Serial packed-ring MQ world over 4 pairs.
+#[test]
+fn mq_packed_serial_world_matches_golden() {
+    assert_golden(
+        serial_mq_cell(DriverKind::VirtioMqPacked, false),
+        &Fingerprint {
+            mean: 0x403cb2ca03c4b0a0,
+            p99: 0x4042ee353f7ced91,
+            max: 0x40513a5e353f7cee,
+            hw_mean: 0x402c92b3cc4ac6fb,
+            sw_mean: 0x402c26d80a17b0f8,
+            proc_mean: 0x3fd5810624dd2fd0,
+            sum: 0x40ec069947ae147c,
+            notifications: 2000,
+            irqs: 2000,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// Serial tenant world: 4 vhost-relayed tenants behind the arbiter.
+#[test]
+fn tenant_vhost_serial_world_matches_golden() {
+    assert_golden(
+        serial_mq_cell(DriverKind::VirtioTenant, true),
+        &Fingerprint {
+            mean: 0x4043c2e2de87096e,
+            p99: 0x40488872b020c49c,
+            max: 0x405426147ae147ae,
+            hw_mean: 0x4032aa960b6f9f45,
+            sw_mean: 0x4034852b990afe66,
+            proc_mean: 0x3fd5810624dd2fd0,
+            sum: 0x40f34c518d4fdf35,
+            notifications: 2000,
+            irqs: 2000,
+            verify_failures: 0,
+        },
     );
 }

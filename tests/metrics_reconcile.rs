@@ -110,6 +110,13 @@ fn mq_metering_does_not_perturb_throughput() {
             report.layers()
         );
     }
+    // An MQ run builds no tenancy: no arbiter registers its
+    // instruments, so the `repro metrics` MQ report stays tenant-free.
+    assert!(
+        !report.layers().contains(&"tenant"),
+        "MQ run registered tenant instruments: {:?}",
+        report.layers()
+    );
 }
 
 /// And for the E21 multi-tenant world under WFQ — the only world that
