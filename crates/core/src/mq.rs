@@ -12,30 +12,29 @@
 //! PCIe link, which is exactly the paper's Gen2 x2 bottleneck the
 //! experiment sweeps toward.
 //!
-//! Two worlds share one bring-up (`MqParts`):
-//!
-//! * `MqWorld` — serial request-response, round-robin across pairs,
-//!   recorded through the standard [`RoundTripRecorder`] so
-//!   `DriverKind::VirtioMq` runs through [`crate::Testbed::run`] and the
-//!   trace reconciliation harness like every other driver;
-//! * [`run_mq`] — pipelined offered load with a per-queue window,
-//!   the E19 measurement proper: aggregate pps, per-queue latency,
-//!   doorbell/irq suppression, and link utilization per queue count.
-
-use std::collections::HashMap;
+//! This module owns the bring-up (`MqParts`) and the E19 measurement
+//! proper, [`run_mq`]: pipelined offered load with a per-queue window —
+//! aggregate pps, per-queue latency, doorbell/irq suppression, and link
+//! utilization per queue count. The worlds themselves live in
+//! [`crate::tenant`]: an MQ run is the E21 tenant world without
+//! tenancy (`MqParts::tenancy` is `None`), so each pair owns its walker
+//! and a doorbell is serviced at once. The serial world runs
+//! `DriverKind::VirtioMq` through [`crate::Testbed::run`] and the trace
+//! reconciliation harness like every other driver, one round trip at a
+//! time, round-robin across pairs.
 
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice};
 use vf_hostsw::{
-    probe_mq, Ipv4Addr, MacAddr, MultiCoreHost, SockError, UdpStack, VirtioNetMqDriver,
-    CTRL_QUEUE_SIZE,
+    probe_mq, Ipv4Addr, MacAddr, MultiCoreHost, UdpStack, VirtioNetMqDriver, CTRL_QUEUE_SIZE,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
-use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
+use vf_sim::{SampleSet, SimRng, Time};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net, DeviceType};
 
-use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
+use crate::driver_model::RunStats;
+use crate::tenant::{Tenancy, TenantPipelinedWorld};
 use crate::testbed::{DriverKind, RssMode, TestbedConfig, Transport};
 
 /// Most queue pairs a world will drive. Bounded by the static RTT-name
@@ -43,74 +42,6 @@ use crate::testbed::{DriverKind, RssMode, TestbedConfig, Transport};
 /// 64 so the E21 tenant sweep can slice one pair per tenant up to 64
 /// tenants.
 pub const MAX_QUEUE_PAIRS: u16 = 64;
-
-/// Per-queue round-trip trace names, indexed by pair.
-const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [
-    "rtt_mq_q0",
-    "rtt_mq_q1",
-    "rtt_mq_q2",
-    "rtt_mq_q3",
-    "rtt_mq_q4",
-    "rtt_mq_q5",
-    "rtt_mq_q6",
-    "rtt_mq_q7",
-    "rtt_mq_q8",
-    "rtt_mq_q9",
-    "rtt_mq_q10",
-    "rtt_mq_q11",
-    "rtt_mq_q12",
-    "rtt_mq_q13",
-    "rtt_mq_q14",
-    "rtt_mq_q15",
-    "rtt_mq_q16",
-    "rtt_mq_q17",
-    "rtt_mq_q18",
-    "rtt_mq_q19",
-    "rtt_mq_q20",
-    "rtt_mq_q21",
-    "rtt_mq_q22",
-    "rtt_mq_q23",
-    "rtt_mq_q24",
-    "rtt_mq_q25",
-    "rtt_mq_q26",
-    "rtt_mq_q27",
-    "rtt_mq_q28",
-    "rtt_mq_q29",
-    "rtt_mq_q30",
-    "rtt_mq_q31",
-    "rtt_mq_q32",
-    "rtt_mq_q33",
-    "rtt_mq_q34",
-    "rtt_mq_q35",
-    "rtt_mq_q36",
-    "rtt_mq_q37",
-    "rtt_mq_q38",
-    "rtt_mq_q39",
-    "rtt_mq_q40",
-    "rtt_mq_q41",
-    "rtt_mq_q42",
-    "rtt_mq_q43",
-    "rtt_mq_q44",
-    "rtt_mq_q45",
-    "rtt_mq_q46",
-    "rtt_mq_q47",
-    "rtt_mq_q48",
-    "rtt_mq_q49",
-    "rtt_mq_q50",
-    "rtt_mq_q51",
-    "rtt_mq_q52",
-    "rtt_mq_q53",
-    "rtt_mq_q54",
-    "rtt_mq_q55",
-    "rtt_mq_q56",
-    "rtt_mq_q57",
-    "rtt_mq_q58",
-    "rtt_mq_q59",
-    "rtt_mq_q60",
-    "rtt_mq_q61",
-    "rtt_mq_q62",
-    "rtt_mq_q63",
-];
 
 /// UDP source-port base; flow `i` sends from `FLOW_PORT_BASE + i`. A
 /// multiple of every power-of-two pair count, so the device's
@@ -137,9 +68,11 @@ fn pinned_rss_table(pairs: u16) -> Vec<u16> {
 
 /// A fully brought-up multi-queue testbed: device with `2N + 1` queues,
 /// probed MQ driver, `MQ_VQ_PAIRS_SET` acknowledged, one host core per
-/// pair. Bring-up (including the ctrl-vq exchange) happens "before
-/// time zero": the link is re-created afterwards and the device stats
-/// snapshot in `base_stats` is subtracted from reported counters.
+/// pair, and — for `DriverKind::VirtioTenant` only — the E21 tenancy
+/// layered on the pairs. Bring-up (including the ctrl-vq exchange)
+/// happens "before time zero": the link is re-created afterwards and
+/// the device stats snapshot in `base_stats` is subtracted from
+/// reported counters.
 pub(crate) struct MqParts {
     pub(crate) mem: HostMemory,
     pub(crate) link: PcieLink,
@@ -150,6 +83,9 @@ pub(crate) struct MqParts {
     pub(crate) payload_rng: SimRng,
     pub(crate) fpga_ip: Ipv4Addr,
     pub(crate) pairs: u16,
+    /// Vhost workers, arbiter and tenant configs; `None` for the MQ
+    /// kinds, whose pairs each own their walker.
+    pub(crate) tenancy: Option<Tenancy>,
     base_notifications: u64,
     base_irqs: u64,
     base_desc_reads: u64,
@@ -302,6 +238,7 @@ impl MqParts {
             payload_rng: rng.derive(2),
             fpga_ip,
             pairs,
+            tenancy: (cfg.driver == DriverKind::VirtioTenant).then(|| Tenancy::new(cfg, pairs)),
         }
     }
 
@@ -317,245 +254,21 @@ impl MqParts {
             walker_peak_inflight: self.device.stats.walker_peak_inflight,
         }
     }
-}
 
-// ---------------------------------------------------------------------
-// Serial world (Testbed::run / trace reconciliation)
-// ---------------------------------------------------------------------
-
-/// Events of the serial MQ round-trip flow.
-pub(crate) enum MqEv {
-    /// Application on the next core in rotation sends one packet.
-    AppSend,
-    /// Doorbell TLP lands on a TX queue.
-    Doorbell(u16),
-    /// Per-queue MSI-X for pair `n` reaches its host core.
-    RxIrq(u16),
-}
-
-/// Serial request-response over N queue pairs, one flow per core in
-/// round-robin. Exercises the per-queue interrupt/doorbell machinery
-/// under the standard recorder so MQ runs reconcile in `vf-trace`.
-pub(crate) struct MqWorld {
-    parts: MqParts,
-    payload: usize,
-    expected: Vec<u8>,
-    sent: usize,
-    rec: RoundTripRecorder,
-}
-
-impl MqWorld {
-    fn new(cfg: &TestbedConfig) -> Self {
-        MqWorld {
-            parts: MqParts::new(cfg),
-            payload: cfg.payload,
-            expected: Vec::new(),
-            sent: 0,
-            rec: RoundTripRecorder::new(cfg.packets),
-        }
-    }
-}
-
-impl World for MqWorld {
-    type Msg = MqEv;
-
-    fn deliver(&mut self, now: Time, msg: MqEv, sched: &mut vf_sim::Scheduler<MqEv>) {
-        self.parts.link.advance_epoch(now);
-        let parts = &mut self.parts;
-        match msg {
-            MqEv::AppSend => {
-                if self.rec.packets_left == 0 {
-                    return;
-                }
-                let pair = (self.sent % parts.pairs as usize) as u16;
-                self.sent += 1;
-                self.rec
-                    .begin_rtt(now, MQ_RTT_NAMES[pair as usize], self.payload as u64);
-                let mut t = now;
-                let mut payload = vec![0u8; self.payload];
-                parts.payload_rng.fill_bytes(&mut payload);
-                self.expected = payload.clone();
-                let offload = parts.driver.pairs[pair as usize].csum_offload();
-
-                let cpu = parts.host.cpu_for_pair(pair);
-                let (frame, d) = parts
-                    .stack
-                    .sendto(
-                        parts.fpga_ip,
-                        FLOW_PORT_BASE + pair,
-                        7,
-                        &payload,
-                        offload,
-                        &mut cpu.cost,
-                    )
-                    .expect("send path configured");
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "sendto",
-                    t,
-                    t + d,
-                    payload.len() as u64,
-                    u64::from(pair),
-                );
-                t += d;
-                let res = parts
-                    .driver
-                    .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "virtio_xmit",
-                    t,
-                    t + res.cpu,
-                    frame.len() as u64,
-                    u64::from(pair),
-                );
-                t += res.cpu;
-                if res.notify {
-                    let tx_q = net::tx_queue_of_pair(pair);
-                    let ev = parts.device.mmio_write(
-                        bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-                        2,
-                        u64::from(tx_q),
-                    );
-                    debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
-                    let arrival = parts.link.mmio_write(t, 2);
-                    let d = cpu.cost.step(cpu.cost.costs.mmio_write_cpu);
-                    vf_trace::span_at(
-                        vf_trace::Layer::Driver,
-                        "doorbell_mmio",
-                        t,
-                        t + d,
-                        u64::from(tx_q),
-                        0,
-                    );
-                    t += d;
-                    sched.at(arrival, MqEv::Doorbell(tx_q));
-                }
-                vf_trace::set_now(t);
-                t += cpu.cost.send_return_then_block();
-                cpu.free = t;
-            }
-            MqEv::Doorbell(tx_q) => {
-                let out =
-                    parts
-                        .device
-                        .process_tx_notify(now, tx_q, &mut parts.mem, &mut parts.link);
-                for resp in &out.responses {
-                    // RSS: the walker hashes the response flow onto the
-                    // active pairs and raises that pair's own vector.
-                    let rx_q = parts.device.rss_steer(&resp.data);
-                    let rxo = parts.device.deliver_response(
-                        resp.ready_at,
-                        rx_q,
-                        resp,
-                        &mut parts.mem,
-                        &mut parts.link,
-                    );
-                    if let Some(irq_at) = rxo.irq_at {
-                        sched.at(irq_at, MqEv::RxIrq(rx_q / 2));
-                    }
-                }
-            }
-            MqEv::RxIrq(pair) => {
-                let cpu = parts.host.cpu_for_pair(pair);
-                let t_irq = now.max(cpu.free);
-                vf_trace::set_now(t_irq);
-                let mut t = t_irq + cpu.cost.irq_to_napi();
-                let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "napi_poll",
-                    t,
-                    t + d,
-                    0,
-                    u64::from(pair),
-                );
-                t += d;
-                let mut delivered_payload: Option<Vec<u8>> = None;
-                for rx in frames {
-                    let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        validated,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, d)) => {
-                            vf_trace::span_at(
-                                vf_trace::Layer::Syscall,
-                                "udp_rx",
-                                t,
-                                t + d,
-                                rx.frame.len() as u64,
-                                u64::from(pair),
-                            );
-                            t += d;
-                            delivered_payload = Some(parsed.payload);
-                        }
-                        Err(SockError::BadChecksum) => {
-                            self.rec.verify_failures += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
-                t += d;
-                let len = delivered_payload.as_ref().map_or(0, |p| p.len());
-                let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "recvfrom_return",
-                    t,
-                    t + d,
-                    len as u64,
-                    0,
-                );
-                t += d;
-                cpu.free = t;
-
-                if delivered_payload.as_deref() != Some(&self.expected[..]) {
-                    self.rec.verify_failures += 1;
-                }
-                let hw = parts.device.counters.last_hw();
-                let proc = parts.device.counters.processing.last;
-                self.rec.record(t, hw, proc);
-                if self.rec.packets_left > 0 {
-                    let next = t + cpu.cost.step(cpu.cost.costs.app_loop_overhead);
-                    sched.at(next, MqEv::AppSend);
-                }
-            }
-        }
-    }
-}
-
-impl DriverModel for MqWorld {
-    type Telemetry = ();
-
-    fn build(cfg: &TestbedConfig) -> Self {
-        MqWorld::new(cfg)
-    }
-
-    fn initial_event() -> MqEv {
-        MqEv::AppSend
-    }
-
-    fn describe(msg: &MqEv) -> Option<(vf_trace::Layer, &'static str)> {
-        match msg {
-            MqEv::AppSend => Some((vf_trace::Layer::App, "app_send")),
-            MqEv::Doorbell(_) => Some((vf_trace::Layer::Device, "doorbell")),
-            MqEv::RxIrq(_) => Some((vf_trace::Layer::Irq, "msix_rx")),
-        }
-    }
-
-    fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
-        let stats = self.parts.run_stats();
-        (self.rec, stats, ())
+    /// Fraction of `elapsed` the (upstream, downstream) wire was busy.
+    pub(crate) fn link_util(&self, elapsed: Time) -> (f64, f64) {
+        let wire = |bytes: u64| {
+            Time::from_ps(bytes * self.link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
+        };
+        (
+            wire(self.link.up_wire_bytes),
+            wire(self.link.down_wire_bytes),
+        )
     }
 }
 
 // ---------------------------------------------------------------------
-// Pipelined world (the E19 measurement)
+// Pipelined runs (the E19 measurement)
 // ---------------------------------------------------------------------
 
 /// Result of one [`run_mq`] sweep point.
@@ -612,206 +325,6 @@ impl MqThroughputResult {
     }
 }
 
-/// Pipelined events, all tagged with the queue pair they belong to.
-enum PipeEv {
-    Pump(u16),
-    Doorbell(u16),
-    RxIrq(u16),
-}
-
-/// Per-queue pipelining state: each pair runs the E12 windowed workload
-/// independently on its own core.
-struct QueueState {
-    payload_rng: SimRng,
-    to_send: usize,
-    in_flight: usize,
-    seq: u32,
-    send_time: HashMap<u32, Time>,
-    expected: HashMap<u32, Vec<u8>>,
-    latency: SampleSet,
-}
-
-struct MqPipelinedWorld {
-    parts: MqParts,
-    queues: Vec<QueueState>,
-    depth: usize,
-    payload: usize,
-    received: usize,
-    verify_failures: u64,
-}
-
-impl MqPipelinedWorld {
-    fn new(cfg: &TestbedConfig, depth: usize) -> Self {
-        let parts = MqParts::new(cfg);
-        let rng = SimRng::new(cfg.seed);
-        let pairs = parts.pairs as usize;
-        let per_queue = cfg.packets / pairs;
-        let remainder = cfg.packets % pairs;
-        let queues = (0..pairs)
-            .map(|i| QueueState {
-                // One payload stream per queue: concurrent queues must
-                // not race for draws from a shared stream.
-                payload_rng: rng.derive(100 + i as u64),
-                to_send: per_queue + usize::from(i < remainder),
-                in_flight: 0,
-                seq: 0,
-                send_time: HashMap::new(),
-                expected: HashMap::new(),
-                latency: SampleSet::with_capacity(per_queue + 1),
-            })
-            .collect();
-        MqPipelinedWorld {
-            parts,
-            queues,
-            depth,
-            // Sequence number needs 4 bytes of payload.
-            payload: cfg.payload.max(4),
-            received: 0,
-            verify_failures: 0,
-        }
-    }
-
-    /// Top up queue `pair`'s window. Returns (cpu-done instant,
-    /// coalesced doorbell arrival).
-    fn refill(&mut self, pair: u16, now: Time) -> (Time, Option<Time>) {
-        let parts = &mut self.parts;
-        let q = &mut self.queues[pair as usize];
-        let cpu = parts.host.cpu_for_pair(pair);
-        let mut t = now;
-        let mut doorbell_at: Option<Time> = None;
-        while q.in_flight < self.depth && q.to_send > 0 {
-            let mut payload = vec![0u8; self.payload];
-            q.payload_rng.fill_bytes(&mut payload);
-            payload[..4].copy_from_slice(&q.seq.to_le_bytes());
-            q.send_time.insert(q.seq, t);
-            q.expected.insert(q.seq, payload.clone());
-            let (frame, cpu_t) = parts
-                .stack
-                .sendto(
-                    parts.fpga_ip,
-                    FLOW_PORT_BASE + pair,
-                    7,
-                    &payload,
-                    false,
-                    &mut cpu.cost,
-                )
-                .expect("send path configured");
-            t += cpu_t;
-            let res = parts
-                .driver
-                .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
-            t += res.cpu;
-            if res.notify {
-                let tx_q = net::tx_queue_of_pair(pair);
-                let ev = parts.device.mmio_write(
-                    bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-                    2,
-                    u64::from(tx_q),
-                );
-                debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
-                let arrival = parts.link.mmio_write(t, 2);
-                t += cpu.cost.step(cpu.cost.costs.mmio_write_cpu);
-                doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
-            }
-            q.in_flight += 1;
-            q.to_send -= 1;
-            q.seq += 1;
-        }
-        (t, doorbell_at)
-    }
-}
-
-impl World for MqPipelinedWorld {
-    type Msg = PipeEv;
-
-    fn deliver(&mut self, now: Time, msg: PipeEv, sched: &mut vf_sim::Scheduler<PipeEv>) {
-        self.parts.link.advance_epoch(now);
-        match msg {
-            PipeEv::Pump(pair) => {
-                let (mut t, doorbell) = self.refill(pair, now);
-                if let Some(at) = doorbell {
-                    sched.at(at, PipeEv::Doorbell(pair));
-                }
-                let cpu = self.parts.host.cpu_for_pair(pair);
-                t += cpu.cost.step(cpu.cost.costs.syscall_entry);
-                t += cpu.cost.step(cpu.cost.costs.block_schedule);
-                cpu.free = t;
-                cpu.blocked = true;
-            }
-            PipeEv::Doorbell(pair) => {
-                let parts = &mut self.parts;
-                let out = parts.device.process_tx_notify(
-                    now,
-                    net::tx_queue_of_pair(pair),
-                    &mut parts.mem,
-                    &mut parts.link,
-                );
-                for resp in &out.responses {
-                    let rx_q = parts.device.rss_steer(&resp.data);
-                    let rxo = parts.device.deliver_response(
-                        resp.ready_at,
-                        rx_q,
-                        resp,
-                        &mut parts.mem,
-                        &mut parts.link,
-                    );
-                    if let Some(irq_at) = rxo.irq_at {
-                        sched.at(irq_at, PipeEv::RxIrq(rx_q / 2));
-                    }
-                }
-            }
-            PipeEv::RxIrq(pair) => {
-                let parts = &mut self.parts;
-                let q = &mut self.queues[pair as usize];
-                let cpu = parts.host.cpu_for_pair(pair);
-                let mut t = now.max(cpu.free) + cpu.cost.blocking_extra();
-                t += cpu.cost.step(cpu.cost.costs.hardirq_entry);
-                t += cpu.cost.step(cpu.cost.costs.softirq_latency);
-                let (frames, cpu_t) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
-                t += cpu_t;
-                if frames.is_empty() {
-                    return;
-                }
-                if cpu.blocked {
-                    t += cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                    cpu.blocked = false;
-                }
-                for rx in frames {
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        false,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, cpu_t)) => {
-                            t += cpu_t;
-                            t += parts
-                                .stack
-                                .recvfrom_return(parsed.payload.len(), &mut cpu.cost);
-                            let seq = u32::from_le_bytes(
-                                parsed.payload[..4].try_into().expect("seq header"),
-                            );
-                            let expected = q.expected.remove(&seq);
-                            if expected.as_deref() != Some(&parsed.payload[..]) {
-                                self.verify_failures += 1;
-                            }
-                            let t0 = q.send_time.remove(&seq).expect("known seq");
-                            q.latency.push((t - t0).quantize(Time::from_ns(1)));
-                            q.in_flight -= 1;
-                            self.received += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                cpu.free = t;
-                if q.to_send > 0 || q.in_flight > 0 {
-                    sched.at(t, PipeEv::Pump(pair));
-                }
-            }
-        }
-    }
-}
-
 /// Run the E19 pipelined multi-queue workload: `mq_queue_pairs` pairs
 /// (from `cfg.options`), each with a `depth`-deep window, until
 /// `cfg.packets` total round trips complete.
@@ -823,40 +336,21 @@ pub fn run_mq(cfg: &TestbedConfig, depth: usize) -> MqThroughputResult {
         ),
         "run_mq drives the MQ front ends"
     );
-    assert!(
-        depth <= cfg.options.queue_size as usize / 2,
-        "window must fit the TX ring ({} two-descriptor chains)",
-        cfg.options.queue_size / 2
-    );
-    let world = MqPipelinedWorld::new(cfg, depth);
-    let pairs = world.parts.pairs;
-    let mut sim = Simulation::new(world);
-    let start = Time::from_us(10);
-    for pair in 0..pairs {
-        sim.schedule_at(start, PipeEv::Pump(pair));
-    }
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "mq pipeline wedged");
-    let elapsed = sim.now() - start;
-    let w = sim.world;
-    assert_eq!(w.received, cfg.packets, "packets lost");
+    let (w, elapsed) = TenantPipelinedWorld::run(cfg, depth);
     let stats = w.parts.run_stats();
-    let link = &w.parts.link;
-    let wire = |bytes: u64| {
-        Time::from_ps(bytes * link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
-    };
+    let (link_util_up, link_util_down) = w.parts.link_util(elapsed);
     MqThroughputResult {
-        queues: pairs,
+        queues: w.parts.pairs,
         depth,
         packets: cfg.packets,
         pps: cfg.packets as f64 / (elapsed.as_us_f64() / 1e6),
-        per_queue_latency: w.queues.into_iter().map(|q| q.latency).collect(),
         doorbells: stats.notifications,
         irqs: stats.irqs,
         verify_failures: w.verify_failures,
-        link_util_up: wire(link.up_wire_bytes),
-        link_util_down: wire(link.down_wire_bytes),
+        link_util_up,
+        link_util_down,
         peak_np_inflight: stats.walker_peak_inflight,
+        per_queue_latency: w.into_latencies(),
     }
 }
 
@@ -994,6 +488,20 @@ mod tests {
                 base.pps
             );
         }
+    }
+
+    /// Tenancy comes from the driver kind, not the tenant options: the
+    /// MQ kinds build no arbiter and no vhost workers even with
+    /// `tenant_vhost` set.
+    #[test]
+    fn only_the_tenant_kind_builds_tenancy() {
+        for driver in [DriverKind::VirtioMq, DriverKind::VirtioMqPacked] {
+            let mut c = cfg_for(driver, 2, 10);
+            c.options.tenant_vhost = true;
+            assert!(MqParts::new(&c).tenancy.is_none(), "{driver:?}");
+        }
+        let tenant = cfg_for(DriverKind::VirtioTenant, 2, 10);
+        assert!(MqParts::new(&tenant).tenancy.is_some());
     }
 
     #[test]

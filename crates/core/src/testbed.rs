@@ -133,9 +133,10 @@ pub struct TestbedOptions {
     /// timed from the previous send. `None` (default) runs closed-loop
     /// back-to-back like the other drivers.
     pub pmd_send_interval: Option<Time>,
-    /// E19 (`DriverKind::VirtioMq` only): RX/TX queue pairs to
-    /// negotiate and activate via `VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET`.
-    /// Must be a power of two ≤ 8 (the flow-steering hash pins flow
+    /// E19/E21 (the MQ kinds and `DriverKind::VirtioTenant`): RX/TX
+    /// queue pairs — one per tenant for E21 — to negotiate and activate
+    /// via `VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET`. Must be a power of two ≤
+    /// [`crate::mq::MAX_QUEUE_PAIRS`] (the flow-steering hash pins flow
     /// *i* to pair *i* only for power-of-two counts).
     pub mq_queue_pairs: u16,
     /// E20 (MQ worlds only): maximum non-posted reads one DMA tag may
@@ -1264,10 +1265,9 @@ impl Testbed {
         match self.cfg.driver {
             DriverKind::Virtio | DriverKind::VirtioPacked => run_world::<VirtioWorld>(&self.cfg).0,
             DriverKind::VirtioPmd => crate::pmd::run_pmd(&self.cfg).result,
-            DriverKind::VirtioMq | DriverKind::VirtioMqPacked => {
-                run_world::<crate::mq::MqWorld>(&self.cfg).0
+            DriverKind::VirtioMq | DriverKind::VirtioMqPacked | DriverKind::VirtioTenant => {
+                run_world::<crate::tenant::TenantWorld>(&self.cfg).0
             }
-            DriverKind::VirtioTenant => run_world::<crate::tenant::TenantWorld>(&self.cfg).0,
             DriverKind::VirtioBlk => run_world::<crate::blk::BlkWorld>(&self.cfg).0,
             DriverKind::Xdma => run_world::<XdmaWorld>(&self.cfg).0,
         }
