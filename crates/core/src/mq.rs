@@ -1,4 +1,5 @@
-//! E19 — multi-queue virtio-net (`VIRTIO_NET_F_MQ`) scaling worlds.
+//! E19 — multi-queue virtio-net (`VIRTIO_NET_F_MQ`) scaling: the bring-up
+//! and the `run_mq` measurement.
 //!
 //! The single-queue worlds top out where one host core saturates: every
 //! sendto, NAPI poll, and wakeup serializes on the same simulated CPU.
@@ -12,7 +13,7 @@
 //! PCIe link, which is exactly the paper's Gen2 x2 bottleneck the
 //! experiment sweeps toward.
 //!
-//! This module owns the bring-up (`MqParts`) and the E19 measurement
+//! Besides that bring-up (`MqParts`) it holds the E19 measurement
 //! proper, [`run_mq`]: pipelined offered load with a per-queue window —
 //! aggregate pps, per-queue latency, doorbell/irq suppression, and link
 //! utilization per queue count. The worlds themselves live in

@@ -889,7 +889,7 @@ mod tests {
     }
 
     /// The serial tenant world with one tenant and no backend matches
-    /// the serial MQ world's numbers exactly (same draws, same events).
+    /// the serial MQ run's numbers exactly (same draws, same events).
     #[test]
     fn serial_single_tenant_matches_serial_mq() {
         let mut mq_cfg = TestbedConfig::paper(DriverKind::VirtioMq, 256, 300, 77);
