@@ -1,5 +1,5 @@
-//! E19 — multi-queue virtio-net (`VIRTIO_NET_F_MQ`) scaling: the bring-up
-//! and the `run_mq` measurement.
+//! E19 — multi-queue virtio-net (`VIRTIO_NET_F_MQ`) scaling, and the
+//! two worlds every multi-queue kind runs on.
 //!
 //! The single-queue worlds top out where one host core saturates: every
 //! sendto, NAPI poll, and wakeup serializes on the same simulated CPU.
@@ -13,29 +13,42 @@
 //! PCIe link, which is exactly the paper's Gen2 x2 bottleneck the
 //! experiment sweeps toward.
 //!
-//! Besides that bring-up (`MqParts`) it holds the E19 measurement
-//! proper, [`run_mq`]: pipelined offered load with a per-queue window —
-//! aggregate pps, per-queue latency, doorbell/irq suppression, and link
-//! utilization per queue count. The worlds themselves live in
-//! [`crate::tenant`]: an MQ run is the E21 tenant world without
-//! tenancy (`MqParts::tenancy` is `None`), so each pair owns its walker
-//! and a doorbell is serviced at once. The serial world runs
-//! `DriverKind::VirtioMq` through [`crate::Testbed::run`] and the trace
-//! reconciliation harness like every other driver, one round trip at a
-//! time, round-robin across pairs.
+//! Two worlds share one bring-up (`MqParts`) and serve
+//! `DriverKind::VirtioMq`, `VirtioMqPacked` and `VirtioTenant` alike:
+//!
+//! * `MqWorld` — serial request-response, round-robin across the
+//!   active pairs, recorded through the standard [`RoundTripRecorder`]
+//!   so the multi-queue kinds run through [`crate::Testbed::run`] and
+//!   the trace reconciliation harness like every other driver;
+//! * `MqPipelinedWorld` — pipelined offered load with a per-pair
+//!   window, behind [`run_mq`] (the E19 measurement proper: aggregate
+//!   pps, per-queue latency, doorbell/irq suppression, and link
+//!   utilization per queue count) and [`crate::tenant::run_tenants`].
+//!
+//! For the tenant kind the bring-up also builds the E21
+//! [`crate::tenant`] layer (`MqParts::tenancy`): vhost relays and a QoS
+//! arbiter in front of one shared walker engine. The MQ kinds run
+//! without it — each pair owns its walker, so a doorbell is serviced at
+//! once and no `EngineFree` or `WorkerRx` event is ever scheduled. Only
+//! the round-trip root names tell the kinds apart in a trace:
+//! `rtt_mq_q<i>` versus `rtt_tenant_t<i>`.
+
+use std::collections::HashMap;
 
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice};
 use vf_hostsw::{
-    probe_mq, Ipv4Addr, MacAddr, MultiCoreHost, UdpStack, VirtioNetMqDriver, CTRL_QUEUE_SIZE,
+    probe_mq, Ipv4Addr, MacAddr, MultiCoreHost, SockError, UdpStack, VirtioNetMqDriver,
+    CTRL_QUEUE_SIZE,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
-use vf_sim::{SampleSet, SimRng, Time};
+use vf_sim::{SampleSet, Scheduler, SimRng, Simulation, Time, World};
+use vf_tenant::TenantConfig;
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net, DeviceType};
 
-use crate::driver_model::RunStats;
-use crate::tenant::{Tenancy, TenantPipelinedWorld};
+use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
+use crate::tenant::Tenancy;
 use crate::testbed::{DriverKind, RssMode, TestbedConfig, Transport};
 
 /// Most queue pairs a world will drive. Bounded by the static RTT-name
@@ -44,10 +57,81 @@ use crate::testbed::{DriverKind, RssMode, TestbedConfig, Transport};
 /// tenants.
 pub const MAX_QUEUE_PAIRS: u16 = 64;
 
+/// Per-queue round-trip trace names of the MQ kinds, indexed by pair.
+const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [
+    "rtt_mq_q0",
+    "rtt_mq_q1",
+    "rtt_mq_q2",
+    "rtt_mq_q3",
+    "rtt_mq_q4",
+    "rtt_mq_q5",
+    "rtt_mq_q6",
+    "rtt_mq_q7",
+    "rtt_mq_q8",
+    "rtt_mq_q9",
+    "rtt_mq_q10",
+    "rtt_mq_q11",
+    "rtt_mq_q12",
+    "rtt_mq_q13",
+    "rtt_mq_q14",
+    "rtt_mq_q15",
+    "rtt_mq_q16",
+    "rtt_mq_q17",
+    "rtt_mq_q18",
+    "rtt_mq_q19",
+    "rtt_mq_q20",
+    "rtt_mq_q21",
+    "rtt_mq_q22",
+    "rtt_mq_q23",
+    "rtt_mq_q24",
+    "rtt_mq_q25",
+    "rtt_mq_q26",
+    "rtt_mq_q27",
+    "rtt_mq_q28",
+    "rtt_mq_q29",
+    "rtt_mq_q30",
+    "rtt_mq_q31",
+    "rtt_mq_q32",
+    "rtt_mq_q33",
+    "rtt_mq_q34",
+    "rtt_mq_q35",
+    "rtt_mq_q36",
+    "rtt_mq_q37",
+    "rtt_mq_q38",
+    "rtt_mq_q39",
+    "rtt_mq_q40",
+    "rtt_mq_q41",
+    "rtt_mq_q42",
+    "rtt_mq_q43",
+    "rtt_mq_q44",
+    "rtt_mq_q45",
+    "rtt_mq_q46",
+    "rtt_mq_q47",
+    "rtt_mq_q48",
+    "rtt_mq_q49",
+    "rtt_mq_q50",
+    "rtt_mq_q51",
+    "rtt_mq_q52",
+    "rtt_mq_q53",
+    "rtt_mq_q54",
+    "rtt_mq_q55",
+    "rtt_mq_q56",
+    "rtt_mq_q57",
+    "rtt_mq_q58",
+    "rtt_mq_q59",
+    "rtt_mq_q60",
+    "rtt_mq_q61",
+    "rtt_mq_q62",
+    "rtt_mq_q63",
+];
+
 /// UDP source-port base; flow `i` sends from `FLOW_PORT_BASE + i`. A
 /// multiple of every power-of-two pair count, so the device's
 /// `dst_port % pairs` steering maps flow `i` exactly to pair `i`.
-pub(crate) const FLOW_PORT_BASE: u16 = 40_000;
+const FLOW_PORT_BASE: u16 = 40_000;
+
+/// When the pipelined world's pairs start pumping.
+pub(crate) const PUMP_START: Time = Time::from_us(10);
 
 /// The Toeplitz indirection table the MQ bring-up programs: every slot
 /// defaults to `slot % pairs`, then each measured flow's hash slot is
@@ -268,8 +352,375 @@ impl MqParts {
     }
 }
 
+/// Events of both worlds, tagged with the queue pair they belong to.
+/// `H` is the world's own host-side wakeup: the serial world's next
+/// send (`()`) or the pipelined world's pump of pair `n` (`u16`).
+pub(crate) enum MqEv<H> {
+    /// The world's host-side wakeup.
+    Host(H),
+    /// Pair `n`'s (guest) core takes its RX interrupt.
+    RxIrq(u16),
+    /// A device-side event, handled alike by both worlds.
+    Device(DeviceEv),
+}
+
+/// Device-side events, handled alike by both worlds.
+pub(crate) enum DeviceEv {
+    /// Pair `n`'s doorbell reaches the device (directly, or relayed by
+    /// its vhost worker).
+    Doorbell(u16),
+    /// The walker engine goes idle; the arbiter grants the next tenant.
+    EngineFree,
+    /// Tenant `n`'s vhost worker picks up a completion of `bytes`
+    /// (`u32`, not `usize`, keeps every event at 8 bytes: the sweeps
+    /// push millions of them through the timing wheel).
+    WorkerRx(u16, u32),
+}
+
+impl<H> From<DeviceEv> for MqEv<H> {
+    fn from(ev: DeviceEv) -> Self {
+        MqEv::Device(ev)
+    }
+}
+
+/// The device side both worlds share.
+impl MqParts {
+    fn tenancy_mut(&mut self) -> &mut Tenancy {
+        self.tenancy
+            .as_mut()
+            .expect("engine-free and vhost relays exist only under tenancy")
+    }
+
+    /// Pair `pair`'s scheduling/workload class; the MQ kinds' pairs are
+    /// all default tenants.
+    fn tenant_config(&self, pair: u16) -> TenantConfig {
+        self.tenancy
+            .as_ref()
+            .map_or_else(TenantConfig::default, |t| t.configs[pair as usize])
+    }
+
+    /// The pairs that send: every pair except paused tenants.
+    fn active_pairs(&self) -> Vec<u16> {
+        let active: Vec<u16> = (0..self.pairs)
+            .filter(|&p| !self.tenant_config(p).paused)
+            .collect();
+        assert!(!active.is_empty(), "at least one tenant must be active");
+        active
+    }
+
+    /// Ring pair `pair`'s TX doorbell from its core at `t`: a direct
+    /// MMIO write, or under the vhost backend a kick vmexit whose worker
+    /// relays the real write. `span` emits the guest-side trace span.
+    /// Returns (guest CPU time spent, doorbell arrival at the device).
+    fn ring_doorbell(&mut self, pair: u16, t: Time, frame_len: usize, span: bool) -> (Time, Time) {
+        let tx_q = net::tx_queue_of_pair(pair);
+        let ev = self.device.mmio_write(
+            bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
+            2,
+            u64::from(tx_q),
+        );
+        debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
+        let emit = |name, d| {
+            if span {
+                vf_trace::span_at(vf_trace::Layer::Driver, name, t, t + d, u64::from(tx_q), 0);
+            }
+        };
+        let cost = &mut self.host.cpu_for_pair(pair).cost;
+        match self.tenancy.as_mut().filter(|ten| ten.vhost) {
+            Some(ten) => {
+                // The guest's notify is a vmexit into the kick eventfd;
+                // the worker relays the real doorbell.
+                let d = cost.step(cost.costs.vmexit_kick);
+                emit("vmexit_kick", d);
+                let rung = ten.workers[pair as usize].tx(t + d, frame_len);
+                (d, self.link.mmio_write(rung, 2))
+            }
+            None => {
+                let arrival = self.link.mmio_write(t, 2);
+                let d = cost.step(cost.costs.mmio_write_cpu);
+                emit("doorbell_mmio", d);
+                (d, arrival)
+            }
+        }
+    }
+
+    /// Run pair `pair`'s walk: TX queue processing, response
+    /// steering/delivery, and completion-interrupt dispatch (direct or
+    /// via the tenant's worker). Under tenancy, charges the engine
+    /// window to the arbiter.
+    fn service_walk<H>(&mut self, pair: u16, now: Time, sched: &mut Scheduler<MqEv<H>>) {
+        let out = self.device.process_tx_notify(
+            now,
+            net::tx_queue_of_pair(pair),
+            &mut self.mem,
+            &mut self.link,
+        );
+        let vhost = self.tenancy.as_ref().is_some_and(|t| t.vhost);
+        let mut engine_done = out.done_at;
+        for resp in &out.responses {
+            // RSS: the walker hashes the response flow onto the active
+            // pairs and raises that pair's own vector.
+            let rx_q = self.device.rss_steer(&resp.data);
+            let rxo = self.device.deliver_response(
+                resp.ready_at,
+                rx_q,
+                resp,
+                &mut self.mem,
+                &mut self.link,
+            );
+            engine_done = engine_done.max(rxo.done_at);
+            if let Some(irq_at) = rxo.irq_at {
+                let dst = rx_q / 2;
+                if vhost {
+                    sched.at(
+                        irq_at,
+                        DeviceEv::WorkerRx(dst, resp.data.len() as u32).into(),
+                    );
+                } else {
+                    sched.at(irq_at, MqEv::RxIrq(dst));
+                }
+            }
+        }
+        if let Some(ten) = &mut self.tenancy {
+            ten.arbiter.begin_service(pair, now, engine_done);
+        }
+    }
+
+    /// Deliver a device-side event: a doorbell (serviced at once, or
+    /// through the arbiter under tenancy), an engine-free grant, or a
+    /// worker's completion relay.
+    fn deliver_device<H>(&mut self, now: Time, ev: DeviceEv, sched: &mut Scheduler<MqEv<H>>) {
+        match ev {
+            DeviceEv::Doorbell(pair) => {
+                if self
+                    .tenancy
+                    .as_mut()
+                    .is_none_or(|t| t.admit(pair, now, sched))
+                {
+                    self.service_walk(pair, now, sched);
+                }
+            }
+            DeviceEv::EngineFree => {
+                if let Some(next) = self.tenancy_mut().engine_free(now, sched) {
+                    self.service_walk(next, now, sched);
+                }
+                self.tenancy_mut().rearm_if_pending(now, sched);
+            }
+            DeviceEv::WorkerRx(tenant, bytes) => {
+                let seen = self.tenancy_mut().workers[tenant as usize].rx(now, bytes as usize);
+                sched.at(seen, MqEv::RxIrq(tenant));
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
-// Pipelined runs (the E19 measurement)
+// Serial world (Testbed::run / trace reconciliation)
+// ---------------------------------------------------------------------
+
+/// Serial request-response across the active pairs, one round trip at
+/// a time in round-robin, recorded through the standard recorder so
+/// the MQ and tenant kinds run through [`crate::Testbed::run`] and the
+/// trace harness — each pair's round trips carry its own root
+/// (`rtt_mq_q<i>` or `rtt_tenant_t<i>`), which is what the Perfetto
+/// export splits into per-queue and per-tenant tracks.
+pub(crate) struct MqWorld {
+    parts: MqParts,
+    /// Send rotation: every pair except paused tenants.
+    active: Vec<u16>,
+    rtt_names: &'static [&'static str; MAX_QUEUE_PAIRS as usize],
+    payload: usize,
+    expected: Vec<u8>,
+    sent: usize,
+    rec: RoundTripRecorder,
+}
+
+impl MqWorld {
+    fn new(cfg: &TestbedConfig) -> Self {
+        let parts = MqParts::new(cfg);
+        MqWorld {
+            active: parts.active_pairs(),
+            rtt_names: if parts.tenancy.is_some() {
+                &Tenancy::RTT_NAMES
+            } else {
+                &MQ_RTT_NAMES
+            },
+            parts,
+            payload: cfg.payload,
+            expected: Vec::new(),
+            sent: 0,
+            rec: RoundTripRecorder::new(cfg.packets),
+        }
+    }
+}
+
+impl World for MqWorld {
+    type Msg = MqEv<()>;
+
+    fn deliver(&mut self, now: Time, msg: MqEv<()>, sched: &mut Scheduler<MqEv<()>>) {
+        self.parts.link.advance_epoch(now);
+        let parts = &mut self.parts;
+        match msg {
+            MqEv::Host(()) => {
+                if self.rec.packets_left == 0 {
+                    return;
+                }
+                let pair = self.active[self.sent % self.active.len()];
+                self.sent += 1;
+                self.rec
+                    .begin_rtt(now, self.rtt_names[pair as usize], self.payload as u64);
+                let mut t = now;
+                let mut payload = vec![0u8; self.payload];
+                parts.payload_rng.fill_bytes(&mut payload);
+                self.expected = payload.clone();
+                let offload = parts.driver.pairs[pair as usize].csum_offload();
+
+                let cpu = parts.host.cpu_for_pair(pair);
+                let (frame, d) = parts
+                    .stack
+                    .sendto(
+                        parts.fpga_ip,
+                        FLOW_PORT_BASE + pair,
+                        7,
+                        &payload,
+                        offload,
+                        &mut cpu.cost,
+                    )
+                    .expect("send path configured");
+                vf_trace::span_at(
+                    vf_trace::Layer::Syscall,
+                    "sendto",
+                    t,
+                    t + d,
+                    payload.len() as u64,
+                    u64::from(pair),
+                );
+                t += d;
+                let res = parts
+                    .driver
+                    .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
+                vf_trace::span_at(
+                    vf_trace::Layer::Driver,
+                    "virtio_xmit",
+                    t,
+                    t + res.cpu,
+                    frame.len() as u64,
+                    u64::from(pair),
+                );
+                t += res.cpu;
+                if res.notify {
+                    let (d, arrival) = parts.ring_doorbell(pair, t, frame.len(), true);
+                    t += d;
+                    sched.at(arrival, DeviceEv::Doorbell(pair).into());
+                }
+                vf_trace::set_now(t);
+                let cpu = parts.host.cpu_for_pair(pair);
+                t += cpu.cost.send_return_then_block();
+                cpu.free = t;
+            }
+            MqEv::RxIrq(pair) => {
+                let cpu = parts.host.cpu_for_pair(pair);
+                let t_irq = now.max(cpu.free);
+                vf_trace::set_now(t_irq);
+                let mut t = t_irq + cpu.cost.irq_to_napi();
+                let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
+                vf_trace::span_at(
+                    vf_trace::Layer::Driver,
+                    "napi_poll",
+                    t,
+                    t + d,
+                    0,
+                    u64::from(pair),
+                );
+                t += d;
+                let mut delivered_payload: Option<Vec<u8>> = None;
+                for rx in frames {
+                    let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
+                    match parts.stack.netif_receive(
+                        &rx.frame,
+                        FLOW_PORT_BASE + pair,
+                        validated,
+                        &mut cpu.cost,
+                    ) {
+                        Ok((parsed, d)) => {
+                            vf_trace::span_at(
+                                vf_trace::Layer::Syscall,
+                                "udp_rx",
+                                t,
+                                t + d,
+                                rx.frame.len() as u64,
+                                u64::from(pair),
+                            );
+                            t += d;
+                            delivered_payload = Some(parsed.payload);
+                        }
+                        Err(SockError::BadChecksum) => {
+                            self.rec.verify_failures += 1;
+                        }
+                        Err(e) => panic!("receive path failed: {e:?}"),
+                    }
+                }
+                let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
+                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
+                t += d;
+                let len = delivered_payload.as_ref().map_or(0, |p| p.len());
+                let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
+                vf_trace::span_at(
+                    vf_trace::Layer::Syscall,
+                    "recvfrom_return",
+                    t,
+                    t + d,
+                    len as u64,
+                    0,
+                );
+                t += d;
+                cpu.free = t;
+
+                if delivered_payload.as_deref() != Some(&self.expected[..]) {
+                    self.rec.verify_failures += 1;
+                }
+                let hw = parts.device.counters.last_hw();
+                let proc = parts.device.counters.processing.last;
+                self.rec.record(t, hw, proc);
+                if self.rec.packets_left > 0 {
+                    let next = t + cpu.cost.step(cpu.cost.costs.app_loop_overhead);
+                    sched.at(next, MqEv::Host(()));
+                }
+            }
+            MqEv::Device(ev) => parts.deliver_device(now, ev, sched),
+        }
+    }
+}
+
+impl DriverModel for MqWorld {
+    type Telemetry = ();
+
+    fn build(cfg: &TestbedConfig) -> Self {
+        MqWorld::new(cfg)
+    }
+
+    fn initial_event() -> MqEv<()> {
+        MqEv::Host(())
+    }
+
+    fn describe(msg: &MqEv<()>) -> Option<(vf_trace::Layer, &'static str)> {
+        match msg {
+            MqEv::Host(()) => Some((vf_trace::Layer::App, "app_send")),
+            MqEv::RxIrq(_) => Some((vf_trace::Layer::Irq, "msix_rx")),
+            MqEv::Device(DeviceEv::Doorbell(_)) => Some((vf_trace::Layer::Device, "doorbell")),
+            MqEv::Device(DeviceEv::EngineFree) => Some((vf_trace::Layer::Device, "engine_free")),
+            MqEv::Device(DeviceEv::WorkerRx(..)) => Some((vf_trace::Layer::Driver, "vhost_relay")),
+        }
+    }
+
+    fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
+        let stats = self.parts.run_stats();
+        (self.rec, stats, ())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pipelined world (the E19 and E21 measurements)
 // ---------------------------------------------------------------------
 
 /// Result of one [`run_mq`] sweep point.
@@ -326,6 +777,221 @@ impl MqThroughputResult {
     }
 }
 
+/// Per-pair pipelining state: the E12 windowed workload on the pair's
+/// own core, plus its resolved window depth and pause flag.
+pub(crate) struct PairState {
+    payload_rng: SimRng,
+    to_send: usize,
+    in_flight: usize,
+    seq: u32,
+    send_time: HashMap<u32, Time>,
+    expected: HashMap<u32, Vec<u8>>,
+    latency: SampleSet,
+    depth: usize,
+    pub(crate) paused: bool,
+    pub(crate) last_completion: Time,
+    pub(crate) completed: usize,
+}
+
+/// Pipelined offered load over every active pair at once — the E19
+/// `run_mq` and E21 `run_tenants` measurement world.
+pub(crate) struct MqPipelinedWorld {
+    pub(crate) parts: MqParts,
+    pub(crate) queues: Vec<PairState>,
+    payload: usize,
+    received: usize,
+    pub(crate) verify_failures: u64,
+}
+
+impl MqPipelinedWorld {
+    fn new(cfg: &TestbedConfig, depth: usize) -> Self {
+        let parts = MqParts::new(cfg);
+        let rng = SimRng::new(cfg.seed);
+        let active = parts.active_pairs();
+        let per_queue = cfg.packets / active.len();
+        let remainder = cfg.packets % active.len();
+        let queues = (0..parts.pairs)
+            .map(|i| {
+                let rank = active.iter().position(|&a| a == i);
+                let to_send = rank.map_or(0, |r| per_queue + usize::from(r < remainder));
+                let tenant = parts.tenant_config(i);
+                PairState {
+                    // One payload stream per queue: concurrent queues
+                    // must not race for draws from a shared stream.
+                    payload_rng: rng.derive(100 + u64::from(i)),
+                    to_send,
+                    in_flight: 0,
+                    seq: 0,
+                    send_time: HashMap::new(),
+                    expected: HashMap::new(),
+                    latency: SampleSet::with_capacity(to_send + 1),
+                    depth: tenant.depth_or(depth),
+                    paused: tenant.paused,
+                    last_completion: Time::ZERO,
+                    completed: 0,
+                }
+            })
+            .collect();
+        MqPipelinedWorld {
+            parts,
+            queues,
+            // Sequence number needs 4 bytes of payload.
+            payload: cfg.payload.max(4),
+            received: 0,
+            verify_failures: 0,
+        }
+    }
+
+    /// Top up pair `pair`'s window. Returns (cpu-done instant,
+    /// coalesced doorbell arrival at the device).
+    fn refill(&mut self, pair: u16, now: Time) -> (Time, Option<Time>) {
+        let parts = &mut self.parts;
+        let q = &mut self.queues[pair as usize];
+        let mut t = now;
+        let mut doorbell_at: Option<Time> = None;
+        while q.in_flight < q.depth && q.to_send > 0 {
+            let mut payload = vec![0u8; self.payload];
+            q.payload_rng.fill_bytes(&mut payload);
+            payload[..4].copy_from_slice(&q.seq.to_le_bytes());
+            q.send_time.insert(q.seq, t);
+            q.expected.insert(q.seq, payload.clone());
+            let cpu = parts.host.cpu_for_pair(pair);
+            let (frame, cpu_t) = parts
+                .stack
+                .sendto(
+                    parts.fpga_ip,
+                    FLOW_PORT_BASE + pair,
+                    7,
+                    &payload,
+                    false,
+                    &mut cpu.cost,
+                )
+                .expect("send path configured");
+            t += cpu_t;
+            let res = parts
+                .driver
+                .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
+            t += res.cpu;
+            if res.notify {
+                let (d, arrival) = parts.ring_doorbell(pair, t, frame.len(), false);
+                t += d;
+                doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
+            }
+            q.in_flight += 1;
+            q.to_send -= 1;
+            q.seq += 1;
+        }
+        (t, doorbell_at)
+    }
+}
+
+impl World for MqPipelinedWorld {
+    type Msg = MqEv<u16>;
+
+    fn deliver(&mut self, now: Time, msg: MqEv<u16>, sched: &mut Scheduler<MqEv<u16>>) {
+        self.parts.link.advance_epoch(now);
+        match msg {
+            MqEv::Host(pair) => {
+                let (mut t, doorbell) = self.refill(pair, now);
+                if let Some(at) = doorbell {
+                    sched.at(at, DeviceEv::Doorbell(pair).into());
+                }
+                let cpu = self.parts.host.cpu_for_pair(pair);
+                t += cpu.cost.step(cpu.cost.costs.syscall_entry);
+                t += cpu.cost.step(cpu.cost.costs.block_schedule);
+                cpu.free = t;
+                cpu.blocked = true;
+            }
+            MqEv::RxIrq(pair) => {
+                let parts = &mut self.parts;
+                let q = &mut self.queues[pair as usize];
+                let cpu = parts.host.cpu_for_pair(pair);
+                let mut t = now.max(cpu.free) + cpu.cost.blocking_extra();
+                t += cpu.cost.step(cpu.cost.costs.hardirq_entry);
+                t += cpu.cost.step(cpu.cost.costs.softirq_latency);
+                let (frames, cpu_t) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
+                t += cpu_t;
+                if frames.is_empty() {
+                    return;
+                }
+                if cpu.blocked {
+                    t += cpu.cost.step(cpu.cost.costs.wakeup_to_run);
+                    cpu.blocked = false;
+                }
+                for rx in frames {
+                    match parts.stack.netif_receive(
+                        &rx.frame,
+                        FLOW_PORT_BASE + pair,
+                        false,
+                        &mut cpu.cost,
+                    ) {
+                        Ok((parsed, cpu_t)) => {
+                            t += cpu_t;
+                            t += parts
+                                .stack
+                                .recvfrom_return(parsed.payload.len(), &mut cpu.cost);
+                            let seq = u32::from_le_bytes(
+                                parsed.payload[..4].try_into().expect("seq header"),
+                            );
+                            let expected = q.expected.remove(&seq);
+                            if expected.as_deref() != Some(&parsed.payload[..]) {
+                                self.verify_failures += 1;
+                            }
+                            let t0 = q.send_time.remove(&seq).expect("known seq");
+                            q.latency.push((t - t0).quantize(Time::from_ns(1)));
+                            q.in_flight -= 1;
+                            q.completed += 1;
+                            q.last_completion = t;
+                            self.received += 1;
+                        }
+                        Err(e) => panic!("receive path failed: {e:?}"),
+                    }
+                }
+                cpu.free = t;
+                if q.to_send > 0 || q.in_flight > 0 {
+                    sched.at(t, MqEv::Host(pair));
+                }
+            }
+            MqEv::Device(ev) => self.parts.deliver_device(now, ev, sched),
+        }
+    }
+}
+
+impl MqPipelinedWorld {
+    /// Build the world for `cfg` and run it until the active pairs
+    /// drain `cfg.packets` round trips, each pumping a `depth`-deep
+    /// window (per-tenant overrides apply) from 10 µs. Returns the
+    /// drained world and the span the run took.
+    pub(crate) fn run(cfg: &TestbedConfig, depth: usize) -> (Self, Time) {
+        let world = MqPipelinedWorld::new(cfg, depth);
+        for q in &world.queues {
+            assert!(
+                q.depth <= cfg.options.queue_size as usize / 2,
+                "window must fit the TX ring ({} two-descriptor chains)",
+                cfg.options.queue_size / 2
+            );
+        }
+        let pairs = world.parts.pairs;
+        let mut sim = Simulation::new(world);
+        for pair in 0..pairs {
+            if !sim.world.queues[pair as usize].paused {
+                sim.schedule_at(PUMP_START, MqEv::Host(pair));
+            }
+        }
+        let outcome = sim.run(Time::from_secs(3600), 500_000_000);
+        assert_eq!(outcome, vf_sim::RunOutcome::Idle, "pipeline wedged");
+        let elapsed = sim.now() - PUMP_START;
+        let w = sim.world;
+        assert_eq!(w.received, cfg.packets, "packets lost");
+        (w, elapsed)
+    }
+
+    /// Every pair's latency samples, in pair order.
+    pub(crate) fn into_latencies(self) -> Vec<SampleSet> {
+        self.queues.into_iter().map(|q| q.latency).collect()
+    }
+}
+
 /// Run the E19 pipelined multi-queue workload: `mq_queue_pairs` pairs
 /// (from `cfg.options`), each with a `depth`-deep window, until
 /// `cfg.packets` total round trips complete.
@@ -337,7 +1003,7 @@ pub fn run_mq(cfg: &TestbedConfig, depth: usize) -> MqThroughputResult {
         ),
         "run_mq drives the MQ front ends"
     );
-    let (w, elapsed) = TenantPipelinedWorld::run(cfg, depth);
+    let (w, elapsed) = MqPipelinedWorld::run(cfg, depth);
     let stats = w.parts.run_stats();
     let (link_util_up, link_util_down) = w.parts.link_util(elapsed);
     MqThroughputResult {

@@ -1,5 +1,4 @@
-//! E21 — multi-tenant vhost multiplexing over one FPGA device, and the
-//! two worlds every multi-queue kind runs on.
+//! E21 — multi-tenant vhost multiplexing over one FPGA device.
 //!
 //! E19/E20 scale one host across queue pairs; E21 slices the same
 //! device across **M simulated guest VMs**. Each tenant owns a private
@@ -22,15 +21,10 @@
 //!   and granted on engine-free per policy — round-robin,
 //!   weighted-share, or strict-priority.
 //!
-//! One serial world (`TenantWorld`, behind [`crate::Testbed::run`]) and
-//! one pipelined world (behind [`run_tenants`] and
-//! [`crate::mq::run_mq`]) serve `DriverKind::VirtioMq`,
-//! `VirtioMqPacked` and `VirtioTenant` alike. An MQ run is this world
-//! without tenancy: `MqParts::tenancy` is `None`, each pair owns its
-//! walker, so a doorbell is serviced at once and no `EngineFree` or
-//! `WorkerRx` event is ever scheduled. Only the round-trip root names
-//! tell the kinds apart in a trace: `rtt_mq_q<i>` versus
-//! `rtt_tenant_t<i>`.
+//! The tenants run on the [`crate::mq`] worlds: the serial one behind
+//! [`crate::Testbed::run`] and the pipelined one behind [`run_tenants`].
+//! The MQ bring-up builds a `Tenancy` for `DriverKind::VirtioTenant`
+//! only; the MQ kinds are the same worlds without it.
 //!
 //! Parity anchor: a 1-tenant run with the backend off is **bit
 //! identical** to the single-pair MQ run — the arbiter's idle-grant and
@@ -38,54 +32,98 @@
 //! derived but never drawn. The regression tests at the bottom pin
 //! this.
 
-use std::collections::HashMap;
-
-use vf_fpga::{bar0, MmioEvent};
-use vf_hostsw::SockError;
-use vf_sim::{SampleSet, Scheduler, SimRng, Simulation, Time, World};
+use vf_sim::{SampleSet, Scheduler, SimRng, Time};
 use vf_tenant::{ArbiterPolicy, Decision, QosArbiter, TenantClass, TenantConfig, VhostWorker};
-use vf_virtio::net;
 
-use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
-use crate::mq::{MqParts, FLOW_PORT_BASE, MAX_QUEUE_PAIRS};
+use crate::mq::{DeviceEv, MqEv, MqPipelinedWorld, MAX_QUEUE_PAIRS, PUMP_START};
 use crate::report::jain_fairness;
 use crate::testbed::{DriverKind, TestbedConfig};
 
-/// When the pipelined world's pairs start pumping.
-const PUMP_START: Time = Time::from_us(10);
-
-/// One `&'static str` trace-root name per queue pair: `prefix` + index.
-macro_rules! rtt_names {
-    ($prefix:literal: $($i:literal)*) => {
-        [$(concat!($prefix, $i)),*]
-    };
-}
-
-/// Per-pair round-trip trace names of the MQ kinds, indexed by pair.
-const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = rtt_names!("rtt_mq_q":
-    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
-    32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63);
-
-/// Per-tenant round-trip trace names, indexed by tenant.
-const TENANT_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = rtt_names!("rtt_tenant_t":
-    0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
-    32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63);
-
 /// What E21 layers on the queue pairs (tenant *i* owns pair *i*): one
 /// vhost worker per tenant, the arbiter in front of the shared walker
-/// engine, and the resolved per-tenant configs. [`MqParts`] holds it
-/// for `DriverKind::VirtioTenant` only.
+/// engine, and the resolved per-tenant configs. The MQ bring-up holds
+/// it for `DriverKind::VirtioTenant` only.
 pub(crate) struct Tenancy {
-    workers: Vec<VhostWorker>,
-    arbiter: QosArbiter,
-    configs: Vec<TenantConfig>,
+    /// Tenant *i*'s vhost worker.
+    pub(crate) workers: Vec<VhostWorker>,
+    pub(crate) arbiter: QosArbiter,
+    /// Tenant *i*'s resolved config.
+    pub(crate) configs: Vec<TenantConfig>,
     /// Relay doorbells and completions through the workers.
-    vhost: bool,
+    pub(crate) vhost: bool,
     /// An `EngineFree` wakeup is armed (never more than one).
     free_scheduled: bool,
 }
 
 impl Tenancy {
+    /// Per-tenant round-trip trace names, indexed by tenant.
+    pub(crate) const RTT_NAMES: [&'static str; MAX_QUEUE_PAIRS as usize] = [
+        "rtt_tenant_t0",
+        "rtt_tenant_t1",
+        "rtt_tenant_t2",
+        "rtt_tenant_t3",
+        "rtt_tenant_t4",
+        "rtt_tenant_t5",
+        "rtt_tenant_t6",
+        "rtt_tenant_t7",
+        "rtt_tenant_t8",
+        "rtt_tenant_t9",
+        "rtt_tenant_t10",
+        "rtt_tenant_t11",
+        "rtt_tenant_t12",
+        "rtt_tenant_t13",
+        "rtt_tenant_t14",
+        "rtt_tenant_t15",
+        "rtt_tenant_t16",
+        "rtt_tenant_t17",
+        "rtt_tenant_t18",
+        "rtt_tenant_t19",
+        "rtt_tenant_t20",
+        "rtt_tenant_t21",
+        "rtt_tenant_t22",
+        "rtt_tenant_t23",
+        "rtt_tenant_t24",
+        "rtt_tenant_t25",
+        "rtt_tenant_t26",
+        "rtt_tenant_t27",
+        "rtt_tenant_t28",
+        "rtt_tenant_t29",
+        "rtt_tenant_t30",
+        "rtt_tenant_t31",
+        "rtt_tenant_t32",
+        "rtt_tenant_t33",
+        "rtt_tenant_t34",
+        "rtt_tenant_t35",
+        "rtt_tenant_t36",
+        "rtt_tenant_t37",
+        "rtt_tenant_t38",
+        "rtt_tenant_t39",
+        "rtt_tenant_t40",
+        "rtt_tenant_t41",
+        "rtt_tenant_t42",
+        "rtt_tenant_t43",
+        "rtt_tenant_t44",
+        "rtt_tenant_t45",
+        "rtt_tenant_t46",
+        "rtt_tenant_t47",
+        "rtt_tenant_t48",
+        "rtt_tenant_t49",
+        "rtt_tenant_t50",
+        "rtt_tenant_t51",
+        "rtt_tenant_t52",
+        "rtt_tenant_t53",
+        "rtt_tenant_t54",
+        "rtt_tenant_t55",
+        "rtt_tenant_t56",
+        "rtt_tenant_t57",
+        "rtt_tenant_t58",
+        "rtt_tenant_t59",
+        "rtt_tenant_t60",
+        "rtt_tenant_t61",
+        "rtt_tenant_t62",
+        "rtt_tenant_t63",
+    ];
+
     pub(crate) fn new(cfg: &TestbedConfig, tenants: u16) -> Self {
         let configs: Vec<TenantConfig> = if cfg.options.tenant_configs.is_empty() {
             vec![TenantConfig::default(); tenants as usize]
@@ -116,382 +154,58 @@ impl Tenancy {
         }
     }
 
+    /// Tenant `tenant`'s doorbell asks for the walker engine: `true` if
+    /// it may walk now, `false` if it queued behind another tenant (an
+    /// engine-free wakeup is then armed).
+    pub(crate) fn admit<H>(
+        &mut self,
+        tenant: u16,
+        now: Time,
+        sched: &mut Scheduler<MqEv<H>>,
+    ) -> bool {
+        match self.arbiter.request(tenant, now) {
+            Decision::Grant => true,
+            Decision::Queued => {
+                self.arm_engine_free(now, sched);
+                false
+            }
+        }
+    }
+
+    /// The engine-free wakeup fired: the tenant to grant now, if the
+    /// engine is really idle (an absorbed walk may have stretched the
+    /// window; the wakeup is then re-armed).
+    pub(crate) fn engine_free<H>(
+        &mut self,
+        now: Time,
+        sched: &mut Scheduler<MqEv<H>>,
+    ) -> Option<u16> {
+        self.free_scheduled = false;
+        if now < self.arbiter.busy_until() {
+            self.arm_engine_free(now, sched);
+            return None;
+        }
+        self.arbiter.next_grant()
+    }
+
+    /// Keep an engine-free wakeup armed while doorbells wait.
+    pub(crate) fn rearm_if_pending<H>(&mut self, now: Time, sched: &mut Scheduler<MqEv<H>>) {
+        if self.arbiter.has_pending() {
+            self.arm_engine_free(now, sched);
+        }
+    }
+
     /// Arm (at most one) engine-free wakeup at the arbiter's horizon.
-    fn arm_engine_free(&mut self, now: Time, sched: &mut Scheduler<TenantEv>) {
+    fn arm_engine_free<H>(&mut self, now: Time, sched: &mut Scheduler<MqEv<H>>) {
         if !self.free_scheduled {
-            sched.at(self.arbiter.busy_until().max(now), TenantEv::EngineFree);
+            sched.at(
+                self.arbiter.busy_until().max(now),
+                DeviceEv::EngineFree.into(),
+            );
             self.free_scheduled = true;
         }
     }
 }
-
-/// Events of both worlds, tagged with the queue pair they belong to.
-pub(crate) enum TenantEv {
-    /// Serial world: the next active pair in rotation sends one packet.
-    AppSend,
-    /// Pipelined world: pair `n` tops up its window.
-    Pump(u16),
-    /// Pair `n`'s doorbell reaches the device (directly, or relayed by
-    /// its vhost worker).
-    Doorbell(u16),
-    /// The walker engine goes idle; the arbiter grants the next tenant.
-    EngineFree,
-    /// Tenant `n`'s vhost worker picks up a completion of `bytes`.
-    WorkerRx(u16, usize),
-    /// Pair `n`'s (guest) core takes its RX interrupt.
-    RxIrq(u16),
-}
-
-/// The device side both worlds share.
-impl MqParts {
-    fn tenancy_mut(&mut self) -> &mut Tenancy {
-        self.tenancy
-            .as_mut()
-            .expect("engine-free and vhost relays exist only under tenancy")
-    }
-
-    /// Pair `pair`'s scheduling/workload class; the MQ kinds' pairs are
-    /// all default tenants.
-    fn tenant_config(&self, pair: u16) -> TenantConfig {
-        self.tenancy
-            .as_ref()
-            .map_or_else(TenantConfig::default, |t| t.configs[pair as usize])
-    }
-
-    /// The pairs that send: every pair except paused tenants.
-    fn active_pairs(&self) -> Vec<u16> {
-        let active: Vec<u16> = (0..self.pairs)
-            .filter(|&p| !self.tenant_config(p).paused)
-            .collect();
-        assert!(!active.is_empty(), "at least one tenant must be active");
-        active
-    }
-
-    /// Ring pair `pair`'s TX doorbell from its core at `t`: a direct
-    /// MMIO write, or under the vhost backend a kick vmexit whose worker
-    /// relays the real write. `span` emits the guest-side trace span.
-    /// Returns (guest CPU time spent, doorbell arrival at the device).
-    fn ring_doorbell(&mut self, pair: u16, t: Time, frame_len: usize, span: bool) -> (Time, Time) {
-        let tx_q = net::tx_queue_of_pair(pair);
-        let ev = self.device.mmio_write(
-            bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-            2,
-            u64::from(tx_q),
-        );
-        debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
-        let emit = |name, d| {
-            if span {
-                vf_trace::span_at(vf_trace::Layer::Driver, name, t, t + d, u64::from(tx_q), 0);
-            }
-        };
-        let cost = &mut self.host.cpu_for_pair(pair).cost;
-        match self.tenancy.as_mut().filter(|ten| ten.vhost) {
-            Some(ten) => {
-                // The guest's notify is a vmexit into the kick eventfd;
-                // the worker relays the real doorbell.
-                let d = cost.step(cost.costs.vmexit_kick);
-                emit("vmexit_kick", d);
-                let rung = ten.workers[pair as usize].tx(t + d, frame_len);
-                (d, self.link.mmio_write(rung, 2))
-            }
-            None => {
-                let arrival = self.link.mmio_write(t, 2);
-                let d = cost.step(cost.costs.mmio_write_cpu);
-                emit("doorbell_mmio", d);
-                (d, arrival)
-            }
-        }
-    }
-
-    /// Run pair `pair`'s walk: TX queue processing, response
-    /// steering/delivery, and completion-interrupt dispatch (direct or
-    /// via the tenant's worker). Under tenancy, charges the engine
-    /// window to the arbiter.
-    fn service_walk(&mut self, pair: u16, now: Time, sched: &mut Scheduler<TenantEv>) {
-        let out = self.device.process_tx_notify(
-            now,
-            net::tx_queue_of_pair(pair),
-            &mut self.mem,
-            &mut self.link,
-        );
-        let vhost = self.tenancy.as_ref().is_some_and(|t| t.vhost);
-        let mut engine_done = out.done_at;
-        for resp in &out.responses {
-            // RSS: the walker hashes the response flow onto the active
-            // pairs and raises that pair's own vector.
-            let rx_q = self.device.rss_steer(&resp.data);
-            let rxo = self.device.deliver_response(
-                resp.ready_at,
-                rx_q,
-                resp,
-                &mut self.mem,
-                &mut self.link,
-            );
-            engine_done = engine_done.max(rxo.done_at);
-            if let Some(irq_at) = rxo.irq_at {
-                let dst = rx_q / 2;
-                if vhost {
-                    sched.at(irq_at, TenantEv::WorkerRx(dst, resp.data.len()));
-                } else {
-                    sched.at(irq_at, TenantEv::RxIrq(dst));
-                }
-            }
-        }
-        if let Some(ten) = &mut self.tenancy {
-            ten.arbiter.begin_service(pair, now, engine_done);
-        }
-    }
-
-    /// Deliver a device-side event: a doorbell (serviced at once, or
-    /// through the arbiter under tenancy), an engine-free grant, or a
-    /// worker's completion relay.
-    fn deliver_device(&mut self, now: Time, msg: TenantEv, sched: &mut Scheduler<TenantEv>) {
-        match msg {
-            TenantEv::Doorbell(pair) => {
-                let decision = match &mut self.tenancy {
-                    Some(ten) => ten.arbiter.request(pair, now),
-                    None => Decision::Grant,
-                };
-                match decision {
-                    Decision::Grant => self.service_walk(pair, now, sched),
-                    Decision::Queued => self.tenancy_mut().arm_engine_free(now, sched),
-                }
-            }
-            TenantEv::EngineFree => {
-                let ten = self.tenancy_mut();
-                ten.free_scheduled = false;
-                if now < ten.arbiter.busy_until() {
-                    // An absorbed walk stretched the window; re-arm.
-                    ten.arm_engine_free(now, sched);
-                    return;
-                }
-                if let Some(next) = ten.arbiter.next_grant() {
-                    self.service_walk(next, now, sched);
-                }
-                let ten = self.tenancy_mut();
-                if ten.arbiter.has_pending() {
-                    ten.arm_engine_free(now, sched);
-                }
-            }
-            TenantEv::WorkerRx(tenant, bytes) => {
-                let seen = self.tenancy_mut().workers[tenant as usize].rx(now, bytes);
-                sched.at(seen, TenantEv::RxIrq(tenant));
-            }
-            TenantEv::AppSend | TenantEv::Pump(_) | TenantEv::RxIrq(_) => {
-                unreachable!("host-side events are the world's own")
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Serial world (Testbed::run / trace reconciliation)
-// ---------------------------------------------------------------------
-
-/// Serial request-response across the active pairs, one round trip at
-/// a time in round-robin, recorded through the standard recorder so
-/// the MQ and tenant kinds run through [`crate::Testbed::run`] and the
-/// trace harness — each pair's round trips carry its own root
-/// (`rtt_mq_q<i>` or `rtt_tenant_t<i>`), which is what the Perfetto
-/// export splits into per-queue and per-tenant tracks.
-pub(crate) struct TenantWorld {
-    parts: MqParts,
-    /// Send rotation: every pair except paused tenants.
-    active: Vec<u16>,
-    rtt_names: &'static [&'static str; MAX_QUEUE_PAIRS as usize],
-    payload: usize,
-    expected: Vec<u8>,
-    sent: usize,
-    rec: RoundTripRecorder,
-}
-
-impl TenantWorld {
-    fn new(cfg: &TestbedConfig) -> Self {
-        let parts = MqParts::new(cfg);
-        TenantWorld {
-            active: parts.active_pairs(),
-            rtt_names: if parts.tenancy.is_some() {
-                &TENANT_RTT_NAMES
-            } else {
-                &MQ_RTT_NAMES
-            },
-            parts,
-            payload: cfg.payload,
-            expected: Vec::new(),
-            sent: 0,
-            rec: RoundTripRecorder::new(cfg.packets),
-        }
-    }
-}
-
-impl World for TenantWorld {
-    type Msg = TenantEv;
-
-    fn deliver(&mut self, now: Time, msg: TenantEv, sched: &mut Scheduler<TenantEv>) {
-        self.parts.link.advance_epoch(now);
-        let parts = &mut self.parts;
-        match msg {
-            TenantEv::AppSend => {
-                if self.rec.packets_left == 0 {
-                    return;
-                }
-                let pair = self.active[self.sent % self.active.len()];
-                self.sent += 1;
-                self.rec
-                    .begin_rtt(now, self.rtt_names[pair as usize], self.payload as u64);
-                let mut t = now;
-                let mut payload = vec![0u8; self.payload];
-                parts.payload_rng.fill_bytes(&mut payload);
-                self.expected = payload.clone();
-                let offload = parts.driver.pairs[pair as usize].csum_offload();
-
-                let cpu = parts.host.cpu_for_pair(pair);
-                let (frame, d) = parts
-                    .stack
-                    .sendto(
-                        parts.fpga_ip,
-                        FLOW_PORT_BASE + pair,
-                        7,
-                        &payload,
-                        offload,
-                        &mut cpu.cost,
-                    )
-                    .expect("send path configured");
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "sendto",
-                    t,
-                    t + d,
-                    payload.len() as u64,
-                    u64::from(pair),
-                );
-                t += d;
-                let res = parts
-                    .driver
-                    .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "virtio_xmit",
-                    t,
-                    t + res.cpu,
-                    frame.len() as u64,
-                    u64::from(pair),
-                );
-                t += res.cpu;
-                if res.notify {
-                    let (d, arrival) = parts.ring_doorbell(pair, t, frame.len(), true);
-                    t += d;
-                    sched.at(arrival, TenantEv::Doorbell(pair));
-                }
-                vf_trace::set_now(t);
-                let cpu = parts.host.cpu_for_pair(pair);
-                t += cpu.cost.send_return_then_block();
-                cpu.free = t;
-            }
-            TenantEv::RxIrq(pair) => {
-                let cpu = parts.host.cpu_for_pair(pair);
-                let t_irq = now.max(cpu.free);
-                vf_trace::set_now(t_irq);
-                let mut t = t_irq + cpu.cost.irq_to_napi();
-                let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "napi_poll",
-                    t,
-                    t + d,
-                    0,
-                    u64::from(pair),
-                );
-                t += d;
-                let mut delivered_payload: Option<Vec<u8>> = None;
-                for rx in frames {
-                    let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        validated,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, d)) => {
-                            vf_trace::span_at(
-                                vf_trace::Layer::Syscall,
-                                "udp_rx",
-                                t,
-                                t + d,
-                                rx.frame.len() as u64,
-                                u64::from(pair),
-                            );
-                            t += d;
-                            delivered_payload = Some(parsed.payload);
-                        }
-                        Err(SockError::BadChecksum) => {
-                            self.rec.verify_failures += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
-                t += d;
-                let len = delivered_payload.as_ref().map_or(0, |p| p.len());
-                let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "recvfrom_return",
-                    t,
-                    t + d,
-                    len as u64,
-                    0,
-                );
-                t += d;
-                cpu.free = t;
-
-                if delivered_payload.as_deref() != Some(&self.expected[..]) {
-                    self.rec.verify_failures += 1;
-                }
-                let hw = parts.device.counters.last_hw();
-                let proc = parts.device.counters.processing.last;
-                self.rec.record(t, hw, proc);
-                if self.rec.packets_left > 0 {
-                    let next = t + cpu.cost.step(cpu.cost.costs.app_loop_overhead);
-                    sched.at(next, TenantEv::AppSend);
-                }
-            }
-            msg => parts.deliver_device(now, msg, sched),
-        }
-    }
-}
-
-impl DriverModel for TenantWorld {
-    type Telemetry = ();
-
-    fn build(cfg: &TestbedConfig) -> Self {
-        TenantWorld::new(cfg)
-    }
-
-    fn initial_event() -> TenantEv {
-        TenantEv::AppSend
-    }
-
-    fn describe(msg: &TenantEv) -> Option<(vf_trace::Layer, &'static str)> {
-        match msg {
-            TenantEv::AppSend | TenantEv::Pump(_) => Some((vf_trace::Layer::App, "app_send")),
-            TenantEv::Doorbell(_) => Some((vf_trace::Layer::Device, "doorbell")),
-            TenantEv::EngineFree => Some((vf_trace::Layer::Device, "engine_free")),
-            TenantEv::WorkerRx(..) => Some((vf_trace::Layer::Driver, "vhost_relay")),
-            TenantEv::RxIrq(_) => Some((vf_trace::Layer::Irq, "msix_rx")),
-        }
-    }
-
-    fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
-        let stats = self.parts.run_stats();
-        (self.rec, stats, ())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Pipelined world (the E19 and E21 measurements)
-// ---------------------------------------------------------------------
 
 /// Result of one [`run_tenants`] sweep point.
 pub struct TenantThroughputResult {
@@ -550,221 +264,6 @@ impl TenantThroughputResult {
     }
 }
 
-/// Per-pair pipelining state: the E12 windowed workload on the pair's
-/// own core, plus its resolved window depth and pause flag.
-struct TenantState {
-    payload_rng: SimRng,
-    to_send: usize,
-    in_flight: usize,
-    seq: u32,
-    send_time: HashMap<u32, Time>,
-    expected: HashMap<u32, Vec<u8>>,
-    latency: SampleSet,
-    depth: usize,
-    paused: bool,
-    last_completion: Time,
-    completed: usize,
-}
-
-/// Pipelined offered load over every active pair at once — the E19
-/// `run_mq` and E21 `run_tenants` measurement world.
-pub(crate) struct TenantPipelinedWorld {
-    pub(crate) parts: MqParts,
-    queues: Vec<TenantState>,
-    payload: usize,
-    received: usize,
-    pub(crate) verify_failures: u64,
-}
-
-impl TenantPipelinedWorld {
-    fn new(cfg: &TestbedConfig, depth: usize) -> Self {
-        let parts = MqParts::new(cfg);
-        let rng = SimRng::new(cfg.seed);
-        let active = parts.active_pairs();
-        let per_queue = cfg.packets / active.len();
-        let remainder = cfg.packets % active.len();
-        let queues = (0..parts.pairs)
-            .map(|i| {
-                let rank = active.iter().position(|&a| a == i);
-                let to_send = rank.map_or(0, |r| per_queue + usize::from(r < remainder));
-                let tenant = parts.tenant_config(i);
-                TenantState {
-                    // One payload stream per queue: concurrent queues
-                    // must not race for draws from a shared stream.
-                    payload_rng: rng.derive(100 + u64::from(i)),
-                    to_send,
-                    in_flight: 0,
-                    seq: 0,
-                    send_time: HashMap::new(),
-                    expected: HashMap::new(),
-                    latency: SampleSet::with_capacity(to_send + 1),
-                    depth: tenant.depth_or(depth),
-                    paused: tenant.paused,
-                    last_completion: Time::ZERO,
-                    completed: 0,
-                }
-            })
-            .collect();
-        TenantPipelinedWorld {
-            parts,
-            queues,
-            // Sequence number needs 4 bytes of payload.
-            payload: cfg.payload.max(4),
-            received: 0,
-            verify_failures: 0,
-        }
-    }
-
-    /// Top up pair `pair`'s window. Returns (cpu-done instant,
-    /// coalesced doorbell arrival at the device).
-    fn refill(&mut self, pair: u16, now: Time) -> (Time, Option<Time>) {
-        let parts = &mut self.parts;
-        let q = &mut self.queues[pair as usize];
-        let mut t = now;
-        let mut doorbell_at: Option<Time> = None;
-        while q.in_flight < q.depth && q.to_send > 0 {
-            let mut payload = vec![0u8; self.payload];
-            q.payload_rng.fill_bytes(&mut payload);
-            payload[..4].copy_from_slice(&q.seq.to_le_bytes());
-            q.send_time.insert(q.seq, t);
-            q.expected.insert(q.seq, payload.clone());
-            let cpu = parts.host.cpu_for_pair(pair);
-            let (frame, cpu_t) = parts
-                .stack
-                .sendto(
-                    parts.fpga_ip,
-                    FLOW_PORT_BASE + pair,
-                    7,
-                    &payload,
-                    false,
-                    &mut cpu.cost,
-                )
-                .expect("send path configured");
-            t += cpu_t;
-            let res = parts
-                .driver
-                .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
-            t += res.cpu;
-            if res.notify {
-                let (d, arrival) = parts.ring_doorbell(pair, t, frame.len(), false);
-                t += d;
-                doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
-            }
-            q.in_flight += 1;
-            q.to_send -= 1;
-            q.seq += 1;
-        }
-        (t, doorbell_at)
-    }
-}
-
-impl World for TenantPipelinedWorld {
-    type Msg = TenantEv;
-
-    fn deliver(&mut self, now: Time, msg: TenantEv, sched: &mut Scheduler<TenantEv>) {
-        self.parts.link.advance_epoch(now);
-        match msg {
-            TenantEv::Pump(pair) => {
-                let (mut t, doorbell) = self.refill(pair, now);
-                if let Some(at) = doorbell {
-                    sched.at(at, TenantEv::Doorbell(pair));
-                }
-                let cpu = self.parts.host.cpu_for_pair(pair);
-                t += cpu.cost.step(cpu.cost.costs.syscall_entry);
-                t += cpu.cost.step(cpu.cost.costs.block_schedule);
-                cpu.free = t;
-                cpu.blocked = true;
-            }
-            TenantEv::RxIrq(pair) => {
-                let parts = &mut self.parts;
-                let q = &mut self.queues[pair as usize];
-                let cpu = parts.host.cpu_for_pair(pair);
-                let mut t = now.max(cpu.free) + cpu.cost.blocking_extra();
-                t += cpu.cost.step(cpu.cost.costs.hardirq_entry);
-                t += cpu.cost.step(cpu.cost.costs.softirq_latency);
-                let (frames, cpu_t) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
-                t += cpu_t;
-                if frames.is_empty() {
-                    return;
-                }
-                if cpu.blocked {
-                    t += cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                    cpu.blocked = false;
-                }
-                for rx in frames {
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        false,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, cpu_t)) => {
-                            t += cpu_t;
-                            t += parts
-                                .stack
-                                .recvfrom_return(parsed.payload.len(), &mut cpu.cost);
-                            let seq = u32::from_le_bytes(
-                                parsed.payload[..4].try_into().expect("seq header"),
-                            );
-                            let expected = q.expected.remove(&seq);
-                            if expected.as_deref() != Some(&parsed.payload[..]) {
-                                self.verify_failures += 1;
-                            }
-                            let t0 = q.send_time.remove(&seq).expect("known seq");
-                            q.latency.push((t - t0).quantize(Time::from_ns(1)));
-                            q.in_flight -= 1;
-                            q.completed += 1;
-                            q.last_completion = t;
-                            self.received += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                cpu.free = t;
-                if q.to_send > 0 || q.in_flight > 0 {
-                    sched.at(t, TenantEv::Pump(pair));
-                }
-            }
-            msg => self.parts.deliver_device(now, msg, sched),
-        }
-    }
-}
-
-impl TenantPipelinedWorld {
-    /// Build the world for `cfg` and run it until the active pairs
-    /// drain `cfg.packets` round trips, each pumping a `depth`-deep
-    /// window (per-tenant overrides apply) from 10 µs. Returns the
-    /// drained world and the span the run took.
-    pub(crate) fn run(cfg: &TestbedConfig, depth: usize) -> (Self, Time) {
-        let world = TenantPipelinedWorld::new(cfg, depth);
-        for q in &world.queues {
-            assert!(
-                q.depth <= cfg.options.queue_size as usize / 2,
-                "window must fit the TX ring ({} two-descriptor chains)",
-                cfg.options.queue_size / 2
-            );
-        }
-        let pairs = world.parts.pairs;
-        let mut sim = Simulation::new(world);
-        for pair in 0..pairs {
-            if !sim.world.queues[pair as usize].paused {
-                sim.schedule_at(PUMP_START, TenantEv::Pump(pair));
-            }
-        }
-        let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-        assert_eq!(outcome, vf_sim::RunOutcome::Idle, "pipeline wedged");
-        let elapsed = sim.now() - PUMP_START;
-        let w = sim.world;
-        assert_eq!(w.received, cfg.packets, "packets lost");
-        (w, elapsed)
-    }
-
-    /// Every pair's latency samples, in pair order.
-    pub(crate) fn into_latencies(self) -> Vec<SampleSet> {
-        self.queues.into_iter().map(|q| q.latency).collect()
-    }
-}
-
 /// Run the E21 pipelined multi-tenant workload: `mq_queue_pairs`
 /// tenants (from `cfg.options`), each active tenant with a
 /// `depth`-deep window (per-tenant overrides via
@@ -776,7 +275,7 @@ pub fn run_tenants(cfg: &TestbedConfig, depth: usize) -> TenantThroughputResult 
         DriverKind::VirtioTenant,
         "run_tenants drives the tenant front end"
     );
-    let (w, elapsed) = TenantPipelinedWorld::run(cfg, depth);
+    let (w, elapsed) = MqPipelinedWorld::run(cfg, depth);
     let stats = w.parts.run_stats();
     let (link_util_up, link_util_down) = w.parts.link_util(elapsed);
     let per_tenant_pps: Vec<f64> = w

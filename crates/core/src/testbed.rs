@@ -1266,7 +1266,7 @@ impl Testbed {
             DriverKind::Virtio | DriverKind::VirtioPacked => run_world::<VirtioWorld>(&self.cfg).0,
             DriverKind::VirtioPmd => crate::pmd::run_pmd(&self.cfg).result,
             DriverKind::VirtioMq | DriverKind::VirtioMqPacked | DriverKind::VirtioTenant => {
-                run_world::<crate::tenant::TenantWorld>(&self.cfg).0
+                run_world::<crate::mq::MqWorld>(&self.cfg).0
             }
             DriverKind::VirtioBlk => run_world::<crate::blk::BlkWorld>(&self.cfg).0,
             DriverKind::Xdma => run_world::<XdmaWorld>(&self.cfg).0,
