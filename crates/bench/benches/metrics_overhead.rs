@@ -10,7 +10,8 @@
 //!   Each must cost essentially one thread-local load and branch; the
 //!   floor check below asserts it against exactly that baseline.
 //! * `enabled/*` — the same updates against a live session, for scale
-//!   (a registry hash lookup plus an i64 update).
+//!   (a slot lookup keyed on the name's address, an i64 update, and a
+//!   dirty mark for the next sample).
 //! * `world/*` — an E19 MQ world run unmetered vs metered, the
 //!   end-to-end overhead a `repro -- metrics` user actually pays.
 //!

@@ -6,9 +6,18 @@
 //! load — the zero-cost-when-disabled guarantee (asserted by the
 //! `metrics_overhead` bench). None of them draw randomness or mutate
 //! simulated time, so metering can never perturb a run.
+//!
+//! A metered run pays only for state that changed. An enabled update
+//! finds its slot by the name's address (falling back to the name's
+//! contents, so one name at two addresses is one instrument) and marks
+//! it dirty. A sample stores a change point only for dirty slots whose
+//! value moved, and the watchdogs read slot lists linked when their
+//! instruments registered. [`finish`] expands the change points into
+//! the per-sample series the report carries.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::hist::LogLinearHist;
 use crate::report::{InstrumentReport, MetricsReport};
@@ -80,9 +89,13 @@ struct Instrument {
     kind: Kind,
     /// Counter total or gauge level (counters stay non-negative).
     value: i64,
+    /// On the session's dirty list (touched since the last sample).
+    dirty: bool,
     hist: Option<LogLinearHist>,
-    /// Sampled `(t_ps, value)` points (counters and gauges only).
-    series: Vec<(u64, i64)>,
+    /// Change points `(sample ordinal, value)`: the value holds from
+    /// that sample until the next point. Counters and gauges only;
+    /// [`finish`] expands them into the per-sample series.
+    points: Vec<(u64, i64)>,
 }
 
 /// Progress tracker for the stall/fairness watchdogs: counts consecutive
@@ -97,18 +110,118 @@ struct ProgressWatch {
     flagged: bool,
 }
 
+impl ProgressWatch {
+    /// Advance one sample. Returns the stuck count when this sample is
+    /// the `k`th in a row with `held` true and `progress` unchanged,
+    /// once per episode.
+    fn step(&mut self, held: bool, progress: i64, k: u32) -> Option<u32> {
+        if held && progress == self.last_progress {
+            self.stuck += 1;
+            if self.stuck >= k && !self.flagged {
+                self.flagged = true;
+                return Some(self.stuck);
+            }
+        } else {
+            self.last_progress = progress;
+            self.stuck = 0;
+            self.flagged = false;
+        }
+        None
+    }
+}
+
+/// Posted-credit watchdog links for one DMA tag.
+struct PostedLink {
+    index: u32,
+    granted: u32,
+    released: Option<u32>,
+    inflight: Option<u32>,
+}
+
+/// NP-leak watchdog links for one DMA tag.
+struct NpLink {
+    index: u32,
+    inflight: u32,
+    window: Option<u32>,
+}
+
+/// A watched level (queue backlog, arbiter pending) linked to the
+/// progress counter of the same index (used ring, grants).
+struct ProgressLink {
+    index: u32,
+    level: u32,
+    progress: Option<u32>,
+    watch: ProgressWatch,
+}
+
+/// The watchdogs' instrument slots, linked as instruments register, so
+/// a sample reads short slot lists instead of scanning the registry.
+/// Each list is in registration order of its primary instrument, the
+/// order violations are reported in.
+#[derive(Default)]
+struct Links {
+    posted: Vec<PostedLink>,
+    np: Vec<NpLink>,
+    stall: Vec<ProgressLink>,
+    fair: Vec<ProgressLink>,
+    policy: Option<u32>,
+    grants: Vec<u32>,
+    last_total_grants: i64,
+}
+
+/// Multiplicative (Fx-style) hasher for the address-keyed slot map:
+/// three machine words per key, no SipHash rounds.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the best-mixed bits into
+        // the low bits the table indexes with.
+        self.0.rotate_left(26)
+    }
+}
+
+/// `(name address, name length, index)`: equal keys are equal names,
+/// but one name may sit at several addresses.
+type AddrKey = (usize, usize, u32);
+
 struct Session {
     cfg: MetricsConfig,
     instruments: Vec<Instrument>,
+    /// The update fast path: slot by name address. A miss falls back to
+    /// `by_key`, so one name at two addresses stays one instrument.
+    by_addr: HashMap<AddrKey, u32, BuildHasherDefault<AddrHasher>>,
     by_key: HashMap<(&'static str, u32), u32>,
+    /// Counter/gauge slots touched since the last sample.
+    dirty: Vec<u32>,
+    /// Sim time of every sample taken; change points index into it.
+    sample_times: Vec<u64>,
     next_due: u64,
-    samples: u64,
     violations: Vec<Violation>,
-    /// Stall state keyed by the backlog instrument's slot.
-    stall: HashMap<u32, ProgressWatch>,
-    /// Fairness state keyed by the pending-gauge instrument's slot.
-    fair: HashMap<u32, ProgressWatch>,
-    last_total_grants: i64,
+    links: Links,
 }
 
 thread_local! {
@@ -139,13 +252,13 @@ pub fn install(cfg: MetricsConfig) {
         *s = Some(Session {
             cfg,
             instruments: Vec::new(),
+            by_addr: HashMap::default(),
             by_key: HashMap::new(),
+            dirty: Vec::new(),
+            sample_times: Vec::new(),
             next_due: 0,
-            samples: 0,
             violations: Vec::new(),
-            stall: HashMap::new(),
-            fair: HashMap::new(),
-            last_total_grants: 0,
+            links: Links::default(),
         });
     });
     ENABLED.with(|e| e.set(true));
@@ -168,9 +281,10 @@ pub fn finish() -> MetricsReport {
     let Some(session) = session else {
         return MetricsReport::default();
     };
+    let times = session.sample_times;
     MetricsReport {
         interval_ps: session.cfg.interval_ps,
-        samples: session.samples,
+        samples: times.len() as u64,
         instruments: session
             .instruments
             .into_iter()
@@ -179,12 +293,28 @@ pub fn finish() -> MetricsReport {
                 index: i.index,
                 kind: i.kind,
                 last: i.value,
-                series: i.series,
+                series: expand(&i.points, &times),
                 histogram: i.hist,
             })
             .collect(),
         violations: session.violations,
     }
+}
+
+/// One `(t, value)` point per sample from the instrument's first
+/// sample on, rebuilt from its change points.
+fn expand(points: &[(u64, i64)], times: &[u64]) -> Vec<(u64, i64)> {
+    let Some(&(first, _)) = points.first() else {
+        return Vec::new();
+    };
+    let mut series = Vec::with_capacity(times.len() - first as usize);
+    for (k, &(from, v)) in points.iter().enumerate() {
+        let to = points
+            .get(k + 1)
+            .map_or(times.len(), |&(next, _)| next as usize);
+        series.extend(times[from as usize..to].iter().map(|&t| (t, v)));
+    }
+    series
 }
 
 fn with_session<R>(f: impl FnOnce(&mut Session) -> R) -> Option<R> {
@@ -195,16 +325,34 @@ impl Session {
     /// Slot for `(name, index)`, registering it with `kind` on first
     /// touch. Panics on a kind clash — that is a bug at the
     /// instrumentation site, not a runtime condition.
+    #[inline]
     fn slot(&mut self, name: &'static str, index: u32, kind: Kind) -> usize {
+        let key = (name.as_ptr() as usize, name.len(), index);
+        let i = match self.by_addr.get(&key) {
+            Some(&i) => i,
+            None => {
+                let i = self.resolve(name, index, kind);
+                self.by_addr.insert(key, i);
+                i
+            }
+        } as usize;
+        let inst = &self.instruments[i];
+        assert!(
+            inst.kind == kind,
+            "instrument {name}[{index}] is a {}, touched as a {}",
+            inst.kind.name(),
+            kind.name()
+        );
+        i
+    }
+
+    /// Slot for `(name, index)` by name contents, registering it with
+    /// `kind` if it is new.
+    #[cold]
+    #[inline(never)]
+    fn resolve(&mut self, name: &'static str, index: u32, kind: Kind) -> u32 {
         if let Some(&i) = self.by_key.get(&(name, index)) {
-            let inst = &self.instruments[i as usize];
-            assert!(
-                inst.kind == kind,
-                "instrument {name}[{index}] is a {}, touched as a {}",
-                inst.kind.name(),
-                kind.name()
-            );
-            return i as usize;
+            return i;
         }
         let i = u32::try_from(self.instruments.len()).expect("instrument registry full");
         self.instruments.push(Instrument {
@@ -212,77 +360,95 @@ impl Session {
             index,
             kind,
             value: 0,
+            dirty: false,
             hist: (kind == Kind::Histogram).then(LogLinearHist::new),
-            series: Vec::new(),
+            points: Vec::new(),
         });
         self.by_key.insert((name, index), i);
-        i as usize
+        self.link(name, index, i);
+        i
     }
 
-    fn value_of(&self, name: &'static str, index: u32) -> Option<i64> {
-        self.by_key
-            .get(&(name, index))
-            .map(|&i| self.instruments[i as usize].value)
+    /// Link a new instrument into the watchdogs it takes part in, in
+    /// whichever order its partners registered.
+    fn link(&mut self, name: &'static str, index: u32, slot: u32) {
+        let partner = |n: &'static str| self.by_key.get(&(n, index)).copied();
+        let l = &mut self.links;
+        match name {
+            names::POSTED_GRANTED => l.posted.push(PostedLink {
+                index,
+                granted: slot,
+                released: partner(names::POSTED_RELEASED),
+                inflight: partner(names::POSTED_INFLIGHT),
+            }),
+            names::POSTED_RELEASED => {
+                if let Some(p) = l.posted.iter_mut().find(|p| p.index == index) {
+                    p.released = Some(slot);
+                }
+            }
+            names::POSTED_INFLIGHT => {
+                if let Some(p) = l.posted.iter_mut().find(|p| p.index == index) {
+                    p.inflight = Some(slot);
+                }
+            }
+            names::NP_INFLIGHT => l.np.push(NpLink {
+                index,
+                inflight: slot,
+                window: partner(names::NP_WINDOW),
+            }),
+            names::NP_WINDOW => {
+                if let Some(n) = l.np.iter_mut().find(|n| n.index == index) {
+                    n.window = Some(slot);
+                }
+            }
+            names::QUEUE_BACKLOG => l.stall.push(ProgressLink {
+                index,
+                level: slot,
+                progress: partner(names::QUEUE_USED),
+                watch: ProgressWatch::default(),
+            }),
+            names::QUEUE_USED => link_progress(&mut l.stall, index, slot),
+            names::ARBITER_PENDING => l.fair.push(ProgressLink {
+                index,
+                level: slot,
+                progress: partner(names::ARBITER_GRANTS),
+                watch: ProgressWatch::default(),
+            }),
+            names::ARBITER_GRANTS => {
+                l.grants.push(slot);
+                link_progress(&mut l.fair, index, slot);
+            }
+            names::ARBITER_POLICY if index == 0 => l.policy = Some(slot),
+            _ => {}
+        }
     }
 }
 
-/// Add `delta` to counter `name[index]`, registering it on first touch.
-#[inline]
-pub fn counter_add(name: &'static str, index: u32, delta: u64) {
-    if !is_enabled() {
-        return;
+fn link_progress(links: &mut [ProgressLink], index: u32, slot: u32) {
+    if let Some(p) = links.iter_mut().find(|p| p.index == index) {
+        p.progress = Some(slot);
     }
+}
+
+/// Apply `f` to the value of `name[index]` and queue it for the next
+/// sample. Kept out of line, like [`record`], so the disabled path
+/// inlined at each call site stays one thread-local load and a branch.
+#[inline(never)]
+fn update(name: &'static str, index: u32, kind: Kind, f: impl FnOnce(i64) -> i64) {
     with_session(|s| {
-        let i = s.slot(name, index, Kind::Counter);
-        s.instruments[i].value = s.instruments[i].value.saturating_add(delta as i64);
+        let i = s.slot(name, index, kind);
+        let inst = &mut s.instruments[i];
+        inst.value = f(inst.value);
+        if !inst.dirty {
+            inst.dirty = true;
+            s.dirty.push(i as u32);
+        }
     });
 }
 
-/// Raise counter `name[index]` to `total` if that is higher — the form
-/// used by sources that keep their own running total (the timing wheel,
-/// device stat blocks). Never lowers the counter, so the exported
-/// series stays monotonic even if the source resets between runs.
-#[inline]
-pub fn counter_set_total(name: &'static str, index: u32, total: u64) {
-    if !is_enabled() {
-        return;
-    }
-    with_session(|s| {
-        let i = s.slot(name, index, Kind::Counter);
-        s.instruments[i].value = s.instruments[i].value.max(total as i64);
-    });
-}
-
-/// Set gauge `name[index]` to `v`.
-#[inline]
-pub fn gauge_set(name: &'static str, index: u32, v: i64) {
-    if !is_enabled() {
-        return;
-    }
-    with_session(|s| {
-        let i = s.slot(name, index, Kind::Gauge);
-        s.instruments[i].value = v;
-    });
-}
-
-/// Add `delta` (may be negative) to gauge `name[index]`.
-#[inline]
-pub fn gauge_add(name: &'static str, index: u32, delta: i64) {
-    if !is_enabled() {
-        return;
-    }
-    with_session(|s| {
-        let i = s.slot(name, index, Kind::Gauge);
-        s.instruments[i].value += delta;
-    });
-}
-
-/// Record `v` into histogram `name[index]`.
-#[inline]
-pub fn hist_record(name: &'static str, index: u32, v: u64) {
-    if !is_enabled() {
-        return;
-    }
+/// The enabled half of [`hist_record`].
+#[inline(never)]
+fn record(name: &'static str, index: u32, v: u64) {
     with_session(|s| {
         let i = s.slot(name, index, Kind::Histogram);
         s.instruments[i]
@@ -291,6 +457,58 @@ pub fn hist_record(name: &'static str, index: u32, v: u64) {
             .expect("histogram slot")
             .record(v);
     });
+}
+
+/// Add `delta` to counter `name[index]`, registering it on first touch.
+/// Saturates at `i64::MAX`.
+#[inline]
+pub fn counter_add(name: &'static str, index: u32, delta: u64) {
+    if !is_enabled() {
+        return;
+    }
+    let delta = i64::try_from(delta).unwrap_or(i64::MAX);
+    update(name, index, Kind::Counter, |v| v.saturating_add(delta));
+}
+
+/// Raise counter `name[index]` to `total` if that is higher — the form
+/// used by sources that keep their own running total (the timing wheel,
+/// device stat blocks). Never lowers the counter, so the exported
+/// series stays monotonic even if the source resets between runs.
+/// Saturates at `i64::MAX`.
+#[inline]
+pub fn counter_set_total(name: &'static str, index: u32, total: u64) {
+    if !is_enabled() {
+        return;
+    }
+    let total = i64::try_from(total).unwrap_or(i64::MAX);
+    update(name, index, Kind::Counter, |v| v.max(total));
+}
+
+/// Set gauge `name[index]` to `v`.
+#[inline]
+pub fn gauge_set(name: &'static str, index: u32, v: i64) {
+    if !is_enabled() {
+        return;
+    }
+    update(name, index, Kind::Gauge, |_| v);
+}
+
+/// Add `delta` (may be negative) to gauge `name[index]`.
+#[inline]
+pub fn gauge_add(name: &'static str, index: u32, delta: i64) {
+    if !is_enabled() {
+        return;
+    }
+    update(name, index, Kind::Gauge, |v| v + delta);
+}
+
+/// Record `v` into histogram `name[index]`.
+#[inline]
+pub fn hist_record(name: &'static str, index: u32, v: u64) {
+    if !is_enabled() {
+        return;
+    }
+    record(name, index, v);
 }
 
 /// True when at least one sample boundary lies strictly before `t_ps`.
@@ -329,13 +547,17 @@ pub fn sample_at(t_ps: u64) {
     with_session(|s| take_sample(s, t_ps));
 }
 
-/// Snapshot every counter/gauge into its series, then run the four
-/// watchdogs against the freshly sampled state.
+/// Record a change point for every counter/gauge touched since the last
+/// sample whose value moved, then run the four watchdogs against the
+/// current state.
 fn take_sample(s: &mut Session, t_ps: u64) {
-    s.samples += 1;
-    for inst in &mut s.instruments {
-        if inst.kind != Kind::Histogram {
-            inst.series.push((t_ps, inst.value));
+    let n = s.sample_times.len() as u64;
+    s.sample_times.push(t_ps);
+    for slot in s.dirty.drain(..) {
+        let inst = &mut s.instruments[slot as usize];
+        inst.dirty = false;
+        if inst.points.last().map(|&(_, v)| v) != Some(inst.value) {
+            inst.points.push((n, inst.value));
         }
     }
     check_posted_credits(s, t_ps);
@@ -344,26 +566,26 @@ fn take_sample(s: &mut Session, t_ps: u64) {
     check_fairness(s, t_ps);
 }
 
-fn layer_of(name: &str) -> String {
-    name.split('.').next().unwrap_or(name).to_string()
+/// Value of a linked slot (absent partners read as `None`).
+fn value(instruments: &[Instrument], slot: Option<u32>) -> Option<i64> {
+    slot.map(|i| instruments[i as usize].value)
 }
 
-fn violate(
-    s: &mut Session,
+fn violation(
     t_ps: u64,
     watchdog: Watchdog,
     name: &'static str,
     index: u32,
     detail: String,
-) {
-    s.violations.push(Violation {
+) -> Violation {
+    Violation {
         t_ps,
         watchdog,
-        layer: layer_of(name),
+        layer: name.split('.').next().unwrap_or(name).to_string(),
         name,
         index,
         detail,
-    });
+    }
 }
 
 /// Watchdog 1: per-tag posted-credit conservation. The three
@@ -372,30 +594,22 @@ fn violate(
 /// bookkeeping; a divergence means a credit was leaked or
 /// double-retired.
 fn check_posted_credits(s: &mut Session, t_ps: u64) {
-    let mut bad = Vec::new();
-    for inst in &s.instruments {
-        if inst.name != names::POSTED_GRANTED {
-            continue;
-        }
-        let granted = inst.value;
-        let released = s.value_of(names::POSTED_RELEASED, inst.index).unwrap_or(0);
-        let inflight = s.value_of(names::POSTED_INFLIGHT, inst.index).unwrap_or(0);
+    for p in &s.links.posted {
+        let granted = s.instruments[p.granted as usize].value;
+        let released = value(&s.instruments, p.released).unwrap_or(0);
+        let inflight = value(&s.instruments, p.inflight).unwrap_or(0);
         if granted - released != inflight {
-            bad.push((inst.index, granted, released, inflight));
+            s.violations.push(violation(
+                t_ps,
+                Watchdog::PostedCredit,
+                names::POSTED_GRANTED,
+                p.index,
+                format!(
+                    "granted {granted} - released {released} = {} but {inflight} in flight",
+                    granted - released
+                ),
+            ));
         }
-    }
-    for (index, granted, released, inflight) in bad {
-        violate(
-            s,
-            t_ps,
-            Watchdog::PostedCredit,
-            names::POSTED_GRANTED,
-            index,
-            format!(
-                "granted {granted} - released {released} = {} but {inflight} in flight",
-                granted - released
-            ),
-        );
     }
 }
 
@@ -403,25 +617,21 @@ fn check_posted_credits(s: &mut Session, t_ps: u64) {
 /// than the tag's window (or a negative depth) means a tag was leaked
 /// or retired twice.
 fn check_np_leaks(s: &mut Session, t_ps: u64) {
-    let mut bad = Vec::new();
-    for inst in &s.instruments {
-        if inst.name != names::NP_INFLIGHT {
-            continue;
+    for n in &s.links.np {
+        let inflight = s.instruments[n.inflight as usize].value;
+        let window = value(&s.instruments, n.window);
+        if inflight < 0 || window.is_some_and(|w| inflight > w) {
+            s.violations.push(violation(
+                t_ps,
+                Watchdog::NpTagLeak,
+                names::NP_INFLIGHT,
+                n.index,
+                format!(
+                    "{inflight} NP reads in flight, window {}",
+                    window.unwrap_or(0)
+                ),
+            ));
         }
-        let window = s.value_of(names::NP_WINDOW, inst.index);
-        if inst.value < 0 || window.is_some_and(|w| inst.value > w) {
-            bad.push((inst.index, inst.value, window.unwrap_or(0)));
-        }
-    }
-    for (index, inflight, window) in bad {
-        violate(
-            s,
-            t_ps,
-            Watchdog::NpTagLeak,
-            names::NP_INFLIGHT,
-            index,
-            format!("{inflight} NP reads in flight, window {window}"),
-        );
     }
 }
 
@@ -430,36 +640,17 @@ fn check_np_leaks(s: &mut Session, t_ps: u64) {
 /// wedged; one violation per episode.
 fn check_queue_stalls(s: &mut Session, t_ps: u64) {
     let k = s.cfg.stall_samples;
-    let mut bad = Vec::new();
-    for (slot, inst) in s.instruments.iter().enumerate() {
-        if inst.name != names::QUEUE_BACKLOG {
-            continue;
-        }
-        let used = s.value_of(names::QUEUE_USED, inst.index).unwrap_or(0);
-        bad.push((slot as u32, inst.index, inst.value, used));
-    }
-    for (slot, index, backlog, used) in bad {
-        let watch = s.stall.entry(slot).or_default();
-        if backlog > 0 && used == watch.last_progress {
-            watch.stuck += 1;
-            if watch.stuck >= k && !watch.flagged {
-                watch.flagged = true;
-                let stuck = watch.stuck;
-                violate(
-                    s,
-                    t_ps,
-                    Watchdog::QueueStall,
-                    names::QUEUE_BACKLOG,
-                    index,
-                    format!(
-                        "backlog {backlog} with used count stuck at {used} for {stuck} samples"
-                    ),
-                );
-            }
-        } else {
-            watch.last_progress = used;
-            watch.stuck = 0;
-            watch.flagged = false;
+    for q in &mut s.links.stall {
+        let backlog = s.instruments[q.level as usize].value;
+        let used = value(&s.instruments, q.progress).unwrap_or(0);
+        if let Some(stuck) = q.watch.step(backlog > 0, used, k) {
+            s.violations.push(violation(
+                t_ps,
+                Watchdog::QueueStall,
+                names::QUEUE_BACKLOG,
+                q.index,
+                format!("backlog {backlog} with used count stuck at {used} for {stuck} samples"),
+            ));
         }
     }
 }
@@ -471,50 +662,33 @@ fn check_queue_stalls(s: &mut Session, t_ps: u64) {
 /// consecutive samples while total grants advance is being starved —
 /// WFQ is supposed to bound its service delay.
 fn check_fairness(s: &mut Session, t_ps: u64) {
-    let armed = s.value_of(names::ARBITER_POLICY, 0) == Some(names::POLICY_WFQ);
-    let total: i64 = s
-        .instruments
+    let l = &mut s.links;
+    let armed = value(&s.instruments, l.policy) == Some(names::POLICY_WFQ);
+    let total: i64 = l
+        .grants
         .iter()
-        .filter(|i| i.name == names::ARBITER_GRANTS)
-        .map(|i| i.value)
+        .map(|&i| s.instruments[i as usize].value)
         .sum();
-    let others_progressed = total > s.last_total_grants;
-    s.last_total_grants = total;
+    let others_progressed = total > l.last_total_grants;
+    l.last_total_grants = total;
     if !armed {
         return;
     }
     let k = s.cfg.fairness_samples;
-    let mut bad = Vec::new();
-    for (slot, inst) in s.instruments.iter().enumerate() {
-        if inst.name != names::ARBITER_PENDING {
-            continue;
-        }
-        let grants = s.value_of(names::ARBITER_GRANTS, inst.index).unwrap_or(0);
-        bad.push((slot as u32, inst.index, inst.value, grants));
-    }
-    for (slot, index, pending, grants) in bad {
-        let watch = s.fair.entry(slot).or_default();
-        if pending > 0 && grants == watch.last_progress && others_progressed {
-            watch.stuck += 1;
-            if watch.stuck >= k && !watch.flagged {
-                watch.flagged = true;
-                let stuck = watch.stuck;
-                violate(
-                    s,
-                    t_ps,
-                    Watchdog::FairnessDrift,
-                    names::ARBITER_PENDING,
-                    index,
-                    format!(
-                        "tenant queued ({pending} pending) with grants stuck at {grants} \
-                         for {stuck} samples while the arbiter kept granting"
-                    ),
-                );
-            }
-        } else {
-            watch.last_progress = grants;
-            watch.stuck = 0;
-            watch.flagged = false;
+    for f in &mut l.fair {
+        let pending = s.instruments[f.level as usize].value;
+        let grants = value(&s.instruments, f.progress).unwrap_or(0);
+        if let Some(stuck) = f.watch.step(pending > 0 && others_progressed, grants, k) {
+            s.violations.push(violation(
+                t_ps,
+                Watchdog::FairnessDrift,
+                names::ARBITER_PENDING,
+                f.index,
+                format!(
+                    "tenant queued ({pending} pending) with grants stuck at {grants} \
+                     for {stuck} samples while the arbiter kept granting"
+                ),
+            ));
         }
     }
 }
@@ -585,21 +759,80 @@ mod tests {
         assert_eq!(report.samples, 4);
     }
 
+    /// Uninstalls on unwind so a poisoned session does not leak into
+    /// whatever test the harness runs next on this thread.
+    struct Guard;
+
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            uninstall();
+        }
+    }
+
     #[test]
     #[should_panic(expected = "is a counter, touched as a gauge")]
     fn kind_clash_panics() {
-        // Uninstall on unwind so the poisoned session does not leak
-        // into whatever test the harness runs next on this thread.
-        struct Guard;
-        impl Drop for Guard {
-            fn drop(&mut self) {
-                uninstall();
-            }
-        }
         fresh(MetricsConfig::default());
         let _g = Guard;
         counter_add("clash.a.b", 0, 1);
         gauge_set("clash.a.b", 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is a gauge, touched as a histogram")]
+    fn kind_clash_panics_through_the_address_fast_path() {
+        // A static holds one address, so every touch below after the
+        // first resolves through the address-keyed map.
+        static NAME: &str = "clash.fast.path";
+        fresh(MetricsConfig::default());
+        let _g = Guard;
+        gauge_set(NAME, 4, 1);
+        gauge_set(NAME, 4, 2);
+        let key = (NAME.as_ptr() as usize, NAME.len(), 4);
+        assert_eq!(
+            with_session(|s| s.by_addr.get(&key).copied()),
+            Some(Some(0))
+        );
+        hist_record(NAME, 4, 1);
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_is_one_instrument() {
+        let leaked: &'static str = Box::leak(String::from("alias.a.b").into_boxed_str());
+        assert_ne!(leaked.as_ptr(), "alias.a.b".as_ptr());
+        fresh(MetricsConfig::default());
+        counter_add("alias.a.b", 1, 2);
+        counter_add(leaked, 1, 3);
+        counter_add("alias.a.b", 1, 4);
+        counter_add(leaked, 2, 1); // another index is another instrument
+        sample_at(10);
+        let report = finish();
+        assert_eq!(report.instruments.len(), 2);
+        let c = report.get("alias.a.b", 1).unwrap();
+        assert_eq!((c.last, c.series.clone()), (9, vec![(10, 9)]));
+    }
+
+    #[test]
+    fn counters_saturate_at_i64_max() {
+        fresh(MetricsConfig::default());
+        counter_add("sat.c.add", 0, 5);
+        sample_at(10);
+        counter_add("sat.c.add", 0, u64::MAX);
+        sample_at(20);
+        counter_add("sat.c.add", 0, 1);
+        counter_set_total("sat.c.total", 0, 7);
+        sample_at(30);
+        counter_set_total("sat.c.total", 0, u64::MAX);
+        sample_at(40);
+        let report = finish();
+        let add = report.get("sat.c.add", 0).unwrap();
+        assert_eq!(add.last, i64::MAX);
+        assert_eq!(
+            add.series,
+            vec![(10, 5), (20, i64::MAX), (30, i64::MAX), (40, i64::MAX)]
+        );
+        assert_eq!(report.get("sat.c.total", 0).unwrap().last, i64::MAX);
+        assert_eq!(report.validate(&[]), Ok(()));
     }
 
     #[test]
@@ -722,5 +955,58 @@ mod tests {
             sample_at(t * 100);
         }
         assert!(finish().violations.is_empty());
+    }
+
+    /// Every watchdog links its partners in whichever order they
+    /// register: here each partner registers before the instrument the
+    /// watchdog is keyed on. Each invariant holds for three samples and
+    /// breaks from the fourth, so a missing link would show as a
+    /// violation in the healthy phase or none at all.
+    #[test]
+    fn watchdogs_link_partners_that_register_first() {
+        fresh(MetricsConfig {
+            stall_samples: 2,
+            fairness_samples: 2,
+            ..MetricsConfig::default()
+        });
+        // Posted credit: released and in-flight before granted.
+        counter_add(names::POSTED_RELEASED, 5, 1);
+        gauge_set(names::POSTED_INFLIGHT, 5, 4);
+        counter_add(names::POSTED_GRANTED, 5, 5);
+        // NP leak: window before in-flight, which sits at the window.
+        gauge_set(names::NP_WINDOW, 6, 8);
+        gauge_set(names::NP_INFLIGHT, 6, 8);
+        // Queue stall: used before backlog.
+        counter_add(names::QUEUE_USED, 7, 1);
+        gauge_set(names::QUEUE_BACKLOG, 7, 4);
+        // Fairness: grants before pending, and the policy last.
+        counter_add(names::ARBITER_GRANTS, 8, 1);
+        counter_add(names::ARBITER_GRANTS, 9, 1);
+        gauge_set(names::ARBITER_PENDING, 8, 1);
+        gauge_set(names::ARBITER_POLICY, 0, names::POLICY_WFQ);
+        for t in 0..5u64 {
+            if t < 3 {
+                counter_add(names::QUEUE_USED, 7, 1);
+                counter_add(names::ARBITER_GRANTS, 8, 1);
+            } else if t == 3 {
+                counter_add(names::POSTED_GRANTED, 5, 1); // leak a credit
+                gauge_set(names::NP_INFLIGHT, 6, 9); // beyond the window
+            }
+            counter_add(names::ARBITER_GRANTS, 9, 1);
+            sample_at(t * 100);
+        }
+        let report = finish();
+        let fired = |w: Watchdog| {
+            report
+                .violations
+                .iter()
+                .filter(|v| v.watchdog == w)
+                .map(|v| (v.index, v.t_ps))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(fired(Watchdog::PostedCredit), vec![(5, 300), (5, 400)]);
+        assert_eq!(fired(Watchdog::NpTagLeak), vec![(6, 300), (6, 400)]);
+        assert_eq!(fired(Watchdog::QueueStall), vec![(7, 400)]);
+        assert_eq!(fired(Watchdog::FairnessDrift), vec![(8, 400)]);
     }
 }

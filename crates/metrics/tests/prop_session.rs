@@ -1,0 +1,162 @@
+//! Property test of the metrics session against a naive model: random
+//! interleavings of the five update functions with `sample_at` and
+//! `sample_before`, over a handful of keys that register at random
+//! points in the run. The model keeps every instrument's value and
+//! appends a `(t, value)` point to every counter and gauge at every
+//! sample; the session must report exactly the same series, finals,
+//! histogram counts and sample count.
+
+use std::collections::HashMap;
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+use vf_metrics::{Kind, MetricsConfig};
+
+/// The keys ops touch: name, index and kind. Two counters share a name
+/// under different indices.
+const KEYS: [(&str, u32, Kind); 5] = [
+    ("prop.c.a", 0, Kind::Counter),
+    ("prop.c.a", 1, Kind::Counter),
+    ("prop.g.a", 0, Kind::Gauge),
+    ("prop.g.b", 3, Kind::Gauge),
+    ("prop.h.a", 0, Kind::Histogram),
+];
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    CounterAdd(usize, u64),
+    CounterSetTotal(usize, u64),
+    GaugeSet(usize, i64),
+    GaugeAdd(usize, i64),
+    HistRecord(usize, u64),
+    /// Explicit sample this far past the time cursor.
+    SampleAt(u64),
+    /// Advance the time cursor this far and fire the elapsed boundaries.
+    SampleBefore(u64),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    // Small values so gauges often repeat the level they already hold
+    // and counters often stand still; 99 stands for a delta or total
+    // past `i64::MAX`.
+    (0u8..7, 0u8..2, 0u32..100).prop_map(|(kind, which, x)| {
+        let big = |m: u32| if x == 99 { u64::MAX } else { u64::from(x % m) };
+        let small = i64::from(x % 5) - 2;
+        let counter = usize::from(which);
+        let gauge = 2 + usize::from(which);
+        match kind {
+            0 => Op::CounterAdd(counter, big(4)),
+            1 => Op::CounterSetTotal(counter, big(16)),
+            2 => Op::GaugeSet(gauge, small),
+            3 => Op::GaugeAdd(gauge, small),
+            4 => Op::HistRecord(4, u64::from(x)),
+            5 => Op::SampleAt(u64::from(x)),
+            _ => Op::SampleBefore(u64::from(x)),
+        }
+    })
+}
+
+/// The naive session: registration order, current values, and a point
+/// per sample for every registered counter and gauge.
+#[derive(Default)]
+struct Model {
+    order: Vec<usize>,
+    value: HashMap<usize, i64>,
+    series: HashMap<usize, Vec<(u64, i64)>>,
+    hist: HashMap<usize, u64>,
+    samples: u64,
+}
+
+impl Model {
+    fn touch(&mut self, key: usize, f: impl FnOnce(i64) -> i64) {
+        if !self.value.contains_key(&key) {
+            self.order.push(key);
+        }
+        let v = self.value.entry(key).or_insert(0);
+        *v = f(*v);
+    }
+
+    fn sample(&mut self, t: u64) {
+        self.samples += 1;
+        for &key in &self.order {
+            if KEYS[key].2 != Kind::Histogram {
+                self.series
+                    .entry(key)
+                    .or_default()
+                    .push((t, self.value[&key]));
+            }
+        }
+    }
+}
+
+fn saturate(x: u64) -> i64 {
+    i64::try_from(x).unwrap_or(i64::MAX)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn session_matches_naive_model(ops in vec(op(), 0..120), interval in 1u64..40) {
+        // A second address for the first counter's name: updates
+        // through either must land on one instrument.
+        let alias: &'static str = Box::leak(String::from(KEYS[0].0).into_boxed_str());
+        let name = |key: usize, n: usize| if key == 0 && n % 2 == 1 { alias } else { KEYS[key].0 };
+
+        let mut model = Model::default();
+        let (mut now, mut next_due) = (0u64, 0u64);
+        vf_metrics::install(MetricsConfig { interval_ps: interval, ..MetricsConfig::default() });
+        for (n, &op) in ops.iter().enumerate() {
+            match op {
+                Op::CounterAdd(k, d) => {
+                    vf_metrics::counter_add(name(k, n), KEYS[k].1, d);
+                    model.touch(k, |v| v.saturating_add(saturate(d)));
+                }
+                Op::CounterSetTotal(k, total) => {
+                    vf_metrics::counter_set_total(name(k, n), KEYS[k].1, total);
+                    model.touch(k, |v| v.max(saturate(total)));
+                }
+                Op::GaugeSet(k, x) => {
+                    vf_metrics::gauge_set(KEYS[k].0, KEYS[k].1, x);
+                    model.touch(k, |_| x);
+                }
+                Op::GaugeAdd(k, d) => {
+                    vf_metrics::gauge_add(KEYS[k].0, KEYS[k].1, d);
+                    model.touch(k, |v| v + d);
+                }
+                Op::HistRecord(k, x) => {
+                    vf_metrics::hist_record(KEYS[k].0, KEYS[k].1, x);
+                    model.touch(k, |v| v);
+                    *model.hist.entry(k).or_default() += 1;
+                }
+                Op::SampleAt(dt) => {
+                    vf_metrics::sample_at(now + dt);
+                    model.sample(now + dt);
+                }
+                Op::SampleBefore(dt) => {
+                    now += dt;
+                    vf_metrics::sample_before(now);
+                    while next_due < now {
+                        model.sample(next_due);
+                        next_due += interval;
+                    }
+                }
+            }
+        }
+        let report = vf_metrics::finish();
+
+        prop_assert_eq!(report.samples, model.samples);
+        prop_assert!(report.violations.is_empty());
+        let got: Vec<_> = report.instruments.iter().map(|i| (i.name, i.index, i.kind)).collect();
+        let want: Vec<_> = model.order.iter().map(|&k| KEYS[k]).collect();
+        prop_assert_eq!(got, want);
+        for (inst, &key) in report.instruments.iter().zip(&model.order) {
+            prop_assert_eq!(inst.last, model.value[&key], "{}[{}]", inst.name, inst.index);
+            let series = model.series.get(&key).cloned().unwrap_or_default();
+            prop_assert_eq!(&inst.series, &series, "{}[{}]", inst.name, inst.index);
+            let count = inst.histogram.as_ref().map(|h| h.count());
+            prop_assert_eq!(count, model.hist.get(&key).copied(), "{}[{}]", inst.name, inst.index);
+        }
+    }
+}
