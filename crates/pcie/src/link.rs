@@ -176,15 +176,20 @@ pub enum Direction {
 struct WireDir {
     /// FIFO high-water mark (single-tag mode).
     watermark: Time,
-    /// Merged busy intervals (multi-tag mode).
+    /// Merged busy intervals (multi-tag mode), disjoint and sorted, so
+    /// both starts and ends ascend.
     busy: VecDeque<(Time, Time)>,
+    /// Intervals the gap scans have visited, for the scan-length test.
+    #[cfg(test)]
+    scan_steps: u64,
 }
 
-/// Interval-list backstop. When exceeded, the two oldest intervals are
+/// Interval-list bound. When exceeded, the two oldest intervals are
 /// coalesced (conservative: the gap between them is forgotten as
-/// *busy*, never double-booked). With [`PcieLink::advance_epoch`]
-/// pruning retired intervals each event, the list tracks the live
-/// pipeline window and stays far below this bound.
+/// *busy*, never double-booked). [`PcieLink::advance_epoch`] prunes
+/// retired intervals each event, but a deep multi-queue pipeline can
+/// still book wire far enough ahead to reach this bound: the E19 sweep
+/// does, and [`PcieLink::wire_cap_coalesces`] counts each coalesce.
 const WIRE_INTERVAL_CAP: usize = 4096;
 
 impl WireDir {
@@ -200,20 +205,32 @@ impl WireDir {
         }
     }
 
-    /// Reserve `dur` of wire no earlier than `earliest`; returns the
-    /// instant the reservation ends (last symbol leaves the sender).
-    fn reserve(&mut self, multi_tag: bool, earliest: Time, dur: Time) -> Time {
+    /// Reserve `dur` (non-zero) of wire no earlier than `earliest`;
+    /// returns the instant the reservation ends (last symbol leaves the
+    /// sender). Bumps `coalesces` when the interval cap merges the two
+    /// oldest intervals.
+    fn reserve(&mut self, multi_tag: bool, earliest: Time, dur: Time, coalesces: &mut u64) -> Time {
         if !multi_tag {
             let start = self.watermark.max(earliest);
             let end = start + dur;
             self.watermark = end;
             return end;
         }
+        // The gap scan starts at the first interval ending after
+        // `earliest`. Every interval before it has `s < e <= earliest`:
+        // it can neither push `start` past `earliest` nor leave a gap
+        // of `dur` before itself, so skipping it cannot change the
+        // result.
+        let first = self.busy.partition_point(|&(_, e)| e <= earliest);
         let mut start = earliest;
         let mut idx = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
+        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
+            #[cfg(test)]
+            {
+                self.scan_steps += 1;
+            }
             if start + dur <= s {
-                idx = i;
+                idx = first + i;
                 break;
             }
             if e > start {
@@ -239,6 +256,7 @@ impl WireDir {
             let (_, e1) = self.busy[1];
             self.busy.pop_front();
             self.busy[0] = (s0, e1);
+            *coalesces += 1;
         }
         end
     }
@@ -289,6 +307,12 @@ pub struct PcieLink {
     pub down_wire_bytes: u64,
     /// TLP counters by coarse class (writes, reads, completions).
     pub tlp_counts: [u64; 3],
+    /// Times the multi-tag interval cap coalesced a direction's two
+    /// oldest busy intervals, booking the idle gap between them as busy.
+    pub wire_cap_coalesces: u64,
+    /// Request window reused by every [`PcieLink::dma_read`] call, so
+    /// the call does not allocate one.
+    read_window: VecDeque<Time>,
 }
 
 impl PcieLink {
@@ -304,6 +328,8 @@ impl PcieLink {
             up_wire_bytes: 0,
             down_wire_bytes: 0,
             tlp_counts: [0; 3],
+            wire_cap_coalesces: 0,
+            read_window: VecDeque::new(),
         }
     }
 
@@ -328,13 +354,6 @@ impl PcieLink {
     /// and ignore the selection.
     pub fn select_dma_context(&mut self, tag: usize) {
         self.active_tag = tag;
-    }
-
-    fn wire_for(&mut self, dir: Direction) -> &mut WireDir {
-        match dir {
-            Direction::Downstream => &mut self.down,
-            Direction::Upstream => &mut self.up,
-        }
     }
 
     fn count_tlp(&mut self, kind: TlpKind, wire: usize, dir: Direction) {
@@ -362,8 +381,16 @@ impl PcieLink {
     fn put_tlp(&mut self, earliest: Time, dir: Direction, kind: TlpKind, payload: usize) -> Time {
         let wire = wire_bytes(kind, payload);
         let ser = self.cfg.serialize(wire);
-        let multi_tag = self.cfg.multi_tag;
-        let end = self.wire_for(dir).reserve(multi_tag, earliest, ser);
+        let wire_dir = match dir {
+            Direction::Downstream => &mut self.down,
+            Direction::Upstream => &mut self.up,
+        };
+        let end = wire_dir.reserve(
+            self.cfg.multi_tag,
+            earliest,
+            ser,
+            &mut self.wire_cap_coalesces,
+        );
         let start = end - ser;
         self.count_tlp(kind, wire, dir);
         if vf_trace::is_enabled() {
@@ -421,13 +448,15 @@ impl PcieLink {
         if len == 0 {
             return now;
         }
-        let chunks = split_aligned(addr, len, self.cfg.read_req);
         let window = self.cfg.outstanding_reads.max(1);
-        // Completion instants of in-flight requests, oldest first.
-        let mut inflight: VecDeque<Time> = VecDeque::with_capacity(window);
+        // Completion instants of in-flight requests, oldest first. The
+        // buffer is taken out of the link while `put_tlp` borrows it,
+        // and put back after the loop.
+        let mut inflight = std::mem::take(&mut self.read_window);
+        inflight.clear();
         let mut chunk_addr = addr;
         let mut last_done = now;
-        for chunk in chunks {
+        for chunk in split_aligned(addr, len, self.cfg.read_req) {
             // Tag availability: wait for the oldest outstanding request if
             // the window is full.
             let mut earliest = now;
@@ -448,6 +477,7 @@ impl PcieLink {
             last_done = done;
             chunk_addr += chunk as u64;
         }
+        self.read_window = inflight;
         last_done
     }
 
@@ -660,6 +690,8 @@ impl PcieLink {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn idle() -> PcieLink {
@@ -888,6 +920,217 @@ mod tests {
             "tag 1 read at {other} must not queue behind tag 0's window (first done {first})"
         );
         assert_eq!(link.np_in_flight(1), 1);
+    }
+
+    #[test]
+    fn cap_coalesces_are_counted() {
+        let mut cfg = LinkConfig::gen2_x2();
+        cfg.multi_tag = true;
+        let mut link = PcieLink::new(cfg);
+        // Disjoint 24 ns doorbells 1 µs apart, never pruned: one busy
+        // interval each, so every write past the cap coalesces once.
+        for i in 0..WIRE_INTERVAL_CAP as u64 {
+            link.mmio_write(Time::from_us(i), 4);
+        }
+        assert_eq!(link.wire_cap_coalesces, 0);
+        assert_eq!(link.down.busy.len(), WIRE_INTERVAL_CAP);
+        for i in 0..3 {
+            link.mmio_write(Time::from_us(WIRE_INTERVAL_CAP as u64 + i), 4);
+        }
+        assert_eq!(link.wire_cap_coalesces, 3);
+        assert_eq!(link.down.busy.len(), WIRE_INTERVAL_CAP);
+        // The three coalesces booked the idle gaps after the oldest
+        // doorbell as busy.
+        assert_eq!(
+            link.down.busy[0],
+            (Time::from_ns(0), Time::from_ns(3_000 + 24))
+        );
+    }
+
+    #[test]
+    fn single_tag_link_never_coalesces() {
+        let mut link = idle();
+        for i in 0..2 * WIRE_INTERVAL_CAP as u64 {
+            link.mmio_write(Time::from_us(i), 4);
+        }
+        assert_eq!(link.wire_cap_coalesces, 0);
+        assert!(link.down.busy.is_empty());
+    }
+
+    /// The gap scan as it was before it started at `earliest`: a
+    /// verbatim linear walk from the front of the list, kept as the
+    /// reference the faster scan must match.
+    fn reserve_linear(w: &mut WireDir, earliest: Time, dur: Time, coalesces: &mut u64) -> Time {
+        let mut start = earliest;
+        let mut idx = w.busy.len();
+        for (i, &(s, e)) in w.busy.iter().enumerate() {
+            if start + dur <= s {
+                idx = i;
+                break;
+            }
+            if e > start {
+                start = e;
+            }
+        }
+        let end = start + dur;
+        let mut s = start;
+        let mut e = end;
+        if idx < w.busy.len() && w.busy[idx].0 == e {
+            e = w.busy[idx].1;
+            w.busy.remove(idx);
+        }
+        if idx > 0 && w.busy[idx - 1].1 == s {
+            s = w.busy[idx - 1].0;
+            w.busy.remove(idx - 1);
+            idx -= 1;
+        }
+        w.busy.insert(idx, (s, e));
+        if w.busy.len() > WIRE_INTERVAL_CAP {
+            let (s0, _) = w.busy[0];
+            let (_, e1) = w.busy[1];
+            w.busy.pop_front();
+            w.busy[0] = (s0, e1);
+            *coalesces += 1;
+        }
+        end
+    }
+
+    /// One step of a reservation script. Anchored steps place
+    /// `earliest` relative to an existing interval, picked by index
+    /// modulo the list length, so the edge cases come up often.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Reserve at an absolute instant (ns).
+        At(u64, u64),
+        /// Reserve relative to interval `i`: 0 before its start,
+        /// 1 inside it, 2 exactly at its end (left zero-gap merge),
+        /// 3 after its end, 4 ending exactly at its start (right
+        /// zero-gap merge).
+        Anchored(usize, u8, u64),
+        /// Reserve exactly the gap after interval `i`, merging on both
+        /// sides.
+        FillGap(usize),
+        /// Prune intervals ending at or before an instant (ns).
+        Prune(u64),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let anchored =
+            || (any::<usize>(), 0u8..5, 1u64..60).prop_map(|(i, k, d)| Step::Anchored(i, k, d));
+        prop_oneof![
+            (0u64..4_000, 1u64..60).prop_map(|(t, d)| Step::At(t, d)),
+            anchored(),
+            anchored(),
+            any::<usize>().prop_map(Step::FillGap),
+            (0u64..4_000).prop_map(Step::Prune),
+        ]
+    }
+
+    /// Run `script` against the production scan and the reference;
+    /// every returned end, the coalesce counts and the final lists
+    /// must agree.
+    fn check_script(fast: &mut WireDir, script: &[Step]) {
+        let mut slow = fast.clone();
+        let (mut fast_merges, mut slow_merges) = (0, 0);
+        for step in script {
+            let ns = Time::from_ns;
+            let busy = &slow.busy;
+            let (earliest, dur) = match *step {
+                Step::At(t, d) => (ns(t), ns(d)),
+                Step::Anchored(i, kind, d) => {
+                    let d = ns(d);
+                    let earliest = match busy.get(i % busy.len().max(1)) {
+                        None => Time::ZERO,
+                        Some(&(s, e)) => match kind {
+                            0 => s.saturating_sub(ns(5)),
+                            1 => s + (e - s) / 2,
+                            2 => e,
+                            3 => e + ns(3),
+                            _ => s.saturating_sub(d),
+                        },
+                    };
+                    (earliest, d)
+                }
+                Step::FillGap(i) => match busy.len() {
+                    0 => (Time::ZERO, ns(7)),
+                    n => {
+                        let (_, end) = busy[i % n];
+                        match busy.get(i % n + 1) {
+                            Some(&(next, _)) => (end, next - end),
+                            None => (end, ns(7)),
+                        }
+                    }
+                },
+                Step::Prune(t) => {
+                    fast.prune(ns(t));
+                    slow.prune(ns(t));
+                    continue;
+                }
+            };
+            let want = reserve_linear(&mut slow, earliest, dur, &mut slow_merges);
+            let got = fast.reserve(true, earliest, dur, &mut fast_merges);
+            assert_eq!(got, want, "reserve({earliest:?}, {dur:?})");
+        }
+        assert_eq!(fast_merges, slow_merges);
+        assert_eq!(fast.busy, slow.busy);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn reserve_matches_linear_scan(script in proptest::collection::vec(step(), 1..200)) {
+            check_script(&mut WireDir::default(), &script);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Past the interval cap, so the coalesce path runs on both.
+        #[test]
+        fn reserve_matches_linear_scan_past_the_cap(
+            gaps in proptest::collection::vec(1u64..40, WIRE_INTERVAL_CAP + 200),
+            script in proptest::collection::vec(step(), 300),
+        ) {
+            // A long run of disjoint 10 ns intervals, then a script
+            // whose anchored steps land among them.
+            let mut wire = WireDir::default();
+            let mut merges = 0;
+            let mut t = Time::ZERO;
+            for gap in gaps {
+                t = wire.reserve(true, t + Time::from_ns(gap), Time::from_ns(10), &mut merges);
+            }
+            prop_assert!(merges >= 200);
+            check_script(&mut wire, &script);
+        }
+    }
+
+    #[test]
+    fn reserve_skips_intervals_before_earliest() {
+        let mut wire = WireDir::default();
+        let mut merges = 0;
+        let ns = Time::from_ns;
+        // 3000 disjoint intervals, each booked after the last: none of
+        // them should be visited while building the list.
+        for i in 0..3_000 {
+            wire.reserve(true, ns(i * 100), ns(10), &mut merges);
+        }
+        assert_eq!(wire.busy.len(), 3_000);
+        assert!(
+            wire.scan_steps <= 3_000,
+            "building visited {}",
+            wire.scan_steps
+        );
+        // One more reservation past all of them, and one back-filled
+        // into the last gap, each visit O(1) intervals.
+        wire.scan_steps = 0;
+        wire.reserve(true, ns(300_000), ns(10), &mut merges);
+        assert!(wire.scan_steps <= 1, "visited {}", wire.scan_steps);
+        wire.scan_steps = 0;
+        wire.reserve(true, ns(299_950), ns(10), &mut merges);
+        assert!(wire.scan_steps <= 2, "visited {}", wire.scan_steps);
+        assert_eq!(merges, 0);
     }
 
     #[test]

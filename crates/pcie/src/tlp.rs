@@ -59,24 +59,25 @@ pub fn wire_bytes(kind: TlpKind, payload: usize) -> usize {
 /// `max_chunk`-aligned boundary (the spec's MPS / RCB alignment rule; both
 /// MPS and RCB are powers of two).
 ///
-/// Returns the byte length of every chunk in order.
-pub fn split_aligned(addr: u64, total: usize, max_chunk: usize) -> Vec<usize> {
+/// Yields the byte length of every chunk in order, without allocating.
+pub fn split_aligned(addr: u64, total: usize, max_chunk: usize) -> impl Iterator<Item = usize> {
     assert!(max_chunk.is_power_of_two(), "chunk size must be 2^n");
-    let mut out = Vec::new();
     let mut addr = addr;
     let mut left = total;
-    while left > 0 {
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
         let to_boundary = max_chunk - (addr as usize & (max_chunk - 1));
         let take = to_boundary.min(left);
-        out.push(take);
         addr += take as u64;
         left -= take;
-    }
-    out
+        Some(take)
+    })
 }
 
 /// Number of TLPs a `total`-byte transfer at `addr` becomes under
-/// `max_chunk` splitting. Cheaper than materializing [`split_aligned`] when
+/// `max_chunk` splitting. Cheaper than walking [`split_aligned`] when
 /// only the count matters.
 pub fn chunk_count(addr: u64, total: usize, max_chunk: usize) -> usize {
     if total == 0 {
@@ -101,19 +102,23 @@ mod tests {
 
     #[test]
     fn split_aligned_basic() {
-        assert_eq!(split_aligned(0, 256, 128), vec![128, 128]);
-        assert_eq!(split_aligned(0, 300, 128), vec![128, 128, 44]);
-        assert_eq!(split_aligned(0, 64, 128), vec![64]);
-        assert!(split_aligned(0, 0, 128).is_empty());
+        let split = |addr, total, chunk| split_aligned(addr, total, chunk).collect::<Vec<_>>();
+        assert_eq!(split(0, 256, 128), vec![128, 128]);
+        assert_eq!(split(0, 300, 128), vec![128, 128, 44]);
+        assert_eq!(split(0, 64, 128), vec![64]);
+        assert!(split(0, 0, 128).is_empty());
     }
 
     #[test]
     fn split_respects_alignment_boundary() {
         // Starting 0x20 into a 128 B window: first chunk only reaches the
         // boundary.
-        assert_eq!(split_aligned(0x20, 256, 128), vec![96, 128, 32]);
+        assert_eq!(
+            split_aligned(0x20, 256, 128).collect::<Vec<_>>(),
+            vec![96, 128, 32]
+        );
         // Unaligned tiny transfer that crosses one boundary.
-        assert_eq!(split_aligned(0x7C, 8, 128), vec![4, 4]);
+        assert_eq!(split_aligned(0x7C, 8, 128).collect::<Vec<_>>(), vec![4, 4]);
     }
 
     #[test]
@@ -129,7 +134,7 @@ mod tests {
         ] {
             assert_eq!(
                 chunk_count(addr, total, chunk),
-                split_aligned(addr, total, chunk).len(),
+                split_aligned(addr, total, chunk).count(),
                 "addr={addr:#x} total={total} chunk={chunk}"
             );
         }
@@ -140,7 +145,7 @@ mod tests {
     fn split_conserves_bytes() {
         for addr in [0u64, 1, 17, 127, 128, 300] {
             for total in [1usize, 8, 64, 127, 128, 129, 1000] {
-                let chunks = split_aligned(addr, total, 128);
+                let chunks = split_aligned(addr, total, 128).collect::<Vec<_>>();
                 assert_eq!(chunks.iter().sum::<usize>(), total);
                 assert!(chunks.iter().all(|&c| c > 0 && c <= 128));
             }

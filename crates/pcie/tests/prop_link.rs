@@ -21,7 +21,7 @@ proptest! {
         chunk_pow in 5u32..13, // 32..4096
     ) {
         let chunk = 1usize << chunk_pow;
-        let parts = split_aligned(addr, total, chunk);
+        let parts = split_aligned(addr, total, chunk).collect::<Vec<_>>();
         prop_assert_eq!(parts.iter().sum::<usize>(), total);
         prop_assert!(parts.iter().all(|&p| p > 0 && p <= chunk));
         prop_assert_eq!(parts.len(), chunk_count(addr, total, chunk));
