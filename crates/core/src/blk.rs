@@ -36,7 +36,7 @@ use vf_virtio::feature;
 use vf_xdma::{CardMemory, ChannelDir};
 
 use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
-use crate::testbed::{build_blk_device, DriverKind, TestbedConfig, Transport};
+use crate::testbed::{build_blk_device, DriverKind, TestbedConfig};
 
 /// Data segments per request the device advertises (`seg_max`); a
 /// 128 KiB request therefore crosses the link as 4 × 32 KiB
@@ -117,8 +117,7 @@ impl BlkParts {
             depth,
             max_io,
         );
-        let negotiated =
-            probe_blk(&mut Transport(&mut device), &driver, want).expect("blk probe must succeed");
+        let negotiated = probe_blk(&mut device, &driver, want).expect("blk probe must succeed");
         driver.features = negotiated.features;
         assert_eq!(negotiated.capacity, capacity);
 

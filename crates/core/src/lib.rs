@@ -58,7 +58,7 @@ pub use pipeline::{run_pipelined, xdma_serial_pps, ThroughputResult};
 pub use pmd::{run_pmd, PmdRun};
 pub use report::{render_breakdown, render_table1, RunResult};
 pub use tenant::{run_tenants, TenantThroughputResult};
-pub use testbed::{DriverKind, RssMode, Testbed, TestbedConfig, TestbedOptions};
+pub use testbed::{DriverKind, Testbed, TestbedConfig, TestbedOptions};
 pub use traced::{reconcile, traced_run, TracedRun};
 pub use vf_tenant::ArbiterPolicy;
 

@@ -49,7 +49,7 @@ use vf_virtio::{feature, net, DeviceType};
 
 use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
 use crate::tenant::Tenancy;
-use crate::testbed::{DriverKind, RssMode, TestbedConfig, Transport};
+use crate::testbed::{DriverKind, TestbedConfig};
 
 /// Most queue pairs a world will drive. Bounded by the static RTT-name
 /// table (trace roots must be `&'static str`), not by the device model;
@@ -257,7 +257,7 @@ impl MqParts {
             want |= feature::RING_PACKED;
         }
         let mut driver = VirtioNetMqDriver::init(&mut mem, cfg.options.queue_size, pairs, want);
-        let out = probe_mq(&mut Transport(&mut device), &driver, want).expect("mq probe");
+        let out = probe_mq(&mut device, &driver, want).expect("mq probe");
         assert_eq!(out.max_pairs, pairs);
         device.msix_enable();
         // One vector per queue: 2N data vectors + the ctrl vector.
@@ -292,16 +292,12 @@ impl MqParts {
         ctrl_command(&mut device, &mut mem, &mut link, &mut driver, notify);
         assert_eq!(device.active_queue_pairs(), pairs);
 
-        // RSS bring-up (default): program the Toeplitz indirection
-        // table through the control queue, pinning each measured flow
-        // to its pair. `RssMode::PortModulo` skips this, leaving the
-        // device on the legacy `dst_port % pairs` fallback.
-        if cfg.options.rss == RssMode::Toeplitz {
-            let table = pinned_rss_table(pairs);
-            let notify = driver.set_rss(&mut mem, &table, &net::RSS_DEFAULT_KEY);
-            ctrl_command(&mut device, &mut mem, &mut link, &mut driver, notify);
-            assert_eq!(device.rss_indirection(), Some(&table[..]));
-        }
+        // RSS bring-up: program the Toeplitz indirection table through
+        // the control queue, pinning each measured flow to its pair.
+        let table = pinned_rss_table(pairs);
+        let notify = driver.set_rss(&mut mem, &table, &net::RSS_DEFAULT_KEY);
+        ctrl_command(&mut device, &mut mem, &mut link, &mut driver, notify);
+        assert_eq!(device.rss_indirection(), Some(&table[..]));
 
         let host_ip = Ipv4Addr::new(10, 0, 0, 1);
         let fpga_ip = Ipv4Addr::new(10, 0, 0, 2);
@@ -1093,19 +1089,19 @@ mod tests {
     }
 
     /// The Toeplitz indirection table pins every measured flow to the
-    /// same pair the modulo fallback picks, and its bring-up traffic is
-    /// excluded from measurement — so the two steering modes must
-    /// produce bit-identical runs. This is the E19 golden-equivalence
-    /// guarantee the RSS satellite demands.
+    /// pair the device's `dst_port % pairs` fallback picks, for every
+    /// pair count a world accepts: flow `i`'s port steers to pair `i`.
     #[test]
-    fn toeplitz_steering_is_bit_identical_to_modulo() {
-        let a = run_mq(&cfg(4, 800), 8);
-        let mut c = cfg(4, 800);
-        c.options.rss = RssMode::PortModulo;
-        let b = run_mq(&c, 8);
-        assert_eq!(a.pps.to_bits(), b.pps.to_bits());
-        for (x, y) in a.per_queue_latency.iter().zip(&b.per_queue_latency) {
-            assert_eq!(x.raw(), y.raw());
+    fn pinned_rss_table_steers_flow_i_to_pair_i() {
+        for pairs in (0..=MAX_QUEUE_PAIRS.trailing_zeros()).map(|k| 1u16 << k) {
+            let table = pinned_rss_table(pairs);
+            for flow in 0..pairs {
+                let port = FLOW_PORT_BASE + flow;
+                let hash = net::toeplitz_hash(&net::RSS_DEFAULT_KEY, &port.to_be_bytes());
+                let pair = table[hash as usize & (table.len() - 1)];
+                assert_eq!(pair, flow, "{pairs} pairs, port {port}");
+                assert_eq!(pair, port % pairs, "{pairs} pairs, port {port}");
+            }
         }
     }
 

@@ -18,10 +18,11 @@
 use std::collections::HashMap;
 
 use vf_fpga::{bar0, MmioEvent};
+use vf_hostsw::VirtioNetDriver;
 use vf_sim::{SampleSet, Simulation, Time, World};
 use vf_virtio::net;
 
-use crate::testbed::{DriverKind, Testbed, TestbedConfig};
+use crate::testbed::{probe_net_driver, DriverKind, Testbed, TestbedConfig, VirtioParts};
 
 /// Result of a pipelined run.
 pub struct ThroughputResult {
@@ -64,7 +65,7 @@ enum Ev {
 }
 
 struct PipelinedWorld {
-    inner: crate::testbed::VirtioParts,
+    inner: VirtioParts<VirtioNetDriver>,
     depth: usize,
     payload: usize,
     to_send: usize,
@@ -88,7 +89,7 @@ impl PipelinedWorld {
             "window deeper than TX slots"
         );
         PipelinedWorld {
-            inner: crate::testbed::VirtioParts::new(cfg),
+            inner: VirtioParts::new(cfg, |mem, device| probe_net_driver(cfg, mem, device)),
             depth,
             payload: cfg.payload.max(4),
             to_send: cfg.packets,

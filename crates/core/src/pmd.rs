@@ -27,20 +27,16 @@
 //! telemetry (CPU per packet, peek count, fallback count) used by the
 //! E16 crossover experiment.
 
-use vf_fpga::user_logic::UdpEcho;
-use vf_fpga::{bar0, Persona, VirtioFpgaDevice};
-use vf_hostsw::{
-    build_udp_frame, parse_udp_frame, CostEngine, Ipv4Addr, MacAddr, UdpFlow, HOST_CPU_GHZ,
-};
-use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
+use vf_fpga::bar0;
+use vf_hostsw::{build_udp_frame, parse_udp_frame, Ipv4Addr, MacAddr, UdpFlow, HOST_CPU_GHZ};
 use vf_pmd::VirtioPmd;
-use vf_sim::{SimRng, Time, World};
+use vf_sim::{Time, World};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net, DeviceType};
 
 use crate::driver_model::{run_world, DriverModel, RoundTripRecorder, RunStats};
 use crate::report::RunResult;
-use crate::testbed::{TestbedConfig, Transport};
+use crate::testbed::{TestbedConfig, VirtioParts};
 
 /// A PMD run: the standard result plus poll-economics telemetry.
 pub struct PmdRun {
@@ -71,12 +67,7 @@ enum PmdEv {
 }
 
 struct PmdWorld {
-    mem: HostMemory,
-    link: PcieLink,
-    device: VirtioFpgaDevice,
-    driver: VirtioPmd,
-    cost: CostEngine,
-    payload_rng: SimRng,
+    parts: VirtioParts<VirtioPmd>,
     payload: usize,
     flow: UdpFlow,
     ip_id: u16,
@@ -100,66 +91,34 @@ impl PmdWorld {
             DeviceType::Net,
             "the PMD drives the net persona"
         );
-        let mut mem = HostMemory::testbed_default();
-        let link = PcieLink::new(cfg.calibration.link.clone());
-        let rng = SimRng::new(cfg.seed);
-        let cost = CostEngine::new(
-            cfg.calibration.costs.clone(),
-            cfg.calibration.noise.clone(),
-            rng.derive(1),
-        );
-
-        let netcfg = VirtioNetConfig::testbed_default();
-        let mut device = VirtioFpgaDevice::new(
-            Persona::Net { cfg: netcfg },
-            net::feature::MAC
-                | net::feature::MTU
-                | net::feature::STATUS
-                | net::feature::CSUM
-                | net::feature::GUEST_CSUM,
-            &[cfg.options.queue_size; 2],
-            Box::new(UdpEcho::default()),
-        );
-        device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
-
         // VFIO-style takeover still begins with ordinary enumeration:
-        // the BARs must be assigned before they can be mapped.
-        let mut alloc = MmioAllocator::new();
-        let info = enumerate(&mut device.config_space, &mut alloc);
-        assert_eq!(info.vendor, vf_pcie::VIRTIO_VENDOR_ID);
-
-        // The PMD always negotiates EVENT_IDX — permanent suppression is
-        // its operating principle, not an option.
-        let want = feature::VERSION_1
-            | feature::RING_EVENT_IDX
-            | net::feature::MAC
-            | net::feature::MTU
-            | net::feature::STATUS;
-        let driver = VirtioPmd::init(&mut mem, cfg.options.queue_size, want);
-        vf_pmd::probe(&mut Transport(&mut device), &driver, want).expect("PMD probe");
-        // MSI-X stays programmed as the adaptive fallback's landing pad;
-        // with both queues parked it never fires in pure polling.
-        device.msix_enable();
-        device.msix.program(0, MSI_ADDR_BASE, 0x40);
-        device.msix.program(1, MSI_ADDR_BASE, 0x41);
-        assert!(device.is_live());
+        // the BARs must be assigned before they can be mapped. MSI-X
+        // stays programmed as the adaptive fallback's landing pad; with
+        // both queues parked it never fires in pure polling.
+        let parts = VirtioParts::new(cfg, |mem, device| {
+            // The PMD always negotiates EVENT_IDX — permanent
+            // suppression is its operating principle, not an option.
+            let want = feature::VERSION_1
+                | feature::RING_EVENT_IDX
+                | net::feature::MAC
+                | net::feature::MTU
+                | net::feature::STATUS;
+            let driver = VirtioPmd::init(mem, cfg.options.queue_size, want);
+            vf_pmd::probe(device, &driver, want).expect("PMD probe");
+            driver
+        });
 
         let flow = UdpFlow {
             src_mac: MacAddr([0x02, 0, 0, 0, 0, 0x01]),
-            dst_mac: MacAddr(netcfg.mac),
+            dst_mac: MacAddr(VirtioNetConfig::testbed_default().mac),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
-            dst_ip: Ipv4Addr::new(10, 0, 0, 2),
+            dst_ip: parts.fpga_ip,
             src_port: Self::SRC_PORT,
             dst_port: Self::DST_PORT,
         };
 
         PmdWorld {
-            mem,
-            link,
-            device,
-            driver,
-            cost,
-            payload_rng: rng.derive(2),
+            parts,
             payload: cfg.payload,
             flow,
             ip_id: 1,
@@ -183,7 +142,7 @@ impl PmdWorld {
                 // re-check the ring once (lost-wakeup guard), block. The
                 // wake pays the full interrupt path — including the
                 // blocking-noise draw the pure poller never sees.
-                self.cost.burn(threshold);
+                self.parts.cost.burn(threshold);
                 vf_trace::span_at(
                     vf_trace::Layer::App,
                     "poll_burn",
@@ -192,18 +151,18 @@ impl PmdWorld {
                     0,
                     0,
                 );
-                self.driver.arm_rx_interrupt(&mut self.mem);
+                self.parts.driver.arm_rx_interrupt(&mut self.parts.mem);
                 let mut armed = self.poll_start + threshold;
                 vf_trace::set_now(armed);
-                armed += self.cost.block_in_syscall();
+                armed += self.parts.cost.block_in_syscall();
                 let woken = done_at.max(armed);
                 vf_trace::set_now(woken);
-                woken + self.cost.irq_wake()
+                woken + self.parts.cost.irq_wake()
             }
             _ => {
                 // Busy path: completion is seen at the first used-index
                 // peek at or after `done_at`; the whole wait is CPU burn.
-                let (burn, peeks) = self.cost.poll_wait(wait);
+                let (burn, peeks) = self.parts.cost.poll_wait(wait);
                 let td = self.poll_start + burn;
                 // Wall-clock spin: application-layer time, not serial
                 // software latency (the device works underneath it).
@@ -219,9 +178,10 @@ impl PmdWorld {
             }
         };
 
-        let (frames, cpu) = self
-            .driver
-            .rx_burst(&mut self.mem, usize::MAX, &mut self.cost);
+        let (frames, cpu) =
+            self.parts
+                .driver
+                .rx_burst(&mut self.parts.mem, usize::MAX, &mut self.parts.cost);
         vf_trace::span_at(
             vf_trace::Layer::Driver,
             "rx_burst",
@@ -242,12 +202,15 @@ impl PmdWorld {
             self.rec.verify_failures += 1;
         }
 
-        let hw = self.device.counters.last_hw();
-        let proc = self.device.counters.processing.last;
+        let hw = self.parts.device.counters.last_hw();
+        let proc = self.parts.device.counters.processing.last;
         self.rec.record(t, hw, proc);
 
         if self.rec.packets_left > 0 {
-            t += self.cost.step(self.cost.costs.app_loop_overhead);
+            t += self
+                .parts
+                .cost
+                .step(self.parts.cost.costs.app_loop_overhead);
             match self.send_interval {
                 None => sched.at(t, PmdEv::AppSend),
                 Some(interval) => {
@@ -262,8 +225,8 @@ impl PmdWorld {
                         // the threshold (then it blocks on a timer).
                         let gap = next - t;
                         match self.adaptive_idle {
-                            None => self.cost.burn(gap),
-                            Some(threshold) => self.cost.burn(gap.min(threshold)),
+                            None => self.parts.cost.burn(gap),
+                            Some(threshold) => self.parts.cost.burn(gap.min(threshold)),
                         }
                         sched.at(next, PmdEv::AppSend);
                     }
@@ -287,13 +250,13 @@ impl World for PmdWorld {
                 let mut t = now;
 
                 let mut payload = vec![0u8; self.payload];
-                self.payload_rng.fill_bytes(&mut payload);
+                self.parts.payload_rng.fill_bytes(&mut payload);
                 self.expected = payload.clone();
                 // Userspace framing, checksum included (the paper's
                 // software-checksum configuration).
                 let frame = build_udp_frame(&self.flow, self.ip_id, &payload, true);
                 self.ip_id = self.ip_id.wrapping_add(1);
-                let d = self.cost.step(self.cost.costs.pmd_tx_build);
+                let d = self.parts.cost.step(self.parts.cost.costs.pmd_tx_build);
                 vf_trace::span_at(
                     vf_trace::Layer::Driver,
                     "pmd_tx_build",
@@ -304,18 +267,23 @@ impl World for PmdWorld {
                 );
                 t += d;
 
-                let burst = self
-                    .driver
-                    .tx_burst(&mut self.mem, &[&frame], &mut self.cost);
+                let burst = self.parts.driver.tx_burst(
+                    &mut self.parts.mem,
+                    &[&frame],
+                    &mut self.parts.cost,
+                );
                 vf_trace::span_at(vf_trace::Layer::Driver, "tx_burst", t, t + burst.cpu, 1, 0);
                 t += burst.cpu;
                 if burst.notify {
                     let off = bar0::NOTIFY
                         + u64::from(net::TX_QUEUE) * u64::from(bar0::NOTIFY_MULTIPLIER);
-                    let ev = self.device.mmio_write(off, 2, u64::from(net::TX_QUEUE));
+                    let ev = self
+                        .parts
+                        .device
+                        .mmio_write(off, 2, u64::from(net::TX_QUEUE));
                     debug_assert_eq!(ev, Some(vf_fpga::MmioEvent::Notify(net::TX_QUEUE)));
-                    let arrival = self.link.mmio_write(t, 2);
-                    let d = self.cost.step(self.cost.costs.mmio_write_cpu);
+                    let arrival = self.parts.link.mmio_write(t, 2);
+                    let d = self.parts.cost.step(self.parts.cost.costs.mmio_write_cpu);
                     vf_trace::span_at(
                         vf_trace::Layer::Driver,
                         "doorbell_mmio",
@@ -335,16 +303,19 @@ impl World for PmdWorld {
                 self.poll_start = t;
             }
             PmdEv::Doorbell(queue) => {
-                let out = self
-                    .device
-                    .process_tx_notify(now, queue, &mut self.mem, &mut self.link);
+                let out = self.parts.device.process_tx_notify(
+                    now,
+                    queue,
+                    &mut self.parts.mem,
+                    &mut self.parts.link,
+                );
                 for resp in &out.responses {
-                    let rxo = self.device.deliver_response(
+                    let rxo = self.parts.device.deliver_response(
                         resp.ready_at,
                         net::RX_QUEUE,
                         resp,
-                        &mut self.mem,
-                        &mut self.link,
+                        &mut self.parts.mem,
+                        &mut self.parts.link,
                     );
                     debug_assert!(
                         rxo.irq_at.is_none(),
@@ -387,19 +358,19 @@ impl DriverModel for PmdWorld {
 
     fn finish(self) -> (RoundTripRecorder, RunStats, PmdTelemetry) {
         let stats = RunStats {
-            notifications: self.driver.stats.doorbells,
-            irqs: self.device.stats.irqs_sent,
-            desc_reads: self.device.stats.desc_reads,
-            walker_peak_inflight: self.device.stats.walker_peak_inflight,
+            notifications: self.parts.driver.stats.doorbells,
+            irqs: self.parts.device.stats.irqs_sent,
+            desc_reads: self.parts.device.stats.desc_reads,
+            walker_peak_inflight: self.parts.device.stats.walker_peak_inflight,
         };
         let packets = self.rec.totals.len().max(1) as f64;
-        let cpu_us_per_packet = self.cost.total_cpu().as_us_f64() / packets;
+        let cpu_us_per_packet = self.parts.cost.total_cpu().as_us_f64() / packets;
         let telemetry = PmdTelemetry {
             cpu_us_per_packet,
             kcycles_per_packet: cpu_us_per_packet * HOST_CPU_GHZ,
-            poll_peeks: self.cost.poll_peeks,
-            irq_fallbacks: self.driver.stats.irq_fallbacks,
-            doorbells: self.driver.stats.doorbells,
+            poll_peeks: self.parts.cost.poll_peeks,
+            irq_fallbacks: self.parts.driver.stats.irq_fallbacks,
+            doorbells: self.parts.driver.stats.doorbells,
         };
         (self.rec, stats, telemetry)
     }

@@ -8,7 +8,8 @@
 //!
 //! * `VirtioWorld` — socket API → virtio-net driver → doorbell →
 //!   FPGA VirtIO controller walks the rings, echoes, delivers into the
-//!   RX queue → MSI-X → NAPI → `recvfrom` returns;
+//!   RX queue → MSI-X → NAPI → `recvfrom` returns (or the hvc write and
+//!   poll of the console persona, E9);
 //! * `XdmaWorld` — `write()` (pin, build descriptors, program engine,
 //!   block on the H2C completion interrupt) then back-to-back `read()`
 //!   (same for C2H) — including the paper's §IV-C concession that the
@@ -18,12 +19,19 @@
 //! Every packet records: total round-trip time (host clock, 1 ns),
 //! hardware time (FPGA counters, 8 ns quanta), response-generation time
 //! (deducted per §IV-B), and the derived software time.
+//!
+//! The single-queue VirtIO bring-up lives here once, as `VirtioParts`:
+//! `VirtioWorld`, the pipelined world (`crate::pipeline`) and the PMD
+//! world (`crate::pmd`) each own one, differing only in the front end
+//! their probe closure allocates and probes. Every probe is the one
+//! §3.1.1 sequence of `vf_hostsw::virtio_pci`, run directly against the
+//! device, which implements `vf_virtio::VirtioTransport`.
 
 use vf_fpga::user_logic::{ConsoleEcho, UdpEcho, UserLogic};
 use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign};
 use vf_hostsw::{
-    CostEngine, Ipv4Addr, MacAddr, SockError, UdpStack, VirtioConsoleDriver, VirtioNetDriver,
-    VirtioTransport, XdmaCharDriver,
+    probe_console, CostEngine, Ipv4Addr, MacAddr, SockError, UdpStack, VirtioConsoleDriver,
+    VirtioNetDriver, XdmaCharDriver,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SimRng, Time, World};
@@ -144,8 +152,6 @@ pub struct TestbedOptions {
     /// bit-identical to the E19 engine; `> 1` enables the pipelined
     /// virtqueue walkers and relaxed-ordering completion on the link.
     pub pipeline_depth: usize,
-    /// RSS steering mode of the MQ controller (see [`RssMode`]).
-    pub rss: RssMode,
     /// E21 (`DriverKind::VirtioTenant` only): fairness policy of the
     /// QoS arbiter multiplexing tenant doorbells onto the device's
     /// shared walker engine.
@@ -178,20 +184,6 @@ pub struct TestbedOptions {
     pub shards: usize,
 }
 
-/// How the MQ device steers echoed flows back to queue pairs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RssMode {
-    /// Toeplitz hash over the UDP destination port into a 128-entry
-    /// indirection table (`VIRTIO_NET_F_RSS`-shaped), programmed at
-    /// bring-up through the control virtqueue with each flow's hash
-    /// slot pinned to its pair. The default.
-    Toeplitz,
-    /// Legacy `dst_port % pairs` steering — the pre-RSS E19 behaviour,
-    /// kept as a fallback so the E19 goldens can be re-derived against
-    /// the original steering function deliberately.
-    PortModulo,
-}
-
 impl Default for TestbedOptions {
     fn default() -> Self {
         TestbedOptions {
@@ -206,7 +198,6 @@ impl Default for TestbedOptions {
             pmd_send_interval: None,
             mq_queue_pairs: 1,
             pipeline_depth: 1,
-            rss: RssMode::Toeplitz,
             tenant_policy: ArbiterPolicy::RoundRobin,
             tenant_vhost: false,
             tenant_packed: false,
@@ -277,173 +268,35 @@ impl TestbedConfig {
 }
 
 // ---------------------------------------------------------------------
-// Shared VirtIO bring-up (used by the serial world here and the
-// pipelined world in `crate::pipeline`)
+// Shared single-queue VirtIO bring-up (the serial world here, the
+// pipelined world in `crate::pipeline`, the PMD world in `crate::pmd`)
 // ---------------------------------------------------------------------
 
-/// A fully brought-up VirtIO-net testbed: enumerated device, probed
-/// driver, configured host stack, cost engine. The workload worlds own
-/// one of these and sequence events around it.
-pub(crate) struct VirtioParts {
+/// A fully brought-up single-queue VirtIO testbed: enumerated device,
+/// probed front end `F`, configured host stack, cost engine. The
+/// workload worlds own one of these and sequence events around it.
+pub(crate) struct VirtioParts<F> {
     pub(crate) mem: HostMemory,
     pub(crate) link: PcieLink,
     pub(crate) device: VirtioFpgaDevice,
-    pub(crate) driver: VirtioNetDriver,
+    pub(crate) driver: F,
     pub(crate) stack: UdpStack,
     pub(crate) cost: CostEngine,
     pub(crate) payload_rng: SimRng,
     pub(crate) fpga_ip: Ipv4Addr,
 }
 
-impl VirtioParts {
-    pub(crate) fn new(cfg: &TestbedConfig) -> Self {
-        assert_eq!(
-            cfg.options.device_type,
-            DeviceType::Net,
-            "VirtioParts is the net-device bring-up"
-        );
-        let mut mem = HostMemory::testbed_default();
-        let link = PcieLink::new(cfg.calibration.link.clone());
-        let rng = SimRng::new(cfg.seed);
-        let cost = CostEngine::new(
-            cfg.calibration.costs.clone(),
-            cfg.calibration.noise.clone(),
-            rng.derive(1),
-        );
-        let netcfg = VirtioNetConfig::testbed_default();
-        let mut device = VirtioFpgaDevice::new(
-            Persona::Net { cfg: netcfg },
-            net::feature::MAC
-                | net::feature::MTU
-                | net::feature::STATUS
-                | net::feature::CSUM
-                | net::feature::GUEST_CSUM,
-            &[cfg.options.queue_size; 2],
-            Box::new(UdpEcho::default()),
-        );
-        device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
-        let mut alloc = MmioAllocator::new();
-        let info = enumerate(&mut device.config_space, &mut alloc);
-        assert_eq!(info.vendor, vf_pcie::VIRTIO_VENDOR_ID);
-
-        let mut want = feature::VERSION_1;
-        if cfg.options.event_idx {
-            want |= feature::RING_EVENT_IDX;
-        }
-        want |= net::feature::MAC | net::feature::MTU | net::feature::STATUS;
-        if cfg.options.csum_offload {
-            want |= net::feature::CSUM | net::feature::GUEST_CSUM;
-        }
-        let driver = VirtioNetDriver::init(&mut mem, cfg.options.queue_size, want);
-        vf_hostsw::probe(&mut Transport(&mut device), &driver, want).expect("probe");
-        device.msix_enable();
-        device.msix.program(0, MSI_ADDR_BASE, 0x40);
-        device.msix.program(1, MSI_ADDR_BASE, 0x41);
-
-        let host_ip = Ipv4Addr::new(10, 0, 0, 1);
-        let fpga_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let mut stack = UdpStack::new(host_ip, MacAddr([0x02, 0, 0, 0, 0, 0x01]));
-        stack.routes.add(Ipv4Addr::new(10, 0, 0, 0), 24, None, 2);
-        stack.arp.add_static(fpga_ip, MacAddr(netcfg.mac));
-
-        VirtioParts {
-            mem,
-            link,
-            device,
-            driver,
-            stack,
-            cost,
-            payload_rng: rng.derive(2),
-            fpga_ip,
-        }
-    }
-}
-
-/// Build the block-persona FPGA device for E24, offering the storage
-/// feature bits the persona actually implements: `SEG_MAX` (the config
-/// field is valid), `FLUSH` (the disk counts cache flushes), and `RO`
-/// when the disk is exposed read-only. The stub persona used to offer
-/// `0` here, so no front end could ever negotiate multi-segment
-/// requests — `blk_feature_offer_includes_seg_max_and_flush` in
-/// `crate::blk` regresses that.
-pub(crate) fn build_blk_device(cfg: &TestbedConfig) -> VirtioFpgaDevice {
-    let disk =
-        vf_virtio::block::MemDisk::new(cfg.options.blk_capacity_sectors, cfg.options.blk_read_only);
-    let mut extra = vf_virtio::block::feature::SEG_MAX | vf_virtio::block::feature::FLUSH;
-    if cfg.options.blk_read_only {
-        extra |= vf_virtio::block::feature::RO;
-    }
-    let mut device = VirtioFpgaDevice::new(
-        Persona::Block {
-            cfg: VirtioBlkConfig {
-                capacity: disk.capacity(),
-                seg_max: crate::blk::BLK_SEG_MAX,
-            },
-            disk,
-        },
-        extra,
-        &[cfg.options.queue_size],
-        Box::new(ConsoleEcho::default()),
-    );
-    device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
-    device
-}
-
-// ---------------------------------------------------------------------
-// VirtIO world
-// ---------------------------------------------------------------------
-
-/// MMIO adapter: the driver's view of the device BAR.
-pub(crate) struct Transport<'a>(pub(crate) &'a mut VirtioFpgaDevice);
-
-impl VirtioTransport for Transport<'_> {
-    fn common_read(&mut self, off: u64, len: usize) -> u64 {
-        self.0.mmio_read(bar0::COMMON + off, len)
-    }
-    fn common_write(&mut self, off: u64, len: usize, val: u64) {
-        self.0.mmio_write(bar0::COMMON + off, len, val);
-    }
-    fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-        self.0.mmio_read(bar0::DEVICE_CFG + off, len)
-    }
-}
-
-/// Front-end driver variants.
-enum FrontEnd {
-    Net(Box<VirtioNetDriver>),
-    Console(Box<VirtioConsoleDriver>),
-}
-
-/// Events of the VirtIO round-trip flow.
-enum VirtioEv {
-    /// Application sends the next packet.
-    AppSend,
-    /// Doorbell TLP lands in the device.
-    Doorbell(u16),
-    /// RX MSI-X message reaches the host interrupt controller.
-    RxIrq,
-}
-
-struct VirtioWorld {
-    mem: HostMemory,
-    link: PcieLink,
-    device: VirtioFpgaDevice,
-    front: FrontEnd,
-    stack: UdpStack,
-    cost: CostEngine,
-    payload_rng: SimRng,
-    payload: usize,
-    expected: Vec<u8>,
-    cpu_free: Time,
-    rec: RoundTripRecorder,
-    fpga_ip: Ipv4Addr,
-    src_port: u16,
-}
-
-impl VirtioWorld {
-    const DST_PORT: u16 = 7; // the echo port
-
-    fn new(cfg: &TestbedConfig) -> Self {
+impl<F> VirtioParts<F> {
+    /// Bring up the net or console persona `cfg.options.device_type`
+    /// selects, with `probe` allocating the front end's rings in host
+    /// memory and running its §3.1.1 probe against the device.
+    ///
+    /// The allocation and RNG-derivation order is part of the timing:
+    /// ring addresses set DMA alignment.
+    pub(crate) fn new(
+        cfg: &TestbedConfig,
+        probe: impl FnOnce(&mut HostMemory, &mut VirtioFpgaDevice) -> F,
+    ) -> Self {
         let mut mem = HostMemory::testbed_default();
         let link = PcieLink::new(cfg.calibration.link.clone());
         let rng = SimRng::new(cfg.seed);
@@ -488,51 +341,12 @@ impl VirtioWorld {
 
         // Enumeration: discover by vendor/device ID, assign BARs, find
         // the VirtIO capabilities (§II-C requirements i & iii).
-        let mut alloc = MmioAllocator::new();
-        let info = enumerate(&mut device.config_space, &mut alloc);
+        let info = enumerate(&mut device.config_space, &mut MmioAllocator::new());
         assert_eq!(info.vendor, vf_pcie::VIRTIO_VENDOR_ID);
         let vcaps = info.virtio_caps(&device.config_space);
         assert_eq!(vcaps.len(), 4, "device must expose all VirtIO structures");
 
-        // Driver features to request.
-        let mut want = feature::VERSION_1;
-        if cfg.options.event_idx {
-            want |= feature::RING_EVENT_IDX;
-        }
-
-        // Front-end bring-up + probe.
-        let front = match cfg.options.device_type {
-            DeviceType::Net => {
-                want |= net::feature::MAC | net::feature::MTU | net::feature::STATUS;
-                if cfg.options.csum_offload {
-                    want |= net::feature::CSUM | net::feature::GUEST_CSUM;
-                }
-                if cfg.driver == DriverKind::VirtioPacked {
-                    // E17: one-ring packed layout. The packed front end
-                    // runs without EVENT_IDX — every TX publish rings
-                    // the doorbell — so that bit is never requested.
-                    want |= feature::RING_PACKED;
-                    want &= !feature::RING_EVENT_IDX;
-                }
-                let driver = VirtioNetDriver::init(&mut mem, cfg.options.queue_size, want);
-                let out = vf_hostsw::probe(&mut Transport(&mut device), &driver, want)
-                    .expect("probe must succeed");
-                assert_eq!(out.mtu, 1500);
-                FrontEnd::Net(Box::new(driver))
-            }
-            DeviceType::Rng | DeviceType::Block => unreachable!("persona rejected above"),
-            DeviceType::Console => {
-                let driver = VirtioConsoleDriver::init(&mut mem, cfg.options.queue_size, want);
-                // The console probe reuses the same transport sequence via
-                // a scratch net driver facade: program queues directly.
-                let net_facade = ConsoleProbeFacade {
-                    rx: driver.rx_layout(),
-                    tx: driver.tx_layout(),
-                };
-                net_facade.probe(&mut device, want);
-                FrontEnd::Console(Box::new(driver))
-            }
-        };
+        let driver = probe(&mut mem, &mut device);
 
         // MSI-X: the kernel allocates vectors and programs the table.
         device.msix_enable();
@@ -547,77 +361,135 @@ impl VirtioWorld {
         stack.routes.add(Ipv4Addr::new(10, 0, 0, 0), 24, None, 2);
         stack.arp.add_static(fpga_ip, MacAddr(netcfg.mac));
 
-        VirtioWorld {
+        VirtioParts {
             mem,
             link,
             device,
-            front,
+            driver,
             stack,
             cost,
             payload_rng: rng.derive(2),
+            fpga_ip,
+        }
+    }
+}
+
+/// The kernel virtio-net front end of `cfg`: split rings, or for
+/// [`DriverKind::VirtioPacked`] (E17) the one-ring packed layout, which
+/// runs without EVENT_IDX (every TX publish rings the doorbell).
+pub(crate) fn probe_net_driver(
+    cfg: &TestbedConfig,
+    mem: &mut HostMemory,
+    device: &mut VirtioFpgaDevice,
+) -> VirtioNetDriver {
+    let mut want =
+        feature::VERSION_1 | net::feature::MAC | net::feature::MTU | net::feature::STATUS;
+    if cfg.options.event_idx {
+        want |= feature::RING_EVENT_IDX;
+    }
+    if cfg.options.csum_offload {
+        want |= net::feature::CSUM | net::feature::GUEST_CSUM;
+    }
+    if cfg.driver == DriverKind::VirtioPacked {
+        want |= feature::RING_PACKED;
+        want &= !feature::RING_EVENT_IDX;
+    }
+    let driver = VirtioNetDriver::init(mem, cfg.options.queue_size, want);
+    let out = vf_hostsw::probe(device, &driver, want).expect("probe must succeed");
+    assert_eq!(out.mtu, 1500);
+    driver
+}
+
+/// Build the block-persona FPGA device for E24, offering the storage
+/// feature bits the persona actually implements: `SEG_MAX` (the config
+/// field is valid), `FLUSH` (the disk counts cache flushes), and `RO`
+/// when the disk is exposed read-only. The stub persona used to offer
+/// `0` here, so no front end could ever negotiate multi-segment
+/// requests — `blk_feature_offer_includes_seg_max_and_flush` in
+/// `crate::blk` regresses that.
+pub(crate) fn build_blk_device(cfg: &TestbedConfig) -> VirtioFpgaDevice {
+    let disk =
+        vf_virtio::block::MemDisk::new(cfg.options.blk_capacity_sectors, cfg.options.blk_read_only);
+    let mut extra = vf_virtio::block::feature::SEG_MAX | vf_virtio::block::feature::FLUSH;
+    if cfg.options.blk_read_only {
+        extra |= vf_virtio::block::feature::RO;
+    }
+    let mut device = VirtioFpgaDevice::new(
+        Persona::Block {
+            cfg: VirtioBlkConfig {
+                capacity: disk.capacity(),
+                seg_max: crate::blk::BLK_SEG_MAX,
+            },
+            disk,
+        },
+        extra,
+        &[cfg.options.queue_size],
+        Box::new(ConsoleEcho::default()),
+    );
+    device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
+    device
+}
+
+// ---------------------------------------------------------------------
+// VirtIO world
+// ---------------------------------------------------------------------
+
+/// Front-end driver variants.
+enum FrontEnd {
+    Net(Box<VirtioNetDriver>),
+    Console(Box<VirtioConsoleDriver>),
+}
+
+/// Events of the VirtIO round-trip flow.
+enum VirtioEv {
+    /// Application sends the next packet.
+    AppSend,
+    /// Doorbell TLP lands in the device.
+    Doorbell(u16),
+    /// RX MSI-X message reaches the host interrupt controller.
+    RxIrq,
+}
+
+struct VirtioWorld {
+    parts: VirtioParts<FrontEnd>,
+    payload: usize,
+    expected: Vec<u8>,
+    cpu_free: Time,
+    rec: RoundTripRecorder,
+    src_port: u16,
+}
+
+impl VirtioWorld {
+    const DST_PORT: u16 = 7; // the echo port
+
+    fn new(cfg: &TestbedConfig) -> Self {
+        let parts = VirtioParts::new(cfg, |mem, device| match cfg.options.device_type {
+            DeviceType::Console => {
+                let mut want = feature::VERSION_1;
+                if cfg.options.event_idx {
+                    want |= feature::RING_EVENT_IDX;
+                }
+                let driver = VirtioConsoleDriver::init(mem, cfg.options.queue_size, want);
+                probe_console(device, &driver, want).expect("console probe must succeed");
+                FrontEnd::Console(Box::new(driver))
+            }
+            _ => FrontEnd::Net(Box::new(probe_net_driver(cfg, mem, device))),
+        });
+        VirtioWorld {
+            parts,
             payload: cfg.payload,
             expected: Vec::new(),
             cpu_free: Time::ZERO,
             rec: RoundTripRecorder::new(cfg.packets),
-            fpga_ip,
             src_port: 40_000,
         }
     }
 
     fn csum_offload(&self) -> bool {
-        match &self.front {
+        match &self.parts.driver {
             FrontEnd::Net(d) => d.csum_offload(),
             FrontEnd::Console(_) => false,
         }
-    }
-}
-
-/// Minimal queue bring-up for non-net personas (status dance + queue
-/// programming through the same MMIO surface).
-struct ConsoleProbeFacade {
-    rx: vf_virtio::VirtqueueLayout,
-    tx: vf_virtio::VirtqueueLayout,
-}
-
-impl ConsoleProbeFacade {
-    fn probe(&self, device: &mut VirtioFpgaDevice, want: u64) {
-        use vf_virtio::pci::common as c;
-        use vf_virtio::status;
-        let mut t = Transport(device);
-        t.common_write(c::DEVICE_STATUS, 1, 0);
-        t.common_write(c::DEVICE_STATUS, 1, status::ACKNOWLEDGE as u64);
-        t.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        let accept = want | feature::VERSION_1;
-        t.common_write(c::DRIVER_FEATURE_SELECT, 4, 0);
-        t.common_write(c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-        t.common_write(c::DRIVER_FEATURE_SELECT, 4, 1);
-        t.common_write(c::DRIVER_FEATURE, 4, accept >> 32);
-        t.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        for (qi, layout) in [(0u16, self.rx), (1u16, self.tx)] {
-            t.common_write(c::QUEUE_SELECT, 2, qi as u64);
-            t.common_write(c::QUEUE_SIZE, 2, layout.size as u64);
-            t.common_write(c::QUEUE_MSIX_VECTOR, 2, qi as u64);
-            t.common_write(c::QUEUE_DESC_LO, 4, layout.desc & 0xFFFF_FFFF);
-            t.common_write(c::QUEUE_DESC_HI, 4, layout.desc >> 32);
-            t.common_write(c::QUEUE_DRIVER_LO, 4, layout.avail & 0xFFFF_FFFF);
-            t.common_write(c::QUEUE_DRIVER_HI, 4, layout.avail >> 32);
-            t.common_write(c::QUEUE_DEVICE_LO, 4, layout.used & 0xFFFF_FFFF);
-            t.common_write(c::QUEUE_DEVICE_HI, 4, layout.used >> 32);
-            t.common_write(c::QUEUE_ENABLE, 2, 1);
-        }
-        t.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
     }
 }
 
@@ -630,7 +502,7 @@ impl World for VirtioWorld {
                 if self.rec.packets_left == 0 {
                     return;
                 }
-                let rtt_name = match &self.front {
+                let rtt_name = match &self.parts.driver {
                     FrontEnd::Net(d) if d.is_packed() => "rtt_virtio_packed",
                     FrontEnd::Net(_) => "rtt_virtio",
                     FrontEnd::Console(_) => "rtt_virtio_console",
@@ -639,21 +511,22 @@ impl World for VirtioWorld {
                 let mut t = now;
                 // Generate this packet's payload.
                 let mut payload = vec![0u8; self.payload];
-                self.payload_rng.fill_bytes(&mut payload);
+                self.parts.payload_rng.fill_bytes(&mut payload);
                 self.expected = payload.clone();
                 let offload = self.csum_offload();
 
-                let notify = match &mut self.front {
+                let notify = match &mut self.parts.driver {
                     FrontEnd::Net(driver) => {
                         let (frame, cpu) = self
+                            .parts
                             .stack
                             .sendto(
-                                self.fpga_ip,
+                                self.parts.fpga_ip,
                                 self.src_port,
                                 Self::DST_PORT,
                                 &payload,
                                 offload,
-                                &mut self.cost,
+                                &mut self.parts.cost,
                             )
                             .expect("send path configured");
                         vf_trace::span_at(
@@ -665,7 +538,7 @@ impl World for VirtioWorld {
                             0,
                         );
                         t += cpu;
-                        let res = driver.xmit(&mut self.mem, &frame, &mut self.cost);
+                        let res = driver.xmit(&mut self.parts.mem, &frame, &mut self.parts.cost);
                         vf_trace::span_at(
                             vf_trace::Layer::Driver,
                             "virtio_xmit",
@@ -680,10 +553,11 @@ impl World for VirtioWorld {
                     FrontEnd::Console(driver) => {
                         // hvc write: no network stack, just the syscall +
                         // tty layer + ring add.
-                        let d = self.cost.step(self.cost.costs.syscall_entry);
+                        let d = self.parts.cost.step(self.parts.cost.costs.syscall_entry);
                         vf_trace::span_at(vf_trace::Layer::Syscall, "write_entry", t, t + d, 0, 0);
                         t += d;
-                        let (notify, cpu) = driver.write(&mut self.mem, &payload, &mut self.cost);
+                        let (notify, cpu) =
+                            driver.write(&mut self.parts.mem, &payload, &mut self.parts.cost);
                         vf_trace::span_at(
                             vf_trace::Layer::Driver,
                             "hvc_write",
@@ -702,10 +576,13 @@ impl World for VirtioWorld {
                     // logic; the TLP lands after the link flight.
                     let off = bar0::NOTIFY
                         + u64::from(net::TX_QUEUE) * u64::from(bar0::NOTIFY_MULTIPLIER);
-                    let ev = self.device.mmio_write(off, 2, u64::from(net::TX_QUEUE));
+                    let ev = self
+                        .parts
+                        .device
+                        .mmio_write(off, 2, u64::from(net::TX_QUEUE));
                     debug_assert_eq!(ev, Some(vf_fpga::MmioEvent::Notify(net::TX_QUEUE)));
-                    let arrival = self.link.mmio_write(t, 2);
-                    let d = self.cost.step(self.cost.costs.mmio_write_cpu);
+                    let arrival = self.parts.link.mmio_write(t, 2);
+                    let d = self.parts.cost.step(self.parts.cost.costs.mmio_write_cpu);
                     vf_trace::span_at(
                         vf_trace::Layer::Driver,
                         "doorbell_mmio",
@@ -719,20 +596,23 @@ impl World for VirtioWorld {
                 }
                 // sendto returns; the app immediately blocks in recvfrom.
                 vf_trace::set_now(t);
-                t += self.cost.send_return_then_block();
+                t += self.parts.cost.send_return_then_block();
                 self.cpu_free = t;
             }
             VirtioEv::Doorbell(queue) => {
-                let out = self
-                    .device
-                    .process_tx_notify(now, queue, &mut self.mem, &mut self.link);
+                let out = self.parts.device.process_tx_notify(
+                    now,
+                    queue,
+                    &mut self.parts.mem,
+                    &mut self.parts.link,
+                );
                 for resp in &out.responses {
-                    let rxo = self.device.deliver_response(
+                    let rxo = self.parts.device.deliver_response(
                         resp.ready_at,
                         net::RX_QUEUE,
                         resp,
-                        &mut self.mem,
-                        &mut self.link,
+                        &mut self.parts.mem,
+                        &mut self.parts.link,
                     );
                     if let Some(irq_at) = rxo.irq_at {
                         sched.at(irq_at, VirtioEv::RxIrq);
@@ -744,19 +624,21 @@ impl World for VirtioWorld {
                 // quiesced host the app has long since blocked.
                 let t_irq = now.max(self.cpu_free);
                 vf_trace::set_now(t_irq);
-                let mut t = t_irq + self.cost.irq_to_napi();
+                let mut t = t_irq + self.parts.cost.irq_to_napi();
                 let mut delivered_payload: Option<Vec<u8>> = None;
                 // Harvest frames from the ring (device-specific), then
                 // run the shared netif_receive path over them.
-                let frames = match &mut self.front {
+                let frames = match &mut self.parts.driver {
                     FrontEnd::Net(driver) => {
-                        let (frames, cpu) = driver.napi_poll(&mut self.mem, &mut self.cost);
+                        let (frames, cpu) =
+                            driver.napi_poll(&mut self.parts.mem, &mut self.parts.cost);
                         vf_trace::span_at(vf_trace::Layer::Driver, "napi_poll", t, t + cpu, 0, 0);
                         t += cpu;
                         frames
                     }
                     FrontEnd::Console(driver) => {
-                        let (lines, cpu) = driver.poll_rx(&mut self.mem, &mut self.cost);
+                        let (lines, cpu) =
+                            driver.poll_rx(&mut self.parts.mem, &mut self.parts.cost);
                         vf_trace::span_at(vf_trace::Layer::Driver, "hvc_poll_rx", t, t + cpu, 0, 0);
                         t += cpu;
                         delivered_payload = lines.into_iter().next_back();
@@ -765,11 +647,11 @@ impl World for VirtioWorld {
                 };
                 for rx in frames {
                     let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
-                    match self.stack.netif_receive(
+                    match self.parts.stack.netif_receive(
                         &rx.frame,
                         self.src_port,
                         validated,
-                        &mut self.cost,
+                        &mut self.parts.cost,
                     ) {
                         Ok((parsed, cpu)) => {
                             vf_trace::span_at(
@@ -789,11 +671,11 @@ impl World for VirtioWorld {
                         Err(e) => panic!("receive path failed: {e:?}"),
                     }
                 }
-                let d = self.cost.step(self.cost.costs.wakeup_to_run);
+                let d = self.parts.cost.step(self.parts.cost.costs.wakeup_to_run);
                 vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
                 t += d;
                 let len = delivered_payload.as_ref().map_or(0, |p| p.len());
-                let d = self.stack.recvfrom_return(len, &mut self.cost);
+                let d = self.parts.stack.recvfrom_return(len, &mut self.parts.cost);
                 vf_trace::span_at(
                     vf_trace::Layer::Syscall,
                     "recvfrom_return",
@@ -809,11 +691,14 @@ impl World for VirtioWorld {
                 if delivered_payload.as_deref() != Some(&self.expected[..]) {
                     self.rec.verify_failures += 1;
                 }
-                let hw = self.device.counters.last_hw();
-                let proc = self.device.counters.processing.last;
+                let hw = self.parts.device.counters.last_hw();
+                let proc = self.parts.device.counters.processing.last;
                 self.rec.record(t, hw, proc);
                 if self.rec.packets_left > 0 {
-                    let next = t + self.cost.step(self.cost.costs.app_loop_overhead);
+                    let next = t + self
+                        .parts
+                        .cost
+                        .step(self.parts.cost.costs.app_loop_overhead);
                     sched.at(next, VirtioEv::AppSend);
                 }
             }
@@ -842,10 +727,10 @@ impl DriverModel for VirtioWorld {
 
     fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
         let stats = RunStats {
-            notifications: self.device.stats.notifications,
-            irqs: self.device.stats.irqs_sent,
-            desc_reads: self.device.stats.desc_reads,
-            walker_peak_inflight: self.device.stats.walker_peak_inflight,
+            notifications: self.parts.device.stats.notifications,
+            irqs: self.parts.device.stats.irqs_sent,
+            desc_reads: self.parts.device.stats.desc_reads,
+            walker_peak_inflight: self.parts.device.stats.walker_peak_inflight,
         };
         (self.rec, stats, ())
     }

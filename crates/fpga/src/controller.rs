@@ -33,7 +33,7 @@ use vf_virtio::console::VirtioConsoleConfig;
 use vf_virtio::net::{
     internet_checksum, VirtioNetConfig, VirtioNetHdr, HDR_F_DATA_VALID, HDR_F_NEEDS_CSUM,
 };
-use vf_virtio::pci::CfgEvent;
+use vf_virtio::pci::{CfgEvent, VirtioTransport};
 use vf_virtio::rng::EntropySource;
 use vf_virtio::{
     feature, net, CommonCfg, DeviceRing, DeviceType, GuestMemory, IsrStatus, RingChain,
@@ -367,6 +367,19 @@ pub struct VirtioFpgaDevice {
     rss_table: Option<Vec<u16>>,
     /// Toeplitz hash key accompanying the indirection table.
     rss_key: Vec<u8>,
+}
+
+/// The driver's view of BAR0: every front end's probe runs over this.
+impl VirtioTransport for VirtioFpgaDevice {
+    fn common_read(&mut self, off: u64, len: usize) -> u64 {
+        self.mmio_read(bar0::COMMON + off, len)
+    }
+    fn common_write(&mut self, off: u64, len: usize, val: u64) {
+        self.mmio_write(bar0::COMMON + off, len, val);
+    }
+    fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
+        self.mmio_read(bar0::DEVICE_CFG + off, len)
+    }
 }
 
 impl VirtioFpgaDevice {
@@ -1350,8 +1363,40 @@ mod tests {
         )
     }
 
-    /// Minimal driver-side bring-up against the device's MMIO interface:
-    /// status dance, features, queue programming, MSI-X arming. `packed`
+    /// The driver half of VirtIO 1.2 §3.1.1 in its shortest form, for
+    /// tests that need a live device: reset, accept
+    /// `features | VERSION_1` without reading the offer, program each
+    /// `(queue, layout)` with MSI-X vector = queue index, DRIVER_OK. The
+    /// full probe, which reads the offer, is `vf_hostsw::virtio_pci`.
+    fn go_live(dev: &mut VirtioFpgaDevice, features: u64, queues: &[(u16, VirtqueueLayout)]) {
+        use common as c;
+        use status::{ACKNOWLEDGE, DRIVER, DRIVER_OK, FEATURES_OK};
+        for st in [0, ACKNOWLEDGE, ACKNOWLEDGE | DRIVER] {
+            dev.common_write(c::DEVICE_STATUS, 1, st as u64);
+        }
+        let accept = features | feature::VERSION_1;
+        dev.common_write(c::DRIVER_FEATURE_SELECT, 4, 0);
+        dev.common_write(c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
+        dev.common_write(c::DRIVER_FEATURE_SELECT, 4, 1);
+        dev.common_write(c::DRIVER_FEATURE, 4, accept >> 32);
+        let st = ACKNOWLEDGE | DRIVER | FEATURES_OK;
+        dev.common_write(c::DEVICE_STATUS, 1, st as u64);
+        assert!(dev.common_read(c::DEVICE_STATUS, 1) as u8 & FEATURES_OK != 0);
+        for &(queue, layout) in queues {
+            dev.common_write(c::QUEUE_SELECT, 2, queue as u64);
+            dev.common_write(c::QUEUE_SIZE, 2, layout.size as u64);
+            dev.common_write(c::QUEUE_MSIX_VECTOR, 2, queue as u64);
+            dev.common_write(c::QUEUE_DESC_LO, 4, layout.desc);
+            dev.common_write(c::QUEUE_DRIVER_LO, 4, layout.avail);
+            dev.common_write(c::QUEUE_DEVICE_LO, 4, layout.used);
+            let ev = dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
+            assert_eq!(ev, Some(MmioEvent::QueueEnabled(queue)));
+        }
+        dev.common_write(c::DEVICE_STATUS, 1, (st | DRIVER_OK) as u64);
+        assert!(dev.is_live());
+    }
+
+    /// Net bring-up through [`go_live`] plus MSI-X arming. `packed`
     /// negotiates the packed layout instead of split + EVENT_IDX.
     fn bring_up(
         dev: &mut VirtioFpgaDevice,
@@ -1359,66 +1404,18 @@ mod tests {
         queue_size: u16,
         packed: bool,
     ) -> (DriverRing, DriverRing) {
-        use common as c;
-        dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
         let layout_bit = if packed {
             feature::RING_PACKED
         } else {
             feature::RING_EVENT_IDX
         };
-        let accept = feature::VERSION_1 | layout_bit | net::feature::CSUM;
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept >> 32);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        assert!(dev.mmio_read(bar0::COMMON + c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK != 0);
-
-        // Rings.
         let rx = DriverRing::alloc(mem, queue_size, packed, true);
         let tx = DriverRing::alloc(mem, queue_size, packed, true);
-        for (qi, layout) in [(0u16, rx.areas()), (1u16, tx.areas())] {
-            dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, qi as u64);
-            dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, queue_size as u64);
-            dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, qi as u64);
-            dev.mmio_write(
-                bar0::COMMON + c::QUEUE_DESC_LO,
-                4,
-                layout.desc & 0xFFFF_FFFF,
-            );
-            dev.mmio_write(
-                bar0::COMMON + c::QUEUE_DRIVER_LO,
-                4,
-                layout.avail & 0xFFFF_FFFF,
-            );
-            dev.mmio_write(
-                bar0::COMMON + c::QUEUE_DEVICE_LO,
-                4,
-                layout.used & 0xFFFF_FFFF,
-            );
-            let ev = dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
-            assert_eq!(ev, Some(MmioEvent::QueueEnabled(qi)));
-        }
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
+        go_live(
+            dev,
+            layout_bit | net::feature::CSUM,
+            &[(0, rx.areas()), (1, tx.areas())],
         );
-        assert!(dev.is_live());
 
         // MSI-X through the table MMIO.
         dev.msix_enable();
@@ -1480,68 +1477,20 @@ mod tests {
         assert_eq!(dev.mmio_read(bar0::DEVICE_CFG + 10, 2), 1500);
     }
 
-    /// Bring up only the ctrl virtqueue of a 2-pair MQ net device.
+    /// Bring up only the ctrl virtqueue of an MQ net device.
     fn mq_ctrl_bring_up(
         dev: &mut VirtioFpgaDevice,
         mem: &mut HostMemory,
         pairs: u16,
     ) -> (DriverQueue, u16) {
-        use common as c;
         let ctrl_q = net::ctrl_queue_index(pairs);
-        dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        let accept =
-            feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::CTRL_VQ | net::feature::MQ;
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept >> 32);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
         let base = mem.alloc(
             VirtqueueLayout::contiguous(0, 64).total_bytes() as usize,
             4096,
         );
         let layout = VirtqueueLayout::contiguous(base, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, ctrl_q as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, ctrl_q as u64);
-        dev.mmio_write(
-            bar0::COMMON + c::QUEUE_DESC_LO,
-            4,
-            layout.desc & 0xFFFF_FFFF,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::QUEUE_DRIVER_LO,
-            4,
-            layout.avail & 0xFFFF_FFFF,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::QUEUE_DEVICE_LO,
-            4,
-            layout.used & 0xFFFF_FFFF,
-        );
-        assert_eq!(
-            dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1),
-            Some(MmioEvent::QueueEnabled(ctrl_q))
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
+        let features = feature::RING_EVENT_IDX | net::feature::CTRL_VQ | net::feature::MQ;
+        go_live(dev, features, &[(ctrl_q, layout)]);
         (DriverQueue::new(mem, layout, true), ctrl_q)
     }
 
@@ -1790,45 +1739,16 @@ mod tests {
         mem: &mut HostMemory,
         pairs: u16,
     ) -> (PackedDriverQueue, u16) {
-        use common as c;
         let ctrl_q = net::ctrl_queue_index(pairs);
-        dev.mmio_write(bar0::COMMON + c::DEVICE_STATUS, 1, 0);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        let accept =
-            feature::VERSION_1 | feature::RING_PACKED | net::feature::CTRL_VQ | net::feature::MQ;
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 0);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, accept >> 32);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
         let ring = mem.alloc(64 * PackedDesc::SIZE as usize, 4096);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, ctrl_q as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_MSIX_VECTOR, 2, ctrl_q as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, ring & 0xFFFF_FFFF);
-        assert_eq!(
-            dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1),
-            Some(MmioEvent::QueueEnabled(ctrl_q))
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
-        assert!(dev.is_live());
+        let features = feature::RING_PACKED | net::feature::CTRL_VQ | net::feature::MQ;
+        let layout = VirtqueueLayout {
+            desc: ring,
+            avail: 0,
+            used: 0,
+            size: 64,
+        };
+        go_live(dev, features, &[(ctrl_q, layout)]);
         (PackedDriverQueue::new(ring, 64), ctrl_q)
     }
 
@@ -2078,39 +1998,7 @@ mod tests {
         );
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        use common as c;
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, 1); // VERSION_1
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        let base = mem.alloc(
-            VirtqueueLayout::contiguous(0, 64).total_bytes() as usize,
-            4096,
-        );
-        let layout = VirtqueueLayout::contiguous(base, 64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, 0);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, layout.desc);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DRIVER_LO, 4, layout.avail);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DEVICE_LO, 4, layout.used);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
+        let layout = enable_queue_zero(&mut dev, &mut mem, 64);
         dev.msix_enable();
         dev.msix.program(0, vf_pcie::MSI_ADDR_BASE, 0x60);
         // No device-specific config: reads return zero.
@@ -2153,41 +2041,7 @@ mod tests {
         );
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        // Bring up queue 0 manually.
-        use common as c;
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, 1); // VERSION_1 high bit
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
-        let base = mem.alloc(
-            VirtqueueLayout::contiguous(0, 128).total_bytes() as usize,
-            4096,
-        );
-        let layout = VirtqueueLayout::contiguous(base, 128);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, 0);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, 128);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, layout.desc);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DRIVER_LO, 4, layout.avail);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DEVICE_LO, 4, layout.used);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
+        let layout = enable_queue_zero(&mut dev, &mut mem, 128);
         dev.msix_enable();
         dev.msix.program(0, MSI_ADDR_BASE, 0x50);
         let mut q = DriverQueue::new(&mut mem, layout, false);
@@ -2316,45 +2170,18 @@ mod tests {
         assert!(q.pop_used(&mut mem).is_some());
     }
 
+    /// Bring a device up with only queue 0, a split ring of `size`.
     fn enable_queue_zero(
         dev: &mut VirtioFpgaDevice,
         mem: &mut HostMemory,
         size: u16,
     ) -> VirtqueueLayout {
-        use common as c;
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE_SELECT, 4, 1);
-        dev.mmio_write(bar0::COMMON + c::DRIVER_FEATURE, 4, 1); // VERSION_1 high bit
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
         let base = mem.alloc(
             VirtqueueLayout::contiguous(0, size).total_bytes() as usize,
             4096,
         );
         let layout = VirtqueueLayout::contiguous(base, size);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SELECT, 2, 0);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_SIZE, 2, size as u64);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DESC_LO, 4, layout.desc);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DRIVER_LO, 4, layout.avail);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_DEVICE_LO, 4, layout.used);
-        dev.mmio_write(bar0::COMMON + c::QUEUE_ENABLE, 2, 1);
-        dev.mmio_write(
-            bar0::COMMON + c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-        );
+        go_live(dev, 0, &[(0, layout)]);
         layout
     }
 }

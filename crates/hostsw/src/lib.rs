@@ -8,9 +8,14 @@
 //! * [`netcfg`] — routing table + ARP cache (manually populated, as the
 //!   paper's §III-B1 describes);
 //! * [`udp`] — the socket send/receive kernel paths;
+//! * [`virtio_pci`] — the VirtIO 1.2 §3.1.1 init sequence (reset,
+//!   feature negotiation, queue programming, DRIVER_OK) that every
+//!   probe below runs, written once;
 //! * [`virtio_net`] — the in-kernel virtio-pci/virtio-net front-end
 //!   driver (probe sequence, xmit path, NAPI receive) over the real
 //!   `vf-virtio` rings, split or VirtIO 1.2 *packed* (experiment E17);
+//! * [`virtio_console`] — the virtio-console (hvc) front end of the
+//!   prior work, for the device-type comparison (E9);
 //! * [`virtio_blk`] — the in-kernel virtio-blk front end: 3-part
 //!   request chains, queue-depth-driven outstanding requests, and the
 //!   `SEG_MAX`/`RO`/`FLUSH` negotiation (experiment E24);
@@ -55,6 +60,7 @@ pub mod virtio_blk;
 pub mod virtio_console;
 pub mod virtio_mq;
 pub mod virtio_net;
+pub mod virtio_pci;
 pub mod xdma_char;
 
 // The packed-ring runs of the layout-parameterised front-end checks in
@@ -124,9 +130,8 @@ pub use packet::{
 };
 pub use udp::{SockError, UdpStack};
 pub use virtio_blk::{probe_blk, BlkDone, BlkProbeOutcome, BlkSubmit, VirtioBlkDriver};
-pub use virtio_console::VirtioConsoleDriver;
+pub use virtio_console::{probe_console, VirtioConsoleDriver};
 pub use virtio_mq::{probe_mq, MqProbeOutcome, VirtioNetMqDriver, CTRL_QUEUE_SIZE};
-pub use virtio_net::{
-    probe, ProbeError, ProbeOutcome, RxFrame, VirtioNetDriver, VirtioTransport, XmitResult,
-};
+pub use virtio_net::{probe, probe_net, ProbeOutcome, RxFrame, VirtioNetDriver, XmitResult};
+pub use virtio_pci::ProbeError;
 pub use xdma_char::{TransferSetup, XdmaCharDriver};

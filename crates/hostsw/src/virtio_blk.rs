@@ -17,12 +17,11 @@ use vf_pcie::HostMemory;
 use vf_sim::Time;
 use vf_virtio::block::{self, BlkReqType, BlkRequest};
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-use vf_virtio::pci::common;
 use vf_virtio::ring::VirtqueueLayout;
-use vf_virtio::{feature as core_feature, status, GuestMemory, QueueError};
+use vf_virtio::{feature as core_feature, GuestMemory, QueueError, VirtioTransport};
 
 use crate::cost::CostEngine;
-use crate::virtio_net::{ProbeError, VirtioTransport};
+use crate::virtio_pci::{negotiate, program_queue, require_queues, set_driver_ok, ProbeError};
 
 /// Segment granularity of the request scatter lists (one bio page).
 pub const SEG_SIZE: u32 = 4096;
@@ -295,78 +294,22 @@ pub struct BlkProbeOutcome {
     pub seg_max: u32,
 }
 
-/// The virtio-pci + virtio-blk probe sequence: the same §3.1.1 status
-/// dance as [`crate::virtio_net::probe`], programming the single request
-/// queue and reading `capacity`/`seg_max` from the device config.
+/// The virtio-pci + virtio-blk probe sequence: the shared §3.1.1 core
+/// of [`crate::virtio_pci`], programming the single request queue and
+/// reading `capacity`/`seg_max` from the device config.
 pub fn probe_blk<T: VirtioTransport>(
     transport: &mut T,
     driver: &VirtioBlkDriver,
     want_features: u64,
 ) -> Result<BlkProbeOutcome, ProbeError> {
-    use common as c;
-    transport.common_write(c::DEVICE_STATUS, 1, 0);
-    transport.common_write(c::DEVICE_STATUS, 1, status::ACKNOWLEDGE as u64);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER) as u64,
-    );
-
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 0);
-    let lo = transport.common_read(c::DEVICE_FEATURE, 4);
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 1);
-    let hi = transport.common_read(c::DEVICE_FEATURE, 4);
-    let offered = lo | (hi << 32);
-    let accept = (offered & want_features) | core_feature::VERSION_1;
-
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 0);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 1);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept >> 32);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-    );
-    if transport.common_read(c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK == 0 {
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::FAILED) as u64,
-        );
-        return Err(ProbeError::FeaturesRejected);
-    }
-
-    let num_queues = transport.common_read(c::NUM_QUEUES, 2) as u16;
-    if num_queues < 1 {
-        return Err(ProbeError::NotEnoughQueues {
-            have: num_queues,
-            need: 1,
-        });
-    }
-
-    let layout = driver.layout();
-    transport.common_write(c::QUEUE_SELECT, 2, block::REQUEST_QUEUE as u64);
-    transport.common_write(c::QUEUE_SIZE, 2, layout.size as u64);
-    transport.common_write(c::QUEUE_MSIX_VECTOR, 2, block::REQUEST_QUEUE as u64);
-    transport.common_write(c::QUEUE_DESC_LO, 4, layout.desc & 0xFFFF_FFFF);
-    transport.common_write(c::QUEUE_DESC_HI, 4, layout.desc >> 32);
-    transport.common_write(c::QUEUE_DRIVER_LO, 4, layout.avail & 0xFFFF_FFFF);
-    transport.common_write(c::QUEUE_DRIVER_HI, 4, layout.avail >> 32);
-    transport.common_write(c::QUEUE_DEVICE_LO, 4, layout.used & 0xFFFF_FFFF);
-    transport.common_write(c::QUEUE_DEVICE_HI, 4, layout.used >> 32);
-    transport.common_write(c::QUEUE_ENABLE, 2, 1);
-
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-    );
-
+    let features = negotiate(transport, want_features, 0)?;
+    require_queues(transport, 1)?;
+    program_queue(transport, block::REQUEST_QUEUE, driver.layout());
+    set_driver_ok(transport);
     let capacity = transport.device_cfg_read(0, 8);
     let seg_max = transport.device_cfg_read(12, 4) as u32;
     Ok(BlkProbeOutcome {
-        features: accept,
+        features,
         capacity,
         seg_max,
     })
@@ -380,6 +323,7 @@ mod tests {
     use vf_virtio::device_queue::DeviceQueue;
 
     use crate::cost::HostCosts;
+    use crate::virtio_pci::tests::Loopback;
 
     fn cost_engine() -> CostEngine {
         CostEngine::new(
@@ -479,22 +423,9 @@ mod tests {
         assert_eq!(drv.inflight, 2);
     }
 
-    /// Loopback transport over the device-side register models.
-    struct LoopbackTransport {
-        cfg: vf_virtio::CommonCfg,
-        blkcfg: VirtioBlkConfig,
-    }
-
-    impl VirtioTransport for LoopbackTransport {
-        fn common_read(&mut self, off: u64, len: usize) -> u64 {
-            self.cfg.read(off, len)
-        }
-        fn common_write(&mut self, off: u64, len: usize, val: u64) {
-            let _ = self.cfg.write(off, len, val);
-        }
-        fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-            self.blkcfg.read(off, len)
-        }
+    /// A block device over the shared loopback transport.
+    fn blk_loopback(offered: u64, queue_sizes: &[u16], blkcfg: VirtioBlkConfig) -> Loopback {
+        Loopback::new(offered, queue_sizes, move |off, len| blkcfg.read(off, len))
     }
 
     #[test]
@@ -502,13 +433,11 @@ mod tests {
         let mut mem = HostMemory::testbed_default();
         let drv = VirtioBlkDriver::init(&mut mem, 128, driver_features(), 4, 4, 4096);
         let offered = driver_features() | block::feature::FLUSH | block::feature::RO;
-        let mut t = LoopbackTransport {
-            cfg: vf_virtio::CommonCfg::new(offered, &[128]),
-            blkcfg: VirtioBlkConfig {
-                capacity: 2048,
-                seg_max: 4,
-            },
+        let blkcfg = VirtioBlkConfig {
+            capacity: 2048,
+            seg_max: 4,
         };
+        let mut t = blk_loopback(offered, &[128], blkcfg);
         let out = probe_blk(&mut t, &drv, driver_features() | block::feature::FLUSH).unwrap();
         assert_eq!(out.capacity, 2048);
         assert_eq!(out.seg_max, 4);
@@ -525,13 +454,11 @@ mod tests {
     fn probe_rejects_queueless_device() {
         let mut mem = HostMemory::testbed_default();
         let drv = VirtioBlkDriver::init(&mut mem, 16, driver_features(), 4, 2, 4096);
-        let mut t = LoopbackTransport {
-            cfg: vf_virtio::CommonCfg::new(core_feature::VERSION_1, &[]),
-            blkcfg: VirtioBlkConfig {
-                capacity: 8,
-                seg_max: 1,
-            },
+        let blkcfg = VirtioBlkConfig {
+            capacity: 8,
+            seg_max: 1,
         };
+        let mut t = blk_loopback(core_feature::VERSION_1, &[], blkcfg);
         assert_eq!(
             probe_blk(&mut t, &drv, core_feature::VERSION_1).unwrap_err(),
             ProbeError::NotEnoughQueues { have: 0, need: 1 }

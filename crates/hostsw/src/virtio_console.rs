@@ -7,11 +7,11 @@
 use vf_pcie::HostMemory;
 use vf_sim::Time;
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-use vf_virtio::feature as core_feature;
 use vf_virtio::ring::VirtqueueLayout;
-use vf_virtio::GuestMemory;
+use vf_virtio::{console, feature as core_feature, GuestMemory, VirtioTransport};
 
 use crate::cost::CostEngine;
+use crate::virtio_pci::{negotiate, program_queue, require_queues, set_driver_ok, ProbeError};
 
 /// Size of each posted receive buffer.
 pub const CONSOLE_RX_BUF: u32 = 1024;
@@ -124,12 +124,31 @@ impl VirtioConsoleDriver {
     }
 }
 
+/// The virtio-pci + virtio-console probe sequence: the shared §3.1.1
+/// core of [`crate::virtio_pci`], programming port 0's receive and
+/// transmit queues. Returns the negotiated feature set.
+pub fn probe_console<T: VirtioTransport>(
+    transport: &mut T,
+    driver: &VirtioConsoleDriver,
+    want_features: u64,
+) -> Result<u64, ProbeError> {
+    let features = negotiate(transport, want_features, 0)?;
+    require_queues(transport, 2)?;
+    program_queue(transport, console::RX_QUEUE, driver.rx_layout());
+    program_queue(transport, console::TX_QUEUE, driver.tx_layout());
+    set_driver_ok(transport);
+    Ok(features)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::HostCosts;
+    use crate::virtio_pci::tests::Loopback;
     use vf_sim::{NoiseModel, SimRng};
+    use vf_virtio::console::VirtioConsoleConfig;
     use vf_virtio::device_queue::DeviceQueue;
+    use vf_virtio::status;
 
     fn fixture() -> (HostMemory, VirtioConsoleDriver, CostEngine) {
         let mut mem = HostMemory::testbed_default();
@@ -184,5 +203,43 @@ mod tests {
             dev.complete(&mut mem, chain.head, 0);
         }
         assert!(drv.tx.num_free() >= 31);
+    }
+
+    /// A console device offering `offered` over the shared loopback.
+    fn console_loopback(offered: u64) -> Loopback {
+        let cfg = VirtioConsoleConfig::testbed_default();
+        Loopback::new(offered, &[32, 32], move |off, len| cfg.read(off, len))
+    }
+
+    #[test]
+    fn probe_negotiates_only_offered_features() {
+        let (_, drv, _) = fixture();
+        // The device offers no EVENT_IDX; the driver requests it.
+        let mut t = console_loopback(core_feature::VERSION_1 | console::feature::SIZE);
+        let want = core_feature::VERSION_1 | core_feature::RING_EVENT_IDX;
+        let features = probe_console(&mut t, &drv, want).unwrap();
+        assert_eq!(features, core_feature::VERSION_1);
+        assert_eq!(t.cfg.negotiation.negotiated(), core_feature::VERSION_1);
+        assert!(t.cfg.negotiation.is_live());
+        assert_eq!(t.cfg.queue(console::RX_QUEUE).layout(), drv.rx_layout());
+        assert_eq!(t.cfg.queue(console::TX_QUEUE).layout(), drv.tx_layout());
+    }
+
+    #[test]
+    fn probe_rejection_leaves_failed_status_on_device() {
+        let (_, drv, _) = fixture();
+        let mut t = console_loopback(core_feature::VERSION_1 | core_feature::RING_EVENT_IDX);
+        // Advertised but never offered: the device rejects it at
+        // FEATURES_OK, and the driver must notice on read-back.
+        t.bogus = 1 << 7;
+        let want = core_feature::VERSION_1 | (1 << 7);
+        assert_eq!(
+            probe_console(&mut t, &drv, want).unwrap_err(),
+            ProbeError::FeaturesRejected
+        );
+        assert!(t.status() & status::FAILED != 0);
+        assert_eq!(t.status() & status::FEATURES_OK, 0);
+        assert!(!t.cfg.negotiation.is_live());
+        assert!(!t.cfg.queue(console::RX_QUEUE).enabled);
     }
 }

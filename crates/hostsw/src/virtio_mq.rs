@@ -17,13 +17,13 @@
 
 use vf_pcie::HostMemory;
 use vf_sim::Time;
-use vf_virtio::{feature as core_feature, net, BufferSpec, DriverRing};
+use vf_virtio::{feature as core_feature, net, BufferSpec, DriverRing, VirtioTransport};
 
 use crate::cost::CostEngine;
 use crate::mq_ctrl::{self, RSS_CMD_MAX};
-use crate::virtio_net::{
-    driver_ok, give_up, negotiate, program_queue, ProbeError, RxFrame, VirtioNetDriver,
-    VirtioTransport, XmitResult,
+use crate::virtio_net::{read_mac_mtu, RxFrame, VirtioNetDriver, XmitResult};
+use crate::virtio_pci::{
+    give_up, negotiate, program_queue, require_queues, set_driver_ok, ProbeError,
 };
 
 pub use crate::mq_ctrl::{MqProbeOutcome, CTRL_QUEUE_SIZE};
@@ -164,20 +164,19 @@ pub fn probe_mq<T: VirtioTransport>(
     want_features: u64,
 ) -> Result<MqProbeOutcome, ProbeError> {
     let num_pairs = driver.num_pairs();
-    let accept = negotiate(transport, want_features, driver.ctrl.is_packed())?;
+    let required = if driver.ctrl.is_packed() {
+        core_feature::RING_PACKED
+    } else {
+        0
+    };
+    let accept = negotiate(transport, want_features, required)?;
     // Driving N pairs without MQ negotiated would be a spec violation.
     if num_pairs > 1 && accept & net::feature::MQ == 0 {
         return Err(give_up(transport));
     }
 
     let need = 2 * num_pairs + 1;
-    let num_queues = transport.common_read(vf_virtio::pci::common::NUM_QUEUES, 2) as u16;
-    if num_queues < need {
-        return Err(ProbeError::NotEnoughQueues {
-            have: num_queues,
-            need,
-        });
-    }
+    require_queues(transport, need)?;
 
     // `max_virtqueue_pairs` sits at device-config offset 8 and fixes
     // the ctrl queue's index; readable once FEATURES_OK is set.
@@ -190,12 +189,17 @@ pub fn probe_mq<T: VirtioTransport>(
     }
 
     for (i, pair) in driver.pairs.iter().enumerate() {
-        program_queue(transport, net::rx_queue_of_pair(i as u16), &pair.rx);
-        program_queue(transport, net::tx_queue_of_pair(i as u16), &pair.tx);
+        program_queue(transport, net::rx_queue_of_pair(i as u16), pair.rx.areas());
+        program_queue(transport, net::tx_queue_of_pair(i as u16), pair.tx.areas());
     }
-    program_queue(transport, net::ctrl_queue_index(max_pairs), &driver.ctrl);
+    program_queue(
+        transport,
+        net::ctrl_queue_index(max_pairs),
+        driver.ctrl.areas(),
+    );
 
-    let (mac, mtu) = driver_ok(transport);
+    set_driver_ok(transport);
+    let (mac, mtu) = read_mac_mtu(transport);
     Ok(MqProbeOutcome {
         features: accept,
         mac,
@@ -208,29 +212,20 @@ pub fn probe_mq<T: VirtioTransport>(
 pub(crate) mod tests {
     use super::*;
     use vf_virtio::net::VirtioNetConfig;
-    use vf_virtio::pci::{common, CommonCfg};
+    use vf_virtio::pci::common;
     use vf_virtio::{status, DeviceRing, GuestMemory, RingChain};
+
+    use crate::virtio_pci::tests::Loopback;
 
     // A check that takes a `packed` input runs here on split rings and in
     // `crate::virtio_mq_packed` on packed rings.
 
-    /// A loopback transport over a bare `CommonCfg` register file, like
-    /// the single-queue probe tests use.
-    struct Loopback {
-        common: CommonCfg,
-        netcfg: VirtioNetConfig,
-    }
-
-    impl VirtioTransport for Loopback {
-        fn common_read(&mut self, off: u64, len: usize) -> u64 {
-            self.common.read(off, len)
-        }
-        fn common_write(&mut self, off: u64, len: usize, val: u64) {
-            let _ = self.common.write(off, len, val);
-        }
-        fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-            self.netcfg.read(off, len)
-        }
+    /// An MQ net device over the shared loopback transport.
+    fn mq_loopback(features: u64, pairs: u16, queues: usize) -> Loopback {
+        let netcfg = VirtioNetConfig::with_queue_pairs(pairs);
+        Loopback::new(features, &vec![256; queues], move |off, len| {
+            netcfg.read(off, len)
+        })
     }
 
     /// A device offering both layouts.
@@ -241,10 +236,7 @@ pub(crate) mod tests {
             | net::feature::MAC
             | net::feature::CTRL_VQ
             | net::feature::MQ;
-        Loopback {
-            common: CommonCfg::new(features, &vec![256; queues]),
-            netcfg: VirtioNetConfig::with_queue_pairs(pairs),
-        }
+        mq_loopback(features, pairs, queues)
     }
 
     /// What the testbed requests: split rings with EVENT_IDX, or packed
@@ -322,7 +314,7 @@ pub(crate) mod tests {
                 assert_eq!(t.common_read(common::QUEUE_DEVICE_LO, 4), 0);
             }
         }
-        assert_eq!(t.common.queue(8).layout(), drv.ctrl.areas());
+        assert_eq!(t.cfg.queue(8).layout(), drv.ctrl.areas());
     }
 
     #[test]
@@ -346,16 +338,13 @@ pub(crate) mod tests {
         let drv = VirtioNetMqDriver::init(&mut mem, 64, 2, want(true));
         let split_only =
             core_feature::VERSION_1 | net::feature::MAC | net::feature::CTRL_VQ | net::feature::MQ;
-        let mut t = Loopback {
-            common: CommonCfg::new(split_only, &[256; 5]),
-            netcfg: VirtioNetConfig::with_queue_pairs(2),
-        };
+        let mut t = mq_loopback(split_only, 2, 5);
         assert_eq!(
             probe_mq(&mut t, &drv, want(true)).unwrap_err(),
-            ProbeError::FeaturesRejected
+            ProbeError::MissingFeature(core_feature::RING_PACKED)
         );
-        let st = t.common.read(common::DEVICE_STATUS, 1) as u8;
-        assert!(st & status::FAILED != 0);
+        assert!(t.status() & status::FAILED != 0);
+        assert_eq!(t.status() & status::FEATURES_OK, 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! Functional state lives in simulated host memory via the real
 //! `vf-virtio` driver-side rings; CPU time is charged through the
 //! [`CostEngine`](crate::cost). The probe sequence
-//! ([`probe`]) exercises the same modern-PCI transport the FPGA device
-//! model exposes.
+//! ([`probe`], over the shared [`crate::virtio_pci`] core) exercises the
+//! same modern-PCI transport the FPGA device model exposes.
 //!
 //! The ring layout follows the negotiated `RING_PACKED` bit: split
 //! rings (the paper's driver) or the VirtIO 1.2 packed layout (E17),
@@ -24,10 +24,13 @@
 use vf_pcie::HostMemory;
 use vf_sim::Time;
 use vf_virtio::net::{VirtioNetHdr, HDR_F_NEEDS_CSUM};
-use vf_virtio::pci::common;
-use vf_virtio::{feature as core_feature, net, status, BufferSpec, DriverRing, GuestMemory};
+use vf_virtio::{
+    feature as core_feature, net, BufferSpec, DriverRing, GuestMemory, VirtioTransport,
+    VirtqueueLayout,
+};
 
 use crate::cost::CostEngine;
+use crate::virtio_pci::{negotiate, program_queue, require_queues, set_driver_ok, ProbeError};
 
 /// How the driver lays out one RX buffer: header + frame space.
 pub const RX_BUF_SIZE: u32 = 2048;
@@ -221,32 +224,6 @@ impl VirtioNetDriver {
     }
 }
 
-/// The modern-PCI transport as the driver sees it: MMIO into the BAR
-/// regions the VirtIO capabilities located. Implemented by the FPGA
-/// device model.
-pub trait VirtioTransport {
-    /// Read from the common-config structure.
-    fn common_read(&mut self, off: u64, len: usize) -> u64;
-    /// Write to the common-config structure.
-    fn common_write(&mut self, off: u64, len: usize, val: u64);
-    /// Read from the device-specific config structure.
-    fn device_cfg_read(&mut self, off: u64, len: usize) -> u64;
-}
-
-/// Errors during device probe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProbeError {
-    /// Device rejected our feature selection (FEATURES_OK read back 0).
-    FeaturesRejected,
-    /// Device reports fewer queues than the device type needs.
-    NotEnoughQueues {
-        /// Queues the device exposes.
-        have: u16,
-        /// Queues required.
-        need: u16,
-    },
-}
-
 /// Result of a successful probe.
 #[derive(Clone, Copy, Debug)]
 pub struct ProbeOutcome {
@@ -258,11 +235,10 @@ pub struct ProbeOutcome {
     pub mtu: u16,
 }
 
-/// The virtio-pci + virtio-net probe sequence (VirtIO 1.2 §3.1.1): reset,
-/// ACKNOWLEDGE, DRIVER, feature negotiation through the select windows,
-/// FEATURES_OK with read-back verification, queue programming, DRIVER_OK,
-/// then device-config reads. This is exactly the MMIO the kernel issues
-/// at `virtio_pci` probe time.
+/// The virtio-pci + virtio-net probe sequence (VirtIO 1.2 §3.1.1) for
+/// the kernel driver: the shared [`crate::virtio_pci`] core over
+/// `driver`'s rings. This is exactly the MMIO the kernel issues at
+/// `virtio_pci` probe time.
 ///
 /// A packed-ring driver cannot fall back to split rings: if the device
 /// did not offer `RING_PACKED`, the probe gives up with FAILED before
@@ -273,110 +249,40 @@ pub fn probe<T: VirtioTransport>(
     driver: &VirtioNetDriver,
     want_features: u64,
 ) -> Result<ProbeOutcome, ProbeError> {
-    let accept = negotiate(transport, want_features, driver.is_packed())?;
-    let num_queues = transport.common_read(common::NUM_QUEUES, 2) as u16;
-    if num_queues < 2 {
-        return Err(ProbeError::NotEnoughQueues {
-            have: num_queues,
-            need: 2,
-        });
-    }
-    program_queue(transport, net::RX_QUEUE, &driver.rx);
-    program_queue(transport, net::TX_QUEUE, &driver.tx);
-    let (mac, mtu) = driver_ok(transport);
-    Ok(ProbeOutcome {
-        features: accept,
-        mac,
-        mtu,
-    })
+    let required = if driver.is_packed() {
+        core_feature::RING_PACKED
+    } else {
+        0
+    };
+    probe_net(
+        transport,
+        [driver.rx.areas(), driver.tx.areas()],
+        want_features,
+        required,
+    )
 }
 
-/// Reset, ACKNOWLEDGE, DRIVER, then feature negotiation through the
-/// select windows up to a verified FEATURES_OK. Returns the accepted
-/// feature set. A `packed` driver gives up with FAILED, before any
-/// driver-feature write, if `RING_PACKED` was not offered.
-pub(crate) fn negotiate<T: VirtioTransport>(
+/// Bring up a single-queue-pair virtio-net device over any front end's
+/// rings: negotiate (`required` bits or FAILED), program `receiveq1`
+/// at `rx` and `transmitq1` at `tx`, set DRIVER_OK, then read MAC and
+/// MTU from the device config.
+pub fn probe_net<T: VirtioTransport>(
     transport: &mut T,
+    [rx, tx]: [VirtqueueLayout; 2],
     want_features: u64,
-    packed: bool,
-) -> Result<u64, ProbeError> {
-    use common as c;
-    transport.common_write(c::DEVICE_STATUS, 1, 0);
-    transport.common_write(c::DEVICE_STATUS, 1, status::ACKNOWLEDGE as u64);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER) as u64,
-    );
-
-    // Read offered features through the two select windows.
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 0);
-    let lo = transport.common_read(c::DEVICE_FEATURE, 4);
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 1);
-    let hi = transport.common_read(c::DEVICE_FEATURE, 4);
-    let offered = lo | (hi << 32);
-    let accept = (offered & want_features) | core_feature::VERSION_1;
-    if packed && accept & core_feature::RING_PACKED == 0 {
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FAILED) as u64,
-        );
-        return Err(ProbeError::FeaturesRejected);
-    }
-
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 0);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 1);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept >> 32);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-    );
-    if transport.common_read(c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK == 0 {
-        return Err(give_up(transport));
-    }
-    Ok(accept)
+    required: u64,
+) -> Result<ProbeOutcome, ProbeError> {
+    let features = negotiate(transport, want_features, required)?;
+    require_queues(transport, 2)?;
+    program_queue(transport, net::RX_QUEUE, rx);
+    program_queue(transport, net::TX_QUEUE, tx);
+    set_driver_ok(transport);
+    let (mac, mtu) = read_mac_mtu(transport);
+    Ok(ProbeOutcome { features, mac, mtu })
 }
 
-/// Abort a probe after FEATURES_OK was written (§3.1.1 step 4 failure):
-/// status bits can only be added, so the driver writes FAILED *on top
-/// of* the bits it already set — this is what makes FAILED visible to
-/// the device.
-pub(crate) fn give_up<T: VirtioTransport>(transport: &mut T) -> ProbeError {
-    transport.common_write(
-        common::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::FAILED) as u64,
-    );
-    ProbeError::FeaturesRejected
-}
-
-/// Program and enable `queue` from `ring`, with MSI-X vector = queue
-/// index.
-pub(crate) fn program_queue<T: VirtioTransport>(transport: &mut T, queue: u16, ring: &DriverRing) {
-    use common as c;
-    let areas = ring.areas();
-    transport.common_write(c::QUEUE_SELECT, 2, queue as u64);
-    transport.common_write(c::QUEUE_SIZE, 2, areas.size as u64);
-    transport.common_write(c::QUEUE_MSIX_VECTOR, 2, queue as u64);
-    transport.common_write(c::QUEUE_DESC_LO, 4, areas.desc & 0xFFFF_FFFF);
-    transport.common_write(c::QUEUE_DESC_HI, 4, areas.desc >> 32);
-    transport.common_write(c::QUEUE_DRIVER_LO, 4, areas.avail & 0xFFFF_FFFF);
-    transport.common_write(c::QUEUE_DRIVER_HI, 4, areas.avail >> 32);
-    transport.common_write(c::QUEUE_DEVICE_LO, 4, areas.used & 0xFFFF_FFFF);
-    transport.common_write(c::QUEUE_DEVICE_HI, 4, areas.used >> 32);
-    transport.common_write(c::QUEUE_ENABLE, 2, 1);
-}
-
-/// Set DRIVER_OK, then read MAC + MTU from the device-specific config.
-pub(crate) fn driver_ok<T: VirtioTransport>(transport: &mut T) -> ([u8; 6], u16) {
-    transport.common_write(
-        common::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-    );
+/// Read MAC and MTU from the virtio-net device config.
+pub(crate) fn read_mac_mtu<T: VirtioTransport>(transport: &mut T) -> ([u8; 6], u16) {
     let mut mac = [0u8; 6];
     let mac_lo = transport.device_cfg_read(0, 4);
     let mac_hi = transport.device_cfg_read(4, 2);
@@ -389,9 +295,11 @@ pub(crate) fn driver_ok<T: VirtioTransport>(transport: &mut T) -> ([u8; 6], u16)
 pub(crate) mod tests {
     use super::*;
     use vf_sim::{NoiseModel, SimRng};
-    use vf_virtio::{DeviceRing, RingChain};
+    use vf_virtio::net::VirtioNetConfig;
+    use vf_virtio::{status, DeviceRing, RingChain};
 
     use crate::cost::HostCosts;
+    use crate::virtio_pci::tests::Loopback;
 
     /// Both ring layouts, for a check with no packed run of its own. A
     /// check that takes a `packed` input runs here on split rings and in
@@ -552,23 +460,10 @@ pub(crate) mod tests {
         assert_eq!(drv.tx_inflight, 4);
     }
 
-    /// A loopback transport backed directly by the device-side structures,
-    /// to exercise the probe sequence end to end.
-    struct LoopbackTransport {
-        cfg: vf_virtio::CommonCfg,
-        netcfg: vf_virtio::net::VirtioNetConfig,
-    }
-
-    impl VirtioTransport for LoopbackTransport {
-        fn common_read(&mut self, off: u64, len: usize) -> u64 {
-            self.cfg.read(off, len)
-        }
-        fn common_write(&mut self, off: u64, len: usize, val: u64) {
-            let _ = self.cfg.write(off, len, val);
-        }
-        fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-            self.netcfg.read(off, len)
-        }
+    /// A net device over the shared loopback transport.
+    fn net_loopback(offered: u64, queue_sizes: &[u16]) -> Loopback {
+        let netcfg = VirtioNetConfig::testbed_default();
+        Loopback::new(offered, queue_sizes, move |off, len| netcfg.read(off, len))
     }
 
     #[test]
@@ -586,12 +481,9 @@ pub(crate) mod tests {
             | net::feature::MAC
             | net::feature::MTU
             | net::feature::CSUM;
-        let mut t = LoopbackTransport {
-            cfg: vf_virtio::CommonCfg::new(offered, &[256, 256]),
-            netcfg: vf_virtio::net::VirtioNetConfig::testbed_default(),
-        };
+        let mut t = net_loopback(offered, &[256, 256]);
         let out = probe(&mut t, &drv, want).unwrap();
-        assert_eq!(out.mac, t.netcfg.mac);
+        assert_eq!(out.mac, VirtioNetConfig::testbed_default().mac);
         assert_eq!(out.mtu, 1500);
         assert!(out.features & core_feature::VERSION_1 != 0);
         assert!(out.features & net::feature::CSUM != 0);
@@ -614,86 +506,51 @@ pub(crate) mod tests {
         let mut mem = HostMemory::testbed_default();
         let drv = VirtioNetDriver::init(&mut mem, 16, driver_features(true));
         // Device offers split-ring features only.
-        let mut t = LoopbackTransport {
-            cfg: vf_virtio::CommonCfg::new(
-                core_feature::VERSION_1 | core_feature::RING_EVENT_IDX,
-                &[16, 16],
-            ),
-            netcfg: vf_virtio::net::VirtioNetConfig::testbed_default(),
-        };
+        let mut t = net_loopback(
+            core_feature::VERSION_1 | core_feature::RING_EVENT_IDX,
+            &[16, 16],
+        );
         assert_eq!(
             probe(&mut t, &drv, driver_features(true)).unwrap_err(),
-            ProbeError::FeaturesRejected
+            ProbeError::MissingFeature(core_feature::RING_PACKED)
         );
-        let st = t.cfg.read(common::DEVICE_STATUS, 1) as u8;
-        assert!(st & status::FAILED != 0, "driver must leave FAILED behind");
+        assert!(
+            t.status() & status::FAILED != 0,
+            "driver must leave FAILED behind"
+        );
         assert_eq!(
-            st & status::FEATURES_OK,
+            t.status() & status::FEATURES_OK,
             0,
             "packed check precedes FEATURES_OK"
         );
         assert!(!t.cfg.negotiation.is_live());
     }
 
-    /// A transport that advertises a feature bit its device core never
-    /// offered — drives the probe into the FEATURES_OK rejection path.
-    struct LyingTransport {
-        inner: LoopbackTransport,
-        select: u64,
-    }
-
-    impl VirtioTransport for LyingTransport {
-        fn common_read(&mut self, off: u64, len: usize) -> u64 {
-            let v = self.inner.common_read(off, len);
-            if off == common::DEVICE_FEATURE && self.select == 0 {
-                v | (1 << 7) // bogus feature bit
-            } else {
-                v
-            }
-        }
-        fn common_write(&mut self, off: u64, len: usize, val: u64) {
-            if off == common::DEVICE_FEATURE_SELECT {
-                self.select = val;
-            }
-            self.inner.common_write(off, len, val);
-        }
-        fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-            self.inner.device_cfg_read(off, len)
-        }
-    }
-
     #[test]
     fn probe_rejection_leaves_failed_status_on_device() {
         let mut mem = HostMemory::testbed_default();
         let drv = VirtioNetDriver::init(&mut mem, 16, driver_features(false));
-        let mut t = LyingTransport {
-            inner: LoopbackTransport {
-                cfg: vf_virtio::CommonCfg::new(driver_features(false), &[16, 16]),
-                netcfg: vf_virtio::net::VirtioNetConfig::testbed_default(),
-            },
-            select: 0,
-        };
+        // The device advertises a feature bit its core never offered,
+        // which drives the probe into the FEATURES_OK rejection path.
+        let mut t = net_loopback(driver_features(false), &[16, 16]);
+        t.bogus = 1 << 7;
         assert_eq!(
             probe(&mut t, &drv, driver_features(false) | (1 << 7)).unwrap_err(),
             ProbeError::FeaturesRejected
         );
-        let st = t.inner.cfg.read(common::DEVICE_STATUS, 1) as u8;
         assert!(
-            st & status::FAILED != 0,
+            t.status() & status::FAILED != 0,
             "device must see the driver's FAILED write"
         );
-        assert_eq!(st & status::FEATURES_OK, 0);
-        assert!(!t.inner.cfg.negotiation.is_live());
+        assert_eq!(t.status() & status::FEATURES_OK, 0);
+        assert!(!t.cfg.negotiation.is_live());
     }
 
     #[test]
     fn probe_rejects_insufficient_queues() {
         let mut mem = HostMemory::testbed_default();
         let drv = VirtioNetDriver::init(&mut mem, 16, driver_features(false));
-        let mut t = LoopbackTransport {
-            cfg: vf_virtio::CommonCfg::new(core_feature::VERSION_1, &[16]),
-            netcfg: vf_virtio::net::VirtioNetConfig::testbed_default(),
-        };
+        let mut t = net_loopback(core_feature::VERSION_1, &[16]);
         assert_eq!(
             probe(&mut t, &drv, core_feature::VERSION_1).unwrap_err(),
             ProbeError::NotEnoughQueues { have: 1, need: 2 }

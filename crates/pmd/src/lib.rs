@@ -8,7 +8,10 @@
 //! logical end by eliminating those events entirely:
 //!
 //! * the device's BARs are mapped into the process VFIO-style **once, at
-//!   init** ([`probe`]); after that the kernel is never entered again;
+//!   init** ([`probe`]); after that the kernel is never entered again.
+//!   The probe is the kernel driver's own net probe
+//!   ([`vf_hostsw::probe_net`], the one VirtIO 1.2 §3.1.1 sequence) over
+//!   the PMD's rings, with `VIRTIO_F_RING_EVENT_IDX` required;
 //! * RX buffers are all pre-posted; completions are discovered by
 //!   **busy-polling** the used index, not by MSI-X;
 //! * interrupt suppression (`VIRTIO_F_RING_EVENT_IDX` with a parked
@@ -31,14 +34,13 @@
 
 #![warn(missing_docs)]
 
-use vf_hostsw::{CostEngine, RxFrame, VirtioTransport};
+use vf_hostsw::{CostEngine, ProbeError, ProbeOutcome, RxFrame};
 use vf_pcie::HostMemory;
 use vf_sim::Time;
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
 use vf_virtio::net::VirtioNetHdr;
-use vf_virtio::pci::common;
 use vf_virtio::ring::VirtqueueLayout;
-use vf_virtio::{feature as core_feature, net, status, GuestMemory};
+use vf_virtio::{feature as core_feature, GuestMemory, VirtioTransport};
 
 /// RX buffer size: virtio-net header + full frame, like the kernel
 /// driver, so the two are byte-for-byte comparable.
@@ -280,135 +282,26 @@ impl VirtioPmd {
     }
 }
 
-/// Errors during the VFIO-style probe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PmdProbeError {
-    /// Device rejected our feature selection (FEATURES_OK read back 0).
-    FeaturesRejected,
-    /// Device does not offer `VIRTIO_F_RING_EVENT_IDX`; the PMD cannot
-    /// express permanent interrupt suppression without it.
-    EventIdxUnavailable,
-    /// Device reports fewer queues than virtio-net needs.
-    NotEnoughQueues {
-        /// Queues the device exposes.
-        have: u16,
-        /// Queues required.
-        need: u16,
-    },
-}
-
-/// Result of a successful probe.
-#[derive(Clone, Copy, Debug)]
-pub struct PmdProbeOutcome {
-    /// Negotiated feature bits.
-    pub features: u64,
-    /// Device MAC address (from device config).
-    pub mac: [u8; 6],
-    /// Device MTU.
-    pub mtu: u16,
-}
-
 /// The PMD's one-time device takeover, issued through the same
-/// modern-PCI transport the kernel driver uses — but from user space,
-/// against BARs mapped via VFIO: reset, ACKNOWLEDGE/DRIVER, feature
-/// negotiation (EVENT_IDX **required**), FEATURES_OK verification, queue
-/// programming, DRIVER_OK, device-config reads. MSI-X vectors are still
-/// programmed so the adaptive poll→interrupt fallback has a landing pad;
-/// in pure busy-poll operation they never fire.
+/// modern-PCI transport the kernel driver uses, but from user space,
+/// against BARs mapped via VFIO. It is the kernel driver's net probe
+/// ([`vf_hostsw::probe_net`]) over the PMD's rings with
+/// `VIRTIO_F_RING_EVENT_IDX` **required**: without it the PMD cannot
+/// express permanent interrupt suppression, so it fails the device.
+/// MSI-X vectors are still programmed so the adaptive poll→interrupt
+/// fallback has a landing pad; in pure busy-poll operation they never
+/// fire.
 pub fn probe<T: VirtioTransport>(
     transport: &mut T,
     driver: &VirtioPmd,
     want_features: u64,
-) -> Result<PmdProbeOutcome, PmdProbeError> {
-    use common as c;
-    transport.common_write(c::DEVICE_STATUS, 1, 0);
-    transport.common_write(c::DEVICE_STATUS, 1, status::ACKNOWLEDGE as u64);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER) as u64,
-    );
-
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 0);
-    let lo = transport.common_read(c::DEVICE_FEATURE, 4);
-    transport.common_write(c::DEVICE_FEATURE_SELECT, 4, 1);
-    let hi = transport.common_read(c::DEVICE_FEATURE, 4);
-    let offered = lo | (hi << 32);
-    if offered & core_feature::RING_EVENT_IDX == 0 {
-        // Status bits can only be added, so FAILED goes on top of the
-        // bits already set — a bare FAILED write would be rejected.
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FAILED) as u64,
-        );
-        return Err(PmdProbeError::EventIdxUnavailable);
-    }
-    let accept = (offered & want_features) | core_feature::VERSION_1 | core_feature::RING_EVENT_IDX;
-
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 0);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept & 0xFFFF_FFFF);
-    transport.common_write(c::DRIVER_FEATURE_SELECT, 4, 1);
-    transport.common_write(c::DRIVER_FEATURE, 4, accept >> 32);
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-    );
-    if transport.common_read(c::DEVICE_STATUS, 1) as u8 & status::FEATURES_OK == 0 {
-        // The raw status still carries the FEATURES_OK we wrote (the
-        // device only masks it on read), so FAILED must be added on top
-        // of all of it to survive the bits-only-added rule.
-        transport.common_write(
-            c::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::FAILED) as u64,
-        );
-        return Err(PmdProbeError::FeaturesRejected);
-    }
-
-    let num_queues = transport.common_read(c::NUM_QUEUES, 2) as u16;
-    if num_queues < 2 {
-        return Err(PmdProbeError::NotEnoughQueues {
-            have: num_queues,
-            need: 2,
-        });
-    }
-
-    for (qi, layout) in [
-        (net::RX_QUEUE, driver.rx_layout()),
-        (net::TX_QUEUE, driver.tx_layout()),
-    ] {
-        transport.common_write(c::QUEUE_SELECT, 2, qi as u64);
-        transport.common_write(c::QUEUE_SIZE, 2, layout.size as u64);
-        transport.common_write(c::QUEUE_MSIX_VECTOR, 2, qi as u64);
-        transport.common_write(c::QUEUE_DESC_LO, 4, layout.desc & 0xFFFF_FFFF);
-        transport.common_write(c::QUEUE_DESC_HI, 4, layout.desc >> 32);
-        transport.common_write(c::QUEUE_DRIVER_LO, 4, layout.avail & 0xFFFF_FFFF);
-        transport.common_write(c::QUEUE_DRIVER_HI, 4, layout.avail >> 32);
-        transport.common_write(c::QUEUE_DEVICE_LO, 4, layout.used & 0xFFFF_FFFF);
-        transport.common_write(c::QUEUE_DEVICE_HI, 4, layout.used >> 32);
-        transport.common_write(c::QUEUE_ENABLE, 2, 1);
-    }
-
-    transport.common_write(
-        c::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-    );
-
-    let mut mac = [0u8; 6];
-    let mac_lo = transport.device_cfg_read(0, 4);
-    let mac_hi = transport.device_cfg_read(4, 2);
-    mac[..4].copy_from_slice(&(mac_lo as u32).to_le_bytes());
-    mac[4..].copy_from_slice(&(mac_hi as u16).to_le_bytes());
-    let mtu = transport.device_cfg_read(10, 2) as u16;
-
-    Ok(PmdProbeOutcome {
-        features: accept,
-        mac,
-        mtu,
-    })
+) -> Result<ProbeOutcome, ProbeError> {
+    vf_hostsw::probe_net(
+        transport,
+        [driver.rx_layout(), driver.tx_layout()],
+        want_features,
+        core_feature::RING_EVENT_IDX,
+    )
 }
 
 #[cfg(test)]
@@ -416,7 +309,9 @@ mod tests {
     use super::*;
     use vf_sim::{NoiseModel, SimRng};
     use vf_virtio::device_queue::DeviceQueue;
+    use vf_virtio::pci::common;
     use vf_virtio::ring::vring_need_event;
+    use vf_virtio::{net, status};
 
     use vf_hostsw::HostCosts;
 
@@ -598,7 +493,14 @@ mod tests {
         };
         assert_eq!(
             probe(&mut t, &drv, pmd_features()).unwrap_err(),
-            PmdProbeError::EventIdxUnavailable
+            ProbeError::MissingFeature(core_feature::RING_EVENT_IDX)
+        );
+        let st = t.cfg.read(common::DEVICE_STATUS, 1) as u8;
+        assert!(st & status::FAILED != 0, "driver must leave FAILED behind");
+        assert_eq!(
+            st & status::FEATURES_OK,
+            0,
+            "EVENT_IDX check precedes FEATURES_OK"
         );
     }
 }

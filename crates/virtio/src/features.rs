@@ -159,26 +159,27 @@ impl Negotiation {
     }
 }
 
-/// The standard driver-side initialization sequence (VirtIO 1.2 §3.1.1):
-/// reset, ACKNOWLEDGE, DRIVER, feature selection via `select`, FEATURES_OK
-/// (verified by read-back), then the caller sets up queues and finally
-/// DRIVER_OK. Returns the negotiated set.
-pub fn driver_init(dev: &mut Negotiation, want: u64) -> Result<u64, NegotiationError> {
-    dev.write_status(0)?;
-    dev.write_status(status::ACKNOWLEDGE)?;
-    dev.write_status(status::ACKNOWLEDGE | status::DRIVER)?;
-    let accept = dev.offered() & want | feature::VERSION_1;
-    dev.write_driver_features(accept);
-    dev.write_status(status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK)?;
-    if dev.status() & status::FEATURES_OK == 0 {
-        return Err(NegotiationError::NotOffered { bits: 0 });
-    }
-    Ok(dev.negotiated())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The driver half of VirtIO 1.2 §3.1.1 reduced to this state
+    /// machine: reset, ACKNOWLEDGE, DRIVER, the offered subset of
+    /// `want`, FEATURES_OK (verified by read-back). Returns the
+    /// negotiated set. The sequence drivers run over the register file
+    /// is `vf_hostsw::virtio_pci::negotiate`.
+    fn driver_init(dev: &mut Negotiation, want: u64) -> Result<u64, NegotiationError> {
+        dev.write_status(0)?;
+        dev.write_status(status::ACKNOWLEDGE)?;
+        dev.write_status(status::ACKNOWLEDGE | status::DRIVER)?;
+        let accept = dev.offered() & want | feature::VERSION_1;
+        dev.write_driver_features(accept);
+        dev.write_status(status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK)?;
+        if dev.status() & status::FEATURES_OK == 0 {
+            return Err(NegotiationError::NotOffered { bits: 0 });
+        }
+        Ok(dev.negotiated())
+    }
 
     const NET_OFFER: u64 =
         feature::VERSION_1 | feature::RING_EVENT_IDX | feature::RING_INDIRECT_DESC | 0x23;

@@ -16,7 +16,8 @@
 //! * [`features`] — feature negotiation and the device-status state
 //!   machine;
 //! * [`pci`] — the modern-PCI transport register file (common config,
-//!   ISR) the FPGA maps into BAR0;
+//!   ISR) the FPGA maps into BAR0, and the driver's view of it,
+//!   [`VirtioTransport`];
 //! * device types: [`net`] (this paper's extension), [`console`] (the
 //!   prior work's device), [`block`] (additional type), enumerated by
 //!   [`device_type`];
@@ -72,10 +73,10 @@ pub mod rng;
 pub use device_queue::{Chain, ChainBuf, ChainError, DeviceQueue};
 pub use device_type::DeviceType;
 pub use driver_queue::{BufferSpec, DriverQueue, QueueError};
-pub use features::{driver_init, feature, status, Negotiation, NegotiationError};
+pub use features::{feature, status, Negotiation, NegotiationError};
 pub use layout::{DeviceRing, DriverRing, RingChain, Used};
 pub use loopback::{AtomicMemory, LoopbackPair, MemHandle};
 pub use mem::{GuestMemory, VecMemory};
 pub use packed::{PackedDesc, PackedDeviceQueue, PackedDriverQueue};
-pub use pci::{CfgEvent, CommonCfg, IsrStatus, QueueRegs, MSI_NO_VECTOR};
+pub use pci::{CfgEvent, CommonCfg, IsrStatus, QueueRegs, VirtioTransport, MSI_NO_VECTOR};
 pub use ring::{vring_need_event, Desc, UsedElem, VirtqueueLayout};

@@ -65,6 +65,19 @@ pub mod common {
 /// `VIRTIO_MSI_NO_VECTOR`.
 pub const MSI_NO_VECTOR: u16 = 0xFFFF;
 
+/// The modern-PCI transport as the driver sees it: MMIO into the BAR
+/// regions the VirtIO capabilities located. The FPGA device model
+/// implements it over BAR0; unit tests implement it over a bare
+/// [`CommonCfg`].
+pub trait VirtioTransport {
+    /// Read from the common-config structure.
+    fn common_read(&mut self, off: u64, len: usize) -> u64;
+    /// Write to the common-config structure.
+    fn common_write(&mut self, off: u64, len: usize, val: u64);
+    /// Read from the device-specific config structure.
+    fn device_cfg_read(&mut self, off: u64, len: usize) -> u64;
+}
+
 /// Per-queue registers behind `queue_select`.
 #[derive(Clone, Debug)]
 pub struct QueueRegs {

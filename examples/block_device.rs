@@ -10,13 +10,13 @@
 
 use vf_fpga::user_logic::ConsoleEcho;
 use vf_fpga::{Persona, VirtioFpgaDevice};
+use vf_hostsw::virtio_pci::{negotiate, program_queue, set_driver_ok};
 use vf_pcie::{HostMemory, LinkConfig, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::Time;
 use vf_virtio::block::{blk_status, BlkReqType, BlkRequest, VirtioBlkConfig, SECTOR_SIZE};
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-use vf_virtio::pci::common;
 use vf_virtio::ring::VirtqueueLayout;
-use vf_virtio::{feature, status, GuestMemory};
+use vf_virtio::{feature, GuestMemory};
 
 fn main() {
     const CAPACITY: u64 = 2048; // sectors = 1 MiB disk
@@ -43,50 +43,19 @@ fn main() {
         info.bar(0).unwrap().address
     );
 
-    // Minimal virtio-blk driver bring-up via MMIO.
+    // Minimal virtio-blk driver bring-up: the kernel driver's §3.1.1
+    // sequence, programming the one request queue.
     let mut mem = HostMemory::testbed_default();
     let mut link = PcieLink::new(LinkConfig::gen2_x2());
     use vf_fpga::bar0;
-    let st = |s: u8| s as u64;
-    device.mmio_write(bar0::COMMON + common::DEVICE_STATUS, 1, 0);
-    device.mmio_write(
-        bar0::COMMON + common::DEVICE_STATUS,
-        1,
-        st(status::ACKNOWLEDGE),
-    );
-    device.mmio_write(
-        bar0::COMMON + common::DEVICE_STATUS,
-        1,
-        st(status::ACKNOWLEDGE | status::DRIVER),
-    );
-    device.mmio_write(bar0::COMMON + common::DRIVER_FEATURE_SELECT, 4, 1);
-    device.mmio_write(
-        bar0::COMMON + common::DRIVER_FEATURE,
-        4,
-        (feature::VERSION_1 >> 32) & 0xFFFF_FFFF,
-    );
-    device.mmio_write(
-        bar0::COMMON + common::DEVICE_STATUS,
-        1,
-        st(status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK),
-    );
+    negotiate(&mut device, feature::VERSION_1, 0).expect("VERSION_1 is always offered");
     let ring_base = mem.alloc(
         VirtqueueLayout::contiguous(0, 128).total_bytes() as usize,
         4096,
     );
     let layout = VirtqueueLayout::contiguous(ring_base, 128);
-    device.mmio_write(bar0::COMMON + common::QUEUE_SELECT, 2, 0);
-    device.mmio_write(bar0::COMMON + common::QUEUE_SIZE, 2, 128);
-    device.mmio_write(bar0::COMMON + common::QUEUE_MSIX_VECTOR, 2, 0);
-    device.mmio_write(bar0::COMMON + common::QUEUE_DESC_LO, 4, layout.desc);
-    device.mmio_write(bar0::COMMON + common::QUEUE_DRIVER_LO, 4, layout.avail);
-    device.mmio_write(bar0::COMMON + common::QUEUE_DEVICE_LO, 4, layout.used);
-    device.mmio_write(bar0::COMMON + common::QUEUE_ENABLE, 2, 1);
-    device.mmio_write(
-        bar0::COMMON + common::DEVICE_STATUS,
-        1,
-        st(status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK),
-    );
+    program_queue(&mut device, 0, layout);
+    set_driver_ok(&mut device);
     device.msix_enable();
     device.msix.program(0, MSI_ADDR_BASE, 0x50);
     let cap_sectors = device.mmio_read(bar0::DEVICE_CFG, 8);

@@ -16,26 +16,11 @@ use vf_fpga::user_logic::{Firewall, FwAction, FwRule, UdpEcho};
 use vf_fpga::{bar0, Persona, VirtioFpgaDevice};
 use vf_hostsw::{
     build_udp_frame, probe, CostEngine, HostCosts, Ipv4Addr, MacAddr, UdpFlow, VirtioNetDriver,
-    VirtioTransport,
 };
 use vf_pcie::{HostMemory, LinkConfig, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{NoiseModel, SimRng, Time};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net};
-
-struct Mmio<'a>(&'a mut VirtioFpgaDevice);
-
-impl VirtioTransport for Mmio<'_> {
-    fn common_read(&mut self, off: u64, len: usize) -> u64 {
-        self.0.mmio_read(bar0::COMMON + off, len)
-    }
-    fn common_write(&mut self, off: u64, len: usize, val: u64) {
-        self.0.mmio_write(bar0::COMMON + off, len, val);
-    }
-    fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-        self.0.mmio_read(bar0::DEVICE_CFG + off, len)
-    }
-}
 
 fn main() {
     // Firewall policy: allow UDP to the echo port (7) from 10.0.0.0/24,
@@ -79,7 +64,7 @@ fn main() {
     );
     let want = feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::MAC;
     let mut driver = VirtioNetDriver::init(&mut mem, 256, want);
-    let out = probe(&mut Mmio(&mut device), &driver, want).expect("probe");
+    let out = probe(&mut device, &driver, want).expect("probe");
     device.msix_enable();
     device.msix.program(0, MSI_ADDR_BASE, 0x40);
     device.msix.program(1, MSI_ADDR_BASE, 0x41);

@@ -4,6 +4,7 @@
 
 use vf_fpga::user_logic::{Firewall, FwAction, FwRule, UdpEcho};
 use vf_fpga::{Persona, VirtioFpgaDevice};
+use vf_hostsw::virtio_pci::{negotiate, program_queue, set_driver_ok};
 use vf_pcie::{HostMemory, LinkConfig, PcieLink};
 use vf_sim::Time;
 use vf_virtio::device_queue::{ChainError, DeviceQueue};
@@ -94,42 +95,15 @@ fn rx_exhaustion_drops_then_recovers() {
     );
     let mut mem = HostMemory::testbed_default();
     let mut link = PcieLink::new(LinkConfig::gen2_x2());
-    // Enable queues directly through the register file (bypassing probe
-    // ceremony — this test is about the data path).
-    use vf_virtio::pci::common;
-    use vf_virtio::status;
-    let mut w = |off, len, val| {
-        device.mmio_write(vf_fpga::bar0::COMMON + off, len, val);
-    };
-    w(common::DEVICE_STATUS, 1, status::ACKNOWLEDGE as u64);
-    w(
-        common::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER) as u64,
-    );
-    w(common::DRIVER_FEATURE_SELECT, 4, 1);
-    w(common::DRIVER_FEATURE, 4, 1); // VERSION_1 (bit 32)
-    w(
-        common::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-    );
+    // Bring up only the RX queue: this test is about the data path.
     let rx_base = mem.alloc(
         VirtqueueLayout::contiguous(0, 8).total_bytes() as usize,
         4096,
     );
     let rx_layout = VirtqueueLayout::contiguous(rx_base, 8);
-    w(common::QUEUE_SELECT, 2, 0);
-    w(common::QUEUE_SIZE, 2, 8);
-    w(common::QUEUE_DESC_LO, 4, rx_layout.desc);
-    w(common::QUEUE_DRIVER_LO, 4, rx_layout.avail);
-    w(common::QUEUE_DEVICE_LO, 4, rx_layout.used);
-    w(common::QUEUE_ENABLE, 2, 1);
-    w(
-        common::DEVICE_STATUS,
-        1,
-        (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK) as u64,
-    );
+    negotiate(&mut device, 0, 0).expect("VERSION_1 is always offered");
+    program_queue(&mut device, 0, rx_layout);
+    set_driver_ok(&mut device);
 
     let mut rx = DriverQueue::new(&mut mem, rx_layout, false);
     let resp = vf_fpga::PendingResponse {
@@ -229,47 +203,13 @@ fn oversized_rx_frame_panics_loudly() {
         );
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        use vf_virtio::pci::common;
-        use vf_virtio::status;
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
-            1,
-            status::ACKNOWLEDGE as u64,
-        );
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER) as u64,
-        );
-        device.mmio_write(vf_fpga::bar0::COMMON + common::DRIVER_FEATURE_SELECT, 4, 1);
-        device.mmio_write(vf_fpga::bar0::COMMON + common::DRIVER_FEATURE, 4, 1);
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::DEVICE_STATUS,
-            1,
-            (status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK) as u64,
-        );
         let base = mem.alloc(
             VirtqueueLayout::contiguous(0, 8).total_bytes() as usize,
             4096,
         );
         let layout = VirtqueueLayout::contiguous(base, 8);
-        device.mmio_write(vf_fpga::bar0::COMMON + common::QUEUE_SELECT, 2, 0);
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::QUEUE_DESC_LO,
-            4,
-            layout.desc,
-        );
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::QUEUE_DRIVER_LO,
-            4,
-            layout.avail,
-        );
-        device.mmio_write(
-            vf_fpga::bar0::COMMON + common::QUEUE_DEVICE_LO,
-            4,
-            layout.used,
-        );
-        device.mmio_write(vf_fpga::bar0::COMMON + common::QUEUE_ENABLE, 2, 1);
+        negotiate(&mut device, 0, 0).expect("VERSION_1 is always offered");
+        program_queue(&mut device, 0, layout);
         let mut rx = DriverQueue::new(&mut mem, layout, false);
         let tiny = mem.alloc(64, 64);
         rx.add_and_publish(&mut mem, &[BufferSpec::writable(tiny, 64)])

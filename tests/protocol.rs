@@ -4,7 +4,7 @@
 
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice};
-use vf_hostsw::{probe, ProbeError, VirtioNetDriver, VirtioTransport};
+use vf_hostsw::{probe, ProbeError, VirtioNetDriver};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, VirtioCfgType};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::pci::common;
@@ -19,20 +19,6 @@ fn net_device(queues: &[u16]) -> VirtioFpgaDevice {
         queues,
         Box::new(UdpEcho::default()),
     )
-}
-
-struct Mmio<'a>(&'a mut VirtioFpgaDevice);
-
-impl VirtioTransport for Mmio<'_> {
-    fn common_read(&mut self, off: u64, len: usize) -> u64 {
-        self.0.mmio_read(bar0::COMMON + off, len)
-    }
-    fn common_write(&mut self, off: u64, len: usize, val: u64) {
-        self.0.mmio_write(bar0::COMMON + off, len, val);
-    }
-    fn device_cfg_read(&mut self, off: u64, len: usize) -> u64 {
-        self.0.mmio_read(bar0::DEVICE_CFG + off, len)
-    }
 }
 
 #[test]
@@ -89,7 +75,7 @@ fn full_probe_negotiates_subset() {
         feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::MAC,
     );
     let out = probe(
-        &mut Mmio(&mut dev),
+        &mut dev,
         &driver,
         feature::VERSION_1 | feature::RING_EVENT_IDX | net::feature::MAC,
     )
@@ -120,14 +106,14 @@ fn reset_after_driver_ok_allows_reprobe() {
     let mut dev = net_device(&[64, 64]);
     let mut mem = HostMemory::testbed_default();
     let driver = VirtioNetDriver::init(&mut mem, 64, feature::VERSION_1);
-    probe(&mut Mmio(&mut dev), &driver, feature::VERSION_1).unwrap();
+    probe(&mut dev, &driver, feature::VERSION_1).unwrap();
     assert!(dev.is_live());
     // Reset (status ← 0), then probe a second driver instance.
     let ev = dev.mmio_write(bar0::COMMON + common::DEVICE_STATUS, 1, 0);
     assert_eq!(ev, Some(MmioEvent::Reset));
     assert!(!dev.is_live());
     let driver2 = VirtioNetDriver::init(&mut mem, 64, feature::VERSION_1);
-    probe(&mut Mmio(&mut dev), &driver2, feature::VERSION_1).unwrap();
+    probe(&mut dev, &driver2, feature::VERSION_1).unwrap();
     assert!(dev.is_live());
 }
 
