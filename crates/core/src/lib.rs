@@ -49,7 +49,7 @@ pub mod tenant;
 pub mod testbed;
 pub mod traced;
 
-pub use blk::{pattern_bytes, run_blk, run_xdma_storage, BlkPattern, BlkRunResult, BLK_SEG_MAX};
+pub use blk::{pattern_image, run_blk, run_xdma_storage, BlkPattern, BlkRunResult, BLK_SEG_MAX};
 pub use calibration::Calibration;
 pub use driver_model::{run_world, DriverModel, RoundTripRecorder, RunStats};
 pub use metered::{metered, metered_run, metered_run_with, MeteredRun};

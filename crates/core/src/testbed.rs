@@ -27,6 +27,8 @@
 //! §3.1.1 sequence of `vf_hostsw::virtio_pci`, run directly against the
 //! device, which implements `vf_virtio::VirtioTransport`.
 
+use std::sync::Arc;
+
 use vf_fpga::user_logic::{ConsoleEcho, UdpEcho, UserLogic};
 use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign};
 use vf_hostsw::{
@@ -406,10 +408,14 @@ pub(crate) fn probe_net_driver(
 /// when the disk is exposed read-only. The stub persona used to offer
 /// `0` here, so no front end could ever negotiate multi-segment
 /// requests — `blk_feature_offer_includes_seg_max_and_flush` in
-/// `crate::blk` regresses that.
-pub(crate) fn build_blk_device(cfg: &TestbedConfig) -> VirtioFpgaDevice {
-    let disk =
-        vf_virtio::block::MemDisk::new(cfg.options.blk_capacity_sectors, cfg.options.blk_read_only);
+/// `crate::blk` regresses that. The disk reads `image` until the guest
+/// writes a sector.
+pub(crate) fn build_blk_device(cfg: &TestbedConfig, image: Arc<[u8]>) -> VirtioFpgaDevice {
+    let disk = vf_virtio::block::MemDisk::with_image(
+        cfg.options.blk_capacity_sectors,
+        image,
+        cfg.options.blk_read_only,
+    );
     let mut extra = vf_virtio::block::feature::SEG_MAX | vf_virtio::block::feature::FLUSH;
     if cfg.options.blk_read_only {
         extra |= vf_virtio::block::feature::RO;

@@ -1,8 +1,11 @@
 //! Property tests on the virtio-blk request model: header encode/parse
-//! must round-trip for every request shape, and the chain walk +
-//! `MemDisk` execution must hold its invariants — status byte always
-//! written, `written` count consistent, guest-controlled sectors and
-//! segment lists never panicking — for arbitrary inputs.
+//! must round-trip for every request shape, the chain walk + `MemDisk`
+//! execution must hold its invariants — status byte always written,
+//! `written` count consistent, guest-controlled sectors and segment
+//! lists never panicking — for arbitrary inputs, and a disk over a
+//! backing image must behave like a flat copy of the image.
+
+use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -175,5 +178,140 @@ proptest! {
                 prop_assert_eq!(written, 1);
             }
         }
+    }
+}
+
+/// One request of a copy-on-write script: type, sector, and each data
+/// segment's `(len, wrong direction)`.
+type ScriptOp = (BlkReqType, u64, Vec<(u32, bool)>);
+
+fn script_op_strategy() -> impl Strategy<Value = ScriptOp> {
+    let sector = prop_oneof![0u64..20, 0u64..20, 0u64..20, Just(u64::MAX / 512 + 1)];
+    let len = prop_oneof![
+        0u32..1300,
+        Just(0u32),
+        Just(SECTOR_SIZE as u32),
+        Just(1024u32)
+    ];
+    let wrong_dir = (0u8..10).prop_map(|x| x == 0);
+    (req_type_strategy(), sector, vec((len, wrong_dir), 0..4))
+}
+
+/// Deterministic filler bytes (SplitMix64 over `seed`).
+fn bytes(seed: u64, n: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 31)) as u8
+        })
+        .collect()
+}
+
+/// The flat-disk reference: `execute` as it was before the disk grew a
+/// backing image, over one plain buffer holding the whole disk.
+fn flat_execute(
+    flat: &mut [u8],
+    read_only: bool,
+    mem: &mut VecMemory,
+    req: &BlkRequest,
+) -> (u8, u32) {
+    let cap = flat.len();
+    let span = |off: Option<usize>, len: u32| {
+        let s = off?;
+        let e = s.checked_add(len as usize)?;
+        (e <= cap).then_some((s, e))
+    };
+    let start = usize::try_from(req.sector)
+        .ok()
+        .and_then(|s| s.checked_mul(SECTOR_SIZE));
+    let mut written = 0u32;
+    let mut status = blk_status::OK;
+    match req.req_type {
+        BlkReqType::Flush => {}
+        BlkReqType::In => {
+            let mut off = start;
+            for &(addr, len, writable) in &req.data {
+                let Some((s, e)) = span(off, len).filter(|_| writable) else {
+                    status = blk_status::IOERR;
+                    break;
+                };
+                mem.write(addr, &flat[s..e]);
+                written += len;
+                off = Some(e);
+            }
+        }
+        BlkReqType::Out if read_only => status = blk_status::IOERR,
+        BlkReqType::Out => {
+            let mut off = start;
+            for &(addr, len, writable) in &req.data {
+                let Some((s, e)) = span(off, len).filter(|_| !writable) else {
+                    status = blk_status::IOERR;
+                    break;
+                };
+                flat[s..e].copy_from_slice(&mem.read_vec(addr, len as usize));
+                off = Some(e);
+            }
+        }
+    }
+    mem.write(req.status_addr, &[status]);
+    (status, written + 1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A disk over a shared backing image behaves exactly like a flat
+    /// copy of that image, request by request: unaligned, zero-length,
+    /// wrong-direction and out-of-range segments, read-only disks, and
+    /// images longer than the disk included. The image itself is never
+    /// written.
+    #[test]
+    fn copy_on_write_disk_matches_flat_disk(
+        capacity in 1u64..17,
+        extra_sectors in 0usize..3,
+        seed in any::<u64>(),
+        read_only in any::<bool>(),
+        script in vec(script_op_strategy(), 1..24),
+    ) {
+        let disk_len = capacity as usize * SECTOR_SIZE;
+        let image: Arc<[u8]> = bytes(seed, disk_len + extra_sectors * SECTOR_SIZE).into();
+        let pristine = image.to_vec();
+        let mut disk = MemDisk::with_image(capacity, image.clone(), read_only);
+        let mut flat = image[..disk_len].to_vec();
+        let mut mem = VecMemory::new(1 << 15);
+        let mut flat_mem = VecMemory::new(1 << 15);
+
+        for (step, (ty, sector, segs)) in script.iter().enumerate() {
+            let mut bufs = vec![(0u64, 16u32, false)];
+            for (i, &(len, wrong_dir)) in segs.iter().enumerate() {
+                let addr = 0x1000 + i as u64 * 0x1000;
+                // The guest buffer a write sends (or a read overwrites).
+                let fill = bytes(seed ^ (step * 4 + i) as u64, len as usize);
+                mem.write(addr, &fill);
+                flat_mem.write(addr, &fill);
+                bufs.push((addr, len, (*ty == BlkReqType::In) != wrong_dir));
+            }
+            bufs.push((0x7000, 1, true));
+            BlkRequest::write_header(&mut mem, 0, *ty, *sector);
+            BlkRequest::write_header(&mut flat_mem, 0, *ty, *sector);
+            let req = BlkRequest::parse(&mem, &chain_of(&bufs)).unwrap();
+
+            let got = disk.execute(&mut mem, &req);
+            let want = flat_execute(&mut flat, read_only, &mut flat_mem, &req);
+            prop_assert_eq!(got, want, "status and length at step {}", step);
+            prop_assert!(mem.raw() == flat_mem.raw(), "guest memory differs at step {}", step);
+        }
+
+        // A final whole-disk read sees the flat disk's bytes.
+        let mut bufs = vec![(0u64, 16u32, false)];
+        bufs.push((0x1000, disk_len as u32, true));
+        bufs.push((0x7000, 1, true));
+        BlkRequest::write_header(&mut mem, 0, BlkReqType::In, 0);
+        let req = BlkRequest::parse(&mem, &chain_of(&bufs)).unwrap();
+        prop_assert_eq!(disk.execute(&mut mem, &req).0, blk_status::OK);
+        prop_assert!(mem.read_vec(0x1000, disk_len) == flat, "final disk contents differ");
+        prop_assert!(image[..] == pristine[..], "the backing image was written");
     }
 }
