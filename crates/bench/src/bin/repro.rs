@@ -313,10 +313,10 @@ fn counter_tracks(report: &vf_metrics::MetricsReport) -> Vec<vf_trace::CounterTr
     report
         .instruments
         .iter()
-        .filter(|i| !i.series.is_empty())
+        .filter(|i| i.series().len() != 0)
         .map(|i| vf_trace::CounterTrack {
             name: format!("{}[{}]", i.name, i.index),
-            points: i.series.clone(),
+            points: i.series().collect(),
         })
         .collect()
 }

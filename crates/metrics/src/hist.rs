@@ -70,11 +70,20 @@ impl LogLinearHist {
 
     /// Record one value.
     pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` copies of one value: the same histogram as `n` calls
+    /// of [`record`](Self::record), in one bucket update.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = bucket(v);
         if b >= self.counts.len() {
             self.counts.resize(b + 1, 0);
         }
-        self.counts[b] += 1;
+        self.counts[b] += n;
         if self.count == 0 {
             self.min = v;
             self.max = v;
@@ -82,13 +91,19 @@ impl LogLinearHist {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
+        self.count += n;
+        // Saturates exactly where `n` saturating adds of `v` would.
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
     }
 
     /// Total values recorded.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Sum of recorded values, saturating at `u64::MAX`.
+    pub fn sum(&self) -> u64 {
+        self.sum
     }
 
     /// Smallest recorded value (0 when empty).
@@ -205,6 +220,38 @@ mod tests {
         // p99 bucket must contain the max; bucket width at 1000 is 64.
         let p99 = h.quantile(0.99);
         assert!((1000..1064).contains(&p99), "p99 = {p99}");
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let cases: [&[(u64, u64)]; 4] = [
+            &[(5, 3), (5, 1), (0, 2)],
+            &[(148, 800), (24, 1), (20, 799)],
+            &[(1000, 0), (17, 4)],
+            // Near the top: the sum saturates partway through.
+            &[(u64::MAX / 3, 2), (u64::MAX - 1, 3), (1, 1)],
+        ];
+        for runs in cases {
+            let mut one_by_one = LogLinearHist::new();
+            let mut batched = LogLinearHist::new();
+            for &(v, n) in runs {
+                for _ in 0..n {
+                    one_by_one.record(v);
+                }
+                batched.record_n(v, n);
+            }
+            assert_eq!(batched.count(), one_by_one.count(), "{runs:?}");
+            assert_eq!(batched.sum(), one_by_one.sum(), "{runs:?}");
+            assert_eq!(batched.min(), one_by_one.min(), "{runs:?}");
+            assert_eq!(batched.max(), one_by_one.max(), "{runs:?}");
+            assert_eq!(batched.buckets(), one_by_one.buckets(), "{runs:?}");
+        }
+        let mut top = LogLinearHist::new();
+        top.record_n(u64::MAX - 1, 3);
+        assert_eq!(top.sum(), u64::MAX);
+        let mut exact = LogLinearHist::new();
+        exact.record_n(u64::MAX / 4, 3);
+        assert_eq!(exact.sum(), u64::MAX / 4 * 3);
     }
 
     #[test]

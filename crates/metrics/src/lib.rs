@@ -50,7 +50,10 @@
 //! Each violation is a structured record with sim-time, layer, and
 //! instrument — not a silently wrong number. [`finish`] returns a
 //! [`MetricsReport`] carrying the series, histograms, and violations,
-//! with JSON/CSV renderers used by `repro -- metrics`.
+//! with JSON/CSV renderers used by `repro -- metrics`. The report keeps
+//! each series as the change points the sampler stored, so finishing
+//! a session costs nothing per sample; [`InstrumentReport::series`]
+//! replays one point per sample for readers that want them.
 
 #![warn(missing_docs)]
 
@@ -59,10 +62,10 @@ mod report;
 mod session;
 
 pub use hist::{HistBucket, LogLinearHist};
-pub use report::{InstrumentReport, MetricsReport};
+pub use report::{InstrumentReport, MetricsReport, Series};
 pub use session::{
-    counter_add, counter_set_total, finish, gauge_add, gauge_set, hist_record, install, is_enabled,
-    names, sample_at, sample_before, sample_pending, uninstall, MetricsConfig,
+    counter_add, counter_set_total, finish, gauge_add, gauge_set, hist_record, hist_record_n,
+    install, is_enabled, names, sample_at, sample_before, sample_pending, uninstall, MetricsConfig,
 };
 
 /// What an instrument measures. Fixed at first touch; mixing kinds on

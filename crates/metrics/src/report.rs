@@ -1,9 +1,14 @@
 //! The finished-session report: sampled series, histograms, and
 //! violations, with the JSON/CSV renderers behind `repro -- metrics`
 //! and the schema validation the CI smoke step runs.
+//!
+//! A series is stored as the sampler's change points plus the
+//! session's sample times, shared by every instrument; readers replay
+//! it one point per sample through [`InstrumentReport::series`].
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::hist::LogLinearHist;
 use crate::{Kind, Violation};
@@ -19,8 +24,12 @@ pub struct InstrumentReport {
     pub kind: Kind,
     /// Final value (counter total or last gauge level).
     pub last: i64,
-    /// Sampled `(t_ps, value)` points, in time order.
-    pub series: Vec<(u64, i64)>,
+    /// Change points `(sample ordinal, value)`: the value holds from
+    /// that sample until the next point.
+    pub(crate) points: Vec<(u64, i64)>,
+    /// Sim time of every sample in the session, shared by all
+    /// instruments of one report.
+    pub(crate) times: Arc<[u64]>,
     /// The distribution, for histogram instruments.
     pub histogram: Option<LogLinearHist>,
 }
@@ -30,7 +39,56 @@ impl InstrumentReport {
     pub fn layer(&self) -> &'static str {
         self.name.split('.').next().unwrap_or(self.name)
     }
+
+    /// The sampled `(t_ps, value)` points, in time order: one per
+    /// sample from the first sample after the instrument registered
+    /// (none for histograms).
+    pub fn series(&self) -> Series<'_> {
+        let at = self
+            .points
+            .first()
+            .map_or(self.times.len(), |&(k, _)| k as usize);
+        Series {
+            times: &self.times,
+            points: &self.points,
+            at,
+        }
+    }
 }
+
+/// Iterator over one instrument's per-sample series, replayed from its
+/// change points (see [`InstrumentReport::series`]).
+#[derive(Debug, Clone)]
+pub struct Series<'a> {
+    times: &'a [u64],
+    /// Change points not yet passed; the first one holds at `at`.
+    points: &'a [(u64, i64)],
+    /// Ordinal of the next sample to yield.
+    at: usize,
+}
+
+impl Iterator for Series<'_> {
+    type Item = (u64, i64);
+
+    fn next(&mut self) -> Option<(u64, i64)> {
+        let &t = self.times.get(self.at)?;
+        if let [_, (next, _), ..] = self.points {
+            if *next as usize == self.at {
+                self.points = &self.points[1..];
+            }
+        }
+        let &(_, v) = self.points.first()?;
+        self.at += 1;
+        Some((t, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.times.len() - self.at;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Series<'_> {}
 
 /// Everything a metrics session observed, as returned by
 /// [`finish`](crate::finish).
@@ -91,13 +149,15 @@ impl MetricsReport {
                     inst.name, inst.index, inst.last
                 ));
             }
-            for w in inst.series.windows(2) {
-                if w[1].1 < w[0].1 || w[1].0 < w[0].0 {
+            let mut prev = None;
+            for p in inst.series() {
+                if let Some(q) = prev.filter(|q: &(u64, i64)| p.1 < q.1 || p.0 < q.0) {
                     return Err(format!(
-                        "counter {}[{}] decreased: {:?} -> {:?}",
-                        inst.name, inst.index, w[0], w[1]
+                        "counter {}[{}] decreased: {q:?} -> {p:?}",
+                        inst.name, inst.index
                     ));
                 }
+                prev = Some(p);
             }
         }
         Ok(())
@@ -150,7 +210,7 @@ impl MetricsReport {
                 inst.last
             );
             out.push_str(",\"series\":[");
-            for (j, (t, v)) in inst.series.iter().enumerate() {
+            for (j, (t, v)) in inst.series().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -187,7 +247,7 @@ impl MetricsReport {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("t_ps,name,index,value\n");
         for inst in &self.instruments {
-            for (t, v) in &inst.series {
+            for (t, v) in inst.series() {
                 let _ = writeln!(out, "{t},{},{},{v}", inst.name, inst.index);
             }
         }
@@ -231,7 +291,7 @@ impl MetricsReport {
                         let mut sum = 0.0;
                         let mut points = 0usize;
                         for i in &insts {
-                            for &(_, v) in &i.series {
+                            for (_, v) in i.series() {
                                 lo = lo.min(v);
                                 hi = hi.max(v);
                                 sum += v as f64;
@@ -323,7 +383,10 @@ mod tests {
         assert!(r.validate(&["tenant"]).is_err());
         assert_eq!(r.counter_total("pcie.wire.bytes"), 150);
         assert_eq!(
-            r.get("pcie.wire.bytes", 0).unwrap().series,
+            r.get("pcie.wire.bytes", 0)
+                .unwrap()
+                .series()
+                .collect::<Vec<_>>(),
             vec![(10, 100), (20, 150)]
         );
     }
@@ -336,7 +399,8 @@ mod tests {
             .iter_mut()
             .find(|i| i.kind == Kind::Counter)
             .unwrap();
-        inst.series.push((30, 0));
+        // The counter's last change point (150 at t=20) drops to 0.
+        inst.points.last_mut().unwrap().1 = 0;
         let err = r.validate(&[]).unwrap_err();
         assert!(err.contains("decreased"), "{err}");
     }

@@ -12,12 +12,15 @@
 //! contents, so one name at two addresses is one instrument) and marks
 //! it dirty. A sample stores a change point only for dirty slots whose
 //! value moved, and the watchdogs read slot lists linked when their
-//! instruments registered. [`finish`] expands the change points into
-//! the per-sample series the report carries.
+//! instruments registered. [`finish`] hands the change points to the
+//! report as they are, next to one shared list of sample times; the
+//! report rebuilds the per-sample series only when a reader iterates
+//! it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::hist::LogLinearHist;
 use crate::report::{InstrumentReport, MetricsReport};
@@ -94,7 +97,7 @@ struct Instrument {
     hist: Option<LogLinearHist>,
     /// Change points `(sample ordinal, value)`: the value holds from
     /// that sample until the next point. Counters and gauges only;
-    /// [`finish`] expands them into the per-sample series.
+    /// the report rebuilds the per-sample series from them.
     points: Vec<(u64, i64)>,
 }
 
@@ -281,7 +284,7 @@ pub fn finish() -> MetricsReport {
     let Some(session) = session else {
         return MetricsReport::default();
     };
-    let times = session.sample_times;
+    let times: Arc<[u64]> = session.sample_times.into();
     MetricsReport {
         interval_ps: session.cfg.interval_ps,
         samples: times.len() as u64,
@@ -293,28 +296,13 @@ pub fn finish() -> MetricsReport {
                 index: i.index,
                 kind: i.kind,
                 last: i.value,
-                series: expand(&i.points, &times),
+                points: i.points,
+                times: Arc::clone(&times),
                 histogram: i.hist,
             })
             .collect(),
         violations: session.violations,
     }
-}
-
-/// One `(t, value)` point per sample from the instrument's first
-/// sample on, rebuilt from its change points.
-fn expand(points: &[(u64, i64)], times: &[u64]) -> Vec<(u64, i64)> {
-    let Some(&(first, _)) = points.first() else {
-        return Vec::new();
-    };
-    let mut series = Vec::with_capacity(times.len() - first as usize);
-    for (k, &(from, v)) in points.iter().enumerate() {
-        let to = points
-            .get(k + 1)
-            .map_or(times.len(), |&(next, _)| next as usize);
-        series.extend(times[from as usize..to].iter().map(|&t| (t, v)));
-    }
-    series
 }
 
 fn with_session<R>(f: impl FnOnce(&mut Session) -> R) -> Option<R> {
@@ -446,16 +434,16 @@ fn update(name: &'static str, index: u32, kind: Kind, f: impl FnOnce(i64) -> i64
     });
 }
 
-/// The enabled half of [`hist_record`].
+/// The enabled half of [`hist_record`] and [`hist_record_n`].
 #[inline(never)]
-fn record(name: &'static str, index: u32, v: u64) {
+fn record(name: &'static str, index: u32, v: u64, n: u64) {
     with_session(|s| {
         let i = s.slot(name, index, Kind::Histogram);
         s.instruments[i]
             .hist
             .as_mut()
             .expect("histogram slot")
-            .record(v);
+            .record_n(v, n);
     });
 }
 
@@ -508,7 +496,18 @@ pub fn hist_record(name: &'static str, index: u32, v: u64) {
     if !is_enabled() {
         return;
     }
-    record(name, index, v);
+    record(name, index, v, 1);
+}
+
+/// Record `n` copies of `v` into histogram `name[index]`: the same
+/// histogram as `n` calls of [`hist_record`], for sources that tally
+/// repeated values before publishing them.
+#[inline]
+pub fn hist_record_n(name: &'static str, index: u32, v: u64, n: u64) {
+    if !is_enabled() {
+        return;
+    }
+    record(name, index, v, n);
 }
 
 /// True when at least one sample boundary lies strictly before `t_ps`.
@@ -730,7 +729,7 @@ mod tests {
         assert_eq!(report.samples, 1);
         let c = report.get("a.b.c", 0).unwrap();
         assert_eq!((c.kind, c.last), (Kind::Counter, 5));
-        assert_eq!(c.series, vec![(1_000, 5)]);
+        assert_eq!(c.series().collect::<Vec<_>>(), vec![(1_000, 5)]);
         assert_eq!(report.get("a.b.t", 1).unwrap().last, 10);
         assert_eq!(report.get("a.b.g", 2).unwrap().last, -3);
         let h = report.get("a.b.h", 0).unwrap();
@@ -751,9 +750,9 @@ mod tests {
         assert!(sample_pending(11));
         sample_before(35); // fires 10, 20, 30
         let report = finish();
-        let series = &report.get("l.o.m", 0).unwrap().series;
+        let series = report.get("l.o.m", 0).unwrap().series();
         assert_eq!(
-            series.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            series.map(|(t, _)| t).collect::<Vec<_>>(),
             vec![0, 10, 20, 30]
         );
         assert_eq!(report.samples, 4);
@@ -809,7 +808,7 @@ mod tests {
         let report = finish();
         assert_eq!(report.instruments.len(), 2);
         let c = report.get("alias.a.b", 1).unwrap();
-        assert_eq!((c.last, c.series.clone()), (9, vec![(10, 9)]));
+        assert_eq!((c.last, c.series().collect()), (9, vec![(10, 9)]));
     }
 
     #[test]
@@ -828,7 +827,7 @@ mod tests {
         let add = report.get("sat.c.add", 0).unwrap();
         assert_eq!(add.last, i64::MAX);
         assert_eq!(
-            add.series,
+            add.series().collect::<Vec<_>>(),
             vec![(10, 5), (20, i64::MAX), (30, i64::MAX), (40, i64::MAX)]
         );
         assert_eq!(report.get("sat.c.total", 0).unwrap().last, i64::MAX);

@@ -4,7 +4,9 @@
 //! points in the run. The model keeps every instrument's value and
 //! appends a `(t, value)` point to every counter and gauge at every
 //! sample; the session must report exactly the same series, finals,
-//! histogram counts and sample count.
+//! histogram counts and sample count. The report replays each series
+//! from change points, so the script also registers instruments after
+//! several samples have passed and instruments no sample ever sees.
 
 use std::collections::HashMap;
 
@@ -14,14 +16,24 @@ use proptest::prelude::*;
 use vf_metrics::{Kind, MetricsConfig};
 
 /// The keys ops touch: name, index and kind. Two counters share a name
-/// under different indices.
-const KEYS: [(&str, u32, Kind); 5] = [
+/// under different indices. `LATE` keys register only after at least
+/// three samples; `UNSAMPLED` keys register after the last one.
+const KEYS: [(&str, u32, Kind); 9] = [
     ("prop.c.a", 0, Kind::Counter),
     ("prop.c.a", 1, Kind::Counter),
     ("prop.g.a", 0, Kind::Gauge),
     ("prop.g.b", 3, Kind::Gauge),
     ("prop.h.a", 0, Kind::Histogram),
+    ("prop.late.c", 2, Kind::Counter),
+    ("prop.late.g", 0, Kind::Gauge),
+    ("prop.unsampled.c", 0, Kind::Counter),
+    ("prop.unsampled.g", 1, Kind::Gauge),
 ];
+
+/// The late counter and gauge.
+const LATE: [usize; 2] = [5, 6];
+/// The never-sampled counter and gauge.
+const UNSAMPLED: [usize; 2] = [7, 8];
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -36,15 +48,16 @@ enum Op {
     SampleBefore(u64),
 }
 
-fn op() -> impl Strategy<Value = Op> {
+/// One random op; `late` ops may also touch the `LATE` keys.
+fn op(late: bool) -> impl Strategy<Value = Op> {
     // Small values so gauges often repeat the level they already hold
     // and counters often stand still; 99 stands for a delta or total
     // past `i64::MAX`.
-    (0u8..7, 0u8..2, 0u32..100).prop_map(|(kind, which, x)| {
+    (0u8..7, 0..2 + usize::from(late), 0u32..100).prop_map(|(kind, which, x)| {
         let big = |m: u32| if x == 99 { u64::MAX } else { u64::from(x % m) };
         let small = i64::from(x % 5) - 2;
-        let counter = usize::from(which);
-        let gauge = 2 + usize::from(which);
+        let counter = [0, 1, LATE[0]][which];
+        let gauge = [2, 3, LATE[1]][which];
         match kind {
             0 => Op::CounterAdd(counter, big(4)),
             1 => Op::CounterSetTotal(counter, big(16)),
@@ -98,16 +111,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn session_matches_naive_model(ops in vec(op(), 0..120), interval in 1u64..40) {
+    fn session_matches_naive_model(
+        ops in vec(op(false), 0..120),
+        late_ops in vec(op(true), 0..60),
+        interval in 1u64..40,
+    ) {
         // A second address for the first counter's name: updates
         // through either must land on one instrument.
         let alias: &'static str = Box::leak(String::from(KEYS[0].0).into_boxed_str());
         let name = |key: usize, n: usize| if key == 0 && n % 2 == 1 { alias } else { KEYS[key].0 };
 
+        // The random ops, three samples, the first touch of the late
+        // keys, more random ops, and last the never-sampled keys.
+        let mut script = ops;
+        script.extend([Op::SampleAt(0), Op::SampleAt(1), Op::SampleAt(2)]);
+        script.extend([Op::CounterAdd(LATE[0], 1), Op::GaugeSet(LATE[1], 1)]);
+        script.extend(late_ops);
+        script.extend([Op::CounterAdd(UNSAMPLED[0], 3), Op::GaugeSet(UNSAMPLED[1], -1)]);
+
         let mut model = Model::default();
         let (mut now, mut next_due) = (0u64, 0u64);
         vf_metrics::install(MetricsConfig { interval_ps: interval, ..MetricsConfig::default() });
-        for (n, &op) in ops.iter().enumerate() {
+        for (n, &op) in script.iter().enumerate() {
             match op {
                 Op::CounterAdd(k, d) => {
                     vf_metrics::counter_add(name(k, n), KEYS[k].1, d);
@@ -154,7 +179,9 @@ proptest! {
         for (inst, &key) in report.instruments.iter().zip(&model.order) {
             prop_assert_eq!(inst.last, model.value[&key], "{}[{}]", inst.name, inst.index);
             let series = model.series.get(&key).cloned().unwrap_or_default();
-            prop_assert_eq!(&inst.series, &series, "{}[{}]", inst.name, inst.index);
+            let got: Vec<_> = inst.series().collect();
+            prop_assert_eq!(&got, &series, "{}[{}]", inst.name, inst.index);
+            prop_assert_eq!(inst.series().len(), series.len(), "{}[{}]", inst.name, inst.index);
             let count = inst.histogram.as_ref().map(|h| h.count());
             prop_assert_eq!(count, model.hist.get(&key).copied(), "{}[{}]", inst.name, inst.index);
         }

@@ -519,7 +519,7 @@ mod tests {
         assert!(empty.instruments.is_empty());
         assert!(report.samples > 10);
         let pending = report.get("sim.wheel.pending", 0).unwrap();
-        assert!(pending.series.iter().any(|&(_, v)| v > 0));
+        assert!(pending.series().any(|(_, v)| v > 0));
         assert_eq!(pending.last, 0, "queue did not drain");
         assert_eq!(
             report.get("sim.wheel.freelist", 0).unwrap().last,

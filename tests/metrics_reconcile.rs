@@ -161,7 +161,7 @@ fn tenant_metering_does_not_perturb_throughput() {
         .get(vf_metrics::names::ARBITER_POLICY, 0)
         .expect("arbiter policy gauge registered");
     assert_eq!(
-        policy.series.last().map(|&(_, v)| v),
+        policy.series().last().map(|(_, v)| v),
         Some(vf_metrics::names::POLICY_WFQ)
     );
 }
@@ -179,9 +179,11 @@ fn metered_reports_are_bit_reproducible() {
     for (ia, ib) in a.report.instruments.iter().zip(&b.report.instruments) {
         assert_eq!((ia.name, ia.index), (ib.name, ib.index));
         assert_eq!(
-            ia.series, ib.series,
+            ia.series().collect::<Vec<_>>(),
+            ib.series().collect::<Vec<_>>(),
             "{}[{}] series differ",
-            ia.name, ia.index
+            ia.name,
+            ia.index
         );
     }
     assert_eq!(a.report.to_json(), b.report.to_json());
@@ -199,7 +201,7 @@ fn sample_instants_are_monotone_and_on_grid() {
     assert!(run.report.samples > 0);
     for inst in &run.report.instruments {
         let mut last = None;
-        for &(t, _) in &inst.series {
+        for (t, _) in inst.series() {
             assert_eq!(
                 t % period,
                 0,
