@@ -328,7 +328,7 @@ impl World for BlkWorld {
                     if d.status != blk_status::OK {
                         self.rec.verify_failures += 1;
                     }
-                    if self.pending_read && d.data != self.expected {
+                    if self.pending_read && d.data(&self.parts.mem) != self.expected {
                         self.rec.verify_failures += 1;
                     }
                 }
@@ -614,7 +614,7 @@ impl World for BlkPipelinedWorld {
                     let (sector, is_read) = self.meta.remove(&d.tag).expect("known tag");
                     let bad_read = is_read
                         && self.pattern.is_read()
-                        && d.data
+                        && d.data(&self.parts.mem)
                             != expected_read(&self.parts.image, sector, self.io_bytes as usize);
                     if d.status != blk_status::OK || bad_read {
                         self.verify_failures += 1;

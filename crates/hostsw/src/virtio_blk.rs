@@ -48,8 +48,18 @@ pub struct BlkDone {
     pub status: u8,
     /// Used-ring `len` (bytes the device wrote, incl. the status byte).
     pub len: u32,
-    /// Read payload (empty for writes/flushes).
-    pub data: Vec<u8>,
+    /// Host address of the read payload in the request's data buffer.
+    pub data_addr: u64,
+    /// Read payload length (0 for writes, flushes and failed reads).
+    pub data_len: usize,
+}
+
+impl BlkDone {
+    /// The read payload, lent out of host memory rather than copied. It
+    /// stays valid until the next submit reuses the request's slot.
+    pub fn data<'m>(&self, mem: &'m HostMemory) -> &'m [u8] {
+        mem.slice(self.data_addr, self.data_len)
+    }
 }
 
 /// One in-flight request slot: preallocated header/status/data buffers.
@@ -246,8 +256,9 @@ impl VirtioBlkDriver {
     }
 
     /// Harvest completed requests off the used ring: read each status
-    /// footer, copy out read payloads, free the slot. Charges per-request
-    /// completion-path costs.
+    /// footer, note where read payloads lie, free the slot. Charges
+    /// per-request completion-path costs, including the modelled copy of
+    /// each read payload to user space.
     pub fn poll_completions(
         &mut self,
         mem: &mut HostMemory,
@@ -260,13 +271,12 @@ impl VirtioBlkDriver {
                 .take()
                 .expect("used head without an in-flight request");
             let slot = self.slots[slot_idx];
-            let status = mem.read_vec(slot.status, 1)[0];
-            let data = if slot.read_len > 0 && status == block::blk_status::OK {
-                let d = mem.read_vec(slot.data, slot.read_len as usize);
-                cpu += cost.copy_user(d.len());
-                d
+            let status = mem.slice(slot.status, 1)[0];
+            let data_len = if slot.read_len > 0 && status == block::blk_status::OK {
+                cpu += cost.copy_user(slot.read_len as usize);
+                slot.read_len as usize
             } else {
-                Vec::new()
+                0
             };
             cpu += cost.step(cost.costs.virtio_napi_rx);
             self.free_slots.push(slot_idx);
@@ -275,7 +285,8 @@ impl VirtioBlkDriver {
                 tag,
                 status,
                 len: used.len,
-                data,
+                data_addr: slot.data,
+                data_len,
             });
         }
         (done, cpu)
@@ -370,7 +381,7 @@ mod tests {
         let (done, cpu) = drv.poll_completions(&mut mem, &mut cost);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, sub.tag);
-        assert_eq!(done[0].data, payload);
+        assert_eq!(done[0].data(&mem), payload);
         assert_eq!(done[0].len, 4097);
         assert!(cpu > Time::ZERO);
         assert_eq!(drv.inflight, 0);

@@ -12,7 +12,7 @@
 //! * [`msix`] — vector table / pending-bit semantics;
 //! * [`mod@enumerate`] — firmware-style bus enumeration and capability walk;
 //! * [`memory`] — flat host DRAM with a `dma_alloc_coherent`-style bump
-//!   allocator.
+//!   allocator, over per-thread recycled all-zero buffers.
 //!
 //! Functional state (memory contents, registers) is accessed directly;
 //! **timing** is always computed by [`PcieLink`] and fed back into the
@@ -46,7 +46,7 @@ pub use caps::{
 pub use config::{BarDef, ConfigSpace, ConfigSpaceBuilder};
 pub use enumerate::{enumerate, BarAssignment, EnumeratedDevice, MmioAllocator};
 pub use link::{Direction, LinkConfig, PcieGen, PcieLink};
-pub use memory::HostMemory;
+pub use memory::{HostMemory, ZeroedBuf};
 pub use msix::{MsixEntry, MsixTable, MSI_ADDR_BASE};
 pub use tlp::TlpKind;
 

@@ -12,10 +12,149 @@
 //! A bump allocator hands out DMA-able buffers (virtqueue rings, sk_buff
 //! data, XDMA descriptor lists) the way the kernel's `dma_alloc_coherent`
 //! would, with alignment guarantees.
+//!
+//! The bytes live in a [`ZeroedBuf`], drawn from a small per-thread pool
+//! of all-zero buffers. A sweep builds one world per point, each with
+//! 64 MiB of memory it writes only sparsely; recycling the previous
+//! world's buffer, with only its written pages re-zeroed, spares the
+//! process a fresh mapping, its page faults and the unmapping. A
+//! recycled buffer is all-zero when handed out, exactly like a fresh
+//! `vec![0; size]`, and guest addresses are offsets from `base`, never
+//! host pointers, so pooling cannot change any result.
+
+use std::cell::RefCell;
+use std::fmt;
+use std::ops::{Deref, Range};
+
+/// Dirty-tracking granularity: 4 KiB pages, as on the host.
+const PAGE_SHIFT: u32 = 12;
+
+/// Most buffers one thread keeps for reuse. A world holds at most two
+/// (its memory and a disk layer); the rest absorb other sizes.
+const POOL_CAP: usize = 4;
+
+/// What a [`ZeroedBuf`] owns and the pool keeps: the bytes, and one
+/// dirty bit per page that may hold a non-zero byte.
+#[derive(Default)]
+struct Pages {
+    bytes: Vec<u8>,
+    dirty: Vec<u64>,
+}
+
+impl Pages {
+    /// Zero every dirty page, one `fill` per run of dirty pages within a
+    /// bitmap word, and clear the bitmap.
+    fn clean(&mut self) {
+        let Pages { bytes, dirty } = self;
+        let len = bytes.len();
+        for (w, word) in dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let first = bits.trailing_zeros();
+                let end = first + (bits >> first).trailing_ones();
+                let page = |bit: u32| (w * 64 + bit as usize) << PAGE_SHIFT;
+                bytes[page(first)..page(end).min(len)].fill(0);
+                bits = if end == 64 { 0 } else { bits & (!0 << end) };
+            }
+        }
+    }
+}
+
+thread_local! {
+    // Most recently returned last. `const`-initialized, so taking from
+    // the pool never allocates.
+    static POOL: RefCell<Vec<Pages>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An all-zero byte buffer that tracks which 4 KiB pages were written.
+///
+/// [`ZeroedBuf::new`] takes a buffer of the same length from the calling
+/// thread's pool, or allocates a zeroed one. Dropping it zeroes only the
+/// dirty pages and returns it to the pool, which keeps the four most
+/// recently dropped buffers and frees them when the thread exits. Reads
+/// go through `Deref<Target = [u8]>`; the only mutable access,
+/// [`ZeroedBuf::range_mut`], marks the pages it hands out, so an
+/// unmarked page is always all-zero.
+pub struct ZeroedBuf(Pages);
+
+impl ZeroedBuf {
+    /// An all-zero buffer of `len` bytes.
+    pub fn new(len: usize) -> Self {
+        let pooled = POOL
+            .try_with(|pool| {
+                let mut pool = pool.borrow_mut();
+                let i = pool.iter().rposition(|p| p.bytes.len() == len)?;
+                Some(pool.remove(i))
+            })
+            .ok()
+            .flatten();
+        ZeroedBuf(pooled.unwrap_or_else(|| Pages {
+            bytes: vec![0; len],
+            dirty: vec![0; len.div_ceil(1 << PAGE_SHIFT).div_ceil(64)],
+        }))
+    }
+
+    /// Writable view of `range`; its pages are marked dirty.
+    #[inline]
+    pub fn range_mut(&mut self, range: Range<usize>) -> &mut [u8] {
+        let Pages { bytes, dirty } = &mut self.0;
+        let out = &mut bytes[range.clone()];
+        if !out.is_empty() {
+            for page in range.start >> PAGE_SHIFT..=(range.end - 1) >> PAGE_SHIFT {
+                dirty[page / 64] |= 1 << (page % 64);
+            }
+        }
+        out
+    }
+
+    /// Zero `range`. Marks nothing: zeroing cannot make a page non-zero.
+    #[inline]
+    pub fn zero(&mut self, range: Range<usize>) {
+        self.0.bytes[range].fill(0);
+    }
+
+    /// Pages marked dirty so far.
+    pub fn dirty_pages(&self) -> usize {
+        self.0.dirty.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+impl Deref for ZeroedBuf {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
+
+impl fmt::Debug for ZeroedBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ZeroedBuf")
+            .field("len", &self.len())
+            .field("dirty_pages", &self.dirty_pages())
+            .finish()
+    }
+}
+
+impl Drop for ZeroedBuf {
+    fn drop(&mut self) {
+        let mut pages = std::mem::take(&mut self.0);
+        pages.clean();
+        // During thread teardown the pool is gone and `pages` is freed.
+        let _ = POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() == POOL_CAP {
+                pool.remove(0);
+            }
+            pool.push(pages);
+        });
+    }
+}
 
 /// Flat host memory with a bump allocator.
 pub struct HostMemory {
-    data: Vec<u8>,
+    data: ZeroedBuf,
     base: u64,
     next: u64,
 }
@@ -25,7 +164,7 @@ impl HostMemory {
     /// `base` (non-zero bases catch address-mixing bugs in device models).
     pub fn new(base: u64, size: usize) -> Self {
         HostMemory {
-            data: vec![0; size],
+            data: ZeroedBuf::new(size),
             base,
             next: base,
         }
@@ -90,13 +229,15 @@ impl HostMemory {
     /// Write `bytes` at `addr`.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
         let o = self.offset(addr, bytes.len());
-        self.data[o..o + bytes.len()].copy_from_slice(bytes);
+        self.data
+            .range_mut(o..o + bytes.len())
+            .copy_from_slice(bytes);
     }
 
     /// Zero `len` bytes at `addr`.
     pub fn zero(&mut self, addr: u64, len: usize) {
         let o = self.offset(addr, len);
-        self.data[o..o + len].fill(0);
+        self.data.zero(o..o + len);
     }
 
     /// Read a little-endian `u16`.

@@ -1,12 +1,14 @@
 //! A warm multi-tag link moves DMA without touching the heap: chunking,
 //! the `dma_read` request window, the per-tag pipelines and the wire
 //! interval lists all reuse storage once they have grown to their
-//! steady-state size.
+//! steady-state size. Likewise a warm thread builds host memory out of
+//! its buffer pool without allocating.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use vf_pcie::link::{LinkConfig, PcieLink};
+use vf_pcie::{HostMemory, ZeroedBuf};
 use vf_sim::Time;
 
 /// Forwards to [`System`] and counts the calling thread's allocations,
@@ -54,6 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread makes while running `f`.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
 const TAGS: usize = 4;
 
 /// One event's worth of DMA on every tag: a pipelined descriptor read,
@@ -93,4 +102,29 @@ fn warm_multi_tag_link_does_not_allocate() {
         "warm link allocated {allocs} times in 1000 rounds"
     );
     assert!(link.tlp_counts.iter().sum::<u64>() > 0);
+}
+
+#[test]
+fn warm_pool_serves_host_memory_without_allocating() {
+    let size = (1 << 20) + 1234;
+    let mut m = HostMemory::new(0x10_0000, size);
+    m.write(0x10_0000 + 5000, &[1; 100]);
+    drop(m);
+    let (m, allocs) = allocs_during(|| HostMemory::new(0x10_0000, size));
+    assert_eq!(allocs, 0, "second HostMemory::new allocated {allocs} times");
+    assert_eq!(m.read_u64(0x10_0000 + 5000), 0);
+}
+
+#[test]
+fn pool_keeps_the_most_recent_buffers() {
+    // Six distinct sizes dropped in order: the pool keeps the last few,
+    // so the newest is served from it and the oldest is allocated anew.
+    let sizes: Vec<usize> = (1..=6).map(|k| k * 8192 + 1).collect();
+    for &len in &sizes {
+        drop(ZeroedBuf::new(len));
+    }
+    let (_newest, allocs) = allocs_during(|| ZeroedBuf::new(sizes[5]));
+    assert_eq!(allocs, 0, "most recently dropped buffer was not pooled");
+    let (_oldest, allocs) = allocs_during(|| ZeroedBuf::new(sizes[0]));
+    assert!(allocs > 0, "pool kept more buffers than its bound");
 }

@@ -74,7 +74,7 @@ impl Time {
     #[inline]
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns.is_finite() && ns >= 0.0, "invalid duration: {ns} ns");
-        Time((ns * 1_000.0).round().max(0.0) as u64)
+        Time(round_u64(ns * 1_000.0))
     }
 
     /// Construct from floating-point microseconds.
@@ -140,8 +140,24 @@ impl Time {
     #[inline]
     pub fn scale(self, factor: f64) -> Time {
         debug_assert!(factor.is_finite() && factor >= 0.0);
-        Time((self.0 as f64 * factor).round() as u64)
+        // Up to 2^53 picoseconds the float round trip is exact, so a
+        // unit factor returns `self` unchanged.
+        if factor == 1.0 && self.0 <= 1 << 53 {
+            return self;
+        }
+        Time(round_u64(self.0 as f64 * factor))
     }
+}
+
+/// `x.round() as u64` (half away from zero, saturating; NaN and
+/// negatives give 0) without the out-of-line `round` call that x86-64
+/// without SSE4.1 makes. Exact for every `f64`: below 2^53 the
+/// truncation `t` and `x - t` are exact, and from 2^52 on `x` is an
+/// integer, so the fraction is 0 (or the sum saturates at `u64::MAX`).
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 impl Add for Time {
@@ -242,6 +258,69 @@ mod tests {
         assert_eq!(t.as_ps(), 1_234_568);
         assert!((t.as_ns_f64() - 1234.568).abs() < 1e-9);
         assert_eq!(Time::from_us_f64(2.5), Time::from_ns(2500));
+    }
+
+    /// `round_u64` against both library forms it replaces.
+    fn check_round(x: f64) {
+        assert_eq!(round_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+        assert_eq!(round_u64(x), x.round().max(0.0) as u64, "{x:e}");
+    }
+
+    #[test]
+    fn round_u64_edge_cases() {
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -1.5,
+            0.499_999_999_999_999_94,
+            1234.5,
+            1e-300,
+            -3.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52 + 2.0,
+            u64::MAX as f64,
+            18_446_744_073_709_549_568.0, // largest f64 below 2^64
+        ] {
+            check_round(x);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// Any bit pattern: NaNs, infinities, subnormals, huge values.
+        #[test]
+        fn round_u64_any_bits(bits in proptest::prelude::any::<u64>()) {
+            check_round(f64::from_bits(bits));
+        }
+
+        /// Fractional values in the picosecond range the model uses,
+        /// which random bit patterns rarely hit.
+        #[test]
+        fn round_u64_fractions(v in proptest::prelude::any::<u64>(), shift in 0u32..64) {
+            check_round((v >> shift) as f64 / 1024.0);
+        }
+    }
+
+    #[test]
+    fn unit_scale_is_identity() {
+        for ps in [0, 1, 999, 1 << 40, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let t = Time::from_ps(ps);
+            assert_eq!(t.scale(1.0), Time::from_ps((ps as f64).round() as u64));
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 
 use std::sync::Arc;
 
+use vf_pcie::ZeroedBuf;
+
 use crate::device_queue::ChainBuf;
 use crate::mem::GuestMemory;
 
@@ -156,14 +158,17 @@ impl BlkRequest {
 /// The disk has two layers, as a qcow2 image over a backing file does: a
 /// shared read-only backing image, and a private layer that holds every
 /// sector the guest has written. A per-sector dirty bit picks the layer
-/// a read comes from. The private layer is one zero-allocated buffer of
-/// the full capacity, so only written sectors ever touch its pages, and
-/// any number of disks can share one image without copying it. A disk
-/// built with [`MemDisk::new`] sits over an all-zero image.
-#[derive(Clone, Debug)]
+/// a read comes from. The private layer is one all-zero [`ZeroedBuf`] of
+/// the full capacity, recycled through the thread's buffer pool: a disk
+/// pays only for the pages its writes touch, which are re-zeroed when
+/// it drops, instead of a fresh 16 MiB allocation that the allocator
+/// may serve from the heap and clear in full. Any number of disks can
+/// share one image without copying it. A disk built with
+/// [`MemDisk::new`] sits over an all-zero image.
+#[derive(Debug)]
 pub struct MemDisk {
     /// Private layer, indexed by disk offset.
-    sectors: Vec<u8>,
+    sectors: ZeroedBuf,
     /// Backing image, at least as long as the disk.
     image: Arc<[u8]>,
     /// Per-sector dirty bit: set once the sector lives in `sectors`.
@@ -189,7 +194,7 @@ impl MemDisk {
         let len = capacity as usize * SECTOR_SIZE;
         assert!(image.len() >= len, "backing image shorter than the disk");
         MemDisk {
-            sectors: vec![0; len],
+            sectors: ZeroedBuf::new(len),
             image,
             dirty: vec![false; capacity as usize],
             read_only,
@@ -229,11 +234,13 @@ impl MemDisk {
             }
             let (a, b) = (sector * SECTOR_SIZE, (sector + 1) * SECTOR_SIZE);
             if a < s || b > e {
-                self.sectors[a..b].copy_from_slice(&self.image[a..b]);
+                self.sectors
+                    .range_mut(a..b)
+                    .copy_from_slice(&self.image[a..b]);
             }
             self.dirty[sector] = true;
         }
-        mem.read(addr, &mut self.sectors[s..e]);
+        mem.read(addr, self.sectors.range_mut(s..e));
     }
 
     /// Byte range `[start, start+len)` of a request segment, or `None`

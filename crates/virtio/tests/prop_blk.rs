@@ -10,6 +10,7 @@ use std::sync::Arc;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use vf_pcie::ZeroedBuf;
 use vf_virtio::block::{blk_status, BlkReqType, BlkRequest, MemDisk, SECTOR_SIZE};
 use vf_virtio::device_queue::ChainBuf;
 use vf_virtio::{GuestMemory, VecMemory};
@@ -266,7 +267,8 @@ proptest! {
     /// copy of that image, request by request: unaligned, zero-length,
     /// wrong-direction and out-of-range segments, read-only disks, and
     /// images longer than the disk included. The image itself is never
-    /// written.
+    /// written, and the private layer the dropped disk returns to the
+    /// thread's buffer pool is all-zero again.
     #[test]
     fn copy_on_write_disk_matches_flat_disk(
         capacity in 1u64..17,
@@ -278,6 +280,8 @@ proptest! {
         let disk_len = capacity as usize * SECTOR_SIZE;
         let image: Arc<[u8]> = bytes(seed, disk_len + extra_sectors * SECTOR_SIZE).into();
         let pristine = image.to_vec();
+        // The disk's private layer will be this pooled buffer.
+        let layer_ptr = ZeroedBuf::new(disk_len).as_ptr();
         let mut disk = MemDisk::with_image(capacity, image.clone(), read_only);
         let mut flat = image[..disk_len].to_vec();
         let mut mem = VecMemory::new(1 << 15);
@@ -313,5 +317,10 @@ proptest! {
         prop_assert_eq!(disk.execute(&mut mem, &req).0, blk_status::OK);
         prop_assert!(mem.read_vec(0x1000, disk_len) == flat, "final disk contents differ");
         prop_assert!(image[..] == pristine[..], "the backing image was written");
+
+        drop(disk);
+        let layer = ZeroedBuf::new(disk_len);
+        prop_assert_eq!(layer.as_ptr(), layer_ptr, "disk layer was not recycled");
+        prop_assert!(layer.iter().all(|&b| b == 0), "recycled disk layer not zero");
     }
 }
