@@ -736,7 +736,7 @@ impl XdmaStorageWorld {
         // the round-trip worlds is too small for 128 KiB requests).
         let card_len = (io_bytes as usize * 4).next_power_of_two().max(64 * 1024);
         let mut design = XdmaExampleDesign::new(card_len);
-        design.set_card_memory(cfg.options.card_memory.store(card_len));
+        design.set_card_memory(cfg.options.card_memory);
         // The baseline reads the same deterministic image the virtio-blk
         // disk ships with.
         let image = pattern_image((card_len / SECTOR_SIZE) as u64);

@@ -168,6 +168,8 @@ pub(crate) struct MqParts {
     pub(crate) payload_rng: SimRng,
     pub(crate) fpga_ip: Ipv4Addr,
     pub(crate) pairs: u16,
+    /// The frame `sendto` builds, reused by every send.
+    tx_frame: Vec<u8>,
     /// Vhost workers, arbiter and tenant configs; `None` for the MQ
     /// kinds, whose pairs each own their walker.
     pub(crate) tenancy: Option<Tenancy>,
@@ -230,7 +232,7 @@ impl MqParts {
             &queue_sizes,
             Box::new(UdpEcho::default()),
         );
-        device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
+        device.set_card_memory(cfg.options.card_memory);
         let mut alloc = MmioAllocator::new();
         let info = enumerate(&mut device.config_space, &mut alloc);
         assert_eq!(info.vendor, vf_pcie::VIRTIO_VENDOR_ID);
@@ -319,6 +321,7 @@ impl MqParts {
             payload_rng: rng.derive(2),
             fpga_ip,
             pairs,
+            tx_frame: Vec::new(),
             tenancy: (cfg.driver == DriverKind::VirtioTenant).then(|| Tenancy::new(cfg, pairs)),
         }
     }
@@ -477,6 +480,7 @@ impl MqParts {
                 }
             }
         }
+        self.device.recycle_tx(out);
         if let Some(ten) = &mut self.tenancy {
             ten.arbiter.begin_service(pair, now, engine_done);
         }
@@ -566,19 +570,21 @@ impl World for MqWorld {
                 self.rec
                     .begin_rtt(now, self.rtt_names[pair as usize], self.payload as u64);
                 let mut t = now;
-                let mut payload = vec![0u8; self.payload];
-                parts.payload_rng.fill_bytes(&mut payload);
-                self.expected = payload.clone();
+                let payload = &mut self.expected;
+                payload.clear();
+                payload.resize(self.payload, 0);
+                parts.payload_rng.fill_bytes(payload);
                 let offload = parts.driver.pairs[pair as usize].csum_offload();
 
                 let cpu = parts.host.cpu_for_pair(pair);
-                let (frame, d) = parts
+                let d = parts
                     .stack
-                    .sendto(
+                    .sendto_into(
+                        &mut parts.tx_frame,
                         parts.fpga_ip,
                         FLOW_PORT_BASE + pair,
                         7,
-                        &payload,
+                        payload,
                         offload,
                         &mut cpu.cost,
                     )
@@ -592,20 +598,21 @@ impl World for MqWorld {
                     u64::from(pair),
                 );
                 t += d;
+                let frame_len = parts.tx_frame.len();
                 let res = parts
                     .driver
-                    .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
+                    .xmit(&mut parts.mem, pair, &parts.tx_frame, &mut cpu.cost);
                 vf_trace::span_at(
                     vf_trace::Layer::Driver,
                     "virtio_xmit",
                     t,
                     t + res.cpu,
-                    frame.len() as u64,
+                    frame_len as u64,
                     u64::from(pair),
                 );
                 t += res.cpu;
                 if res.notify {
-                    let (d, arrival) = parts.ring_doorbell(pair, t, frame.len(), true);
+                    let (d, arrival) = parts.ring_doorbell(pair, t, frame_len, true);
                     t += d;
                     sched.at(arrival, DeviceEv::Doorbell(pair).into());
                 }
@@ -629,7 +636,9 @@ impl World for MqWorld {
                     u64::from(pair),
                 );
                 t += d;
-                let mut delivered_payload: Option<Vec<u8>> = None;
+                // Length of the last delivered payload, and whether it
+                // matched the one sent.
+                let mut delivered: Option<(usize, bool)> = None;
                 for rx in frames {
                     let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
                     match parts.stack.netif_receive(
@@ -648,7 +657,8 @@ impl World for MqWorld {
                                 u64::from(pair),
                             );
                             t += d;
-                            delivered_payload = Some(parsed.payload);
+                            delivered =
+                                Some((parsed.payload.len(), parsed.payload == self.expected));
                         }
                         Err(SockError::BadChecksum) => {
                             self.rec.verify_failures += 1;
@@ -659,7 +669,7 @@ impl World for MqWorld {
                 let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
                 vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
                 t += d;
-                let len = delivered_payload.as_ref().map_or(0, |p| p.len());
+                let len = delivered.map_or(0, |(len, _)| len);
                 let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
                 vf_trace::span_at(
                     vf_trace::Layer::Syscall,
@@ -672,7 +682,7 @@ impl World for MqWorld {
                 t += d;
                 cpu.free = t;
 
-                if delivered_payload.as_deref() != Some(&self.expected[..]) {
+                if !delivered.is_some_and(|(_, ok)| ok) {
                     self.rec.verify_failures += 1;
                 }
                 let hw = parts.device.counters.last_hw();
@@ -794,6 +804,8 @@ pub(crate) struct PairState {
 pub(crate) struct MqPipelinedWorld {
     pub(crate) parts: MqParts,
     pub(crate) queues: Vec<PairState>,
+    /// Payload buffers of verified round trips, reused by later sends.
+    spare_payloads: Vec<Vec<u8>>,
     payload: usize,
     received: usize,
     pub(crate) verify_failures: u64,
@@ -831,6 +843,7 @@ impl MqPipelinedWorld {
         MqPipelinedWorld {
             parts,
             queues,
+            spare_payloads: Vec::new(),
             // Sequence number needs 4 bytes of payload.
             payload: cfg.payload.max(4),
             received: 0,
@@ -846,15 +859,17 @@ impl MqPipelinedWorld {
         let mut t = now;
         let mut doorbell_at: Option<Time> = None;
         while q.in_flight < q.depth && q.to_send > 0 {
-            let mut payload = vec![0u8; self.payload];
+            let mut payload = self.spare_payloads.pop().unwrap_or_default();
+            payload.clear();
+            payload.resize(self.payload, 0);
             q.payload_rng.fill_bytes(&mut payload);
             payload[..4].copy_from_slice(&q.seq.to_le_bytes());
             q.send_time.insert(q.seq, t);
-            q.expected.insert(q.seq, payload.clone());
             let cpu = parts.host.cpu_for_pair(pair);
-            let (frame, cpu_t) = parts
+            let cpu_t = parts
                 .stack
-                .sendto(
+                .sendto_into(
+                    &mut parts.tx_frame,
                     parts.fpga_ip,
                     FLOW_PORT_BASE + pair,
                     7,
@@ -863,13 +878,15 @@ impl MqPipelinedWorld {
                     &mut cpu.cost,
                 )
                 .expect("send path configured");
+            q.expected.insert(q.seq, payload);
             t += cpu_t;
             let res = parts
                 .driver
-                .xmit(&mut parts.mem, pair, &frame, &mut cpu.cost);
+                .xmit(&mut parts.mem, pair, &parts.tx_frame, &mut cpu.cost);
             t += res.cpu;
             if res.notify {
-                let (d, arrival) = parts.ring_doorbell(pair, t, frame.len(), false);
+                let frame_len = parts.tx_frame.len();
+                let (d, arrival) = parts.ring_doorbell(pair, t, frame_len, false);
                 t += d;
                 doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
             }
@@ -930,9 +947,10 @@ impl World for MqPipelinedWorld {
                                 parsed.payload[..4].try_into().expect("seq header"),
                             );
                             let expected = q.expected.remove(&seq);
-                            if expected.as_deref() != Some(&parsed.payload[..]) {
+                            if expected.as_deref() != Some(parsed.payload) {
                                 self.verify_failures += 1;
                             }
+                            self.spare_payloads.extend(expected);
                             let t0 = q.send_time.remove(&seq).expect("known seq");
                             q.latency.push((t - t0).quantize(Time::from_ns(1)));
                             q.in_flight -= 1;

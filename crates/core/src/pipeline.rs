@@ -194,6 +194,7 @@ impl World for PipelinedWorld {
                         sched.at(irq_at, Ev::RxIrq);
                     }
                 }
+                self.inner.device.recycle_tx(out);
             }
             Ev::RxIrq => {
                 let mut t = now.max(self.cpu_free) + self.inner.cost.blocking_extra();
@@ -228,7 +229,7 @@ impl World for PipelinedWorld {
                                 parsed.payload[..4].try_into().expect("seq header"),
                             );
                             let expected = self.expected.remove(&seq);
-                            if expected.as_deref() != Some(&parsed.payload[..]) {
+                            if expected.as_deref() != Some(parsed.payload) {
                                 self.verify_failures += 1;
                             }
                             let t0 = self.send_time.remove(&seq).expect("known seq");

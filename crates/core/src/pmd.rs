@@ -28,7 +28,7 @@
 //! E16 crossover experiment.
 
 use vf_fpga::bar0;
-use vf_hostsw::{build_udp_frame, parse_udp_frame, Ipv4Addr, MacAddr, UdpFlow, HOST_CPU_GHZ};
+use vf_hostsw::{build_udp_frame_into, parse_udp_frame, Ipv4Addr, MacAddr, UdpFlow, HOST_CPU_GHZ};
 use vf_pmd::VirtioPmd;
 use vf_sim::{Time, World};
 use vf_virtio::net::VirtioNetConfig;
@@ -72,6 +72,8 @@ struct PmdWorld {
     flow: UdpFlow,
     ip_id: u16,
     expected: Vec<u8>,
+    /// The frame each send builds, reused.
+    tx_frame: Vec<u8>,
     /// When the application entered the RX poll loop.
     poll_start: Time,
     rec: RoundTripRecorder,
@@ -123,6 +125,7 @@ impl PmdWorld {
             flow,
             ip_id: 1,
             expected: Vec::new(),
+            tx_frame: Vec::new(),
             poll_start: Time::ZERO,
             rec: RoundTripRecorder::new(cfg.packets),
             adaptive_idle: cfg.options.pmd_adaptive_idle,
@@ -191,14 +194,17 @@ impl PmdWorld {
             0,
         );
         let mut t = t_detect + cpu;
-        let mut delivered: Option<Vec<u8>> = None;
+        // Whether the last verified payload matched the one sent.
+        let mut delivered: Option<bool> = None;
         for rx in frames {
             match parse_udp_frame(&rx.frame) {
-                Ok(parsed) if parsed.udp_csum_ok => delivered = Some(parsed.payload),
+                Ok(parsed) if parsed.udp_csum_ok => {
+                    delivered = Some(parsed.payload == self.expected)
+                }
                 Ok(_) | Err(_) => self.rec.verify_failures += 1,
             }
         }
-        if delivered.as_deref() != Some(&self.expected[..]) {
+        if delivered != Some(true) {
             self.rec.verify_failures += 1;
         }
 
@@ -249,12 +255,14 @@ impl World for PmdWorld {
                 self.last_send = now;
                 let mut t = now;
 
-                let mut payload = vec![0u8; self.payload];
-                self.parts.payload_rng.fill_bytes(&mut payload);
-                self.expected = payload.clone();
+                let payload = &mut self.expected;
+                payload.clear();
+                payload.resize(self.payload, 0);
+                self.parts.payload_rng.fill_bytes(payload);
                 // Userspace framing, checksum included (the paper's
                 // software-checksum configuration).
-                let frame = build_udp_frame(&self.flow, self.ip_id, &payload, true);
+                let frame = &mut self.tx_frame;
+                build_udp_frame_into(frame, &self.flow, self.ip_id, payload, true);
                 self.ip_id = self.ip_id.wrapping_add(1);
                 let d = self.parts.cost.step(self.parts.cost.costs.pmd_tx_build);
                 vf_trace::span_at(
@@ -269,7 +277,7 @@ impl World for PmdWorld {
 
                 let burst = self.parts.driver.tx_burst(
                     &mut self.parts.mem,
-                    &[&frame],
+                    &[&frame[..]],
                     &mut self.parts.cost,
                 );
                 vf_trace::span_at(vf_trace::Layer::Driver, "tx_burst", t, t + burst.cpu, 1, 0);
@@ -323,6 +331,7 @@ impl World for PmdWorld {
                     );
                     self.complete_rtt(rxo.done_at, sched);
                 }
+                self.parts.device.recycle_tx(out);
             }
         }
     }

@@ -32,8 +32,8 @@ use std::sync::Arc;
 use vf_fpga::user_logic::{ConsoleEcho, UdpEcho, UserLogic};
 use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign};
 use vf_hostsw::{
-    probe_console, CostEngine, Ipv4Addr, MacAddr, SockError, UdpStack, VirtioConsoleDriver,
-    VirtioNetDriver, XdmaCharDriver,
+    probe_console, CostEngine, Ipv4Addr, MacAddr, RxFrame, SockError, UdpStack,
+    VirtioConsoleDriver, VirtioNetDriver, XdmaCharDriver,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SimRng, Time, World};
@@ -212,22 +212,7 @@ impl Default for TestbedOptions {
 }
 
 /// Card memory backing selector (E14).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CardKind {
-    /// On-chip BRAM (the designs' default).
-    Bram,
-    /// External DDR3 through the memory controller.
-    Ddr,
-}
-
-impl CardKind {
-    pub(crate) fn store(self, len: usize) -> vf_fpga::CardStore {
-        match self {
-            CardKind::Bram => vf_fpga::CardStore::bram(len),
-            CardKind::Ddr => vf_fpga::CardStore::ddr(len),
-        }
-    }
-}
+pub use vf_fpga::CardKind;
 
 /// One experiment configuration.
 #[derive(Clone, Debug)]
@@ -339,7 +324,7 @@ impl<F> VirtioParts<F> {
                 }
             };
         let mut device = VirtioFpgaDevice::new(persona, extra, &[cfg.options.queue_size; 2], logic);
-        device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
+        device.set_card_memory(cfg.options.card_memory);
 
         // Enumeration: discover by vendor/device ID, assign BARs, find
         // the VirtIO capabilities (§II-C requirements i & iii).
@@ -432,7 +417,7 @@ pub(crate) fn build_blk_device(cfg: &TestbedConfig, image: Arc<[u8]>) -> VirtioF
         &[cfg.options.queue_size],
         Box::new(ConsoleEcho::default()),
     );
-    device.set_card_memory(cfg.options.card_memory.store(256 * 1024));
+    device.set_card_memory(cfg.options.card_memory);
     device
 }
 
@@ -460,6 +445,8 @@ struct VirtioWorld {
     parts: VirtioParts<FrontEnd>,
     payload: usize,
     expected: Vec<u8>,
+    /// The frame `sendto` builds, reused by every send.
+    tx_frame: Vec<u8>,
     cpu_free: Time,
     rec: RoundTripRecorder,
     src_port: u16,
@@ -485,6 +472,7 @@ impl VirtioWorld {
             parts,
             payload: cfg.payload,
             expected: Vec::new(),
+            tx_frame: Vec::new(),
             cpu_free: Time::ZERO,
             rec: RoundTripRecorder::new(cfg.packets),
             src_port: 40_000,
@@ -516,21 +504,24 @@ impl World for VirtioWorld {
                 self.rec.begin_rtt(now, rtt_name, self.payload as u64);
                 let mut t = now;
                 // Generate this packet's payload.
-                let mut payload = vec![0u8; self.payload];
-                self.parts.payload_rng.fill_bytes(&mut payload);
-                self.expected = payload.clone();
                 let offload = self.csum_offload();
+                let payload = &mut self.expected;
+                payload.clear();
+                payload.resize(self.payload, 0);
+                self.parts.payload_rng.fill_bytes(payload);
 
                 let notify = match &mut self.parts.driver {
                     FrontEnd::Net(driver) => {
-                        let (frame, cpu) = self
+                        let frame = &mut self.tx_frame;
+                        let cpu = self
                             .parts
                             .stack
-                            .sendto(
+                            .sendto_into(
+                                frame,
                                 self.parts.fpga_ip,
                                 self.src_port,
                                 Self::DST_PORT,
-                                &payload,
+                                payload,
                                 offload,
                                 &mut self.parts.cost,
                             )
@@ -544,7 +535,7 @@ impl World for VirtioWorld {
                             0,
                         );
                         t += cpu;
-                        let res = driver.xmit(&mut self.parts.mem, &frame, &mut self.parts.cost);
+                        let res = driver.xmit(&mut self.parts.mem, frame, &mut self.parts.cost);
                         vf_trace::span_at(
                             vf_trace::Layer::Driver,
                             "virtio_xmit",
@@ -563,7 +554,7 @@ impl World for VirtioWorld {
                         vf_trace::span_at(vf_trace::Layer::Syscall, "write_entry", t, t + d, 0, 0);
                         t += d;
                         let (notify, cpu) =
-                            driver.write(&mut self.parts.mem, &payload, &mut self.parts.cost);
+                            driver.write(&mut self.parts.mem, payload, &mut self.parts.cost);
                         vf_trace::span_at(
                             vf_trace::Layer::Driver,
                             "hvc_write",
@@ -624,6 +615,7 @@ impl World for VirtioWorld {
                         sched.at(irq_at, VirtioEv::RxIrq);
                     }
                 }
+                self.parts.device.recycle_tx(out);
             }
             VirtioEv::RxIrq => {
                 // Hardirq may only run once the CPU is available; on this
@@ -631,10 +623,12 @@ impl World for VirtioWorld {
                 let t_irq = now.max(self.cpu_free);
                 vf_trace::set_now(t_irq);
                 let mut t = t_irq + self.parts.cost.irq_to_napi();
-                let mut delivered_payload: Option<Vec<u8>> = None;
+                // Length of the last delivered payload, and whether it
+                // matched the one sent.
+                let mut delivered: Option<(usize, bool)> = None;
                 // Harvest frames from the ring (device-specific), then
                 // run the shared netif_receive path over them.
-                let frames = match &mut self.parts.driver {
+                let frames: &[RxFrame] = match &mut self.parts.driver {
                     FrontEnd::Net(driver) => {
                         let (frames, cpu) =
                             driver.napi_poll(&mut self.parts.mem, &mut self.parts.cost);
@@ -647,8 +641,10 @@ impl World for VirtioWorld {
                             driver.poll_rx(&mut self.parts.mem, &mut self.parts.cost);
                         vf_trace::span_at(vf_trace::Layer::Driver, "hvc_poll_rx", t, t + cpu, 0, 0);
                         t += cpu;
-                        delivered_payload = lines.into_iter().next_back();
-                        Vec::new()
+                        delivered = lines
+                            .last()
+                            .map(|line| (line.len(), *line == self.expected));
+                        &[]
                     }
                 };
                 for rx in frames {
@@ -669,7 +665,8 @@ impl World for VirtioWorld {
                                 0,
                             );
                             t += cpu;
-                            delivered_payload = Some(parsed.payload);
+                            delivered =
+                                Some((parsed.payload.len(), parsed.payload == self.expected));
                         }
                         Err(SockError::BadChecksum) => {
                             self.rec.verify_failures += 1;
@@ -680,7 +677,7 @@ impl World for VirtioWorld {
                 let d = self.parts.cost.step(self.parts.cost.costs.wakeup_to_run);
                 vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
                 t += d;
-                let len = delivered_payload.as_ref().map_or(0, |p| p.len());
+                let len = delivered.map_or(0, |(len, _)| len);
                 let d = self.parts.stack.recvfrom_return(len, &mut self.parts.cost);
                 vf_trace::span_at(
                     vf_trace::Layer::Syscall,
@@ -694,7 +691,7 @@ impl World for VirtioWorld {
                 self.cpu_free = t;
 
                 // Verify the echo.
-                if delivered_payload.as_deref() != Some(&self.expected[..]) {
+                if !delivered.is_some_and(|(_, ok)| ok) {
                     self.rec.verify_failures += 1;
                 }
                 let hw = self.parts.device.counters.last_hw();
@@ -796,7 +793,7 @@ impl XdmaWorld {
             rng.derive(1),
         );
         let mut design = XdmaExampleDesign::new(64 * 1024);
-        design.set_card_memory(cfg.options.card_memory.store(64 * 1024));
+        design.set_card_memory(cfg.options.card_memory);
 
         // Enumeration.
         let info = enumerate(&mut design.config_space, &mut MmioAllocator::new());
@@ -1019,7 +1016,7 @@ impl World for XdmaWorld {
                     if run.dir == ChannelDir::H2C && self.wait_device_irq {
                         let mut frame = vec![0u8; self.transfer_len as usize];
                         vf_xdma::CardMemory::read(&self.design.card, self.card_addr, &mut frame);
-                        let outcome = self.echo.on_frame(&frame[12..]); // past the hdr bytes
+                        let outcome = self.echo.on_frame(&mut frame[12..]); // past the hdr bytes
                         self.user_proc = vf_sim::FPGA_CYCLE * outcome.cycles;
                         let ready = run.outcome.completed_at + self.user_proc;
                         if let Some(vec) = self.design.bar.raise_user_irq(0) {

@@ -40,7 +40,7 @@ use vf_virtio::{
 };
 
 use crate::counters::RoundTripCounters;
-use crate::mem::{Bram, CardStore};
+use crate::mem::{CardKind, CardStore};
 use crate::user_logic::UserLogic;
 use vf_xdma::CardMemory;
 
@@ -222,6 +222,23 @@ fn split_hdr(mut data: Vec<u8>, hdr_len: usize) -> Staged {
     (data, Some(hdr))
 }
 
+/// Storage the TX walkers and user logic reuse across doorbells, so a
+/// warm device moves frames without allocating. One per device, not
+/// one per queue: a walk runs to completion before the next begins.
+#[derive(Default)]
+struct TxScratch {
+    /// Chains the pipelined walker took for this pass.
+    chains: Vec<RingChain>,
+    /// Instant each of those chains' descriptor fetch completed.
+    desc_done: Vec<Time>,
+    /// Frames staged by this pass, in chain order.
+    staged: Vec<Staged>,
+    /// Frame buffers of recycled responses and dropped frames.
+    frames: Vec<Vec<u8>>,
+    /// The response list of the last recycled [`TxOutcome`], empty.
+    responses: Vec<PendingResponse>,
+}
+
 /// The device-side ring of queue `n`. Panics if the driver never enabled
 /// it.
 fn ring(rings: &mut [Option<DeviceRing>], n: u16) -> &mut DeviceRing {
@@ -367,6 +384,8 @@ pub struct VirtioFpgaDevice {
     rss_table: Option<Vec<u16>>,
     /// Toeplitz hash key accompanying the indirection table.
     rss_key: Vec<u8>,
+    /// Reused TX walk storage.
+    tx_scratch: TxScratch,
 }
 
 /// The driver's view of BAR0: every front end's probe runs over this.
@@ -465,7 +484,7 @@ impl VirtioFpgaDevice {
             persona,
             rings: queue_sizes.iter().map(|_| None).collect(),
             logic,
-            staging: CardStore::Bram(Bram::new(256 * 1024)),
+            staging: CardStore::bram(256 * 1024),
             timing: ControllerTiming::default(),
             counters: RoundTripCounters::default(),
             stats: DeviceStats::default(),
@@ -473,12 +492,13 @@ impl VirtioFpgaDevice {
             active_pairs: 1,
             rss_table: None,
             rss_key: Vec::new(),
+            tx_scratch: TxScratch::default(),
         }
     }
 
-    /// Swap the staging memory backing (E14: BRAM vs external DDR).
-    pub fn set_card_memory(&mut self, staging: CardStore) {
-        self.staging = staging;
+    /// Put the staging memory behind BRAM or external DDR (E14).
+    pub fn set_card_memory(&mut self, kind: CardKind) {
+        self.staging.set_kind(kind);
     }
 
     /// Negotiated features (0 before DRIVER_OK).
@@ -639,22 +659,35 @@ impl VirtioFpgaDevice {
             self.stats.desc_reads += 1;
             vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 0, 0);
         }
-        let mut outcome = TxOutcome::default();
-        let (mut t, staged) = if pipelined {
+        let mut outcome = TxOutcome {
+            responses: std::mem::take(&mut self.tx_scratch.responses),
+            ..TxOutcome::default()
+        };
+        let mut t = if pipelined {
             self.tx_walk_pipelined(t, tx_queue, desc_trace, mem, link, &mut outcome)
         } else {
             self.tx_walk_serial(t, tx_queue, desc_trace, mem, link, &mut outcome)
         };
         self.counters.h2c.stop(t);
 
-        t = self.user_logic_pass(t, staged, csum_feature, &mut outcome);
+        t = self.user_logic_pass(t, csum_feature, &mut outcome);
         outcome.done_at = t;
         outcome
     }
 
+    /// Take back a delivered [`TxOutcome`]: its response list and frame
+    /// buffers serve the next doorbells instead of fresh allocations.
+    pub fn recycle_tx(&mut self, mut outcome: TxOutcome) {
+        let scratch = &mut self.tx_scratch;
+        scratch
+            .frames
+            .extend(outcome.responses.drain(..).map(|r| r.data));
+        scratch.responses = outcome.responses;
+    }
+
     /// Serial TX walker: each chain's descriptor fetch, payload DMA and
     /// used write-back in turn. Returns when the last used write is on
-    /// the wire, with the staged frames.
+    /// the wire; the frames are staged in the scratch.
     fn tx_walk_serial(
         &mut self,
         mut t: Time,
@@ -663,9 +696,7 @@ impl VirtioFpgaDevice {
         mem: &mut HostMemory,
         link: &mut PcieLink,
         outcome: &mut TxOutcome,
-    ) -> (Time, Vec<Staged>) {
-        let hdr_len = self.persona.hdr_len();
-        let mut staged = Vec::new();
+    ) -> Time {
         while let Some(chain) = ring(&mut self.rings, tx_queue)
             .next_chain(mem)
             .expect("driver published a corrupt chain")
@@ -683,18 +714,17 @@ impl VirtioFpgaDevice {
                 0,
             );
             t += self.timing.per_desc * chain.fetches as u64;
-            let data;
-            (data, t) = self.stage_payload(&chain, t, false, mem, link);
+            t = self.stage_payload(&chain, t, false, mem, link);
             // TX completion interrupt: normally suppressed by the
             // driver's parked used_event, never raised on packed TX.
             let irq_at;
             (t, irq_at) = self.complete_chain(tx_queue, &chain, 0, t, mem, link);
+            ring(&mut self.rings, tx_queue).recycle(chain);
             outcome.tx_irq_at = irq_at.or(outcome.tx_irq_at);
             outcome.chains += 1;
             self.stats.tx_chains += 1;
-            staged.push(split_hdr(data, hdr_len));
         }
-        (t, staged)
+        t
     }
 
     /// Pipelined TX walker (E20): taken when the link grants the DMA
@@ -716,14 +746,13 @@ impl VirtioFpgaDevice {
         mem: &mut HostMemory,
         link: &mut PcieLink,
         outcome: &mut TxOutcome,
-    ) -> (Time, Vec<Staged>) {
-        let hdr_len = self.persona.hdr_len();
+    ) -> Time {
         let timing = self.timing;
         // Take every published chain up front (the split avail entries
         // just fetched name them all); DMA timing happens below.
-        let ring = ring(&mut self.rings, tx_queue);
-        let mut chains = Vec::new();
-        while let Some(chain) = ring
+        let mut chains = std::mem::take(&mut self.tx_scratch.chains);
+        let tx_ring = ring(&mut self.rings, tx_queue);
+        while let Some(chain) = tx_ring
             .next_chain(mem)
             .expect("driver published a corrupt chain")
         {
@@ -732,8 +761,9 @@ impl VirtioFpgaDevice {
 
         let depth = link.cfg.max_outstanding_np;
         let n = chains.len();
-        let mut staged = Vec::with_capacity(n);
-        let mut desc_done = vec![Time::ZERO; n];
+        let mut desc_done = std::mem::take(&mut self.tx_scratch.desc_done);
+        desc_done.clear();
+        desc_done.resize(n, Time::ZERO);
         let mut prefetched = 0usize;
         let mut issue_t = t;
         let mut last_write = t;
@@ -764,7 +794,7 @@ impl VirtioFpgaDevice {
             // Payload DMA starts once this chain's descriptors are
             // parsed and the (single) payload datapath is free.
             let ct = (desc_done[k] + timing.per_desc * chain.fetches as u64).max(t);
-            let (data, ct) = self.stage_payload(chain, ct, true, mem, link);
+            let ct = self.stage_payload(chain, ct, true, mem, link);
             // Used write-back: posted, fire-and-forget — the walker
             // moves on while it drains, but the writes stay ordered
             // against each other on the tag.
@@ -773,9 +803,14 @@ impl VirtioFpgaDevice {
             last_write = last_write.max(w);
             outcome.chains += 1;
             self.stats.tx_chains += 1;
-            staged.push(split_hdr(data, hdr_len));
             t = ct;
         }
+        let tx_ring = ring(&mut self.rings, tx_queue);
+        for chain in chains.drain(..) {
+            tx_ring.recycle(chain);
+        }
+        self.tx_scratch.chains = chains;
+        self.tx_scratch.desc_done = desc_done;
         // The notify is done when the last used write is visible.
         t = t.max(last_write);
         self.stats.walker_peak_inflight = self
@@ -785,14 +820,15 @@ impl VirtioFpgaDevice {
         if vf_metrics::is_enabled() && n > 0 {
             vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, 0);
         }
-        (t, staged)
+        t
     }
 
     /// Payload DMA: read `chain`'s readable buffers into the staging
     /// memory, merging physically adjacent buffers into single bursts
     /// (virtio-net lays the header immediately before the frame). `np`
-    /// issues the bursts through the tag's non-posted window. Returns the
-    /// staged bytes and the instant they are in staging memory.
+    /// issues the bursts through the tag's non-posted window. Queues the
+    /// staged frame in the scratch and returns the instant it is in
+    /// staging memory.
     fn stage_payload(
         &mut self,
         chain: &RingChain,
@@ -800,8 +836,10 @@ impl VirtioFpgaDevice {
         np: bool,
         mem: &HostMemory,
         link: &mut PcieLink,
-    ) -> (Vec<u8>, Time) {
-        let mut data = Vec::with_capacity(chain.readable_len());
+    ) -> Time {
+        let mut data = self.tx_scratch.frames.pop().unwrap_or_default();
+        data.clear();
+        data.reserve(chain.readable_len());
         let mut burst: Option<(u64, usize)> = None;
         for buf in chain.bufs.iter().filter(|b| !b.writable) {
             data.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
@@ -821,7 +859,9 @@ impl VirtioFpgaDevice {
         }
         CardMemory::write(&mut self.staging, 0, &data);
         t += self.staging.access_time(data.len());
-        (data, t)
+        let staged = split_hdr(data, self.persona.hdr_len());
+        self.tx_scratch.staged.push(staged);
+        t
     }
 
     /// Publish `chain`'s completion on `queue` from `t`: the ring's used
@@ -855,11 +895,11 @@ impl VirtioFpgaDevice {
     fn user_logic_pass(
         &mut self,
         mut t: Time,
-        staged: Vec<Staged>,
         csum_feature: bool,
         outcome: &mut TxOutcome,
     ) -> Time {
-        for (mut frame, hdr) in staged {
+        let scratch = &mut self.tx_scratch;
+        for (mut frame, hdr) in scratch.staged.drain(..) {
             let proc_start = t;
             self.counters.processing.start(proc_start);
             let mut csum_valid = false;
@@ -887,15 +927,17 @@ impl VirtioFpgaDevice {
                     }
                 }
             }
-            let result = self.logic.on_frame(&frame);
+            let result = self.logic.on_frame(&mut frame);
             t += FPGA_CYCLE * result.cycles;
             let _ = self.counters.processing.stop(t);
-            if let Some(response) = result.response {
+            if result.respond {
                 outcome.responses.push(PendingResponse {
-                    data: response,
+                    data: frame,
                     ready_at: t,
                     csum_valid,
                 });
+            } else {
+                scratch.frames.push(frame);
             }
         }
         t
@@ -927,10 +969,10 @@ impl VirtioFpgaDevice {
         self.counters.c2h.start(ready_at);
         let mut t = ready_at + timing.fsm_step;
 
-        let ring = ring(&mut self.rings, rx_queue);
-        let packed = matches!(ring, DeviceRing::Packed { .. });
-        let desc_trace = ring.desc_trace();
-        if let Some((addr, len)) = ring.prologue(mem, true) {
+        let rx_ring = ring(&mut self.rings, rx_queue);
+        let packed = rx_ring.is_packed();
+        let desc_trace = rx_ring.desc_trace();
+        if let Some((addr, len)) = rx_ring.prologue(mem, true) {
             t = link.dma_read(t, addr, len);
             self.stats.desc_reads += 1;
             if packed {
@@ -938,7 +980,7 @@ impl VirtioFpgaDevice {
                 vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 1, 0);
             }
         }
-        let Some(chain) = ring.next_chain(mem).expect("corrupt RX chain") else {
+        let Some(chain) = rx_ring.next_chain(mem).expect("corrupt RX chain") else {
             self.stats.rx_dropped += 1;
             let _ = self.counters.c2h.stop(t);
             return RxOutcome {
@@ -984,6 +1026,7 @@ impl VirtioFpgaDevice {
         // Used write-back, then the interrupt.
         let irq_at;
         (t, irq_at) = self.complete_chain(rx_queue, &chain, total as u32, t, mem, link);
+        ring(&mut self.rings, rx_queue).recycle(chain);
         if let Some(at) = irq_at {
             t = at;
         }
@@ -1039,8 +1082,8 @@ impl VirtioFpgaDevice {
         let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
         let mut completions = Vec::new();
         loop {
-            let ring = ring(&mut self.rings, queue);
-            let chain = match ring.next_chain(mem) {
+            let blk_ring = ring(&mut self.rings, queue);
+            let chain = match blk_ring.next_chain(mem) {
                 Ok(Some(chain)) => chain,
                 Ok(None) => break,
                 Err(_) => {
@@ -1056,7 +1099,7 @@ impl VirtioFpgaDevice {
             self.stats.desc_reads += 1;
             vf_trace::instant(
                 vf_trace::Layer::Device,
-                ring.desc_trace(),
+                blk_ring.desc_trace(),
                 t,
                 chain.fetches as u64,
                 0,
@@ -1133,6 +1176,7 @@ impl VirtioFpgaDevice {
                 done_at,
                 irq_at,
             });
+            ring(&mut self.rings, queue).recycle(chain);
         }
         BlkOutcome {
             completions,
@@ -1177,6 +1221,7 @@ impl VirtioFpgaDevice {
             }
             let irq;
             (t, irq) = self.complete_chain(queue, &chain, written, t, mem, link);
+            ring(&mut self.rings, queue).recycle(chain);
             irq_at = irq.or(irq_at);
             any = true;
         }
@@ -1247,6 +1292,7 @@ impl VirtioFpgaDevice {
             self.stats.ctrl_commands += 1;
             let irq;
             (t, irq) = self.complete_chain(queue, &chain, 1, t, mem, link);
+            ring(&mut self.rings, queue).recycle(chain);
             irq_at = irq.or(irq_at);
             any = true;
         }

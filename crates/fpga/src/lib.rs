@@ -26,8 +26,8 @@
 //! frame[14] = 0x45;
 //! frame[23] = 17; // UDP
 //! let mut echo = UdpEcho::default();
-//! let out = echo.on_frame(&frame);
-//! assert!(out.response.is_some());
+//! let out = echo.on_frame(&mut frame);
+//! assert!(out.respond);
 //! assert!(out.cycles > 0);
 //! ```
 
@@ -44,7 +44,7 @@ pub use controller::{
     Persona, RxOutcome, TxOutcome, VirtioFpgaDevice,
 };
 pub use counters::{IntervalStats, PerfCounter, RoundTripCounters};
-pub use mem::{Bram, CardStore, Ddr};
+pub use mem::{CardKind, CardStore};
 pub use user_logic::{
     ConsoleEcho, Firewall, FiveTuple, FwAction, FwRule, LogicOutcome, UdpEcho, UserLogic,
 };

@@ -10,10 +10,10 @@
 //! paper's §IV-B prescribes.
 
 /// Outcome of user logic processing one ingress frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LogicOutcome {
-    /// Frame to transmit back to the host, if any.
-    pub response: Option<Vec<u8>>,
+    /// Whether the (rewritten) frame goes back to the host.
+    pub respond: bool,
     /// Fabric cycles consumed (at 125 MHz, 8 ns each).
     pub cycles: u64,
 }
@@ -21,8 +21,10 @@ pub struct LogicOutcome {
 /// A block of user logic attached to the controller's RX/TX queue
 /// interface.
 pub trait UserLogic {
-    /// Process one ingress frame (from the host).
-    fn on_frame(&mut self, frame: &[u8]) -> LogicOutcome;
+    /// Process one ingress frame (from the host) in its staging buffer.
+    /// A responding block rewrites the frame into its response there,
+    /// as the streaming datapath does.
+    fn on_frame(&mut self, frame: &mut [u8]) -> LogicOutcome;
 
     /// Name for reports.
     fn name(&self) -> &'static str;
@@ -59,7 +61,7 @@ fn swap_range(frame: &mut [u8], a: usize, b: usize, len: usize) {
 }
 
 impl UserLogic for UdpEcho {
-    fn on_frame(&mut self, frame: &[u8]) -> LogicOutcome {
+    fn on_frame(&mut self, frame: &mut [u8]) -> LogicOutcome {
         // Header parse: ~4 cycles as the first beats stream through.
         let mut cycles = 4;
         if frame.len() < off::MIN_LEN
@@ -69,19 +71,18 @@ impl UserLogic for UdpEcho {
         {
             self.dropped += 1;
             return LogicOutcome {
-                response: None,
+                respond: false,
                 cycles,
             };
         }
-        let mut out = frame.to_vec();
-        swap_range(&mut out, off::ETH_DST, off::ETH_SRC, 6);
-        swap_range(&mut out, off::IP_SRC, off::IP_DST, 4);
-        swap_range(&mut out, off::UDP_SRC, off::UDP_DST, 2);
+        swap_range(frame, off::ETH_DST, off::ETH_SRC, 6);
+        swap_range(frame, off::IP_SRC, off::IP_DST, 4);
+        swap_range(frame, off::UDP_SRC, off::UDP_DST, 2);
         // Streaming the frame through the swap datapath: 8 bytes/cycle.
         cycles += frame.len().div_ceil(8) as u64;
         self.echoed += 1;
         LogicOutcome {
-            response: Some(out),
+            respond: true,
             cycles,
         }
     }
@@ -100,10 +101,10 @@ pub struct ConsoleEcho {
 }
 
 impl UserLogic for ConsoleEcho {
-    fn on_frame(&mut self, frame: &[u8]) -> LogicOutcome {
+    fn on_frame(&mut self, frame: &mut [u8]) -> LogicOutcome {
         self.bytes += frame.len() as u64;
         LogicOutcome {
-            response: Some(frame.to_vec()),
+            respond: true,
             cycles: 2 + frame.len().div_ceil(8) as u64,
         }
     }
@@ -250,7 +251,7 @@ impl<L: UserLogic> Firewall<L> {
 }
 
 impl<L: UserLogic> UserLogic for Firewall<L> {
-    fn on_frame(&mut self, frame: &[u8]) -> LogicOutcome {
+    fn on_frame(&mut self, frame: &mut [u8]) -> LogicOutcome {
         // Tuple extraction: 4 cycles; each engine checks one rule per 2
         // cycles, engines run in parallel over the rule list.
         let match_cycles = 4 + 2 * self.rules.len().div_ceil(self.engines) as u64;
@@ -266,7 +267,7 @@ impl<L: UserLogic> UserLogic for Firewall<L> {
             FwAction::Drop => {
                 self.dropped += 1;
                 LogicOutcome {
-                    response: None,
+                    respond: false,
                     cycles: match_cycles,
                 }
             }
@@ -307,8 +308,9 @@ mod tests {
     fn echo_swaps_addresses() {
         let mut echo = UdpEcho::default();
         let frame = udp_frame(40000, 7, 8);
-        let out = echo.on_frame(&frame);
-        let resp = out.response.unwrap();
+        let mut resp = frame.clone();
+        let out = echo.on_frame(&mut resp);
+        assert!(out.respond);
         assert_eq!(&resp[0..6], &frame[6..12]); // dst mac = old src
         assert_eq!(&resp[6..12], &frame[0..6]);
         assert_eq!(&resp[26..30], &frame[30..34]); // src ip = old dst
@@ -330,12 +332,8 @@ mod tests {
         let c = internet_checksum(&f[14..34], 0);
         f[24..26].copy_from_slice(&c.to_be_bytes());
         let mut echo = UdpEcho::default();
-        let resp = echo.on_frame(&f).response.unwrap();
-        assert_eq!(
-            internet_checksum(&resp[14..34], 0),
-            0,
-            "IP csum survives swap"
-        );
+        assert!(echo.on_frame(&mut f).respond);
+        assert_eq!(internet_checksum(&f[14..34], 0), 0, "IP csum survives swap");
     }
 
     #[test]
@@ -343,16 +341,16 @@ mod tests {
         let mut echo = UdpEcho::default();
         let mut f = udp_frame(1, 2, 0);
         f[23] = 6; // TCP
-        assert_eq!(echo.on_frame(&f).response, None);
-        assert_eq!(echo.on_frame(&[0u8; 10]).response, None);
+        assert!(!echo.on_frame(&mut f).respond);
+        assert!(!echo.on_frame(&mut [0u8; 10]).respond);
         assert_eq!(echo.dropped, 2);
     }
 
     #[test]
     fn echo_cycles_scale_with_length() {
         let mut echo = UdpEcho::default();
-        let small = echo.on_frame(&udp_frame(1, 2, 22)).cycles;
-        let large = echo.on_frame(&udp_frame(1, 2, 982)).cycles;
+        let small = echo.on_frame(&mut udp_frame(1, 2, 22)).cycles;
+        let large = echo.on_frame(&mut udp_frame(1, 2, 982)).cycles;
         assert_eq!(large - small, 120); // 960 extra bytes / 8 per cycle
     }
 
@@ -367,8 +365,8 @@ mod tests {
             FwRule::any(FwAction::Drop),
         ];
         let mut fw = Firewall::new(rules, 2, UdpEcho::default());
-        assert!(fw.on_frame(&udp_frame(9, 7, 16)).response.is_some());
-        assert!(fw.on_frame(&udp_frame(9, 8, 16)).response.is_none());
+        assert!(fw.on_frame(&mut udp_frame(9, 7, 16)).respond);
+        assert!(!fw.on_frame(&mut udp_frame(9, 8, 16)).respond);
         assert_eq!(fw.accepted, 1);
         assert_eq!(fw.dropped, 1);
         assert_eq!(fw.inner().echoed, 1);
@@ -377,7 +375,7 @@ mod tests {
     #[test]
     fn firewall_default_drop() {
         let mut fw = Firewall::new(vec![], 1, UdpEcho::default());
-        assert!(fw.on_frame(&udp_frame(1, 2, 0)).response.is_none());
+        assert!(!fw.on_frame(&mut udp_frame(1, 2, 0)).respond);
         assert_eq!(fw.dropped, 1);
     }
 
@@ -389,11 +387,11 @@ mod tests {
             ..FwRule::any(FwAction::Accept)
         }];
         let mut fw = Firewall::new(rules, 1, UdpEcho::default());
-        assert!(fw.on_frame(&udp_frame(1500, 7, 0)).response.is_some());
-        assert!(fw.on_frame(&udp_frame(999, 7, 0)).response.is_none());
+        assert!(fw.on_frame(&mut udp_frame(1500, 7, 0)).respond);
+        assert!(!fw.on_frame(&mut udp_frame(999, 7, 0)).respond);
         let mut other_net = udp_frame(1500, 7, 0);
         other_net[26] = 11; // 11.0.0.1
-        assert!(fw.on_frame(&other_net).response.is_none());
+        assert!(!fw.on_frame(&mut other_net).respond);
     }
 
     #[test]
@@ -401,9 +399,9 @@ mod tests {
         let rules: Vec<FwRule> = (0..64).map(|_| FwRule::any(FwAction::Drop)).collect();
         let mut fw1 = Firewall::new(rules.clone(), 1, UdpEcho::default());
         let mut fw8 = Firewall::new(rules, 8, UdpEcho::default());
-        let f = udp_frame(1, 2, 0);
-        let c1 = fw1.on_frame(&f).cycles;
-        let c8 = fw8.on_frame(&f).cycles;
+        let mut f = udp_frame(1, 2, 0);
+        let c1 = fw1.on_frame(&mut f).cycles;
+        let c8 = fw8.on_frame(&mut f).cycles;
         assert_eq!(c1, 4 + 128);
         assert_eq!(c8, 4 + 16);
     }
@@ -411,8 +409,9 @@ mod tests {
     #[test]
     fn console_echo_reflects_bytes() {
         let mut c = ConsoleEcho::default();
-        let out = c.on_frame(b"hello fpga");
-        assert_eq!(out.response.as_deref(), Some(&b"hello fpga"[..]));
+        let mut bytes = *b"hello fpga";
+        assert!(c.on_frame(&mut bytes).respond);
+        assert_eq!(&bytes, b"hello fpga");
         assert_eq!(c.bytes, 10);
     }
 }

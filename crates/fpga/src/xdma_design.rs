@@ -18,7 +18,7 @@ use vf_sim::Time;
 use vf_xdma::{BarAction, ChannelDir, DmaOutcome, EngineError, XdmaBar, XdmaEngine};
 
 use crate::counters::IntervalStats;
-use crate::mem::{Bram, CardStore};
+use crate::mem::{CardKind, CardStore};
 
 /// Result of one engine start: outcome plus the optional interrupt.
 #[derive(Clone, Debug)]
@@ -83,16 +83,16 @@ impl XdmaExampleDesign {
             bar: XdmaBar::new(),
             h2c: XdmaEngine::new(ChannelDir::H2C),
             c2h: XdmaEngine::new(ChannelDir::C2H),
-            card: CardStore::Bram(Bram::new(bram_bytes)),
+            card: CardStore::bram(bram_bytes),
             msix: MsixTable::new(8),
             h2c_counter: IntervalStats::named("hw_h2c"),
             c2h_counter: IntervalStats::named("hw_c2h"),
         }
     }
 
-    /// Swap the AXI-MM memory backing (E14: BRAM vs external DDR).
-    pub fn set_card_memory(&mut self, card: CardStore) {
-        self.card = card;
+    /// Put the AXI-MM memory behind BRAM or external DDR (E14).
+    pub fn set_card_memory(&mut self, kind: CardKind) {
+        self.card.set_kind(kind);
     }
 
     /// BAR0 MMIO write; if it starts an engine, runs the transfer and

@@ -125,13 +125,15 @@ pub use cost::{CostEngine, HostCosts, HOST_CPU_GHZ};
 pub use multicore::{CpuContext, MultiCoreHost};
 pub use netcfg::{ArpCache, Route, RoutingTable};
 pub use packet::{
-    build_udp_frame, parse_udp_frame, udp_checksum, Ipv4Addr, MacAddr, ParseError, ParsedUdp,
-    UdpFlow, UDP_OVERHEAD,
+    build_udp_frame, build_udp_frame_into, parse_udp_frame, udp_checksum, Ipv4Addr, MacAddr,
+    ParseError, ParsedUdp, UdpFlow, UDP_OVERHEAD,
 };
 pub use udp::{SockError, UdpStack};
 pub use virtio_blk::{probe_blk, BlkDone, BlkProbeOutcome, BlkSubmit, VirtioBlkDriver};
 pub use virtio_console::{probe_console, VirtioConsoleDriver};
 pub use virtio_mq::{probe_mq, MqProbeOutcome, VirtioNetMqDriver, CTRL_QUEUE_SIZE};
-pub use virtio_net::{probe, probe_net, ProbeOutcome, RxFrame, VirtioNetDriver, XmitResult};
+pub use virtio_net::{
+    probe, probe_net, ProbeOutcome, RxBatch, RxFrame, VirtioNetDriver, XmitResult,
+};
 pub use virtio_pci::ProbeError;
 pub use xdma_char::{TransferSetup, XdmaCharDriver};

@@ -113,9 +113,24 @@ impl UdpFlow {
 /// the expectation that a checksum-offload engine fills it (the
 /// `VIRTIO_NET_F_CSUM` path).
 pub fn build_udp_frame(flow: &UdpFlow, ip_id: u16, payload: &[u8], fill_udp_csum: bool) -> Vec<u8> {
+    let mut f = Vec::new();
+    build_udp_frame_into(&mut f, flow, ip_id, payload, fill_udp_csum);
+    f
+}
+
+/// [`build_udp_frame`] into `f`, replacing its contents, so a sender
+/// can reuse one frame buffer.
+pub fn build_udp_frame_into(
+    f: &mut Vec<u8>,
+    flow: &UdpFlow,
+    ip_id: u16,
+    payload: &[u8],
+    fill_udp_csum: bool,
+) {
     let udp_len = UDP_HDR_LEN + payload.len();
     let ip_len = IPV4_HDR_LEN + udp_len;
-    let mut f = Vec::with_capacity(ETH_HDR_LEN + ip_len);
+    f.clear();
+    f.reserve(ETH_HDR_LEN + ip_len);
 
     // Ethernet II.
     f.extend_from_slice(&flow.dst_mac.0);
@@ -149,20 +164,26 @@ pub fn build_udp_frame(flow: &UdpFlow, ip_id: u16, payload: &[u8], fill_udp_csum
         let csum = udp_checksum(flow.src_ip, flow.dst_ip, &f[udp_start..]);
         f[udp_start + 6..udp_start + 8].copy_from_slice(&csum.to_be_bytes());
     }
-    f
 }
 
 /// Compute the UDP checksum (with IPv4 pseudo-header) over a UDP header +
 /// payload slice whose checksum field is zero. Returns `0xFFFF` instead
 /// of `0` per RFC 768.
 pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, udp: &[u8]) -> u16 {
+    udp_checksum_from(src, dst, udp.len(), 0, udp)
+}
+
+/// The UDP checksum of a `len`-byte datagram whose leading 16-bit words
+/// sum to `head` and whose remaining bytes are `rest` (starting at an
+/// even offset).
+fn udp_checksum_from(src: Ipv4Addr, dst: Ipv4Addr, len: usize, head: u32, rest: &[u8]) -> u16 {
     let mut pseudo = 0u32;
     for chunk in src.octets().chunks(2).chain(dst.octets().chunks(2)) {
         pseudo += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
     }
     pseudo += IPPROTO_UDP as u32;
-    pseudo += udp.len() as u32;
-    let c = internet_checksum(udp, pseudo);
+    pseudo += len as u32;
+    let c = internet_checksum(rest, pseudo + head);
     if c == 0 {
         0xFFFF
     } else {
@@ -170,15 +191,16 @@ pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, udp: &[u8]) -> u16 {
     }
 }
 
-/// Parsed view of a received UDP/IPv4 frame.
+/// Parsed view of a received UDP/IPv4 frame, borrowing its payload
+/// from the frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParsedUdp {
+pub struct ParsedUdp<'a> {
     /// Flow addressing extracted from the headers.
     pub flow: UdpFlow,
     /// IP identification field.
     pub ip_id: u16,
     /// UDP payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
     /// Whether the UDP checksum was present and valid (or absent = true,
     /// since UDP checksums are optional over IPv4).
     pub udp_csum_ok: bool,
@@ -198,7 +220,7 @@ pub enum ParseError {
 }
 
 /// Parse an Ethernet frame expected to carry UDP/IPv4.
-pub fn parse_udp_frame(frame: &[u8]) -> Result<ParsedUdp, ParseError> {
+pub fn parse_udp_frame(frame: &[u8]) -> Result<ParsedUdp<'_>, ParseError> {
     if frame.len() < UDP_OVERHEAD {
         return Err(ParseError::Truncated);
     }
@@ -232,10 +254,13 @@ pub fn parse_udp_frame(frame: &[u8]) -> Result<ParsedUdp, ParseError> {
     let udp_csum_ok = if wire_csum == 0 {
         true // checksum not used
     } else {
-        let mut copy = udp[..udp_len].to_vec();
-        copy[6] = 0;
-        copy[7] = 0;
-        let expect = udp_checksum(src_ip, dst_ip, &copy);
+        // Checksum the datagram with its checksum field as zero: the
+        // field's word is left out of the sum.
+        let head: u32 = udp[..6]
+            .chunks(2)
+            .map(|c| u16::from_be_bytes([c[0], c[1]]) as u32)
+            .sum();
+        let expect = udp_checksum_from(src_ip, dst_ip, udp_len, head, &udp[8..udp_len]);
         expect == wire_csum
     };
     Ok(ParsedUdp {
@@ -248,7 +273,7 @@ pub fn parse_udp_frame(frame: &[u8]) -> Result<ParsedUdp, ParseError> {
             dst_port: u16::from_be_bytes([udp[2], udp[3]]),
         },
         ip_id: u16::from_be_bytes([ip[4], ip[5]]),
-        payload: udp[UDP_HDR_LEN..udp_len].to_vec(),
+        payload: &udp[UDP_HDR_LEN..udp_len],
         udp_csum_ok,
     })
 }

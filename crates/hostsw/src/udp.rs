@@ -10,7 +10,7 @@ use vf_sim::Time;
 use crate::cost::CostEngine;
 use crate::netcfg::{ArpCache, RoutingTable};
 use crate::packet::{
-    build_udp_frame, parse_udp_frame, Ipv4Addr, MacAddr, ParseError, ParsedUdp, UdpFlow,
+    build_udp_frame_into, parse_udp_frame, Ipv4Addr, MacAddr, ParseError, ParsedUdp, UdpFlow,
 };
 
 /// Errors surfaced by the socket paths.
@@ -75,6 +75,32 @@ impl UdpStack {
         csum_offload: bool,
         cost: &mut CostEngine,
     ) -> Result<(Vec<u8>, Time), SockError> {
+        let mut frame = Vec::new();
+        let cpu = self.sendto_into(
+            &mut frame,
+            dst_ip,
+            src_port,
+            dst_port,
+            payload,
+            csum_offload,
+            cost,
+        )?;
+        Ok((frame, cpu))
+    }
+
+    /// [`UdpStack::sendto`] into `frame`, replacing its contents, so a
+    /// sender can reuse one frame buffer. Returns the CPU time.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sendto_into(
+        &mut self,
+        frame: &mut Vec<u8>,
+        dst_ip: Ipv4Addr,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+        csum_offload: bool,
+        cost: &mut CostEngine,
+    ) -> Result<Time, SockError> {
         let mut cpu = cost.step(cost.costs.syscall_entry);
         let route = self.routes.lookup(dst_ip).ok_or(SockError::NoRoute)?;
         let next_hop = route.gateway.unwrap_or(dst_ip);
@@ -97,9 +123,9 @@ impl UdpStack {
         if !csum_offload {
             cpu += cost.sw_checksum(crate::packet::UDP_HDR_LEN + payload.len());
         }
-        let frame = build_udp_frame(&flow, id, payload, !csum_offload);
+        build_udp_frame_into(frame, &flow, id, payload, !csum_offload);
         self.tx_count += 1;
-        Ok((frame, cpu))
+        Ok(cpu)
     }
 
     /// The receive path from the netdevice to a socket bound to
@@ -107,13 +133,13 @@ impl UdpStack {
     /// the device validated it), and UDP demux. The final
     /// `copy_to_user` + syscall exit belong to the `recvfrom()` return
     /// and are charged separately by [`Self::recvfrom_return`].
-    pub fn netif_receive(
+    pub fn netif_receive<'f>(
         &mut self,
-        frame: &[u8],
+        frame: &'f [u8],
         bound_port: u16,
         device_validated_csum: bool,
         cost: &mut CostEngine,
-    ) -> Result<(ParsedUdp, Time), SockError> {
+    ) -> Result<(ParsedUdp<'f>, Time), SockError> {
         let mut cpu = cost.step(cost.costs.udp_rx_path);
         let parsed = parse_udp_frame(frame).map_err(SockError::Parse)?;
         if !device_validated_csum {
@@ -230,7 +256,7 @@ mod tests {
         // with ports swapped by the responder).
         let echoed = {
             let parsed = parse_udp_frame(&frame).unwrap();
-            crate::packet::build_udp_frame(&parsed.flow.reversed(), 77, &parsed.payload, true)
+            crate::packet::build_udp_frame(&parsed.flow.reversed(), 77, parsed.payload, true)
         };
         let (delivered, cpu) = stack
             .netif_receive(&echoed, 40000, false, &mut cost)
@@ -250,7 +276,7 @@ mod tests {
             .unwrap();
         let parsed = parse_udp_frame(&frame).unwrap();
         let echoed =
-            crate::packet::build_udp_frame(&parsed.flow.reversed(), 1, &parsed.payload, true);
+            crate::packet::build_udp_frame(&parsed.flow.reversed(), 1, parsed.payload, true);
         let err = stack
             .netif_receive(&echoed, 9999, false, &mut cost)
             .unwrap_err();
@@ -272,7 +298,7 @@ mod tests {
             .unwrap();
         let parsed = parse_udp_frame(&frame).unwrap();
         let mut echoed =
-            crate::packet::build_udp_frame(&parsed.flow.reversed(), 1, &parsed.payload, true);
+            crate::packet::build_udp_frame(&parsed.flow.reversed(), 1, parsed.payload, true);
         let n = echoed.len();
         echoed[n - 1] ^= 0x01;
         let err = stack

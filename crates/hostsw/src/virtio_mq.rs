@@ -21,7 +21,7 @@ use vf_virtio::{feature as core_feature, net, BufferSpec, DriverRing, VirtioTran
 
 use crate::cost::CostEngine;
 use crate::mq_ctrl::{self, RSS_CMD_MAX};
-use crate::virtio_net::{read_mac_mtu, RxFrame, VirtioNetDriver, XmitResult};
+use crate::virtio_net::{read_mac_mtu, RxBatch, RxFrame, VirtioNetDriver, XmitResult};
 use crate::virtio_pci::{
     give_up, negotiate, program_queue, require_queues, set_driver_ok, ProbeError,
 };
@@ -40,6 +40,8 @@ pub struct VirtioNetMqDriver {
     ctrl_cmd_buf: u64,
     ctrl_rss_buf: u64,
     ctrl_ack_buf: u64,
+    /// Frames of the last NAPI poll, whichever pair it polled.
+    rx_batch: RxBatch,
 }
 
 impl VirtioNetMqDriver {
@@ -67,6 +69,7 @@ impl VirtioNetMqDriver {
             ctrl_cmd_buf,
             ctrl_rss_buf,
             ctrl_ack_buf,
+            rx_batch: RxBatch::default(),
         }
     }
 
@@ -98,8 +101,9 @@ impl VirtioNetMqDriver {
         mem: &mut HostMemory,
         pair: u16,
         cost: &mut CostEngine,
-    ) -> (Vec<RxFrame>, Time) {
-        self.pairs[pair as usize].napi_poll(mem, cost)
+    ) -> (&[RxFrame], Time) {
+        let cpu = self.pairs[pair as usize].poll_into(mem, cost, &mut self.rx_batch);
+        (self.rx_batch.frames(), cpu)
     }
 
     /// Publish a `VIRTIO_NET_CTRL_MQ_VQ_PAIRS_SET` command on the

@@ -47,12 +47,40 @@ pub struct XmitResult {
 }
 
 /// A frame delivered to the stack by the NAPI poll.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RxFrame {
     /// The virtio-net header the device wrote.
     pub hdr: VirtioNetHdr,
     /// The Ethernet frame bytes.
     pub frame: Vec<u8>,
+}
+
+/// The frames of one NAPI poll. Each poll refills the same frame
+/// buffers, so a warm poll copies frames without allocating.
+#[derive(Clone, Debug, Default)]
+pub struct RxBatch {
+    frames: Vec<RxFrame>,
+    len: usize,
+}
+
+impl RxBatch {
+    /// The frames of the last poll, in ring order.
+    pub fn frames(&self) -> &[RxFrame] {
+        &self.frames[..self.len]
+    }
+
+    /// Append a frame of `len` bytes read from `addr`.
+    fn push(&mut self, mem: &HostMemory, hdr: VirtioNetHdr, addr: u64, len: usize) {
+        if self.len == self.frames.len() {
+            self.frames.push(RxFrame::default());
+        }
+        let rx = &mut self.frames[self.len];
+        rx.hdr = hdr;
+        rx.frame.clear();
+        rx.frame.resize(len, 0);
+        GuestMemory::read(mem, addr, &mut rx.frame);
+        self.len += 1;
+    }
 }
 
 /// The driver instance bound to one virtio-net device.
@@ -70,6 +98,8 @@ pub struct VirtioNetDriver {
     /// TX chains awaiting completion-clean (freed lazily on later xmits,
     /// as virtio-net frees old skbs).
     pub tx_inflight: u16,
+    /// Frames of the last [`VirtioNetDriver::napi_poll`].
+    rx_batch: RxBatch,
 }
 
 impl VirtioNetDriver {
@@ -122,6 +152,7 @@ impl VirtioNetDriver {
             next_tx_slot: 0,
             rx_buf_of_id,
             tx_inflight: 0,
+            rx_batch: RxBatch::default(),
         }
     }
 
@@ -197,12 +228,22 @@ impl VirtioNetDriver {
 
     /// NAPI poll: harvest received frames, repost their buffers. Charges
     /// per-frame receive-path costs.
-    pub fn napi_poll(
+    pub fn napi_poll(&mut self, mem: &mut HostMemory, cost: &mut CostEngine) -> (&[RxFrame], Time) {
+        let mut batch = std::mem::take(&mut self.rx_batch);
+        let cpu = self.poll_into(mem, cost, &mut batch);
+        self.rx_batch = batch;
+        (self.rx_batch.frames(), cpu)
+    }
+
+    /// [`VirtioNetDriver::napi_poll`] into `batch`, for an owner that
+    /// polls several drivers through one batch.
+    pub fn poll_into(
         &mut self,
         mem: &mut HostMemory,
         cost: &mut CostEngine,
-    ) -> (Vec<RxFrame>, Time) {
-        let mut frames = Vec::new();
+        batch: &mut RxBatch,
+    ) -> Time {
+        batch.len = 0;
         let mut cpu = Time::ZERO;
         while let Some(used) = self.rx.pop_used(mem) {
             let buf = self.rx_buf_of_id[used.id as usize]
@@ -210,9 +251,8 @@ impl VirtioNetDriver {
                 .expect("used RX id without a posted buffer");
             let hdr = VirtioNetHdr::read_from(mem, buf);
             let frame_len = (used.len as usize).saturating_sub(VirtioNetHdr::LEN);
-            let frame = GuestMemory::read_vec(mem, buf + VirtioNetHdr::LEN as u64, frame_len);
+            batch.push(mem, hdr, buf + VirtioNetHdr::LEN as u64, frame_len);
             cpu += cost.step(cost.costs.virtio_napi_rx);
-            frames.push(RxFrame { hdr, frame });
             // Repost the buffer.
             let id = self
                 .rx
@@ -220,7 +260,7 @@ impl VirtioNetDriver {
                 .expect("repost cannot fail: we just freed a chain");
             self.rx_buf_of_id[id as usize] = Some(buf);
         }
-        (frames, cpu)
+        cpu
     }
 }
 

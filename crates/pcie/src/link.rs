@@ -179,9 +179,17 @@ struct WireDir {
     /// Merged busy intervals (multi-tag mode), disjoint and sorted, so
     /// both starts and ends ascend.
     busy: VecDeque<(Time, Time)>,
+    /// Scan-start hints: the index just past the interval the last
+    /// reservation joined, and the last scan's start. Back-to-back
+    /// completion trains reserve where the previous TLP ended, so one
+    /// of them is usually the scan start the next call needs.
+    hints: [usize; 2],
     /// Intervals the gap scans have visited, for the scan-length test.
     #[cfg(test)]
     scan_steps: u64,
+    /// Scans that started at a hint instead of a binary search.
+    #[cfg(test)]
+    hint_hits: u64,
 }
 
 /// Interval-list bound. When exceeded, the two oldest intervals are
@@ -196,13 +204,45 @@ impl WireDir {
     /// Drop intervals that ended at or before `epoch` — they can never
     /// conflict with a reservation whose `earliest` is `>= epoch`.
     fn prune(&mut self, epoch: Time) {
+        let mut popped = 0;
         while let Some(&(_, e)) = self.busy.front() {
             if e <= epoch {
                 self.busy.pop_front();
+                popped += 1;
             } else {
                 break;
             }
         }
+        self.shift_hints(popped);
+    }
+
+    /// Keep the hints on the same intervals after `n` were popped off
+    /// the front.
+    fn shift_hints(&mut self, n: usize) {
+        for h in &mut self.hints {
+            *h = h.saturating_sub(n);
+        }
+    }
+
+    /// The first interval ending after `earliest`: a hint when one is
+    /// exactly that index, else a binary search. Ends strictly ascend,
+    /// so `h` is the partition point iff the interval before it ends at
+    /// or before `earliest` and the one at it ends after.
+    fn scan_start(&mut self, earliest: Time) -> usize {
+        let len = self.busy.len();
+        for h in self.hints {
+            if h <= len
+                && (h == 0 || self.busy[h - 1].1 <= earliest)
+                && (h == len || self.busy[h].1 > earliest)
+            {
+                #[cfg(test)]
+                {
+                    self.hint_hits += 1;
+                }
+                return h;
+            }
+        }
+        self.busy.partition_point(|&(_, e)| e <= earliest)
     }
 
     /// Reserve `dur` (non-zero) of wire no earlier than `earliest`;
@@ -221,7 +261,7 @@ impl WireDir {
         // it can neither push `start` past `earliest` nor leave a gap
         // of `dur` before itself, so skipping it cannot change the
         // result.
-        let first = self.busy.partition_point(|&(_, e)| e <= earliest);
+        let first = self.scan_start(earliest);
         let mut start = earliest;
         let mut idx = self.busy.len();
         for (i, &(s, e)) in self.busy.range(first..).enumerate() {
@@ -238,24 +278,37 @@ impl WireDir {
             }
         }
         let end = start + dur;
-        let mut s = start;
-        let mut e = end;
-        // Merge with touching neighbors to keep the list canonical.
-        if idx < self.busy.len() && self.busy[idx].0 == e {
-            e = self.busy[idx].1;
-            self.busy.remove(idx);
-        }
-        if idx > 0 && self.busy[idx - 1].1 == s {
-            s = self.busy[idx - 1].0;
-            self.busy.remove(idx - 1);
-            idx -= 1;
-        }
-        self.busy.insert(idx, (s, e));
+        // Join touching neighbours in place to keep the list canonical.
+        // The scan leaves `busy[idx - 1].1 <= start`, and only a gap
+        // with no neighbour on either side grows the list.
+        let left = idx > 0 && self.busy[idx - 1].1 == start;
+        let right = idx < self.busy.len() && self.busy[idx].0 == end;
+        let joined = match (left, right) {
+            (true, true) => {
+                self.busy[idx - 1].1 = self.busy[idx].1;
+                self.busy.remove(idx);
+                idx - 1
+            }
+            (true, false) => {
+                self.busy[idx - 1].1 = end;
+                idx - 1
+            }
+            (false, true) => {
+                self.busy[idx].0 = start;
+                idx
+            }
+            (false, false) => {
+                self.busy.insert(idx, (start, end));
+                idx
+            }
+        };
+        self.hints = [joined + 1, first];
         if self.busy.len() > WIRE_INTERVAL_CAP {
             let (s0, _) = self.busy[0];
             let (_, e1) = self.busy[1];
             self.busy.pop_front();
             self.busy[0] = (s0, e1);
+            self.shift_hints(1);
             *coalesces += 1;
         }
         end
@@ -1080,6 +1133,9 @@ mod tests {
         FillGap(usize),
         /// Prune intervals ending at or before an instant (ns).
         Prune(u64),
+        /// Reserve at the previous reservation's end, as a completion
+        /// train does.
+        Train(u64),
     }
 
     fn step() -> impl Strategy<Value = Step> {
@@ -1091,6 +1147,7 @@ mod tests {
             anchored(),
             any::<usize>().prop_map(Step::FillGap),
             (0u64..4_000).prop_map(Step::Prune),
+            (1u64..60).prop_map(Step::Train),
         ]
     }
 
@@ -1100,6 +1157,7 @@ mod tests {
     fn check_script(fast: &mut WireDir, script: &[Step]) {
         let mut slow = fast.clone();
         let (mut fast_merges, mut slow_merges) = (0, 0);
+        let mut last_end = Time::ZERO;
         for step in script {
             let ns = Time::from_ns;
             let busy = &slow.busy;
@@ -1134,10 +1192,12 @@ mod tests {
                     slow.prune(ns(t));
                     continue;
                 }
+                Step::Train(d) => (last_end, ns(d)),
             };
             let want = reserve_linear(&mut slow, earliest, dur, &mut slow_merges);
             let got = fast.reserve(true, earliest, dur, &mut fast_merges);
             assert_eq!(got, want, "reserve({earliest:?}, {dur:?})");
+            last_end = got;
         }
         assert_eq!(fast_merges, slow_merges);
         assert_eq!(fast.busy, slow.busy);
@@ -1199,6 +1259,103 @@ mod tests {
         wire.reserve(true, ns(299_950), ns(10), &mut merges);
         assert!(wire.scan_steps <= 2, "visited {}", wire.scan_steps);
         assert_eq!(merges, 0);
+    }
+
+    #[test]
+    fn merges_extend_neighbours_in_place() {
+        let ns = Time::from_ns;
+        let mut wire = WireDir::default();
+        let mut merges = 0;
+        // [0, 10) and [30, 40).
+        wire.reserve(true, ns(0), ns(10), &mut merges);
+        wire.reserve(true, ns(30), ns(10), &mut merges);
+        assert_eq!(wire.busy.len(), 2);
+        // Left merge: [10, 15) extends [0, 10).
+        assert_eq!(wire.reserve(true, ns(10), ns(5), &mut merges), ns(15));
+        assert_eq!(wire.busy.len(), 2);
+        assert_eq!(wire.busy[0], (ns(0), ns(15)));
+        // Right merge: [25, 30) extends [30, 40).
+        assert_eq!(wire.reserve(true, ns(25), ns(5), &mut merges), ns(30));
+        assert_eq!(wire.busy.len(), 2);
+        assert_eq!(wire.busy[1], (ns(25), ns(40)));
+        // Two-sided merge: [15, 25) joins both.
+        assert_eq!(wire.reserve(true, ns(15), ns(10), &mut merges), ns(25));
+        assert_eq!(wire.busy, VecDeque::from([(ns(0), ns(40))]));
+        assert_eq!(merges, 0);
+    }
+
+    /// A completion train of `tlps` 10 ns TLPs from `from`, each
+    /// reserved where the previous one ended. Returns the last end.
+    fn train(wire: &mut WireDir, from: Time, tlps: u64) -> Time {
+        let mut merges = 0;
+        let mut t = from;
+        for _ in 0..tlps {
+            t = wire.reserve(true, t, Time::from_ns(10), &mut merges);
+        }
+        t
+    }
+
+    /// A list of `n` disjoint 10 ns intervals 100 ns apart from 1 µs.
+    fn spaced(n: u64) -> WireDir {
+        let mut wire = WireDir::default();
+        let mut merges = 0;
+        for i in 0..n {
+            wire.reserve(
+                true,
+                Time::from_ns(1_000 + 100 * i),
+                Time::from_ns(10),
+                &mut merges,
+            );
+        }
+        wire
+    }
+
+    #[test]
+    fn completion_trains_start_at_a_hint() {
+        let mut wire = spaced(50);
+        // A 6-TLP train from the middle of the 90 ns gap after interval
+        // 20, then another after interval 10. The first TLP of each is
+        // a new interval, the rest extend it: every TLP after the first
+        // starts its scan at a hint.
+        wire.hint_hits = 0;
+        train(&mut wire, Time::from_ns(1_000 + 100 * 20 + 30), 6);
+        assert_eq!(wire.hint_hits, 5);
+        train(&mut wire, Time::from_ns(1_000 + 100 * 10 + 30), 6);
+        assert_eq!(wire.hint_hits, 10);
+        assert_eq!(wire.busy.len(), 52);
+    }
+
+    #[test]
+    fn hints_follow_the_list_through_prune() {
+        let mut wire = spaced(50);
+        let end = train(&mut wire, Time::from_ns(1_000 + 100 * 30 + 10), 3);
+        // Drop the first 20 intervals; the train's next TLP must still
+        // start at the shifted hint.
+        wire.prune(Time::from_ns(1_000 + 100 * 19 + 10));
+        assert_eq!(wire.busy.len(), 30);
+        wire.hint_hits = 0;
+        train(&mut wire, end, 1);
+        assert_eq!(wire.hint_hits, 1);
+    }
+
+    #[test]
+    fn hints_follow_the_list_through_cap_coalesce() {
+        let mut wire = spaced(WIRE_INTERVAL_CAP as u64);
+        let mut merges = 0;
+        let ten = Time::from_ns(10);
+        // A new interval past the tail, then one in the middle of the
+        // list, each coalescing the front. A second TLP at the same
+        // instant queues behind the first, and its scan starts where
+        // the first one's did, one index lower after the coalesce.
+        let tail = Time::from_ns(1_000 + 100 * WIRE_INTERVAL_CAP as u64 + 50);
+        let mid = Time::from_ns(1_000 + 100 * 2_000 + 30);
+        for (k, at) in [tail, mid].into_iter().enumerate() {
+            let end = wire.reserve(true, at, ten, &mut merges);
+            assert_eq!(merges, k as u64 + 1);
+            wire.hint_hits = 0;
+            assert_eq!(wire.reserve(true, at, ten, &mut merges), end + ten);
+            assert_eq!(wire.hint_hits, 1);
+        }
     }
 
     #[test]

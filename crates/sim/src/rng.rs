@@ -107,7 +107,8 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller. One value per call; the twin value is
-    /// discarded for simplicity (sampling is far from the hot path).
+    /// discarded. This is on the hot path: every host cost-model step
+    /// draws noise through it, and a faster sampler changes every stream.
     pub fn standard_normal(&mut self) -> f64 {
         // Avoid ln(0) by sampling u1 from (0, 1].
         let u1 = 1.0 - self.uniform();

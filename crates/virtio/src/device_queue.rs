@@ -193,9 +193,23 @@ impl DeviceQueue {
         mem: &M,
         pos: u16,
     ) -> Result<(Chain, usize), ChainError> {
+        let mut bufs = Vec::new();
+        let (head, fetches) = self.resolve_into(mem, pos, &mut bufs)?;
+        Ok((Chain { head, bufs }, fetches))
+    }
+
+    /// [`DeviceQueue::resolve_at`] into `bufs` (cleared first), so a
+    /// caller can reuse one buffer list. Returns the head index and the
+    /// descriptor fetches.
+    pub fn resolve_into<M: GuestMemory>(
+        &self,
+        mem: &M,
+        pos: u16,
+        bufs: &mut Vec<ChainBuf>,
+    ) -> Result<(u16, usize), ChainError> {
+        bufs.clear();
         let head = self.fetch_avail_entry(mem, pos);
         let mut fetches = 0usize;
-        let mut bufs = Vec::new();
         let mut idx = head;
         let limit = self.layout.size as usize;
         loop {
@@ -244,7 +258,7 @@ impl DeviceQueue {
             }
             idx = d.next;
         }
-        Ok((Chain { head, bufs }, fetches))
+        Ok((head, fetches))
     }
 
     /// Consume the next pending chain, if any.

@@ -25,7 +25,7 @@ use vf_pcie::HostMemory;
 use crate::device_queue::{ChainBuf, ChainError, DeviceQueue};
 use crate::driver_queue::{BufferSpec, DriverQueue};
 use crate::mem::GuestMemory;
-use crate::packed::{PackedChain, PackedDesc, PackedDeviceQueue, PackedDriverQueue};
+use crate::packed::{PackedDesc, PackedDeviceQueue, PackedDriverQueue};
 use crate::ring::{UsedElem, VirtqueueLayout};
 
 /// Bytes of one packed descriptor burst: a short chain plus the
@@ -77,26 +77,35 @@ impl Used {
 }
 
 /// The device side of one virtqueue, in whichever layout was negotiated.
+///
+/// The ring also keeps the buffer lists of chains handed back through
+/// [`DeviceRing::recycle`], so a warm walker takes chains without
+/// allocating.
 #[derive(Clone, Debug)]
-pub enum DeviceRing {
+pub struct DeviceRing {
+    kind: RingKind,
+    /// Buffer lists of recycled chains, reused by the next chains.
+    spare: Vec<Vec<ChainBuf>>,
+}
+
+#[derive(Clone, Debug)]
+enum RingKind {
     /// Split layout, with the avail index the last prologue read (the
     /// end of the current walk).
-    Split {
-        /// The queue.
-        q: DeviceQueue,
-        /// Avail index seen by the last prologue.
-        avail: u16,
-    },
-    /// Packed layout.
-    Packed {
-        /// The queue.
-        q: PackedDeviceQueue,
-        /// Whether completions interrupt (see [`DeviceRing::packed`]).
-        irq: bool,
-    },
+    Split { q: DeviceQueue, avail: u16 },
+    /// Packed layout; `irq` says whether completions interrupt (see
+    /// [`DeviceRing::packed`]).
+    Packed { q: PackedDeviceQueue, irq: bool },
 }
 
 impl DeviceRing {
+    fn new(kind: RingKind) -> Self {
+        DeviceRing {
+            kind,
+            spare: Vec::new(),
+        }
+    }
+
     /// Split ring at `layout` serving virtio queue `index`.
     pub fn split(layout: VirtqueueLayout, event_idx: bool, indirect: bool, index: u16) -> Self {
         let mut q = DeviceQueue::new(layout, event_idx, indirect);
@@ -104,7 +113,7 @@ impl DeviceRing {
         // personas; even rings are pre-posted (RX, control) and must not
         // arm the stall watchdog while idle.
         q.set_metrics_index(index as u32, index % 2 == 1);
-        DeviceRing::Split { q, avail: 0 }
+        DeviceRing::new(RingKind::Split { q, avail: 0 })
     }
 
     /// Packed ring of `size` descriptors at `ring` serving virtio queue
@@ -114,17 +123,22 @@ impl DeviceRing {
     pub fn packed(ring: u64, size: u16, index: u16) -> Self {
         let mut q = PackedDeviceQueue::new(ring, size);
         q.set_metrics_index(index as u32);
-        DeviceRing::Packed {
+        DeviceRing::new(RingKind::Packed {
             q,
             irq: index.is_multiple_of(2),
-        }
+        })
+    }
+
+    /// Whether this is a packed ring.
+    pub fn is_packed(&self) -> bool {
+        matches!(self.kind, RingKind::Packed { .. })
     }
 
     /// Trace name of this layout's descriptor reads.
     pub fn desc_trace(&self) -> &'static str {
-        match self {
-            DeviceRing::Split { .. } => "desc_read_split",
-            DeviceRing::Packed { .. } => "desc_read_packed",
+        match self.kind {
+            RingKind::Split { .. } => "desc_read_split",
+            RingKind::Packed { .. } => "desc_read_packed",
         }
     }
 
@@ -137,8 +151,8 @@ impl DeviceRing {
     /// the next 16-byte slot, which says both *whether* a buffer is
     /// posted and *where* it is.
     pub fn prologue<M: GuestMemory>(&mut self, mem: &M, one_chain: bool) -> Option<(u64, usize)> {
-        match self {
-            DeviceRing::Split { q, avail } => {
+        match &mut self.kind {
+            RingKind::Split { q, avail } => {
                 *avail = q.fetch_avail_idx(mem);
                 let len = if one_chain {
                     8
@@ -147,46 +161,56 @@ impl DeviceRing {
                 };
                 Some((q.layout().avail_idx_addr(), len))
             }
-            DeviceRing::Packed { q, .. } => {
+            RingKind::Packed { q, .. } => {
                 one_chain.then(|| (q.desc_addr(q.next_slot()), PackedDesc::SIZE as usize))
             }
         }
     }
 
-    /// Take the next chain of this walk, if any. A split chain that
-    /// cannot be resolved is an error and is left in place.
+    /// Take the next chain of this walk, if any, into a recycled buffer
+    /// list when one is spare. A split chain that cannot be resolved is
+    /// an error and is left in place.
     pub fn next_chain<M: GuestMemory>(&mut self, mem: &M) -> Result<Option<RingChain>, ChainError> {
-        match self {
-            DeviceRing::Split { q, avail } => {
-                if q.last_avail() == *avail {
-                    return Ok(None);
-                }
-                let (chain, fetches) = q.resolve_at(mem, q.last_avail())?;
+        let mut bufs = self.spare.pop().unwrap_or_default();
+        let chain = match &mut self.kind {
+            RingKind::Split { q, avail } if q.last_avail() != *avail => {
+                let (id, fetches) = match q.resolve_into(mem, q.last_avail(), &mut bufs) {
+                    Ok(resolved) => resolved,
+                    Err(e) => {
+                        self.spare.push(bufs);
+                        return Err(e);
+                    }
+                };
                 q.advance();
-                Ok(Some(RingChain {
-                    id: chain.head,
-                    desc_read: (q.layout().desc_addr(chain.head), 16 * fetches),
-                    bufs: chain.bufs,
+                Some(RingChain {
+                    id,
+                    desc_read: (q.layout().desc_addr(id), 16 * fetches),
                     fetches,
+                    bufs: std::mem::take(&mut bufs),
                     used_slot: (0, false),
-                }))
+                })
             }
-            DeviceRing::Packed { q, .. } => Ok(q.try_take(mem).map(|c| {
-                let PackedChain {
-                    id,
-                    bufs,
-                    start_slot,
-                    wrap,
-                } = c;
-                RingChain {
-                    id,
-                    fetches: bufs.len(),
-                    bufs,
-                    desc_read: (q.desc_addr(start_slot), PACKED_DESC_BURST),
-                    used_slot: (start_slot, wrap),
-                }
-            })),
+            RingKind::Split { .. } => None,
+            RingKind::Packed { q, .. } => {
+                q.take_into(mem, &mut bufs)
+                    .map(|(id, slot, wrap)| RingChain {
+                        id,
+                        fetches: bufs.len(),
+                        bufs: std::mem::take(&mut bufs),
+                        desc_read: (q.desc_addr(slot), PACKED_DESC_BURST),
+                        used_slot: (slot, wrap),
+                    })
+            }
+        };
+        if chain.is_none() {
+            self.spare.push(bufs);
         }
+        Ok(chain)
+    }
+
+    /// Hand a finished chain's buffer list back for the next chains.
+    pub fn recycle(&mut self, chain: RingChain) {
+        self.spare.push(chain.bufs);
     }
 
     /// Publish `chain`'s completion with `written` bytes: update the
@@ -198,8 +222,8 @@ impl DeviceRing {
         chain: &RingChain,
         written: u32,
     ) -> Used {
-        match self {
-            DeviceRing::Split { q, .. } => {
+        match &mut self.kind {
+            RingKind::Split { q, .. } => {
                 let old = q.complete(mem, chain.id, written);
                 let l = *q.layout();
                 Used {
@@ -208,7 +232,7 @@ impl DeviceRing {
                     irq: q.should_interrupt(mem, old),
                 }
             }
-            DeviceRing::Packed { q, irq } => {
+            RingKind::Packed { q, irq } => {
                 let (slot, wrap) = chain.used_slot;
                 q.complete_at(mem, chain.id, slot, wrap, written);
                 Used {

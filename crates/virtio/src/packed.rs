@@ -335,13 +335,31 @@ impl PackedDeviceQueue {
     /// chain element — no separate avail structure (the packed layout's
     /// advantage for DMA devices).
     pub fn try_take<M: GuestMemory>(&mut self, mem: &M) -> Option<PackedChain> {
+        let mut bufs = Vec::new();
+        let (id, start_slot, wrap) = self.take_into(mem, &mut bufs)?;
+        Some(PackedChain {
+            id,
+            bufs,
+            start_slot,
+            wrap,
+        })
+    }
+
+    /// [`PackedDeviceQueue::try_take`] into `bufs` (cleared first), so a
+    /// caller can reuse one buffer list. Returns the buffer id, the
+    /// start slot and its wrap value.
+    pub fn take_into<M: GuestMemory>(
+        &mut self,
+        mem: &M,
+        bufs: &mut Vec<ChainBuf>,
+    ) -> Option<(u16, u16, bool)> {
         let head = PackedDesc::read_at(mem, self.ring, self.slot);
         if !head.is_avail(self.wrap) {
             return None;
         }
         let start_slot = self.slot;
         let wrap = self.wrap;
-        let mut bufs = Vec::new();
+        bufs.clear();
         let mut id;
         let mut guard = 0;
         loop {
@@ -360,12 +378,7 @@ impl PackedDeviceQueue {
                 break;
             }
         }
-        Some(PackedChain {
-            id,
-            bufs,
-            start_slot,
-            wrap,
-        })
+        Some((id, start_slot, wrap))
     }
 
     fn advance(&mut self) {

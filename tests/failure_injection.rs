@@ -152,9 +152,9 @@ fn corrupt_frame_dropped_by_host_stack() {
         .unwrap();
     // Echo with a flipped payload byte — as a faulty fabric would.
     let parsed = vf_hostsw::parse_udp_frame(&frame).unwrap();
-    let mut bad_payload = parsed.payload.clone();
+    let mut bad_payload = parsed.payload.to_vec();
     bad_payload[10] ^= 0x01;
-    let echoed = vf_hostsw::build_udp_frame(&parsed.flow.reversed(), 1, &parsed.payload, true);
+    let echoed = vf_hostsw::build_udp_frame(&parsed.flow.reversed(), 1, parsed.payload, true);
     let mut corrupted = vf_hostsw::build_udp_frame(&parsed.flow.reversed(), 1, &bad_payload, true);
     // Corrupt after checksumming.
     let n = corrupted.len();
@@ -180,9 +180,7 @@ fn firewall_contains_spoofed_traffic() {
     frame[14] = 0x45;
     frame[23] = 17;
     for _ in 0..100 {
-        assert!(vf_fpga::UserLogic::on_frame(&mut fw, &frame)
-            .response
-            .is_none());
+        assert!(!vf_fpga::UserLogic::on_frame(&mut fw, &mut frame).respond);
     }
     assert_eq!(fw.dropped, 100);
     assert_eq!(fw.inner().echoed, 0);
