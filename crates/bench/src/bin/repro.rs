@@ -321,6 +321,13 @@ fn counter_tracks(report: &vf_metrics::MetricsReport) -> Vec<vf_trace::CounterTr
         .collect()
 }
 
+/// One Perfetto track: its name, its events and its counter series.
+type Track = (
+    String,
+    Vec<vf_trace::TraceEvent>,
+    Vec<vf_trace::CounterTrack>,
+);
+
 /// The E18 trace artifact: run a short traced batch per driver model,
 /// print the per-round-trip latency attribution, assert the spans
 /// reconcile with the recorder, and export one Perfetto track per
@@ -335,11 +342,6 @@ fn run_trace_artifact(out: &PathBuf, packets: usize, seed: u64) {
         DriverKind::Xdma,
         DriverKind::VirtioPmd,
     ];
-    type Track = (
-        &'static str,
-        Vec<vf_trace::TraceEvent>,
-        Vec<vf_trace::CounterTrack>,
-    );
     let mut tracks: Vec<Track> = Vec::new();
     println!("E18 — cross-layer latency attribution (payload 256 B, {packets} round trips/driver)");
     for (i, driver) in drivers.into_iter().enumerate() {
@@ -355,84 +357,63 @@ fn run_trace_artifact(out: &PathBuf, packets: usize, seed: u64) {
             rtts.len().min(5)
         );
         print!("{}", vf_trace::render_table(&rtts[..rtts.len().min(5)]));
-        tracks.push((driver.name(), run.events, counter_tracks(&metrics)));
+        tracks.push((
+            driver.name().to_string(),
+            run.events,
+            counter_tracks(&metrics),
+        ));
     }
 
-    // E19 multi-queue: one Perfetto track per queue pair. The serial MQ
-    // world round-robins packets over the pairs, so round-trip windows
-    // never overlap and every event inside a window belongs to the pair
-    // named by its root span. Bring-up events before the first round
-    // trip carry no queue identity and are left out of the export.
+    // E19 multi-queue: one Perfetto track per queue pair.
     let mut mq_cfg = TestbedConfig::paper(DriverKind::VirtioMq, 256, packets, seed.wrapping_add(4));
     mq_cfg.options.mq_queue_pairs = 2;
-    let (run, mq_metrics) = metered(vf_metrics::MetricsConfig::default(), || traced_run(&mq_cfg));
-    let rtts = run.breakdowns();
-    reconcile(&run.result, &rtts)
-        .unwrap_or_else(|e| panic!("VirtIO-MQ trace fails reconciliation: {e}"));
-    println!();
-    println!(
-        "VirtIO-MQ (2 queue pairs) — spans reconcile; first {} round trips:",
-        rtts.len().min(5)
-    );
-    print!("{}", vf_trace::render_table(&rtts[..rtts.len().min(5)]));
-    let mut per_queue: Vec<Vec<vf_trace::TraceEvent>> = vec![Vec::new(), Vec::new()];
-    for ev in &run.events {
-        let idx = rtts.partition_point(|r| r.t1 < ev.t);
-        if let Some(rtt) = rtts.get(idx) {
-            if ev.t >= rtt.t0 {
-                let q = if rtt.name.ends_with("q0") { 0 } else { 1 };
-                per_queue[q].push(ev.clone());
-            }
-        }
-    }
-    // Counter series are per-run, not per-window: q0 carries them all.
-    tracks.push((
-        "VirtIO-MQ q0",
-        per_queue.remove(0),
-        counter_tracks(&mq_metrics),
+    tracks.extend(two_way_tracks(
+        &mq_cfg,
+        "VirtIO-MQ (2 queue pairs)",
+        ["q0", "q1"],
     ));
-    tracks.push(("VirtIO-MQ q1", per_queue.remove(0), Vec::new()));
 
-    // E21 multi-tenant: one Perfetto track per tenant, vhost backend
-    // on. Same window argument as the MQ export — the serial tenant
-    // world round-robins, so each event falls inside exactly one
-    // tenant-named round trip.
+    // E21 multi-tenant: one Perfetto track per tenant, vhost backend on.
     let mut tnt_cfg =
         TestbedConfig::paper(DriverKind::VirtioTenant, 256, packets, seed.wrapping_add(5));
     tnt_cfg.options.mq_queue_pairs = 2;
     tnt_cfg.options.tenant_vhost = true;
-    let (run, tnt_metrics) = metered(vf_metrics::MetricsConfig::default(), || {
-        traced_run(&tnt_cfg)
-    });
-    let rtts = run.breakdowns();
-    reconcile(&run.result, &rtts)
-        .unwrap_or_else(|e| panic!("VirtIO-TNT trace fails reconciliation: {e}"));
-    println!();
-    println!(
-        "VirtIO-TNT (2 tenants, vhost) — spans reconcile; first {} round trips:",
-        rtts.len().min(5)
-    );
-    print!("{}", vf_trace::render_table(&rtts[..rtts.len().min(5)]));
-    let mut per_tenant: Vec<Vec<vf_trace::TraceEvent>> = vec![Vec::new(), Vec::new()];
-    for ev in &run.events {
-        let idx = rtts.partition_point(|r| r.t1 < ev.t);
-        if let Some(rtt) = rtts.get(idx) {
-            if ev.t >= rtt.t0 {
-                let t = if rtt.name.ends_with("t0") { 0 } else { 1 };
-                per_tenant[t].push(ev.clone());
-            }
-        }
-    }
-    tracks.push((
-        "VirtIO-TNT t0",
-        per_tenant.remove(0),
-        counter_tracks(&tnt_metrics),
+    tracks.extend(two_way_tracks(
+        &tnt_cfg,
+        "VirtIO-TNT (2 tenants, vhost)",
+        ["t0", "t1"],
     ));
-    tracks.push(("VirtIO-TNT t1", per_tenant.remove(0), Vec::new()));
+
+    // The export reconciles across all layers: four driver tracks, two
+    // queue tracks and two tenant tracks, every layer present, and at
+    // least one complete span.
+    assert_eq!(
+        tracks.len(),
+        8,
+        "expected 4 drivers + 2 MQ queues + 2 tenants"
+    );
+    for name in ["VirtIO-TNT t0", "VirtIO-TNT t1"] {
+        assert!(
+            tracks.iter().any(|(n, ..)| n == name),
+            "missing per-tenant track: {name}"
+        );
+    }
+    let events = || tracks.iter().flat_map(|(_, e, _)| e);
+    for layer in vf_trace::Layer::ALL {
+        assert!(
+            events().any(|ev| ev.layer == layer),
+            "missing layer track: {}",
+            layer.name()
+        );
+    }
+    assert!(
+        events().any(|ev| matches!(ev.kind, vf_trace::Kind::Span { .. })),
+        "no complete spans"
+    );
 
     let refs: Vec<(&str, &[vf_trace::TraceEvent], &[vf_trace::CounterTrack])> = tracks
         .iter()
-        .map(|(n, e, c)| (*n, e.as_slice(), c.as_slice()))
+        .map(|(n, e, c)| (n.as_str(), e.as_slice(), c.as_slice()))
         .collect();
     let counters: usize = tracks.iter().map(|(_, _, c)| c.len()).sum();
     std::fs::write(out, vf_trace::chrome_trace_json_full(&refs)).expect("writing trace JSON");
@@ -443,6 +424,48 @@ fn run_trace_artifact(out: &PathBuf, packets: usize, seed: u64) {
         counters,
         out.display()
     );
+}
+
+/// Trace and meter one serial two-way world (E19's two queue pairs or
+/// E21's two tenants), print its first round trips under `title`, and
+/// split its events into one track per way. The serial world
+/// round-robins packets over the ways, so round-trip windows never
+/// overlap and every event inside a window belongs to the way its root
+/// span's name ends with. Bring-up events before the first round trip
+/// carry no way and are left out of the export. Counter series are
+/// per-run, not per-window: the first track carries them all.
+fn two_way_tracks(cfg: &virtio_fpga::TestbedConfig, title: &str, ways: [&str; 2]) -> [Track; 2] {
+    use virtio_fpga::{metered, reconcile, traced_run};
+
+    let name = cfg.driver.name();
+    let (run, metrics) = metered(vf_metrics::MetricsConfig::default(), || traced_run(cfg));
+    let rtts = run.breakdowns();
+    reconcile(&run.result, &rtts)
+        .unwrap_or_else(|e| panic!("{name} trace fails reconciliation: {e}"));
+    println!();
+    println!(
+        "{title} — spans reconcile; first {} round trips:",
+        rtts.len().min(5)
+    );
+    print!("{}", vf_trace::render_table(&rtts[..rtts.len().min(5)]));
+    let mut split: [Vec<vf_trace::TraceEvent>; 2] = Default::default();
+    for ev in &run.events {
+        let idx = rtts.partition_point(|r| r.t1 < ev.t);
+        if let Some(rtt) = rtts.get(idx) {
+            if ev.t >= rtt.t0 {
+                split[usize::from(!rtt.name.ends_with(ways[0]))].push(ev.clone());
+            }
+        }
+    }
+    let [first, second] = split;
+    [
+        (
+            format!("{name} {}", ways[0]),
+            first,
+            counter_tracks(&metrics),
+        ),
+        (format!("{name} {}", ways[1]), second, Vec::new()),
+    ]
 }
 
 /// A named world for the metrics artifact: runs to completion and
@@ -517,6 +540,7 @@ fn run_metrics_artifact(
         );
         println!();
         print!("{}", report.render(name));
+        assert!(report.samples > 0, "{name}: sampler never fired");
         println!("watchdogs: quiet ({} samples)", report.samples);
         if i > 0 {
             json.push(',');

@@ -478,29 +478,46 @@ mod tests {
         assert_eq!(s.lines().count(), 3 + 10); // title + 2 header + 5×2 rows
     }
 
+    /// `repro --quick`'s configuration: the CI smoke input of every
+    /// sweep test below that takes it.
+    fn repro_quick() -> ExperimentParams {
+        ExperimentParams {
+            packets: 2_000,
+            ..ExperimentParams::quick(42)
+        }
+    }
+
     #[test]
     fn mq_renders_and_scales() {
-        let params = ExperimentParams {
+        let unit = ExperimentParams {
             packets: 600,
             threads: 8,
             ..ExperimentParams::quick(31)
         };
-        let rows = experiments::mq_scaling(params, 256);
-        let s = render_mq(256, &rows);
-        assert!(s.contains("E19"));
-        assert_eq!(s.lines().count(), 3 + 5); // title + 2 header + 5 queue counts
-        assert!((rows[0].speedup - 1.0).abs() < 1e-12);
-        assert!(rows[1].pps > rows[0].pps, "2 queues must beat 1");
-        // Regression pins: pairs print in numeric sweep order, and the
-        // summary table carries the link-occupancy column (E20's
-        // crossover must be readable without opening a trace).
-        assert!(
-            rows.windows(2).all(|w| w[0].queues < w[1].queues),
-            "queue rows out of numeric order"
-        );
-        assert!(s.contains("link up/down"));
-        for line in s.lines().skip(3) {
-            assert!(line.contains('%'), "row without link occupancy: {line}");
+        for params in [unit, repro_quick()] {
+            let rows = experiments::mq_scaling(params, 256);
+            let s = render_mq(256, &rows);
+            assert!(s.contains("E19"));
+            assert_eq!(s.lines().count(), 3 + 5); // title + 2 header + 5 queue counts
+            assert!((rows[0].speedup - 1.0).abs() < 1e-12);
+            let pps = |q: u16| rows.iter().find(|r| r.queues == q).unwrap().pps;
+            assert!(
+                pps(2) > pps(1),
+                "2 queues ({}) must beat 1 ({})",
+                pps(2),
+                pps(1)
+            );
+            // Regression pins: pairs print in numeric sweep order, and the
+            // summary table carries the link-occupancy column (E20's
+            // crossover must be readable without opening a trace).
+            assert!(
+                rows.windows(2).all(|w| w[0].queues < w[1].queues),
+                "queue rows out of numeric order"
+            );
+            assert!(s.contains("link up/down"));
+            for line in s.lines().skip(3) {
+                assert!(line.contains('%'), "row without link occupancy: {line}");
+            }
         }
     }
 
@@ -522,25 +539,43 @@ mod tests {
 
     #[test]
     fn tenants_render_scaling_and_noisy() {
-        let params = ExperimentParams {
+        let unit = ExperimentParams {
             packets: 600,
             threads: 8,
             ..ExperimentParams::quick(41)
         };
-        let rows = experiments::tenant_scaling(params, 256);
-        let s = render_tenants(256, &rows);
-        assert!(s.contains("E21"));
-        // title + 2 header + 3 policies × 7 tenant counts.
-        assert_eq!(s.lines().count(), 3 + 21);
-        assert!(s.contains("round-robin") && s.contains("weighted-share"));
-        assert!(
-            rows.iter().all(|r| r.jain > 0.0 && r.jain <= 1.0 + 1e-12),
-            "Jain index out of [0, 1]"
-        );
-        let noisy = experiments::noisy_neighbor(params, 256);
-        let n = render_noisy(256, &noisy);
-        assert!(n.contains("E21") && n.contains("inflation"));
-        assert_eq!(n.lines().count(), 3 + 3); // title + 2 header + 3 policies
+        for (params, payloads) in [(unit, &[256][..]), (repro_quick(), &[256, 1024][..])] {
+            let mut per_policy = std::collections::BTreeMap::new();
+            for &payload in payloads {
+                let rows = experiments::tenant_scaling(params, payload);
+                let s = render_tenants(payload, &rows);
+                assert!(s.contains("E21"));
+                // title + 2 header + 3 policies × 7 tenant counts.
+                assert_eq!(s.lines().count(), 3 + 21);
+                assert!(s.contains("round-robin") && s.contains("weighted-share"));
+                assert!(
+                    rows.iter().all(|r| r.jain > 0.0 && r.jain <= 1.0 + 1e-12),
+                    "Jain index out of (0, 1]"
+                );
+                for r in &rows {
+                    *per_policy.entry(r.policy).or_insert(0) += 1;
+                }
+            }
+            // Every policy has a row per tenant count and payload.
+            let want = experiments::TENANT_COUNTS.len() * payloads.len();
+            assert_eq!(
+                per_policy.into_iter().collect::<Vec<_>>(),
+                [
+                    ("round-robin", want),
+                    ("strict-priority", want),
+                    ("weighted-share", want)
+                ]
+            );
+            let noisy = experiments::noisy_neighbor(params, 256);
+            let n = render_noisy(256, &noisy);
+            assert!(n.contains("E21") && n.contains("inflation"));
+            assert_eq!(n.lines().count(), 3 + 3); // title + 2 header + 3 policies
+        }
     }
 
     #[test]

@@ -1418,35 +1418,57 @@ mod tests {
         }
     }
 
+    /// `repro --quick`'s configuration: the CI smoke input of every
+    /// sweep test below that takes it.
+    fn repro_quick() -> ExperimentParams {
+        ExperimentParams {
+            packets: 2_000,
+            ..ExperimentParams::quick(42)
+        }
+    }
+
     #[test]
     fn pipeline_depth_sweep_shapes_hold() {
-        let rows = pipeline_depth(
-            ExperimentParams {
-                packets: 400,
-                threads: 8,
-                ..ExperimentParams::quick(13)
-            },
-            256,
-        );
-        assert_eq!(rows.len(), 2 * OOO_QUEUES.len() * OOO_DEPTHS.len());
-        for group in rows.chunks(OOO_DEPTHS.len()) {
-            // Depth 1 is the baseline of its own group...
-            assert_eq!(group[0].depth, 1);
-            assert_eq!(group[0].speedup, 1.0);
-            assert_eq!(group[0].peak_np_inflight, 0);
-            for r in &group[1..] {
-                // ...and any deeper window is no slower.
-                assert!(
-                    r.speedup >= 1.0,
-                    "{} q{} depth {}: speedup {}",
-                    r.layout,
-                    r.queues,
-                    r.depth,
-                    r.speedup
-                );
-                assert!(r.peak_np_inflight > 1, "pipeline never materialized");
-                assert!(r.peak_np_inflight <= r.depth as u64);
+        let unit = ExperimentParams {
+            packets: 400,
+            threads: 8,
+            ..ExperimentParams::quick(13)
+        };
+        // (input, payloads, deep rows over those payloads)
+        for (params, payloads, want_deep) in [
+            (unit, &[256][..], 18),
+            (repro_quick(), &[256, 1024][..], 36),
+        ] {
+            let mut deep = 0;
+            for &payload in payloads {
+                let rows = pipeline_depth(params, payload);
+                assert_eq!(rows.len(), 2 * OOO_QUEUES.len() * OOO_DEPTHS.len());
+                for group in rows.chunks(OOO_DEPTHS.len()) {
+                    // Depth 1 is the baseline of its own group...
+                    assert_eq!(group[0].depth, 1);
+                    assert_eq!(group[0].speedup, 1.0);
+                    assert_eq!(group[0].peak_np_inflight, 0);
+                    for r in &group[1..] {
+                        // ...and any deeper window is no slower.
+                        assert_eq!((r.layout, r.queues), (group[0].layout, group[0].queues));
+                        assert!(
+                            r.pps >= group[0].pps && r.speedup >= 1.0,
+                            "{}B {} q{} depth {}: {} pps below depth-1 {} (speedup {})",
+                            payload,
+                            r.layout,
+                            r.queues,
+                            r.depth,
+                            r.pps,
+                            group[0].pps,
+                            r.speedup
+                        );
+                        assert!(r.peak_np_inflight > 1, "pipeline never materialized");
+                        assert!(r.peak_np_inflight <= r.depth as u64);
+                        deep += 1;
+                    }
+                }
             }
+            assert_eq!(deep, want_deep);
         }
     }
 
@@ -1657,58 +1679,69 @@ mod tests {
     /// less fair than strict priority.
     #[test]
     fn noisy_neighbor_isolation_bound_holds() {
-        let rows = noisy_neighbor(
-            ExperimentParams {
-                packets: 1_200,
-                threads: 8,
-                ..ExperimentParams::quick(5)
-            },
-            256,
-        );
-        assert_eq!(rows.len(), 3);
-        let wfq = rows.iter().find(|r| r.policy == "weighted-share").unwrap();
-        let strict = rows.iter().find(|r| r.policy == "strict-priority").unwrap();
-        assert!(
-            wfq.p99_inflation <= WFQ_VICTIM_P99_BOUND,
-            "weighted-share victim p99 inflated {}× (bound {WFQ_VICTIM_P99_BOUND}×)",
-            wfq.p99_inflation
-        );
-        assert!(
-            wfq.jain >= strict.jain,
-            "weighted-share jain {} vs strict-priority {}",
-            wfq.jain,
-            strict.jain
-        );
-        // The aggressor actually hit the device harder than a uniform
-        // tenant would: its deeper window yields a higher service rate.
-        assert!(wfq.noisy_pps > wfq.pps / NOISY_TENANTS as f64);
+        let unit = ExperimentParams {
+            packets: 1_200,
+            threads: 8,
+            ..ExperimentParams::quick(5)
+        };
+        for params in [unit, repro_quick()] {
+            let rows = noisy_neighbor(params, 256);
+            assert_eq!(rows.len(), 3);
+            let wfq = rows.iter().find(|r| r.policy == "weighted-share").unwrap();
+            let strict = rows.iter().find(|r| r.policy == "strict-priority").unwrap();
+            assert!(
+                wfq.p99_inflation <= WFQ_VICTIM_P99_BOUND,
+                "weighted-share victim p99 inflated {}× (bound {WFQ_VICTIM_P99_BOUND}×)",
+                wfq.p99_inflation
+            );
+            assert!(
+                wfq.jain >= strict.jain,
+                "weighted-share jain {} vs strict-priority {}",
+                wfq.jain,
+                strict.jain
+            );
+            // The aggressor actually hit the device harder than a uniform
+            // tenant would: its deeper window yields a higher service rate.
+            assert!(wfq.noisy_pps > wfq.pps / NOISY_TENANTS as f64);
+        }
     }
 
     /// The E24 acceptance shape: 4K random-read IOPS strictly climbs
-    /// QD1 → QD4, and the XDMA baseline has no depth axis at all.
+    /// QD1 → QD4 and beats the serial XDMA baseline at QD4, and the XDMA
+    /// baseline has no depth axis at all.
     #[test]
     fn blk_storage_scales_with_depth() {
-        let rows = blk_storage(ExperimentParams {
+        let unit = ExperimentParams {
             packets: 250,
             threads: 8,
             ..ExperimentParams::quick(31)
-        });
-        assert_eq!(rows.len(), BLK_WORKLOADS.len());
-        for row in &rows {
-            assert_eq!(row.points.len(), BLK_DEPTHS.len());
-            assert_eq!(row.xdma.depth, 1);
-            assert!(row.xdma.iops > 0.0);
+        };
+        for params in [unit, repro_quick()] {
+            let rows = blk_storage(params);
+            assert!(rows
+                .iter()
+                .map(|r| (r.pattern, r.io_bytes))
+                .eq(BLK_WORKLOADS));
+            for row in &rows {
+                assert_eq!(row.points.len(), BLK_DEPTHS.len());
+                assert_eq!(row.xdma.depth, 1);
+                assert!(row.xdma.iops > 0.0);
+            }
+            let rr4k = &rows[0];
+            assert_eq!(rr4k.pattern, crate::blk::BlkPattern::RandomRead);
+            assert_eq!(&BLK_DEPTHS[..3], [1, 2, 4]);
+            let [qd1, qd2, qd4] = [0, 1, 2].map(|i| rr4k.points[i].iops);
+            assert!(
+                qd1 < qd2 && qd2 < qd4,
+                "4K rand-read must scale QD1→QD4: {qd1} / {qd2} / {qd4}"
+            );
+            assert!(
+                qd4 > rr4k.xdma.iops,
+                "queued virtio-blk ({qd4} IOPS at QD4) must beat serial XDMA ({}) at 4K rand-read",
+                rr4k.xdma.iops
+            );
+            // 128K sequential moves more data than 4K random at equal depth.
+            assert!(rows[2].points[2].mbps > rows[0].points[2].mbps);
         }
-        let rr4k = &rows[0];
-        assert_eq!(rr4k.pattern, crate::blk::BlkPattern::RandomRead);
-        assert!(
-            rr4k.points[0].iops < rr4k.points[1].iops && rr4k.points[1].iops < rr4k.points[2].iops,
-            "4K rand-read must scale QD1→QD4: {} / {} / {}",
-            rr4k.points[0].iops,
-            rr4k.points[1].iops,
-            rr4k.points[2].iops
-        );
-        // 128K sequential moves more data than 4K random at equal depth.
-        assert!(rows[2].points[2].mbps > rows[0].points[2].mbps);
     }
 }

@@ -243,11 +243,6 @@ impl<L: UserLogic> Firewall<L> {
     pub fn inner(&self) -> &L {
         &self.inner
     }
-
-    /// Number of rules installed.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
 }
 
 impl<L: UserLogic> UserLogic for Firewall<L> {

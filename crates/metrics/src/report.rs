@@ -127,9 +127,10 @@ impl MetricsReport {
         set.into_iter().collect()
     }
 
-    /// Schema check mirrored by the CI smoke step: every layer in
-    /// `required_layers` registered at least one instrument, and every
-    /// counter series is non-decreasing. Returns the first problem.
+    /// Schema check the `repro metrics` artifact runs on every world
+    /// before writing its JSON: every layer in `required_layers`
+    /// registered at least one instrument, and every counter series is
+    /// non-decreasing. Returns the first problem.
     pub fn validate(&self, required_layers: &[&str]) -> Result<(), String> {
         let layers = self.layers();
         for req in required_layers {

@@ -88,12 +88,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`.
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {

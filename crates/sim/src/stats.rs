@@ -307,15 +307,6 @@ impl Histogram {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 
-    /// `(bin_center, count)` pairs, for plotting.
-    pub fn centers(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let w = self.bin_width();
-        self.counts
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + (i as f64 + 0.5) * w, c))
-    }
-
     /// Render as a compact ASCII sparkline, useful in harness output.
     pub fn sparkline(&self) -> String {
         const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];

@@ -19,9 +19,11 @@
 //! immediately when no sink is installed — no allocation, no clock
 //! mutation, and crucially **no RNG draws**, so enabling tracing cannot
 //! perturb a simulation (the determinism goldens assert this
-//! bit-for-bit). Events flow into a [`TraceSink`] chosen at
-//! [`install`] time: [`NullSink`] (drop), [`RingBufferSink`] (bounded
-//! in-memory capture), or [`JsonLinesSink`] (streaming NDJSON).
+//! bit-for-bit). Events flow into the [`TraceSink`] chosen at
+//! [`install`] time; [`RingBufferSink`] is the bounded in-memory capture
+//! every exporter reads, and a caller may supply its own sink (the
+//! `vfbench` host-time profiler stamps wall time per record and stores
+//! nothing).
 //!
 //! The tracer is thread-local because every simulated world runs on one
 //! thread; parallel sweeps simply run untraced worker threads unless the
@@ -35,13 +37,11 @@ mod session;
 mod sink;
 
 pub use breakdown::{per_rtt, render_table, RttBreakdown, SpanRec};
-pub use perfetto::{
-    chrome_trace_json, chrome_trace_json_full, chrome_trace_json_multi, CounterTrack,
-};
+pub use perfetto::{chrome_trace_json, chrome_trace_json_full, CounterTrack};
 pub use session::{
     advance, begin, end, finish, install, instant, is_enabled, set_now, span_at, uninstall,
 };
-pub use sink::{JsonLinesSink, NullSink, RingBufferSink, TraceSink};
+pub use sink::{RingBufferSink, TraceSink};
 
 use vf_sim::Time;
 

@@ -126,21 +126,14 @@ fn push_counters(out: &mut String, pid: usize, counters: &[CounterTrack]) {
 /// Render one event stream as a complete Chrome trace JSON document with
 /// a single track named `"trace"`.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    chrome_trace_json_multi(&[("trace", events)])
+    chrome_trace_json_full(&[("trace", events, &[])])
 }
 
 /// Render several named event streams (one Perfetto "process" track
-/// each — e.g. one per driver model) into a single trace document.
-pub fn chrome_trace_json_multi(tracks: &[(&str, &[TraceEvent])]) -> String {
-    let full: Vec<(&str, &[TraceEvent], &[CounterTrack])> =
-        tracks.iter().map(|&(n, e)| (n, e, &[][..])).collect();
-    chrome_trace_json_full(&full)
-}
-
-/// Render named event streams with per-track counter series merged in:
-/// spans and instants as before, each counter series as a `"C"` track
-/// under the same process. This is how `repro -- trace` folds the
-/// metrics sampler's time-series into the span view.
+/// each — e.g. one per driver model) into a single trace document, each
+/// with its counter series merged in as `"C"` tracks under the same
+/// process. This is how `repro -- trace` folds the metrics sampler's
+/// time-series into the span view.
 pub fn chrome_trace_json_full(tracks: &[(&str, &[TraceEvent], &[CounterTrack])]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -202,7 +195,7 @@ mod tests {
     fn multi_track_assigns_distinct_pids() {
         let a = vec![span(0, 10)];
         let b = vec![span(0, 10)];
-        let json = chrome_trace_json_multi(&[("virtio", &a), ("xdma", &b)]);
+        let json = chrome_trace_json_full(&[("virtio", &a, &[]), ("xdma", &b, &[])]);
         assert!(json.contains("{\"name\":\"virtio\"}"));
         assert!(json.contains("{\"name\":\"xdma\"}"));
         assert!(json.contains("\"pid\":1"));

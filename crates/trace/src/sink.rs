@@ -1,7 +1,6 @@
 //! Trace sinks: where emitted [`TraceEvent`]s go.
 
 use std::collections::VecDeque;
-use std::io::Write;
 
 use crate::TraceEvent;
 
@@ -12,19 +11,10 @@ pub trait TraceSink {
     fn record(&mut self, ev: &TraceEvent);
 
     /// Surrender buffered events at session end ([`crate::finish`]).
-    /// Streaming sinks return an empty vector.
+    /// Sinks that store nothing return an empty vector.
     fn into_events(self: Box<Self>) -> Vec<TraceEvent> {
         Vec::new()
     }
-}
-
-/// Discards everything. Useful to measure instrumentation overhead with
-/// the emission paths live but no storage.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
 }
 
 /// Bounded in-memory capture: keeps the most recent `capacity` events,
@@ -73,70 +63,10 @@ impl TraceSink for RingBufferSink {
     }
 }
 
-/// Streams each record as one JSON object per line (NDJSON) to a writer.
-/// Line format mirrors [`TraceEvent`]: `t_ps`, `layer`, `kind`, `name`,
-/// `seq`, `a`, `b`, plus `id`/`parent`/`end_ps` where the kind carries
-/// them.
-#[derive(Debug)]
-pub struct JsonLinesSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wrap a writer.
-    pub fn new(w: W) -> Self {
-        JsonLinesSink { w }
-    }
-
-    /// Unwrap the writer (e.g. to flush or inspect a buffer).
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> TraceSink for JsonLinesSink<W> {
-    fn record(&mut self, ev: &TraceEvent) {
-        use crate::Kind;
-        let mut line = format!(
-            "{{\"t_ps\":{},\"layer\":\"{}\",\"name\":\"{}\",\"seq\":{},\"a\":{},\"b\":{}",
-            ev.t.as_ps(),
-            ev.layer.name(),
-            ev.name,
-            ev.seq,
-            ev.a,
-            ev.b
-        );
-        match ev.kind {
-            Kind::Begin { id, parent } => {
-                line += &format!(
-                    ",\"kind\":\"begin\",\"id\":{},\"parent\":{}",
-                    id.0, parent.0
-                );
-            }
-            Kind::End { id } => {
-                line += &format!(",\"kind\":\"end\",\"id\":{}", id.0);
-            }
-            Kind::Span { id, parent, end } => {
-                line += &format!(
-                    ",\"kind\":\"span\",\"id\":{},\"parent\":{},\"end_ps\":{}",
-                    id.0,
-                    parent.0,
-                    end.as_ps()
-                );
-            }
-            Kind::Instant => line += ",\"kind\":\"instant\"",
-        }
-        line += "}\n";
-        // A sink write failure must not abort the simulation; the trace
-        // is an observer. Errors surface when the caller flushes.
-        let _ = self.w.write_all(line.as_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Kind, Layer, SpanId};
+    use crate::{Kind, Layer};
     use vf_sim::Time;
 
     fn ev(seq: u64) -> TraceEvent {
@@ -161,33 +91,5 @@ mod tests {
         assert_eq!(s.len(), 3);
         let evs = Box::new(s).into_events();
         assert_eq!(evs.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn json_lines_are_valid_objects() {
-        let mut s = JsonLinesSink::new(Vec::new());
-        s.record(&ev(7));
-        s.record(&TraceEvent {
-            kind: Kind::Span {
-                id: SpanId(3),
-                parent: SpanId(1),
-                end: Time::from_ns(20),
-            },
-            ..ev(8)
-        });
-        let out = String::from_utf8(s.into_inner()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));
-        assert!(lines[0].contains("\"kind\":\"instant\""));
-        assert!(lines[1].contains("\"end_ps\":20000"));
-        assert!(lines[1].contains("\"parent\":1"));
-    }
-
-    #[test]
-    fn null_sink_returns_nothing() {
-        let mut s = NullSink;
-        s.record(&ev(0));
-        assert!(Box::new(s).into_events().is_empty());
     }
 }

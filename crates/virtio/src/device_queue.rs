@@ -16,10 +16,7 @@
 //!   steps for software backends and tests.
 
 use crate::mem::GuestMemory;
-use crate::ring::{
-    vring_need_event, Desc, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT,
-    USED_F_NO_NOTIFY,
-};
+use crate::ring::{vring_need_event, Desc, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT};
 
 /// A resolved element of a descriptor chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,15 +310,6 @@ impl DeviceQueue {
             self.interrupts_sent += 1;
         }
         fire
-    }
-
-    /// Set/clear `USED_F_NO_NOTIFY` (device-side doorbell suppression
-    /// while it is already processing).
-    pub fn set_no_notify<M: GuestMemory>(&self, mem: &mut M, suppress: bool) {
-        mem.write_u16(
-            self.layout.used_flags_addr(),
-            if suppress { USED_F_NO_NOTIFY } else { 0 },
-        );
     }
 }
 

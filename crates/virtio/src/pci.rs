@@ -180,11 +180,6 @@ impl CommonCfg {
         &self.queues[n as usize]
     }
 
-    /// Mutable registers of queue `n` (device-internal use).
-    pub fn queue_mut(&mut self, n: u16) -> &mut QueueRegs {
-        &mut self.queues[n as usize]
-    }
-
     fn selected(&mut self) -> Option<&mut QueueRegs> {
         self.queues.get_mut(self.queue_select as usize)
     }

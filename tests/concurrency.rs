@@ -2,7 +2,6 @@
 //! and equivalent to serial execution — each simulation is an isolated
 //! world, so thread count can never change a result.
 
-use crossbeam::thread;
 use vf_sim::parallel_map;
 use virtio_fpga::{DriverKind, Testbed, TestbedConfig};
 
@@ -26,19 +25,18 @@ fn parallel_sweep_equals_serial() {
 }
 
 #[test]
-fn crossbeam_scoped_runs_are_independent() {
+fn scoped_runs_are_independent() {
     // Run the same config on many threads simultaneously; all must agree
     // (no hidden global state in any layer).
-    let results = thread::scope(|s| {
+    let results = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
-            .map(|_| s.spawn(|_| mean(DriverKind::Virtio, 128, 99)))
+            .map(|_| s.spawn(|| mean(DriverKind::Virtio, 128, 99)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap())
             .collect::<Vec<f64>>()
-    })
-    .unwrap();
+    });
     assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
 }
 
