@@ -30,8 +30,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use vf_fpga::{bar0, MmioEvent, VirtioFpgaDevice, XdmaExampleDesign};
-use vf_hostsw::{probe_blk, BlkProbeOutcome, CostEngine, VirtioBlkDriver, XdmaCharDriver};
+use vf_fpga::{bar0, MmioEvent, VirtioFpgaDevice};
+use vf_hostsw::{probe_blk, BlkProbeOutcome, CostEngine, VirtioBlkDriver};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
 use vf_virtio::block::{self, blk_status, SECTOR_SIZE};
@@ -39,7 +39,7 @@ use vf_virtio::feature;
 use vf_xdma::{CardMemory, ChannelDir};
 
 use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
-use crate::testbed::{build_blk_device, DriverKind, TestbedConfig};
+use crate::testbed::{build_blk_device, link_util, DriverKind, TestbedConfig, XdmaEv, XdmaParts};
 
 /// Data segments per request the device advertises (`seg_max`); a
 /// 128 KiB request therefore crosses the link as 4 × 32 KiB
@@ -667,10 +667,7 @@ pub fn run_blk(
     let w = sim.world;
     assert_eq!(w.completed, cfg.packets, "requests lost");
     let stats = w.parts.run_stats();
-    let link = &w.parts.link;
-    let wire = |bytes: u64| {
-        Time::from_ps(bytes * link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
-    };
+    let (link_util_up, link_util_down) = link_util(&w.parts.link, elapsed);
     BlkRunResult {
         pattern,
         io_bytes,
@@ -682,8 +679,8 @@ pub fn run_blk(
         doorbells: stats.notifications,
         irqs: stats.irqs,
         verify_failures: w.verify_failures,
-        link_util_up: wire(link.up_wire_bytes),
-        link_util_down: wire(link.down_wire_bytes),
+        link_util_up,
+        link_util_down,
     }
 }
 
@@ -691,19 +688,8 @@ pub fn run_blk(
 // XDMA storage baseline
 // ---------------------------------------------------------------------
 
-enum XdmaStorageEv {
-    AppSend,
-    Mmio { off: u64, val: u32 },
-    ChannelIrq(ChannelDir),
-}
-
 struct XdmaStorageWorld {
-    mem: HostMemory,
-    link: PcieLink,
-    design: XdmaExampleDesign,
-    driver: XdmaCharDriver,
-    cost: CostEngine,
-    rng: SimRng,
+    parts: XdmaParts,
     pattern: BlkPattern,
     io_bytes: u32,
     /// The card's preloaded image, which read checks compare against.
@@ -724,44 +710,19 @@ struct XdmaStorageWorld {
 
 impl XdmaStorageWorld {
     fn new(cfg: &TestbedConfig, pattern: BlkPattern, io_bytes: u32) -> Self {
-        let mut mem = HostMemory::testbed_default();
-        let link = PcieLink::new(cfg.calibration.link.clone());
-        let rng = SimRng::new(cfg.seed);
-        let cost = CostEngine::new(
-            cfg.calibration.costs.clone(),
-            cfg.calibration.noise.clone(),
-            rng.derive(1),
-        );
         // Card sized to hold several I/O-sized slots (the 64 KiB BRAM of
         // the round-trip worlds is too small for 128 KiB requests).
         let card_len = (io_bytes as usize * 4).next_power_of_two().max(64 * 1024);
-        let mut design = XdmaExampleDesign::new(card_len);
-        design.set_card_memory(cfg.options.card_memory);
+        let mut parts = XdmaParts::new(cfg, card_len, false);
         // The baseline reads the same deterministic image the virtio-blk
         // disk ships with.
         let image = pattern_image((card_len / SECTOR_SIZE) as u64);
         if pattern.is_read() {
-            design.card.write(0, &image[..card_len]);
+            parts.design.card.write(0, &image[..card_len]);
         }
-
-        let info = enumerate(&mut design.config_space, &mut MmioAllocator::new());
-        assert_eq!(info.vendor, vf_pcie::XILINX_VENDOR_ID);
-        let driver = XdmaCharDriver::init(&mut mem);
-        for (off, val) in driver.init_mmio_writes() {
-            design.bar.write32(off, val);
-        }
-        design.msix.enabled = true;
-        design.msix.program(vf_xdma::VEC_H2C, MSI_ADDR_BASE, 0x30);
-        design.msix.program(vf_xdma::VEC_C2H, MSI_ADDR_BASE, 0x31);
-
-        let buf = mem.alloc(io_bytes as usize, 4096);
+        let buf = parts.mem.alloc(io_bytes as usize, 4096);
         XdmaStorageWorld {
-            mem,
-            link,
-            design,
-            driver,
-            cost,
-            rng: rng.derive(2),
+            parts,
             pattern,
             io_bytes,
             image,
@@ -781,7 +742,7 @@ impl XdmaStorageWorld {
 
     fn pick_slot(&mut self) -> u64 {
         if self.pattern.is_random() {
-            self.rng.below(self.card_slots)
+            self.parts.payload_rng.below(self.card_slots)
         } else {
             let s = self.next_slot;
             self.next_slot = (self.next_slot + 1) % self.card_slots;
@@ -791,98 +752,42 @@ impl XdmaStorageWorld {
 }
 
 impl World for XdmaStorageWorld {
-    type Msg = XdmaStorageEv;
+    type Msg = XdmaEv;
 
-    fn deliver(
-        &mut self,
-        now: Time,
-        msg: XdmaStorageEv,
-        sched: &mut vf_sim::Scheduler<XdmaStorageEv>,
-    ) {
+    fn deliver(&mut self, now: Time, msg: XdmaEv, sched: &mut vf_sim::Scheduler<XdmaEv>) {
         match msg {
-            XdmaStorageEv::AppSend => {
+            XdmaEv::AppSend => {
                 if self.to_send == 0 {
                     return;
                 }
                 self.to_send -= 1;
                 self.send_time = now;
-                let mut t = now;
                 self.card_slot = self.pick_slot();
                 let card_addr = self.card_slot * u64::from(self.io_bytes);
-                t += self.cost.step(self.cost.costs.syscall_entry);
-                let setup = if self.pattern.is_read() {
-                    self.driver.read_setup(
-                        &mut self.mem,
-                        self.buf,
-                        card_addr,
-                        self.io_bytes,
-                        &mut self.cost,
-                    )
+                let dir = if self.pattern.is_read() {
+                    ChannelDir::C2H
                 } else {
                     self.payload.resize(self.io_bytes as usize, 0);
-                    self.rng.fill_bytes(&mut self.payload);
-                    HostMemory::write(&mut self.mem, self.buf, &self.payload);
-                    self.driver.write_setup(
-                        &mut self.mem,
-                        self.buf,
-                        card_addr,
-                        self.io_bytes,
-                        &mut self.cost,
-                    )
+                    self.parts.payload_rng.fill_bytes(&mut self.payload);
+                    HostMemory::write(&mut self.parts.mem, self.buf, &self.payload);
+                    ChannelDir::H2C
                 };
-                t += setup.cpu;
-                for &(off, val) in &setup.mmio_writes {
-                    let arrival = self.link.mmio_write(t, 4);
-                    t += self.cost.step(self.cost.costs.mmio_write_cpu);
-                    sched.at(arrival, XdmaStorageEv::Mmio { off, val });
-                }
-                t += self.cost.step(self.cost.costs.block_schedule);
-                self.cpu_free = t;
+                self.cpu_free =
+                    self.parts
+                        .transfer(now, dir, self.buf, card_addr, self.io_bytes, sched);
             }
-            XdmaStorageEv::Mmio { off, val } => {
-                let run = self
-                    .design
-                    .mmio_write(now, off, val, &mut self.mem, &mut self.link)
-                    .expect("descriptor list is well-formed");
-                if let Some(run) = run {
-                    if let Some(irq_at) = run.irq_at {
-                        sched.at(irq_at, XdmaStorageEv::ChannelIrq(run.dir));
-                    }
-                }
+            XdmaEv::Mmio { off, val } => {
+                self.parts.bar_write(now, off, val, sched);
             }
-            XdmaStorageEv::ChannelIrq(dir) => {
-                // The character-device ISR: status + completed-count
-                // reads (each a non-posted stall), ack, handler body,
-                // wakeup, per-transfer teardown, syscall exit.
-                let t_irq = now.max(self.cpu_free);
-                let mut t = t_irq + self.cost.irq_entry();
-                let status_off = match dir {
-                    ChannelDir::H2C => vf_xdma::regs::target::H2C + vf_xdma::regs::chan::STATUS_RC,
-                    ChannelDir::C2H => vf_xdma::regs::target::C2H + vf_xdma::regs::chan::STATUS_RC,
-                };
-                let _ = self.design.mmio_read(status_off);
-                t = self.link.mmio_read(t, 4);
-                t += self.cost.step(self.cost.costs.mmio_read_cpu);
-                let completed_off = match dir {
-                    ChannelDir::H2C => vf_xdma::regs::target::H2C + vf_xdma::regs::chan::COMPLETED,
-                    ChannelDir::C2H => vf_xdma::regs::target::C2H + vf_xdma::regs::chan::COMPLETED,
-                };
-                let _ = self.design.mmio_read(completed_off);
-                t = self.link.mmio_read(t, 4);
-                t += self.cost.step(self.cost.costs.mmio_read_cpu);
-                self.design.bar.ack_channel(dir);
-                t += self.cost.step(self.cost.costs.mmio_write_cpu);
-                t += self.driver.isr_body(&mut self.cost);
-                t += self.cost.step(self.cost.costs.wakeup_to_run);
-                t += self.driver.teardown(dir, &mut self.cost);
-                t += self.cost.step(self.cost.costs.syscall_exit);
-
+            XdmaEv::ChannelIrq(dir) => {
+                let mut t = self.parts.service_irq(now, self.cpu_free, dir);
                 if self.pattern.is_read() {
-                    let d = self.cost.copy_user(self.io_bytes as usize);
-                    t += d;
+                    t += self.parts.cost.copy_user(self.io_bytes as usize);
                     let len = self.io_bytes as usize;
                     let sector = self.card_slot * u64::from(self.io_bytes) / SECTOR_SIZE as u64;
-                    if self.mem.slice(self.buf, len) != expected_read(&self.image, sector, len) {
+                    if self.parts.mem.slice(self.buf, len)
+                        != expected_read(&self.image, sector, len)
+                    {
                         self.verify_failures += 1;
                     }
                 }
@@ -891,10 +796,12 @@ impl World for XdmaStorageWorld {
                 self.completed += 1;
                 self.cpu_free = t;
                 if self.to_send > 0 {
-                    let next = t + self.cost.step(self.cost.costs.app_loop_overhead);
-                    sched.at(next, XdmaStorageEv::AppSend);
+                    let cost = &mut self.parts.cost;
+                    let next = t + cost.step(cost.costs.app_loop_overhead);
+                    sched.at(next, XdmaEv::AppSend);
                 }
             }
+            XdmaEv::UserIrq => unreachable!("the storage baseline arms no user interrupt"),
         }
     }
 }
@@ -912,16 +819,13 @@ pub fn run_xdma_storage(cfg: &TestbedConfig, pattern: BlkPattern, io_bytes: u32)
     let world = XdmaStorageWorld::new(cfg, pattern, io_bytes);
     let mut sim = Simulation::new(world);
     let start = Time::from_us(10);
-    sim.schedule(start, XdmaStorageEv::AppSend);
+    sim.schedule(start, XdmaEv::AppSend);
     let outcome = sim.run(Time::from_secs(3600), 500_000_000);
     assert_eq!(outcome, vf_sim::RunOutcome::Idle, "xdma storage wedged");
     let elapsed = sim.now() - start;
     let w = sim.world;
     assert_eq!(w.completed, cfg.packets, "requests lost");
-    let link = &w.link;
-    let wire = |bytes: u64| {
-        Time::from_ps(bytes * link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
-    };
+    let (link_util_up, link_util_down) = link_util(&w.parts.link, elapsed);
     BlkRunResult {
         pattern,
         io_bytes,
@@ -930,11 +834,11 @@ pub fn run_xdma_storage(cfg: &TestbedConfig, pattern: BlkPattern, io_bytes: u32)
         iops: cfg.packets as f64 / (elapsed.as_us_f64() / 1e6),
         mbps: cfg.packets as f64 * f64::from(io_bytes) / 1e6 / (elapsed.as_us_f64() / 1e6),
         latency: w.latency,
-        doorbells: w.driver.transfers[0] + w.driver.transfers[1],
-        irqs: w.design.msix.fired,
+        doorbells: w.parts.driver.transfers[0] + w.parts.driver.transfers[1],
+        irqs: w.parts.design.msix.fired,
         verify_failures: w.verify_failures,
-        link_util_up: wire(link.up_wire_bytes),
-        link_util_down: wire(link.down_wire_bytes),
+        link_util_up,
+        link_util_down,
     }
 }
 

@@ -590,10 +590,12 @@ pub struct PipelineRow {
 
 /// E12: pipelined throughput — where VirtIO's notification suppression
 /// earns its keep, and where the character-device model cannot follow
-/// (one blocking `write()`/`read()` pair per transfer).
+/// (one blocking `write()`/`read()` pair per transfer). Each depth runs
+/// the E19 multi-queue world at one queue pair, so the depth-16 row is
+/// E19's 1-pair cell at the same payload.
 pub fn pipelined_throughput(params: ExperimentParams) -> Vec<PipelineRow> {
-    let base = TestbedConfig::paper(DriverKind::Virtio, 256, params.packets, params.seed);
-    let xdma_pps = crate::pipeline::xdma_serial_pps(&TestbedConfig::paper(
+    let base = TestbedConfig::paper(DriverKind::VirtioMq, 256, params.packets, params.seed);
+    let xdma_pps = xdma_serial_pps(&TestbedConfig::paper(
         DriverKind::Xdma,
         256,
         params.packets.min(5_000),
@@ -601,22 +603,34 @@ pub fn pipelined_throughput(params: ExperimentParams) -> Vec<PipelineRow> {
     ));
     let depths = [1usize, 2, 4, 8, 16, 32, 64];
     let results = parallel_map(depths.to_vec(), params.threads, |&depth| {
-        crate::pipeline::run_pipelined(&base, depth)
+        crate::mq::run_mq(&base, depth)
     });
     results
         .into_iter()
-        .map(|r| {
+        .map(|mut r| {
             assert_eq!(r.verify_failures, 0);
             PipelineRow {
                 depth: r.depth,
                 virtio_pps: r.pps,
-                virtio_latency_us: r.latency.mean(),
+                virtio_latency_us: r.mean_latency_us(),
                 doorbells_per_packet: r.doorbells_per_packet(),
                 irqs_per_packet: r.irqs_per_packet(),
                 xdma_serial_pps: xdma_pps,
             }
         })
         .collect()
+}
+
+/// The XDMA character device's serial throughput, for contrast with the
+/// pipelined VirtIO rows: `1 / mean round trip` of a [`Testbed`] run of
+/// `cfg` with the driver switched to XDMA. It cannot pipeline: each
+/// `write()`/`read()` pair holds the calling thread for the whole
+/// transfer (one channel per direction, §III-B2).
+pub fn xdma_serial_pps(cfg: &TestbedConfig) -> f64 {
+    let mut xcfg = cfg.clone();
+    xcfg.driver = DriverKind::Xdma;
+    let mut r = Testbed::new(xcfg).run();
+    1e6 / r.total_summary().mean_us
 }
 
 /// One row of the E13 deployment-model comparison (the paper's Fig. 1).
@@ -1425,6 +1439,50 @@ mod tests {
             packets: 2_000,
             ..ExperimentParams::quick(42)
         }
+    }
+
+    /// E12 runs the E19 world at one pair: its rows do not depend on
+    /// the thread count, and its depth-16 row is E19's 1-pair 256 B
+    /// cell bit for bit.
+    #[test]
+    fn pipeline_rows_ignore_threads_and_match_e19() {
+        let rows = |threads| {
+            pipelined_throughput(ExperimentParams {
+                threads,
+                ..repro_quick()
+            })
+            .iter()
+            .map(|r| {
+                [
+                    r.virtio_pps,
+                    r.virtio_latency_us,
+                    r.doorbells_per_packet,
+                    r.irqs_per_packet,
+                    r.xdma_serial_pps,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect::<Vec<_>>()
+        };
+        let one = rows(1);
+        assert_eq!(one, rows(2), "E12 rows depend on the thread count");
+        let e19 = &mq_scaling(repro_quick(), 256)[0];
+        assert_eq!(e19.queues, 1);
+        let cell = [
+            e19.pps,
+            e19.latency_us,
+            e19.doorbells_per_packet,
+            e19.irqs_per_packet,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(one[4][..4], cell, "E12 depth 16 left E19's 1-pair cell");
+    }
+
+    #[test]
+    fn xdma_serial_rate_matches_round_trip() {
+        let cfg = TestbedConfig::paper(DriverKind::Virtio, 256, 500, 31);
+        let pps = xdma_serial_pps(&cfg);
+        assert!((15_000.0..30_000.0).contains(&pps), "pps = {pps}");
     }
 
     #[test]

@@ -277,7 +277,7 @@ pub fn run_tenants(cfg: &TestbedConfig, depth: usize) -> TenantThroughputResult 
     );
     let (w, elapsed) = MqPipelinedWorld::run(cfg, depth);
     let stats = w.parts.run_stats();
-    let (link_util_up, link_util_down) = w.parts.link_util(elapsed);
+    let (link_util_up, link_util_down) = crate::testbed::link_util(&w.parts.link, elapsed);
     let per_tenant_pps: Vec<f64> = w
         .queues
         .iter()

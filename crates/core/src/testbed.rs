@@ -20,17 +20,19 @@
 //! hardware time (FPGA counters, 8 ns quanta), response-generation time
 //! (deducted per §IV-B), and the derived software time.
 //!
-//! The single-queue VirtIO bring-up lives here once, as `VirtioParts`:
-//! `VirtioWorld`, the pipelined world (`crate::pipeline`) and the PMD
-//! world (`crate::pmd`) each own one, differing only in the front end
-//! their probe closure allocates and probes. Every probe is the one
+//! Each host stack is brought up here once. `VirtioParts` is the
+//! single-queue VirtIO one: `VirtioWorld` and the PMD world
+//! (`crate::pmd`) each own one, differing only in the front end their
+//! probe closure allocates and probes, and every probe is the one
 //! §3.1.1 sequence of `vf_hostsw::virtio_pci`, run directly against the
-//! device, which implements `vf_virtio::VirtioTransport`.
+//! device. `XdmaParts` is the §III-B2 character-device flow (bring-up,
+//! blocking transfer, BAR writes, interrupt service): `XdmaWorld` and
+//! the E24 storage baseline (`crate::blk`) each own one.
 
 use std::sync::Arc;
 
 use vf_fpga::user_logic::{ConsoleEcho, UdpEcho, UserLogic};
-use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign};
+use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign, XdmaRun};
 use vf_hostsw::{
     probe_console, CostEngine, Ipv4Addr, MacAddr, RxFrame, SockError, UdpStack,
     VirtioConsoleDriver, VirtioNetDriver, XdmaCharDriver,
@@ -255,8 +257,8 @@ impl TestbedConfig {
 }
 
 // ---------------------------------------------------------------------
-// Shared single-queue VirtIO bring-up (the serial world here, the
-// pipelined world in `crate::pipeline`, the PMD world in `crate::pmd`)
+// Shared single-queue VirtIO bring-up (the serial world here, the PMD
+// world in `crate::pmd`)
 // ---------------------------------------------------------------------
 
 /// A fully brought-up single-queue VirtIO testbed: enumerated device,
@@ -385,6 +387,15 @@ pub(crate) fn probe_net_driver(
     let out = vf_hostsw::probe(device, &driver, want).expect("probe must succeed");
     assert_eq!(out.mtu, 1500);
     driver
+}
+
+/// Fraction of `elapsed` the (upstream, downstream) wire of `link` was
+/// busy.
+pub(crate) fn link_util(link: &PcieLink, elapsed: Time) -> (f64, f64) {
+    let wire = |bytes: u64| {
+        Time::from_ps(bytes * link.cfg.ps_per_byte()).as_us_f64() / elapsed.as_us_f64()
+    };
+    (wire(link.up_wire_bytes), wire(link.down_wire_bytes))
 }
 
 /// Build the block-persona FPGA device for E24, offering the storage
@@ -740,12 +751,14 @@ impl DriverModel for VirtioWorld {
 }
 
 // ---------------------------------------------------------------------
-// XDMA world
+// Shared XDMA host stack (the round-trip world here, the storage
+// baseline in `crate::blk`)
 // ---------------------------------------------------------------------
 
-/// Events of the XDMA round-trip flow.
-enum XdmaEv {
-    /// Application starts the next `write()`/`read()` pair.
+/// Events of the XDMA character-device flow.
+pub(crate) enum XdmaEv {
+    /// Application starts the next `write()`/`read()` pair (or, in the
+    /// storage baseline, the next request).
     AppSend,
     /// A driver MMIO write lands in the device.
     Mmio {
@@ -760,30 +773,23 @@ enum XdmaEv {
     UserIrq,
 }
 
-struct XdmaWorld {
-    mem: HostMemory,
-    link: PcieLink,
-    design: XdmaExampleDesign,
-    driver: XdmaCharDriver,
-    cost: CostEngine,
-    payload_rng: SimRng,
-    transfer_len: u32,
-    h2c_buf: u64,
-    c2h_buf: u64,
-    card_addr: u64,
-    expected: Vec<u8>,
-    cpu_free: Time,
-    rec: RoundTripRecorder,
-    wait_device_irq: bool,
-    /// E13: paravirtualization overlay costs active.
-    vhost: bool,
-    /// Device-side processing time for the E6 user-interrupt path.
-    user_proc: Time,
-    echo: UdpEcho,
+/// A brought-up XDMA example design and the vendor character-device
+/// driver (§III-B2): enumerated card, driver loaded with both channel
+/// interrupts armed, cost engine, payload stream. The XDMA worlds own
+/// one of these and sequence events around it.
+pub(crate) struct XdmaParts {
+    pub(crate) mem: HostMemory,
+    pub(crate) link: PcieLink,
+    pub(crate) design: XdmaExampleDesign,
+    pub(crate) driver: XdmaCharDriver,
+    pub(crate) cost: CostEngine,
+    pub(crate) payload_rng: SimRng,
 }
 
-impl XdmaWorld {
-    fn new(cfg: &TestbedConfig) -> Self {
+impl XdmaParts {
+    /// Bring up a design with `card_len` bytes of card memory. With
+    /// `user_irq` the user logic's data-ready interrupt is enabled too.
+    pub(crate) fn new(cfg: &TestbedConfig, card_len: usize, user_irq: bool) -> Self {
         let mut mem = HostMemory::testbed_default();
         let link = PcieLink::new(cfg.calibration.link.clone());
         let rng = SimRng::new(cfg.seed);
@@ -792,7 +798,7 @@ impl XdmaWorld {
             cfg.calibration.noise.clone(),
             rng.derive(1),
         );
-        let mut design = XdmaExampleDesign::new(64 * 1024);
+        let mut design = XdmaExampleDesign::new(card_len);
         design.set_card_memory(cfg.options.card_memory);
 
         // Enumeration.
@@ -812,49 +818,62 @@ impl XdmaWorld {
         design.msix.program(vf_xdma::VEC_H2C, MSI_ADDR_BASE, 0x30);
         design.msix.program(vf_xdma::VEC_C2H, MSI_ADDR_BASE, 0x31);
         design.msix.program(vf_xdma::VEC_USER0, MSI_ADDR_BASE, 0x32);
-        if cfg.options.xdma_wait_device_irq || cfg.options.vhost_overlay {
+        if user_irq {
             design.bar.write32(
                 vf_xdma::regs::target::IRQ + vf_xdma::regs::irq::USER_INT_EN,
                 0b1,
             );
         }
-
-        let transfer_len = cfg.wire_bytes() as u32;
-        let h2c_buf = mem.alloc(transfer_len as usize, 4096);
-        let c2h_buf = mem.alloc(transfer_len as usize, 4096);
-        XdmaWorld {
+        XdmaParts {
             mem,
             link,
             design,
             driver,
             cost,
             payload_rng: rng.derive(2),
-            transfer_len,
-            h2c_buf,
-            c2h_buf,
-            card_addr: 0x100,
-            expected: Vec::new(),
-            cpu_free: Time::ZERO,
-            rec: RoundTripRecorder::new(cfg.packets),
-            // The vhost worker must learn when response data is ready, so
-            // the overlay implies the data-ready interrupt.
-            wait_device_irq: cfg.options.xdma_wait_device_irq || cfg.options.vhost_overlay,
-            vhost: cfg.options.vhost_overlay,
-            user_proc: Time::ZERO,
-            echo: UdpEcho::default(),
         }
     }
 
-    /// Issue a setup's MMIO writes: each costs CPU time and lands in the
-    /// device after the link flight; the RUN write will start the engine.
-    fn issue_mmio(
+    /// A blocking `write()` (H2C) or `read()` (C2H) of `len` bytes up to
+    /// the point the caller sleeps: syscall entry, pin + descriptor
+    /// build, the engine programming (each MMIO write costs CPU time and
+    /// lands in the device after the link flight; the RUN write starts
+    /// the engine), schedule-out. Returns the instant the CPU is free.
+    pub(crate) fn transfer(
         &mut self,
         mut t: Time,
-        writes: &[(u64, u32)],
+        dir: ChannelDir,
+        host_addr: u64,
+        card_addr: u64,
+        len: u32,
         sched: &mut vf_sim::Scheduler<XdmaEv>,
     ) -> Time {
+        let d = self.cost.step(self.cost.costs.syscall_entry);
+        let (entry, setup_span) = match dir {
+            ChannelDir::H2C => ("write_entry", "xdma_write_setup"),
+            ChannelDir::C2H => ("read_entry", "xdma_read_setup"),
+        };
+        vf_trace::span_at(vf_trace::Layer::Syscall, entry, t, t + d, 0, 0);
+        t += d;
+        let setup = self.driver.setup(
+            &mut self.mem,
+            dir,
+            host_addr,
+            card_addr,
+            len,
+            &mut self.cost,
+        );
+        vf_trace::span_at(
+            vf_trace::Layer::Driver,
+            setup_span,
+            t,
+            t + setup.cpu,
+            u64::from(len),
+            0,
+        );
+        t += setup.cpu;
         let t0 = t;
-        for &(off, val) in writes {
+        for &(off, val) in &setup.mmio_writes {
             let arrival = self.link.mmio_write(t, 4);
             t += self.cost.step(self.cost.costs.mmio_write_cpu);
             sched.at(arrival, XdmaEv::Mmio { off, val });
@@ -864,36 +883,57 @@ impl XdmaWorld {
             "mmio_prog",
             t0,
             t,
-            writes.len() as u64,
+            setup.mmio_writes.len() as u64,
             0,
         );
-        t
+        let d = self.cost.step(self.cost.costs.block_schedule);
+        vf_trace::span_at(vf_trace::Layer::Syscall, "block_schedule", t, t + d, 0, 0);
+        t + d
     }
 
-    /// The common interrupt-service sequence: hardirq entry, status-
-    /// register read (CPU stalls a full MMIO round trip), ack write,
-    /// handler body, wakeup.
-    fn service_irq(&mut self, now: Time, dir: ChannelDir) -> Time {
-        let t_irq = now.max(self.cpu_free);
+    /// A driver MMIO write lands in the device at `now`. When it starts
+    /// a channel, the run is returned and its completion interrupt, if
+    /// armed, is scheduled.
+    pub(crate) fn bar_write(
+        &mut self,
+        now: Time,
+        off: u64,
+        val: u32,
+        sched: &mut vf_sim::Scheduler<XdmaEv>,
+    ) -> Option<XdmaRun> {
+        let run = self
+            .design
+            .mmio_write(now, off, val, &mut self.mem, &mut self.link)
+            .expect("descriptor list is well-formed")?;
+        if let Some(irq_at) = run.irq_at {
+            sched.at(irq_at, XdmaEv::ChannelIrq(run.dir));
+        }
+        Some(run)
+    }
+
+    /// The character device's interrupt-service sequence for a channel
+    /// interrupt arriving at `now` on a CPU busy until `cpu_free`:
+    /// hardirq entry, status-register and completed-count reads (each a
+    /// non-posted MMIO read the CPU stalls on for a full link round
+    /// trip), ack write, handler body, wakeup, per-transfer teardown,
+    /// syscall exit. Returns the instant the syscall has returned.
+    pub(crate) fn service_irq(&mut self, now: Time, cpu_free: Time, dir: ChannelDir) -> Time {
+        let t_irq = now.max(cpu_free);
         vf_trace::set_now(t_irq);
         let mut t = t_irq + self.cost.irq_entry();
-        // ISR reads the channel status register (read-to-clear).
+        let chan = match dir {
+            ChannelDir::H2C => vf_xdma::regs::target::H2C,
+            ChannelDir::C2H => vf_xdma::regs::target::C2H,
+        };
         let t_isr = t;
-        let status_off = match dir {
-            ChannelDir::H2C => vf_xdma::regs::target::H2C + vf_xdma::regs::chan::STATUS_RC,
-            ChannelDir::C2H => vf_xdma::regs::target::C2H + vf_xdma::regs::chan::STATUS_RC,
-        };
-        let _status = self.design.mmio_read(status_off);
-        t = self.link.mmio_read(t, 4); // non-posted: CPU stalls
-        t += self.cost.step(self.cost.costs.mmio_read_cpu);
-        // ... and the completed-descriptor count (second non-posted read).
-        let completed_off = match dir {
-            ChannelDir::H2C => vf_xdma::regs::target::H2C + vf_xdma::regs::chan::COMPLETED,
-            ChannelDir::C2H => vf_xdma::regs::target::C2H + vf_xdma::regs::chan::COMPLETED,
-        };
-        let _count = self.design.mmio_read(completed_off);
-        t = self.link.mmio_read(t, 4);
-        t += self.cost.step(self.cost.costs.mmio_read_cpu);
+        for reg in [
+            vf_xdma::regs::chan::STATUS_RC,
+            vf_xdma::regs::chan::COMPLETED,
+        ] {
+            let _ = self.design.mmio_read(chan + reg);
+            t = self.link.mmio_read(t, 4); // non-posted: CPU stalls
+            t += self.cost.step(self.cost.costs.mmio_read_cpu);
+        }
         vf_trace::span_at(vf_trace::Layer::Irq, "isr_status_read", t_isr, t, 2, 0);
         let t_body = t;
         self.design.bar.ack_channel(dir);
@@ -913,37 +953,70 @@ impl XdmaWorld {
         );
         let d = self.cost.step(self.cost.costs.syscall_exit);
         vf_trace::span_at(vf_trace::Layer::Syscall, "syscall_exit", t, t + d, 0, 0);
-        t += d;
-        t
+        t + d
+    }
+}
+
+// ---------------------------------------------------------------------
+// XDMA world
+// ---------------------------------------------------------------------
+
+struct XdmaWorld {
+    parts: XdmaParts,
+    transfer_len: u32,
+    h2c_buf: u64,
+    c2h_buf: u64,
+    card_addr: u64,
+    /// The request of the round trip in flight; the echo must match it.
+    expected: Vec<u8>,
+    /// E6: the user logic's copy of the received frame, reused.
+    frame: Vec<u8>,
+    cpu_free: Time,
+    rec: RoundTripRecorder,
+    wait_device_irq: bool,
+    /// E13: paravirtualization overlay costs active.
+    vhost: bool,
+    /// Device-side processing time for the E6 user-interrupt path.
+    user_proc: Time,
+    echo: UdpEcho,
+}
+
+impl XdmaWorld {
+    fn new(cfg: &TestbedConfig) -> Self {
+        // The vhost worker must learn when response data is ready, so
+        // the overlay implies the data-ready interrupt.
+        let wait_device_irq = cfg.options.xdma_wait_device_irq || cfg.options.vhost_overlay;
+        let mut parts = XdmaParts::new(cfg, 64 * 1024, wait_device_irq);
+        let transfer_len = cfg.wire_bytes() as u32;
+        let h2c_buf = parts.mem.alloc(transfer_len as usize, 4096);
+        let c2h_buf = parts.mem.alloc(transfer_len as usize, 4096);
+        XdmaWorld {
+            parts,
+            transfer_len,
+            h2c_buf,
+            c2h_buf,
+            card_addr: 0x100,
+            expected: vec![0; transfer_len as usize],
+            frame: vec![0; transfer_len as usize],
+            cpu_free: Time::ZERO,
+            rec: RoundTripRecorder::new(cfg.packets),
+            wait_device_irq,
+            vhost: cfg.options.vhost_overlay,
+            user_proc: Time::ZERO,
+            echo: UdpEcho::default(),
+        }
     }
 
     /// Start the `read()` phase (C2H transfer).
-    fn start_read(&mut self, mut t: Time, sched: &mut vf_sim::Scheduler<XdmaEv>) {
-        let d = self.cost.step(self.cost.costs.syscall_entry);
-        vf_trace::span_at(vf_trace::Layer::Syscall, "read_entry", t, t + d, 0, 0);
-        t += d;
-        let setup = self.driver.read_setup(
-            &mut self.mem,
+    fn start_read(&mut self, t: Time, sched: &mut vf_sim::Scheduler<XdmaEv>) {
+        self.cpu_free = self.parts.transfer(
+            t,
+            ChannelDir::C2H,
             self.c2h_buf,
             self.card_addr,
             self.transfer_len,
-            &mut self.cost,
+            sched,
         );
-        vf_trace::span_at(
-            vf_trace::Layer::Driver,
-            "xdma_read_setup",
-            t,
-            t + setup.cpu,
-            u64::from(self.transfer_len),
-            0,
-        );
-        t += setup.cpu;
-        let writes = setup.mmio_writes.clone();
-        t = self.issue_mmio(t, &writes, sched);
-        let d = self.cost.step(self.cost.costs.block_schedule);
-        vf_trace::span_at(vf_trace::Layer::Syscall, "block_schedule", t, t + d, 0, 0);
-        t += d;
-        self.cpu_free = t;
     }
 }
 
@@ -961,10 +1034,8 @@ impl World for XdmaWorld {
                 let mut t = now;
                 // The test program writes its buffer contents (the same
                 // bytes the VirtIO test would put on the wire).
-                let mut data = vec![0u8; self.transfer_len as usize];
-                self.payload_rng.fill_bytes(&mut data);
-                HostMemory::write(&mut self.mem, self.h2c_buf, &data);
-                self.expected = data;
+                self.parts.payload_rng.fill_bytes(&mut self.expected);
+                HostMemory::write(&mut self.parts.mem, self.h2c_buf, &self.expected);
 
                 if self.vhost {
                     // Fig. 1 (left): the guest's virtio-net front-end
@@ -972,72 +1043,48 @@ impl World for XdmaWorld {
                     // worker wakes, copies the frame out of the guest
                     // buffers, and only then drives the legacy driver.
                     vf_trace::set_now(t);
-                    t += self.cost.vhost_tx_overlay(self.transfer_len as usize);
+                    t += self.parts.cost.vhost_tx_overlay(self.transfer_len as usize);
                 }
 
                 // write(): syscall entry, pin/map, descriptors, program.
-                let d = self.cost.step(self.cost.costs.syscall_entry);
-                vf_trace::span_at(vf_trace::Layer::Syscall, "write_entry", t, t + d, 0, 0);
-                t += d;
-                let setup = self.driver.write_setup(
-                    &mut self.mem,
+                self.cpu_free = self.parts.transfer(
+                    t,
+                    ChannelDir::H2C,
                     self.h2c_buf,
                     self.card_addr,
                     self.transfer_len,
-                    &mut self.cost,
+                    sched,
                 );
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "xdma_write_setup",
-                    t,
-                    t + setup.cpu,
-                    u64::from(self.transfer_len),
-                    0,
-                );
-                t += setup.cpu;
-                let writes = setup.mmio_writes.clone();
-                t = self.issue_mmio(t, &writes, sched);
-                let d = self.cost.step(self.cost.costs.block_schedule);
-                vf_trace::span_at(vf_trace::Layer::Syscall, "block_schedule", t, t + d, 0, 0);
-                t += d;
-                self.cpu_free = t;
             }
             XdmaEv::Mmio { off, val } => {
-                let run = self
-                    .design
-                    .mmio_write(now, off, val, &mut self.mem, &mut self.link)
-                    .expect("descriptor list is well-formed");
-                if let Some(run) = run {
-                    if let Some(irq_at) = run.irq_at {
-                        sched.at(irq_at, XdmaEv::ChannelIrq(run.dir));
-                    }
-                    // E6: after the H2C data lands, the user logic
-                    // "processes" it and raises the data-ready interrupt.
-                    if run.dir == ChannelDir::H2C && self.wait_device_irq {
-                        let mut frame = vec![0u8; self.transfer_len as usize];
-                        vf_xdma::CardMemory::read(&self.design.card, self.card_addr, &mut frame);
-                        let outcome = self.echo.on_frame(&mut frame[12..]); // past the hdr bytes
-                        self.user_proc = vf_sim::FPGA_CYCLE * outcome.cycles;
-                        let ready = run.outcome.completed_at + self.user_proc;
-                        if let Some(vec) = self.design.bar.raise_user_irq(0) {
-                            if self.design.msix.fire(vec).is_some() {
-                                let at = self.link.msix_write(ready);
-                                sched.at(at, XdmaEv::UserIrq);
-                            }
+                let Some(run) = self.parts.bar_write(now, off, val, sched) else {
+                    return;
+                };
+                // E6: after the H2C data lands, the user logic
+                // "processes" it and raises the data-ready interrupt.
+                if run.dir == ChannelDir::H2C && self.wait_device_irq {
+                    let design = &mut self.parts.design;
+                    vf_xdma::CardMemory::read(&design.card, self.card_addr, &mut self.frame);
+                    let outcome = self.echo.on_frame(&mut self.frame[12..]); // past the hdr bytes
+                    self.user_proc = vf_sim::FPGA_CYCLE * outcome.cycles;
+                    let ready = run.outcome.completed_at + self.user_proc;
+                    if let Some(vec) = design.bar.raise_user_irq(0) {
+                        if design.msix.fire(vec).is_some() {
+                            let at = self.parts.link.msix_write(ready);
+                            sched.at(at, XdmaEv::UserIrq);
                         }
                     }
                 }
             }
             XdmaEv::ChannelIrq(dir) => {
-                let t = self.service_irq(now, dir);
+                let mut t = self.parts.service_irq(now, self.cpu_free, dir);
                 match dir {
                     ChannelDir::H2C => {
                         if self.wait_device_irq {
                             // Real use case: poll() for the data-ready
                             // interrupt before read().
-                            let mut t = t;
                             vf_trace::set_now(t);
-                            t += self.cost.block_in_syscall();
+                            t += self.parts.cost.block_in_syscall();
                             self.cpu_free = t;
                         } else {
                             // Paper setup (§IV-C): read() back-to-back.
@@ -1045,8 +1092,8 @@ impl World for XdmaWorld {
                         }
                     }
                     ChannelDir::C2H => {
-                        let mut t = t;
-                        let d = self.cost.copy_user(self.transfer_len as usize);
+                        let cost = &mut self.parts.cost;
+                        let d = cost.copy_user(self.transfer_len as usize);
                         vf_trace::span_at(
                             vf_trace::Layer::Syscall,
                             "copy_to_user",
@@ -1061,22 +1108,24 @@ impl World for XdmaWorld {
                             // buffer, injects the interrupt, and the
                             // guest's stack delivers to the application.
                             vf_trace::set_now(t);
-                            t += self.cost.vhost_rx_overlay(self.transfer_len as usize);
+                            t += cost.vhost_rx_overlay(self.transfer_len as usize);
                         }
                         // Verify the echoed buffer.
                         let got = self
+                            .parts
                             .mem
-                            .slice(self.c2h_buf, self.transfer_len as usize)
-                            .to_vec();
+                            .slice(self.c2h_buf, self.transfer_len as usize);
                         if got != self.expected {
                             self.rec.verify_failures += 1;
                         }
-                        let hw = self.design.h2c_counter.last + self.design.c2h_counter.last;
+                        let design = &self.parts.design;
+                        let hw = design.h2c_counter.last + design.c2h_counter.last;
                         self.rec.record(t, hw, self.user_proc);
                         self.user_proc = Time::ZERO;
                         self.cpu_free = t;
                         if self.rec.packets_left > 0 {
-                            let next = t + self.cost.step(self.cost.costs.app_loop_overhead);
+                            let cost = &mut self.parts.cost;
+                            let next = t + cost.step(cost.costs.app_loop_overhead);
                             sched.at(next, XdmaEv::AppSend);
                         }
                     }
@@ -1086,8 +1135,9 @@ impl World for XdmaWorld {
                 // poll() wakes: hardirq + wakeup + syscall exit, then read().
                 let t_irq = now.max(self.cpu_free);
                 vf_trace::set_now(t_irq);
-                let mut t = t_irq + self.cost.irq_wake();
-                let d = self.cost.step(self.cost.costs.syscall_exit);
+                let cost = &mut self.parts.cost;
+                let mut t = t_irq + cost.irq_wake();
+                let d = cost.step(cost.costs.syscall_exit);
                 vf_trace::span_at(vf_trace::Layer::Syscall, "syscall_exit", t, t + d, 0, 0);
                 t += d;
                 self.start_read(t, sched);
@@ -1118,8 +1168,8 @@ impl DriverModel for XdmaWorld {
 
     fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
         let stats = RunStats {
-            notifications: self.driver.transfers[0] + self.driver.transfers[1],
-            irqs: self.design.msix.fired,
+            notifications: self.parts.driver.transfers[0] + self.parts.driver.transfers[1],
+            irqs: self.parts.design.msix.fired,
             // The XDMA engine fetches its descriptors from host memory
             // too, but that cost is folded into the engine's run model
             // and not counted as ring-metadata reads.

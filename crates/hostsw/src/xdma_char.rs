@@ -36,7 +36,7 @@ pub type RegWrite = (u64, u32);
 #[derive(Clone, Debug)]
 pub struct TransferSetup {
     /// Register writes to apply in order; the last one sets RUN.
-    pub mmio_writes: Vec<RegWrite>,
+    pub mmio_writes: [RegWrite; 4],
     /// Driver CPU time consumed building the transfer.
     pub cpu: Time,
     /// Host address of the first descriptor.
@@ -74,7 +74,10 @@ impl XdmaCharDriver {
         ]
     }
 
-    fn setup(
+    /// The `write()` (H2C) or `read()` (C2H) body up to the blocking
+    /// point: move `len` bytes between the (conceptual) user buffer at
+    /// `host_addr` and card address `card_addr`, in direction `dir`.
+    pub fn setup(
         &mut self,
         mem: &mut HostMemory,
         dir: ChannelDir,
@@ -104,7 +107,7 @@ impl XdmaCharDriver {
             ChannelDir::H2C => (target::H2C_SGDMA, target::H2C),
             ChannelDir::C2H => (target::C2H_SGDMA, target::C2H),
         };
-        let mmio_writes = vec![
+        let mmio_writes = [
             (sg + sgdma::DESC_LO, desc_base as u32),
             (sg + sgdma::DESC_HI, (desc_base >> 32) as u32),
             (sg + sgdma::DESC_ADJ, 0),
@@ -116,32 +119,6 @@ impl XdmaCharDriver {
             desc_addr: desc_base,
             descriptors: descs.len() as u32,
         }
-    }
-
-    /// `write()` body up to the blocking point: move `len` bytes from the
-    /// (conceptual) user buffer at `host_src` to card address `card_dst`.
-    pub fn write_setup(
-        &mut self,
-        mem: &mut HostMemory,
-        host_src: u64,
-        card_dst: u64,
-        len: u32,
-        cost: &mut CostEngine,
-    ) -> TransferSetup {
-        self.setup(mem, ChannelDir::H2C, host_src, card_dst, len, cost)
-    }
-
-    /// `read()` body up to the blocking point: move `len` bytes from card
-    /// address `card_src` into the user buffer at `host_dst`.
-    pub fn read_setup(
-        &mut self,
-        mem: &mut HostMemory,
-        host_dst: u64,
-        card_src: u64,
-        len: u32,
-        cost: &mut CostEngine,
-    ) -> TransferSetup {
-        self.setup(mem, ChannelDir::C2H, host_dst, card_src, len, cost)
     }
 
     /// Interrupt-handler body beyond the status-register read stall (which
@@ -185,7 +162,7 @@ mod tests {
     fn write_setup_builds_descriptor_and_run_sequence() {
         let (mut mem, mut drv, mut cost) = fixture();
         let buf = mem.alloc(1024, 64);
-        let setup = drv.write_setup(&mut mem, buf, 0x100, 1024, &mut cost);
+        let setup = drv.setup(&mut mem, ChannelDir::H2C, buf, 0x100, 1024, &mut cost);
         assert_eq!(setup.descriptors, 1);
         assert!(setup.cpu > Time::ZERO);
         // Descriptor points host → card.
@@ -206,7 +183,7 @@ mod tests {
     fn read_setup_swaps_direction() {
         let (mut mem, mut drv, mut cost) = fixture();
         let buf = mem.alloc(256, 64);
-        let setup = drv.read_setup(&mut mem, buf, 0x200, 256, &mut cost);
+        let setup = drv.setup(&mut mem, ChannelDir::C2H, buf, 0x200, 256, &mut cost);
         let d = XdmaDesc::read_from(&mem, setup.desc_addr).unwrap();
         assert_eq!(d.src, 0x200); // card
         assert_eq!(d.dst, buf); // host
@@ -218,7 +195,7 @@ mod tests {
     fn large_transfers_split_into_page_descriptors() {
         let (mut mem, mut drv, mut cost) = fixture();
         let buf = mem.alloc(10_000, 4096);
-        let setup = drv.write_setup(&mut mem, buf, 0, 10_000, &mut cost);
+        let setup = drv.setup(&mut mem, ChannelDir::H2C, buf, 0, 10_000, &mut cost);
         assert_eq!(setup.descriptors, 3); // 4096 + 4096 + 1808
     }
 
@@ -248,7 +225,7 @@ mod tests {
     fn setup_costs_include_pin_and_desc_build() {
         let (mut mem, mut drv, mut cost) = fixture();
         let buf = mem.alloc(64, 64);
-        let setup = drv.write_setup(&mut mem, buf, 0, 64, &mut cost);
+        let setup = drv.setup(&mut mem, ChannelDir::H2C, buf, 0, 64, &mut cost);
         let expect = cost.costs.xdma_pin_map + cost.costs.xdma_desc_build;
         assert_eq!(setup.cpu, expect);
     }

@@ -2,18 +2,18 @@
 //! VirtIO's notification suppression (EVENT_IDX) coalesce doorbells and
 //! interrupts — the regime the paper's request-response experiment never
 //! enters, and the one where the XDMA character device (one blocking
-//! `write()`/`read()` pair per transfer) cannot compete.
+//! `write()`/`read()` pair per transfer) cannot compete. The VirtIO side
+//! is the multi-queue front end at one queue pair.
 //!
 //! ```sh
 //! cargo run --release --example throughput
 //! ```
 
-use virtio_fpga::pipeline::{run_pipelined, xdma_serial_pps};
-use virtio_fpga::{DriverKind, TestbedConfig};
+use virtio_fpga::{run_mq, xdma_serial_pps, DriverKind, TestbedConfig};
 
 fn main() {
     let packets = 10_000;
-    let cfg = TestbedConfig::paper(DriverKind::Virtio, 256, packets, 42);
+    let cfg = TestbedConfig::paper(DriverKind::VirtioMq, 256, packets, 42);
     let xdma_pps = xdma_serial_pps(&TestbedConfig::paper(DriverKind::Xdma, 256, 3_000, 42));
 
     println!("pipelined UDP echo, 256 B payload, {packets} packets per depth\n");
@@ -22,13 +22,14 @@ fn main() {
         "depth", "VirtIO pps", "latency(us)", "doorbells/pkt", "irqs/pkt"
     );
     for depth in [1usize, 2, 4, 8, 16, 32, 64] {
-        let r = run_pipelined(&cfg, depth);
+        let mut r = run_mq(&cfg, depth);
         assert_eq!(r.verify_failures, 0);
+        let latency = r.mean_latency_us();
         println!(
             "{:>6} {:>12.0} {:>13.1} {:>15.3} {:>10.3}",
             r.depth,
             r.pps,
-            r.latency.mean(),
+            latency,
             r.doorbells_per_packet(),
             r.irqs_per_packet()
         );
