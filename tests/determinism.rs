@@ -569,3 +569,131 @@ fn xdma_storage_sequential_write_matches_golden() {
         "XDMA 128K sequential write drifted"
     );
 }
+
+/// E9 console cell: the hvc persona at 64 B, seed 42+1·3
+/// (`device_types`' derivation). Pins the console branch of the
+/// single-queue world: hvc write and poll, no socket stack.
+#[test]
+fn e9_console_cell_matches_golden() {
+    let mut cfg = TestbedConfig::paper(DriverKind::Virtio, 64, 2000, 45);
+    cfg.options.device_type = vf_virtio::DeviceType::Console;
+    assert_golden(
+        Testbed::new(cfg).run(),
+        &Fingerprint {
+            mean: 0x40352c2eb1c432c3,
+            p99: 0x403d54fdf3b645a2,
+            max: 0x404c5a3d70a3d70a,
+            hw_mean: 0x4029a351deefe54c,
+            sw_mean: 0x40208c15c2092466,
+            proc_mean: 0x3fb47ae147ae14d9,
+            sum: 0x40e4ad2599999992,
+            notifications: 2000,
+            irqs: 2000,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// E10 offload cell on the single-queue world: 512 B with
+/// `VIRTIO_NET_F_CSUM`, seed 42+1 (`csum_offload`'s derivation). Pins
+/// the offloaded `sendto` and the `DATA_VALID` receive.
+#[test]
+fn e10_csum_offload_cell_matches_golden() {
+    let mut cfg = TestbedConfig::paper(DriverKind::Virtio, 512, 2000, 43);
+    cfg.options.csum_offload = true;
+    assert_golden(
+        Testbed::new(cfg).run(),
+        &Fingerprint {
+            mean: 0x4043a1b43526527c,
+            p99: 0x4047d3f7ced91687,
+            max: 0x4053429fbe76c8b4,
+            hw_mean: 0x403882d6a9c56026,
+            sw_mean: 0x402b47cb70ac3a7d,
+            proc_mean: 0x3ff1cac083126f42,
+            sum: 0x40f32be9fbe76c8d,
+            notifications: 2000,
+            irqs: 2000,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// E10 offload on the serial MQ world over 4 pairs: 256 B, seed 42.
+#[test]
+fn mq_csum_offload_serial_world_matches_golden() {
+    let mut cfg = TestbedConfig::paper(DriverKind::VirtioMq, 256, 2000, 42);
+    cfg.options.mq_queue_pairs = 4;
+    cfg.options.csum_offload = true;
+    assert_golden(
+        Testbed::new(cfg).run(),
+        &Fingerprint {
+            mean: 0x404076163779e9d7,
+            p99: 0x40456b22d0e56042,
+            max: 0x405250e560418937,
+            hw_mean: 0x4032aaa3f034b05f,
+            sw_mean: 0x402b4fddca4b1246,
+            proc_mean: 0x3fe3333333333336,
+            sum: 0x40f01351b22d0e5c,
+            notifications: 2000,
+            irqs: 2000,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// E16 paced adaptive PMD cell: 256 B at 10 kpps with the 5 µs
+/// poll→interrupt fallback, seed 42+2·17 (`pmd_crossover`'s
+/// derivation). Pins the round-trip close followed by the pacing gap.
+#[test]
+fn e16_paced_adaptive_pmd_cell_matches_golden() {
+    let mut cfg = TestbedConfig::paper(DriverKind::VirtioPmd, 256, 2000, 76);
+    cfg.options.pmd_send_interval = Some(vf_sim::Time::from_us(100));
+    cfg.options.pmd_adaptive_idle = Some(virtio_fpga::experiments::PMD_ADAPTIVE_IDLE);
+    assert_golden(
+        Testbed::new(cfg).run(),
+        &Fingerprint {
+            mean: 0x4038de17b95a293f,
+            p99: 0x4042453f7ced9168,
+            max: 0x4060f676c8b43958,
+            hw_mean: 0x40323e3b8a19c9b3,
+            sw_mean: 0x401927605ab3aaba,
+            proc_mean: 0x3fd5810624dd2fd0,
+            sum: 0x40e848e32b020c48,
+            notifications: 2000,
+            irqs: 0,
+            verify_failures: 0,
+        },
+    );
+}
+
+/// E24 pipelined storage runner, 4 KiB random writes at QD 8, seed
+/// 42·1000+37 (`blk_storage`'s derivation for workload 1). Pins the
+/// write refill: one payload draw per request, status-only checks.
+#[test]
+fn e24_blk_random_write_qd8_matches_golden() {
+    use virtio_fpga::{run_blk, BlkPattern};
+    let cfg = TestbedConfig::paper(DriverKind::VirtioBlk, 4096, 2000, 42_037);
+    let r = run_blk(&cfg, BlkPattern::RandomWrite, 4096, 8);
+    let latency_sum: f64 = r.latency.raw().iter().sum();
+    assert_eq!(
+        [
+            r.iops.to_bits(),
+            latency_sum.to_bits(),
+            r.link_util_up.to_bits(),
+            r.link_util_down.to_bits(),
+            r.doorbells,
+            r.irqs,
+            r.verify_failures,
+        ],
+        [
+            0x40c9dad2c407da2e,
+            0x4132268298106250,
+            0x3f84f325acb66d6b,
+            0x3fb07a6cca2042cf,
+            250,
+            250,
+            0,
+        ],
+        "4K random write at QD 8 drifted"
+    );
+}
