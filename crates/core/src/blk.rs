@@ -30,16 +30,18 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use vf_fpga::{bar0, MmioEvent, VirtioFpgaDevice};
+use vf_fpga::VirtioFpgaDevice;
 use vf_hostsw::{probe_blk, BlkProbeOutcome, CostEngine, VirtioBlkDriver};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
-use vf_sim::{SampleSet, SimRng, Simulation, Time, World};
+use vf_sim::{SampleSet, Scheduler, SimRng, Time, World};
 use vf_virtio::block::{self, blk_status, SECTOR_SIZE};
 use vf_virtio::feature;
 use vf_xdma::{CardMemory, ChannelDir};
 
-use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
-use crate::testbed::{build_blk_device, link_util, DriverKind, TestbedConfig, XdmaEv, XdmaParts};
+use crate::driver_model::{run_windowed, DriverModel, RoundTripRecorder, RunStats};
+use crate::testbed::{
+    build_blk_device, link_util, ring_doorbell, DriverKind, TestbedConfig, XdmaEv, XdmaParts,
+};
 
 /// Data segments per request the device advertises (`seg_max`); a
 /// 128 KiB request therefore crosses the link as 4 × 32 KiB
@@ -158,28 +160,17 @@ impl BlkParts {
         }
     }
 
-    fn run_stats(&self) -> RunStats {
-        RunStats {
-            notifications: self.device.stats.notifications,
-            irqs: self.device.stats.irqs_sent,
-            desc_reads: self.device.stats.desc_reads,
-            walker_peak_inflight: self.device.stats.walker_peak_inflight,
-        }
-    }
-
-    /// Ring the request-queue doorbell: functional decode now, TLP
-    /// arrival after the link flight. Returns (cpu-done, arrival).
-    fn ring_doorbell(&mut self, t: Time) -> (Time, Time) {
-        let off =
-            bar0::NOTIFY + u64::from(block::REQUEST_QUEUE) * u64::from(bar0::NOTIFY_MULTIPLIER);
-        let ev = self
+    /// `queue`'s doorbell lands at `now`: the walker serves the request
+    /// queue and raises the completion interrupts it owes.
+    fn service_doorbell(&mut self, now: Time, queue: u16, sched: &mut Scheduler<BlkEv>) {
+        let out = self
             .device
-            .mmio_write(off, 2, u64::from(block::REQUEST_QUEUE));
-        debug_assert_eq!(ev, Some(MmioEvent::Notify(block::REQUEST_QUEUE)));
-        let arrival = self.link.mmio_write(t, 2);
-        let d = self.cost.step(self.cost.costs.mmio_write_cpu);
-        vf_trace::span_at(vf_trace::Layer::Driver, "doorbell_mmio", t, t + d, 0, 0);
-        (t + d, arrival)
+            .process_block_notify(now, queue, &mut self.mem, &mut self.link);
+        for c in &out.completions {
+            if let Some(irq_at) = c.irq_at {
+                sched.at(irq_at, BlkEv::Irq);
+            }
+        }
     }
 }
 
@@ -187,9 +178,10 @@ impl BlkParts {
 // Serial world (Testbed::run / DriverModel)
 // ---------------------------------------------------------------------
 
-/// Events of the serial virtio-blk round-trip flow.
+/// Events of both virtio-blk worlds.
 pub(crate) enum BlkEv {
-    /// Application issues the next synchronous request.
+    /// Application issues the next synchronous request (serial world) or
+    /// tops up its window (pipelined world).
     AppSend,
     /// Doorbell TLP lands in the device.
     Doorbell(u16),
@@ -241,7 +233,7 @@ impl BlkWorld {
 impl World for BlkWorld {
     type Msg = BlkEv;
 
-    fn deliver(&mut self, now: Time, msg: BlkEv, sched: &mut vf_sim::Scheduler<BlkEv>) {
+    fn deliver(&mut self, now: Time, msg: BlkEv, sched: &mut Scheduler<BlkEv>) {
         match msg {
             BlkEv::AppSend => {
                 if self.rec.packets_left == 0 {
@@ -289,8 +281,16 @@ impl World for BlkWorld {
                 t += sub.cpu;
                 self.issued += 1;
                 if sub.notify {
-                    let (t_cpu, arrival) = self.parts.ring_doorbell(t);
-                    t = t_cpu;
+                    let p = &mut self.parts;
+                    let (d, arrival) = ring_doorbell(
+                        &mut p.device,
+                        &mut p.link,
+                        &mut p.cost,
+                        block::REQUEST_QUEUE,
+                        t,
+                        true,
+                    );
+                    t += d;
                     sched.at(arrival, BlkEv::Doorbell(block::REQUEST_QUEUE));
                 }
                 // The synchronous caller blocks until the completion IRQ.
@@ -298,19 +298,7 @@ impl World for BlkWorld {
                 t += self.parts.cost.step(self.parts.cost.costs.block_schedule);
                 self.cpu_free = t;
             }
-            BlkEv::Doorbell(queue) => {
-                let out = self.parts.device.process_block_notify(
-                    now,
-                    queue,
-                    &mut self.parts.mem,
-                    &mut self.parts.link,
-                );
-                for c in &out.completions {
-                    if let Some(irq_at) = c.irq_at {
-                        sched.at(irq_at, BlkEv::Irq);
-                    }
-                }
-            }
+            BlkEv::Doorbell(queue) => self.parts.service_doorbell(now, queue, sched),
             BlkEv::Irq => {
                 let t_irq = now.max(self.cpu_free);
                 vf_trace::set_now(t_irq);
@@ -341,12 +329,7 @@ impl World for BlkWorld {
                 self.cpu_free = t;
                 let hw = self.parts.device.counters.last_hw();
                 let proc = self.parts.device.counters.processing.last;
-                self.rec.record(t, hw, proc);
-                if self.rec.packets_left > 0 {
-                    let next = t + self
-                        .parts
-                        .cost
-                        .step(self.parts.cost.costs.app_loop_overhead);
+                if let Some(next) = self.rec.close(t, hw, proc, &mut self.parts.cost) {
                     sched.at(next, BlkEv::AppSend);
                 }
             }
@@ -374,8 +357,7 @@ impl DriverModel for BlkWorld {
     }
 
     fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
-        let stats = self.parts.run_stats();
-        (self.rec, stats, ())
+        (self.rec, RunStats::from(&self.parts.device.stats), ())
     }
 }
 
@@ -416,6 +398,17 @@ impl BlkPattern {
 
     fn is_random(self) -> bool {
         matches!(self, BlkPattern::RandomRead | BlkPattern::RandomWrite)
+    }
+
+    /// The next of `slots` I/O slots to access: a uniform draw from
+    /// `rng`, or the sequential cursor `next`, advanced with wrap.
+    fn next_slot(self, next: &mut u64, slots: u64, rng: &mut SimRng) -> u64 {
+        if self.is_random() {
+            return rng.below(slots);
+        }
+        let slot = *next;
+        *next = (slot + 1) % slots;
+        slot
     }
 }
 
@@ -460,27 +453,17 @@ impl BlkRunResult {
     }
 }
 
-/// Pipelined-window events.
-enum BlkPipeEv {
-    Pump,
-    Doorbell(u16),
-    Irq,
-}
-
 struct BlkPipelinedWorld {
     parts: BlkParts,
     pattern: BlkPattern,
     io_bytes: u32,
     depth: usize,
     to_send: usize,
-    in_flight: usize,
     next_slot: u64,
     slots: u64,
     sectors_per_io: u64,
-    /// tag → submit instant.
-    send_time: HashMap<u32, Time>,
-    /// tag → (sector, is_read) for completion verification.
-    meta: HashMap<u32, (u64, bool)>,
+    /// The window: tag → (submit instant, sector).
+    in_flight: HashMap<u32, (Time, u64)>,
     /// Write payload, refilled in place for each write request.
     payload: Vec<u8>,
     latency: SampleSet,
@@ -501,12 +484,10 @@ impl BlkPipelinedWorld {
             io_bytes,
             depth,
             to_send: cfg.packets,
-            in_flight: 0,
             next_slot: 0,
             slots,
             sectors_per_io,
-            send_time: HashMap::new(),
-            meta: HashMap::new(),
+            in_flight: HashMap::new(),
             payload: Vec::new(),
             latency: SampleSet::with_capacity(cfg.packets),
             completed: 0,
@@ -515,25 +496,18 @@ impl BlkPipelinedWorld {
         }
     }
 
-    fn next_sector(&mut self) -> u64 {
-        let slot = if self.pattern.is_random() {
-            self.parts.payload_rng.below(self.slots)
-        } else {
-            let s = self.next_slot;
-            self.next_slot = (self.next_slot + 1) % self.slots;
-            s
-        };
-        slot * self.sectors_per_io
-    }
-
     /// Top up the window; returns (cpu-done, coalesced doorbell arrival).
     fn refill(&mut self, now: Time) -> (Time, Option<Time>) {
         let mut t = now;
         let mut doorbell_at: Option<Time> = None;
-        while self.in_flight < self.depth && self.to_send > 0 {
-            let sector = self.next_sector();
-            let is_read = self.pattern.is_read();
-            let sub = if is_read {
+        while self.in_flight.len() < self.depth && self.to_send > 0 {
+            let slot = self.pattern.next_slot(
+                &mut self.next_slot,
+                self.slots,
+                &mut self.parts.payload_rng,
+            );
+            let sector = slot * self.sectors_per_io;
+            let sub = if self.pattern.is_read() {
                 self.parts
                     .driver
                     .submit_read(
@@ -557,50 +531,44 @@ impl BlkPipelinedWorld {
                     .expect("window sized to the driver depth")
             };
             t += sub.cpu;
-            self.send_time.insert(sub.tag, t);
-            self.meta.insert(sub.tag, (sector, is_read));
+            self.in_flight.insert(sub.tag, (t, sector));
             if sub.notify {
-                let (t_cpu, arrival) = self.parts.ring_doorbell(t);
-                t = t_cpu;
+                let p = &mut self.parts;
+                let (d, arrival) = ring_doorbell(
+                    &mut p.device,
+                    &mut p.link,
+                    &mut p.cost,
+                    block::REQUEST_QUEUE,
+                    t,
+                    true,
+                );
+                t += d;
                 doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
             }
-            self.in_flight += 1;
             self.to_send -= 1;
         }
-        vf_metrics::gauge_set("blk.driver.inflight", 0, self.in_flight as i64);
+        vf_metrics::gauge_set("blk.driver.inflight", 0, self.in_flight.len() as i64);
         (t, doorbell_at)
     }
 }
 
 impl World for BlkPipelinedWorld {
-    type Msg = BlkPipeEv;
+    type Msg = BlkEv;
 
-    fn deliver(&mut self, now: Time, msg: BlkPipeEv, sched: &mut vf_sim::Scheduler<BlkPipeEv>) {
+    fn deliver(&mut self, now: Time, msg: BlkEv, sched: &mut Scheduler<BlkEv>) {
         self.parts.link.advance_epoch(now);
         match msg {
-            BlkPipeEv::Pump => {
+            BlkEv::AppSend => {
                 let (mut t, doorbell) = self.refill(now);
                 if let Some(at) = doorbell {
-                    sched.at(at, BlkPipeEv::Doorbell(block::REQUEST_QUEUE));
+                    sched.at(at, BlkEv::Doorbell(block::REQUEST_QUEUE));
                 }
                 t += self.parts.cost.step(self.parts.cost.costs.syscall_entry);
                 t += self.parts.cost.step(self.parts.cost.costs.block_schedule);
                 self.cpu_free = t;
             }
-            BlkPipeEv::Doorbell(queue) => {
-                let out = self.parts.device.process_block_notify(
-                    now,
-                    queue,
-                    &mut self.parts.mem,
-                    &mut self.parts.link,
-                );
-                for c in &out.completions {
-                    if let Some(irq_at) = c.irq_at {
-                        sched.at(irq_at, BlkPipeEv::Irq);
-                    }
-                }
-            }
-            BlkPipeEv::Irq => {
+            BlkEv::Doorbell(queue) => self.parts.service_doorbell(now, queue, sched),
+            BlkEv::Irq => {
                 let mut t = now.max(self.cpu_free) + self.parts.cost.irq_to_napi();
                 let (done, cpu) = self
                     .parts
@@ -611,27 +579,24 @@ impl World for BlkPipelinedWorld {
                 }
                 t += cpu;
                 for d in &done {
-                    let (sector, is_read) = self.meta.remove(&d.tag).expect("known tag");
-                    let bad_read = is_read
-                        && self.pattern.is_read()
+                    let (t0, sector) = self.in_flight.remove(&d.tag).expect("known tag");
+                    let bad_read = self.pattern.is_read()
                         && d.data(&self.parts.mem)
                             != expected_read(&self.parts.image, sector, self.io_bytes as usize);
                     if d.status != blk_status::OK || bad_read {
                         self.verify_failures += 1;
                     }
-                    let t0 = self.send_time.remove(&d.tag).expect("known tag");
                     let lat = (t - t0).quantize(Time::from_ns(1));
                     self.latency.push(lat);
                     vf_metrics::hist_record("blk.req.latency_ps", 0, lat.as_ps());
                     vf_metrics::counter_add("blk.req.completed", 0, 1);
-                    self.in_flight -= 1;
                     self.completed += 1;
                 }
                 t += self.parts.cost.step(self.parts.cost.costs.wakeup_to_run);
                 self.cpu_free = t;
-                vf_metrics::gauge_set("blk.driver.inflight", 0, self.in_flight as i64);
-                if self.to_send > 0 || self.in_flight > 0 {
-                    sched.at(t, BlkPipeEv::Pump);
+                vf_metrics::gauge_set("blk.driver.inflight", 0, self.in_flight.len() as i64);
+                if self.to_send > 0 || !self.in_flight.is_empty() {
+                    sched.at(t, BlkEv::AppSend);
                 }
             }
         }
@@ -657,16 +622,13 @@ pub fn run_blk(
         depth * (2 + BLK_SEG_MAX as usize) <= cfg.options.queue_size as usize,
         "window must fit the request ring"
     );
-    let world = BlkPipelinedWorld::new(cfg, pattern, io_bytes, depth);
-    let mut sim = Simulation::new(world);
-    let start = Time::from_us(10);
-    sim.schedule(start, BlkPipeEv::Pump);
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "blk pipeline wedged");
-    let elapsed = sim.now() - start;
-    let w = sim.world;
+    let (w, elapsed) = run_windowed(
+        BlkPipelinedWorld::new(cfg, pattern, io_bytes, depth),
+        [BlkEv::AppSend],
+        "blk pipeline",
+    );
     assert_eq!(w.completed, cfg.packets, "requests lost");
-    let stats = w.parts.run_stats();
+    let stats = RunStats::from(&w.parts.device.stats);
     let (link_util_up, link_util_down) = link_util(&w.parts.link, elapsed);
     BlkRunResult {
         pattern,
@@ -739,22 +701,12 @@ impl XdmaStorageWorld {
             cpu_free: Time::ZERO,
         }
     }
-
-    fn pick_slot(&mut self) -> u64 {
-        if self.pattern.is_random() {
-            self.parts.payload_rng.below(self.card_slots)
-        } else {
-            let s = self.next_slot;
-            self.next_slot = (self.next_slot + 1) % self.card_slots;
-            s
-        }
-    }
 }
 
 impl World for XdmaStorageWorld {
     type Msg = XdmaEv;
 
-    fn deliver(&mut self, now: Time, msg: XdmaEv, sched: &mut vf_sim::Scheduler<XdmaEv>) {
+    fn deliver(&mut self, now: Time, msg: XdmaEv, sched: &mut Scheduler<XdmaEv>) {
         match msg {
             XdmaEv::AppSend => {
                 if self.to_send == 0 {
@@ -762,7 +714,11 @@ impl World for XdmaStorageWorld {
                 }
                 self.to_send -= 1;
                 self.send_time = now;
-                self.card_slot = self.pick_slot();
+                self.card_slot = self.pattern.next_slot(
+                    &mut self.next_slot,
+                    self.card_slots,
+                    &mut self.parts.payload_rng,
+                );
                 let card_addr = self.card_slot * u64::from(self.io_bytes);
                 let dir = if self.pattern.is_read() {
                     ChannelDir::C2H
@@ -816,14 +772,11 @@ pub fn run_xdma_storage(cfg: &TestbedConfig, pattern: BlkPattern, io_bytes: u32)
         DriverKind::Xdma,
         "run_xdma_storage drives the vendor driver"
     );
-    let world = XdmaStorageWorld::new(cfg, pattern, io_bytes);
-    let mut sim = Simulation::new(world);
-    let start = Time::from_us(10);
-    sim.schedule(start, XdmaEv::AppSend);
-    let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-    assert_eq!(outcome, vf_sim::RunOutcome::Idle, "xdma storage wedged");
-    let elapsed = sim.now() - start;
-    let w = sim.world;
+    let (w, elapsed) = run_windowed(
+        XdmaStorageWorld::new(cfg, pattern, io_bytes),
+        [XdmaEv::AppSend],
+        "xdma storage",
+    );
     assert_eq!(w.completed, cfg.packets, "requests lost");
     let (link_util_up, link_util_down) = link_util(&w.parts.link, elapsed);
     BlkRunResult {

@@ -22,6 +22,8 @@
 //!   harvested by [`DriverModel::finish`] together with the
 //!   driver-specific event counters ([`RunStats`]).
 
+use vf_fpga::DeviceStats;
+use vf_hostsw::CostEngine;
 use vf_sim::{SampleSet, Simulation, Time, World};
 
 use crate::report::RunResult;
@@ -86,6 +88,22 @@ impl RoundTripRecorder {
         vf_trace::end(self.root, t_end);
         self.root = vf_trace::SpanId::NONE;
     }
+
+    /// Close the round trip the application sees end at `t` ([`record`]),
+    /// then run its loop back to the next send. Returns when that send
+    /// starts, or `None` once the workload is done.
+    ///
+    /// [`record`]: Self::record
+    pub(crate) fn close(
+        &mut self,
+        t: Time,
+        hw: Time,
+        proc: Time,
+        cost: &mut CostEngine,
+    ) -> Option<Time> {
+        self.record(t, hw, proc);
+        (self.packets_left > 0).then(|| t + cost.step(cost.costs.app_loop_overhead))
+    }
 }
 
 /// Driver-specific event counters extracted at the end of a run.
@@ -103,6 +121,18 @@ pub struct RunStats {
     /// held in flight at once (E20). Zero for the serial walkers
     /// (`pipeline_depth = 1`) and for engines that do not pipeline.
     pub walker_peak_inflight: u64,
+}
+
+impl From<&DeviceStats> for RunStats {
+    /// A VirtIO device's counters as they stand.
+    fn from(stats: &DeviceStats) -> Self {
+        RunStats {
+            notifications: stats.notifications,
+            irqs: stats.irqs_sent,
+            desc_reads: stats.desc_reads,
+            walker_peak_inflight: stats.walker_peak_inflight,
+        }
+    }
 }
 
 /// A pluggable driver stack: a discrete-event [`World`] that can bring
@@ -133,6 +163,13 @@ pub trait DriverModel: World + Sized {
     fn finish(self) -> (RoundTripRecorder, RunStats, Self::Telemetry);
 }
 
+/// Simulated-time horizon of every run; a workload still busy here is
+/// wedged.
+const HORIZON: Time = Time::from_secs(3600);
+
+/// When a windowed workload's pumps first fire.
+pub(crate) const WINDOW_START: Time = Time::from_us(10);
+
 /// Run one driver model to completion — the single copy of the
 /// "schedule → run → assert drained → build result" epilogue that every
 /// driver previously duplicated.
@@ -150,7 +187,7 @@ pub fn run_world<D: DriverModel + 'static>(cfg: &TestbedConfig) -> (RunResult, D
         })));
     }
     sim.schedule(Time::from_us(10), D::initial_event());
-    sim.run_expect_idle(Time::from_secs(3600), 200_000_000, "simulation");
+    sim.run_expect_idle(HORIZON, 200_000_000, "simulation");
     let (rec, stats, telemetry) = sim.world.finish();
     assert_eq!(rec.packets_left, 0, "packets lost in flight");
     let result = RunResult::from_parts(
@@ -165,4 +202,24 @@ pub fn run_world<D: DriverModel + 'static>(cfg: &TestbedConfig) -> (RunResult, D
         stats.desc_reads,
     );
     (result, telemetry)
+}
+
+/// Run a windowed workload to completion — the counterpart of
+/// [`run_world`] for worlds that keep many requests in flight and
+/// report throughput: deliver every `starts` message at
+/// [`WINDOW_START`], run until the queue drains (panicking that `what`
+/// wedged if it does not), and return the drained world with the span
+/// the run took from [`WINDOW_START`].
+pub(crate) fn run_windowed<W: World>(
+    world: W,
+    starts: impl IntoIterator<Item = W::Msg>,
+    what: &str,
+) -> (W, Time) {
+    let mut sim = Simulation::new(world);
+    for msg in starts {
+        sim.schedule_at(WINDOW_START, msg);
+    }
+    sim.run_expect_idle(HORIZON, 500_000_000, what);
+    let elapsed = sim.now() - WINDOW_START;
+    (sim.world, elapsed)
 }

@@ -28,7 +28,7 @@
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{Persona, VirtioFpgaDevice};
 use vf_pcie::{HostMemory, PcieGen, PcieLink};
-use vf_sim::{parallel_map, SampleSet, Summary, Time};
+use vf_sim::{parallel_map, Summary, Time};
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::DeviceType;
 
@@ -93,6 +93,12 @@ impl Matrix {
     }
 }
 
+/// Run every configuration through [`Testbed::run`], `threads` at a
+/// time, results in `configs` order.
+fn run_cells(configs: Vec<TestbedConfig>, threads: usize) -> Vec<RunResult> {
+    parallel_map(configs, threads, |cfg| Testbed::new(cfg.clone()).run())
+}
+
 /// Run the paper's measurement matrix.
 pub fn run_matrix(params: ExperimentParams) -> Matrix {
     let mut configs = Vec::new();
@@ -106,10 +112,9 @@ pub fn run_matrix(params: ExperimentParams) -> Matrix {
             configs.push(TestbedConfig::paper(driver, payload, params.packets, seed));
         }
     }
-    let cells = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
-    Matrix { cells }
+    Matrix {
+        cells: run_cells(configs, params.threads),
+    }
 }
 
 /// One payload row of the Fig. 3 distribution comparison.
@@ -243,21 +248,15 @@ pub fn portability(params: ExperimentParams) -> Vec<PortabilityRow> {
             configs.push(cfg);
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     links
         .iter()
-        .zip(results.chunks(2))
-        .map(|(&(gen, lanes), pair)| {
-            let mut v = SampleSet::from_us(pair[0].total.raw().to_vec());
-            let mut x = SampleSet::from_us(pair[1].total.raw().to_vec());
-            PortabilityRow {
-                gen,
-                lanes,
-                virtio: v.summary(),
-                xdma: x.summary(),
-            }
+        .zip(results.chunks_mut(2))
+        .map(|(&(gen, lanes), pair)| PortabilityRow {
+            gen,
+            lanes,
+            virtio: pair[0].total.summary(),
+            xdma: pair[1].total.summary(),
         })
         .collect()
 }
@@ -289,20 +288,14 @@ pub fn xdma_irq_ablation(params: ExperimentParams) -> Vec<XdmaIrqRow> {
             configs.push(cfg);
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     PAPER_PAYLOADS
         .iter()
-        .zip(results.chunks(2))
-        .map(|(&payload, pair)| {
-            let mut a = SampleSet::from_us(pair[0].total.raw().to_vec());
-            let mut b = SampleSet::from_us(pair[1].total.raw().to_vec());
-            XdmaIrqRow {
-                payload,
-                back_to_back: a.summary(),
-                with_irq: b.summary(),
-            }
+        .zip(results.chunks_mut(2))
+        .map(|(&payload, pair)| XdmaIrqRow {
+            payload,
+            back_to_back: pair[0].total.summary(),
+            with_irq: pair[1].total.summary(),
         })
         .collect()
 }
@@ -344,21 +337,16 @@ pub fn virtio_features(params: ExperimentParams) -> Vec<VirtioFeatureRow> {
         cfg.options.queue_size = queue_size;
         configs.push(cfg);
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     variants
         .iter()
-        .zip(results)
-        .map(|(&(event_idx, queue_size), r)| {
-            let mut s = SampleSet::from_us(r.total.raw().to_vec());
-            VirtioFeatureRow {
-                event_idx,
-                queue_size,
-                total: s.summary(),
-                notifications: r.notifications,
-                irqs: r.irqs,
-            }
+        .zip(&mut results)
+        .map(|(&(event_idx, queue_size), r)| VirtioFeatureRow {
+            event_idx,
+            queue_size,
+            total: r.total.summary(),
+            notifications: r.notifications,
+            irqs: r.irqs,
         })
         .collect()
 }
@@ -457,19 +445,14 @@ pub fn device_types(params: ExperimentParams) -> Vec<DeviceTypeRow> {
         cfg.options.device_type = dt;
         configs.push(cfg);
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     cells
         .iter()
-        .zip(results)
-        .map(|(&(device_type, payload), r)| {
-            let mut s = SampleSet::from_us(r.total.raw().to_vec());
-            DeviceTypeRow {
-                device_type,
-                payload,
-                total: s.summary(),
-            }
+        .zip(&mut results)
+        .map(|(&(device_type, payload), r)| DeviceTypeRow {
+            device_type,
+            payload,
+            total: r.total.summary(),
         })
         .collect()
 }
@@ -505,24 +488,16 @@ pub fn csum_offload(params: ExperimentParams) -> Vec<CsumRow> {
             configs.push(cfg);
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     payloads
         .iter()
-        .zip(results.chunks(2))
-        .map(|(&payload, pair)| {
-            let mut a = SampleSet::from_us(pair[0].total.raw().to_vec());
-            let mut b = SampleSet::from_us(pair[1].total.raw().to_vec());
-            let mut asw = SampleSet::from_us(pair[0].sw.raw().to_vec());
-            let mut bsw = SampleSet::from_us(pair[1].sw.raw().to_vec());
-            CsumRow {
-                payload,
-                sw_csum: a.summary(),
-                offload: b.summary(),
-                sw_component_sw_csum: asw.summary().mean_us,
-                sw_component_offload: bsw.summary().mean_us,
-            }
+        .zip(results.chunks_mut(2))
+        .map(|(&payload, pair)| CsumRow {
+            payload,
+            sw_csum: pair[0].total.summary(),
+            offload: pair[1].total.summary(),
+            sw_component_sw_csum: pair[0].sw.summary().mean_us,
+            sw_component_offload: pair[1].sw.summary().mean_us,
         })
         .collect()
 }
@@ -554,20 +529,14 @@ pub fn noise_sweep(params: ExperimentParams) -> Vec<NoiseRow> {
             configs.push(cfg);
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     scales
         .iter()
-        .zip(results.chunks(2))
-        .map(|(&scale, pair)| {
-            let mut v = SampleSet::from_us(pair[0].total.raw().to_vec());
-            let mut x = SampleSet::from_us(pair[1].total.raw().to_vec());
-            NoiseRow {
-                scale,
-                virtio: v.summary(),
-                xdma: x.summary(),
-            }
+        .zip(results.chunks_mut(2))
+        .map(|(&scale, pair)| NoiseRow {
+            scale,
+            virtio: pair[0].total.summary(),
+            xdma: pair[1].total.summary(),
         })
         .collect()
 }
@@ -670,22 +639,15 @@ pub fn deployment_models(params: ExperimentParams) -> Vec<DeploymentRow> {
         vhost.options.vhost_overlay = true;
         configs.push(vhost);
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     payloads
         .iter()
-        .zip(results.chunks(3))
-        .map(|(&payload, trio)| {
-            let mut v = SampleSet::from_us(trio[0].total.raw().to_vec());
-            let mut x = SampleSet::from_us(trio[1].total.raw().to_vec());
-            let mut p = SampleSet::from_us(trio[2].total.raw().to_vec());
-            DeploymentRow {
-                payload,
-                direct_virtio: v.summary(),
-                raw_xdma: x.summary(),
-                paravirt: p.summary(),
-            }
+        .zip(results.chunks_mut(3))
+        .map(|(&payload, trio)| DeploymentRow {
+            payload,
+            direct_virtio: trio[0].total.summary(),
+            raw_xdma: trio[1].total.summary(),
+            paravirt: trio[2].total.summary(),
         })
         .collect()
 }
@@ -727,24 +689,16 @@ pub fn card_memory(params: ExperimentParams) -> Vec<CardMemRow> {
             }
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     payloads
         .iter()
-        .zip(results.chunks(4))
-        .map(|(&payload, quad)| {
-            let mut sets: Vec<SampleSet> = quad
-                .iter()
-                .map(|r| SampleSet::from_us(r.total.raw().to_vec()))
-                .collect();
-            CardMemRow {
-                payload,
-                virtio_bram: sets[0].summary(),
-                virtio_ddr: sets[1].summary(),
-                xdma_bram: sets[2].summary(),
-                xdma_ddr: sets[3].summary(),
-            }
+        .zip(results.chunks_mut(4))
+        .map(|(&payload, quad)| CardMemRow {
+            payload,
+            virtio_bram: quad[0].total.summary(),
+            virtio_ddr: quad[1].total.summary(),
+            xdma_bram: quad[2].total.summary(),
+            xdma_ddr: quad[3].total.summary(),
         })
         .collect()
 }
@@ -777,24 +731,16 @@ pub fn pmd_tails(params: ExperimentParams) -> Vec<PmdTailsRow> {
             configs.push(TestbedConfig::paper(driver, payload, params.packets, seed));
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     PAPER_PAYLOADS
         .iter()
-        .zip(results.chunks(3))
-        .map(|(&payload, trio)| {
-            let mut v = SampleSet::from_us(trio[0].total.raw().to_vec());
-            let mut p = SampleSet::from_us(trio[1].total.raw().to_vec());
-            let mut x = SampleSet::from_us(trio[2].total.raw().to_vec());
-            PmdTailsRow {
-                payload,
-                virtio: v.summary(),
-                pmd: p.summary(),
-                xdma: x.summary(),
-                pmd_doorbells_per_packet: trio[1].notifications as f64
-                    / trio[1].packets.max(1) as f64,
-            }
+        .zip(results.chunks_mut(3))
+        .map(|(&payload, trio)| PmdTailsRow {
+            payload,
+            virtio: trio[0].total.summary(),
+            pmd: trio[1].total.summary(),
+            xdma: trio[2].total.summary(),
+            pmd_doorbells_per_packet: trio[1].notifications as f64 / trio[1].packets.max(1) as f64,
         })
         .collect()
 }
@@ -868,25 +814,21 @@ pub fn pmd_crossover(params: ExperimentParams) -> Vec<PmdCrossoverRow> {
             configs.push(cfg);
         }
     }
-    let results = parallel_map(configs, params.threads, crate::pmd::run_pmd);
+    let mut results = parallel_map(configs, params.threads, crate::pmd::run_pmd);
     LOADS_PPS
         .iter()
-        .zip(results.chunks(2))
-        .map(|(&load_pps, pair)| {
-            let mut b = SampleSet::from_us(pair[0].result.total.raw().to_vec());
-            let mut a = SampleSet::from_us(pair[1].result.total.raw().to_vec());
-            PmdCrossoverRow {
-                load_pps,
-                interval_us: 1_000_000.0 / load_pps as f64,
-                busy: b.summary(),
-                busy_cpu_us: pair[0].cpu_us_per_packet,
-                busy_kcycles: pair[0].kcycles_per_packet,
-                adaptive: a.summary(),
-                adaptive_cpu_us: pair[1].cpu_us_per_packet,
-                adaptive_fallbacks: pair[1].irq_fallbacks,
-                kernel: kernel_summary,
-                kernel_cpu_us,
-            }
+        .zip(results.chunks_mut(2))
+        .map(|(&load_pps, pair)| PmdCrossoverRow {
+            load_pps,
+            interval_us: 1_000_000.0 / load_pps as f64,
+            busy: pair[0].result.total.summary(),
+            busy_cpu_us: pair[0].cpu_us_per_packet,
+            busy_kcycles: pair[0].kcycles_per_packet,
+            adaptive: pair[1].result.total.summary(),
+            adaptive_cpu_us: pair[1].cpu_us_per_packet,
+            adaptive_fallbacks: pair[1].irq_fallbacks,
+            kernel: kernel_summary,
+            kernel_cpu_us,
         })
         .collect()
 }
@@ -925,24 +867,16 @@ pub fn packed_ring(params: ExperimentParams) -> Vec<PackedRow> {
             configs.push(TestbedConfig::paper(driver, payload, params.packets, seed));
         }
     }
-    let results = parallel_map(configs, params.threads, |cfg| {
-        Testbed::new(cfg.clone()).run()
-    });
+    let mut results = run_cells(configs, params.threads);
     PAPER_PAYLOADS
         .iter()
-        .zip(results.chunks(2))
-        .map(|(&payload, pair)| {
-            let mut s = SampleSet::from_us(pair[0].total.raw().to_vec());
-            let mut p = SampleSet::from_us(pair[1].total.raw().to_vec());
-            PackedRow {
-                payload,
-                split: s.summary(),
-                packed: p.summary(),
-                split_desc_reads_per_packet: pair[0].desc_reads as f64
-                    / pair[0].packets.max(1) as f64,
-                packed_desc_reads_per_packet: pair[1].desc_reads as f64
-                    / pair[1].packets.max(1) as f64,
-            }
+        .zip(results.chunks_mut(2))
+        .map(|(&payload, pair)| PackedRow {
+            payload,
+            split: pair[0].total.summary(),
+            packed: pair[1].total.summary(),
+            split_desc_reads_per_packet: pair[0].desc_reads as f64 / pair[0].packets.max(1) as f64,
+            packed_desc_reads_per_packet: pair[1].desc_reads as f64 / pair[1].packets.max(1) as f64,
         })
         .collect()
 }
@@ -1308,14 +1242,13 @@ pub const BLK_WORKLOADS: [(crate::blk::BlkPattern, u32); 4] = [
     (crate::blk::BlkPattern::SequentialWrite, 128 << 10),
 ];
 
-fn blk_point(r: &crate::blk::BlkRunResult) -> BlkQdPoint {
+fn blk_point(r: &mut crate::blk::BlkRunResult) -> BlkQdPoint {
     assert_eq!(r.verify_failures, 0, "{} corrupted data", r.pattern.name());
-    let mut lat = SampleSet::from_us(r.latency.raw().to_vec());
     BlkQdPoint {
         depth: r.depth,
         iops: r.iops,
         mbps: r.mbps,
-        latency: lat.summary(),
+        latency: r.latency.summary(),
         doorbells_per_request: r.doorbells_per_request(),
         irqs_per_request: r.irqs_per_request(),
     }
@@ -1338,7 +1271,7 @@ pub fn blk_storage(params: ExperimentParams) -> Vec<BlkStorageRow> {
         }
         jobs.push((w, None));
     }
-    let results = parallel_map(jobs.clone(), params.threads, |&(w, depth)| {
+    let mut results = parallel_map(jobs, params.threads, |&(w, depth)| {
         let (pattern, io_bytes) = BLK_WORKLOADS[w];
         let seed = params.seed.wrapping_mul(1000).wrapping_add(w as u64 * 37);
         match depth {
@@ -1361,12 +1294,15 @@ pub fn blk_storage(params: ExperimentParams) -> Vec<BlkStorageRow> {
     let per_row = BLK_DEPTHS.len() + 1;
     BLK_WORKLOADS
         .iter()
-        .zip(results.chunks(per_row))
-        .map(|(&(pattern, io_bytes), chunk)| BlkStorageRow {
-            pattern,
-            io_bytes,
-            points: chunk[..BLK_DEPTHS.len()].iter().map(blk_point).collect(),
-            xdma: blk_point(&chunk[BLK_DEPTHS.len()]),
+        .zip(results.chunks_mut(per_row))
+        .map(|(&(pattern, io_bytes), chunk)| {
+            let (points, xdma) = chunk.split_at_mut(BLK_DEPTHS.len());
+            BlkStorageRow {
+                pattern,
+                io_bytes,
+                points: points.iter_mut().map(blk_point).collect(),
+                xdma: blk_point(&mut xdma[0]),
+            }
         })
         .collect()
 }

@@ -25,7 +25,9 @@
 //!   pps, per-queue latency, doorbell/irq suppression, and link
 //!   utilization per queue count; at one pair, the E12 depth sweep of
 //!   `experiments::pipelined_throughput`) and
-//!   [`crate::tenant::run_tenants`].
+//!   [`crate::tenant::run_tenants`], pumped from `WINDOW_START` by the
+//!   shared `driver_model::run_windowed`. It emits no trace spans, so it
+//!   calls the UDP stack directly where the serial world uses `HostNet`.
 //!
 //! For the tenant kind the bring-up also builds the E21
 //! [`crate::tenant`] layer (`MqParts::tenancy`): vhost relays and a QoS
@@ -38,20 +40,19 @@
 use std::collections::HashMap;
 
 use vf_fpga::user_logic::UdpEcho;
-use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice};
-use vf_hostsw::{
-    probe_mq, Ipv4Addr, MacAddr, MultiCoreHost, SockError, UdpStack, VirtioNetMqDriver,
-    CTRL_QUEUE_SIZE,
-};
+use vf_fpga::{Persona, VirtioFpgaDevice};
+use vf_hostsw::{probe_mq, MultiCoreHost, VirtioNetMqDriver, CTRL_QUEUE_SIZE};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
-use vf_sim::{SampleSet, Scheduler, SimRng, Simulation, Time, World};
+use vf_sim::{SampleSet, Scheduler, SimRng, Time, World};
 use vf_tenant::TenantConfig;
 use vf_virtio::net::VirtioNetConfig;
 use vf_virtio::{feature, net, DeviceType};
 
-use crate::driver_model::{DriverModel, RoundTripRecorder, RunStats};
+use crate::driver_model::{run_windowed, DriverModel, RoundTripRecorder, RunStats};
 use crate::tenant::Tenancy;
-use crate::testbed::{link_util, DriverKind, TestbedConfig};
+use crate::testbed::{
+    link_util, notify_write, ring_doorbell, DriverKind, HostNet, TestbedConfig, FLOW_PORT_BASE,
+};
 
 /// Most queue pairs a world will drive. Bounded by the static RTT-name
 /// table (trace roots must be `&'static str`), not by the device model;
@@ -127,14 +128,6 @@ const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [
     "rtt_mq_q63",
 ];
 
-/// UDP source-port base; flow `i` sends from `FLOW_PORT_BASE + i`. A
-/// multiple of every power-of-two pair count, so the device's
-/// `dst_port % pairs` steering maps flow `i` exactly to pair `i`.
-const FLOW_PORT_BASE: u16 = 40_000;
-
-/// When the pipelined world's pairs start pumping.
-pub(crate) const PUMP_START: Time = Time::from_us(10);
-
 /// The Toeplitz indirection table the MQ bring-up programs: every slot
 /// defaults to `slot % pairs`, then each measured flow's hash slot is
 /// pinned to its pair — so flow `i` (UDP source port
@@ -165,19 +158,16 @@ pub(crate) struct MqParts {
     pub(crate) link: PcieLink,
     pub(crate) device: VirtioFpgaDevice,
     pub(crate) driver: VirtioNetMqDriver,
-    pub(crate) stack: UdpStack,
+    /// Pair `i`'s flow is the socket path's flow `i`.
+    pub(crate) net: HostNet,
     pub(crate) host: MultiCoreHost,
     pub(crate) payload_rng: SimRng,
-    pub(crate) fpga_ip: Ipv4Addr,
     pub(crate) pairs: u16,
-    /// The frame `sendto` builds, reused by every send.
-    tx_frame: Vec<u8>,
     /// Vhost workers, arbiter and tenant configs; `None` for the MQ
     /// kinds, whose pairs each own their walker.
     pub(crate) tenancy: Option<Tenancy>,
-    base_notifications: u64,
-    base_irqs: u64,
-    base_desc_reads: u64,
+    /// The device's counters after bring-up.
+    base: RunStats,
 }
 
 impl MqParts {
@@ -282,12 +272,7 @@ impl MqParts {
                             driver: &mut VirtioNetMqDriver,
                             notify: bool| {
             assert!(notify, "ctrl command must ring the doorbell");
-            let ev = device.mmio_write(
-                bar0::NOTIFY + u64::from(ctrl_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-                2,
-                u64::from(ctrl_q),
-            );
-            debug_assert_eq!(ev, Some(MmioEvent::Notify(ctrl_q)));
+            notify_write(device, ctrl_q);
             let ctrl_out = device.process_ctrl_notify(Time::ZERO, ctrl_q, mem, link);
             assert!(ctrl_out.delivered);
             assert_eq!(driver.ctrl_ack(mem), Some(net::ctrl::OK));
@@ -303,41 +288,32 @@ impl MqParts {
         ctrl_command(&mut device, &mut mem, &mut link, &mut driver, notify);
         assert_eq!(device.rss_indirection(), Some(&table[..]));
 
-        let host_ip = Ipv4Addr::new(10, 0, 0, 1);
-        let fpga_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let mut stack = UdpStack::new(host_ip, MacAddr([0x02, 0, 0, 0, 0, 0x01]));
-        stack.routes.add(Ipv4Addr::new(10, 0, 0, 0), 24, None, 2);
-        stack.arp.add_static(fpga_ip, MacAddr(netcfg.mac));
-
         MqParts {
-            base_notifications: device.stats.notifications,
-            base_irqs: device.stats.irqs_sent,
-            base_desc_reads: device.stats.desc_reads,
+            base: RunStats::from(&device.stats),
             mem,
             // Bring-up used the link; measurements start on a quiet one.
             link: PcieLink::new(link_cfg),
             device,
             driver,
-            stack,
+            net: HostNet::new(netcfg.mac),
             host,
             payload_rng: rng.derive(2),
-            fpga_ip,
             pairs,
-            tx_frame: Vec::new(),
             tenancy: (cfg.driver == DriverKind::VirtioTenant).then(|| Tenancy::new(cfg, pairs)),
         }
     }
 
     /// Device stats with the bring-up (ctrl-vq) traffic subtracted.
     pub(crate) fn run_stats(&self) -> RunStats {
+        let now = RunStats::from(&self.device.stats);
         RunStats {
-            notifications: self.device.stats.notifications - self.base_notifications,
-            irqs: self.device.stats.irqs_sent - self.base_irqs,
-            desc_reads: self.device.stats.desc_reads - self.base_desc_reads,
+            notifications: now.notifications - self.base.notifications,
+            irqs: now.irqs - self.base.irqs,
+            desc_reads: now.desc_reads - self.base.desc_reads,
             // A high-water mark, not a counter: bring-up's ctrl
             // exchange never uses the pipelined walkers, so no base to
             // subtract.
-            walker_peak_inflight: self.device.stats.walker_peak_inflight,
+            ..now
         }
     }
 }
@@ -404,34 +380,26 @@ impl MqParts {
     /// Returns (guest CPU time spent, doorbell arrival at the device).
     fn ring_doorbell(&mut self, pair: u16, t: Time, frame_len: usize, span: bool) -> (Time, Time) {
         let tx_q = net::tx_queue_of_pair(pair);
-        let ev = self.device.mmio_write(
-            bar0::NOTIFY + u64::from(tx_q) * u64::from(bar0::NOTIFY_MULTIPLIER),
-            2,
-            u64::from(tx_q),
-        );
-        debug_assert_eq!(ev, Some(MmioEvent::Notify(tx_q)));
-        let emit = |name, d| {
-            if span {
-                vf_trace::span_at(vf_trace::Layer::Driver, name, t, t + d, u64::from(tx_q), 0);
-            }
-        };
         let cost = &mut self.host.cpu_for_pair(pair).cost;
-        match self.tenancy.as_mut().filter(|ten| ten.vhost) {
-            Some(ten) => {
-                // The guest's notify is a vmexit into the kick eventfd;
-                // the worker relays the real doorbell.
-                let d = cost.step(cost.costs.vmexit_kick);
-                emit("vmexit_kick", d);
-                let rung = ten.workers[pair as usize].tx(t + d, frame_len);
-                (d, self.link.mmio_write(rung, 2))
-            }
-            None => {
-                let arrival = self.link.mmio_write(t, 2);
-                let d = cost.step(cost.costs.mmio_write_cpu);
-                emit("doorbell_mmio", d);
-                (d, arrival)
-            }
+        let Some(ten) = self.tenancy.as_mut().filter(|ten| ten.vhost) else {
+            return ring_doorbell(&mut self.device, &mut self.link, cost, tx_q, t, span);
+        };
+        // The guest's notify is a vmexit into the kick eventfd; the
+        // worker relays the real doorbell.
+        notify_write(&mut self.device, tx_q);
+        let d = cost.step(cost.costs.vmexit_kick);
+        if span {
+            vf_trace::span_at(
+                vf_trace::Layer::Driver,
+                "vmexit_kick",
+                t,
+                t + d,
+                u64::from(tx_q),
+                0,
+            );
         }
+        let rung = ten.workers[pair as usize].tx(t + d, frame_len);
+        (d, self.link.mmio_write(rung, 2))
     }
 
     /// Run pair `pair`'s walk: TX queue processing, response
@@ -560,49 +528,20 @@ impl World for MqWorld {
                 self.sent += 1;
                 self.rec
                     .begin_rtt(now, self.rtt_names[pair as usize], self.payload as u64);
-                let mut t = now;
                 let payload = &mut self.expected;
                 payload.clear();
                 payload.resize(self.payload, 0);
                 parts.payload_rng.fill_bytes(payload);
                 let offload = parts.driver.pairs[pair as usize].csum_offload();
-
                 let cpu = parts.host.cpu_for_pair(pair);
-                let d = parts
-                    .stack
-                    .sendto_into(
-                        &mut parts.tx_frame,
-                        parts.fpga_ip,
-                        FLOW_PORT_BASE + pair,
-                        7,
-                        payload,
-                        offload,
-                        &mut cpu.cost,
-                    )
-                    .expect("send path configured");
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "sendto",
-                    t,
-                    t + d,
-                    payload.len() as u64,
-                    u64::from(pair),
-                );
-                t += d;
-                let frame_len = parts.tx_frame.len();
-                let res = parts
-                    .driver
-                    .xmit(&mut parts.mem, pair, &parts.tx_frame, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "virtio_xmit",
-                    t,
-                    t + res.cpu,
-                    frame_len as u64,
-                    u64::from(pair),
-                );
-                t += res.cpu;
-                if res.notify {
+                let (mut t, notify) =
+                    parts
+                        .net
+                        .send(now, pair, payload, offload, &mut cpu.cost, |frame, cost| {
+                            parts.driver.xmit(&mut parts.mem, pair, frame, cost)
+                        });
+                if notify {
+                    let frame_len = parts.net.tx_frame.len();
                     let (d, arrival) = parts.ring_doorbell(pair, t, frame_len, true);
                     t += d;
                     sched.at(arrival, DeviceEv::Doorbell(pair).into());
@@ -616,7 +555,7 @@ impl World for MqWorld {
                 let cpu = parts.host.cpu_for_pair(pair);
                 let t_irq = now.max(cpu.free);
                 vf_trace::set_now(t_irq);
-                let mut t = t_irq + cpu.cost.irq_to_napi();
+                let t = t_irq + cpu.cost.irq_to_napi();
                 let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
                 vf_trace::span_at(
                     vf_trace::Layer::Driver,
@@ -626,61 +565,24 @@ impl World for MqWorld {
                     0,
                     u64::from(pair),
                 );
-                t += d;
-                // Length of the last delivered payload, and whether it
-                // matched the one sent.
-                let mut delivered: Option<(usize, bool)> = None;
-                for rx in frames {
-                    let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        validated,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, d)) => {
-                            vf_trace::span_at(
-                                vf_trace::Layer::Syscall,
-                                "udp_rx",
-                                t,
-                                t + d,
-                                rx.frame.len() as u64,
-                                u64::from(pair),
-                            );
-                            t += d;
-                            delivered =
-                                Some((parsed.payload.len(), parsed.payload == self.expected));
-                        }
-                        Err(SockError::BadChecksum) => {
-                            self.rec.verify_failures += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                let d = cpu.cost.step(cpu.cost.costs.wakeup_to_run);
-                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
-                t += d;
-                let len = delivered.map_or(0, |(len, _)| len);
-                let d = parts.stack.recvfrom_return(len, &mut cpu.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "recvfrom_return",
-                    t,
+                let (t, delivered) = parts.net.receive(
                     t + d,
-                    len as u64,
-                    0,
+                    frames,
+                    pair,
+                    &self.expected,
+                    &mut self.rec.verify_failures,
+                    &mut cpu.cost,
                 );
-                t += d;
+                let t = parts.net.return_to_app(
+                    t,
+                    delivered,
+                    &mut self.rec.verify_failures,
+                    &mut cpu.cost,
+                );
                 cpu.free = t;
-
-                if !delivered.is_some_and(|(_, ok)| ok) {
-                    self.rec.verify_failures += 1;
-                }
                 let hw = parts.device.counters.last_hw();
                 let proc = parts.device.counters.processing.last;
-                self.rec.record(t, hw, proc);
-                if self.rec.packets_left > 0 {
-                    let next = t + cpu.cost.step(cpu.cost.costs.app_loop_overhead);
+                if let Some(next) = self.rec.close(t, hw, proc, &mut cpu.cost) {
                     sched.at(next, MqEv::Host(()));
                 }
             }
@@ -779,10 +681,9 @@ impl MqThroughputResult {
 pub(crate) struct PairState {
     payload_rng: SimRng,
     to_send: usize,
-    in_flight: usize,
     seq: u32,
-    send_time: HashMap<u32, Time>,
-    expected: HashMap<u32, Vec<u8>>,
+    /// The window: seq → (send instant, payload sent).
+    in_flight: HashMap<u32, (Time, Vec<u8>)>,
     latency: SampleSet,
     depth: usize,
     pub(crate) paused: bool,
@@ -819,10 +720,8 @@ impl MqPipelinedWorld {
                     // must not race for draws from a shared stream.
                     payload_rng: rng.derive(100 + u64::from(i)),
                     to_send,
-                    in_flight: 0,
                     seq: 0,
-                    send_time: HashMap::new(),
-                    expected: HashMap::new(),
+                    in_flight: HashMap::new(),
                     latency: SampleSet::with_capacity(to_send + 1),
                     depth: tenant.depth_or(depth),
                     paused: tenant.paused,
@@ -849,39 +748,26 @@ impl MqPipelinedWorld {
         let q = &mut self.queues[pair as usize];
         let mut t = now;
         let mut doorbell_at: Option<Time> = None;
-        while q.in_flight < q.depth && q.to_send > 0 {
+        while q.in_flight.len() < q.depth && q.to_send > 0 {
             let mut payload = self.spare_payloads.pop().unwrap_or_default();
             payload.clear();
             payload.resize(self.payload, 0);
             q.payload_rng.fill_bytes(&mut payload);
             payload[..4].copy_from_slice(&q.seq.to_le_bytes());
-            q.send_time.insert(q.seq, t);
             let cpu = parts.host.cpu_for_pair(pair);
-            let cpu_t = parts
-                .stack
-                .sendto_into(
-                    &mut parts.tx_frame,
-                    parts.fpga_ip,
-                    FLOW_PORT_BASE + pair,
-                    7,
-                    &payload,
-                    false,
-                    &mut cpu.cost,
-                )
-                .expect("send path configured");
-            q.expected.insert(q.seq, payload);
-            t += cpu_t;
+            let send_t = t;
+            t += parts.net.sendto(pair, &payload, false, &mut cpu.cost);
+            q.in_flight.insert(q.seq, (send_t, payload));
             let res = parts
                 .driver
-                .xmit(&mut parts.mem, pair, &parts.tx_frame, &mut cpu.cost);
+                .xmit(&mut parts.mem, pair, &parts.net.tx_frame, &mut cpu.cost);
             t += res.cpu;
             if res.notify {
-                let frame_len = parts.tx_frame.len();
+                let frame_len = parts.net.tx_frame.len();
                 let (d, arrival) = parts.ring_doorbell(pair, t, frame_len, false);
                 t += d;
                 doorbell_at = Some(doorbell_at.map_or(arrival, |d: Time| d.max(arrival)));
             }
-            q.in_flight += 1;
             q.to_send -= 1;
             q.seq += 1;
         }
@@ -922,38 +808,27 @@ impl World for MqPipelinedWorld {
                     t += cpu.cost.step(cpu.cost.costs.wakeup_to_run);
                     cpu.blocked = false;
                 }
+                let stack = &mut parts.net.stack;
                 for rx in frames {
-                    match parts.stack.netif_receive(
-                        &rx.frame,
-                        FLOW_PORT_BASE + pair,
-                        false,
-                        &mut cpu.cost,
-                    ) {
-                        Ok((parsed, cpu_t)) => {
-                            t += cpu_t;
-                            t += parts
-                                .stack
-                                .recvfrom_return(parsed.payload.len(), &mut cpu.cost);
-                            let seq = u32::from_le_bytes(
-                                parsed.payload[..4].try_into().expect("seq header"),
-                            );
-                            let expected = q.expected.remove(&seq);
-                            if expected.as_deref() != Some(parsed.payload) {
-                                self.verify_failures += 1;
-                            }
-                            self.spare_payloads.extend(expected);
-                            let t0 = q.send_time.remove(&seq).expect("known seq");
-                            q.latency.push((t - t0).quantize(Time::from_ns(1)));
-                            q.in_flight -= 1;
-                            q.completed += 1;
-                            q.last_completion = t;
-                            self.received += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
+                    let (parsed, cpu_t) = stack
+                        .netif_receive(&rx.frame, FLOW_PORT_BASE + pair, false, &mut cpu.cost)
+                        .expect("receive path failed");
+                    t += cpu_t;
+                    t += stack.recvfrom_return(parsed.payload.len(), &mut cpu.cost);
+                    let seq =
+                        u32::from_le_bytes(parsed.payload[..4].try_into().expect("seq header"));
+                    let (t0, expected) = q.in_flight.remove(&seq).expect("known seq");
+                    if expected != parsed.payload {
+                        self.verify_failures += 1;
                     }
+                    self.spare_payloads.push(expected);
+                    q.latency.push((t - t0).quantize(Time::from_ns(1)));
+                    q.completed += 1;
+                    q.last_completion = t;
+                    self.received += 1;
                 }
                 cpu.free = t;
-                if q.to_send > 0 || q.in_flight > 0 {
+                if q.to_send > 0 || !q.in_flight.is_empty() {
                     sched.at(t, MqEv::Host(pair));
                 }
             }
@@ -965,8 +840,8 @@ impl World for MqPipelinedWorld {
 impl MqPipelinedWorld {
     /// Build the world for `cfg` and run it until the active pairs
     /// drain `cfg.packets` round trips, each pumping a `depth`-deep
-    /// window (per-tenant overrides apply) from 10 µs. Returns the
-    /// drained world and the span the run took.
+    /// window (per-tenant overrides apply) from `WINDOW_START`. Returns
+    /// the drained world and the span the run took.
     pub(crate) fn run(cfg: &TestbedConfig, depth: usize) -> (Self, Time) {
         let world = MqPipelinedWorld::new(cfg, depth);
         for q in &world.queues {
@@ -976,17 +851,11 @@ impl MqPipelinedWorld {
                 cfg.options.queue_size / 2
             );
         }
-        let pairs = world.parts.pairs;
-        let mut sim = Simulation::new(world);
-        for pair in 0..pairs {
-            if !sim.world.queues[pair as usize].paused {
-                sim.schedule_at(PUMP_START, MqEv::Host(pair));
-            }
-        }
-        let outcome = sim.run(Time::from_secs(3600), 500_000_000);
-        assert_eq!(outcome, vf_sim::RunOutcome::Idle, "pipeline wedged");
-        let elapsed = sim.now() - PUMP_START;
-        let w = sim.world;
+        let pumps: Vec<_> = (0..world.parts.pairs)
+            .filter(|&pair| !world.queues[pair as usize].paused)
+            .map(MqEv::Host)
+            .collect();
+        let (w, elapsed) = run_windowed(world, pumps, "pipeline");
         assert_eq!(w.received, cfg.packets, "packets lost");
         (w, elapsed)
     }

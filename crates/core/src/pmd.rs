@@ -27,8 +27,7 @@
 //! telemetry (CPU per packet, peek count, fallback count) used by the
 //! E16 crossover experiment.
 
-use vf_fpga::bar0;
-use vf_hostsw::{build_udp_frame_into, parse_udp_frame, Ipv4Addr, MacAddr, UdpFlow, HOST_CPU_GHZ};
+use vf_hostsw::{build_udp_frame_into, parse_udp_frame, MacAddr, UdpFlow, HOST_CPU_GHZ};
 use vf_pmd::VirtioPmd;
 use vf_sim::{Time, World};
 use vf_virtio::net::VirtioNetConfig;
@@ -36,7 +35,7 @@ use vf_virtio::{feature, net, DeviceType};
 
 use crate::driver_model::{run_world, DriverModel, RoundTripRecorder, RunStats};
 use crate::report::RunResult;
-use crate::testbed::{TestbedConfig, VirtioParts};
+use crate::testbed::{ring_doorbell, TestbedConfig, VirtioParts, ECHO_PORT, FLOW_PORT_BASE};
 
 /// A PMD run: the standard result plus poll-economics telemetry.
 pub struct PmdRun {
@@ -84,9 +83,6 @@ struct PmdWorld {
 }
 
 impl PmdWorld {
-    const SRC_PORT: u16 = 40_000;
-    const DST_PORT: u16 = 7;
-
     fn new(cfg: &TestbedConfig) -> Self {
         assert_eq!(
             cfg.options.device_type,
@@ -110,13 +106,15 @@ impl PmdWorld {
             driver
         });
 
+        // The userspace stack frames the same flow 0 the kernel socket
+        // would.
         let flow = UdpFlow {
-            src_mac: MacAddr([0x02, 0, 0, 0, 0, 0x01]),
+            src_mac: parts.net.stack.local_mac,
             dst_mac: MacAddr(VirtioNetConfig::testbed_default().mac),
-            src_ip: Ipv4Addr::new(10, 0, 0, 1),
-            dst_ip: parts.fpga_ip,
-            src_port: Self::SRC_PORT,
-            dst_port: Self::DST_PORT,
+            src_ip: parts.net.stack.local_ip,
+            dst_ip: parts.net.fpga_ip,
+            src_port: FLOW_PORT_BASE,
+            dst_port: ECHO_PORT,
         };
 
         PmdWorld {
@@ -193,7 +191,7 @@ impl PmdWorld {
             0,
             0,
         );
-        let mut t = t_detect + cpu;
+        let t = t_detect + cpu;
         // Whether the last verified payload matched the one sent.
         let mut delivered: Option<bool> = None;
         for rx in frames {
@@ -210,13 +208,7 @@ impl PmdWorld {
 
         let hw = self.parts.device.counters.last_hw();
         let proc = self.parts.device.counters.processing.last;
-        self.rec.record(t, hw, proc);
-
-        if self.rec.packets_left > 0 {
-            t += self
-                .parts
-                .cost
-                .step(self.parts.cost.costs.app_loop_overhead);
+        if let Some(t) = self.rec.close(t, hw, proc, &mut self.parts.cost) {
             match self.send_interval {
                 None => sched.at(t, PmdEv::AppSend),
                 Some(interval) => {
@@ -283,22 +275,14 @@ impl World for PmdWorld {
                 vf_trace::span_at(vf_trace::Layer::Driver, "tx_burst", t, t + burst.cpu, 1, 0);
                 t += burst.cpu;
                 if burst.notify {
-                    let off = bar0::NOTIFY
-                        + u64::from(net::TX_QUEUE) * u64::from(bar0::NOTIFY_MULTIPLIER);
-                    let ev = self
-                        .parts
-                        .device
-                        .mmio_write(off, 2, u64::from(net::TX_QUEUE));
-                    debug_assert_eq!(ev, Some(vf_fpga::MmioEvent::Notify(net::TX_QUEUE)));
-                    let arrival = self.parts.link.mmio_write(t, 2);
-                    let d = self.parts.cost.step(self.parts.cost.costs.mmio_write_cpu);
-                    vf_trace::span_at(
-                        vf_trace::Layer::Driver,
-                        "doorbell_mmio",
+                    let parts = &mut self.parts;
+                    let (d, arrival) = ring_doorbell(
+                        &mut parts.device,
+                        &mut parts.link,
+                        &mut parts.cost,
+                        net::TX_QUEUE,
                         t,
-                        t + d,
-                        u64::from(net::TX_QUEUE),
-                        0,
+                        true,
                     );
                     t += d;
                     sched.at(arrival, PmdEv::Doorbell(net::TX_QUEUE));
@@ -366,11 +350,11 @@ impl DriverModel for PmdWorld {
     }
 
     fn finish(self) -> (RoundTripRecorder, RunStats, PmdTelemetry) {
+        // The PMD counts its own doorbells: a send to an awake device
+        // rings none.
         let stats = RunStats {
             notifications: self.parts.driver.stats.doorbells,
-            irqs: self.parts.device.stats.irqs_sent,
-            desc_reads: self.parts.device.stats.desc_reads,
-            walker_peak_inflight: self.parts.device.stats.walker_peak_inflight,
+            ..RunStats::from(&self.parts.device.stats)
         };
         let packets = self.rec.totals.len().max(1) as f64;
         let cpu_us_per_packet = self.parts.cost.total_cpu().as_us_f64() / packets;

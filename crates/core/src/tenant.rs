@@ -35,7 +35,8 @@
 use vf_sim::{SampleSet, Scheduler, SimRng, Time};
 use vf_tenant::{ArbiterPolicy, Decision, QosArbiter, TenantClass, TenantConfig, VhostWorker};
 
-use crate::mq::{DeviceEv, MqEv, MqPipelinedWorld, MAX_QUEUE_PAIRS, PUMP_START};
+use crate::driver_model::WINDOW_START;
+use crate::mq::{DeviceEv, MqEv, MqPipelinedWorld, MAX_QUEUE_PAIRS};
 use crate::report::jain_fairness;
 use crate::testbed::{DriverKind, TestbedConfig};
 
@@ -285,7 +286,7 @@ pub fn run_tenants(cfg: &TestbedConfig, depth: usize) -> TenantThroughputResult 
             if q.completed == 0 {
                 0.0
             } else {
-                let window = q.last_completion - PUMP_START;
+                let window = q.last_completion - WINDOW_START;
                 q.completed as f64 / (window.as_us_f64() / 1e6)
             }
         })

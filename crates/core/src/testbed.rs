@@ -28,14 +28,18 @@
 //! device. `XdmaParts` is the §III-B2 character-device flow (bring-up,
 //! blocking transfer, BAR writes, interrupt service): `XdmaWorld` and
 //! the E24 storage baseline (`crate::blk`) each own one.
+//!
+//! The steps every VirtIO world shares live here once: `ring_doorbell`
+//! and `HostNet`, the §III-B1 socket path whose flow `i` sends from
+//! `FLOW_PORT_BASE + i` to the card's `ECHO_PORT`.
 
 use std::sync::Arc;
 
 use vf_fpga::user_logic::{ConsoleEcho, UdpEcho, UserLogic};
-use vf_fpga::{bar0, Persona, VirtioFpgaDevice, XdmaExampleDesign, XdmaRun};
+use vf_fpga::{bar0, MmioEvent, Persona, VirtioFpgaDevice, XdmaExampleDesign, XdmaRun};
 use vf_hostsw::{
     probe_console, CostEngine, Ipv4Addr, MacAddr, RxFrame, SockError, UdpStack,
-    VirtioConsoleDriver, VirtioNetDriver, XdmaCharDriver,
+    VirtioConsoleDriver, VirtioNetDriver, XdmaCharDriver, XmitResult,
 };
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SimRng, Time, World};
@@ -269,10 +273,9 @@ pub(crate) struct VirtioParts<F> {
     pub(crate) link: PcieLink,
     pub(crate) device: VirtioFpgaDevice,
     pub(crate) driver: F,
-    pub(crate) stack: UdpStack,
+    pub(crate) net: HostNet,
     pub(crate) cost: CostEngine,
     pub(crate) payload_rng: SimRng,
-    pub(crate) fpga_ip: Ipv4Addr,
 }
 
 impl<F> VirtioParts<F> {
@@ -343,22 +346,14 @@ impl<F> VirtioParts<F> {
         device.msix.program(1, MSI_ADDR_BASE, 0x41); // TX vector
         assert!(device.is_live());
 
-        // Host network configuration (§III-B1): route + static ARP.
-        let host_ip = Ipv4Addr::new(10, 0, 0, 1);
-        let fpga_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let mut stack = UdpStack::new(host_ip, MacAddr([0x02, 0, 0, 0, 0, 0x01]));
-        stack.routes.add(Ipv4Addr::new(10, 0, 0, 0), 24, None, 2);
-        stack.arp.add_static(fpga_ip, MacAddr(netcfg.mac));
-
         VirtioParts {
             mem,
             link,
             device,
             driver,
-            stack,
+            net: HostNet::new(netcfg.mac),
             cost,
             payload_rng: rng.derive(2),
-            fpga_ip,
         }
     }
 }
@@ -387,6 +382,209 @@ pub(crate) fn probe_net_driver(
     let out = vf_hostsw::probe(device, &driver, want).expect("probe must succeed");
     assert_eq!(out.mtu, 1500);
     driver
+}
+
+// ---------------------------------------------------------------------
+// Steps every VirtIO echo world shares
+// ---------------------------------------------------------------------
+
+/// UDP source-port base: flow `i` sends from `FLOW_PORT_BASE + i` (the
+/// single-queue worlds use flow 0). A multiple of every power-of-two
+/// pair count, so the MQ device's `dst_port % pairs` steering maps flow
+/// `i` exactly to pair `i`.
+pub(crate) const FLOW_PORT_BASE: u16 = 40_000;
+
+/// The FPGA's UDP echo port.
+pub(crate) const ECHO_PORT: u16 = 7;
+
+/// The device side of a doorbell: the posted write into `queue`'s slot
+/// of the notify region, decoded by the device's BAR logic at once.
+pub(crate) fn notify_write(device: &mut VirtioFpgaDevice, queue: u16) {
+    let off = bar0::NOTIFY + u64::from(queue) * u64::from(bar0::NOTIFY_MULTIPLIER);
+    let ev = device.mmio_write(off, 2, u64::from(queue));
+    debug_assert_eq!(ev, Some(MmioEvent::Notify(queue)));
+}
+
+/// Ring `queue`'s doorbell from a CPU at `t`: decode the write now, send
+/// the TLP over `link`, and charge the MMIO write to `cost` (traced as
+/// `doorbell_mmio` when `span`). Returns (CPU time spent, TLP arrival at
+/// the device).
+pub(crate) fn ring_doorbell(
+    device: &mut VirtioFpgaDevice,
+    link: &mut PcieLink,
+    cost: &mut CostEngine,
+    queue: u16,
+    t: Time,
+    span: bool,
+) -> (Time, Time) {
+    notify_write(device, queue);
+    let arrival = link.mmio_write(t, 2);
+    let d = cost.step(cost.costs.mmio_write_cpu);
+    if span {
+        vf_trace::span_at(
+            vf_trace::Layer::Driver,
+            "doorbell_mmio",
+            t,
+            t + d,
+            u64::from(queue),
+            0,
+        );
+    }
+    (d, arrival)
+}
+
+/// The host's socket path to the FPGA (§III-B1): a UDP stack with a
+/// static route and ARP entry for the card, and the frame buffer every
+/// `sendto` reuses. Flow `i` is the socket bound to
+/// `FLOW_PORT_BASE + i`; its send and `udp_rx` spans carry `i`.
+pub(crate) struct HostNet {
+    pub(crate) stack: UdpStack,
+    pub(crate) fpga_ip: Ipv4Addr,
+    /// The frame `sendto` builds, reused by every send.
+    pub(crate) tx_frame: Vec<u8>,
+}
+
+impl HostNet {
+    /// Configure the host interface and reach the card at `fpga_mac`.
+    pub(crate) fn new(fpga_mac: [u8; 6]) -> Self {
+        let fpga_ip = Ipv4Addr::new(10, 0, 0, 2);
+        let mut stack = UdpStack::new(
+            Ipv4Addr::new(10, 0, 0, 1),
+            MacAddr([0x02, 0, 0, 0, 0, 0x01]),
+        );
+        stack.routes.add(Ipv4Addr::new(10, 0, 0, 0), 24, None, 2);
+        stack.arp.add_static(fpga_ip, MacAddr(fpga_mac));
+        HostNet {
+            stack,
+            fpga_ip,
+            tx_frame: Vec::new(),
+        }
+    }
+
+    /// `sendto` of `payload` on flow `flow` into the reused frame,
+    /// untraced. Returns the CPU time spent.
+    pub(crate) fn sendto(
+        &mut self,
+        flow: u16,
+        payload: &[u8],
+        offload: bool,
+        cost: &mut CostEngine,
+    ) -> Time {
+        self.stack
+            .sendto_into(
+                &mut self.tx_frame,
+                self.fpga_ip,
+                FLOW_PORT_BASE + flow,
+                ECHO_PORT,
+                payload,
+                offload,
+                cost,
+            )
+            .expect("send path configured")
+    }
+
+    /// Send `payload` on flow `flow` at `t`: `sendto`, then the driver's
+    /// `xmit` of the frame. Returns when the CPU is done and whether the
+    /// driver must ring the doorbell.
+    pub(crate) fn send(
+        &mut self,
+        mut t: Time,
+        flow: u16,
+        payload: &[u8],
+        offload: bool,
+        cost: &mut CostEngine,
+        xmit: impl FnOnce(&[u8], &mut CostEngine) -> XmitResult,
+    ) -> (Time, bool) {
+        let arg = u64::from(flow);
+        let d = self.sendto(flow, payload, offload, cost);
+        vf_trace::span_at(
+            vf_trace::Layer::Syscall,
+            "sendto",
+            t,
+            t + d,
+            payload.len() as u64,
+            arg,
+        );
+        t += d;
+        let res = xmit(&self.tx_frame, cost);
+        vf_trace::span_at(
+            vf_trace::Layer::Driver,
+            "virtio_xmit",
+            t,
+            t + res.cpu,
+            self.tx_frame.len() as u64,
+            arg,
+        );
+        (t + res.cpu, res.notify)
+    }
+
+    /// Flow `flow`'s NAPI receive at `t`: pass `frames` up the stack,
+    /// counting bad checksums in `failures`. Returns when the CPU is done
+    /// and the last delivered payload's length and whether it equals
+    /// `expected`.
+    pub(crate) fn receive(
+        &mut self,
+        mut t: Time,
+        frames: &[RxFrame],
+        flow: u16,
+        expected: &[u8],
+        failures: &mut u64,
+        cost: &mut CostEngine,
+    ) -> (Time, Option<(usize, bool)>) {
+        let mut delivered = None;
+        for rx in frames {
+            let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
+            match self
+                .stack
+                .netif_receive(&rx.frame, FLOW_PORT_BASE + flow, validated, cost)
+            {
+                Ok((parsed, d)) => {
+                    vf_trace::span_at(
+                        vf_trace::Layer::Syscall,
+                        "udp_rx",
+                        t,
+                        t + d,
+                        rx.frame.len() as u64,
+                        u64::from(flow),
+                    );
+                    t += d;
+                    delivered = Some((parsed.payload.len(), parsed.payload == expected));
+                }
+                Err(SockError::BadChecksum) => *failures += 1,
+                Err(e) => panic!("receive path failed: {e:?}"),
+            }
+        }
+        (t, delivered)
+    }
+
+    /// The blocked reader wakes at `t` and its `recvfrom` (or hvc read)
+    /// returns the `delivered` payload; a missing or mismatched echo
+    /// counts in `failures`. Returns when the application runs.
+    pub(crate) fn return_to_app(
+        &mut self,
+        mut t: Time,
+        delivered: Option<(usize, bool)>,
+        failures: &mut u64,
+        cost: &mut CostEngine,
+    ) -> Time {
+        let d = cost.step(cost.costs.wakeup_to_run);
+        vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
+        t += d;
+        let len = delivered.map_or(0, |(len, _)| len);
+        let d = self.stack.recvfrom_return(len, cost);
+        vf_trace::span_at(
+            vf_trace::Layer::Syscall,
+            "recvfrom_return",
+            t,
+            t + d,
+            len as u64,
+            0,
+        );
+        if !delivered.is_some_and(|(_, ok)| ok) {
+            *failures += 1;
+        }
+        t + d
+    }
 }
 
 /// Fraction of `elapsed` the (upstream, downstream) wire of `link` was
@@ -456,16 +654,11 @@ struct VirtioWorld {
     parts: VirtioParts<FrontEnd>,
     payload: usize,
     expected: Vec<u8>,
-    /// The frame `sendto` builds, reused by every send.
-    tx_frame: Vec<u8>,
     cpu_free: Time,
     rec: RoundTripRecorder,
-    src_port: u16,
 }
 
 impl VirtioWorld {
-    const DST_PORT: u16 = 7; // the echo port
-
     fn new(cfg: &TestbedConfig) -> Self {
         let parts = VirtioParts::new(cfg, |mem, device| match cfg.options.device_type {
             DeviceType::Console => {
@@ -483,17 +676,8 @@ impl VirtioWorld {
             parts,
             payload: cfg.payload,
             expected: Vec::new(),
-            tx_frame: Vec::new(),
             cpu_free: Time::ZERO,
             rec: RoundTripRecorder::new(cfg.packets),
-            src_port: 40_000,
-        }
-    }
-
-    fn csum_offload(&self) -> bool {
-        match &self.parts.driver {
-            FrontEnd::Net(d) => d.csum_offload(),
-            FrontEnd::Console(_) => false,
         }
     }
 }
@@ -513,59 +697,30 @@ impl World for VirtioWorld {
                     FrontEnd::Console(_) => "rtt_virtio_console",
                 };
                 self.rec.begin_rtt(now, rtt_name, self.payload as u64);
-                let mut t = now;
                 // Generate this packet's payload.
-                let offload = self.csum_offload();
+                let parts = &mut self.parts;
                 let payload = &mut self.expected;
                 payload.clear();
                 payload.resize(self.payload, 0);
-                self.parts.payload_rng.fill_bytes(payload);
+                parts.payload_rng.fill_bytes(payload);
 
-                let notify = match &mut self.parts.driver {
-                    FrontEnd::Net(driver) => {
-                        let frame = &mut self.tx_frame;
-                        let cpu = self
-                            .parts
-                            .stack
-                            .sendto_into(
-                                frame,
-                                self.parts.fpga_ip,
-                                self.src_port,
-                                Self::DST_PORT,
-                                payload,
-                                offload,
-                                &mut self.parts.cost,
-                            )
-                            .expect("send path configured");
-                        vf_trace::span_at(
-                            vf_trace::Layer::Syscall,
-                            "sendto",
-                            t,
-                            t + cpu,
-                            payload.len() as u64,
-                            0,
-                        );
-                        t += cpu;
-                        let res = driver.xmit(&mut self.parts.mem, frame, &mut self.parts.cost);
-                        vf_trace::span_at(
-                            vf_trace::Layer::Driver,
-                            "virtio_xmit",
-                            t,
-                            t + res.cpu,
-                            frame.len() as u64,
-                            0,
-                        );
-                        t += res.cpu;
-                        res.notify
-                    }
+                let (mut t, notify) = match &mut parts.driver {
+                    FrontEnd::Net(driver) => parts.net.send(
+                        now,
+                        0,
+                        payload,
+                        driver.csum_offload(),
+                        &mut parts.cost,
+                        |frame, cost| driver.xmit(&mut parts.mem, frame, cost),
+                    ),
                     FrontEnd::Console(driver) => {
                         // hvc write: no network stack, just the syscall +
                         // tty layer + ring add.
-                        let d = self.parts.cost.step(self.parts.cost.costs.syscall_entry);
+                        let mut t = now;
+                        let d = parts.cost.step(parts.cost.costs.syscall_entry);
                         vf_trace::span_at(vf_trace::Layer::Syscall, "write_entry", t, t + d, 0, 0);
                         t += d;
-                        let (notify, cpu) =
-                            driver.write(&mut self.parts.mem, payload, &mut self.parts.cost);
+                        let (notify, cpu) = driver.write(&mut parts.mem, payload, &mut parts.cost);
                         vf_trace::span_at(
                             vf_trace::Layer::Driver,
                             "hvc_write",
@@ -574,37 +729,24 @@ impl World for VirtioWorld {
                             payload.len() as u64,
                             0,
                         );
-                        t += cpu;
-                        notify
+                        (t + cpu, notify)
                     }
                 };
                 if notify {
-                    // Doorbell: posted MMIO write into the notify region.
-                    // The functional decode happens in the device's BAR
-                    // logic; the TLP lands after the link flight.
-                    let off = bar0::NOTIFY
-                        + u64::from(net::TX_QUEUE) * u64::from(bar0::NOTIFY_MULTIPLIER);
-                    let ev = self
-                        .parts
-                        .device
-                        .mmio_write(off, 2, u64::from(net::TX_QUEUE));
-                    debug_assert_eq!(ev, Some(vf_fpga::MmioEvent::Notify(net::TX_QUEUE)));
-                    let arrival = self.parts.link.mmio_write(t, 2);
-                    let d = self.parts.cost.step(self.parts.cost.costs.mmio_write_cpu);
-                    vf_trace::span_at(
-                        vf_trace::Layer::Driver,
-                        "doorbell_mmio",
+                    let (d, arrival) = ring_doorbell(
+                        &mut parts.device,
+                        &mut parts.link,
+                        &mut parts.cost,
+                        net::TX_QUEUE,
                         t,
-                        t + d,
-                        u64::from(net::TX_QUEUE),
-                        0,
+                        true,
                     );
                     t += d;
                     sched.at(arrival, VirtioEv::Doorbell(net::TX_QUEUE));
                 }
                 // sendto returns; the app immediately blocks in recvfrom.
                 vf_trace::set_now(t);
-                t += self.parts.cost.send_return_then_block();
+                t += parts.cost.send_return_then_block();
                 self.cpu_free = t;
             }
             VirtioEv::Doorbell(queue) => {
@@ -633,86 +775,42 @@ impl World for VirtioWorld {
                 // quiesced host the app has long since blocked.
                 let t_irq = now.max(self.cpu_free);
                 vf_trace::set_now(t_irq);
-                let mut t = t_irq + self.parts.cost.irq_to_napi();
-                // Length of the last delivered payload, and whether it
-                // matched the one sent.
-                let mut delivered: Option<(usize, bool)> = None;
-                // Harvest frames from the ring (device-specific), then
-                // run the shared netif_receive path over them.
-                let frames: &[RxFrame] = match &mut self.parts.driver {
+                let t = t_irq + self.parts.cost.irq_to_napi();
+                // Harvest the echo from the ring (device-specific): the
+                // net front end passes its frames up the socket stack.
+                let parts = &mut self.parts;
+                let (t, delivered) = match &mut parts.driver {
                     FrontEnd::Net(driver) => {
-                        let (frames, cpu) =
-                            driver.napi_poll(&mut self.parts.mem, &mut self.parts.cost);
+                        let (frames, cpu) = driver.napi_poll(&mut parts.mem, &mut parts.cost);
                         vf_trace::span_at(vf_trace::Layer::Driver, "napi_poll", t, t + cpu, 0, 0);
-                        t += cpu;
-                        frames
+                        parts.net.receive(
+                            t + cpu,
+                            frames,
+                            0,
+                            &self.expected,
+                            &mut self.rec.verify_failures,
+                            &mut parts.cost,
+                        )
                     }
                     FrontEnd::Console(driver) => {
-                        let (lines, cpu) =
-                            driver.poll_rx(&mut self.parts.mem, &mut self.parts.cost);
+                        let (lines, cpu) = driver.poll_rx(&mut parts.mem, &mut parts.cost);
                         vf_trace::span_at(vf_trace::Layer::Driver, "hvc_poll_rx", t, t + cpu, 0, 0);
-                        t += cpu;
-                        delivered = lines
+                        let delivered = lines
                             .last()
                             .map(|line| (line.len(), *line == self.expected));
-                        &[]
+                        (t + cpu, delivered)
                     }
                 };
-                for rx in frames {
-                    let validated = rx.hdr.flags & vf_virtio::net::HDR_F_DATA_VALID != 0;
-                    match self.parts.stack.netif_receive(
-                        &rx.frame,
-                        self.src_port,
-                        validated,
-                        &mut self.parts.cost,
-                    ) {
-                        Ok((parsed, cpu)) => {
-                            vf_trace::span_at(
-                                vf_trace::Layer::Syscall,
-                                "udp_rx",
-                                t,
-                                t + cpu,
-                                rx.frame.len() as u64,
-                                0,
-                            );
-                            t += cpu;
-                            delivered =
-                                Some((parsed.payload.len(), parsed.payload == self.expected));
-                        }
-                        Err(SockError::BadChecksum) => {
-                            self.rec.verify_failures += 1;
-                        }
-                        Err(e) => panic!("receive path failed: {e:?}"),
-                    }
-                }
-                let d = self.parts.cost.step(self.parts.cost.costs.wakeup_to_run);
-                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
-                t += d;
-                let len = delivered.map_or(0, |(len, _)| len);
-                let d = self.parts.stack.recvfrom_return(len, &mut self.parts.cost);
-                vf_trace::span_at(
-                    vf_trace::Layer::Syscall,
-                    "recvfrom_return",
+                let t = parts.net.return_to_app(
                     t,
-                    t + d,
-                    len as u64,
-                    0,
+                    delivered,
+                    &mut self.rec.verify_failures,
+                    &mut parts.cost,
                 );
-                t += d;
                 self.cpu_free = t;
-
-                // Verify the echo.
-                if !delivered.is_some_and(|(_, ok)| ok) {
-                    self.rec.verify_failures += 1;
-                }
-                let hw = self.parts.device.counters.last_hw();
-                let proc = self.parts.device.counters.processing.last;
-                self.rec.record(t, hw, proc);
-                if self.rec.packets_left > 0 {
-                    let next = t + self
-                        .parts
-                        .cost
-                        .step(self.parts.cost.costs.app_loop_overhead);
+                let hw = parts.device.counters.last_hw();
+                let proc = parts.device.counters.processing.last;
+                if let Some(next) = self.rec.close(t, hw, proc, &mut parts.cost) {
                     sched.at(next, VirtioEv::AppSend);
                 }
             }
@@ -740,13 +838,7 @@ impl DriverModel for VirtioWorld {
     }
 
     fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
-        let stats = RunStats {
-            notifications: self.parts.device.stats.notifications,
-            irqs: self.parts.device.stats.irqs_sent,
-            desc_reads: self.parts.device.stats.desc_reads,
-            walker_peak_inflight: self.parts.device.stats.walker_peak_inflight,
-        };
-        (self.rec, stats, ())
+        (self.rec, RunStats::from(&self.parts.device.stats), ())
     }
 }
 
@@ -1120,12 +1212,10 @@ impl World for XdmaWorld {
                         }
                         let design = &self.parts.design;
                         let hw = design.h2c_counter.last + design.c2h_counter.last;
-                        self.rec.record(t, hw, self.user_proc);
+                        let next = self.rec.close(t, hw, self.user_proc, cost);
                         self.user_proc = Time::ZERO;
                         self.cpu_free = t;
-                        if self.rec.packets_left > 0 {
-                            let cost = &mut self.parts.cost;
-                            let next = t + cost.step(cost.costs.app_loop_overhead);
+                        if let Some(next) = next {
                             sched.at(next, XdmaEv::AppSend);
                         }
                     }
