@@ -219,3 +219,75 @@ fn sample_instants_are_monotone_and_on_grid() {
         }
     }
 }
+
+/// FNV-1a 64 of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Packets per paper cell in the report goldens.
+const GOLDEN_PACKETS: usize = 300;
+
+/// `(world, to_json digest, to_csv digest)` of the seed-42 report goldens.
+const REPORT_GOLDENS: [(&str, u64, u64); 6] = [
+    ("virtio", 0xcf61_19a9_ebae_aeac, 0xff4d_3188_097c_aa34),
+    ("xdma", 0xd124_14dd_8eac_ab21, 0xbb62_fd33_7a59_d547),
+    ("pmd", 0xdb89_7e57_0946_a2ac, 0x56dd_bfb1_6f6c_e25d),
+    ("mq4", 0x49f3_1db9_9a11_99ba, 0x3189_0e76_5c51_33d3),
+    ("tenants_wfq", 0x9709_a8cd_3f04_880d, 0x4a90_b3bd_6862_00bc),
+    ("blk_rr4k", 0x3086_e351_b175_cc78, 0x6fcd_7e76_a94d_3c18),
+];
+
+fn paper_cell_report(driver: DriverKind) -> vf_metrics::MetricsReport {
+    metered_run(&TestbedConfig::paper(driver, 256, GOLDEN_PACKETS, 42)).report
+}
+
+/// The report bytes themselves, pinned across commits: registration
+/// order, every change point, every histogram bucket and every
+/// violation of seed-42 metered runs. `metered_reports_are_bit_reproducible`
+/// compares two runs of one build; these goldens catch a change to how
+/// instruments are resolved, sampled or exported that moves a byte.
+#[test]
+fn metered_report_bytes_match_goldens() {
+    let mcfg = vf_metrics::MetricsConfig::default;
+    let mq = || {
+        let mut c = TestbedConfig::paper(DriverKind::VirtioMq, 256, GOLDEN_PACKETS, 42);
+        c.options.mq_queue_pairs = 4;
+        let (r, report) = metered(mcfg(), || run_mq(&c, 16));
+        assert_eq!(r.verify_failures, 0);
+        report
+    };
+    let tenants = || {
+        let mut c = TestbedConfig::paper(DriverKind::VirtioTenant, 256, GOLDEN_PACKETS, 42);
+        c.options.mq_queue_pairs = 4;
+        c.options.tenant_vhost = true;
+        c.options.tenant_policy = virtio_fpga::ArbiterPolicy::WeightedShare;
+        let (r, report) = metered(mcfg(), || run_tenants(&c, 16));
+        assert_eq!(r.verify_failures, 0);
+        report
+    };
+    let blk = || {
+        let c = TestbedConfig::paper(DriverKind::VirtioBlk, 4096, 120, 42);
+        let (r, report) = metered(mcfg(), || {
+            virtio_fpga::run_blk(&c, virtio_fpga::BlkPattern::RandomRead, 4096, 4)
+        });
+        assert_eq!(r.verify_failures, 0);
+        report
+    };
+    let reports = [
+        paper_cell_report(DriverKind::Virtio),
+        paper_cell_report(DriverKind::Xdma),
+        paper_cell_report(DriverKind::VirtioPmd),
+        mq(),
+        tenants(),
+        blk(),
+    ];
+    let got: Vec<(&str, u64, u64)> = REPORT_GOLDENS
+        .iter()
+        .zip(&reports)
+        .map(|(&(world, _, _), r)| (world, fnv1a(&r.to_json()), fnv1a(&r.to_csv())))
+        .collect();
+    assert_eq!(got, REPORT_GOLDENS, "metrics report bytes moved");
+}
