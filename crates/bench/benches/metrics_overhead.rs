@@ -5,26 +5,30 @@
 //!
 //! Three views:
 //!
-//! * `disabled/*` — `counter_add`/`gauge_set`/`hist_record` and the
-//!   engine's per-event `sample_pending` with no session installed.
-//!   Each must cost essentially one thread-local load and branch; the
-//!   floor check below asserts it against exactly that baseline.
-//! * `enabled/*` — the same updates against a live session, for scale
-//!   (a slot lookup keyed on the name's address, an i64 update, and a
-//!   dirty mark for the next sample).
-//! * `world/*` — an E19 MQ world and an E24 128K sequential-read
-//!   storage world, each run unmetered vs metered: the end-to-end
-//!   overhead a `repro -- metrics` user actually pays.
+//! * `disabled/*` — the string-keyed `counter_add`/`gauge_set`/
+//!   `hist_record`, the typed handles' `Counter::add`/`Gauge::set`/
+//!   `Histogram::record`, and the engine's per-event `sample_pending`
+//!   with no session installed. Each must cost essentially one
+//!   thread-local load and branch; the floor check below asserts it
+//!   against exactly that baseline.
+//! * `enabled/*` — updates against a live session, for scale: the
+//!   string forms pay a lookup by the name's contents on every call;
+//!   a handle resolves once per session and then pays a session-id
+//!   compare, an i64 update, and a dirty mark for the next sample.
+//! * `world/*` — a serial VirtIO 256 B echo world (the paper's cell),
+//!   an E19 MQ world and an E24 128K sequential-read storage world,
+//!   each run unmetered vs metered: the end-to-end overhead a
+//!   `repro -- metrics` user actually pays.
 //!
 //! Two assertions:
 //!
-//! * The disabled update path may cost at most
-//!   `DISABLED_OVERHEAD_CEILING` times the bare `is_enabled()`
-//!   thread-local load (floor measured the same way, same best-of-K
-//!   wall clock). A regression that adds work ahead of the enabled
-//!   check — formatting, hashing, a second TLS access — blows well past
-//!   that ratio and fails loudly. The ceiling is set generously above
-//!   the measured ~1.0–1.5× so CI never flakes.
+//! * Every disabled update path, string-keyed or through a handle, may
+//!   cost at most `DISABLED_OVERHEAD_CEILING` times the bare
+//!   `is_enabled()` thread-local load (floor measured the same way,
+//!   same best-of-K wall clock). A regression that adds work ahead of
+//!   the enabled check — formatting, hashing, a second TLS access —
+//!   blows well past that ratio and fails loudly. The ceiling is set
+//!   generously above the measured ~1.0–1.5× so CI never flakes.
 //! * A metered storage run may cost at most `BLK_METERED_CEILING` times
 //!   an unmetered one (best of K each). A 128K request is about 800
 //!   TLPs, so publishing link metrics per TLP instead of per link call
@@ -33,7 +37,10 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use virtio_fpga::{metered, run_blk, run_mq, BlkPattern, BlkRunResult, DriverKind, TestbedConfig};
+use vf_metrics::{Counter, Gauge, Histogram};
+use virtio_fpga::{
+    metered, run_blk, run_mq, BlkPattern, BlkRunResult, DriverKind, Testbed, TestbedConfig,
+};
 
 const OPS: u64 = 1_000_000;
 
@@ -110,6 +117,17 @@ fn bench_enabled(c: &mut Criterion) {
             report.instruments.len()
         })
     });
+    group.bench_function("handle_counter_add", |b| {
+        let counter = Counter::new("bench.enabled.handle", 0);
+        b.iter(|| {
+            let ((), report) = metered(vf_metrics::MetricsConfig::default(), || {
+                for i in 0..OPS {
+                    counter.add(black_box(i & 1));
+                }
+            });
+            report.counter_total("bench.enabled.handle")
+        })
+    });
     group.finish();
 }
 
@@ -137,9 +155,32 @@ fn blk_seq_read_metered(seed: u64) -> BlkRunResult {
     r
 }
 
+/// One serial VirtIO 256 B echo run: the paper's Fig. 4 cell.
+fn virtio_echo(seed: u64) -> f64 {
+    let r = Testbed::new(TestbedConfig::paper(DriverKind::Virtio, 256, PACKETS, seed)).run();
+    r.total.mean()
+}
+
 fn bench_world_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics_world");
     group.throughput(Throughput::Elements(PACKETS as u64));
+    group.bench_function("virtio256_echo_unmetered", |b| {
+        let mut seed = 400u64;
+        b.iter(|| {
+            seed += 1;
+            virtio_echo(seed)
+        });
+    });
+    group.bench_function("virtio256_echo_metered", |b| {
+        let mut seed = 400u64;
+        b.iter(|| {
+            seed += 1;
+            let (mean, report) =
+                metered(vf_metrics::MetricsConfig::default(), || virtio_echo(seed));
+            assert!(report.violations.is_empty());
+            mean
+        });
+    });
     group.bench_function("e19_mq4_unmetered", |b| {
         let mut seed = 1_700u64;
         b.iter(|| {
@@ -192,7 +233,10 @@ fn bench_disabled_floor(_c: &mut Criterion) {
     let baseline = best_of(|| {
         black_box(vf_metrics::is_enabled());
     });
-    let cases: [(&str, f64); 4] = [
+    let counter = Counter::new("bench.floor.handle_ctr", 0);
+    let gauge = Gauge::new("bench.floor.handle_g", 0);
+    let hist = Histogram::new("bench.floor.handle_h", 0);
+    let cases: [(&str, f64); 7] = [
         (
             "counter_add",
             best_of(|| vf_metrics::counter_add("bench.floor.ctr", 0, black_box(1))),
@@ -206,6 +250,18 @@ fn bench_disabled_floor(_c: &mut Criterion) {
             best_of(|| vf_metrics::hist_record("bench.floor.h", 0, black_box(1))),
         ),
         (
+            "Counter::add",
+            best_of(|| black_box(&counter).add(black_box(1))),
+        ),
+        (
+            "Gauge::set",
+            best_of(|| black_box(&gauge).set(black_box(1))),
+        ),
+        (
+            "Histogram::record",
+            best_of(|| black_box(&hist).record(black_box(1))),
+        ),
+        (
             "sample_pending",
             best_of(|| {
                 black_box(vf_metrics::sample_pending(black_box(1)));
@@ -216,7 +272,7 @@ fn bench_disabled_floor(_c: &mut Criterion) {
     for (label, secs) in cases {
         let ratio = secs / baseline;
         println!(
-            "metrics_overhead/{label:<16} disabled {:>6.2} ns/op vs bare TLS load {:>6.2} ns/op -> {ratio:.2}x",
+            "metrics_overhead/{label:<18} disabled {:>6.2} ns/op vs bare TLS load {:>6.2} ns/op -> {ratio:.2}x",
             per_op(secs),
             per_op(baseline),
         );

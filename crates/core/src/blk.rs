@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use vf_fpga::VirtioFpgaDevice;
 use vf_hostsw::{probe_blk, BlkProbeOutcome, CostEngine, VirtioBlkDriver};
+use vf_metrics::{Counter, Gauge, Histogram};
 use vf_pcie::{enumerate, HostMemory, MmioAllocator, PcieLink, MSI_ADDR_BASE};
 use vf_sim::{SampleSet, Scheduler, SimRng, Time, World};
 use vf_virtio::block::{self, blk_status, SECTOR_SIZE};
@@ -470,6 +471,14 @@ struct BlkPipelinedWorld {
     completed: usize,
     verify_failures: u64,
     cpu_free: Time,
+    metrics: BlkMetrics,
+}
+
+/// The `blk.*` instruments of the storage world's driver side.
+struct BlkMetrics {
+    inflight: Gauge,
+    latency: Histogram,
+    completed: Counter,
 }
 
 impl BlkPipelinedWorld {
@@ -493,6 +502,11 @@ impl BlkPipelinedWorld {
             completed: 0,
             verify_failures: 0,
             cpu_free: Time::ZERO,
+            metrics: BlkMetrics {
+                inflight: Gauge::new("blk.driver.inflight", 0),
+                latency: Histogram::new("blk.req.latency_ps", 0),
+                completed: Counter::new("blk.req.completed", 0),
+            },
         }
     }
 
@@ -547,7 +561,7 @@ impl BlkPipelinedWorld {
             }
             self.to_send -= 1;
         }
-        vf_metrics::gauge_set("blk.driver.inflight", 0, self.in_flight.len() as i64);
+        self.metrics.inflight.set(self.in_flight.len() as i64);
         (t, doorbell_at)
     }
 }
@@ -588,13 +602,18 @@ impl World for BlkPipelinedWorld {
                     }
                     let lat = (t - t0).quantize(Time::from_ns(1));
                     self.latency.push(lat);
-                    vf_metrics::hist_record("blk.req.latency_ps", 0, lat.as_ps());
-                    vf_metrics::counter_add("blk.req.completed", 0, 1);
+                    if vf_metrics::is_enabled() {
+                        let m = &self.metrics;
+                        vf_metrics::batch(|b| {
+                            b.hist_record(&m.latency, lat.as_ps());
+                            b.counter_add(&m.completed, 1);
+                        });
+                    }
                     self.completed += 1;
                 }
                 t += self.parts.cost.step(self.parts.cost.costs.wakeup_to_run);
                 self.cpu_free = t;
-                vf_metrics::gauge_set("blk.driver.inflight", 0, self.in_flight.len() as i64);
+                self.metrics.inflight.set(self.in_flight.len() as i64);
                 if self.to_send > 0 || !self.in_flight.is_empty() {
                     sched.at(t, BlkEv::AppSend);
                 }

@@ -23,6 +23,7 @@
 //! device-specific config structure, queue count, and per-buffer header
 //! handling — the paper's "modifications required are minimal" claim.
 
+use vf_metrics::{Gauge, Histogram};
 use vf_pcie::{
     BarDef, ConfigSpace, ConfigSpaceBuilder, HostMemory, MsixCapability, MsixTable, PcieCapability,
     PcieLink, VirtioCfgType, VirtioPciCap, VIRTIO_VENDOR_ID,
@@ -386,6 +387,24 @@ pub struct VirtioFpgaDevice {
     rss_key: Vec<u8>,
     /// Reused TX walk storage.
     tx_scratch: TxScratch,
+    /// The pipelined TX walker's depth instruments, per queue.
+    walker_depth: Vec<WalkerDepth>,
+}
+
+/// `fpga.walker.depth` and its histogram for one TX queue: chains whose
+/// descriptors the pipelined walker has fetched but not yet completed.
+struct WalkerDepth {
+    level: Gauge,
+    hist: Histogram,
+}
+
+impl WalkerDepth {
+    fn new(queue: u32) -> WalkerDepth {
+        WalkerDepth {
+            level: Gauge::new("fpga.walker.depth", queue),
+            hist: Histogram::new("fpga.walker.depth_hist", queue),
+        }
+    }
 }
 
 /// The driver's view of BAR0: every front end's probe runs over this.
@@ -493,6 +512,9 @@ impl VirtioFpgaDevice {
             rss_table: None,
             rss_key: Vec::new(),
             tx_scratch: TxScratch::default(),
+            walker_depth: (0..queue_sizes.len() as u32)
+                .map(WalkerDepth::new)
+                .collect(),
         }
     }
 
@@ -787,8 +809,11 @@ impl VirtioFpgaDevice {
             }
             if vf_metrics::is_enabled() {
                 let d = (prefetched - k) as u64;
-                vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, d as i64);
-                vf_metrics::hist_record("fpga.walker.depth_hist", tx_queue as u32, d);
+                let m = &self.walker_depth[tx_queue as usize];
+                vf_metrics::batch(|b| {
+                    b.gauge_set(&m.level, d as i64);
+                    b.hist_record(&m.hist, d);
+                });
             }
             let chain = &chains[k];
             // Payload DMA starts once this chain's descriptors are
@@ -817,8 +842,8 @@ impl VirtioFpgaDevice {
             .stats
             .walker_peak_inflight
             .max(link.np_peak_in_flight() as u64);
-        if vf_metrics::is_enabled() && n > 0 {
-            vf_metrics::gauge_set("fpga.walker.depth", tx_queue as u32, 0);
+        if n > 0 {
+            self.walker_depth[tx_queue as usize].level.set(0);
         }
         t
     }

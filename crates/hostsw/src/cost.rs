@@ -15,6 +15,7 @@
 //! `get_user_pages` + `dma_map` of a small buffer (the XDMA driver's
 //! per-transfer pinning).
 
+use vf_metrics::{Counter, Histogram};
 use vf_sim::{NoiseModel, SimRng, Time};
 
 /// Base costs of the modeled software steps (before noise).
@@ -143,6 +144,15 @@ pub struct CostEngine {
     pub poll_cpu_burnt: Time,
     /// Ring peeks issued while busy-polling.
     pub poll_peeks: u64,
+    metrics: HostMetrics,
+}
+
+/// The `hostsw.*` instruments the named cost paths publish.
+#[derive(Clone, Debug)]
+struct HostMetrics {
+    irqs: Counter,
+    irq_entry: Histogram,
+    syscall_blocks: Counter,
 }
 
 impl CostEngine {
@@ -156,6 +166,22 @@ impl CostEngine {
             steps_charged: 0,
             poll_cpu_burnt: Time::ZERO,
             poll_peeks: 0,
+            metrics: HostMetrics {
+                irqs: Counter::new("hostsw.irq.count", 0),
+                irq_entry: Histogram::new("hostsw.irq.entry_ps", 0),
+                syscall_blocks: Counter::new("hostsw.syscall.blocks", 0),
+            },
+        }
+    }
+
+    /// Count one interrupt delivery whose entry path took `d`.
+    fn publish_irq(&self, d: Time) {
+        if vf_metrics::is_enabled() {
+            let m = &self.metrics;
+            vf_metrics::batch(|b| {
+                b.counter_add(&m.irqs, 1);
+                b.hist_record(&m.irq_entry, d.as_ps());
+            });
         }
     }
 
@@ -238,10 +264,7 @@ impl CostEngine {
             + self.step(self.costs.hardirq_entry)
             + self.step(self.costs.softirq_latency);
         vf_trace::advance(vf_trace::Layer::Irq, "irq_to_napi", d, 0);
-        if vf_metrics::is_enabled() {
-            vf_metrics::counter_add("hostsw.irq.count", 0, 1);
-            vf_metrics::hist_record("hostsw.irq.entry_ps", 0, d.as_ps());
-        }
+        self.publish_irq(d);
         d
     }
 
@@ -251,10 +274,7 @@ impl CostEngine {
     pub fn irq_entry(&mut self) -> Time {
         let d = self.blocking_extra() + self.step(self.costs.hardirq_entry);
         vf_trace::advance(vf_trace::Layer::Irq, "irq_entry", d, 0);
-        if vf_metrics::is_enabled() {
-            vf_metrics::counter_add("hostsw.irq.count", 0, 1);
-            vf_metrics::hist_record("hostsw.irq.entry_ps", 0, d.as_ps());
-        }
+        self.publish_irq(d);
         d
     }
 
@@ -266,10 +286,7 @@ impl CostEngine {
             + self.step(self.costs.hardirq_entry)
             + self.step(self.costs.wakeup_to_run);
         vf_trace::advance(vf_trace::Layer::Irq, "irq_wake", d, 0);
-        if vf_metrics::is_enabled() {
-            vf_metrics::counter_add("hostsw.irq.count", 0, 1);
-            vf_metrics::hist_record("hostsw.irq.entry_ps", 0, d.as_ps());
-        }
+        self.publish_irq(d);
         d
     }
 
@@ -278,7 +295,7 @@ impl CostEngine {
     pub fn block_in_syscall(&mut self) -> Time {
         let d = self.step(self.costs.syscall_entry) + self.step(self.costs.block_schedule);
         vf_trace::advance(vf_trace::Layer::Syscall, "block_in_syscall", d, 0);
-        vf_metrics::counter_add("hostsw.syscall.blocks", 0, 1);
+        self.metrics.syscall_blocks.add(1);
         d
     }
 

@@ -11,10 +11,9 @@
 //!
 //! The design mirrors `vf-trace` exactly where it matters:
 //!
-//! * **Thread-local session.** Instrument updates are free functions
-//!   ([`counter_add`], [`gauge_set`], [`hist_record`], …) that no-op
-//!   unless a session is [`install`]ed on the calling thread. The
-//!   disabled path is a single thread-local boolean load — the same
+//! * **Thread-local session.** Instrument updates no-op unless a
+//!   session is [`install`]ed on the calling thread. The disabled path
+//!   is a single thread-local boolean load — the same
 //!   zero-cost-when-disabled guarantee `vf-trace` makes, asserted by
 //!   the `metrics_overhead` bench.
 //! * **Never perturbs a run.** Nothing here draws randomness, reads a
@@ -24,12 +23,18 @@
 //!   `tests/metrics_reconcile.rs` against the determinism goldens).
 //! * **Typed instruments, implicit registration.** An instrument is
 //!   keyed by a `'static` name plus a small integer index (queue id,
-//!   DMA tag, tenant id) and registers itself on first touch with a
-//!   fixed [`Kind`]; touching the same key with a different kind is a
-//!   programming error and panics. Names follow `layer.object.metric`
-//!   (e.g. `pcie.posted.inflight`, `tenant.arbiter.pending`), where
-//!   the leading segment is the owning layer — the export and report
-//!   code group by it.
+//!   DMA tag, tenant id). Instrumented code holds a typed handle
+//!   ([`Counter`], [`Gauge`], [`Histogram`]) beside the state it
+//!   describes; the handle registers its instrument on its first touch
+//!   in each session, with the handle's [`Kind`], and caches the slot,
+//!   so later updates index it directly. Touching one key as two kinds
+//!   is a programming error and panics. [`batch`] publishes several
+//!   handles under one session borrow, and the string-keyed functions
+//!   ([`counter_add`], [`gauge_set`], [`hist_record`], …) update
+//!   through a throwaway handle, for tests and cold sites. Names follow
+//!   `layer.object.metric` (e.g. `pcie.posted.inflight`,
+//!   `tenant.arbiter.pending`), where the leading segment is the owning
+//!   layer — the export and report code group by it.
 //!
 //! On top of the registry sits a sim-time sampler: the engine fires
 //! [`sample_before`] at every multiple of the configured interval
@@ -64,8 +69,9 @@ mod session;
 pub use hist::{HistBucket, LogLinearHist};
 pub use report::{InstrumentReport, MetricsReport, Series};
 pub use session::{
-    counter_add, counter_set_total, finish, gauge_add, gauge_set, hist_record, hist_record_n,
-    install, is_enabled, names, sample_at, sample_before, sample_pending, uninstall, MetricsConfig,
+    batch, counter_add, counter_set_total, finish, gauge_add, gauge_set, hist_record,
+    hist_record_n, install, is_enabled, names, sample_at, sample_before, sample_pending, uninstall,
+    Batch, Counter, Gauge, Histogram, MetricsConfig,
 };
 
 /// What an instrument measures. Fixed at first touch; mixing kinds on

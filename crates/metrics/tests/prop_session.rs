@@ -7,13 +7,17 @@
 //! histogram counts and sample count. The report replays each series
 //! from change points, so the script also registers instruments after
 //! several samples have passed and instruments no sample ever sees.
+//! Every third update goes through a typed handle kept across cases,
+//! so each case's session must re-register handles an earlier session
+//! resolved, and a handle and the string form of one key must land on
+//! one instrument.
 
 use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use vf_metrics::{Kind, MetricsConfig};
+use vf_metrics::{Counter, Gauge, Histogram, Kind, MetricsConfig};
 
 /// The keys ops touch: name, index and kind. Two counters share a name
 /// under different indices. `LATE` keys register only after at least
@@ -29,6 +33,15 @@ const KEYS: [(&str, u32, Kind); 9] = [
     ("prop.unsampled.c", 0, Kind::Counter),
     ("prop.unsampled.g", 1, Kind::Gauge),
 ];
+
+thread_local! {
+    /// One handle of each kind per key, kept across cases; an op uses
+    /// the one of its key's kind.
+    static HANDLES: Vec<(Counter, Gauge, Histogram)> = KEYS
+        .iter()
+        .map(|&(n, i, _)| (Counter::new(n, i), Gauge::new(n, i), Histogram::new(n, i)))
+        .collect();
+}
 
 /// The late counter and gauge.
 const LATE: [usize; 2] = [5, 6];
@@ -133,25 +146,46 @@ proptest! {
         let (mut now, mut next_due) = (0u64, 0u64);
         vf_metrics::install(MetricsConfig { interval_ps: interval, ..MetricsConfig::default() });
         for (n, &op) in script.iter().enumerate() {
+            let handle = n % 3 == 2;
             match op {
                 Op::CounterAdd(k, d) => {
-                    vf_metrics::counter_add(name(k, n), KEYS[k].1, d);
+                    if handle {
+                        HANDLES.with(|h| h[k].0.add(d));
+                    } else {
+                        vf_metrics::counter_add(name(k, n), KEYS[k].1, d);
+                    }
                     model.touch(k, |v| v.saturating_add(saturate(d)));
                 }
                 Op::CounterSetTotal(k, total) => {
-                    vf_metrics::counter_set_total(name(k, n), KEYS[k].1, total);
+                    if handle {
+                        HANDLES.with(|h| h[k].0.set_total(total));
+                    } else {
+                        vf_metrics::counter_set_total(name(k, n), KEYS[k].1, total);
+                    }
                     model.touch(k, |v| v.max(saturate(total)));
                 }
                 Op::GaugeSet(k, x) => {
-                    vf_metrics::gauge_set(KEYS[k].0, KEYS[k].1, x);
+                    if handle {
+                        HANDLES.with(|h| h[k].1.set(x));
+                    } else {
+                        vf_metrics::gauge_set(KEYS[k].0, KEYS[k].1, x);
+                    }
                     model.touch(k, |_| x);
                 }
                 Op::GaugeAdd(k, d) => {
-                    vf_metrics::gauge_add(KEYS[k].0, KEYS[k].1, d);
+                    if handle {
+                        HANDLES.with(|h| h[k].1.add(d));
+                    } else {
+                        vf_metrics::gauge_add(KEYS[k].0, KEYS[k].1, d);
+                    }
                     model.touch(k, |v| v + d);
                 }
                 Op::HistRecord(k, x) => {
-                    vf_metrics::hist_record(KEYS[k].0, KEYS[k].1, x);
+                    if handle {
+                        HANDLES.with(|h| h[k].2.record(x));
+                    } else {
+                        vf_metrics::hist_record(KEYS[k].0, KEYS[k].1, x);
+                    }
                     model.touch(k, |v| v);
                     *model.hist.entry(k).or_default() += 1;
                 }

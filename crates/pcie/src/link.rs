@@ -24,6 +24,7 @@
 
 use std::collections::VecDeque;
 
+use vf_metrics::{names, Batch, Counter, Gauge, Histogram};
 use vf_sim::Time;
 
 use crate::tlp::{split_aligned, wire_bytes, TlpKind};
@@ -315,30 +316,56 @@ impl WireDir {
     }
 }
 
-/// One direction's share of a [`WireTally`].
-#[derive(Clone, Debug, Default)]
+/// One direction's share of a [`WireTally`], with the direction's
+/// `pcie.wire.*` instruments.
+#[derive(Clone, Debug)]
 struct DirTally {
     bytes: u64,
     tlps: u64,
     /// `(wire size, TLPs)` per distinct wire size, first seen first.
     sizes: Vec<(usize, u64)>,
+    bytes_ctr: Counter,
+    tlps_ctr: Counter,
+    size_hist: Histogram,
+}
+
+impl DirTally {
+    fn new(index: u32) -> DirTally {
+        DirTally {
+            bytes: 0,
+            tlps: 0,
+            sizes: Vec::new(),
+            bytes_ctr: Counter::new("pcie.wire.bytes", index),
+            tlps_ctr: Counter::new("pcie.wire.tlps", index),
+            size_hist: Histogram::new("pcie.wire.tlp_bytes", index),
+        }
+    }
 }
 
 /// Wire metrics of the TLPs one public link call puts, published once
 /// when the call returns instead of once per TLP.
 ///
 /// The batching is exact. The two counters add up the same deltas, and
-/// [`vf_metrics::hist_record_n`] builds the same histogram as one
-/// [`vf_metrics::hist_record`] per TLP. Samples fire only between event
+/// [`Histogram::record_n`] builds the same histogram as one
+/// [`Histogram::record`] per TLP. Samples fire only between event
 /// deliveries, never inside a link call, so no sample can see a
 /// half-published call. Directions publish in the order the call first
 /// touched them, so instruments register in the per-TLP order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct WireTally {
     /// Indexed by metrics index: 0 downstream, 1 upstream.
     dirs: [DirTally; 2],
     /// Directions touched since the last flush, first touch first.
     order: Vec<usize>,
+}
+
+impl Default for WireTally {
+    fn default() -> WireTally {
+        WireTally {
+            dirs: [DirTally::new(0), DirTally::new(1)],
+            order: Vec::new(),
+        }
+    }
 }
 
 impl WireTally {
@@ -356,18 +383,15 @@ impl WireTally {
     }
 
     /// Publish and clear the tally. Every public link method that puts
-    /// TLPs calls it once, before its own metrics.
-    fn flush(&mut self) {
-        if self.order.is_empty() {
-            return;
-        }
+    /// TLPs calls it once, before its own metrics and under the same
+    /// session borrow.
+    fn flush(&mut self, b: &mut Batch<'_>) {
         for d in self.order.drain(..) {
             let t = &mut self.dirs[d];
-            let i = d as u32;
-            vf_metrics::counter_add("pcie.wire.bytes", i, t.bytes);
-            vf_metrics::counter_add("pcie.wire.tlps", i, t.tlps);
+            b.counter_add(&t.bytes_ctr, t.bytes);
+            b.counter_add(&t.tlps_ctr, t.tlps);
             for (wire, n) in t.sizes.drain(..) {
-                vf_metrics::hist_record_n("pcie.wire.tlp_bytes", i, wire as u64, n);
+                b.hist_record_n(&t.size_hist, wire as u64, n);
             }
             t.bytes = 0;
             t.tlps = 0;
@@ -375,10 +399,42 @@ impl WireTally {
     }
 }
 
+/// One DMA tag's posted-credit pipeline and its watchdog instruments.
+#[derive(Clone, Debug)]
+struct PostedContext {
+    /// Return instants of outstanding posted credits, oldest first.
+    credits: VecDeque<Time>,
+    granted: Counter,
+    released: Counter,
+    inflight: Gauge,
+    window: Gauge,
+}
+
+impl PostedContext {
+    fn new(tag: u32) -> PostedContext {
+        PostedContext {
+            credits: VecDeque::new(),
+            granted: Counter::new(names::POSTED_GRANTED, tag),
+            released: Counter::new(names::POSTED_RELEASED, tag),
+            inflight: Gauge::new(names::POSTED_INFLIGHT, tag),
+            window: Gauge::new("pcie.posted.window", tag),
+        }
+    }
+}
+
+/// The `pcie.np.*` instruments of one DMA tag.
+#[derive(Clone, Debug)]
+struct NpMetrics {
+    issued: Counter,
+    inflight: Gauge,
+    window: Gauge,
+    peak: Gauge,
+}
+
 /// Per-DMA-tag non-posted read pipeline (E20): the completion instants
 /// of reads still in flight on this tag, plus the recent completion
 /// history that bounds relaxed-ordering reordering.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct NpContext {
     /// Completion instants of in-flight reads, issue order.
     inflight: VecDeque<Time>,
@@ -388,6 +444,30 @@ struct NpContext {
     history: VecDeque<Time>,
     /// Deepest the in-flight window ever got on this tag.
     peak: usize,
+    metrics: NpMetrics,
+}
+
+impl NpContext {
+    fn new(tag: u32) -> NpContext {
+        NpContext {
+            inflight: VecDeque::new(),
+            history: VecDeque::new(),
+            peak: 0,
+            metrics: NpMetrics {
+                issued: Counter::new("pcie.np.issued", tag),
+                inflight: Gauge::new(names::NP_INFLIGHT, tag),
+                window: Gauge::new(names::NP_WINDOW, tag),
+                peak: Gauge::new("pcie.np.peak", tag),
+            },
+        }
+    }
+}
+
+/// Extend a per-tag table with fresh contexts up to and including `tag`.
+fn grow_to<T>(table: &mut Vec<T>, tag: usize, new: impl Fn(u32) -> T) {
+    while table.len() <= tag {
+        table.push(new(table.len() as u32));
+    }
 }
 
 /// Dynamic link state: per-direction serialization occupancy and the
@@ -403,11 +483,11 @@ pub struct PcieLink {
     pub cfg: LinkConfig,
     down: WireDir,
     up: WireDir,
-    /// Return instants for outstanding posted credits, per DMA tag
-    /// context. Single-tag links keep exactly one pipeline (index 0);
-    /// multi-tag engines pace each channel independently while the
-    /// shared wire still arbitrates serialization.
-    posted_credits: Vec<VecDeque<Time>>,
+    /// Posted-credit pipelines, per DMA tag context. Single-tag links
+    /// keep exactly one pipeline (index 0); multi-tag engines pace each
+    /// channel independently while the shared wire still arbitrates
+    /// serialization.
+    posted_credits: Vec<PostedContext>,
     /// Non-posted read pipelines, per DMA tag context (E20): reads
     /// issued through [`PcieLink::dma_read_np`] stay in flight *across*
     /// calls, up to [`LinkConfig::max_outstanding_np`] per tag.
@@ -438,8 +518,8 @@ impl PcieLink {
             cfg,
             down: WireDir::default(),
             up: WireDir::default(),
-            posted_credits: vec![VecDeque::new()],
-            np_contexts: vec![NpContext::default()],
+            posted_credits: vec![PostedContext::new(0)],
+            np_contexts: vec![NpContext::new(0)],
             active_tag: 0,
             up_wire_bytes: 0,
             down_wire_bytes: 0,
@@ -471,6 +551,13 @@ impl PcieLink {
     /// and ignore the selection.
     pub fn select_dma_context(&mut self, tag: usize) {
         self.active_tag = tag;
+    }
+
+    /// Publish the current call's wire tally.
+    fn flush_tally(&mut self) {
+        if vf_metrics::is_enabled() {
+            vf_metrics::batch(|b| self.tally.flush(b));
+        }
     }
 
     fn count_tlp(&mut self, kind: TlpKind, wire: usize, dir: Direction) {
@@ -536,7 +623,7 @@ impl PcieLink {
     /// cost is the host model's business.
     pub fn mmio_write(&mut self, now: Time, len: usize) -> Time {
         let sent = self.put_tlp(now, Direction::Downstream, TlpKind::MemWrite, len);
-        self.tally.flush();
+        self.flush_tally();
         sent + self.cfg.propagation
     }
 
@@ -547,7 +634,7 @@ impl PcieLink {
         let at_dev = req_sent + self.cfg.propagation;
         let reply_ready = at_dev + self.cfg.dev_mmio_latency;
         let cpl_sent = self.put_tlp(reply_ready, Direction::Upstream, TlpKind::CplD, len.max(4));
-        self.tally.flush();
+        self.flush_tally();
         cpl_sent + self.cfg.propagation
     }
 
@@ -595,7 +682,7 @@ impl PcieLink {
             chunk_addr += chunk as u64;
         }
         self.read_window = inflight;
-        self.tally.flush();
+        self.flush_tally();
         last_done
     }
 
@@ -629,9 +716,7 @@ impl PcieLink {
         } else {
             0
         };
-        if self.np_contexts.len() <= tag {
-            self.np_contexts.resize_with(tag + 1, NpContext::default);
-        }
+        grow_to(&mut self.np_contexts, tag, NpContext::new);
         let mut chunk_addr = addr;
         let mut last_done = now;
         let mut issued = 0u64;
@@ -686,15 +771,16 @@ impl PcieLink {
             last_done = done;
             chunk_addr += chunk as u64;
         }
-        self.tally.flush();
         if vf_metrics::is_enabled() {
-            use vf_metrics::names;
-            let t = tag as u32;
-            let ctx = &self.np_contexts[tag];
-            vf_metrics::counter_add("pcie.np.issued", t, issued);
-            vf_metrics::gauge_set(names::NP_INFLIGHT, t, ctx.inflight.len() as i64);
-            vf_metrics::gauge_set(names::NP_WINDOW, t, window as i64);
-            vf_metrics::gauge_set("pcie.np.peak", t, ctx.peak as i64);
+            vf_metrics::batch(|b| {
+                self.tally.flush(b);
+                let ctx = &self.np_contexts[tag];
+                let m = &ctx.metrics;
+                b.counter_add(&m.issued, issued);
+                b.gauge_set(&m.inflight, ctx.inflight.len() as i64);
+                b.gauge_set(&m.window, window as i64);
+                b.gauge_set(&m.peak, ctx.peak as i64);
+            });
         }
         last_done
     }
@@ -729,9 +815,7 @@ impl PcieLink {
         } else {
             0
         };
-        if self.posted_credits.len() <= tag {
-            self.posted_credits.resize_with(tag + 1, VecDeque::new);
-        }
+        grow_to(&mut self.posted_credits, tag, PostedContext::new);
         let mut last_arrival = now;
         // Credit bookkeeping for the conservation watchdog: every pop
         // below counts as a release, every push as a grant, so
@@ -751,16 +835,17 @@ impl PcieLink {
             } else {
                 now.max(self.up.watermark)
             };
-            while let Some(&front) = self.posted_credits[tag].front() {
+            while let Some(&front) = self.posted_credits[tag].credits.front() {
                 if front <= earliest {
-                    self.posted_credits[tag].pop_front();
+                    self.posted_credits[tag].credits.pop_front();
                     released += 1;
                 } else {
                     break;
                 }
             }
-            if self.posted_credits[tag].len() >= window {
+            if self.posted_credits[tag].credits.len() >= window {
                 earliest = self.posted_credits[tag]
+                    .credits
                     .pop_front()
                     .expect("credit queue non-empty");
                 released += 1;
@@ -768,22 +853,19 @@ impl PcieLink {
             let sent = self.put_tlp(earliest, Direction::Upstream, TlpKind::MemWrite, chunk);
             let at_rc = sent + self.cfg.propagation;
             let ret = at_rc + self.cfg.credit_return;
-            self.posted_credits[tag].push_back(ret);
+            self.posted_credits[tag].credits.push_back(ret);
             granted += 1;
             last_arrival = at_rc;
         }
-        self.tally.flush();
         if vf_metrics::is_enabled() {
-            use vf_metrics::names;
-            let t = tag as u32;
-            vf_metrics::counter_add(names::POSTED_GRANTED, t, granted);
-            vf_metrics::counter_add(names::POSTED_RELEASED, t, released);
-            vf_metrics::gauge_set(
-                names::POSTED_INFLIGHT,
-                t,
-                self.posted_credits[tag].len() as i64,
-            );
-            vf_metrics::gauge_set("pcie.posted.window", t, window as i64);
+            vf_metrics::batch(|b| {
+                self.tally.flush(b);
+                let p = &self.posted_credits[tag];
+                b.counter_add(&p.granted, granted);
+                b.counter_add(&p.released, released);
+                b.gauge_set(&p.inflight, p.credits.len() as i64);
+                b.gauge_set(&p.window, window as i64);
+            });
         }
         last_arrival + self.cfg.rc_write_latency
     }
@@ -793,7 +875,7 @@ impl PcieLink {
     /// interrupt controller.
     pub fn msix_write(&mut self, now: Time) -> Time {
         let sent = self.put_tlp(now, Direction::Upstream, TlpKind::MemWrite, 4);
-        self.tally.flush();
+        self.flush_tally();
         let at_host = sent + self.cfg.propagation + self.cfg.rc_write_latency;
         vf_trace::instant(vf_trace::Layer::Irq, "msix", at_host, 0, 0);
         at_host

@@ -23,6 +23,8 @@
 //! generic lets every substrate crate unit-test its state machines against a
 //! tiny ad-hoc `World` without dragging in the full testbed.
 
+use vf_metrics::{Counter, Gauge};
+
 use crate::time::Time;
 use crate::wheel::TimingWheel;
 
@@ -114,6 +116,31 @@ pub struct Simulation<W: World> {
     hook: Option<DeliveryHook<W::Msg>>,
     /// Recycled staging buffer handed to the [`Scheduler`] each delivery.
     scratch: Vec<(Time, W::Msg)>,
+    metrics: EngineMetrics,
+}
+
+/// The engine's `sim.*` instruments, published by
+/// [`Simulation::publish_metrics`].
+struct EngineMetrics {
+    pending: Gauge,
+    slab: Gauge,
+    freelist: Gauge,
+    overflow: Gauge,
+    cascades: Counter,
+    delivered: Counter,
+}
+
+impl Default for EngineMetrics {
+    fn default() -> EngineMetrics {
+        EngineMetrics {
+            pending: Gauge::new("sim.wheel.pending", 0),
+            slab: Gauge::new("sim.wheel.slab", 0),
+            freelist: Gauge::new("sim.wheel.freelist", 0),
+            overflow: Gauge::new("sim.wheel.overflow", 0),
+            cascades: Counter::new("sim.wheel.cascades", 0),
+            delivered: Counter::new("sim.events.delivered", 0),
+        }
+    }
 }
 
 impl<W: World> Simulation<W> {
@@ -126,6 +153,7 @@ impl<W: World> Simulation<W> {
             delivered: 0,
             hook: None,
             scratch: Vec::new(),
+            metrics: EngineMetrics::default(),
         }
     }
 
@@ -258,12 +286,16 @@ impl<W: World> Simulation<W> {
     /// also call it before an explicit end-of-run
     /// [`vf_metrics::sample_at`].
     pub fn publish_metrics(&self) {
-        vf_metrics::gauge_set("sim.wheel.pending", 0, self.queue.len() as i64);
-        vf_metrics::gauge_set("sim.wheel.slab", 0, self.queue.slab_len() as i64);
-        vf_metrics::gauge_set("sim.wheel.freelist", 0, self.queue.freelist_len() as i64);
-        vf_metrics::gauge_set("sim.wheel.overflow", 0, self.queue.overflow_len() as i64);
-        vf_metrics::counter_set_total("sim.wheel.cascades", 0, self.queue.cascades());
-        vf_metrics::counter_set_total("sim.events.delivered", 0, self.delivered);
+        let m = &self.metrics;
+        let q = &self.queue;
+        vf_metrics::batch(|b| {
+            b.gauge_set(&m.pending, q.len() as i64);
+            b.gauge_set(&m.slab, q.slab_len() as i64);
+            b.gauge_set(&m.freelist, q.freelist_len() as i64);
+            b.gauge_set(&m.overflow, q.overflow_len() as i64);
+            b.counter_set_total(&m.cascades, q.cascades());
+            b.counter_set_total(&m.delivered, self.delivered);
+        });
     }
 
     /// Run and require the queue to drain: like [`run`](Self::run), but

@@ -19,6 +19,7 @@
 //! served* is absorbed into its running walk (the walker re-checks the
 //! avail ring; the tenant's own link tag serializes the wire anyway).
 
+use vf_metrics::{names, Counter, Gauge};
 use vf_sim::Time;
 
 use crate::tenant::TenantConfig;
@@ -103,6 +104,24 @@ pub struct QosArbiter {
     virtual_time: Vec<u128>,
     grants: u64,
     queued: u64,
+    /// Per-tenant arbiter instruments.
+    metrics: Vec<TenantMetrics>,
+}
+
+/// One tenant's fairness-watchdog instruments.
+#[derive(Clone, Debug)]
+struct TenantMetrics {
+    pending: Gauge,
+    grants: Counter,
+}
+
+impl TenantMetrics {
+    fn new(tenant: u32) -> TenantMetrics {
+        TenantMetrics {
+            pending: Gauge::new(names::ARBITER_PENDING, tenant),
+            grants: Counter::new(names::ARBITER_GRANTS, tenant),
+        }
+    }
 }
 
 impl QosArbiter {
@@ -111,7 +130,6 @@ impl QosArbiter {
         let n = classes.len();
         assert!(n >= 1, "an arbiter needs at least one tenant");
         if vf_metrics::is_enabled() {
-            use vf_metrics::names;
             // The fairness watchdog arms only when this gauge reads WFQ.
             let code = match policy {
                 ArbiterPolicy::RoundRobin => names::POLICY_RR,
@@ -131,6 +149,7 @@ impl QosArbiter {
             virtual_time: vec![0; n],
             grants: 0,
             queued: 0,
+            metrics: (0..n as u32).map(TenantMetrics::new).collect(),
         }
     }
 
@@ -138,13 +157,13 @@ impl QosArbiter {
     pub fn request(&mut self, tenant: u16, now: Time) -> Decision {
         if now >= self.busy_until || self.owner == Some(tenant) {
             self.grants += 1;
-            vf_metrics::counter_add(vf_metrics::names::ARBITER_GRANTS, tenant as u32, 1);
+            self.metrics[tenant as usize].grants.add(1);
             Decision::Grant
         } else {
             if !self.pending[tenant as usize] {
                 self.pending[tenant as usize] = true;
                 self.pending_count += 1;
-                vf_metrics::gauge_set(vf_metrics::names::ARBITER_PENDING, tenant as u32, 1);
+                self.metrics[tenant as usize].pending.set(1);
             }
             self.queued += 1;
             Decision::Queued
@@ -193,9 +212,11 @@ impl QosArbiter {
         self.pending_count -= 1;
         self.grants += 1;
         if vf_metrics::is_enabled() {
-            use vf_metrics::names;
-            vf_metrics::gauge_set(names::ARBITER_PENDING, pick as u32, 0);
-            vf_metrics::counter_add(names::ARBITER_GRANTS, pick as u32, 1);
+            let m = &self.metrics[pick];
+            vf_metrics::batch(|b| {
+                b.gauge_set(&m.pending, 0);
+                b.counter_add(&m.grants, 1);
+            });
         }
         Some(pick as u16)
     }

@@ -15,6 +15,8 @@
 //! * **convenience helpers** (`pop_chain`, `complete`) composing the
 //!   steps for software backends and tests.
 
+use vf_metrics::{names, Counter, Gauge};
+
 use crate::mem::GuestMemory;
 use crate::ring::{vring_need_event, Desc, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT};
 
@@ -88,14 +90,40 @@ pub struct DeviceQueue {
     indirect: bool,
     /// Interrupts actually asserted.
     pub interrupts_sent: u64,
-    /// Index this queue's vf-metrics instruments register under (the
-    /// virtio queue number; devices with one queue leave it 0).
-    metrics_index: u32,
-    /// Whether the backlog gauge registers under the stall-watchdogged
-    /// name. True for queues the host rings with work (TX); false for
-    /// pre-posted buffer rings (RX, control), where a nonzero backlog
-    /// with no used progress is the *idle* state, not a stall.
-    metrics_watch_backlog: bool,
+    /// Avail entries the device has not consumed yet.
+    backlog: Gauge,
+    metrics: QueueMetrics,
+}
+
+/// The `virtio.queue.*` counters of one queue, split or packed.
+#[derive(Clone, Debug)]
+pub(crate) struct QueueMetrics {
+    pub(crate) desc_reads: Counter,
+    pub(crate) used: Counter,
+}
+
+impl QueueMetrics {
+    /// The counters of the queue whose instruments register under
+    /// `index`.
+    pub(crate) fn new(index: u32) -> QueueMetrics {
+        QueueMetrics {
+            desc_reads: Counter::new("virtio.queue.desc_reads", index),
+            used: Counter::new(names::QUEUE_USED, index),
+        }
+    }
+}
+
+/// The backlog gauge of queue `index`. Host-driven (TX) queues register
+/// under the stall-watchdogged name; pre-posted buffer rings (RX,
+/// control), where a nonzero backlog with no used progress is the
+/// *idle* state, not a stall, register under their own.
+fn backlog_gauge(index: u32, watch_backlog: bool) -> Gauge {
+    let name = if watch_backlog {
+        names::QUEUE_BACKLOG
+    } else {
+        "virtio.queue.rx_buffers"
+    };
+    Gauge::new(name, index)
 }
 
 impl DeviceQueue {
@@ -108,28 +136,20 @@ impl DeviceQueue {
             event_idx,
             indirect,
             interrupts_sent: 0,
-            metrics_index: 0,
-            metrics_watch_backlog: false,
+            backlog: backlog_gauge(0, false),
+            metrics: QueueMetrics::new(0),
         }
     }
 
     /// Register this queue's metrics under `index` (the virtio queue
-    /// number), so per-queue backlog/used/desc-read series stay
-    /// distinguishable in multi-queue devices. `watch_backlog` marks a
-    /// host-driven (TX) queue whose backlog gauge the stall watchdog
-    /// monitors; leave it false for pre-posted rings.
+    /// number; devices with one queue leave it 0), so per-queue
+    /// backlog/used/desc-read series stay distinguishable in
+    /// multi-queue devices. `watch_backlog` marks a host-driven (TX)
+    /// queue whose backlog gauge the stall watchdog monitors; leave it
+    /// false for pre-posted rings.
     pub fn set_metrics_index(&mut self, index: u32, watch_backlog: bool) {
-        self.metrics_index = index;
-        self.metrics_watch_backlog = watch_backlog;
-    }
-
-    /// The name the backlog gauge registers under for this queue.
-    fn backlog_gauge(&self) -> &'static str {
-        if self.metrics_watch_backlog {
-            vf_metrics::names::QUEUE_BACKLOG
-        } else {
-            "virtio.queue.rx_buffers"
-        }
+        self.backlog = backlog_gauge(index, watch_backlog);
+        self.metrics = QueueMetrics::new(index);
     }
 
     /// The queue's layout.
@@ -152,16 +172,10 @@ impl DeviceQueue {
     /// Read the driver's current avail index (2-byte read).
     pub fn fetch_avail_idx<M: GuestMemory>(&self, mem: &M) -> u16 {
         let idx = mem.read_u16(self.layout.avail_idx_addr());
-        if vf_metrics::is_enabled() {
-            // The freshest view of the backlog the device can have: on
-            // TX queues the stall watchdog keys on this gauge staying
-            // nonzero while the used counter below stands still.
-            vf_metrics::gauge_set(
-                self.backlog_gauge(),
-                self.metrics_index,
-                idx.wrapping_sub(self.last_avail) as i64,
-            );
-        }
+        // The freshest view of the backlog the device can have: on TX
+        // queues the stall watchdog keys on this gauge staying nonzero
+        // while the used counter below stands still.
+        self.backlog.set(idx.wrapping_sub(self.last_avail) as i64);
         idx
     }
 
@@ -172,7 +186,7 @@ impl DeviceQueue {
 
     /// Read one descriptor (16-byte read).
     pub fn fetch_desc<M: GuestMemory>(&self, mem: &M, idx: u16) -> Desc {
-        vf_metrics::counter_add("virtio.queue.desc_reads", self.metrics_index, 1);
+        self.metrics.desc_reads.add(1);
         Desc::read_at(mem, self.layout.desc, idx)
     }
 
@@ -235,7 +249,7 @@ impl DeviceQueue {
                 }
                 for i in 0..count {
                     let e = Desc::read_at(mem, d.addr, i as u16);
-                    vf_metrics::counter_add("virtio.queue.desc_reads", self.metrics_index, 1);
+                    self.metrics.desc_reads.add(1);
                     fetches += 1;
                     bufs.push(ChainBuf {
                         addr: e.addr,
@@ -272,9 +286,7 @@ impl DeviceQueue {
     /// controller, which resolves step-wise itself).
     pub fn advance(&mut self) {
         self.last_avail = self.last_avail.wrapping_add(1);
-        if vf_metrics::is_enabled() {
-            vf_metrics::gauge_add(self.backlog_gauge(), self.metrics_index, -1);
-        }
+        self.backlog.add(-1);
     }
 
     /// Publish a completion: used ring entry + index. `written` is the
@@ -288,7 +300,7 @@ impl DeviceQueue {
         mem.write_u32(entry + 4, written);
         self.used_idx = self.used_idx.wrapping_add(1);
         mem.write_u16(self.layout.used_idx_addr(), self.used_idx);
-        vf_metrics::counter_add(vf_metrics::names::QUEUE_USED, self.metrics_index, 1);
+        self.metrics.used.add(1);
         if self.event_idx {
             // Ask to be notified once the driver publishes anything beyond
             // what we've seen — the standard low-latency device policy.

@@ -20,7 +20,7 @@
 //! * driver makes a descriptor available: `AVAIL = wrap`, `USED = !wrap`;
 //! * device marks it used: `AVAIL = USED = wrap(device)`.
 
-use crate::device_queue::ChainBuf;
+use crate::device_queue::{ChainBuf, QueueMetrics};
 use crate::driver_queue::{BufferSpec, QueueError};
 use crate::mem::GuestMemory;
 
@@ -110,8 +110,7 @@ pub struct PackedDeviceQueue {
     size: u16,
     slot: u16,
     wrap: bool,
-    /// Index this queue's vf-metrics instruments register under.
-    metrics_index: u32,
+    metrics: QueueMetrics,
 }
 
 /// A chain taken by the device.
@@ -303,7 +302,7 @@ impl PackedDeviceQueue {
             size,
             slot: 0,
             wrap: true,
-            metrics_index: 0,
+            metrics: QueueMetrics::new(0),
         }
     }
 
@@ -312,7 +311,7 @@ impl PackedDeviceQueue {
     /// used and desc-read counters register — backlog is not observable
     /// without probing descriptor ownership bits.
     pub fn set_metrics_index(&mut self, index: u32) {
-        self.metrics_index = index;
+        self.metrics = QueueMetrics::new(index);
     }
 
     /// Ring base guest-physical address (device models need it to time
@@ -364,7 +363,7 @@ impl PackedDeviceQueue {
         let mut guard = 0;
         loop {
             let d = PackedDesc::read_at(mem, self.ring, self.slot);
-            vf_metrics::counter_add("virtio.queue.desc_reads", self.metrics_index, 1);
+            self.metrics.desc_reads.add(1);
             bufs.push(ChainBuf {
                 addr: d.addr,
                 len: d.len,
@@ -416,7 +415,7 @@ impl PackedDeviceQueue {
             flags,
         }
         .write_at(mem, self.ring, slot);
-        vf_metrics::counter_add(vf_metrics::names::QUEUE_USED, self.metrics_index, 1);
+        self.metrics.used.add(1);
     }
 }
 
