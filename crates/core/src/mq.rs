@@ -38,6 +38,7 @@
 //! `rtt_mq_q<i>` versus `rtt_tenant_t<i>`.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use vf_fpga::user_logic::UdpEcho;
 use vf_fpga::{Persona, VirtioFpgaDevice};
@@ -54,79 +55,27 @@ use crate::testbed::{
     link_util, notify_write, ring_doorbell, DriverKind, HostNet, TestbedConfig, FLOW_PORT_BASE,
 };
 
-/// Most queue pairs a world will drive. Bounded by the static RTT-name
-/// table (trace roots must be `&'static str`), not by the device model;
-/// 64 so the E21 tenant sweep can slice one pair per tenant up to 64
-/// tenants.
+/// Most queue pairs a world will drive: 64, so the E21 tenant sweep
+/// can slice one pair per tenant up to 64 tenants. The device model
+/// imposes no limit of its own; the per-pair round-trip trace names are
+/// generated up to this one.
 pub const MAX_QUEUE_PAIRS: u16 = 64;
 
-/// Per-queue round-trip trace names of the MQ kinds, indexed by pair.
-const MQ_RTT_NAMES: [&str; MAX_QUEUE_PAIRS as usize] = [
-    "rtt_mq_q0",
-    "rtt_mq_q1",
-    "rtt_mq_q2",
-    "rtt_mq_q3",
-    "rtt_mq_q4",
-    "rtt_mq_q5",
-    "rtt_mq_q6",
-    "rtt_mq_q7",
-    "rtt_mq_q8",
-    "rtt_mq_q9",
-    "rtt_mq_q10",
-    "rtt_mq_q11",
-    "rtt_mq_q12",
-    "rtt_mq_q13",
-    "rtt_mq_q14",
-    "rtt_mq_q15",
-    "rtt_mq_q16",
-    "rtt_mq_q17",
-    "rtt_mq_q18",
-    "rtt_mq_q19",
-    "rtt_mq_q20",
-    "rtt_mq_q21",
-    "rtt_mq_q22",
-    "rtt_mq_q23",
-    "rtt_mq_q24",
-    "rtt_mq_q25",
-    "rtt_mq_q26",
-    "rtt_mq_q27",
-    "rtt_mq_q28",
-    "rtt_mq_q29",
-    "rtt_mq_q30",
-    "rtt_mq_q31",
-    "rtt_mq_q32",
-    "rtt_mq_q33",
-    "rtt_mq_q34",
-    "rtt_mq_q35",
-    "rtt_mq_q36",
-    "rtt_mq_q37",
-    "rtt_mq_q38",
-    "rtt_mq_q39",
-    "rtt_mq_q40",
-    "rtt_mq_q41",
-    "rtt_mq_q42",
-    "rtt_mq_q43",
-    "rtt_mq_q44",
-    "rtt_mq_q45",
-    "rtt_mq_q46",
-    "rtt_mq_q47",
-    "rtt_mq_q48",
-    "rtt_mq_q49",
-    "rtt_mq_q50",
-    "rtt_mq_q51",
-    "rtt_mq_q52",
-    "rtt_mq_q53",
-    "rtt_mq_q54",
-    "rtt_mq_q55",
-    "rtt_mq_q56",
-    "rtt_mq_q57",
-    "rtt_mq_q58",
-    "rtt_mq_q59",
-    "rtt_mq_q60",
-    "rtt_mq_q61",
-    "rtt_mq_q62",
-    "rtt_mq_q63",
-];
+/// One round-trip trace name per queue pair.
+pub(crate) type RttNames = [&'static str; MAX_QUEUE_PAIRS as usize];
+
+/// `{prefix}0` … `{prefix}63` in `table`, built on first use and kept
+/// for the life of the process: trace roots are `&'static str`, so each
+/// name is leaked once.
+pub(crate) fn rtt_names(table: &'static OnceLock<RttNames>, prefix: &str) -> &'static RttNames {
+    table.get_or_init(|| std::array::from_fn(|i| &*format!("{prefix}{i}").leak()))
+}
+
+/// Per-queue round-trip trace names of the MQ kinds: `rtt_mq_q<i>`.
+fn mq_rtt_names() -> &'static RttNames {
+    static NAMES: OnceLock<RttNames> = OnceLock::new();
+    rtt_names(&NAMES, "rtt_mq_q")
+}
 
 /// The Toeplitz indirection table the MQ bring-up programs: every slot
 /// defaults to `slot % pairs`, then each measured flow's hash slot is
@@ -487,7 +436,7 @@ pub(crate) struct MqWorld {
     parts: MqParts,
     /// Send rotation: every pair except paused tenants.
     active: Vec<u16>,
-    rtt_names: &'static [&'static str; MAX_QUEUE_PAIRS as usize],
+    rtt_names: &'static RttNames,
     payload: usize,
     expected: Vec<u8>,
     sent: usize,
@@ -500,9 +449,9 @@ impl MqWorld {
         MqWorld {
             active: parts.active_pairs(),
             rtt_names: if parts.tenancy.is_some() {
-                &Tenancy::RTT_NAMES
+                Tenancy::rtt_names()
             } else {
-                &MQ_RTT_NAMES
+                mq_rtt_names()
             },
             parts,
             payload: cfg.payload,

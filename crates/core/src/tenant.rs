@@ -32,11 +32,13 @@
 //! derived but never drawn. The regression tests at the bottom pin
 //! this.
 
+use std::sync::OnceLock;
+
 use vf_sim::{SampleSet, Scheduler, SimRng, Time};
 use vf_tenant::{ArbiterPolicy, Decision, QosArbiter, TenantClass, TenantConfig, VhostWorker};
 
 use crate::driver_model::WINDOW_START;
-use crate::mq::{DeviceEv, MqEv, MqPipelinedWorld, MAX_QUEUE_PAIRS};
+use crate::mq::{rtt_names, DeviceEv, MqEv, MqPipelinedWorld, RttNames};
 use crate::report::jain_fairness;
 use crate::testbed::{DriverKind, TestbedConfig};
 
@@ -57,73 +59,12 @@ pub(crate) struct Tenancy {
 }
 
 impl Tenancy {
-    /// Per-tenant round-trip trace names, indexed by tenant.
-    pub(crate) const RTT_NAMES: [&'static str; MAX_QUEUE_PAIRS as usize] = [
-        "rtt_tenant_t0",
-        "rtt_tenant_t1",
-        "rtt_tenant_t2",
-        "rtt_tenant_t3",
-        "rtt_tenant_t4",
-        "rtt_tenant_t5",
-        "rtt_tenant_t6",
-        "rtt_tenant_t7",
-        "rtt_tenant_t8",
-        "rtt_tenant_t9",
-        "rtt_tenant_t10",
-        "rtt_tenant_t11",
-        "rtt_tenant_t12",
-        "rtt_tenant_t13",
-        "rtt_tenant_t14",
-        "rtt_tenant_t15",
-        "rtt_tenant_t16",
-        "rtt_tenant_t17",
-        "rtt_tenant_t18",
-        "rtt_tenant_t19",
-        "rtt_tenant_t20",
-        "rtt_tenant_t21",
-        "rtt_tenant_t22",
-        "rtt_tenant_t23",
-        "rtt_tenant_t24",
-        "rtt_tenant_t25",
-        "rtt_tenant_t26",
-        "rtt_tenant_t27",
-        "rtt_tenant_t28",
-        "rtt_tenant_t29",
-        "rtt_tenant_t30",
-        "rtt_tenant_t31",
-        "rtt_tenant_t32",
-        "rtt_tenant_t33",
-        "rtt_tenant_t34",
-        "rtt_tenant_t35",
-        "rtt_tenant_t36",
-        "rtt_tenant_t37",
-        "rtt_tenant_t38",
-        "rtt_tenant_t39",
-        "rtt_tenant_t40",
-        "rtt_tenant_t41",
-        "rtt_tenant_t42",
-        "rtt_tenant_t43",
-        "rtt_tenant_t44",
-        "rtt_tenant_t45",
-        "rtt_tenant_t46",
-        "rtt_tenant_t47",
-        "rtt_tenant_t48",
-        "rtt_tenant_t49",
-        "rtt_tenant_t50",
-        "rtt_tenant_t51",
-        "rtt_tenant_t52",
-        "rtt_tenant_t53",
-        "rtt_tenant_t54",
-        "rtt_tenant_t55",
-        "rtt_tenant_t56",
-        "rtt_tenant_t57",
-        "rtt_tenant_t58",
-        "rtt_tenant_t59",
-        "rtt_tenant_t60",
-        "rtt_tenant_t61",
-        "rtt_tenant_t62",
-        "rtt_tenant_t63",
-    ];
+    /// Per-tenant round-trip trace names, indexed by tenant:
+    /// `rtt_tenant_t<i>`.
+    pub(crate) fn rtt_names() -> &'static RttNames {
+        static NAMES: OnceLock<RttNames> = OnceLock::new();
+        rtt_names(&NAMES, "rtt_tenant_t")
+    }
 
     pub(crate) fn new(cfg: &TestbedConfig, tenants: u16) -> Self {
         let configs: Vec<TenantConfig> = if cfg.options.tenant_configs.is_empty() {
