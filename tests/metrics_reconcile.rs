@@ -231,13 +231,14 @@ fn fnv1a(text: &str) -> u64 {
 const GOLDEN_PACKETS: usize = 300;
 
 /// `(world, to_json digest, to_csv digest)` of the seed-42 report goldens.
-const REPORT_GOLDENS: [(&str, u64, u64); 6] = [
+const REPORT_GOLDENS: [(&str, u64, u64); 7] = [
     ("virtio", 0xcf61_19a9_ebae_aeac, 0xff4d_3188_097c_aa34),
     ("xdma", 0xd124_14dd_8eac_ab21, 0xbb62_fd33_7a59_d547),
     ("pmd", 0xdb89_7e57_0946_a2ac, 0x56dd_bfb1_6f6c_e25d),
     ("mq4", 0x49f3_1db9_9a11_99ba, 0x3189_0e76_5c51_33d3),
     ("tenants_wfq", 0x9709_a8cd_3f04_880d, 0x4a90_b3bd_6862_00bc),
     ("blk_rr4k", 0x3086_e351_b175_cc78, 0x6fcd_7e76_a94d_3c18),
+    ("blk_sw128k", 0xb68c_d8f1_3ce5_7dc3, 0xc743_9400_a258_df58),
 ];
 
 fn paper_cell_report(driver: DriverKind) -> vf_metrics::MetricsReport {
@@ -268,11 +269,9 @@ fn metered_report_bytes_match_goldens() {
         assert_eq!(r.verify_failures, 0);
         report
     };
-    let blk = || {
-        let c = TestbedConfig::paper(DriverKind::VirtioBlk, 4096, 120, 42);
-        let (r, report) = metered(mcfg(), || {
-            virtio_fpga::run_blk(&c, virtio_fpga::BlkPattern::RandomRead, 4096, 4)
-        });
+    let blk = |pattern, io_bytes, packets| {
+        let c = TestbedConfig::paper(DriverKind::VirtioBlk, 4096, packets, 42);
+        let (r, report) = metered(mcfg(), || virtio_fpga::run_blk(&c, pattern, io_bytes, 4));
         assert_eq!(r.verify_failures, 0);
         report
     };
@@ -282,7 +281,10 @@ fn metered_report_bytes_match_goldens() {
         paper_cell_report(DriverKind::VirtioPmd),
         mq(),
         tenants(),
-        blk(),
+        blk(virtio_fpga::BlkPattern::RandomRead, 4096, 120),
+        // Each 128 KiB write is a 1,024-chunk device read; the 4 KiB
+        // reads above are 32-TLP posted writes.
+        blk(virtio_fpga::BlkPattern::SequentialWrite, 128 << 10, 40),
     ];
     let got: Vec<(&str, u64, u64)> = REPORT_GOLDENS
         .iter()
