@@ -18,7 +18,6 @@
 
 use vf_pcie::{HostMemory, PcieLink};
 use vf_sim::{Time, FPGA_CYCLE};
-use vf_virtio::GuestMemory;
 
 use crate::desc::XdmaDesc;
 
@@ -135,6 +134,9 @@ pub struct XdmaEngine {
     pub total_bytes: u64,
     /// Lifetime statistics: descriptors fetched.
     pub total_descriptors: u64,
+    /// Bounce buffer for card-to-host copies, reused by every
+    /// descriptor.
+    scratch: Vec<u8>,
 }
 
 impl XdmaEngine {
@@ -146,6 +148,7 @@ impl XdmaEngine {
             runs: 0,
             total_bytes: 0,
             total_descriptors: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -183,16 +186,15 @@ impl XdmaEngine {
             match self.dir {
                 ChannelDir::H2C => {
                     t = link.dma_read(t, desc.src, len);
-                    let data = GuestMemory::read_vec(host, desc.src, len);
-                    card.write(desc.dst, &data);
+                    card.write(desc.dst, host.slice(desc.src, len));
                     t += card.access_time(len);
                 }
                 ChannelDir::C2H => {
-                    let mut data = vec![0u8; len];
-                    card.read(desc.src, &mut data);
+                    self.scratch.resize(len, 0);
+                    card.read(desc.src, &mut self.scratch);
                     t += card.access_time(len);
                     t = link.dma_write(t, desc.dst, len);
-                    GuestMemory::write(host, desc.dst, &data);
+                    host.write(desc.dst, &self.scratch);
                 }
             }
             descriptors += 1;
