@@ -387,7 +387,9 @@ pub struct VirtioFpgaDevice {
     rss_key: Vec<u8>,
     /// Reused TX walk storage.
     tx_scratch: TxScratch,
-    /// The pipelined TX walker's depth instruments, per queue.
+    /// The pipelined TX walker's depth instruments, per queue, built on
+    /// the first update made while a metrics session is installed, so
+    /// plain runs build none.
     walker_depth: Vec<WalkerDepth>,
 }
 
@@ -512,9 +514,7 @@ impl VirtioFpgaDevice {
             rss_table: None,
             rss_key: Vec::new(),
             tx_scratch: TxScratch::default(),
-            walker_depth: (0..queue_sizes.len() as u32)
-                .map(WalkerDepth::new)
-                .collect(),
+            walker_depth: Vec::new(),
         }
     }
 
@@ -809,7 +809,7 @@ impl VirtioFpgaDevice {
             }
             if vf_metrics::is_enabled() {
                 let d = (prefetched - k) as u64;
-                let m = &self.walker_depth[tx_queue as usize];
+                let m = self.walker_depth(tx_queue);
                 vf_metrics::batch(|b| {
                     b.gauge_set(&m.level, d as i64);
                     b.hist_record(&m.hist, d);
@@ -842,10 +842,20 @@ impl VirtioFpgaDevice {
             .stats
             .walker_peak_inflight
             .max(link.np_peak_in_flight() as u64);
-        if n > 0 {
-            self.walker_depth[tx_queue as usize].level.set(0);
+        if n > 0 && vf_metrics::is_enabled() {
+            self.walker_depth(tx_queue).level.set(0);
         }
         t
+    }
+
+    /// `queue`'s walker-depth instruments, building every queue's on
+    /// first use. Handles register on their first update, not when
+    /// built, so building late moves no report byte.
+    fn walker_depth(&mut self, queue: u16) -> &WalkerDepth {
+        if self.walker_depth.is_empty() {
+            self.walker_depth = (0..self.rings.len() as u32).map(WalkerDepth::new).collect();
+        }
+        &self.walker_depth[queue as usize]
     }
 
     /// Payload DMA: read `chain`'s readable buffers into the staging

@@ -104,7 +104,8 @@ pub struct QosArbiter {
     virtual_time: Vec<u128>,
     grants: u64,
     queued: u64,
-    /// Per-tenant arbiter instruments.
+    /// Per-tenant arbiter instruments, built on the first update made
+    /// while a metrics session is installed, so plain runs build none.
     metrics: Vec<TenantMetrics>,
 }
 
@@ -149,7 +150,7 @@ impl QosArbiter {
             virtual_time: vec![0; n],
             grants: 0,
             queued: 0,
-            metrics: (0..n as u32).map(TenantMetrics::new).collect(),
+            metrics: Vec::new(),
         }
     }
 
@@ -157,13 +158,17 @@ impl QosArbiter {
     pub fn request(&mut self, tenant: u16, now: Time) -> Decision {
         if now >= self.busy_until || self.owner == Some(tenant) {
             self.grants += 1;
-            self.metrics[tenant as usize].grants.add(1);
+            if vf_metrics::is_enabled() {
+                self.tenant_metrics(tenant as usize).grants.add(1);
+            }
             Decision::Grant
         } else {
             if !self.pending[tenant as usize] {
                 self.pending[tenant as usize] = true;
                 self.pending_count += 1;
-                self.metrics[tenant as usize].pending.set(1);
+                if vf_metrics::is_enabled() {
+                    self.tenant_metrics(tenant as usize).pending.set(1);
+                }
             }
             self.queued += 1;
             Decision::Queued
@@ -212,13 +217,25 @@ impl QosArbiter {
         self.pending_count -= 1;
         self.grants += 1;
         if vf_metrics::is_enabled() {
-            let m = &self.metrics[pick];
+            let m = self.tenant_metrics(pick);
             vf_metrics::batch(|b| {
                 b.gauge_set(&m.pending, 0);
                 b.counter_add(&m.grants, 1);
             });
         }
         Some(pick as u16)
+    }
+
+    /// `tenant`'s instruments, building every tenant's on first use.
+    /// Handles register on their first update, not when built, so
+    /// building late moves no report byte.
+    fn tenant_metrics(&mut self, tenant: usize) -> &TenantMetrics {
+        if self.metrics.is_empty() {
+            self.metrics = (0..self.classes.len() as u32)
+                .map(TenantMetrics::new)
+                .collect();
+        }
+        &self.metrics[tenant]
     }
 
     /// Instant the engine next goes idle (given what has been granted).
