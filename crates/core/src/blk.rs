@@ -295,15 +295,12 @@ impl World for BlkWorld {
                     sched.at(arrival, BlkEv::Doorbell(block::REQUEST_QUEUE));
                 }
                 // The synchronous caller blocks until the completion IRQ.
-                vf_trace::set_now(t);
                 t += self.parts.cost.step(self.parts.cost.costs.block_schedule);
                 self.cpu_free = t;
             }
             BlkEv::Doorbell(queue) => self.parts.service_doorbell(now, queue, sched),
             BlkEv::Irq => {
-                let t_irq = now.max(self.cpu_free);
-                vf_trace::set_now(t_irq);
-                let mut t = t_irq + self.parts.cost.irq_to_napi();
+                let mut t = self.parts.cost.irq_to_napi(now.max(self.cpu_free));
                 let (done, cpu) = self
                     .parts
                     .driver
@@ -583,7 +580,7 @@ impl World for BlkPipelinedWorld {
             }
             BlkEv::Doorbell(queue) => self.parts.service_doorbell(now, queue, sched),
             BlkEv::Irq => {
-                let mut t = now.max(self.cpu_free) + self.parts.cost.irq_to_napi();
+                let mut t = self.parts.cost.irq_to_napi(now.max(self.cpu_free));
                 let (done, cpu) = self
                     .parts
                     .driver

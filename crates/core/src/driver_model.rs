@@ -176,11 +176,10 @@ pub(crate) const WINDOW_START: Time = Time::from_us(10);
 pub fn run_world<D: DriverModel + 'static>(cfg: &TestbedConfig) -> (RunResult, D::Telemetry) {
     let mut sim = Simulation::new(D::build(cfg));
     if vf_trace::is_enabled() {
-        // Anchor the tracer's clock at every delivery and annotate the
-        // deliveries the driver cares to describe. Installed only when a
-        // session is live, so untraced runs keep a hook-free step loop.
+        // Mark each delivery the driver cares to describe with an
+        // instant at its delivery time. Installed only when a session is
+        // live, so untraced runs keep a hook-free step loop.
         sim.set_delivery_hook(Some(Box::new(|t, msg: &D::Msg| {
-            vf_trace::set_now(t);
             if let Some((layer, name)) = D::describe(msg) {
                 vf_trace::instant(layer, name, t, 0, 0);
             }

@@ -495,16 +495,12 @@ impl World for MqWorld {
                     t += d;
                     sched.at(arrival, DeviceEv::Doorbell(pair).into());
                 }
-                vf_trace::set_now(t);
                 let cpu = parts.host.cpu_for_pair(pair);
-                t += cpu.cost.send_return_then_block();
-                cpu.free = t;
+                cpu.free = cpu.cost.send_return_then_block(t);
             }
             MqEv::RxIrq(pair) => {
                 let cpu = parts.host.cpu_for_pair(pair);
-                let t_irq = now.max(cpu.free);
-                vf_trace::set_now(t_irq);
-                let t = t_irq + cpu.cost.irq_to_napi();
+                let t = cpu.cost.irq_to_napi(now.max(cpu.free));
                 let (frames, d) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
                 vf_trace::span_at(
                     vf_trace::Layer::Driver,

@@ -153,12 +153,11 @@ impl PmdWorld {
                     0,
                 );
                 self.parts.driver.arm_rx_interrupt(&mut self.parts.mem);
-                let mut armed = self.poll_start + threshold;
-                vf_trace::set_now(armed);
-                armed += self.parts.cost.block_in_syscall();
-                let woken = done_at.max(armed);
-                vf_trace::set_now(woken);
-                woken + self.parts.cost.irq_wake()
+                let armed = self
+                    .parts
+                    .cost
+                    .block_in_syscall(self.poll_start + threshold);
+                self.parts.cost.irq_wake(done_at.max(armed))
             }
             _ => {
                 // Busy path: completion is seen at the first used-index

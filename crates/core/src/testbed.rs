@@ -745,9 +745,7 @@ impl World for VirtioWorld {
                     sched.at(arrival, VirtioEv::Doorbell(net::TX_QUEUE));
                 }
                 // sendto returns; the app immediately blocks in recvfrom.
-                vf_trace::set_now(t);
-                t += parts.cost.send_return_then_block();
-                self.cpu_free = t;
+                self.cpu_free = parts.cost.send_return_then_block(t);
             }
             VirtioEv::Doorbell(queue) => {
                 let out = self.parts.device.process_tx_notify(
@@ -773,9 +771,7 @@ impl World for VirtioWorld {
             VirtioEv::RxIrq => {
                 // Hardirq may only run once the CPU is available; on this
                 // quiesced host the app has long since blocked.
-                let t_irq = now.max(self.cpu_free);
-                vf_trace::set_now(t_irq);
-                let t = t_irq + self.parts.cost.irq_to_napi();
+                let t = self.parts.cost.irq_to_napi(now.max(self.cpu_free));
                 // Harvest the echo from the ring (device-specific): the
                 // net front end passes its frames up the socket stack.
                 let parts = &mut self.parts;
@@ -1010,9 +1006,7 @@ impl XdmaParts {
     /// trip), ack write, handler body, wakeup, per-transfer teardown,
     /// syscall exit. Returns the instant the syscall has returned.
     pub(crate) fn service_irq(&mut self, now: Time, cpu_free: Time, dir: ChannelDir) -> Time {
-        let t_irq = now.max(cpu_free);
-        vf_trace::set_now(t_irq);
-        let mut t = t_irq + self.cost.irq_entry();
+        let mut t = self.cost.irq_entry(now.max(cpu_free));
         let chan = match dir {
             ChannelDir::H2C => vf_xdma::regs::target::H2C,
             ChannelDir::C2H => vf_xdma::regs::target::C2H,
@@ -1134,8 +1128,10 @@ impl World for XdmaWorld {
                     // builds the packet and kicks; the host-side back-end
                     // worker wakes, copies the frame out of the guest
                     // buffers, and only then drives the legacy driver.
-                    vf_trace::set_now(t);
-                    t += self.parts.cost.vhost_tx_overlay(self.transfer_len as usize);
+                    t = self
+                        .parts
+                        .cost
+                        .vhost_tx_overlay(t, self.transfer_len as usize);
                 }
 
                 // write(): syscall entry, pin/map, descriptors, program.
@@ -1175,8 +1171,7 @@ impl World for XdmaWorld {
                         if self.wait_device_irq {
                             // Real use case: poll() for the data-ready
                             // interrupt before read().
-                            vf_trace::set_now(t);
-                            t += self.parts.cost.block_in_syscall();
+                            t = self.parts.cost.block_in_syscall(t);
                             self.cpu_free = t;
                         } else {
                             // Paper setup (§IV-C): read() back-to-back.
@@ -1199,8 +1194,7 @@ impl World for XdmaWorld {
                             // Back-end worker copies into the guest RX
                             // buffer, injects the interrupt, and the
                             // guest's stack delivers to the application.
-                            vf_trace::set_now(t);
-                            t += cost.vhost_rx_overlay(self.transfer_len as usize);
+                            t = cost.vhost_rx_overlay(t, self.transfer_len as usize);
                         }
                         // Verify the echoed buffer.
                         let got = self
@@ -1223,10 +1217,8 @@ impl World for XdmaWorld {
             }
             XdmaEv::UserIrq => {
                 // poll() wakes: hardirq + wakeup + syscall exit, then read().
-                let t_irq = now.max(self.cpu_free);
-                vf_trace::set_now(t_irq);
                 let cost = &mut self.parts.cost;
-                let mut t = t_irq + cost.irq_wake();
+                let mut t = cost.irq_wake(now.max(self.cpu_free));
                 let d = cost.step(cost.costs.syscall_exit);
                 vf_trace::span_at(vf_trace::Layer::Syscall, "syscall_exit", t, t + d, 0, 0);
                 t += d;

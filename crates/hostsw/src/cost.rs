@@ -17,6 +17,7 @@
 
 use vf_metrics::{Counter, Histogram};
 use vf_sim::{NoiseModel, SimRng, Time};
+use vf_trace::Layer;
 
 /// Base costs of the modeled software steps (before noise).
 #[derive(Clone, Debug)]
@@ -250,85 +251,88 @@ impl CostEngine {
     // ----- Named cost paths -------------------------------------------
     //
     // Multi-step software sequences shared by the driver models. Each
-    // path draws from the RNG in a fixed documented order, so a model
-    // swapping an inline `step(...)` chain for the named path is
+    // path takes the instant it starts and returns the instant it ends
+    // (the convention of `PcieLink`), and emits its span at those
+    // bounds. Each draws from the RNG in a fixed documented order, so a
+    // model swapping an inline `step(...)` chain for the named path is
     // bit-identical. Paths only bundle steps with no interleaved link
     // (wire) time — a wire round trip in the middle forces the caller
     // back to individual `step()` calls.
 
+    /// Emit the span `[start, start + d]` of a named path and return its
+    /// end.
+    fn path_span(layer: Layer, name: &'static str, start: Time, d: Time, a: u64) -> Time {
+        vf_trace::span_at(layer, name, start, start + d, a, 0);
+        start + d
+    }
+
     /// Interrupt delivery up to NAPI poll start: blocking-wait noise +
     /// hardirq entry + softirq (NAPI schedule → poll) latency. The
     /// virtio kernel drivers' RX entry sequence.
-    pub fn irq_to_napi(&mut self) -> Time {
+    pub fn irq_to_napi(&mut self, start: Time) -> Time {
         let d = self.blocking_extra()
             + self.step(self.costs.hardirq_entry)
             + self.step(self.costs.softirq_latency);
-        vf_trace::advance(vf_trace::Layer::Irq, "irq_to_napi", d, 0);
         self.publish_irq(d);
-        d
+        Self::path_span(Layer::Irq, "irq_to_napi", start, d, 0)
     }
 
     /// Interrupt delivery to handler start only: blocking-wait noise +
     /// hardirq entry. Used when the handler's first act is an MMIO read
     /// (a wire stall the link model prices), as in the XDMA ISR.
-    pub fn irq_entry(&mut self) -> Time {
+    pub fn irq_entry(&mut self, start: Time) -> Time {
         let d = self.blocking_extra() + self.step(self.costs.hardirq_entry);
-        vf_trace::advance(vf_trace::Layer::Irq, "irq_entry", d, 0);
         self.publish_irq(d);
-        d
+        Self::path_span(Layer::Irq, "irq_entry", start, d, 0)
     }
 
     /// Interrupt that wakes a blocked task: blocking-wait noise +
     /// hardirq entry + wakeup-to-run. The "interrupt as a doorbell for a
     /// sleeper" pattern (XDMA user IRQ, PMD adaptive fallback).
-    pub fn irq_wake(&mut self) -> Time {
+    pub fn irq_wake(&mut self, start: Time) -> Time {
         let d = self.blocking_extra()
             + self.step(self.costs.hardirq_entry)
             + self.step(self.costs.wakeup_to_run);
-        vf_trace::advance(vf_trace::Layer::Irq, "irq_wake", d, 0);
         self.publish_irq(d);
-        d
+        Self::path_span(Layer::Irq, "irq_wake", start, d, 0)
     }
 
     /// Enter the kernel and block: syscall entry + schedule-out. The
     /// "wait for completion" half of every blocking read.
-    pub fn block_in_syscall(&mut self) -> Time {
+    pub fn block_in_syscall(&mut self, start: Time) -> Time {
         let d = self.step(self.costs.syscall_entry) + self.step(self.costs.block_schedule);
-        vf_trace::advance(vf_trace::Layer::Syscall, "block_in_syscall", d, 0);
         self.metrics.syscall_blocks.add(1);
-        d
+        Self::path_span(Layer::Syscall, "block_in_syscall", start, d, 0)
     }
 
     /// Return from a send and immediately block in the paired receive:
     /// syscall exit + syscall entry + schedule-out. The request-response
     /// application's inter-syscall pivot.
-    pub fn send_return_then_block(&mut self) -> Time {
+    pub fn send_return_then_block(&mut self, start: Time) -> Time {
         let d = self.step(self.costs.syscall_exit)
             + self.step(self.costs.syscall_entry)
             + self.step(self.costs.block_schedule);
-        vf_trace::advance(vf_trace::Layer::Syscall, "send_return_then_block", d, 0);
-        d
+        Self::path_span(Layer::Syscall, "send_return_then_block", start, d, 0)
     }
 
     /// Paravirtualization overlay, transmit side: the guest's syscall +
     /// UDP stack + virtio-net xmit + vmexit kick + host worker wakeup +
     /// guest→host copy of `bytes`. Charged on top of the host driver's
     /// own path when a workload runs inside a VM (E13).
-    pub fn vhost_tx_overlay(&mut self, bytes: usize) -> Time {
+    pub fn vhost_tx_overlay(&mut self, start: Time, bytes: usize) -> Time {
         let d = self.step(self.costs.syscall_entry)
             + self.step(self.costs.udp_tx_path)
             + self.step(self.costs.virtio_xmit)
             + self.step(self.costs.vmexit_kick)
             + self.step(self.costs.wakeup_to_run)
             + self.copy_user(bytes);
-        vf_trace::advance(vf_trace::Layer::Driver, "vhost_tx_overlay", d, bytes as u64);
-        d
+        Self::path_span(Layer::Driver, "vhost_tx_overlay", start, d, bytes as u64)
     }
 
     /// Paravirtualization overlay, receive side: host→guest copy of
     /// `bytes` + interrupt injection + the guest's hardirq/softirq/NAPI
     /// path + guest UDP receive + app wakeup + syscall exit.
-    pub fn vhost_rx_overlay(&mut self, bytes: usize) -> Time {
+    pub fn vhost_rx_overlay(&mut self, start: Time, bytes: usize) -> Time {
         let d = self.copy_user(bytes)
             + self.step(self.costs.irq_inject)
             + self.step(self.costs.hardirq_entry)
@@ -337,54 +341,21 @@ impl CostEngine {
             + self.step(self.costs.udp_rx_path)
             + self.step(self.costs.wakeup_to_run)
             + self.step(self.costs.syscall_exit);
-        vf_trace::advance(vf_trace::Layer::Driver, "vhost_rx_overlay", d, bytes as u64);
-        d
-    }
-
-    /// Guest half of the vhost transmit path: the guest's syscall + UDP
-    /// stack + virtio-net xmit + the vmexit of the kick. Runs on the
-    /// guest's vCPU; the worker half ([`Self::vhost_worker_tx`]) runs on
-    /// the vhost thread's core. Drawn in sequence from one engine the
-    /// two halves reproduce [`Self::vhost_tx_overlay`] bit for bit.
-    pub fn vhost_guest_tx(&mut self) -> Time {
-        let d = self.step(self.costs.syscall_entry)
-            + self.step(self.costs.udp_tx_path)
-            + self.step(self.costs.virtio_xmit)
-            + self.step(self.costs.vmexit_kick);
-        vf_trace::advance(vf_trace::Layer::Syscall, "vhost_guest_tx", d, 0);
-        d
+        Self::path_span(Layer::Driver, "vhost_rx_overlay", start, d, bytes as u64)
     }
 
     /// Worker half of the vhost transmit path: the vhost thread's wakeup
     /// on the guest's kick eventfd plus the guest→host copy of `bytes`.
-    pub fn vhost_worker_tx(&mut self, bytes: usize) -> Time {
+    pub fn vhost_worker_tx(&mut self, start: Time, bytes: usize) -> Time {
         let d = self.step(self.costs.wakeup_to_run) + self.copy_user(bytes);
-        vf_trace::advance(vf_trace::Layer::Driver, "vhost_worker_tx", d, bytes as u64);
-        d
+        Self::path_span(Layer::Driver, "vhost_worker_tx", start, d, bytes as u64)
     }
 
     /// Worker half of the vhost receive path: the host→guest copy of
     /// `bytes` plus the interrupt injection into the guest.
-    pub fn vhost_worker_rx(&mut self, bytes: usize) -> Time {
+    pub fn vhost_worker_rx(&mut self, start: Time, bytes: usize) -> Time {
         let d = self.copy_user(bytes) + self.step(self.costs.irq_inject);
-        vf_trace::advance(vf_trace::Layer::Driver, "vhost_worker_rx", d, bytes as u64);
-        d
-    }
-
-    /// Guest half of the vhost receive path: the injected interrupt's
-    /// hardirq/softirq/NAPI chain, guest UDP receive, app wakeup, and
-    /// syscall exit. Worker half first ([`Self::vhost_worker_rx`]), then
-    /// this; from one engine the two halves reproduce
-    /// [`Self::vhost_rx_overlay`] bit for bit.
-    pub fn vhost_guest_rx(&mut self) -> Time {
-        let d = self.step(self.costs.hardirq_entry)
-            + self.step(self.costs.softirq_latency)
-            + self.step(self.costs.virtio_napi_rx)
-            + self.step(self.costs.udp_rx_path)
-            + self.step(self.costs.wakeup_to_run)
-            + self.step(self.costs.syscall_exit);
-        vf_trace::advance(vf_trace::Layer::Irq, "vhost_guest_rx", d, 0);
-        d
+        Self::path_span(Layer::Driver, "vhost_worker_rx", start, d, bytes as u64)
     }
 
     /// Borrow the RNG stream (workload payload generation, ip_id, ...).
@@ -538,27 +509,27 @@ mod tests {
         let mut b = engine(true);
         let c = HostCosts::fedora37();
 
-        let path = a.irq_to_napi();
+        let path = a.irq_to_napi(Time::ZERO);
         let inline = b.blocking_extra() + b.step(c.hardirq_entry) + b.step(c.softirq_latency);
         assert_eq!(path, inline);
 
-        let path = a.irq_entry();
+        let path = a.irq_entry(Time::ZERO);
         let inline = b.blocking_extra() + b.step(c.hardirq_entry);
         assert_eq!(path, inline);
 
-        let path = a.irq_wake();
+        let path = a.irq_wake(Time::ZERO);
         let inline = b.blocking_extra() + b.step(c.hardirq_entry) + b.step(c.wakeup_to_run);
         assert_eq!(path, inline);
 
-        let path = a.block_in_syscall();
+        let path = a.block_in_syscall(Time::ZERO);
         let inline = b.step(c.syscall_entry) + b.step(c.block_schedule);
         assert_eq!(path, inline);
 
-        let path = a.send_return_then_block();
+        let path = a.send_return_then_block(Time::ZERO);
         let inline = b.step(c.syscall_exit) + b.step(c.syscall_entry) + b.step(c.block_schedule);
         assert_eq!(path, inline);
 
-        let path = a.vhost_tx_overlay(256);
+        let path = a.vhost_tx_overlay(Time::ZERO, 256);
         let inline = b.step(c.syscall_entry)
             + b.step(c.udp_tx_path)
             + b.step(c.virtio_xmit)
@@ -567,7 +538,7 @@ mod tests {
             + b.copy_user(256);
         assert_eq!(path, inline);
 
-        let path = a.vhost_rx_overlay(256);
+        let path = a.vhost_rx_overlay(Time::ZERO, 256);
         let inline = b.copy_user(256)
             + b.step(c.irq_inject)
             + b.step(c.hardirq_entry)
@@ -576,16 +547,6 @@ mod tests {
             + b.step(c.udp_rx_path)
             + b.step(c.wakeup_to_run)
             + b.step(c.syscall_exit);
-        assert_eq!(path, inline);
-
-        // The split guest/worker halves recompose the monolithic
-        // overlays exactly when drawn in sequence from one engine.
-        let path = a.vhost_guest_tx() + a.vhost_worker_tx(256);
-        let inline = b.vhost_tx_overlay(256);
-        assert_eq!(path, inline);
-
-        let path = a.vhost_worker_rx(256) + a.vhost_guest_rx();
-        let inline = b.vhost_rx_overlay(256);
         assert_eq!(path, inline);
 
         // Same number of RNG draws overall → streams stay in lockstep.

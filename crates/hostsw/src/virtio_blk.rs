@@ -246,15 +246,6 @@ impl VirtioBlkDriver {
         )
     }
 
-    /// Submit a cache flush (requires `feature::FLUSH`).
-    pub fn submit_flush(
-        &mut self,
-        mem: &mut HostMemory,
-        cost: &mut CostEngine,
-    ) -> Result<BlkSubmit, QueueError> {
-        self.submit(mem, BlkReqType::Flush, 0, 0, None, cost)
-    }
-
     /// Harvest completed requests off the used ring: read each status
     /// footer, note where read payloads lie, free the slot. Charges
     /// per-request completion-path costs, including the modelled copy of

@@ -49,7 +49,7 @@ impl VhostWorker {
     /// returns the instant it can ring the device doorbell.
     pub fn tx(&mut self, kick_at: Time, bytes: usize) -> Time {
         let start = kick_at.max(self.free);
-        self.free = start + self.cost.vhost_worker_tx(bytes);
+        self.free = self.cost.vhost_worker_tx(start, bytes);
         self.free
     }
 
@@ -59,7 +59,7 @@ impl VhostWorker {
     /// sees the injected interrupt.
     pub fn rx(&mut self, irq_at: Time, bytes: usize) -> Time {
         let start = irq_at.max(self.free);
-        self.free = start + self.cost.vhost_worker_rx(bytes);
+        self.free = self.cost.vhost_worker_rx(start, bytes);
         self.free
     }
 }

@@ -13,13 +13,15 @@
 //! ## Architecture
 //!
 //! Instrumentation points throughout the workspace call the session's
-//! free functions ([`span_at`], [`begin`]/[`end`], [`advance`],
-//! [`instant`]). They are **zero-cost when disabled**: each begins with
-//! one thread-local boolean load ([`is_enabled`]) and returns
-//! immediately when no sink is installed — no allocation, no clock
-//! mutation, and crucially **no RNG draws**, so enabling tracing cannot
-//! perturb a simulation (the determinism goldens assert this
-//! bit-for-bit). Events flow into the [`TraceSink`] chosen at
+//! free functions ([`span_at`], [`begin`]/[`end`], [`instant`]). Each
+//! event carries its own instants — a span names its start and its end
+//! — and the session keeps no time cursor of its own, so where an event
+//! lands never depends on what was emitted before it. The functions are
+//! **zero-cost when disabled**: each begins with one thread-local
+//! boolean load ([`is_enabled`]) and returns immediately when no sink
+//! is installed — no allocation, and crucially **no RNG draws**, so
+//! enabling tracing cannot perturb a simulation (the determinism
+//! goldens assert this bit-for-bit). Events flow into the [`TraceSink`] chosen at
 //! [`install`] time; [`RingBufferSink`] is the bounded in-memory capture
 //! every exporter reads, and a caller may supply its own sink (the
 //! `vfbench` host-time profiler stamps wall time per record and stores
@@ -38,9 +40,7 @@ mod sink;
 
 pub use breakdown::{per_rtt, render_table, RttBreakdown, SpanRec};
 pub use perfetto::{chrome_trace_json, chrome_trace_json_full, CounterTrack};
-pub use session::{
-    advance, begin, end, finish, install, instant, is_enabled, set_now, span_at, uninstall,
-};
+pub use session::{begin, end, finish, install, instant, is_enabled, span_at, uninstall};
 pub use sink::{RingBufferSink, TraceSink};
 
 use vf_sim::Time;

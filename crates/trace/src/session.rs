@@ -7,6 +7,10 @@
 //! draw randomness or mutate simulated time, so tracing can never
 //! perturb a run (asserted by the determinism goldens in the root
 //! crate's test suite).
+//!
+//! Every event carries its own instants: a span names its start and
+//! end, an instant its time. The session keeps no clock of its own, so
+//! no emission depends on what was emitted before it.
 
 use std::cell::{Cell, RefCell};
 
@@ -20,9 +24,6 @@ struct Session {
     next_span: u64,
     /// Open `begin`/`end` spans, innermost last.
     stack: Vec<SpanId>,
-    /// Time cursor for [`advance`]: tracks the world's running `t`
-    /// between explicit [`set_now`] anchors.
-    cursor: Time,
 }
 
 impl Session {
@@ -68,7 +69,6 @@ pub fn install(sink: Box<dyn TraceSink>) {
             seq: 0,
             next_span: 1,
             stack: Vec::new(),
-            cursor: Time::ZERO,
         });
     });
     ENABLED.with(|e| e.set(true));
@@ -91,17 +91,6 @@ pub fn finish() -> Vec<TraceEvent> {
 
 fn with_session<R>(f: impl FnOnce(&mut Session) -> R) -> Option<R> {
     SESSION.with(|s| s.borrow_mut().as_mut().map(f))
-}
-
-/// Anchor the [`advance`] cursor at absolute instant `t`. Called by the
-/// event-delivery hook at each dispatch and by worlds at explicit time
-/// jumps (e.g. `now.max(cpu_free)`).
-#[inline]
-pub fn set_now(t: Time) {
-    if !is_enabled() {
-        return;
-    }
-    with_session(|s| s.cursor = t);
 }
 
 /// Open a span at `t`; returns its id ([`SpanId::NONE`] when disabled).
@@ -137,9 +126,10 @@ pub fn end(id: SpanId, t: Time) {
 }
 
 /// Emit a complete span `[start, end]` with explicit absolute bounds —
-/// the form used wherever the instrumented code knows both instants
-/// (link TLPs, counter windows, world-level `t` deltas). Does not move
-/// the cursor. `end` saturates to `start` if it precedes it.
+/// the one span form: every instrumentation point knows both instants
+/// (link TLPs, counter windows, world-level `t` deltas, the named cost
+/// paths, which take their start and return their end). `end`
+/// saturates to `start` if it precedes it.
 pub fn span_at(layer: Layer, name: &'static str, start: Time, end: Time, a: u64, b: u64) {
     if !is_enabled() {
         return;
@@ -150,25 +140,6 @@ pub fn span_at(layer: Layer, name: &'static str, start: Time, end: Time, a: u64,
         let parent = s.parent();
         let end = end.max(start);
         s.emit(start, layer, Kind::Span { id, parent, end }, name, a, b);
-    });
-}
-
-/// Emit a complete span of duration `dur` starting at the cursor, then
-/// move the cursor past it — the form used by the named cost paths,
-/// which know durations but not absolute time. Callers anchor the
-/// cursor with [`set_now`] first.
-pub fn advance(layer: Layer, name: &'static str, dur: Time, a: u64) {
-    if !is_enabled() {
-        return;
-    }
-    with_session(|s| {
-        let id = SpanId(s.next_span);
-        s.next_span += 1;
-        let parent = s.parent();
-        let start = s.cursor;
-        let end = start + dur;
-        s.cursor = end;
-        s.emit(start, layer, Kind::Span { id, parent, end }, name, a, 0);
     });
 }
 
@@ -203,11 +174,23 @@ mod tests {
 
         let root = begin(Layer::App, "rtt", Time::from_ns(100), 256);
         assert!(!root.is_none());
-        // Cursor-based emission nests under the open root.
-        set_now(Time::from_ns(100));
-        advance(Layer::Syscall, "sendto", Time::from_ns(30), 0);
-        advance(Layer::Driver, "xmit", Time::from_ns(20), 0);
-        // Absolute-bounds emission.
+        // Spans nest under the open root, each at the bounds it names.
+        span_at(
+            Layer::Syscall,
+            "sendto",
+            Time::from_ns(100),
+            Time::from_ns(130),
+            0,
+            0,
+        );
+        span_at(
+            Layer::Driver,
+            "xmit",
+            Time::from_ns(130),
+            Time::from_ns(150),
+            0,
+            0,
+        );
         span_at(
             Layer::Link,
             "tlp",
@@ -240,7 +223,6 @@ mod tests {
             }
             ref k => panic!("expected Span, got {k:?}"),
         }
-        // The cursor advanced: second span starts where the first ended.
         assert_eq!(evs[2].t, Time::from_ns(130));
         match evs[5].kind {
             Kind::End { id } => assert_eq!(id, root),

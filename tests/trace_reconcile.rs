@@ -12,9 +12,13 @@
 //! 3. **Non-perturbation** — a traced run produces bit-identical
 //!    samples and counters to an untraced run of the same seed.
 //!    Tracing observes the simulation; it must never steer it.
+//! 4. **Placement** — a span sits where its work happened: a vhost
+//!    worker's relay after the guest's kick, a windowed world's
+//!    interrupt path after the window opens.
 
-use vf_trace::{Kind, Layer};
-use virtio_fpga::{reconcile, traced_run, DriverKind, Testbed, TestbedConfig};
+use vf_sim::Time;
+use vf_trace::{Kind, Layer, RingBufferSink};
+use virtio_fpga::{reconcile, run_blk, traced_run, BlkPattern, DriverKind, Testbed, TestbedConfig};
 
 const PACKETS: usize = 40;
 
@@ -217,4 +221,55 @@ fn mq_tracing_does_not_perturb_timestamps() {
     assert_eq!(bits(plain.total.raw()), bits(traced.total.raw()));
     assert_eq!(plain.notifications, traced.notifications);
     assert_eq!(plain.irqs, traced.irqs);
+}
+
+/// E21 tenant world with the vhost backend: the run reconciles, and in
+/// every round trip the worker's TX relay starts no earlier than the end
+/// of the guest's kick vmexit that woke it.
+#[test]
+fn tenant_vhost_worker_starts_after_the_kick() {
+    let mut c = cfg(DriverKind::VirtioTenant, 21_002);
+    c.options.mq_queue_pairs = 2;
+    c.options.tenant_vhost = true;
+    let run = traced_run(&c);
+    let rtts = run.breakdowns();
+    assert_eq!(rtts.len(), PACKETS, "one breakdown per packet");
+    reconcile(&run.result, &rtts).unwrap_or_else(|e| panic!("tenant vhost: {e}"));
+    for (i, rtt) in rtts.iter().enumerate() {
+        let span = |name: &str| {
+            rtt.spans
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("round trip {i}: no {name:?} span"))
+        };
+        let kick = span("vmexit_kick");
+        let worker = span("vhost_worker_tx");
+        assert!(
+            worker.start >= kick.end,
+            "round trip {i}: vhost_worker_tx starts at {} before vmexit_kick ends at {}",
+            worker.start,
+            kick.end
+        );
+    }
+}
+
+/// A windowed world (E24 storage) traced under a caller's session: its
+/// interrupt paths sit inside the run, after the pumps first fire at
+/// 10 µs (`WINDOW_START`), not at a stale instant such as t = 0.
+#[test]
+fn blk_irq_spans_start_inside_the_window() {
+    let c = TestbedConfig::paper(DriverKind::VirtioBlk, 4096, 20, 42_024);
+    vf_trace::install(Box::new(RingBufferSink::new(1 << 16)));
+    let r = run_blk(&c, BlkPattern::RandomRead, 4096, 2);
+    let events = vf_trace::finish();
+    assert_eq!(r.verify_failures, 0);
+    let irqs: Vec<_> = events.iter().filter(|e| e.name == "irq_to_napi").collect();
+    assert!(!irqs.is_empty(), "no irq_to_napi spans in trace");
+    for e in irqs {
+        assert!(
+            e.t >= Time::from_us(10),
+            "irq_to_napi span starts at {} before the window opens",
+            e.t
+        );
+    }
 }
