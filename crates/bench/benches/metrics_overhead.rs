@@ -5,16 +5,14 @@
 //!
 //! Three views:
 //!
-//! * `disabled/*` — the string-keyed `counter_add`/`gauge_set`/
-//!   `hist_record`, the typed handles' `Counter::add`/`Gauge::set`/
-//!   `Histogram::record`, and the engine's per-event `sample_pending`
+//! * `disabled/*` — the typed handles' `Counter::add`/`Gauge::set`/
+//!   `Histogram::record` and the engine's per-event `sample_pending`
 //!   with no session installed. Each must cost essentially one
 //!   thread-local load and branch; the floor check below asserts it
 //!   against exactly that baseline.
-//! * `enabled/*` — updates against a live session, for scale: the
-//!   string forms pay a lookup by the name's contents on every call;
-//!   a handle resolves once per session and then pays a session-id
-//!   compare, an i64 update, and a dirty mark for the next sample.
+//! * `enabled/*` — updates against a live session, for scale: a handle
+//!   resolves once per session and then pays a session-id compare, an
+//!   i64 update, and a dirty mark for the next sample.
 //! * `world/*` — a serial VirtIO 256 B echo world (the paper's cell),
 //!   an E19 MQ world and an E24 128K sequential-read storage world,
 //!   each run unmetered vs metered: the end-to-end overhead a
@@ -22,8 +20,7 @@
 //!
 //! Two assertions:
 //!
-//! * Every disabled update path, string-keyed or through a handle, may
-//!   cost at most `DISABLED_OVERHEAD_CEILING` times the bare
+//! * Every disabled update path may cost at most `DISABLED_OVERHEAD_CEILING` times the bare
 //!   `is_enabled()` thread-local load (floor measured the same way,
 //!   same best-of-K wall clock). A regression that adds work ahead of
 //!   the enabled check — formatting, hashing, a second TLS access —
@@ -61,24 +58,27 @@ fn bench_disabled(c: &mut Criterion) {
     assert!(!vf_metrics::is_enabled());
     let mut group = c.benchmark_group("metrics_disabled");
     group.throughput(Throughput::Elements(OPS));
+    let counter = Counter::new("bench.disabled.ctr", 0);
+    let gauge = Gauge::new("bench.disabled.g", 0);
+    let hist = Histogram::new("bench.disabled.h", 0);
     group.bench_function("counter_add", |b| {
         b.iter(|| {
             for i in 0..OPS {
-                vf_metrics::counter_add("bench.disabled.ctr", 0, black_box(i));
+                counter.add(black_box(i));
             }
         })
     });
     group.bench_function("gauge_set", |b| {
         b.iter(|| {
             for i in 0..OPS {
-                vf_metrics::gauge_set("bench.disabled.g", 0, black_box(i as i64));
+                gauge.set(black_box(i as i64));
             }
         })
     });
     group.bench_function("hist_record", |b| {
         b.iter(|| {
             for i in 0..OPS {
-                vf_metrics::hist_record("bench.disabled.h", 0, black_box(i));
+                hist.record(black_box(i));
             }
         })
     });
@@ -97,26 +97,6 @@ fn bench_disabled(c: &mut Criterion) {
 fn bench_enabled(c: &mut Criterion) {
     let mut group = c.benchmark_group("metrics_enabled");
     group.throughput(Throughput::Elements(OPS));
-    group.bench_function("counter_add", |b| {
-        b.iter(|| {
-            let ((), report) = metered(vf_metrics::MetricsConfig::default(), || {
-                for i in 0..OPS {
-                    vf_metrics::counter_add("bench.enabled.ctr", 0, black_box(i & 1));
-                }
-            });
-            report.counter_total("bench.enabled.ctr")
-        })
-    });
-    group.bench_function("hist_record", |b| {
-        b.iter(|| {
-            let ((), report) = metered(vf_metrics::MetricsConfig::default(), || {
-                for i in 0..OPS {
-                    vf_metrics::hist_record("bench.enabled.h", 0, black_box(i));
-                }
-            });
-            report.instruments.len()
-        })
-    });
     group.bench_function("handle_counter_add", |b| {
         let counter = Counter::new("bench.enabled.handle", 0);
         b.iter(|| {
@@ -126,6 +106,17 @@ fn bench_enabled(c: &mut Criterion) {
                 }
             });
             report.counter_total("bench.enabled.handle")
+        })
+    });
+    group.bench_function("handle_hist_record", |b| {
+        let hist = Histogram::new("bench.enabled.handle_h", 0);
+        b.iter(|| {
+            let ((), report) = metered(vf_metrics::MetricsConfig::default(), || {
+                for i in 0..OPS {
+                    hist.record(black_box(i));
+                }
+            });
+            report.instruments.len()
         })
     });
     group.finish();
@@ -236,19 +227,7 @@ fn bench_disabled_floor(_c: &mut Criterion) {
     let counter = Counter::new("bench.floor.handle_ctr", 0);
     let gauge = Gauge::new("bench.floor.handle_g", 0);
     let hist = Histogram::new("bench.floor.handle_h", 0);
-    let cases: [(&str, f64); 7] = [
-        (
-            "counter_add",
-            best_of(|| vf_metrics::counter_add("bench.floor.ctr", 0, black_box(1))),
-        ),
-        (
-            "gauge_set",
-            best_of(|| vf_metrics::gauge_set("bench.floor.g", 0, black_box(1))),
-        ),
-        (
-            "hist_record",
-            best_of(|| vf_metrics::hist_record("bench.floor.h", 0, black_box(1))),
-        ),
+    let cases: [(&str, f64); 4] = [
         (
             "Counter::add",
             best_of(|| black_box(&counter).add(black_box(1))),

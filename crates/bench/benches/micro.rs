@@ -8,10 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vf_hostsw::{build_udp_frame, parse_udp_frame, Ipv4Addr, MacAddr, UdpFlow};
 use vf_pcie::{HostMemory, LinkConfig, PcieLink};
 use vf_sim::{Scheduler, Simulation, Time, World};
-use vf_virtio::device_queue::DeviceQueue;
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
 use vf_virtio::ring::VirtqueueLayout;
-use vf_virtio::VecMemory;
+use vf_virtio::{DeviceRing, VecMemory};
 use vf_xdma::{single_descriptor, ChannelDir, VecCardMemory, XdmaEngine};
 
 fn bench_virtqueue(c: &mut Criterion) {
@@ -21,14 +20,15 @@ fn bench_virtqueue(c: &mut Criterion) {
         let mut mem = VecMemory::new(1 << 20);
         let layout = VirtqueueLayout::contiguous(0x1000, 256);
         let mut drv = DriverQueue::new(&mut mem, layout, true);
-        let mut dev = DeviceQueue::new(layout, true, false);
+        let mut dev = DeviceRing::split(layout, true, false, 0);
         b.iter(|| {
             let head = drv
                 .add_and_publish(&mut mem, &[BufferSpec::readable(0x10_000, 64)])
                 .unwrap();
-            let chain = dev.pop_chain(&mem).unwrap().unwrap();
-            let old = dev.complete(&mut mem, chain.head, 0);
-            let _ = dev.should_interrupt(&mem, old);
+            dev.prologue(&mem, false);
+            let chain = dev.next_chain(&mem).unwrap().unwrap();
+            dev.complete(&mut mem, &chain, 0);
+            dev.recycle(chain);
             let used = drv.pop_used(&mut mem).unwrap();
             assert_eq!(used.id, head as u32);
         });

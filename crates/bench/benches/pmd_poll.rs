@@ -12,9 +12,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vf_bench::render_pmd;
 use vf_pcie::HostMemory;
-use vf_virtio::device_queue::DeviceQueue;
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
 use vf_virtio::ring::VirtqueueLayout;
+use vf_virtio::DeviceRing;
 use virtio_fpga::experiments::{pmd_tails, ExperimentParams};
 use virtio_fpga::{DriverKind, Testbed, TestbedConfig, PAPER_PAYLOADS};
 
@@ -65,7 +65,7 @@ fn bench_ring_batch(c: &mut Criterion) {
             );
             let layout = VirtqueueLayout::contiguous(ring, 256);
             let mut drv = DriverQueue::new(&mut mem, layout, true);
-            let mut dev = DeviceQueue::new(layout, true, false);
+            let mut dev = DeviceRing::split(layout, true, false, 0);
             let bufs: Vec<u64> = (0..batch).map(|_| mem.alloc(2048, 64)).collect();
             b.iter(|| {
                 let heads: Vec<u16> = bufs
@@ -76,8 +76,10 @@ fn bench_ring_batch(c: &mut Criterion) {
                     })
                     .collect();
                 drv.publish_batch(&mut mem, &heads).unwrap();
-                while let Some(chain) = dev.pop_chain(&mem).unwrap() {
-                    dev.complete(&mut mem, chain.head, 64);
+                dev.prologue(&mem, false);
+                while let Some(chain) = dev.next_chain(&mem).unwrap() {
+                    dev.complete(&mut mem, &chain, 64);
+                    dev.recycle(chain);
                 }
                 let used = drv.pop_used_batch(&mut mem, usize::MAX);
                 assert_eq!(used.len(), batch);

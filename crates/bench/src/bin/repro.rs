@@ -526,7 +526,7 @@ fn run_metrics_artifact(
     for (i, (name, world)) in worlds.into_iter().enumerate() {
         let (verify_failures, report) = metered(vf_metrics::MetricsConfig::default(), world);
         assert_eq!(verify_failures, 0, "{name}: payload verification failed");
-        let mut required = vec!["pcie", "virtio", "fpga", "sim"];
+        let mut required = vec!["pcie", "virtio", "fpga", "hostsw", "sim"];
         if name == "tenants" {
             required.push("tenant");
         }

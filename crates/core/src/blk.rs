@@ -570,13 +570,11 @@ impl World for BlkPipelinedWorld {
         self.parts.link.advance_epoch(now);
         match msg {
             BlkEv::AppSend => {
-                let (mut t, doorbell) = self.refill(now);
+                let (t, doorbell) = self.refill(now);
                 if let Some(at) = doorbell {
                     sched.at(at, BlkEv::Doorbell(block::REQUEST_QUEUE));
                 }
-                t += self.parts.cost.step(self.parts.cost.costs.syscall_entry);
-                t += self.parts.cost.step(self.parts.cost.costs.block_schedule);
-                self.cpu_free = t;
+                self.cpu_free = self.parts.cost.block_in_syscall(t);
             }
             BlkEv::Doorbell(queue) => self.parts.service_doorbell(now, queue, sched),
             BlkEv::Irq => {

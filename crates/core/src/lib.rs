@@ -43,8 +43,6 @@ pub mod driver_model;
 pub mod experiments;
 pub mod metered;
 pub mod mq;
-#[cfg(test)]
-mod pipeline;
 pub mod pmd;
 pub mod report;
 pub mod tenant;

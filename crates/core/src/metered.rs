@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn metered_wraps_arbitrary_closures() {
         let (value, report) = metered(MetricsConfig::default(), || {
-            vf_metrics::counter_add("test.closure.runs", 0, 1);
+            vf_metrics::Counter::new("test.closure.runs", 0).add(1);
             vf_metrics::sample_at(50);
             42
         });

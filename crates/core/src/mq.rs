@@ -26,8 +26,11 @@
 //!   utilization per queue count; at one pair, the E12 depth sweep of
 //!   `experiments::pipelined_throughput`) and
 //!   [`crate::tenant::run_tenants`], pumped from `WINDOW_START` by the
-//!   shared `driver_model::run_windowed`. It emits no trace spans, so it
-//!   calls the UDP stack directly where the serial world uses `HostNet`.
+//!   shared `driver_model::run_windowed`. It opens no round-trip roots,
+//!   so it calls the UDP stack directly where the serial world uses
+//!   `HostNet`; its interrupt and blocking steps go through the named
+//!   cost paths, which publish the `hostsw.*` instruments and their
+//!   spans.
 //!
 //! For the tenant kind the bring-up also builds the E21
 //! [`crate::tenant`] layer (`MqParts::tenancy`): vhost relays and a QoS
@@ -727,23 +730,19 @@ impl World for MqPipelinedWorld {
         self.parts.link.advance_epoch(now);
         match msg {
             MqEv::Host(pair) => {
-                let (mut t, doorbell) = self.refill(pair, now);
+                let (t, doorbell) = self.refill(pair, now);
                 if let Some(at) = doorbell {
                     sched.at(at, DeviceEv::Doorbell(pair).into());
                 }
                 let cpu = self.parts.host.cpu_for_pair(pair);
-                t += cpu.cost.step(cpu.cost.costs.syscall_entry);
-                t += cpu.cost.step(cpu.cost.costs.block_schedule);
-                cpu.free = t;
+                cpu.free = cpu.cost.block_in_syscall(t);
                 cpu.blocked = true;
             }
             MqEv::RxIrq(pair) => {
                 let parts = &mut self.parts;
                 let q = &mut self.queues[pair as usize];
                 let cpu = parts.host.cpu_for_pair(pair);
-                let mut t = now.max(cpu.free) + cpu.cost.blocking_extra();
-                t += cpu.cost.step(cpu.cost.costs.hardirq_entry);
-                t += cpu.cost.step(cpu.cost.costs.softirq_latency);
+                let mut t = cpu.cost.irq_to_napi(now.max(cpu.free));
                 let (frames, cpu_t) = parts.driver.napi_poll(&mut parts.mem, pair, &mut cpu.cost);
                 t += cpu_t;
                 if frames.is_empty() {
@@ -997,5 +996,61 @@ mod tests {
             assert_eq!(s.raw().len(), 250, "queue {i} packet count");
         }
         assert!(r.mean_latency_us() > 0.0);
+    }
+
+    /// The E12 pipelined workload: one queue pair, as
+    /// `experiments::pipelined_throughput` runs it.
+    fn e12(packets: usize, depth: usize) -> MqThroughputResult {
+        let cfg = TestbedConfig::paper(DriverKind::VirtioMq, 256, packets, 31);
+        assert_eq!(cfg.options.mq_queue_pairs, 1);
+        run_mq(&cfg, depth)
+    }
+
+    #[test]
+    fn depth_one_matches_serial_behaviour() {
+        let r = e12(500, 1);
+        assert_eq!(r.verify_failures, 0);
+        assert_eq!(r.packets, 500);
+        // Depth 1 is request-response: one doorbell and irq per packet.
+        assert_eq!(r.doorbells, 500);
+        assert_eq!(r.irqs, 500);
+    }
+
+    #[test]
+    fn deeper_windows_increase_throughput() {
+        let p1 = e12(1_000, 1);
+        let p8 = e12(1_000, 8);
+        let p32 = e12(1_000, 32);
+        assert_eq!(p8.verify_failures, 0);
+        assert!(
+            p8.pps > 1.5 * p1.pps,
+            "depth 8: {} vs depth 1: {} pps",
+            p8.pps,
+            p1.pps
+        );
+        assert!(p32.pps >= p8.pps * 0.9, "no collapse at depth 32");
+    }
+
+    #[test]
+    fn pipelining_coalesces_events() {
+        let p16 = e12(2_000, 16);
+        assert!(
+            p16.irqs_per_packet() < 0.8,
+            "irqs/packet = {}",
+            p16.irqs_per_packet()
+        );
+        assert!(
+            p16.doorbells_per_packet() < 0.8,
+            "doorbells/packet = {}",
+            p16.doorbells_per_packet()
+        );
+    }
+
+    #[test]
+    fn pipelined_latency_exceeds_serial() {
+        // Queueing delay: deeper windows trade latency for throughput.
+        let mut p1 = e12(800, 1);
+        let mut p16 = e12(800, 16);
+        assert!(p16.mean_latency_us() > p1.mean_latency_us());
     }
 }

@@ -322,7 +322,7 @@ mod tests {
     use super::*;
     use vf_sim::{NoiseModel, SimRng};
     use vf_virtio::block::{blk_status, MemDisk, VirtioBlkConfig};
-    use vf_virtio::device_queue::DeviceQueue;
+    use vf_virtio::{DeviceRing, RingChain};
 
     use crate::cost::HostCosts;
     use crate::virtio_pci::tests::Loopback;
@@ -339,15 +339,34 @@ mod tests {
         core_feature::VERSION_1 | core_feature::RING_EVENT_IDX | block::feature::SEG_MAX
     }
 
-    fn served(mem: &mut HostMemory, dev: &mut DeviceQueue, disk: &mut MemDisk) -> usize {
-        let mut n = 0;
-        while let Some(chain) = dev.pop_chain(mem).unwrap() {
+    /// The device side of the request queue.
+    fn device_side(drv: &VirtioBlkDriver) -> DeviceRing {
+        DeviceRing::split(drv.layout(), true, false, block::REQUEST_QUEUE)
+    }
+
+    /// Every chain published on `dev` since its last walk.
+    fn take_all(dev: &mut DeviceRing, mem: &HostMemory) -> Vec<RingChain> {
+        dev.prologue(mem, false);
+        std::iter::from_fn(|| dev.next_chain(mem).unwrap()).collect()
+    }
+
+    fn served(mem: &mut HostMemory, dev: &mut DeviceRing, disk: &mut MemDisk) -> usize {
+        let chains = take_all(dev, mem);
+        for chain in &chains {
             let req = BlkRequest::parse(mem, &chain.bufs).unwrap();
             let (_status, written) = disk.execute(mem, &req);
-            dev.complete(mem, chain.head, written);
-            n += 1;
+            dev.complete(mem, chain, written);
         }
-        n
+        chains.len()
+    }
+
+    fn writable_len(chain: &RingChain) -> u32 {
+        chain
+            .bufs
+            .iter()
+            .filter(|b| b.writable)
+            .map(|b| b.len)
+            .sum()
     }
 
     #[test]
@@ -355,7 +374,7 @@ mod tests {
         let mut mem = HostMemory::testbed_default();
         let mut cost = cost_engine();
         let mut drv = VirtioBlkDriver::init(&mut mem, 64, driver_features(), 4, 8, 128 << 10);
-        let mut dev = DeviceQueue::new(drv.layout(), true, false);
+        let mut dev = device_side(&drv);
         let mut disk = MemDisk::new(1024, false);
 
         let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
@@ -384,18 +403,18 @@ mod tests {
         let mut mem = HostMemory::testbed_default();
         let mut cost = cost_engine();
         let mut drv = VirtioBlkDriver::init(&mut mem, 64, driver_features(), 4, 4, 128 << 10);
-        let dev = DeviceQueue::new(drv.layout(), true, false);
+        let mut dev = device_side(&drv);
         // 128 KiB = 32 pages, but seg_max 4 → header + 4 data + status.
         let payload = vec![0xA5u8; 128 << 10];
         drv.submit_write(&mut mem, 0, &payload, &mut cost).unwrap();
-        let (chain, _) = dev.resolve_at(&mem, 0).unwrap();
-        assert_eq!(chain.desc_count(), 6);
+        let chain = take_all(&mut dev, &mem).remove(0);
+        assert_eq!(chain.bufs.len(), 6);
         assert_eq!(chain.readable_len(), 16 + (128 << 10));
         // A 4 KiB request stays a single data descriptor.
         drv.submit_read(&mut mem, 0, 4096, &mut cost).unwrap();
-        let (chain, _) = dev.resolve_at(&mem, 1).unwrap();
-        assert_eq!(chain.desc_count(), 3);
-        assert_eq!(chain.writable_len(), 4096 + 1);
+        let chain = take_all(&mut dev, &mem).remove(0);
+        assert_eq!(chain.bufs.len(), 3);
+        assert_eq!(writable_len(&chain), 4096 + 1);
     }
 
     #[test]
@@ -404,11 +423,10 @@ mod tests {
         let mut cost = cost_engine();
         let features = core_feature::VERSION_1 | core_feature::RING_EVENT_IDX;
         let mut drv = VirtioBlkDriver::init(&mut mem, 64, features, 4, 4, 128 << 10);
-        let dev = DeviceQueue::new(drv.layout(), true, false);
         drv.submit_write(&mut mem, 0, &vec![1u8; 64 << 10], &mut cost)
             .unwrap();
-        let (chain, _) = dev.resolve_at(&mem, 0).unwrap();
-        assert_eq!(chain.desc_count(), 3, "hdr + one data seg + status");
+        let chain = take_all(&mut device_side(&drv), &mem).remove(0);
+        assert_eq!(chain.bufs.len(), 3, "hdr + one data seg + status");
     }
 
     #[test]

@@ -147,8 +147,7 @@ mod tests {
     use crate::virtio_pci::tests::Loopback;
     use vf_sim::{NoiseModel, SimRng};
     use vf_virtio::console::VirtioConsoleConfig;
-    use vf_virtio::device_queue::DeviceQueue;
-    use vf_virtio::status;
+    use vf_virtio::{status, DeviceRing, RingChain};
 
     fn fixture() -> (HostMemory, VirtioConsoleDriver, CostEngine) {
         let mut mem = HostMemory::testbed_default();
@@ -165,14 +164,24 @@ mod tests {
         (mem, drv, cost)
     }
 
+    /// The device side of a driver queue.
+    fn device_side(layout: VirtqueueLayout) -> DeviceRing {
+        DeviceRing::split(layout, true, false, 0)
+    }
+
+    /// The next chain published on `dev`.
+    fn take(dev: &mut DeviceRing, mem: &HostMemory) -> RingChain {
+        dev.prologue(mem, false);
+        dev.next_chain(mem).unwrap().unwrap()
+    }
+
     #[test]
     fn write_publishes_single_descriptor() {
         let (mut mem, mut drv, mut cost) = fixture();
         let (notify, cpu) = drv.write(&mut mem, b"hello", &mut cost);
         assert!(notify);
         assert!(cpu > Time::ZERO);
-        let mut dev = DeviceQueue::new(drv.tx_layout(), true, false);
-        let chain = dev.pop_chain(&mem).unwrap().unwrap();
+        let chain = take(&mut device_side(drv.tx_layout()), &mem);
         assert_eq!(chain.bufs.len(), 1);
         assert_eq!(
             GuestMemory::read_vec(&mem, chain.bufs[0].addr, 5),
@@ -183,24 +192,30 @@ mod tests {
     #[test]
     fn rx_echo_round_trip() {
         let (mut mem, mut drv, mut cost) = fixture();
-        let mut dev = DeviceQueue::new(drv.rx_layout(), true, false);
-        let chain = dev.pop_chain(&mem).unwrap().unwrap();
+        let mut dev = device_side(drv.rx_layout());
+        let chain = take(&mut dev, &mem);
         GuestMemory::write(&mut mem, chain.bufs[0].addr, b"echo!");
-        dev.complete(&mut mem, chain.head, 5);
+        dev.complete(&mut mem, &chain, 5);
         let (frames, cpu) = drv.poll_rx(&mut mem, &mut cost);
         assert_eq!(frames, vec![b"echo!".to_vec()]);
         assert!(cpu > Time::ZERO);
-        assert_eq!(dev.pending(&mem), 32); // reposted
+        // Reposted: the other 31 buffers plus the one just harvested.
+        dev.prologue(&mem, false);
+        assert_eq!(
+            std::iter::from_fn(|| dev.next_chain(&mem).unwrap()).count(),
+            32
+        );
     }
 
     #[test]
     fn sustained_traffic_does_not_leak_descriptors() {
         let (mut mem, mut drv, mut cost) = fixture();
-        let mut dev = DeviceQueue::new(drv.tx_layout(), true, false);
+        let mut dev = device_side(drv.tx_layout());
         for i in 0..200u32 {
             drv.write(&mut mem, &i.to_le_bytes(), &mut cost);
-            let chain = dev.pop_chain(&mem).unwrap().unwrap();
-            dev.complete(&mut mem, chain.head, 0);
+            let chain = take(&mut dev, &mem);
+            dev.complete(&mut mem, &chain, 0);
+            dev.recycle(chain);
         }
         assert!(drv.tx.num_free() >= 31);
     }

@@ -29,9 +29,7 @@
 //!   in each session, with the handle's [`Kind`], and caches the slot,
 //!   so later updates index it directly. Touching one key as two kinds
 //!   is a programming error and panics. [`batch`] publishes several
-//!   handles under one session borrow, and the string-keyed functions
-//!   ([`counter_add`], [`gauge_set`], [`hist_record`], …) update
-//!   through a throwaway handle, for tests and cold sites. Names follow
+//!   handles under one session borrow. Names follow
 //!   `layer.object.metric` (e.g. `pcie.posted.inflight`,
 //!   `tenant.arbiter.pending`), where the leading segment is the owning
 //!   layer — the export and report code group by it.
@@ -69,8 +67,7 @@ mod session;
 pub use hist::{HistBucket, LogLinearHist};
 pub use report::{InstrumentReport, MetricsReport, Series};
 pub use session::{
-    batch, counter_add, counter_set_total, finish, gauge_add, gauge_set, hist_record,
-    hist_record_n, install, is_enabled, names, sample_at, sample_before, sample_pending, uninstall,
+    batch, finish, install, is_enabled, names, sample_at, sample_before, sample_pending, uninstall,
     Batch, Counter, Gauge, Histogram, MetricsConfig,
 };
 

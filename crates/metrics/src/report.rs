@@ -363,15 +363,15 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counter_add, finish, gauge_set, hist_record, install, sample_at, MetricsConfig};
+    use crate::{finish, install, sample_at, Counter, Gauge, Histogram, MetricsConfig};
 
     fn sample_report() -> MetricsReport {
         install(MetricsConfig::default());
-        counter_add("pcie.wire.bytes", 0, 100);
-        gauge_set("virtio.queue.avail_backlog", 1, 3);
-        hist_record("fpga.h2c.window_ns", 0, 640);
+        Counter::new("pcie.wire.bytes", 0).add(100);
+        Gauge::new("virtio.queue.avail_backlog", 1).set(3);
+        Histogram::new("fpga.h2c.window_ns", 0).record(640);
         sample_at(10);
-        counter_add("pcie.wire.bytes", 0, 50);
+        Counter::new("pcie.wire.bytes", 0).add(50);
         sample_at(20);
         finish()
     }

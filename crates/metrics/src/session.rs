@@ -584,60 +584,6 @@ pub fn batch(f: impl FnOnce(&mut Batch<'_>)) {
     with_session(|s| f(&mut Batch(s)));
 }
 
-/// Add `delta` to counter `name[index]`: [`Counter::add`] through a
-/// throwaway handle, for tests and cold sites.
-#[inline]
-pub fn counter_add(name: &'static str, index: u32, delta: u64) {
-    if is_enabled() {
-        batch(move |b| b.counter_add(&Counter::new(name, index), delta));
-    }
-}
-
-/// Raise counter `name[index]` to `total`: [`Counter::set_total`]
-/// through a throwaway handle.
-#[inline]
-pub fn counter_set_total(name: &'static str, index: u32, total: u64) {
-    if is_enabled() {
-        batch(move |b| b.counter_set_total(&Counter::new(name, index), total));
-    }
-}
-
-/// Set gauge `name[index]` to `v`: [`Gauge::set`] through a throwaway
-/// handle.
-#[inline]
-pub fn gauge_set(name: &'static str, index: u32, v: i64) {
-    if is_enabled() {
-        batch(move |b| b.gauge_set(&Gauge::new(name, index), v));
-    }
-}
-
-/// Add `delta` to gauge `name[index]`: [`Gauge::add`] through a
-/// throwaway handle.
-#[inline]
-pub fn gauge_add(name: &'static str, index: u32, delta: i64) {
-    if is_enabled() {
-        batch(move |b| b.gauge_add(&Gauge::new(name, index), delta));
-    }
-}
-
-/// Record `v` into histogram `name[index]`: [`Histogram::record`]
-/// through a throwaway handle.
-#[inline]
-pub fn hist_record(name: &'static str, index: u32, v: u64) {
-    if is_enabled() {
-        batch(move |b| b.hist_record(&Histogram::new(name, index), v));
-    }
-}
-
-/// Record `n` copies of `v` into histogram `name[index]`:
-/// [`Histogram::record_n`] through a throwaway handle.
-#[inline]
-pub fn hist_record_n(name: &'static str, index: u32, v: u64, n: u64) {
-    if is_enabled() {
-        batch(move |b| b.hist_record_n(&Histogram::new(name, index), v, n));
-    }
-}
-
 /// True when at least one sample boundary lies strictly before `t_ps`.
 /// The engine calls this once per event; disabled sessions answer in a
 /// single thread-local load (`next_due` parks at `u64::MAX`).
@@ -836,21 +782,21 @@ mod tests {
     #[test]
     fn lifecycle_and_instrument_updates() {
         // Disabled: everything no-ops.
-        counter_add("x.y.z", 0, 5);
-        gauge_set("x.y.g", 0, 7);
-        hist_record("x.y.h", 0, 9);
+        Counter::new("x.y.z", 0).add(5);
+        Gauge::new("x.y.g", 0).set(7);
+        Histogram::new("x.y.h", 0).record(9);
         assert!(!sample_pending(u64::MAX));
         let empty = finish();
         assert_eq!(empty.instruments.len(), 0);
 
         fresh(MetricsConfig::default());
-        counter_add("a.b.c", 0, 2);
-        counter_add("a.b.c", 0, 3);
-        counter_set_total("a.b.t", 1, 10);
-        counter_set_total("a.b.t", 1, 7); // never lowers
-        gauge_set("a.b.g", 2, -4);
-        gauge_add("a.b.g", 2, 1);
-        hist_record("a.b.h", 0, 100);
+        Counter::new("a.b.c", 0).add(2);
+        Counter::new("a.b.c", 0).add(3);
+        Counter::new("a.b.t", 1).set_total(10);
+        Counter::new("a.b.t", 1).set_total(7); // never lowers
+        Gauge::new("a.b.g", 2).set(-4);
+        Gauge::new("a.b.g", 2).add(1);
+        Histogram::new("a.b.h", 0).record(100);
         sample_at(1_000);
         let report = finish();
         assert!(!is_enabled());
@@ -871,7 +817,7 @@ mod tests {
             interval_ps: 10,
             ..MetricsConfig::default()
         });
-        gauge_set("l.o.m", 0, 1);
+        Gauge::new("l.o.m", 0).set(1);
         assert!(sample_pending(1)); // boundary 0 is before t=1
         sample_before(1);
         assert!(!sample_pending(10)); // next boundary is exactly 10
@@ -901,8 +847,8 @@ mod tests {
     fn kind_clash_panics() {
         fresh(MetricsConfig::default());
         let _g = Guard;
-        counter_add("clash.a.b", 0, 1);
-        gauge_set("clash.a.b", 0, 1);
+        Counter::new("clash.a.b", 0).add(1);
+        Gauge::new("clash.a.b", 0).set(1);
     }
 
     /// The `(session id, slot)` a handle cached, if any session has
@@ -962,15 +908,15 @@ mod tests {
         let counter = Counter::new("same.a.c", 1);
         let gauge = Gauge::new("same.a.g", 2);
         let hist = Histogram::new("same.a.h", 0);
-        counter_add("same.a.c", 1, 2);
+        Counter::new("same.a.c", 1).add(2);
         counter.add(3);
-        counter_set_total("same.a.c", 1, 4); // below the total: no change
+        Counter::new("same.a.c", 1).set_total(4); // below the total: no change
         counter.set_total(9);
-        counter_add("same.a.c", 1, 1);
+        Counter::new("same.a.c", 1).add(1);
         gauge.set(5);
-        gauge_add("same.a.g", 2, -2);
+        Gauge::new("same.a.g", 2).add(-2);
         gauge.add(1);
-        hist_record("same.a.h", 0, 7);
+        Histogram::new("same.a.h", 0).record(7);
         hist.record_n(7, 2);
         batch(|b| {
             b.counter_add(&counter, 10);
@@ -1008,10 +954,10 @@ mod tests {
         let leaked: &'static str = Box::leak(String::from("alias.a.b").into_boxed_str());
         assert_ne!(leaked.as_ptr(), "alias.a.b".as_ptr());
         fresh(MetricsConfig::default());
-        counter_add("alias.a.b", 1, 2);
-        counter_add(leaked, 1, 3);
-        counter_add("alias.a.b", 1, 4);
-        counter_add(leaked, 2, 1); // another index is another instrument
+        Counter::new("alias.a.b", 1).add(2);
+        Counter::new(leaked, 1).add(3);
+        Counter::new("alias.a.b", 1).add(4);
+        Counter::new(leaked, 2).add(1); // another index is another instrument
         sample_at(10);
         let report = finish();
         assert_eq!(report.instruments.len(), 2);
@@ -1022,14 +968,14 @@ mod tests {
     #[test]
     fn counters_saturate_at_i64_max() {
         fresh(MetricsConfig::default());
-        counter_add("sat.c.add", 0, 5);
+        Counter::new("sat.c.add", 0).add(5);
         sample_at(10);
-        counter_add("sat.c.add", 0, u64::MAX);
+        Counter::new("sat.c.add", 0).add(u64::MAX);
         sample_at(20);
-        counter_add("sat.c.add", 0, 1);
-        counter_set_total("sat.c.total", 0, 7);
+        Counter::new("sat.c.add", 0).add(1);
+        Counter::new("sat.c.total", 0).set_total(7);
         sample_at(30);
-        counter_set_total("sat.c.total", 0, u64::MAX);
+        Counter::new("sat.c.total", 0).set_total(u64::MAX);
         sample_at(40);
         let report = finish();
         let add = report.get("sat.c.add", 0).unwrap();
@@ -1046,12 +992,12 @@ mod tests {
     fn posted_credit_watchdog_positive_and_negative() {
         fresh(MetricsConfig::default());
         // Healthy bookkeeping: identity holds.
-        counter_add(names::POSTED_GRANTED, 3, 4);
-        counter_add(names::POSTED_RELEASED, 3, 1);
-        gauge_set(names::POSTED_INFLIGHT, 3, 3);
+        Counter::new(names::POSTED_GRANTED, 3).add(4);
+        Counter::new(names::POSTED_RELEASED, 3).add(1);
+        Gauge::new(names::POSTED_INFLIGHT, 3).set(3);
         sample_at(100);
         // Leak one credit: grant without the in-flight bump.
-        counter_add(names::POSTED_GRANTED, 3, 1);
+        Counter::new(names::POSTED_GRANTED, 3).add(1);
         sample_at(200);
         let report = finish();
         assert_eq!(report.violations.len(), 1);
@@ -1064,12 +1010,12 @@ mod tests {
     #[test]
     fn np_leak_watchdog_positive_and_negative() {
         fresh(MetricsConfig::default());
-        gauge_set(names::NP_WINDOW, 1, 8);
-        gauge_set(names::NP_INFLIGHT, 1, 8); // at the window: legal
+        Gauge::new(names::NP_WINDOW, 1).set(8);
+        Gauge::new(names::NP_INFLIGHT, 1).set(8); // at the window: legal
         sample_at(100);
-        gauge_set(names::NP_INFLIGHT, 1, 9); // beyond: leaked tag
+        Gauge::new(names::NP_INFLIGHT, 1).set(9); // beyond: leaked tag
         sample_at(200);
-        gauge_set(names::NP_INFLIGHT, 1, -1); // negative: double retire
+        Gauge::new(names::NP_INFLIGHT, 1).set(-1); // negative: double retire
         sample_at(300);
         let report = finish();
         assert_eq!(report.violations.len(), 2);
@@ -1087,11 +1033,11 @@ mod tests {
             stall_samples: 3,
             ..MetricsConfig::default()
         });
-        gauge_set(names::QUEUE_BACKLOG, 0, 2);
-        counter_add(names::QUEUE_USED, 0, 1);
+        Gauge::new(names::QUEUE_BACKLOG, 0).set(2);
+        Counter::new(names::QUEUE_USED, 0).add(1);
         // Progress every sample: never trips.
         for t in 1..=5u64 {
-            counter_add(names::QUEUE_USED, 0, 1);
+            Counter::new(names::QUEUE_USED, 0).add(1);
             sample_at(t * 100);
         }
         // Backlog with the used counter frozen: trips once at the 3rd
@@ -1100,7 +1046,7 @@ mod tests {
             sample_at(t * 100);
         }
         // Progress resumes, then a second episode trips again.
-        counter_add(names::QUEUE_USED, 0, 1);
+        Counter::new(names::QUEUE_USED, 0).add(1);
         sample_at(1_100);
         for t in 12..=15u64 {
             sample_at(t * 100);
@@ -1122,16 +1068,16 @@ mod tests {
                 fairness_samples: 3,
                 ..MetricsConfig::default()
             });
-            gauge_set(names::ARBITER_POLICY, 0, policy);
-            gauge_set(names::ARBITER_PENDING, 0, 1);
-            counter_add(names::ARBITER_GRANTS, 0, 1);
-            gauge_set(names::ARBITER_PENDING, 1, 0);
-            counter_add(names::ARBITER_GRANTS, 1, 1);
+            Gauge::new(names::ARBITER_POLICY, 0).set(policy);
+            Gauge::new(names::ARBITER_PENDING, 0).set(1);
+            Counter::new(names::ARBITER_GRANTS, 0).add(1);
+            Gauge::new(names::ARBITER_PENDING, 1).set(0);
+            Counter::new(names::ARBITER_GRANTS, 1).add(1);
             sample_at(0);
             // Tenant 0 stays queued and grant-less while tenant 1 is
             // granted every interval.
             for t in 1..=6u64 {
-                counter_add(names::ARBITER_GRANTS, 1, 1);
+                Counter::new(names::ARBITER_GRANTS, 1).add(1);
                 sample_at(t * 100);
             }
             finish()
@@ -1155,9 +1101,9 @@ mod tests {
             fairness_samples: 2,
             ..MetricsConfig::default()
         });
-        gauge_set(names::ARBITER_POLICY, 0, names::POLICY_WFQ);
-        gauge_set(names::ARBITER_PENDING, 0, 1);
-        counter_add(names::ARBITER_GRANTS, 0, 1);
+        Gauge::new(names::ARBITER_POLICY, 0).set(names::POLICY_WFQ);
+        Gauge::new(names::ARBITER_PENDING, 0).set(1);
+        Counter::new(names::ARBITER_GRANTS, 0).add(1);
         for t in 0..6u64 {
             sample_at(t * 100);
         }
@@ -1177,29 +1123,29 @@ mod tests {
             ..MetricsConfig::default()
         });
         // Posted credit: released and in-flight before granted.
-        counter_add(names::POSTED_RELEASED, 5, 1);
-        gauge_set(names::POSTED_INFLIGHT, 5, 4);
-        counter_add(names::POSTED_GRANTED, 5, 5);
+        Counter::new(names::POSTED_RELEASED, 5).add(1);
+        Gauge::new(names::POSTED_INFLIGHT, 5).set(4);
+        Counter::new(names::POSTED_GRANTED, 5).add(5);
         // NP leak: window before in-flight, which sits at the window.
-        gauge_set(names::NP_WINDOW, 6, 8);
-        gauge_set(names::NP_INFLIGHT, 6, 8);
+        Gauge::new(names::NP_WINDOW, 6).set(8);
+        Gauge::new(names::NP_INFLIGHT, 6).set(8);
         // Queue stall: used before backlog.
-        counter_add(names::QUEUE_USED, 7, 1);
-        gauge_set(names::QUEUE_BACKLOG, 7, 4);
+        Counter::new(names::QUEUE_USED, 7).add(1);
+        Gauge::new(names::QUEUE_BACKLOG, 7).set(4);
         // Fairness: grants before pending, and the policy last.
-        counter_add(names::ARBITER_GRANTS, 8, 1);
-        counter_add(names::ARBITER_GRANTS, 9, 1);
-        gauge_set(names::ARBITER_PENDING, 8, 1);
-        gauge_set(names::ARBITER_POLICY, 0, names::POLICY_WFQ);
+        Counter::new(names::ARBITER_GRANTS, 8).add(1);
+        Counter::new(names::ARBITER_GRANTS, 9).add(1);
+        Gauge::new(names::ARBITER_PENDING, 8).set(1);
+        Gauge::new(names::ARBITER_POLICY, 0).set(names::POLICY_WFQ);
         for t in 0..5u64 {
             if t < 3 {
-                counter_add(names::QUEUE_USED, 7, 1);
-                counter_add(names::ARBITER_GRANTS, 8, 1);
+                Counter::new(names::QUEUE_USED, 7).add(1);
+                Counter::new(names::ARBITER_GRANTS, 8).add(1);
             } else if t == 3 {
-                counter_add(names::POSTED_GRANTED, 5, 1); // leak a credit
-                gauge_set(names::NP_INFLIGHT, 6, 9); // beyond the window
+                Counter::new(names::POSTED_GRANTED, 5).add(1); // leak a credit
+                Gauge::new(names::NP_INFLIGHT, 6).set(9); // beyond the window
             }
-            counter_add(names::ARBITER_GRANTS, 9, 1);
+            Counter::new(names::ARBITER_GRANTS, 9).add(1);
             sample_at(t * 100);
         }
         let report = finish();

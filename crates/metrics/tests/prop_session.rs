@@ -9,8 +9,8 @@
 //! several samples have passed and instruments no sample ever sees.
 //! Every third update goes through a typed handle kept across cases,
 //! so each case's session must re-register handles an earlier session
-//! resolved, and a handle and the string form of one key must land on
-//! one instrument.
+//! resolved; the others go through a fresh handle, and a kept and a
+//! fresh handle of one key must land on one instrument.
 
 use std::collections::HashMap;
 
@@ -152,7 +152,7 @@ proptest! {
                     if handle {
                         HANDLES.with(|h| h[k].0.add(d));
                     } else {
-                        vf_metrics::counter_add(name(k, n), KEYS[k].1, d);
+                        Counter::new(name(k, n), KEYS[k].1).add(d);
                     }
                     model.touch(k, |v| v.saturating_add(saturate(d)));
                 }
@@ -160,7 +160,7 @@ proptest! {
                     if handle {
                         HANDLES.with(|h| h[k].0.set_total(total));
                     } else {
-                        vf_metrics::counter_set_total(name(k, n), KEYS[k].1, total);
+                        Counter::new(name(k, n), KEYS[k].1).set_total(total);
                     }
                     model.touch(k, |v| v.max(saturate(total)));
                 }
@@ -168,7 +168,7 @@ proptest! {
                     if handle {
                         HANDLES.with(|h| h[k].1.set(x));
                     } else {
-                        vf_metrics::gauge_set(KEYS[k].0, KEYS[k].1, x);
+                        Gauge::new(KEYS[k].0, KEYS[k].1).set(x);
                     }
                     model.touch(k, |_| x);
                 }
@@ -176,7 +176,7 @@ proptest! {
                     if handle {
                         HANDLES.with(|h| h[k].1.add(d));
                     } else {
-                        vf_metrics::gauge_add(KEYS[k].0, KEYS[k].1, d);
+                        Gauge::new(KEYS[k].0, KEYS[k].1).add(d);
                     }
                     model.touch(k, |v| v + d);
                 }
@@ -184,7 +184,7 @@ proptest! {
                     if handle {
                         HANDLES.with(|h| h[k].2.record(x));
                     } else {
-                        vf_metrics::hist_record(KEYS[k].0, KEYS[k].1, x);
+                        Histogram::new(KEYS[k].0, KEYS[k].1).record(x);
                     }
                     model.touch(k, |v| v);
                     *model.hist.entry(k).or_default() += 1;

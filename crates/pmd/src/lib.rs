@@ -308,10 +308,9 @@ pub fn probe<T: VirtioTransport>(
 mod tests {
     use super::*;
     use vf_sim::{NoiseModel, SimRng};
-    use vf_virtio::device_queue::DeviceQueue;
     use vf_virtio::pci::common;
     use vf_virtio::ring::vring_need_event;
-    use vf_virtio::{net, status};
+    use vf_virtio::{net, status, DeviceRing, RingChain};
 
     use vf_hostsw::HostCosts;
 
@@ -327,6 +326,17 @@ mod tests {
         core_feature::VERSION_1 | core_feature::RING_EVENT_IDX | net::feature::MAC
     }
 
+    /// The device side of a driver queue.
+    fn device_side(q: &DriverQueue) -> DeviceRing {
+        DeviceRing::split(*q.layout(), true, false, 0)
+    }
+
+    /// Every chain published on `dev` since its last walk.
+    fn take_all(dev: &mut DeviceRing, mem: &HostMemory) -> Vec<RingChain> {
+        dev.prologue(mem, false);
+        std::iter::from_fn(|| dev.next_chain(mem).unwrap()).collect()
+    }
+
     fn parked(mem: &HostMemory, q: &DriverQueue) -> bool {
         let ev = GuestMemory::read_u16(mem, q.layout().used_event_addr());
         // Parked = the event point is far (half a ring) ahead of the
@@ -338,8 +348,7 @@ mod tests {
     fn init_posts_all_rx_and_parks_both_queues() {
         let mut mem = HostMemory::testbed_default();
         let drv = VirtioPmd::init(&mut mem, 64, pmd_features());
-        let dev = DeviceQueue::new(drv.rx_layout(), true, false);
-        assert_eq!(dev.pending(&mem), 64);
+        assert_eq!(take_all(&mut device_side(&drv.rx), &mem).len(), 64);
         assert_eq!(drv.rx.num_free(), 0);
         assert_eq!(drv.tx.num_free(), 64);
         assert!(parked(&mem, &drv.tx), "TX used_event must be parked");
@@ -368,13 +377,14 @@ mod tests {
         assert_eq!(drv.tx_inflight(), 8);
 
         // The device sees all 8 chains, in order, with intact payloads.
-        let mut dev = DeviceQueue::new(drv.tx_layout(), true, false);
-        for frame in &frames {
-            let chain = dev.pop_chain(&mem).unwrap().unwrap();
+        let mut dev = device_side(&drv.tx);
+        let chains = take_all(&mut dev, &mem);
+        assert_eq!(chains.len(), frames.len());
+        for (chain, frame) in chains.iter().zip(&frames) {
             assert_eq!(chain.bufs.len(), 2);
             let got = GuestMemory::read_vec(&mem, chain.bufs[1].addr, frame.len());
             assert_eq!(&got, frame);
-            dev.complete(&mut mem, chain.head, 0);
+            dev.complete(&mut mem, chain, 0);
         }
         // Next burst lazily cleans all 8 and re-parks.
         let burst2 = drv.tx_burst(&mut mem, &refs[..1], &mut cost);
@@ -388,11 +398,12 @@ mod tests {
         let mut mem = HostMemory::testbed_default();
         let mut cost = cost_engine();
         let mut drv = VirtioPmd::init(&mut mem, 16, pmd_features());
-        let mut dev = DeviceQueue::new(drv.rx_layout(), true, false);
+        let mut dev = device_side(&drv.rx);
 
         // Device delivers 3 frames.
+        dev.prologue(&mem, false);
         for k in 0..3u8 {
-            let chain = dev.pop_chain(&mem).unwrap().unwrap();
+            let chain = dev.next_chain(&mem).unwrap().unwrap();
             let hdr = VirtioNetHdr {
                 num_buffers: 1,
                 ..Default::default()
@@ -404,10 +415,10 @@ mod tests {
                 chain.bufs[0].addr + VirtioNetHdr::LEN as u64,
                 &frame,
             );
-            let old = dev.complete(&mut mem, chain.head, (VirtioNetHdr::LEN + 64) as u32);
+            let used = dev.complete(&mut mem, &chain, (VirtioNetHdr::LEN + 64) as u32);
             // Parked used_event: the device must see no reason to
             // interrupt.
-            assert!(!dev.should_interrupt(&mem, old), "suppression must hold");
+            assert!(!used.irq, "suppression must hold");
         }
         assert_eq!(drv.rx_pending(&mem), 3);
 
@@ -418,7 +429,7 @@ mod tests {
         assert_eq!(drv.stats.rx_packets, 3);
         assert_eq!(drv.stats.rx_bursts, 1);
         // Buffers reposted: full complement visible to the device again.
-        assert_eq!(dev.pending(&mem), 16);
+        assert_eq!(take_all(&mut dev, &mem).len(), 16);
         assert!(parked(&mem, &drv.rx), "harvest must re-park used_event");
         // Bounded harvest path: nothing pending now.
         let (none, _) = drv.rx_burst(&mut mem, 4, &mut cost);

@@ -130,15 +130,12 @@ impl QosArbiter {
     pub fn new(policy: ArbiterPolicy, classes: Vec<TenantClass>) -> Self {
         let n = classes.len();
         assert!(n >= 1, "an arbiter needs at least one tenant");
-        if vf_metrics::is_enabled() {
-            // The fairness watchdog arms only when this gauge reads WFQ.
-            let code = match policy {
-                ArbiterPolicy::RoundRobin => names::POLICY_RR,
-                ArbiterPolicy::WeightedShare => names::POLICY_WFQ,
-                ArbiterPolicy::StrictPriority => names::POLICY_STRICT,
-            };
-            vf_metrics::gauge_set(names::ARBITER_POLICY, 0, code);
-        }
+        // The fairness watchdog arms only when this gauge reads WFQ.
+        Gauge::new(names::ARBITER_POLICY, 0).set(match policy {
+            ArbiterPolicy::RoundRobin => names::POLICY_RR,
+            ArbiterPolicy::WeightedShare => names::POLICY_WFQ,
+            ArbiterPolicy::StrictPriority => names::POLICY_STRICT,
+        });
         QosArbiter {
             policy,
             classes,

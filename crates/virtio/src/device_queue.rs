@@ -1,19 +1,15 @@
-//! Device-side virtqueue operation.
+//! Device-side split-virtqueue state.
 //!
 //! This is what the paper's FPGA VirtIO controller does in hardware: on a
-//! doorbell, read the driver's avail index, fetch the new avail entries
-//! and their descriptor chains, move the data, then publish used entries
-//! and decide whether to interrupt.
+//! doorbell, read the driver's avail index, resolve the new avail entries
+//! into descriptor chains, move the data, then publish used entries and
+//! decide whether to interrupt.
 //!
-//! Two API layers:
-//!
-//! * **step-wise accessors** (`fetch_avail_idx`, `fetch_avail_entry`,
-//!   `fetch_desc`) that perform exactly one bus-sized access each — the
-//!   FPGA controller drives these and charges each as a timed PCIe DMA
-//!   read, so the event counts in the latency model are structural, not
-//!   assumed;
-//! * **convenience helpers** (`pop_chain`, `complete`) composing the
-//!   steps for software backends and tests.
+//! The public face of this state is [`crate::DeviceRing`], which walkers
+//! and software back ends drive over either layout; it returns each
+//! access as an `(addr, len)` read or write for the FPGA controller to
+//! charge as timed PCIe DMA. This module keeps the split layout's
+//! bookkeeping behind it and the chain types both layouts share.
 
 use vf_metrics::{names, Counter, Gauge};
 
@@ -29,37 +25,6 @@ pub struct ChainBuf {
     pub len: u32,
     /// Device-writable?
     pub writable: bool,
-}
-
-/// A full descriptor chain with its head index.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Chain {
-    /// Head descriptor index (goes into the used ring's `id`).
-    pub head: u16,
-    /// Buffers in chain order.
-    pub bufs: Vec<ChainBuf>,
-}
-
-impl Chain {
-    /// Total readable bytes.
-    pub fn readable_len(&self) -> u32 {
-        self.bufs
-            .iter()
-            .filter(|b| !b.writable)
-            .map(|b| b.len)
-            .sum()
-    }
-
-    /// Total writable bytes.
-    pub fn writable_len(&self) -> u32 {
-        self.bufs.iter().filter(|b| b.writable).map(|b| b.len).sum()
-    }
-
-    /// Number of descriptors in the chain (= DMA descriptor fetches the
-    /// device performed).
-    pub fn desc_count(&self) -> usize {
-        self.bufs.len()
-    }
 }
 
 /// Chain-resolution failures (driver bugs or corruption a robust device
@@ -78,9 +43,9 @@ pub enum ChainError {
     BadIndirectLen(u32),
 }
 
-/// Device-side state of one virtqueue.
+/// Device-side state of one split virtqueue.
 #[derive(Clone, Debug)]
-pub struct DeviceQueue {
+pub(crate) struct DeviceQueue {
     layout: VirtqueueLayout,
     /// Next avail entry to process.
     last_avail: u16,
@@ -88,8 +53,6 @@ pub struct DeviceQueue {
     used_idx: u16,
     event_idx: bool,
     indirect: bool,
-    /// Interrupts actually asserted.
-    pub interrupts_sent: u64,
     /// Avail entries the device has not consumed yet.
     backlog: Gauge,
     metrics: QueueMetrics,
@@ -127,50 +90,42 @@ fn backlog_gauge(index: u32, watch_backlog: bool) -> Gauge {
 }
 
 impl DeviceQueue {
-    /// Device-side view of the queue at `layout`.
-    pub fn new(layout: VirtqueueLayout, event_idx: bool, indirect: bool) -> Self {
+    /// Device-side view of the queue at `layout`, whose metrics register
+    /// under `index` (the virtio queue number), so per-queue
+    /// backlog/used/desc-read series stay distinguishable in multi-queue
+    /// devices. `watch_backlog` marks a host-driven (TX) queue whose
+    /// backlog gauge the stall watchdog monitors; it is false for
+    /// pre-posted rings.
+    pub(crate) fn new(
+        layout: VirtqueueLayout,
+        event_idx: bool,
+        indirect: bool,
+        index: u32,
+        watch_backlog: bool,
+    ) -> Self {
         DeviceQueue {
             layout,
             last_avail: 0,
             used_idx: 0,
             event_idx,
             indirect,
-            interrupts_sent: 0,
-            backlog: backlog_gauge(0, false),
-            metrics: QueueMetrics::new(0),
+            backlog: backlog_gauge(index, watch_backlog),
+            metrics: QueueMetrics::new(index),
         }
     }
 
-    /// Register this queue's metrics under `index` (the virtio queue
-    /// number; devices with one queue leave it 0), so per-queue
-    /// backlog/used/desc-read series stay distinguishable in
-    /// multi-queue devices. `watch_backlog` marks a host-driven (TX)
-    /// queue whose backlog gauge the stall watchdog monitors; leave it
-    /// false for pre-posted rings.
-    pub fn set_metrics_index(&mut self, index: u32, watch_backlog: bool) {
-        self.backlog = backlog_gauge(index, watch_backlog);
-        self.metrics = QueueMetrics::new(index);
-    }
-
     /// The queue's layout.
-    pub fn layout(&self) -> &VirtqueueLayout {
+    pub(crate) fn layout(&self) -> &VirtqueueLayout {
         &self.layout
     }
 
     /// Our next unprocessed avail position.
-    pub fn last_avail(&self) -> u16 {
+    pub(crate) fn last_avail(&self) -> u16 {
         self.last_avail
     }
 
-    /// Our published used index.
-    pub fn used_idx(&self) -> u16 {
-        self.used_idx
-    }
-
-    // ---- step-wise accessors (each = one timed DMA read on the FPGA) ----
-
     /// Read the driver's current avail index (2-byte read).
-    pub fn fetch_avail_idx<M: GuestMemory>(&self, mem: &M) -> u16 {
+    pub(crate) fn fetch_avail_idx<M: GuestMemory>(&self, mem: &M) -> u16 {
         let idx = mem.read_u16(self.layout.avail_idx_addr());
         // The freshest view of the backlog the device can have: on TX
         // queues the stall watchdog keys on this gauge staying nonzero
@@ -179,47 +134,18 @@ impl DeviceQueue {
         idx
     }
 
-    /// Read the avail ring entry for position `pos` (2-byte read).
-    pub fn fetch_avail_entry<M: GuestMemory>(&self, mem: &M, pos: u16) -> u16 {
-        mem.read_u16(self.layout.avail_ring_addr(pos % self.layout.size))
-    }
-
-    /// Read one descriptor (16-byte read).
-    pub fn fetch_desc<M: GuestMemory>(&self, mem: &M, idx: u16) -> Desc {
-        self.metrics.desc_reads.add(1);
-        Desc::read_at(mem, self.layout.desc, idx)
-    }
-
-    /// Pending chains: how far the driver's avail index is ahead of us.
-    pub fn pending<M: GuestMemory>(&self, mem: &M) -> u16 {
-        self.fetch_avail_idx(mem).wrapping_sub(self.last_avail)
-    }
-
-    /// Resolve the descriptor chain at avail position `pos` without
-    /// consuming it. Returns the chain and the number of descriptor
-    /// fetches performed (for DMA accounting). Handles indirect tables if
-    /// negotiated.
-    pub fn resolve_at<M: GuestMemory>(
-        &self,
-        mem: &M,
-        pos: u16,
-    ) -> Result<(Chain, usize), ChainError> {
-        let mut bufs = Vec::new();
-        let (head, fetches) = self.resolve_into(mem, pos, &mut bufs)?;
-        Ok((Chain { head, bufs }, fetches))
-    }
-
-    /// [`DeviceQueue::resolve_at`] into `bufs` (cleared first), so a
-    /// caller can reuse one buffer list. Returns the head index and the
-    /// descriptor fetches.
-    pub fn resolve_into<M: GuestMemory>(
+    /// Resolve the descriptor chain at avail position `pos` into `bufs`
+    /// (cleared first) without consuming it, following an indirect
+    /// table if negotiated. Returns the head index and the descriptors
+    /// read.
+    pub(crate) fn resolve_into<M: GuestMemory>(
         &self,
         mem: &M,
         pos: u16,
         bufs: &mut Vec<ChainBuf>,
     ) -> Result<(u16, usize), ChainError> {
         bufs.clear();
-        let head = self.fetch_avail_entry(mem, pos);
+        let head = mem.read_u16(self.layout.avail_ring_addr(pos % self.layout.size));
         let mut fetches = 0usize;
         let mut idx = head;
         let limit = self.layout.size as usize;
@@ -230,7 +156,8 @@ impl DeviceQueue {
             if bufs.len() >= limit {
                 return Err(ChainError::TooLong);
             }
-            let d = self.fetch_desc(mem, idx);
+            let d = Desc::read_at(mem, self.layout.desc, idx);
+            self.metrics.desc_reads.add(1);
             fetches += 1;
             if d.flags & DESC_F_INDIRECT != 0 {
                 if !self.indirect {
@@ -272,19 +199,8 @@ impl DeviceQueue {
         Ok((head, fetches))
     }
 
-    /// Consume the next pending chain, if any.
-    pub fn pop_chain<M: GuestMemory>(&mut self, mem: &M) -> Result<Option<Chain>, ChainError> {
-        if self.pending(mem) == 0 {
-            return Ok(None);
-        }
-        let (chain, _) = self.resolve_at(mem, self.last_avail)?;
-        self.advance();
-        Ok(Some(chain))
-    }
-
-    /// Advance past one avail entry without resolving (used by the FPGA
-    /// controller, which resolves step-wise itself).
-    pub fn advance(&mut self) {
+    /// Advance past one avail entry once its chain is resolved.
+    pub(crate) fn advance(&mut self) {
         self.last_avail = self.last_avail.wrapping_add(1);
         self.backlog.add(-1);
     }
@@ -292,7 +208,7 @@ impl DeviceQueue {
     /// Publish a completion: used ring entry + index. `written` is the
     /// number of bytes written into the chain's writable buffers. Returns
     /// the previous used index (needed for the interrupt decision).
-    pub fn complete<M: GuestMemory>(&mut self, mem: &mut M, head: u16, written: u32) -> u16 {
+    pub(crate) fn complete<M: GuestMemory>(&mut self, mem: &mut M, head: u16, written: u32) -> u16 {
         let old = self.used_idx;
         let slot = self.used_idx % self.layout.size;
         let entry = self.layout.used_ring_addr(slot);
@@ -311,17 +227,13 @@ impl DeviceQueue {
 
     /// After completing (used idx moved from `old_used` to the current
     /// value), should the device interrupt?
-    pub fn should_interrupt<M: GuestMemory>(&mut self, mem: &M, old_used: u16) -> bool {
-        let fire = if self.event_idx {
+    pub(crate) fn should_interrupt<M: GuestMemory>(&self, mem: &M, old_used: u16) -> bool {
+        if self.event_idx {
             let used_event = mem.read_u16(self.layout.used_event_addr());
             vring_need_event(used_event, self.used_idx, old_used)
         } else {
             mem.read_u16(self.layout.avail_flags_addr()) & AVAIL_F_NO_INTERRUPT == 0
-        };
-        if fire {
-            self.interrupts_sent += 1;
         }
-        fire
     }
 }
 
@@ -329,21 +241,66 @@ impl DeviceQueue {
 mod tests {
     use super::*;
     use crate::driver_queue::{BufferSpec, DriverQueue};
+    use crate::layout::{DeviceRing, RingChain};
     use crate::mem::VecMemory;
-    use crate::ring::DESC_F_NEXT;
+    use crate::ring::{DESC_F_NEXT, DESC_F_WRITE};
 
-    fn setup(size: u16, event_idx: bool) -> (VecMemory, DriverQueue, DeviceQueue) {
+    fn setup(size: u16, event_idx: bool) -> (VecMemory, DriverQueue, DeviceRing) {
         let mut mem = VecMemory::new(1 << 20);
         let layout = VirtqueueLayout::contiguous(0x1000, size);
         let drv = DriverQueue::new(&mut mem, layout, event_idx);
-        let dev = DeviceQueue::new(layout, event_idx, false);
+        let dev = DeviceRing::split(layout, event_idx, false, 0);
         (mem, drv, dev)
+    }
+
+    /// Every chain published so far, or the first resolution error.
+    fn take_all(dev: &mut DeviceRing, mem: &VecMemory) -> Result<Vec<RingChain>, ChainError> {
+        dev.prologue(mem, false);
+        std::iter::from_fn(|| dev.next_chain(mem).transpose()).collect()
+    }
+
+    fn writable_len(chain: &RingChain) -> u32 {
+        chain
+            .bufs
+            .iter()
+            .filter(|b| b.writable)
+            .map(|b| b.len)
+            .sum()
+    }
+
+    /// An indirect table of `descs` at 0x8000, published as the one
+    /// descriptor of a chain whose table length is `table_len`.
+    fn publish_indirect(
+        mem: &mut VecMemory,
+        drv: &mut DriverQueue,
+        descs: &[(u64, u32, bool)],
+        table_len: u32,
+    ) {
+        for (i, &(addr, len, write)) in descs.iter().enumerate() {
+            let more = i + 1 < descs.len();
+            Desc {
+                addr,
+                len,
+                flags: if write { DESC_F_WRITE } else { 0 } | if more { DESC_F_NEXT } else { 0 },
+                next: if more { i as u16 + 1 } else { 0 },
+            }
+            .write_at(mem, 0x8000, i as u16);
+        }
+        let head = drv
+            .add_chain(mem, &[BufferSpec::readable(0x8000, table_len)])
+            .unwrap();
+        // Flip on the INDIRECT flag by rewriting the descriptor.
+        let table = drv.layout().desc;
+        let mut d = Desc::read_at(mem, table, head);
+        d.flags |= DESC_F_INDIRECT;
+        d.write_at(mem, table, head);
+        drv.publish(mem, head);
     }
 
     #[test]
     fn device_sees_published_chain() {
         let (mut mem, mut drv, mut dev) = setup(8, false);
-        assert_eq!(dev.pending(&mem), 0);
+        assert!(take_all(&mut dev, &mem).unwrap().is_empty());
         drv.add_and_publish(
             &mut mem,
             &[
@@ -352,12 +309,12 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(dev.pending(&mem), 1);
-        let chain = dev.pop_chain(&mem).unwrap().unwrap();
-        assert_eq!(chain.bufs.len(), 2);
-        assert_eq!(chain.readable_len(), 100);
-        assert_eq!(chain.writable_len(), 200);
-        assert_eq!(dev.pending(&mem), 0);
+        let chains = take_all(&mut dev, &mem).unwrap();
+        assert_eq!(chains.len(), 1);
+        assert_eq!(chains[0].bufs.len(), 2);
+        assert_eq!(chains[0].readable_len(), 100);
+        assert_eq!(writable_len(&chains[0]), 200);
+        assert!(take_all(&mut dev, &mem).unwrap().is_empty());
     }
 
     #[test]
@@ -366,10 +323,9 @@ mod tests {
         let head = drv
             .add_and_publish(&mut mem, &[BufferSpec::writable(0x5000, 64)])
             .unwrap();
-        let chain = dev.pop_chain(&mem).unwrap().unwrap();
-        assert_eq!(chain.head, head);
-        let old = dev.complete(&mut mem, chain.head, 42);
-        assert!(dev.should_interrupt(&mem, old));
+        let chain = take_all(&mut dev, &mem).unwrap().remove(0);
+        assert_eq!(chain.id, head);
+        assert!(dev.complete(&mut mem, &chain, 42).irq);
         let used = drv.pop_used(&mut mem).unwrap();
         assert_eq!(used.id, head as u32);
         assert_eq!(used.len, 42);
@@ -379,12 +335,10 @@ mod tests {
     fn interrupt_suppressed_by_avail_flag() {
         let (mut mem, mut drv, mut dev) = setup(8, false);
         drv.set_no_interrupt(&mut mem, true);
-        let head = drv
-            .add_and_publish(&mut mem, &[BufferSpec::readable(0, 8)])
+        drv.add_and_publish(&mut mem, &[BufferSpec::readable(0, 8)])
             .unwrap();
-        let old = dev.complete(&mut mem, head, 0);
-        assert!(!dev.should_interrupt(&mem, old));
-        assert_eq!(dev.interrupts_sent, 0);
+        let chain = take_all(&mut dev, &mem).unwrap().remove(0);
+        assert!(!dev.complete(&mut mem, &chain, 0).irq);
     }
 
     #[test]
@@ -392,25 +346,20 @@ mod tests {
         let (mut mem, mut drv, mut dev) = setup(8, true);
         // Driver consumed nothing; used_event = 0 → first completion
         // (0→1) fires.
-        let h0 = drv
-            .add_and_publish(&mut mem, &[BufferSpec::readable(0, 8)])
+        drv.add_and_publish(&mut mem, &[BufferSpec::readable(0, 8)])
             .unwrap();
-        let h1 = drv
-            .add_and_publish(&mut mem, &[BufferSpec::readable(8, 8)])
+        drv.add_and_publish(&mut mem, &[BufferSpec::readable(8, 8)])
             .unwrap();
-        dev.pop_chain(&mem).unwrap().unwrap();
-        dev.pop_chain(&mem).unwrap().unwrap();
-        let old = dev.complete(&mut mem, h0, 0);
-        assert!(dev.should_interrupt(&mem, old));
+        let chains = take_all(&mut dev, &mem).unwrap();
+        assert!(dev.complete(&mut mem, &chains[0], 0).irq);
         // Driver hasn't consumed (used_event still 0): second completion
         // (1→2) does not cross it again.
-        let old = dev.complete(&mut mem, h1, 0);
-        assert!(!dev.should_interrupt(&mem, old));
+        assert!(!dev.complete(&mut mem, &chains[1], 0).irq);
     }
 
     #[test]
     fn step_wise_resolution_counts_fetches() {
-        let (mut mem, mut drv, dev) = setup(8, false);
+        let (mut mem, mut drv, mut dev) = setup(8, false);
         drv.add_and_publish(
             &mut mem,
             &[
@@ -420,41 +369,39 @@ mod tests {
             ],
         )
         .unwrap();
-        let (chain, fetches) = dev.resolve_at(&mem, 0).unwrap();
-        assert_eq!(chain.desc_count(), 3);
-        assert_eq!(fetches, 3, "one descriptor fetch per chain element");
+        let chain = take_all(&mut dev, &mem).unwrap().remove(0);
+        assert_eq!(chain.bufs.len(), 3);
+        assert_eq!(chain.fetches, 3, "one descriptor fetch per chain element");
+        assert_eq!(chain.desc_read.1, 3 * 16, "one table read covers them");
     }
 
     #[test]
     fn corrupt_loop_detected() {
-        let (mut mem, _drv, dev) = setup(4, false);
+        let (mut mem, drv, mut dev) = setup(4, false);
+        let l = *drv.layout();
         // Hand-build a descriptor loop: 0 → 1 → 0 and an avail entry.
-        Desc {
-            addr: 0,
-            len: 4,
-            flags: DESC_F_NEXT,
-            next: 1,
+        for (i, next) in [(0, 1), (1, 0)] {
+            Desc {
+                addr: 0,
+                len: 4,
+                flags: DESC_F_NEXT,
+                next,
+            }
+            .write_at(&mut mem, l.desc, i);
         }
-        .write_at(&mut mem, dev.layout().desc, 0);
-        Desc {
-            addr: 0,
-            len: 4,
-            flags: DESC_F_NEXT,
-            next: 0,
-        }
-        .write_at(&mut mem, dev.layout().desc, 1);
-        mem.write_u16(dev.layout().avail_ring_addr(0), 0);
-        mem.write_u16(dev.layout().avail_idx_addr(), 1);
-        assert_eq!(dev.resolve_at(&mem, 0).unwrap_err(), ChainError::TooLong);
+        mem.write_u16(l.avail_ring_addr(0), 0);
+        mem.write_u16(l.avail_idx_addr(), 1);
+        assert_eq!(take_all(&mut dev, &mem).unwrap_err(), ChainError::TooLong);
     }
 
     #[test]
     fn bad_index_detected() {
-        let (mut mem, _drv, dev) = setup(4, false);
-        mem.write_u16(dev.layout().avail_ring_addr(0), 9); // ≥ size
-        mem.write_u16(dev.layout().avail_idx_addr(), 1);
+        let (mut mem, drv, mut dev) = setup(4, false);
+        let l = *drv.layout();
+        mem.write_u16(l.avail_ring_addr(0), 9); // ≥ size
+        mem.write_u16(l.avail_idx_addr(), 1);
         assert_eq!(
-            dev.resolve_at(&mem, 0).unwrap_err(),
+            take_all(&mut dev, &mem).unwrap_err(),
             ChainError::BadIndex(9)
         );
     }
@@ -464,40 +411,13 @@ mod tests {
         let mut mem = VecMemory::new(1 << 20);
         let layout = VirtqueueLayout::contiguous(0x1000, 8);
         let mut drv = DriverQueue::new(&mut mem, layout, false);
-        let dev = DeviceQueue::new(layout, false, true);
-        // Build an indirect table of 3 descriptors at 0x8000.
-        for (i, (addr, len, write)) in [
-            (0x100u64, 16u32, false),
-            (0x200, 16, false),
-            (0x300, 32, true),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let write_flag = if *write { crate::ring::DESC_F_WRITE } else { 0 };
-            let next_flag = if i < 2 { DESC_F_NEXT } else { 0 };
-            Desc {
-                addr: *addr,
-                len: *len,
-                flags: write_flag | next_flag,
-                next: if i < 2 { i as u16 + 1 } else { 0 },
-            }
-            .write_at(&mut mem, 0x8000, i as u16);
-        }
-        // Publish a single descriptor pointing at the table.
-        let head = drv
-            .add_chain(&mut mem, &[BufferSpec::readable(0x8000, 3 * 16)])
-            .unwrap();
-        // Flip on the INDIRECT flag by rewriting the descriptor.
-        let mut d = Desc::read_at(&mem, layout.desc, head);
-        d.flags |= DESC_F_INDIRECT;
-        d.write_at(&mut mem, layout.desc, head);
-        drv.publish(&mut mem, head);
-
-        let (chain, fetches) = dev.resolve_at(&mem, 0).unwrap();
-        assert_eq!(chain.desc_count(), 3);
-        assert_eq!(fetches, 4); // 1 main + 3 indirect
-        assert_eq!(chain.writable_len(), 32);
+        let mut dev = DeviceRing::split(layout, false, true, 0);
+        let descs = [(0x100, 16, false), (0x200, 16, false), (0x300, 32, true)];
+        publish_indirect(&mut mem, &mut drv, &descs, 3 * 16);
+        let chain = take_all(&mut dev, &mem).unwrap().remove(0);
+        assert_eq!(chain.bufs.len(), 3);
+        assert_eq!(chain.fetches, 4); // 1 main + 3 indirect
+        assert_eq!(writable_len(&chain), 32);
     }
 
     #[test]
@@ -507,42 +427,22 @@ mod tests {
         let mut mem = VecMemory::new(1 << 20);
         let layout = VirtqueueLayout::contiguous(0x1000, 8);
         let mut drv = DriverQueue::new(&mut mem, layout, false);
-        let dev = DeviceQueue::new(layout, false, true);
-        for i in 0..2u16 {
-            Desc {
-                addr: 0x100 + i as u64 * 0x100,
-                len: 16,
-                flags: if i == 0 { DESC_F_NEXT } else { 0 },
-                next: if i == 0 { 1 } else { 0 },
-            }
-            .write_at(&mut mem, 0x8000, i);
-        }
+        let mut dev = DeviceRing::split(layout, false, true, 0);
         // 2 whole descriptors plus 8 trailing bytes: malformed.
-        let head = drv
-            .add_chain(&mut mem, &[BufferSpec::readable(0x8000, 2 * 16 + 8)])
-            .unwrap();
-        let mut d = Desc::read_at(&mem, layout.desc, head);
-        d.flags |= DESC_F_INDIRECT;
-        d.write_at(&mut mem, layout.desc, head);
-        drv.publish(&mut mem, head);
+        let descs = [(0x100, 16, false), (0x200, 16, false)];
+        publish_indirect(&mut mem, &mut drv, &descs, 2 * 16 + 8);
         assert_eq!(
-            dev.resolve_at(&mem, 0).unwrap_err(),
+            take_all(&mut dev, &mem).unwrap_err(),
             ChainError::BadIndirectLen(2 * 16 + 8)
         );
     }
 
     #[test]
     fn indirect_rejected_when_not_negotiated() {
-        let (mut mem, mut drv, dev) = setup(8, false);
-        let head = drv
-            .add_chain(&mut mem, &[BufferSpec::readable(0x8000, 16)])
-            .unwrap();
-        let mut d = Desc::read_at(&mem, dev.layout().desc, head);
-        d.flags |= DESC_F_INDIRECT;
-        d.write_at(&mut mem, dev.layout().desc, head);
-        drv.publish(&mut mem, head);
+        let (mut mem, mut drv, mut dev) = setup(8, false);
+        publish_indirect(&mut mem, &mut drv, &[(0x100, 16, false)], 16);
         assert_eq!(
-            dev.resolve_at(&mem, 0).unwrap_err(),
+            take_all(&mut dev, &mem).unwrap_err(),
             ChainError::UnexpectedIndirect
         );
     }
@@ -554,14 +454,14 @@ mod tests {
             let head = drv
                 .add_and_publish(&mut mem, &[BufferSpec::writable(0x4000, 16)])
                 .unwrap();
-            let chain = dev.pop_chain(&mem).unwrap().unwrap();
-            assert_eq!(chain.head, head);
-            let old = dev.complete(&mut mem, chain.head, i);
-            let _ = dev.should_interrupt(&mem, old);
+            let chain = take_all(&mut dev, &mem).unwrap().remove(0);
+            assert_eq!(chain.id, head);
+            dev.complete(&mut mem, &chain, i);
+            dev.recycle(chain);
             let used = drv.pop_used(&mut mem).unwrap();
             assert_eq!(used.len, i);
         }
-        assert_eq!(dev.used_idx(), 10);
+        assert_eq!(mem.read_u16(drv.layout().used_idx_addr()), 10);
         assert_eq!(drv.num_free(), 2);
     }
 }

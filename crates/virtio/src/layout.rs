@@ -108,11 +108,10 @@ impl DeviceRing {
 
     /// Split ring at `layout` serving virtio queue `index`.
     pub fn split(layout: VirtqueueLayout, event_idx: bool, indirect: bool, index: u16) -> Self {
-        let mut q = DeviceQueue::new(layout, event_idx, indirect);
         // Odd queues are the host-driven transmitqs of the net/console
         // personas; even rings are pre-posted (RX, control) and must not
         // arm the stall watchdog while idle.
-        q.set_metrics_index(index as u32, index % 2 == 1);
+        let q = DeviceQueue::new(layout, event_idx, indirect, index as u32, index % 2 == 1);
         DeviceRing::new(RingKind::Split { q, avail: 0 })
     }
 
@@ -121,10 +120,8 @@ impl DeviceRing {
     /// the queue's role fixes the interrupt policy: even queues (RX,
     /// control) interrupt on every completion, odd queues (TX) never do.
     pub fn packed(ring: u64, size: u16, index: u16) -> Self {
-        let mut q = PackedDeviceQueue::new(ring, size);
-        q.set_metrics_index(index as u32);
         DeviceRing::new(RingKind::Packed {
-            q,
+            q: PackedDeviceQueue::new(ring, size, index as u32),
             irq: index.is_multiple_of(2),
         })
     }
@@ -168,44 +165,39 @@ impl DeviceRing {
     }
 
     /// Take the next chain of this walk, if any, into a recycled buffer
-    /// list when one is spare. A split chain that cannot be resolved is
-    /// an error and is left in place.
+    /// list when one is spare. A chain that cannot be resolved (a
+    /// descriptor loop, a bad index, a malformed indirect table) is an
+    /// error and is left in place.
     pub fn next_chain<M: GuestMemory>(&mut self, mem: &M) -> Result<Option<RingChain>, ChainError> {
         let mut bufs = self.spare.pop().unwrap_or_default();
         let chain = match &mut self.kind {
-            RingKind::Split { q, avail } if q.last_avail() != *avail => {
-                let (id, fetches) = match q.resolve_into(mem, q.last_avail(), &mut bufs) {
-                    Ok(resolved) => resolved,
-                    Err(e) => {
-                        self.spare.push(bufs);
-                        return Err(e);
-                    }
-                };
-                q.advance();
-                Some(RingChain {
-                    id,
-                    desc_read: (q.layout().desc_addr(id), 16 * fetches),
-                    fetches,
-                    bufs: std::mem::take(&mut bufs),
-                    used_slot: (0, false),
-                })
-            }
-            RingKind::Split { .. } => None,
-            RingKind::Packed { q, .. } => {
-                q.take_into(mem, &mut bufs)
-                    .map(|(id, slot, wrap)| RingChain {
+            RingKind::Split { q, avail } if q.last_avail() != *avail => q
+                .resolve_into(mem, q.last_avail(), &mut bufs)
+                .map(|(id, fetches)| {
+                    q.advance();
+                    Some(RingChain {
                         id,
-                        fetches: bufs.len(),
+                        desc_read: (q.layout().desc_addr(id), 16 * fetches),
+                        fetches,
                         bufs: std::mem::take(&mut bufs),
-                        desc_read: (q.desc_addr(slot), PACKED_DESC_BURST),
-                        used_slot: (slot, wrap),
+                        used_slot: (0, false),
                     })
-            }
+                }),
+            RingKind::Split { .. } => Ok(None),
+            RingKind::Packed { q, .. } => q.take_into(mem, &mut bufs).map(|taken| {
+                taken.map(|(id, slot, wrap)| RingChain {
+                    id,
+                    fetches: bufs.len(),
+                    bufs: std::mem::take(&mut bufs),
+                    desc_read: (q.desc_addr(slot), PACKED_DESC_BURST),
+                    used_slot: (slot, wrap),
+                })
+            }),
         };
-        if chain.is_none() {
+        if !matches!(chain, Ok(Some(_))) {
             self.spare.push(bufs);
         }
-        Ok(chain)
+        chain
     }
 
     /// Hand a finished chain's buffer list back for the next chains.

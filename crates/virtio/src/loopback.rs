@@ -2,7 +2,7 @@
 //!
 //! Everything else in this crate runs inside a single-threaded simulated
 //! world. This module proves the ring implementation is a *real* VirtIO
-//! implementation: the same [`DriverQueue`]/[`DeviceQueue`] code drives
+//! implementation: the same [`DriverQueue`]/[`DeviceRing`] code drives
 //! an actual producer/consumer pair across OS threads over shared
 //! memory, with the memory-ordering discipline the VirtIO spec requires
 //! of driver and device ("suitable memory barriers", VirtIO 1.2 §2.7.13):
@@ -25,8 +25,8 @@
 use std::sync::atomic::{fence, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::device_queue::{Chain, DeviceQueue};
 use crate::driver_queue::{BufferSpec, DriverQueue};
+use crate::layout::{DeviceRing, RingChain};
 use crate::mem::GuestMemory;
 use crate::ring::VirtqueueLayout;
 
@@ -138,25 +138,25 @@ impl LoopbackDriver {
 pub struct LoopbackDevice {
     /// Shared memory handle.
     pub mem: MemHandle,
-    /// The device-side queue state.
-    pub queue: DeviceQueue,
+    /// The device-side ring.
+    pub ring: DeviceRing,
 }
 
 impl LoopbackDevice {
-    /// Take the next pending chain, if any, with the required fence.
-    pub fn try_take(&mut self) -> Option<Chain> {
-        if self.queue.pending(&self.mem) == 0 {
-            return None;
-        }
+    /// Take the next pending chain, if any: read the avail index, fence,
+    /// then resolve the chain behind it.
+    pub fn next_chain(&mut self) -> Option<RingChain> {
+        self.ring.prologue(&self.mem, false);
         observe_fence();
-        self.queue.pop_chain(&self.mem).expect("well-formed chain")
+        self.ring.next_chain(&self.mem).expect("well-formed chain")
     }
 
-    /// Complete a chain (fence, then publish the used entry).
-    pub fn complete(&mut self, head: u16, written: u32) {
+    /// Complete a chain (fence, then publish the used entry) and keep
+    /// its buffer list for the next one.
+    pub fn complete(&mut self, chain: RingChain, written: u32) {
         publish_fence();
-        let old = self.queue.complete(&mut self.mem, head, written);
-        let _ = self.queue.should_interrupt(&self.mem, old);
+        self.ring.complete(&mut self.mem, &chain, written);
+        self.ring.recycle(chain);
     }
 }
 
@@ -181,16 +181,13 @@ impl LoopbackPair {
         let data_base = (layout.total_bytes() + 0xFFF) & !0xFFF;
         assert!((data_base as usize) < mem_len, "memory too small for rings");
         let queue = DriverQueue::new(&mut drv_mem, layout, true);
-        let dev_queue = DeviceQueue::new(layout, true, false);
+        let ring = DeviceRing::split(layout, true, false, 0);
         LoopbackPair {
             driver: LoopbackDriver {
                 mem: drv_mem,
                 queue,
             },
-            device: LoopbackDevice {
-                mem: dev_mem,
-                queue: dev_queue,
-            },
+            device: LoopbackDevice { mem: dev_mem, ring },
             data_base,
         }
     }
@@ -207,10 +204,10 @@ mod tests {
         let buf = pair.data_base;
         pair.driver.mem.write(buf, b"ping");
         let head = pair.driver.send(&[BufferSpec::readable(buf, 4)]).unwrap();
-        let chain = pair.device.try_take().unwrap();
-        assert_eq!(chain.head, head);
+        let chain = pair.device.next_chain().unwrap();
+        assert_eq!(chain.id, head);
         assert_eq!(pair.device.mem.read_vec(chain.bufs[0].addr, 4), b"ping");
-        pair.device.complete(chain.head, 0);
+        pair.device.complete(chain, 0);
         let used = pair.driver.try_recv().unwrap();
         assert_eq!(used.id, head as u32);
     }
@@ -235,7 +232,7 @@ mod tests {
             let mut served = 0u32;
             let mut spins = 0u64;
             while served < MSGS {
-                match device.try_take() {
+                match device.next_chain() {
                     None => {
                         spins += 1;
                         assert!(spins < 100_000_000, "device starved");
@@ -248,7 +245,8 @@ mod tests {
                         assert!(!req.writable && resp.writable);
                         let data = device.mem.read_vec(req.addr, req.len as usize);
                         device.mem.write(resp.addr, &data);
-                        device.complete(chain.head, resp.len);
+                        let written = resp.len;
+                        device.complete(chain, written);
                         served += 1;
                     }
                 }
@@ -314,24 +312,26 @@ mod tests {
         let mut m2 = MemHandle::new(shared);
         let mut d1 = DriverQueue::new(&mut m1, l1, false);
         let mut d2 = DriverQueue::new(&mut m2, l2, false);
-        let mut dev1 = DeviceQueue::new(l1, false, false);
-        let mut dev2 = DeviceQueue::new(l2, false, false);
+        let mut dev1 = DeviceRing::split(l1, false, false, 0);
+        let mut dev2 = DeviceRing::split(l2, false, false, 1);
         for i in 0..10u64 {
             d1.add_and_publish(&mut m1, &[BufferSpec::readable(0x2_0000 + i * 64, 64)])
                 .unwrap();
             d2.add_and_publish(&mut m2, &[BufferSpec::writable(0x3_0000 + i * 64, 64)])
                 .unwrap();
         }
-        assert_eq!(dev1.pending(&m1), 10);
-        assert_eq!(dev2.pending(&m2), 10);
+        // Each walk covers the ten chains its avail-index read saw.
+        assert_eq!(dev1.prologue(&m1, false), Some((l1.avail_idx_addr(), 22)));
+        assert_eq!(dev2.prologue(&m2, false), Some((l2.avail_idx_addr(), 22)));
         for _ in 0..10 {
-            let c1 = dev1.pop_chain(&m1).unwrap().unwrap();
+            let c1 = dev1.next_chain(&m1).unwrap().unwrap();
             assert!(!c1.bufs[0].writable);
-            dev1.complete(&mut m1, c1.head, 0);
-            let c2 = dev2.pop_chain(&m2).unwrap().unwrap();
+            dev1.complete(&mut m1, &c1, 0);
+            let c2 = dev2.next_chain(&m2).unwrap().unwrap();
             assert!(c2.bufs[0].writable);
-            dev2.complete(&mut m2, c2.head, 64);
+            dev2.complete(&mut m2, &c2, 64);
         }
+        assert!(dev1.next_chain(&m1).unwrap().is_none());
         assert_eq!(d1.used_pending(&m1), 10);
         assert_eq!(d2.used_pending(&m2), 10);
     }

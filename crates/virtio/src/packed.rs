@@ -7,8 +7,8 @@
 //! instead of the split layout's avail-index + avail-entry + descriptor
 //! chain walk. For a PCIe device paying ~1.5 µs per read round trip,
 //! that is exactly the kind of hardware-latency saving the paper's
-//! Fig. 4 motivates — quantified structurally by
-//! [`dma_ops_per_transfer`].
+//! Fig. 4 motivates — counted structurally by [`crate::DeviceRing`],
+//! which issues one descriptor burst per packed chain.
 //!
 //! Layout: `N` 16-byte descriptors
 //! `{ le64 addr; le32 len; le16 id; le16 flags }`, plus driver and
@@ -20,8 +20,8 @@
 //! * driver makes a descriptor available: `AVAIL = wrap`, `USED = !wrap`;
 //! * device marks it used: `AVAIL = USED = wrap(device)`.
 
-use crate::device_queue::{ChainBuf, QueueMetrics};
-use crate::driver_queue::{BufferSpec, QueueError};
+use crate::device_queue::{ChainBuf, ChainError, QueueMetrics};
+use crate::driver_queue::BufferSpec;
 use crate::mem::GuestMemory;
 
 /// Packed-descriptor flag: buffer continues in the next descriptor.
@@ -105,25 +105,12 @@ pub struct PackedDriverQueue {
 
 /// Device side of a packed queue.
 #[derive(Clone, Debug)]
-pub struct PackedDeviceQueue {
+pub(crate) struct PackedDeviceQueue {
     ring: u64,
     size: u16,
     slot: u16,
     wrap: bool,
     metrics: QueueMetrics,
-}
-
-/// A chain taken by the device.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PackedChain {
-    /// Buffer id (from the chain's last descriptor).
-    pub id: u16,
-    /// The buffers in order.
-    pub bufs: Vec<ChainBuf>,
-    /// Ring slot the used entry must be written to.
-    pub start_slot: u16,
-    /// Wrap value for the used entry.
-    pub wrap: bool,
 }
 
 /// A used element harvested by the driver.
@@ -178,7 +165,6 @@ impl PackedDriverQueue {
         let id = self.next_id;
         self.next_id = (self.next_id + 1) % self.size;
         let head_slot = self.avail_slot;
-        let head_wrap = self.avail_wrap;
         for (i, buf) in bufs.iter().enumerate() {
             let last = i + 1 == bufs.len();
             let slot = self.avail_slot;
@@ -220,46 +206,11 @@ impl PackedDriverQueue {
             // Publish the head (flip AVAIL to the correct value).
             let mut head = PackedDesc::read_at(mem, self.ring, head_slot);
             head.flags ^= PACKED_F_AVAIL;
-            let _ = head_wrap;
             head.write_at(mem, self.ring, head_slot);
         }
         self.free -= n;
         self.chain_len[id as usize] = n;
         Some(id)
-    }
-
-    /// Add a burst of chains in one call — the packed-layout counterpart
-    /// of the split queue's `publish_batch`. Returns the buffer ids in
-    /// order.
-    ///
-    /// Guarded the same way: a batch whose total descriptor count exceeds
-    /// the free slots would lap the ring and overwrite descriptors the
-    /// same burst just made available, so it is rejected before touching
-    /// memory ([`QueueError::NoSpace`]); a batch containing an empty
-    /// chain is rejected with [`QueueError::EmptyChain`].
-    pub fn add_batch<M: GuestMemory>(
-        &mut self,
-        mem: &mut M,
-        chains: &[&[BufferSpec]],
-    ) -> Result<Vec<u16>, QueueError> {
-        let total: usize = chains.iter().map(|c| c.len()).sum();
-        if chains.iter().any(|c| c.is_empty()) {
-            return Err(QueueError::EmptyChain);
-        }
-        if total > self.free as usize {
-            return Err(QueueError::NoSpace {
-                needed: total.try_into().unwrap_or(u16::MAX),
-                free: self.free,
-            });
-        }
-        let mut ids = Vec::with_capacity(chains.len());
-        for chain in chains {
-            let id = self
-                .add(mem, chain)
-                .expect("batch pre-checked against free slots");
-            ids.push(id);
-        }
-        Ok(ids)
     }
 
     fn advance_avail(&mut self) {
@@ -294,74 +245,53 @@ impl PackedDriverQueue {
 }
 
 impl PackedDeviceQueue {
-    /// Device state over the ring at `ring`.
-    pub fn new(ring: u64, size: u16) -> Self {
+    /// Device state over the ring at `ring`, whose used and desc-read
+    /// counters register under `index` (the virtio queue number).
+    /// Packed rings have no separate avail index, so backlog is not
+    /// observable without probing descriptor ownership bits.
+    pub(crate) fn new(ring: u64, size: u16, index: u32) -> Self {
         assert!(size.is_power_of_two() && size >= 1);
         PackedDeviceQueue {
             ring,
             size,
             slot: 0,
             wrap: true,
-            metrics: QueueMetrics::new(0),
+            metrics: QueueMetrics::new(index),
         }
     }
 
-    /// Register this queue's metrics under `index` (the virtio queue
-    /// number). Packed rings have no separate avail index, so only the
-    /// used and desc-read counters register — backlog is not observable
-    /// without probing descriptor ownership bits.
-    pub fn set_metrics_index(&mut self, index: u32) {
-        self.metrics = QueueMetrics::new(index);
-    }
-
-    /// Ring base guest-physical address (device models need it to time
-    /// the descriptor DMA they issue).
-    pub fn ring_addr(&self) -> u64 {
-        self.ring
-    }
-
     /// Guest-physical address of descriptor `slot`.
-    pub fn desc_addr(&self, slot: u16) -> u64 {
+    pub(crate) fn desc_addr(&self, slot: u16) -> u64 {
         self.ring + slot as u64 * PackedDesc::SIZE
     }
 
     /// The slot the device will examine next.
-    pub fn next_slot(&self) -> u16 {
+    pub(crate) fn next_slot(&self) -> u16 {
         self.slot
     }
 
-    /// Take the next available chain, if any. One descriptor read per
-    /// chain element — no separate avail structure (the packed layout's
-    /// advantage for DMA devices).
-    pub fn try_take<M: GuestMemory>(&mut self, mem: &M) -> Option<PackedChain> {
-        let mut bufs = Vec::new();
-        let (id, start_slot, wrap) = self.take_into(mem, &mut bufs)?;
-        Some(PackedChain {
-            id,
-            bufs,
-            start_slot,
-            wrap,
-        })
-    }
-
-    /// [`PackedDeviceQueue::try_take`] into `bufs` (cleared first), so a
-    /// caller can reuse one buffer list. Returns the buffer id, the
-    /// start slot and its wrap value.
-    pub fn take_into<M: GuestMemory>(
+    /// Take the next available chain, if any, into `bufs` (cleared
+    /// first): one descriptor read per chain element, with no separate
+    /// avail structure (the packed layout's advantage for DMA devices).
+    /// Returns the buffer id, the start slot and its wrap value. A chain
+    /// longer than the ring (every descriptor chaining on) is
+    /// [`ChainError::TooLong`] and is left in place.
+    pub(crate) fn take_into<M: GuestMemory>(
         &mut self,
         mem: &M,
         bufs: &mut Vec<ChainBuf>,
-    ) -> Option<(u16, u16, bool)> {
+    ) -> Result<Option<(u16, u16, bool)>, ChainError> {
         let head = PackedDesc::read_at(mem, self.ring, self.slot);
         if !head.is_avail(self.wrap) {
-            return None;
+            return Ok(None);
         }
-        let start_slot = self.slot;
-        let wrap = self.wrap;
+        let start = (self.slot, self.wrap);
         bufs.clear();
-        let mut id;
-        let mut guard = 0;
         loop {
+            if bufs.len() >= self.size as usize {
+                (self.slot, self.wrap) = start;
+                return Err(ChainError::TooLong);
+            }
             let d = PackedDesc::read_at(mem, self.ring, self.slot);
             self.metrics.desc_reads.add(1);
             bufs.push(ChainBuf {
@@ -369,15 +299,11 @@ impl PackedDeviceQueue {
                 len: d.len,
                 writable: d.flags & PACKED_F_WRITE != 0,
             });
-            id = d.id;
             self.advance();
-            guard += 1;
-            assert!(guard <= self.size, "packed chain exceeds ring size");
             if d.flags & PACKED_F_NEXT == 0 {
-                break;
+                return Ok(Some((d.id, start.0, start.1)));
             }
         }
-        Some((id, start_slot, wrap))
     }
 
     fn advance(&mut self) {
@@ -388,15 +314,10 @@ impl PackedDeviceQueue {
         }
     }
 
-    /// Publish a used entry for `chain`: a single descriptor write at
-    /// the chain's start slot (AVAIL = USED = wrap).
-    pub fn complete<M: GuestMemory>(&self, mem: &mut M, chain: &PackedChain, written: u32) {
-        self.complete_at(mem, chain.id, chain.start_slot, chain.wrap, written);
-    }
-
-    /// [`Self::complete`] for a chain known only by its buffer `id`, the
-    /// `slot` it started at and that slot's `wrap` value.
-    pub fn complete_at<M: GuestMemory>(
+    /// Publish a used entry for the chain with buffer `id` that started
+    /// at `slot` under `wrap`: a single descriptor write at that slot
+    /// (AVAIL = USED = wrap).
+    pub(crate) fn complete_at<M: GuestMemory>(
         &self,
         mem: &mut M,
         id: u16,
@@ -419,35 +340,23 @@ impl PackedDeviceQueue {
     }
 }
 
-/// Structural DMA-operation counts per request-response transfer, for
-/// the split vs packed comparison (the extension ablation): `(reads,
-/// writes)` the device performs against host memory for a chain of
-/// `chain_len` descriptors, excluding the payload itself.
-pub fn dma_ops_per_transfer(chain_len: usize, packed: bool) -> (usize, usize) {
-    if packed {
-        // Reads: one per descriptor (ownership rides in the flags).
-        // Writes: one used descriptor.
-        (chain_len, 1)
-    } else {
-        // Reads: avail idx + avail entry + one per descriptor.
-        // Writes: used entry + used idx (+ avail_event under EVENT_IDX,
-        // folded into the idx write here).
-        (2 + chain_len, 2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{DeviceRing, RingChain};
     use crate::mem::VecMemory;
 
-    fn setup(size: u16) -> (VecMemory, PackedDriverQueue, PackedDeviceQueue) {
+    fn setup(size: u16) -> (VecMemory, PackedDriverQueue, DeviceRing) {
         let mem = VecMemory::new(1 << 20);
         (
             mem,
             PackedDriverQueue::new(0x1000, size),
-            PackedDeviceQueue::new(0x1000, size),
+            DeviceRing::packed(0x1000, size, 0),
         )
+    }
+
+    fn take<M: GuestMemory>(dev: &mut DeviceRing, mem: &M) -> Option<RingChain> {
+        dev.next_chain(mem).unwrap()
     }
 
     #[test]
@@ -457,7 +366,7 @@ mod tests {
             .add(&mut mem, &[BufferSpec::readable(0x5000, 64)])
             .unwrap();
         assert_eq!(drv.num_free(), 7);
-        let chain = dev.try_take(&mem).unwrap();
+        let chain = take(&mut dev, &mem).unwrap();
         assert_eq!(chain.id, id);
         assert_eq!(
             chain.bufs,
@@ -476,7 +385,7 @@ mod tests {
     #[test]
     fn empty_ring_yields_nothing() {
         let (mem, mut drv, mut dev) = setup(4);
-        assert!(dev.try_take(&mem).is_none());
+        assert!(take(&mut dev, &mem).is_none());
         assert!(drv.pop_used(&mem).is_none());
     }
 
@@ -493,7 +402,7 @@ mod tests {
                 ],
             )
             .unwrap();
-        let chain = dev.try_take(&mem).unwrap();
+        let chain = take(&mut dev, &mem).unwrap();
         assert_eq!(chain.id, id);
         assert_eq!(chain.bufs.len(), 3);
         assert!(chain.bufs[2].writable);
@@ -515,10 +424,11 @@ mod tests {
                     &[BufferSpec::readable(0x5000 + i as u64 * 64, 64)],
                 )
                 .unwrap();
-            let chain = dev.try_take(&mem).unwrap();
+            let chain = take(&mut dev, &mem).unwrap();
             assert_eq!(chain.id, id);
             assert_eq!(chain.bufs[0].addr, 0x5000 + i as u64 * 64);
             dev.complete(&mut mem, &chain, i);
+            dev.recycle(chain);
             assert_eq!(drv.pop_used(&mem).unwrap().len, i);
         }
         assert_eq!(drv.num_free(), 4);
@@ -553,12 +463,12 @@ mod tests {
             flags: PACKED_F_AVAIL, // tail in place
         }
         .write_at(&mut mem, 0x1000, 1);
-        assert!(dev.try_take(&mem).is_none(), "hidden head must block");
+        assert!(take(&mut dev, &mem).is_none(), "hidden head must block");
         // Flip the head's AVAIL bit: now visible.
         let mut head = PackedDesc::read_at(&mem, 0x1000, 0);
         head.flags = (head.flags & !PACKED_F_USED) | PACKED_F_AVAIL;
         head.write_at(&mut mem, 0x1000, 0);
-        assert!(dev.try_take(&mem).is_some());
+        assert!(take(&mut dev, &mem).is_some());
     }
 
     #[test]
@@ -573,7 +483,7 @@ mod tests {
             );
         }
         for expect in &ids {
-            let chain = dev.try_take(&mem).unwrap();
+            let chain = take(&mut dev, &mem).unwrap();
             assert_eq!(chain.id, *expect);
             dev.complete(&mut mem, &chain, 0);
         }
@@ -583,45 +493,32 @@ mod tests {
     }
 
     #[test]
-    fn add_batch_longer_than_ring_is_rejected() {
-        // Same regression class as the split queue's publish_batch: a
-        // burst with more descriptors than free slots must be rejected
-        // atomically instead of lapping the ring.
-        let (mut mem, mut drv, mut dev) = setup(4);
-        let buf = |addr| BufferSpec::readable(addr, 64);
-        let chains: Vec<[BufferSpec; 1]> = (0..5).map(|i| [buf(0x5000 + i * 64)]).collect();
-        let refs: Vec<&[BufferSpec]> = chains.iter().map(|c| &c[..]).collect();
-        let err = drv.add_batch(&mut mem, &refs).unwrap_err();
-        assert_eq!(err, QueueError::NoSpace { needed: 5, free: 4 });
-        // Nothing became visible to the device.
-        assert_eq!(drv.num_free(), 4);
-        assert!(dev.try_take(&mem).is_none());
-        // A full-ring batch is still fine, and every chain is takeable.
-        let ids = drv.add_batch(&mut mem, &refs[..4]).unwrap();
-        assert_eq!(ids.len(), 4);
-        for expect in &ids {
-            let chain = dev.try_take(&mem).unwrap();
-            assert_eq!(chain.id, *expect);
-        }
-    }
-
-    #[test]
-    fn add_batch_rejects_empty_chain() {
-        let (mut mem, mut drv, _dev) = setup(4);
-        let one = [BufferSpec::readable(0x5000, 8)];
-        let err = drv.add_batch(&mut mem, &[&one, &[]]).unwrap_err();
-        assert_eq!(err, QueueError::EmptyChain);
-        assert_eq!(drv.num_free(), 4);
-    }
-
-    #[test]
     fn dma_op_counts_favor_packed() {
         // The structural argument for the extension: fewer device
-        // round-trips per transfer.
-        let (sr, sw) = dma_ops_per_transfer(2, false);
-        let (pr, pw) = dma_ops_per_transfer(2, true);
-        assert_eq!((sr, sw), (4, 2));
-        assert_eq!((pr, pw), (2, 1));
-        assert!(pr < sr && pw < sw);
+        // round-trips per transfer. Count the reads and writes the
+        // device ring issues for one 2-descriptor chain on each layout.
+        let mut counts = Vec::new();
+        for packed in [false, true] {
+            let mut mem = vf_pcie::HostMemory::testbed_default();
+            let mut drv = crate::DriverRing::alloc(&mut mem, 8, packed, false);
+            let a = drv.areas();
+            let mut dev = if packed {
+                DeviceRing::packed(a.desc, a.size, 0)
+            } else {
+                DeviceRing::split(a, false, false, 0)
+            };
+            let bufs = [
+                BufferSpec::readable(0x10_0000, 16),
+                BufferSpec::writable(0x10_1000, 64),
+            ];
+            drv.publish(&mut mem, &bufs).unwrap();
+            let prologue = dev.prologue(&mem, false).into_iter().count();
+            let chain = take(&mut dev, &mem).unwrap();
+            let writes = dev.complete(&mut mem, &chain, 8).writes().len();
+            counts.push((prologue + 1, writes));
+        }
+        // Split: avail index + one descriptor-table read; used entry +
+        // used index. Packed: one descriptor burst; one used descriptor.
+        assert_eq!(counts, [(2, 2), (1, 1)]);
     }
 }

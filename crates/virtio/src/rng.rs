@@ -7,9 +7,6 @@
 //! jitter); here a deterministic generator stands in so tests are
 //! reproducible.
 
-use crate::device_queue::Chain;
-use crate::mem::GuestMemory;
-
 /// Queue index of the request queue.
 pub const REQUEST_QUEUE: u16 = 0;
 
@@ -51,27 +48,14 @@ impl EntropySource {
         }
         self.produced += buf.len() as u64;
     }
-
-    /// Serve one request chain: fill every writable buffer. Returns the
-    /// bytes written (the used-ring `len`).
-    pub fn serve<M: GuestMemory>(&mut self, mem: &mut M, chain: &Chain) -> u32 {
-        let mut written = 0u32;
-        for buf in chain.bufs.iter().filter(|b| b.writable) {
-            let mut data = vec![0u8; buf.len as usize];
-            self.fill(&mut data);
-            mem.write(buf.addr, &data);
-            written += buf.len;
-        }
-        written
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_queue::DeviceQueue;
     use crate::driver_queue::{BufferSpec, DriverQueue};
-    use crate::mem::VecMemory;
+    use crate::layout::DeviceRing;
+    use crate::mem::{GuestMemory, VecMemory};
     use crate::ring::VirtqueueLayout;
 
     #[test]
@@ -109,39 +93,22 @@ mod tests {
         let mut mem = VecMemory::new(1 << 16);
         let layout = VirtqueueLayout::contiguous(0x1000, 8);
         let mut drv = DriverQueue::new(&mut mem, layout, false);
-        let mut dev = DeviceQueue::new(layout, false, false);
+        let mut dev = DeviceRing::split(layout, false, false, REQUEST_QUEUE);
         let mut src = EntropySource::new(3);
         // The guest asks for 48 bytes of entropy.
         drv.add_and_publish(&mut mem, &[BufferSpec::writable(0x8000, 48)])
             .unwrap();
-        let chain = dev.pop_chain(&mem).unwrap().unwrap();
-        let written = src.serve(&mut mem, &chain);
-        assert_eq!(written, 48);
-        dev.complete(&mut mem, chain.head, written);
+        dev.prologue(&mem, false);
+        let chain = dev.next_chain(&mem).unwrap().unwrap();
+        let buf = chain.bufs[0];
+        assert!(buf.writable);
+        let mut data = vec![0u8; buf.len as usize];
+        src.fill(&mut data);
+        mem.write(buf.addr, &data);
+        dev.complete(&mut mem, &chain, buf.len);
         let used = drv.pop_used(&mut mem).unwrap();
         assert_eq!(used.len, 48);
         let got = mem.read_vec(0x8000, 48);
         assert!(!got.iter().all(|&b| b == 0), "entropy delivered");
-    }
-
-    #[test]
-    fn readable_buffers_ignored() {
-        // rng requests are all-writable per spec; stray readable buffers
-        // contribute nothing.
-        let mut mem = VecMemory::new(1 << 16);
-        let layout = VirtqueueLayout::contiguous(0x1000, 8);
-        let mut drv = DriverQueue::new(&mut mem, layout, false);
-        let dev = DeviceQueue::new(layout, false, false);
-        let mut src = EntropySource::new(3);
-        drv.add_and_publish(
-            &mut mem,
-            &[
-                BufferSpec::readable(0x7000, 16),
-                BufferSpec::writable(0x8000, 16),
-            ],
-        )
-        .unwrap();
-        let (chain, _) = dev.resolve_at(&mem, 0).unwrap();
-        assert_eq!(src.serve(&mut mem, &chain), 16);
     }
 }

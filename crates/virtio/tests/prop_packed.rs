@@ -9,10 +9,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use vf_virtio::packed::{
-    PackedDesc, PackedDeviceQueue, PackedDriverQueue, PACKED_F_AVAIL, PACKED_F_USED,
-};
-use vf_virtio::{BufferSpec, VecMemory};
+use vf_virtio::packed::{PackedDesc, PackedDriverQueue, PACKED_F_AVAIL, PACKED_F_USED};
+use vf_virtio::{BufferSpec, DeviceRing, RingChain, VecMemory};
 
 const RING: u64 = 0x1000;
 
@@ -24,6 +22,11 @@ fn bufs(chain_len: usize, tag: usize) -> Vec<BufferSpec> {
             writable: i + 1 == chain_len,
         })
         .collect()
+}
+
+/// The device's next chain, if one is available.
+fn take(dev: &mut DeviceRing, mem: &VecMemory) -> Option<RingChain> {
+    dev.next_chain(mem).unwrap()
 }
 
 proptest! {
@@ -43,7 +46,7 @@ proptest! {
         prop_assume!(chain_len as u16 <= size);
         let mut mem = VecMemory::new(1 << 20);
         let mut drv = PackedDriverQueue::new(RING, size);
-        let mut dev = PackedDeviceQueue::new(RING, size);
+        let mut dev = DeviceRing::packed(RING, size, 0);
 
         // Both sides start at slot 0 with wrap = true; track our own
         // reference copy of the device's expected position.
@@ -60,10 +63,11 @@ proptest! {
             prop_assert_eq!(head.flags & PACKED_F_AVAIL != 0, wrap);
             prop_assert_eq!(head.flags & PACKED_F_USED != 0, !wrap);
 
-            let chain = dev.try_take(&mem).unwrap();
+            let chain = take(&mut dev, &mem).unwrap();
             prop_assert_eq!(chain.id, id);
-            prop_assert_eq!(chain.start_slot, slot);
-            prop_assert_eq!(chain.wrap, wrap);
+            // The descriptor burst starts at the head slot; the wrap
+            // value the used entry carries is checked below.
+            prop_assert_eq!(chain.desc_read.0, RING + slot as u64 * PackedDesc::SIZE);
             dev.complete(&mut mem, &chain, t as u32);
 
             // After completion the same slot reads as used for the
@@ -90,7 +94,7 @@ proptest! {
             }
         }
         // Nothing is pending once the ledger is square.
-        prop_assert!(dev.try_take(&mem).is_none());
+        prop_assert!(take(&mut dev, &mem).is_none());
         prop_assert!(drv.pop_used(&mem).is_none());
     }
 
@@ -134,7 +138,7 @@ proptest! {
         let size = 1u16 << size_pow;
         let mut mem = VecMemory::new(1 << 20);
         let mut drv = PackedDriverQueue::new(RING, size);
-        let mut dev = PackedDeviceQueue::new(RING, size);
+        let mut dev = DeviceRing::packed(RING, size, 0);
 
         // In-flight ledger: (id, chain_len) in publish order.
         let mut inflight: std::collections::VecDeque<(u16, usize)> = Default::default();
@@ -146,7 +150,7 @@ proptest! {
             // Add if there is room; otherwise force a full drain first
             // (the adversarial case: drain begins mid-ring, mid-wrap).
             if drv.add(&mut mem, &bufs(chain_len, k)).is_none() {
-                while let Some(chain) = dev.try_take(&mem) {
+                while let Some(chain) = take(&mut dev, &mem) {
                     dev.complete(&mut mem, &chain, seq);
                     completed.push_back((chain.id, seq));
                     seq += 1;
@@ -164,7 +168,7 @@ proptest! {
             } else {
                 // The id the driver handed out is deterministic; re-read
                 // it from the device side below.
-                let chain = dev.try_take(&mem).unwrap();
+                let chain = take(&mut dev, &mem).unwrap();
                 prop_assert_eq!(chain.bufs.len(), chain_len);
                 inflight.push_back((chain.id, chain_len));
                 dev.complete(&mut mem, &chain, seq);
@@ -172,7 +176,7 @@ proptest! {
                 seq += 1;
             }
             // Device keeps consuming anything else pending.
-            while let Some(chain) = dev.try_take(&mem) {
+            while let Some(chain) = take(&mut dev, &mem) {
                 dev.complete(&mut mem, &chain, seq);
                 completed.push_back((chain.id, seq));
                 seq += 1;
@@ -194,7 +198,7 @@ proptest! {
         }
 
         // Final drain: everything still in flight comes back in order.
-        while let Some(chain) = dev.try_take(&mem) {
+        while let Some(chain) = take(&mut dev, &mem) {
             dev.complete(&mut mem, &chain, seq);
             completed.push_back((chain.id, seq));
             seq += 1;
@@ -222,7 +226,7 @@ proptest! {
         let size = 1u16 << size_pow;
         let mut mem = VecMemory::new(1 << 20);
         let mut drv = PackedDriverQueue::new(RING, size);
-        let mut dev = PackedDeviceQueue::new(RING, size);
+        let mut dev = DeviceRing::packed(RING, size, 0);
         let mut outstanding: u16 = 0;
         let mut pending: std::collections::VecDeque<usize> = Default::default();
 
@@ -240,7 +244,7 @@ proptest! {
                     prop_assert_eq!(drv.num_free(), size - outstanding);
                     // Recover one chain end-to-end and retry: now it fits
                     // iff the ledger says so.
-                    let chain = dev.try_take(&mem).expect("outstanding work");
+                    let chain = take(&mut dev, &mem).expect("outstanding work");
                     dev.complete(&mut mem, &chain, 0);
                     drv.pop_used(&mem).unwrap();
                     outstanding -= pending.pop_front().unwrap() as u16;

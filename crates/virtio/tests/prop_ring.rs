@@ -5,10 +5,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use vf_virtio::device_queue::DeviceQueue;
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue, QueueError};
 use vf_virtio::ring::{vring_need_event, VirtqueueLayout};
-use vf_virtio::VecMemory;
+use vf_virtio::{DeviceRing, VecMemory};
 
 /// A workload step: add a chain of `readable`/`writable` buffer counts,
 /// or let the device complete up to `n` pending chains.
@@ -40,7 +39,7 @@ proptest! {
         let mut mem = VecMemory::new(1 << 20);
         let layout = VirtqueueLayout::contiguous(0x1000, size);
         let mut drv = DriverQueue::new(&mut mem, layout, event_idx);
-        let mut dev = DeviceQueue::new(layout, event_idx, false);
+        let mut dev = DeviceRing::split(layout, event_idx, false, 0);
 
         let mut published: Vec<(u16, usize)> = Vec::new(); // (head, len), order log
         let mut dev_seen: Vec<(u16, usize)> = Vec::new();
@@ -79,13 +78,14 @@ proptest! {
                     }
                 }
                 Step::Complete { n } => {
+                    dev.prologue(&mem, false);
                     for _ in 0..n {
-                        match dev.pop_chain(&mem).unwrap() {
+                        match dev.next_chain(&mem).unwrap() {
                             None => break,
                             Some(chain) => {
-                                dev_seen.push((chain.head, chain.bufs.len()));
-                                let old = dev.complete(&mut mem, chain.head, 0);
-                                let _ = dev.should_interrupt(&mem, old);
+                                dev_seen.push((chain.id, chain.bufs.len()));
+                                dev.complete(&mut mem, &chain, 0);
+                                dev.recycle(chain);
                             }
                         }
                     }
@@ -104,9 +104,10 @@ proptest! {
         }
 
         // Drain: complete everything, harvest everything.
-        while let Some(chain) = dev.pop_chain(&mem).unwrap() {
-            dev_seen.push((chain.head, chain.bufs.len()));
-            dev.complete(&mut mem, chain.head, 0);
+        dev.prologue(&mem, false);
+        while let Some(chain) = dev.next_chain(&mem).unwrap() {
+            dev_seen.push((chain.id, chain.bufs.len()));
+            dev.complete(&mut mem, &chain, 0);
         }
         while drv.pop_used(&mut mem).is_some() {}
         prop_assert_eq!(drv.num_free(), size, "all descriptors must return");
@@ -124,7 +125,7 @@ proptest! {
         let mut mem = VecMemory::new(1 << 20);
         let layout = VirtqueueLayout::contiguous(0x1000, 16);
         let mut drv = DriverQueue::new(&mut mem, layout, false);
-        let dev = DeviceQueue::new(layout, false, false);
+        let mut dev = DeviceRing::split(layout, false, false, 0);
         let n_writable = n_writable.min(lens.len());
         let n_readable = lens.len() - n_writable;
         let bufs: Vec<BufferSpec> = lens
@@ -140,8 +141,9 @@ proptest! {
             })
             .collect();
         drv.add_and_publish(&mut mem, &bufs).unwrap();
-        let (chain, fetches) = dev.resolve_at(&mem, 0).unwrap();
-        prop_assert_eq!(fetches, lens.len());
+        dev.prologue(&mem, false);
+        let chain = dev.next_chain(&mem).unwrap().unwrap();
+        prop_assert_eq!(chain.fetches, lens.len());
         prop_assert_eq!(chain.bufs.len(), lens.len());
         for (spec, got) in bufs.iter().zip(&chain.bufs) {
             prop_assert_eq!(spec.addr, got.addr);
@@ -149,8 +151,12 @@ proptest! {
             prop_assert_eq!(spec.writable, got.writable);
         }
         prop_assert_eq!(
-            chain.readable_len() + chain.writable_len(),
+            chain.bufs.iter().map(|b| b.len).sum::<u32>(),
             lens.iter().sum::<u32>()
+        );
+        prop_assert_eq!(
+            chain.readable_len(),
+            lens[..n_readable].iter().sum::<u32>() as usize
         );
     }
 
@@ -188,8 +194,8 @@ proptest! {
 mod packed_props {
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use vf_virtio::packed::{PackedDeviceQueue, PackedDriverQueue};
-    use vf_virtio::{BufferSpec, VecMemory};
+    use vf_virtio::packed::PackedDriverQueue;
+    use vf_virtio::{BufferSpec, DeviceRing, VecMemory};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -205,7 +211,7 @@ mod packed_props {
             let size = 1u16 << size_pow;
             let mut mem = VecMemory::new(1 << 20);
             let mut drv = PackedDriverQueue::new(0x1000, size);
-            let mut dev = PackedDeviceQueue::new(0x1000, size);
+            let mut dev = DeviceRing::packed(0x1000, size, 0);
             let mut queued: std::collections::VecDeque<(u16, usize)> = Default::default();
             for (k, &n) in chains.iter().enumerate() {
                 let bufs: Vec<BufferSpec> = (0..n)
@@ -221,8 +227,10 @@ mod packed_props {
                         // Ring full: drain chains end-to-end until the
                         // add fits.
                         loop {
-                            let chain =
-                                dev.try_take(&mem).expect("full ring has pending work");
+                            let chain = dev
+                                .next_chain(&mem)
+                                .unwrap()
+                                .expect("full ring has pending work");
                             dev.complete(&mut mem, &chain, 7);
                             let used = drv.pop_used(&mem).unwrap();
                             let (id, len) = queued.pop_front().unwrap();
@@ -238,7 +246,7 @@ mod packed_props {
             }
             // Drain the rest in order.
             while let Some((id, len)) = queued.pop_front() {
-                let chain = dev.try_take(&mem).expect("pending chain");
+                let chain = dev.next_chain(&mem).unwrap().expect("pending chain");
                 prop_assert_eq!(chain.id, id);
                 prop_assert_eq!(chain.bufs.len(), len);
                 prop_assert!(chain.bufs.last().unwrap().writable, "last buffer writable");
@@ -246,7 +254,7 @@ mod packed_props {
                 prop_assert_eq!(drv.pop_used(&mem).unwrap().id, id);
             }
             prop_assert_eq!(drv.num_free(), size);
-            prop_assert!(dev.try_take(&mem).is_none());
+            prop_assert!(dev.next_chain(&mem).unwrap().is_none());
         }
     }
 }
@@ -254,58 +262,66 @@ mod packed_props {
 mod layout_equivalence {
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use vf_virtio::device_queue::DeviceQueue;
     use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
-    use vf_virtio::packed::{PackedDeviceQueue, PackedDriverQueue};
+    use vf_virtio::packed::PackedDriverQueue;
     use vf_virtio::ring::VirtqueueLayout;
-    use vf_virtio::VecMemory;
+    use vf_virtio::{ChainBuf, DeviceRing, DriverRing, VecMemory};
+
+    /// Publish each `(readable, writable)` chain on a fresh ring of the
+    /// given layout, take it with the device ring, complete it with 5
+    /// bytes and harvest that completion. Returns the buffer lists the
+    /// device saw.
+    fn deliver(packed: bool, chains: &[(usize, usize)]) -> Vec<Vec<ChainBuf>> {
+        let size = 64u16;
+        let mut mem = VecMemory::new(1 << 20);
+        let layout = VirtqueueLayout::contiguous(0x1000, size);
+        let (mut drv, mut dev) = if packed {
+            (
+                DriverRing::Packed(PackedDriverQueue::new(0x1000, size)),
+                DeviceRing::packed(0x1000, size, 0),
+            )
+        } else {
+            (
+                DriverRing::Split(DriverQueue::new(&mut mem, layout, false)),
+                DeviceRing::split(layout, false, false, 0),
+            )
+        };
+        let mut seen = Vec::new();
+        for (k, &(readable, writable)) in chains.iter().enumerate() {
+            let bufs: Vec<BufferSpec> = (0..readable + writable)
+                .map(|i| BufferSpec {
+                    addr: 0x10_000 + (k * 8 + i) as u64 * 256,
+                    len: 32 + i as u32,
+                    writable: i >= readable,
+                })
+                .collect();
+            let id = drv.publish(&mut mem, &bufs).unwrap();
+            dev.prologue(&mem, false);
+            let chain = dev.next_chain(&mem).unwrap().unwrap();
+            assert_eq!(chain.id, id);
+            assert!(dev.next_chain(&mem).unwrap().is_none());
+            dev.complete(&mut mem, &chain, 5);
+            let used = drv.pop_used(&mut mem).unwrap();
+            assert_eq!((used.id, used.len), (id as u32, 5));
+            seen.push(chain.bufs);
+        }
+        seen
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Split and packed layouts are behaviourally equivalent for any
-        /// in-window workload: the same sequence of chains comes out in
-        /// the same order with the same buffer lists on both.
+        /// Split and packed layouts are behaviourally equivalent behind
+        /// one device ring for any in-window workload: the same sequence
+        /// of chains comes out in the same order with the same buffer
+        /// lists on both, and both drivers harvest every completion.
         #[test]
         fn split_and_packed_deliver_identically(
             chains in vec((1usize..4, 0usize..3), 1..40),
         ) {
-            let size = 64u16;
-            // Split setup.
-            let mut smem = VecMemory::new(1 << 20);
-            let layout = VirtqueueLayout::contiguous(0x1000, size);
-            let mut sdrv = DriverQueue::new(&mut smem, layout, false);
-            let mut sdev = DeviceQueue::new(layout, false, false);
-            // Packed setup.
-            let mut pmem = VecMemory::new(1 << 20);
-            let mut pdrv = PackedDriverQueue::new(0x1000, size);
-            let mut pdev = PackedDeviceQueue::new(0x1000, size);
-
-            for (k, &(readable, writable)) in chains.iter().enumerate() {
-                let mut sbufs = Vec::new();
-                for i in 0..readable + writable {
-                    let addr = 0x10_000 + (k * 8 + i) as u64 * 256;
-                    let len = 32 + i as u32;
-                    let w = i >= readable;
-                    sbufs.push(BufferSpec {
-                        addr,
-                        len,
-                        writable: w,
-                    });
-                }
-                sdrv.add_and_publish(&mut smem, &sbufs).unwrap();
-                pdrv.add(&mut pmem, &sbufs).unwrap();
-
-                let schain = sdev.pop_chain(&smem).unwrap().unwrap();
-                let pchain = pdev.try_take(&pmem).unwrap();
-                // Identical buffer lists, element by element.
-                prop_assert_eq!(&schain.bufs, &pchain.bufs);
-                // Complete on both; both drivers observe it.
-                sdev.complete(&mut smem, schain.head, 5);
-                pdev.complete(&mut pmem, &pchain, 5);
-                prop_assert_eq!(sdrv.pop_used(&mut smem).unwrap().len, 5);
-                prop_assert_eq!(pdrv.pop_used(&pmem).unwrap().len, 5);
-            }
+            let split = deliver(false, &chains);
+            prop_assert_eq!(split.len(), chains.len());
+            prop_assert_eq!(split, deliver(true, &chains));
         }
     }
 }

@@ -32,13 +32,14 @@ fn main() {
     let worker = thread::spawn(move || {
         let mut served = 0u32;
         while served < REQUESTS {
-            if let Some(chain) = device.try_take() {
+            if let Some(chain) = device.next_chain() {
                 let req = &chain.bufs[0];
                 let resp = &chain.bufs[1];
                 let mut data = device.mem.read_vec(req.addr, req.len as usize);
                 data.iter_mut().for_each(|b| *b = b.to_ascii_uppercase());
                 device.mem.write(resp.addr, &data);
-                device.complete(chain.head, resp.len);
+                let written = resp.len;
+                device.complete(chain, written);
                 served += 1;
             } else {
                 // Give the producer the core when the queue is dry (the

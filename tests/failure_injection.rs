@@ -7,11 +7,11 @@ use vf_fpga::{Persona, VirtioFpgaDevice};
 use vf_hostsw::virtio_pci::{negotiate, program_queue, set_driver_ok};
 use vf_pcie::{HostMemory, LinkConfig, PcieLink};
 use vf_sim::Time;
-use vf_virtio::device_queue::{ChainError, DeviceQueue};
 use vf_virtio::driver_queue::{BufferSpec, DriverQueue};
 use vf_virtio::net::VirtioNetConfig;
+use vf_virtio::packed::{PackedDesc, PACKED_F_AVAIL, PACKED_F_NEXT};
 use vf_virtio::ring::{Desc, VirtqueueLayout, DESC_F_NEXT};
-use vf_virtio::GuestMemory;
+use vf_virtio::{ChainError, DeviceRing, GuestMemory};
 use vf_xdma::desc::single_descriptor;
 use vf_xdma::regs::{chan, sgdma, target, CTRL_RUN};
 use vf_xdma::{ChannelDir, EngineError, XdmaEngine};
@@ -79,8 +79,32 @@ fn descriptor_loop_detected_not_hung() {
     }
     mem.write_u16(layout.avail_ring_addr(0), 0);
     mem.write_u16(layout.avail_idx_addr(), 1);
-    let dev = DeviceQueue::new(layout, false, false);
-    assert_eq!(dev.resolve_at(&mem, 0).unwrap_err(), ChainError::TooLong);
+    let mut dev = DeviceRing::split(layout, false, false, 0);
+    dev.prologue(&mem, false);
+    assert_eq!(dev.next_chain(&mem).unwrap_err(), ChainError::TooLong);
+}
+
+#[test]
+fn packed_ring_of_endless_chain_is_too_long_not_a_panic() {
+    // The packed counterpart: every descriptor of the ring is available
+    // and chains on, so no chain ever ends.
+    let mut mem = vf_virtio::VecMemory::new(1 << 16);
+    for slot in 0..8u16 {
+        PackedDesc {
+            addr: 0x100,
+            len: 4,
+            id: slot,
+            flags: PACKED_F_AVAIL | PACKED_F_NEXT,
+        }
+        .write_at(&mut mem, 0x1000, slot);
+    }
+    let mut dev = DeviceRing::packed(0x1000, 8, 0);
+    assert_eq!(dev.prologue(&mem, false), None);
+    assert_eq!(dev.next_chain(&mem).unwrap_err(), ChainError::TooLong);
+    // Left in place, like a split loop: the next walk starts at the same
+    // head and meets the same error.
+    assert_eq!(dev.prologue(&mem, true), Some((0x1000, 16)));
+    assert_eq!(dev.next_chain(&mem).unwrap_err(), ChainError::TooLong);
 }
 
 #[test]
@@ -240,7 +264,7 @@ fn leaked_posted_credit_is_flagged_by_the_watchdog() {
         vf_metrics::sample_at(10_000_000);
         // Buggy: one more credit granted on tag 0 with no matching
         // in-flight update or release.
-        vf_metrics::counter_add(names::POSTED_GRANTED, 0, 1);
+        vf_metrics::Counter::new(names::POSTED_GRANTED, 0).add(1);
         vf_metrics::sample_at(20_000_000);
     });
     let leaks: Vec<_> = report

@@ -235,10 +235,10 @@ const REPORT_GOLDENS: [(&str, u64, u64); 7] = [
     ("virtio", 0xcf61_19a9_ebae_aeac, 0xff4d_3188_097c_aa34),
     ("xdma", 0xd124_14dd_8eac_ab21, 0xbb62_fd33_7a59_d547),
     ("pmd", 0xdb89_7e57_0946_a2ac, 0x56dd_bfb1_6f6c_e25d),
-    ("mq4", 0x49f3_1db9_9a11_99ba, 0x3189_0e76_5c51_33d3),
-    ("tenants_wfq", 0x9709_a8cd_3f04_880d, 0x4a90_b3bd_6862_00bc),
-    ("blk_rr4k", 0x3086_e351_b175_cc78, 0x6fcd_7e76_a94d_3c18),
-    ("blk_sw128k", 0xb68c_d8f1_3ce5_7dc3, 0xc743_9400_a258_df58),
+    ("mq4", 0x146d_ca68_3de7_63f0, 0x24a4_851b_ae19_d7d3),
+    ("tenants_wfq", 0x0b10_e287_8611_a1e7, 0xe880_4c00_f88c_1eb0),
+    ("blk_rr4k", 0xcaef_f2e7_9081_dbc4, 0xd317_a3cc_c1af_3c08),
+    ("blk_sw128k", 0xe1ea_297e_085d_5aa2, 0x0a5f_02c7_3cdb_b8fc),
 ];
 
 fn paper_cell_report(driver: DriverKind) -> vf_metrics::MetricsReport {
