@@ -324,9 +324,6 @@ impl<F> VirtioParts<F> {
                          not the echo worlds"
                     )
                 }
-                DeviceType::Rng => {
-                    unreachable!("virtio-rng has no echo workload; see the rng unit tests")
-                }
             };
         let mut device = VirtioFpgaDevice::new(persona, extra, &[cfg.options.queue_size; 2], logic);
         device.set_card_memory(cfg.options.card_memory);

@@ -14,7 +14,14 @@
 //!   ring and descriptor chains in host memory through timed PCIe DMA
 //!   reads, stages payloads in BRAM, and completes used entries —
 //!   device-side data movement, the work-allocation difference (§IV-A)
-//!   that shifts latency from software into hardware;
+//!   that shifts latency from software into hardware. Every walker (TX,
+//!   RX, blk, ctrl) runs the same per-chain steps: take the chain and
+//!   fetch its descriptors (`take_chain`), move its bytes, publish the
+//!   used entry and recycle the chain (`complete_chain`). A chain the
+//!   ring cannot resolve, or one without the buffers the walker must
+//!   write, ends the walk in `DEVICE_NEEDS_RESET` plus a
+//!   configuration-change interrupt (VirtIO 1.2 §2.1.2), never in a
+//!   panic; a doorbell to a queue the driver never enabled is ignored;
 //! * a virtqueue-semantics interface to pluggable **user logic** (echo,
 //!   checksum offload, firewall), plus the driver-bypass DMA port;
 //! * the hardware **performance counters** of §III-B3.
@@ -22,6 +29,8 @@
 //! Device personas (net / console / block) differ only in the
 //! device-specific config structure, queue count, and per-buffer header
 //! handling — the paper's "modifications required are minimal" claim.
+
+use std::collections::VecDeque;
 
 use vf_metrics::{Gauge, Histogram};
 use vf_pcie::{
@@ -35,7 +44,6 @@ use vf_virtio::net::{
     internet_checksum, VirtioNetConfig, VirtioNetHdr, HDR_F_DATA_VALID, HDR_F_NEEDS_CSUM,
 };
 use vf_virtio::pci::{CfgEvent, VirtioTransport};
-use vf_virtio::rng::EntropySource;
 use vf_virtio::{
     feature, net, CommonCfg, DeviceRing, DeviceType, GuestMemory, IsrStatus, RingChain,
 };
@@ -106,11 +114,6 @@ pub enum Persona {
         /// The backing store.
         disk: MemDisk,
     },
-    /// Entropy device (additional type; no device-specific config).
-    Rng {
-        /// The fabric entropy source.
-        src: EntropySource,
-    },
 }
 
 impl Persona {
@@ -119,7 +122,6 @@ impl Persona {
             Persona::Net { .. } => DeviceType::Net,
             Persona::Console { .. } => DeviceType::Console,
             Persona::Block { .. } => DeviceType::Block,
-            Persona::Rng { .. } => DeviceType::Rng,
         }
     }
 
@@ -128,8 +130,6 @@ impl Persona {
             Persona::Net { cfg } => cfg.read(off, len),
             Persona::Console { cfg } => cfg.read(off, len),
             Persona::Block { cfg, .. } => cfg.read(off, len),
-            // virtio-rng has no device-specific configuration structure.
-            Persona::Rng { .. } => 0,
         }
     }
 
@@ -138,7 +138,7 @@ impl Persona {
     fn hdr_len(&self) -> usize {
         match self {
             Persona::Net { .. } => VirtioNetHdr::LEN,
-            Persona::Console { .. } | Persona::Block { .. } | Persona::Rng { .. } => 0,
+            Persona::Console { .. } | Persona::Block { .. } => 0,
         }
     }
 }
@@ -228,8 +228,9 @@ fn split_hdr(mut data: Vec<u8>, hdr_len: usize) -> Staged {
 /// one per queue: a walk runs to completion before the next begins.
 #[derive(Default)]
 struct TxScratch {
-    /// Chains the pipelined walker took for this pass.
-    chains: Vec<RingChain>,
+    /// Chains the pipelined walker took for this pass and has not
+    /// completed yet.
+    chains: VecDeque<RingChain>,
     /// Instant each of those chains' descriptor fetch completed.
     desc_done: Vec<Time>,
     /// Frames staged by this pass, in chain order.
@@ -240,10 +241,9 @@ struct TxScratch {
     responses: Vec<PendingResponse>,
 }
 
-/// The device-side ring of queue `n`. Panics if the driver never enabled
-/// it.
-fn ring(rings: &mut [Option<DeviceRing>], n: u16) -> &mut DeviceRing {
-    rings[n as usize].as_mut().expect("queue not enabled")
+/// The device-side ring of queue `n`, if the driver enabled it.
+fn ring(rings: &mut [Option<DeviceRing>], n: u16) -> Option<&mut DeviceRing> {
+    rings.get_mut(n as usize)?.as_mut()
 }
 
 /// A timed DMA read, through the tag's non-posted window when `np`.
@@ -321,11 +321,13 @@ pub struct BlkOutcome {
 pub struct DeviceStats {
     /// Doorbells received.
     pub notifications: u64,
+    /// Doorbells to queues the driver never enabled, ignored.
+    pub stray_notifies: u64,
     /// Chains consumed from the TX queue.
     pub tx_chains: u64,
     /// Frames delivered into the RX queue.
     pub rx_frames: u64,
-    /// Frames dropped for want of an RX buffer.
+    /// Frames dropped for want of an RX buffer that holds them.
     pub rx_dropped: u64,
     /// Checksums computed by the offload engine.
     pub csum_offloads: u64,
@@ -338,7 +340,8 @@ pub struct DeviceStats {
     /// Block requests served.
     pub blk_requests: u64,
     /// Malformed block chains/requests survived (completed with an error
-    /// status or skipped) instead of crashing the walker.
+    /// status, or ending the pass with `DEVICE_NEEDS_RESET`) instead of
+    /// crashing the walker.
     pub blk_errors: u64,
     /// Control-virtqueue commands processed (MQ configuration etc.).
     pub ctrl_commands: u64,
@@ -652,7 +655,12 @@ impl VirtioFpgaDevice {
         mem: &mut HostMemory,
         link: &mut PcieLink,
     ) -> TxOutcome {
-        link.select_dma_context(tx_queue as usize);
+        let Some(desc_trace) = self.open_queue(tx_queue, link) else {
+            return TxOutcome {
+                done_at: arrival,
+                ..TxOutcome::default()
+            };
+        };
         let csum_feature = matches!(self.persona, Persona::Net { .. })
             && self.features() & net::feature::CSUM != 0;
         // E20: with more than one non-posted read allowed on the tag,
@@ -660,7 +668,6 @@ impl VirtioFpgaDevice {
         // DMA. The serial walker's schedule at depth 1 is the one the
         // determinism goldens pin, so both walkers stay.
         let pipelined = link.cfg.max_outstanding_np > 1;
-        let mut t = arrival + self.timing.notify_decode;
         self.counters.h2c.start(arrival);
         vf_trace::instant(
             vf_trace::Layer::Device,
@@ -669,18 +676,8 @@ impl VirtioFpgaDevice {
             tx_queue as u64,
             0,
         );
-
-        // Split: the avail index and the new ring entries in one burst —
-        // idx and entries are contiguous, so the RTL fetches one
-        // beat-aligned block instead of issuing per-field reads. Packed:
-        // nothing, the descriptors carry their own availability.
-        let ring = ring(&mut self.rings, tx_queue);
-        let desc_trace = ring.desc_trace();
-        if let Some((addr, len)) = ring.prologue(mem, false) {
-            t = dma_read(link, pipelined, t, addr, len);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 0, 0);
-        }
+        let t = arrival + self.timing.notify_decode;
+        let t = self.prologue(tx_queue, t, pipelined, Some(desc_trace), mem, link);
         let mut outcome = TxOutcome {
             responses: std::mem::take(&mut self.tx_scratch.responses),
             ..TxOutcome::default()
@@ -688,7 +685,7 @@ impl VirtioFpgaDevice {
         let mut t = if pipelined {
             self.tx_walk_pipelined(t, tx_queue, desc_trace, mem, link, &mut outcome)
         } else {
-            self.tx_walk_serial(t, tx_queue, desc_trace, mem, link, &mut outcome)
+            self.tx_walk_serial(t, tx_queue, mem, link, &mut outcome)
         };
         self.counters.h2c.stop(t);
 
@@ -714,34 +711,18 @@ impl VirtioFpgaDevice {
         &mut self,
         mut t: Time,
         tx_queue: u16,
-        desc_trace: &'static str,
         mem: &mut HostMemory,
         link: &mut PcieLink,
         outcome: &mut TxOutcome,
     ) -> Time {
-        while let Some(chain) = ring(&mut self.rings, tx_queue)
-            .next_chain(mem)
-            .expect("driver published a corrupt chain")
+        while let Some((chain, parsed)) =
+            self.take_chain(tx_queue, t, true, Self::stageable, mem, link)
         {
-            // Descriptor chain: the driver allocates chains contiguously,
-            // so the controller fetches the whole chain in one read
-            // (using the table location plus the chain-length hint).
-            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                desc_trace,
-                t,
-                chain.fetches as u64,
-                0,
-            );
-            t += self.timing.per_desc * chain.fetches as u64;
-            t = self.stage_payload(&chain, t, false, mem, link);
+            t = self.stage_payload(&chain, parsed, false, mem, link);
             // TX completion interrupt: normally suppressed by the
             // driver's parked used_event, never raised on packed TX.
             let irq_at;
-            (t, irq_at) = self.complete_chain(tx_queue, &chain, 0, t, mem, link);
-            ring(&mut self.rings, tx_queue).recycle(chain);
+            (t, irq_at) = self.complete_chain(tx_queue, chain, 0, t, mem, link);
             outcome.tx_irq_at = irq_at.or(outcome.tx_irq_at);
             outcome.chains += 1;
             self.stats.tx_chains += 1;
@@ -773,12 +754,9 @@ impl VirtioFpgaDevice {
         // Take every published chain up front (the split avail entries
         // just fetched name them all); DMA timing happens below.
         let mut chains = std::mem::take(&mut self.tx_scratch.chains);
-        let tx_ring = ring(&mut self.rings, tx_queue);
-        while let Some(chain) = tx_ring
-            .next_chain(mem)
-            .expect("driver published a corrupt chain")
+        while let Some((chain, _)) = self.take_chain(tx_queue, t, false, Self::stageable, mem, link)
         {
-            chains.push(chain);
+            chains.push_back(chain);
         }
 
         let depth = link.cfg.max_outstanding_np;
@@ -791,9 +769,9 @@ impl VirtioFpgaDevice {
         let mut last_write = t;
         for k in 0..n {
             // Prefetch descriptor bursts up to `depth` chains ahead of
-            // the chain being completed.
+            // the chain being completed, which is at the queue's front.
             while prefetched < n && prefetched < k + depth {
-                let chain = &chains[prefetched];
+                let chain = &chains[prefetched - k];
                 issue_t += timing.fsm_step;
                 desc_done[prefetched] =
                     link.dma_read_np(issue_t, chain.desc_read.0, chain.desc_read.1);
@@ -815,11 +793,13 @@ impl VirtioFpgaDevice {
                     b.hist_record(&m.hist, d);
                 });
             }
-            let chain = &chains[k];
+            let Some(chain) = chains.pop_front() else {
+                break;
+            };
             // Payload DMA starts once this chain's descriptors are
             // parsed and the (single) payload datapath is free.
             let ct = (desc_done[k] + timing.per_desc * chain.fetches as u64).max(t);
-            let ct = self.stage_payload(chain, ct, true, mem, link);
+            let ct = self.stage_payload(&chain, ct, true, mem, link);
             // Used write-back: posted, fire-and-forget — the walker
             // moves on while it drains, but the writes stay ordered
             // against each other on the tag.
@@ -829,10 +809,6 @@ impl VirtioFpgaDevice {
             outcome.chains += 1;
             self.stats.tx_chains += 1;
             t = ct;
-        }
-        let tx_ring = ring(&mut self.rings, tx_queue);
-        for chain in chains.drain(..) {
-            tx_ring.recycle(chain);
         }
         self.tx_scratch.chains = chains;
         self.tx_scratch.desc_done = desc_done;
@@ -846,6 +822,109 @@ impl VirtioFpgaDevice {
             self.walker_depth(tx_queue).level.set(0);
         }
         t
+    }
+
+    /// Point the DMA engine at `queue`'s tag context for a doorbell's
+    /// walk, and return the name the queue's descriptor reads trace
+    /// under. A doorbell to a queue the driver never enabled is ignored
+    /// and counted in `stray_notifies`: `None`, no walk.
+    fn open_queue(&mut self, queue: u16, link: &mut PcieLink) -> Option<&'static str> {
+        let Some(ring) = ring(&mut self.rings, queue) else {
+            self.stats.stray_notifies += 1;
+            return None;
+        };
+        let desc_trace = ring.desc_trace();
+        link.select_dma_context(queue as usize);
+        Some(desc_trace)
+    }
+
+    /// Issue `queue`'s walker prologue read (see [`DeviceRing::prologue`])
+    /// from `t`, through the tag's non-posted window when `np`, recording
+    /// an instant under `trace` if given. Split reads the avail index and
+    /// the new ring entries in one burst — idx and entries are
+    /// contiguous, so the RTL fetches one beat-aligned block instead of
+    /// issuing per-field reads. Packed reads nothing: the descriptors
+    /// carry their own availability. Returns the instant the walk may
+    /// take its first chain.
+    fn prologue(
+        &mut self,
+        queue: u16,
+        mut t: Time,
+        np: bool,
+        trace: Option<&'static str>,
+        mem: &HostMemory,
+        link: &mut PcieLink,
+    ) -> Time {
+        let Some(ring) = ring(&mut self.rings, queue) else {
+            return t;
+        };
+        if let Some((addr, len)) = ring.prologue(mem, false) {
+            t = dma_read(link, np, t, addr, len);
+            self.stats.desc_reads += 1;
+            if let Some(name) = trace {
+                vf_trace::instant(vf_trace::Layer::Device, name, t, 0, 0);
+            }
+        }
+        t
+    }
+
+    /// Take the next chain of `queue`'s walk from `t` and, when `fetch`,
+    /// read its descriptors: the driver allocates chains contiguously, so
+    /// the controller fetches the whole chain in one read (the table
+    /// location plus the chain-length hint). Returns the chain and the
+    /// instant its descriptors are parsed.
+    ///
+    /// `None` ends the walk: the ring is drained, or it holds a chain
+    /// the ring cannot resolve ([`vf_virtio::ChainError`]) or one the
+    /// walker cannot serve (`fits` says no). The device then cannot serve the queue, so
+    /// it sets `DEVICE_NEEDS_RESET` and sends the configuration-change
+    /// interrupt, if the driver programmed a config vector (VirtIO 1.2
+    /// §2.1.2). That chain gets no completion.
+    fn take_chain(
+        &mut self,
+        queue: u16,
+        mut t: Time,
+        fetch: bool,
+        fits: impl Fn(&Self, &RingChain) -> bool,
+        mem: &HostMemory,
+        link: &mut PcieLink,
+    ) -> Option<(RingChain, Time)> {
+        let ring = ring(&mut self.rings, queue)?;
+        let desc_trace = ring.desc_trace();
+        let chain = match ring.next_chain(mem) {
+            Ok(Some(chain)) if fits(self, &chain) => chain,
+            Ok(None) => return None,
+            _ => {
+                if let Persona::Block { .. } = self.persona {
+                    self.stats.blk_errors += 1;
+                }
+                self.common.negotiation.need_reset();
+                let vector = self.common.config_msix_vector as usize;
+                if vector < self.msix.len() && self.msix.fire(vector).is_some() {
+                    link.msix_write(t);
+                    self.stats.irqs_sent += 1;
+                }
+                return None;
+            }
+        };
+        if fetch {
+            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
+            self.stats.desc_reads += 1;
+            vf_trace::instant(
+                vf_trace::Layer::Device,
+                desc_trace,
+                t,
+                chain.fetches as u64,
+                0,
+            );
+        }
+        let parsed = t + self.timing.per_desc * chain.fetches as u64;
+        Some((chain, parsed))
+    }
+
+    /// Whether a TX chain's frame fits the staging memory.
+    fn stageable(&self, chain: &RingChain) -> bool {
+        chain.readable_len() <= self.staging.len()
     }
 
     /// `queue`'s walker-depth instruments, building every queue's on
@@ -899,20 +978,25 @@ impl VirtioFpgaDevice {
         t
     }
 
-    /// Publish `chain`'s completion on `queue` from `t`: the ring's used
-    /// write-back as posted DMA, then the queue's MSI-X vector if the
-    /// ring asks for an interrupt. Returns the instant the write-back is
-    /// on the wire and the interrupt's arrival, if one fired.
+    /// Publish `chain`'s completion on `queue` from `t` and hand its
+    /// buffer list back to the ring: the used write-back as posted DMA,
+    /// then the queue's MSI-X vector if the ring asks for an interrupt.
+    /// Returns the instant the write-back is on the wire and the
+    /// interrupt's arrival, if one fired.
     fn complete_chain(
         &mut self,
         queue: u16,
-        chain: &RingChain,
+        chain: RingChain,
         written: u32,
         mut t: Time,
         mem: &mut HostMemory,
         link: &mut PcieLink,
     ) -> (Time, Option<Time>) {
-        let used = ring(&mut self.rings, queue).complete(mem, chain, written);
+        let Some(ring) = ring(&mut self.rings, queue) else {
+            return (t, None);
+        };
+        let used = ring.complete(mem, &chain, written);
+        ring.recycle(chain);
         for &(addr, len) in used.writes() {
             t = link.dma_write(t, addr, len);
         }
@@ -985,6 +1069,10 @@ impl VirtioFpgaDevice {
     /// read and "where?" with a descriptor-table fetch; the packed ring
     /// answers both with one 16-byte descriptor read (E17).
     ///
+    /// A frame that does not fit the posted buffer is dropped and the
+    /// buffer stays posted, as on a NIC without `MRG_RXBUF`; a chain
+    /// with a device-readable buffer raises `DEVICE_NEEDS_RESET`.
+    ///
     /// The `c2h` counter runs from `ready_at` to the MSI-X write hitting
     /// the wire.
     pub fn deliver_response(
@@ -1004,44 +1092,41 @@ impl VirtioFpgaDevice {
         self.counters.c2h.start(ready_at);
         let mut t = ready_at + timing.fsm_step;
 
-        let rx_ring = ring(&mut self.rings, rx_queue);
-        let packed = rx_ring.is_packed();
-        let desc_trace = rx_ring.desc_trace();
-        if let Some((addr, len)) = rx_ring.prologue(mem, true) {
-            t = link.dma_read(t, addr, len);
-            self.stats.desc_reads += 1;
-            if packed {
-                // The packed prologue *is* the descriptor fetch.
-                vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 1, 0);
+        let mut packed = false;
+        if let Some(rx_ring) = ring(&mut self.rings, rx_queue) {
+            packed = rx_ring.is_packed();
+            let desc_trace = rx_ring.desc_trace();
+            if let Some((addr, len)) = rx_ring.prologue(mem, true) {
+                t = link.dma_read(t, addr, len);
+                self.stats.desc_reads += 1;
+                if packed {
+                    // The packed prologue *is* the descriptor fetch.
+                    vf_trace::instant(vf_trace::Layer::Device, desc_trace, t, 1, 0);
+                }
             }
         }
-        let Some(chain) = rx_ring.next_chain(mem).expect("corrupt RX chain") else {
-            self.stats.rx_dropped += 1;
-            let _ = self.counters.c2h.stop(t);
-            return RxOutcome {
-                irq_at: None,
-                done_at: t,
-                delivered: false,
-            };
-        };
-        if !packed {
-            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                desc_trace,
-                t,
-                chain.fetches as u64,
-                0,
-            );
-        }
-        t += timing.per_desc * chain.fetches as u64;
-
-        // Write header + data into the (single) writable buffer.
-        let buf = chain.bufs[0];
-        assert!(buf.writable, "RX chain must be device-writable");
+        let writable = |_: &Self, c: &RingChain| c.bufs.iter().all(|b| b.writable);
         let total = hdr_len + response.data.len();
-        assert!(total as u32 <= buf.len, "RX buffer too small");
+        // Header + data go into the chain's first buffer.
+        let (chain, mut t) = match self.take_chain(rx_queue, t, !packed, writable, mem, link) {
+            Some((chain, parsed)) if total <= chain.bufs[0].len as usize => (chain, parsed),
+            taken => {
+                if let Some((chain, parsed)) = taken {
+                    t = parsed;
+                    if let Some(rx_ring) = ring(&mut self.rings, rx_queue) {
+                        rx_ring.requeue(chain);
+                    }
+                }
+                self.stats.rx_dropped += 1;
+                let _ = self.counters.c2h.stop(t);
+                return RxOutcome {
+                    irq_at: None,
+                    done_at: t,
+                    delivered: false,
+                };
+            }
+        };
+        let buf = chain.bufs[0];
         if hdr_len > 0 {
             let hdr = VirtioNetHdr {
                 flags: if response.csum_valid || guest_csum {
@@ -1060,8 +1145,7 @@ impl VirtioFpgaDevice {
 
         // Used write-back, then the interrupt.
         let irq_at;
-        (t, irq_at) = self.complete_chain(rx_queue, &chain, total as u32, t, mem, link);
-        ring(&mut self.rings, rx_queue).recycle(chain);
+        (t, irq_at) = self.complete_chain(rx_queue, chain, total as u32, t, mem, link);
         if let Some(at) = irq_at {
             t = at;
         }
@@ -1074,22 +1158,6 @@ impl VirtioFpgaDevice {
         }
     }
 
-    /// Issue `queue`'s walker prologue read (see [`DeviceRing::prologue`])
-    /// from `t`, untraced.
-    fn batch_prologue(
-        &mut self,
-        queue: u16,
-        mut t: Time,
-        mem: &HostMemory,
-        link: &mut PcieLink,
-    ) -> Time {
-        if let Some((addr, len)) = ring(&mut self.rings, queue).prologue(mem, false) {
-            t = link.dma_read(t, addr, len);
-            self.stats.desc_reads += 1;
-        }
-        t
-    }
-
     /// Process a doorbell on a block-device request queue: parse each
     /// request chain, execute it against the persona's disk, write data +
     /// status back, complete, and interrupt.
@@ -1100,8 +1168,8 @@ impl VirtioFpgaDevice {
     /// instant, not just the pass's last interrupt. Malformed chains do
     /// not crash the walker: an unknown request type is completed with
     /// `UNSUPP` in its status footer, a structurally broken chain is
-    /// completed with zero bytes, and a corrupt ring stops the pass
-    /// (`blk_errors` counts all three).
+    /// completed with zero bytes, and a corrupt ring stops the pass with
+    /// `DEVICE_NEEDS_RESET` (`blk_errors` counts all three).
     pub fn process_block_notify(
         &mut self,
         arrival: Time,
@@ -1109,42 +1177,29 @@ impl VirtioFpgaDevice {
         mem: &mut HostMemory,
         link: &mut PcieLink,
     ) -> BlkOutcome {
-        link.select_dma_context(queue as usize);
+        let mut outcome = BlkOutcome {
+            done_at: arrival,
+            ..BlkOutcome::default()
+        };
+        if self.open_queue(queue, link).is_none() {
+            return outcome;
+        }
         let timing = self.timing;
-        // One burst covers the avail index and every new ring entry (the
-        // same coalescing the rng walker does), instead of a per-request
-        // 2-byte ring read.
-        let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
-        let mut completions = Vec::new();
-        loop {
-            let blk_ring = ring(&mut self.rings, queue);
-            let chain = match blk_ring.next_chain(mem) {
-                Ok(Some(chain)) => chain,
-                Ok(None) => break,
-                Err(_) => {
-                    // The device cannot even tell where the chain ends;
-                    // a real controller would raise NEEDS_RESET. Stop
-                    // the pass — no completion for this or later slots.
-                    self.stats.blk_errors += 1;
-                    break;
-                }
-            };
-            // Burst-fetch the chain's descriptor table.
-            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
-            self.stats.desc_reads += 1;
-            vf_trace::instant(
-                vf_trace::Layer::Device,
-                blk_ring.desc_trace(),
-                t,
-                chain.fetches as u64,
-                0,
-            );
-            t += timing.per_desc * chain.fetches as u64;
-
+        // One burst covers the avail index and every new ring entry,
+        // instead of a per-request 2-byte ring read.
+        let mut t = self.prologue(
+            queue,
+            arrival + timing.notify_decode,
+            false,
+            None,
+            mem,
+            link,
+        );
+        while let Some((chain, parsed)) = self.take_chain(queue, t, true, |_, _| true, mem, link) {
             // H2C phase: header read + request data movement (reads for
             // OUT payloads, writes for IN fills).
-            self.counters.h2c.start(t);
-            t = link.dma_read(t, chain.bufs[0].addr, 16);
+            self.counters.h2c.start(parsed);
+            t = link.dma_read(parsed, chain.bufs[0].addr, 16);
             let Persona::Block { disk, .. } = &mut self.persona else {
                 panic!("block notify on a non-block persona");
             };
@@ -1198,73 +1253,23 @@ impl VirtioFpgaDevice {
                 }
             };
             self.stats.blk_requests += 1;
+            let head = chain.id;
             let irq_at;
-            (t, irq_at) = self.complete_chain(queue, &chain, written, t, mem, link);
+            (t, irq_at) = self.complete_chain(queue, chain, written, t, mem, link);
             let done_at = t;
             if let Some(at) = irq_at {
                 t = at;
             }
             let _ = self.counters.c2h.stop(t);
-            completions.push(BlkCompletion {
-                head: chain.id,
+            outcome.completions.push(BlkCompletion {
+                head,
                 status,
                 done_at,
                 irq_at,
             });
-            ring(&mut self.rings, queue).recycle(chain);
         }
-        BlkOutcome {
-            completions,
-            done_at: t,
-        }
-    }
-
-    /// Process a doorbell on an entropy-device request queue: fill each
-    /// writable buffer from the fabric entropy source, DMA it into host
-    /// memory, complete, interrupt.
-    pub fn process_rng_notify(
-        &mut self,
-        arrival: Time,
-        queue: u16,
-        mem: &mut HostMemory,
-        link: &mut PcieLink,
-    ) -> RxOutcome {
-        link.select_dma_context(queue as usize);
-        let timing = self.timing;
-        let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
-        let mut irq_at = None;
-        let mut any = false;
-        while let Some(chain) = ring(&mut self.rings, queue)
-            .next_chain(mem)
-            .expect("corrupt rng chain")
-        {
-            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
-            self.stats.desc_reads += 1;
-            t += timing.per_desc * chain.fetches as u64;
-            let Persona::Rng { src } = &mut self.persona else {
-                panic!("rng notify on a non-rng persona");
-            };
-            let mut written = 0u32;
-            for buf in chain.bufs.iter().filter(|b| b.writable) {
-                let mut data = vec![0u8; buf.len as usize];
-                src.fill(&mut data);
-                GuestMemory::write(mem, buf.addr, &data);
-                // Entropy generation at 8 B/cycle, then the posted DMA.
-                t += FPGA_CYCLE * (buf.len as u64).div_ceil(8);
-                t = link.dma_write(t, buf.addr, buf.len as usize);
-                written += buf.len;
-            }
-            let irq;
-            (t, irq) = self.complete_chain(queue, &chain, written, t, mem, link);
-            ring(&mut self.rings, queue).recycle(chain);
-            irq_at = irq.or(irq_at);
-            any = true;
-        }
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: any,
-        }
+        outcome.done_at = t;
+        outcome
     }
 
     /// Queue pairs the flow-steering walker currently spreads RX
@@ -1282,7 +1287,9 @@ impl VirtioFpgaDevice {
     /// Process a doorbell on the net control virtqueue: walk each
     /// pending chain, decode the `{class, command, data..., ack}`
     /// layout, apply `MQ_VQ_PAIRS_SET`, and write the ack byte back.
-    /// Unknown or malformed commands ack `ERR` (VirtIO 1.2 §5.1.6.5).
+    /// Unknown or malformed commands ack `ERR` (VirtIO 1.2 §5.1.6.5); a
+    /// chain that does not end in a device-writable ack buffer raises
+    /// `DEVICE_NEEDS_RESET`.
     pub fn process_ctrl_notify(
         &mut self,
         arrival: Time,
@@ -1294,51 +1301,48 @@ impl VirtioFpgaDevice {
             Persona::Net { cfg } => cfg.max_virtqueue_pairs,
             _ => panic!("ctrl notify on a non-net persona"),
         };
-        link.select_dma_context(queue as usize);
-        let timing = self.timing;
-        let mut t = self.batch_prologue(queue, arrival + timing.notify_decode, mem, link);
-        let mut irq_at = None;
-        let mut any = false;
+        let mut outcome = RxOutcome {
+            irq_at: None,
+            done_at: arrival,
+            delivered: false,
+        };
+        if self.open_queue(queue, link).is_none() {
+            return outcome;
+        }
+        let mut t = self.prologue(
+            queue,
+            arrival + self.timing.notify_decode,
+            false,
+            None,
+            mem,
+            link,
+        );
+        let acked = |_: &Self, c: &RingChain| c.bufs.last().is_some_and(|b| b.writable);
         let mut actions = Vec::new();
-        while let Some(chain) = ring(&mut self.rings, queue)
-            .next_chain(mem)
-            .expect("corrupt ctrl chain")
-        {
-            t = link.dma_read(t, chain.desc_read.0, chain.desc_read.1);
-            self.stats.desc_reads += 1;
-            t += timing.per_desc * chain.fetches as u64;
+        while let Some((chain, parsed)) = self.take_chain(queue, t, true, acked, mem, link) {
+            t = parsed;
             // Gather the readable command bytes: class, command, data.
             let mut cmd = Vec::new();
             for buf in chain.bufs.iter().filter(|b| !b.writable) {
                 cmd.extend_from_slice(mem.slice(buf.addr, buf.len as usize));
                 t = link.dma_read(t, buf.addr, buf.len as usize);
             }
-            let ack = chain
-                .bufs
-                .iter()
-                .rev()
-                .find(|b| b.writable)
-                .expect("ctrl chain needs a writable ack buffer")
-                .addr;
+            let ack = chain.bufs[chain.bufs.len() - 1].addr;
             let (status, action) = decode_ctrl_command(&cmd, max_pairs);
             actions.extend(action);
             GuestMemory::write(mem, ack, &[status]);
             t = link.dma_write(t, ack, 1);
             self.stats.ctrl_commands += 1;
             let irq;
-            (t, irq) = self.complete_chain(queue, &chain, 1, t, mem, link);
-            ring(&mut self.rings, queue).recycle(chain);
-            irq_at = irq.or(irq_at);
-            any = true;
+            (t, irq) = self.complete_chain(queue, chain, 1, t, mem, link);
+            outcome.irq_at = irq.or(outcome.irq_at);
+            outcome.delivered = true;
         }
         for action in actions {
             self.apply_ctrl_action(action);
         }
-        RxOutcome {
-            irq_at,
-            done_at: t,
-            delivered: any,
-        }
+        outcome.done_at = t;
+        outcome
     }
 
     /// Apply a decoded control command to device steering state (after
@@ -2067,42 +2071,134 @@ mod tests {
         assert_eq!(mem.slice(out_buf, 512), &[0x5Au8; 512]);
     }
 
+    /// Program MSI-X vector 2 as the configuration-change vector.
+    fn arm_config_vector(dev: &mut VirtioFpgaDevice) {
+        dev.msix_enable();
+        dev.msix.program(2, MSI_ADDR_BASE, 0x42);
+        dev.common_write(common::CONFIG_MSIX_VECTOR, 2, 2);
+    }
+
+    /// `DEVICE_NEEDS_RESET` in the driver's status read-back.
+    fn needs_reset(dev: &mut VirtioFpgaDevice) -> bool {
+        dev.common_read(common::DEVICE_STATUS, 1) as u8 & status::NEEDS_RESET != 0
+    }
+
+    /// Publish a descriptor loop (0 → 1 → 0) as the next chain of the
+    /// split ring at `layout`.
+    fn publish_split_loop(mem: &mut HostMemory, layout: VirtqueueLayout) {
+        for (i, next) in [(0u16, 1u16), (1, 0)] {
+            vf_virtio::Desc {
+                addr: layout.desc,
+                len: 4,
+                flags: vf_virtio::ring::DESC_F_NEXT,
+                next,
+            }
+            .write_at(mem, layout.desc, i);
+        }
+        mem.write_u16(layout.avail_ring_addr(0), 0);
+        mem.write_u16(layout.avail_idx_addr(), 1);
+    }
+
     #[test]
-    fn rng_persona_delivers_entropy() {
-        let mut dev = VirtioFpgaDevice::new(
-            Persona::Rng {
-                src: EntropySource::new(1234),
-            },
-            0,
-            &[64],
-            Box::new(crate::user_logic::ConsoleEcho::default()),
-        );
+    fn serial_tx_walker_raises_needs_reset_on_a_corrupt_chain() {
+        let mut dev = net_device();
         let mut mem = HostMemory::testbed_default();
         let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let layout = enable_queue_zero(&mut dev, &mut mem, 64);
-        dev.msix_enable();
-        dev.msix.program(0, vf_pcie::MSI_ADDR_BASE, 0x60);
-        // No device-specific config: reads return zero.
-        assert_eq!(dev.mmio_read(bar0::DEVICE_CFG, 4), 0);
+        let (_rx, tx) = bring_up(&mut dev, &mut mem, 64, false);
+        arm_config_vector(&mut dev);
+        publish_split_loop(&mut mem, tx.areas());
+        let irqs = dev.stats.irqs_sent;
+        let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+        assert_eq!(out.chains, 0);
+        assert!(needs_reset(&mut dev));
+        assert!(dev.is_live(), "NEEDS_RESET leaves DRIVER_OK set");
+        assert_eq!(dev.stats.irqs_sent, irqs + 1, "config-change interrupt");
+    }
 
-        let mut q = DriverQueue::new(&mut mem, layout, false);
-        let buf = mem.alloc(96, 64);
-        q.add_and_publish(&mut mem, &[BufferSpec::writable(buf, 96)])
+    #[test]
+    fn pipelined_packed_tx_walker_raises_needs_reset_on_an_endless_chain() {
+        let mut dev = net_device();
+        let mut mem = HostMemory::testbed_default();
+        let mut cfg = LinkConfig::gen2_x2();
+        cfg.max_outstanding_np = 4;
+        cfg.relaxed_ordering = true;
+        let mut link = PcieLink::new(cfg);
+        let (_rx, tx) = bring_up(&mut dev, &mut mem, 8, true);
+        // Every descriptor is available and chains on: no chain ends.
+        let ring = tx.areas().desc;
+        for slot in 0..8u16 {
+            PackedDesc {
+                addr: ring,
+                len: 4,
+                id: slot,
+                flags: vf_virtio::packed::PACKED_F_AVAIL | vf_virtio::packed::PACKED_F_NEXT,
+            }
+            .write_at(&mut mem, ring, slot);
+        }
+        let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+        assert_eq!(out.chains, 0);
+        assert!(needs_reset(&mut dev));
+    }
+
+    #[test]
+    fn rx_chain_with_a_readable_buffer_raises_needs_reset() {
+        for packed in LAYOUTS {
+            let mut dev = net_device();
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (mut rx, _tx) = bring_up(&mut dev, &mut mem, 64, packed);
+            let buf = mem.alloc(2048, 64);
+            rx.publish(&mut mem, &[BufferSpec::readable(buf, 2048)])
+                .unwrap();
+            let resp = PendingResponse {
+                data: udp_frame(64),
+                ready_at: Time::ZERO,
+                csum_valid: false,
+            };
+            let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+            assert!(!out.delivered, "packed={packed}");
+            assert_eq!(dev.stats.rx_dropped, 1);
+            assert!(needs_reset(&mut dev), "packed={packed}");
+            assert!(mem.slice(buf, 2048).iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn ctrl_chain_without_an_ack_buffer_raises_needs_reset() {
+        let mut dev = mq_net_device(2);
+        let mut mem = HostMemory::testbed_default();
+        let mut link = PcieLink::new(LinkConfig::gen2_x2());
+        let (mut ctrl, ctrl_q) = mq_ctrl_bring_up(&mut dev, &mut mem, 2);
+        let cmd_buf = mem.alloc(4, 16);
+        GuestMemory::write(
+            &mut mem,
+            cmd_buf,
+            &[net::ctrl::CLASS_MQ, net::ctrl::MQ_VQ_PAIRS_SET, 2, 0],
+        );
+        ctrl.add_and_publish(&mut mem, &[BufferSpec::readable(cmd_buf, 4)])
             .unwrap();
-        let out = dev.process_rng_notify(Time::ZERO, 0, &mut mem, &mut link);
-        assert!(out.delivered);
-        assert!(out.irq_at.is_some());
-        let used = q.pop_used(&mut mem).unwrap();
-        assert_eq!(used.len, 96);
-        let data = GuestMemory::read_vec(&mem, buf, 96);
-        assert!(!data.iter().all(|&b| b == 0), "entropy written");
-        // Same seed ⇒ reproducible; a second request differs from the
-        // first (the source advances).
-        q.add_and_publish(&mut mem, &[BufferSpec::writable(buf, 96)])
-            .unwrap();
-        dev.process_rng_notify(Time::from_us(5), 0, &mut mem, &mut link);
-        let data2 = GuestMemory::read_vec(&mem, buf, 96);
-        assert_ne!(data, data2);
+        let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q, &mut mem, &mut link);
+        assert!(!out.delivered);
+        assert_eq!(dev.stats.ctrl_commands, 0);
+        assert_eq!(dev.active_queue_pairs(), 1, "the command is not applied");
+        assert!(needs_reset(&mut dev));
+    }
+
+    #[test]
+    fn doorbell_to_a_never_enabled_queue_is_ignored_and_counted() {
+        // Only the ctrl queue (4) of a two-pair device is enabled.
+        let mut dev = mq_net_device(2);
+        let mut mem = HostMemory::testbed_default();
+        let mut link = PcieLink::new(LinkConfig::gen2_x2());
+        let (_ctrl, ctrl_q) = mq_ctrl_bring_up(&mut dev, &mut mem, 2);
+        let out = dev.process_tx_notify(Time::from_us(1), 1, &mut mem, &mut link);
+        assert_eq!((out.chains, out.done_at), (0, Time::from_us(1)));
+        // A queue index past the device's queue count, too.
+        let out = dev.process_ctrl_notify(Time::ZERO, ctrl_q + 9, &mut mem, &mut link);
+        assert!(!out.delivered);
+        assert_eq!(dev.stats.stray_notifies, 2);
+        assert_eq!(dev.stats.desc_reads, 0, "a stray doorbell walks nothing");
+        assert!(!needs_reset(&mut dev));
     }
 
     #[test]
@@ -2249,6 +2345,30 @@ mod tests {
         // Driver sees both used entries.
         assert!(q.pop_used(&mut mem).is_some());
         assert!(q.pop_used(&mut mem).is_some());
+    }
+
+    #[test]
+    fn block_walker_stops_on_a_corrupt_ring_with_needs_reset() {
+        let mut dev = VirtioFpgaDevice::new(
+            Persona::Block {
+                cfg: VirtioBlkConfig {
+                    capacity: 8,
+                    seg_max: 4,
+                },
+                disk: MemDisk::new(8, false),
+            },
+            0,
+            &[16],
+            Box::new(crate::user_logic::ConsoleEcho::default()),
+        );
+        let mut mem = HostMemory::testbed_default();
+        let mut link = PcieLink::new(LinkConfig::gen2_x2());
+        let layout = enable_queue_zero(&mut dev, &mut mem, 16);
+        publish_split_loop(&mut mem, layout);
+        let out = dev.process_block_notify(Time::ZERO, 0, &mut mem, &mut link);
+        assert!(out.completions.is_empty());
+        assert_eq!(dev.stats.blk_errors, 1);
+        assert!(needs_reset(&mut dev));
     }
 
     /// Bring a device up with only queue 0, a split ring of `size`.

@@ -41,6 +41,13 @@ pub enum ChainError {
     /// (VirtIO 1.2 §2.7.5.3: the table is a descriptor array, so its
     /// length must be a multiple of 16).
     BadIndirectLen(u32),
+    /// An indirect table entry is itself indirect (VirtIO 1.2 §2.7.5.3.1:
+    /// the driver must not set `INDIRECT` inside a table).
+    NestedIndirect,
+    /// The avail index is this many entries ahead of the device, more
+    /// than the queue holds: the driver never made that many buffers
+    /// available.
+    AvailJump(u16),
 }
 
 /// Device-side state of one split virtqueue.
@@ -178,6 +185,9 @@ impl DeviceQueue {
                     let e = Desc::read_at(mem, d.addr, i as u16);
                     self.metrics.desc_reads.add(1);
                     fetches += 1;
+                    if e.flags & DESC_F_INDIRECT != 0 {
+                        return Err(ChainError::NestedIndirect);
+                    }
                     bufs.push(ChainBuf {
                         addr: e.addr,
                         len: e.len,
@@ -203,6 +213,13 @@ impl DeviceQueue {
     pub(crate) fn advance(&mut self) {
         self.last_avail = self.last_avail.wrapping_add(1);
         self.backlog.add(-1);
+    }
+
+    /// Step back over the last avail entry taken, leaving it for the
+    /// next walk.
+    pub(crate) fn retreat(&mut self) {
+        self.last_avail = self.last_avail.wrapping_sub(1);
+        self.backlog.add(1);
     }
 
     /// Publish a completion: used ring entry + index. `written` is the
@@ -434,6 +451,33 @@ mod tests {
         assert_eq!(
             take_all(&mut dev, &mem).unwrap_err(),
             ChainError::BadIndirectLen(2 * 16 + 8)
+        );
+    }
+
+    #[test]
+    fn nested_indirect_table_is_malformed() {
+        let mut mem = VecMemory::new(1 << 20);
+        let layout = VirtqueueLayout::contiguous(0x1000, 8);
+        let mut drv = DriverQueue::new(&mut mem, layout, false);
+        let mut dev = DeviceRing::split(layout, false, true, 0);
+        publish_indirect(&mut mem, &mut drv, &[(0x100, 16, false)], 16);
+        // The table's one entry points at another table.
+        let mut e = Desc::read_at(&mem, 0x8000, 0);
+        e.flags |= DESC_F_INDIRECT;
+        e.write_at(&mut mem, 0x8000, 0);
+        assert_eq!(
+            take_all(&mut dev, &mem).unwrap_err(),
+            ChainError::NestedIndirect
+        );
+    }
+
+    #[test]
+    fn avail_index_beyond_queue_size_is_malformed() {
+        let (mut mem, drv, mut dev) = setup(4, false);
+        mem.write_u16(drv.layout().avail_idx_addr(), 5);
+        assert_eq!(
+            take_all(&mut dev, &mem).unwrap_err(),
+            ChainError::AvailJump(5)
         );
     }
 

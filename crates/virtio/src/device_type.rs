@@ -18,9 +18,6 @@ pub enum DeviceType {
     Block = 2,
     /// Console (device type 3) — the device type of the prior work \[14\].
     Console = 3,
-    /// Entropy source (device type 4) — the simplest device type: no
-    /// device-specific config at all.
-    Rng = 4,
 }
 
 impl DeviceType {
@@ -40,7 +37,6 @@ impl DeviceType {
             DeviceType::Net => (0x02, 0x00, 0x00),   // network controller
             DeviceType::Block => (0x01, 0x80, 0x00), // mass storage, other
             DeviceType::Console => (0x07, 0x80, 0x00), // communication, other
-            DeviceType::Rng => (0x10, 0x00, 0x00),   // encryption/entropy
         }
     }
 
@@ -51,7 +47,6 @@ impl DeviceType {
             DeviceType::Net => 2,     // receiveq1 + transmitq1
             DeviceType::Block => 1,   // requestq
             DeviceType::Console => 2, // port0 rx + tx
-            DeviceType::Rng => 1,     // requestq
         }
     }
 
@@ -61,7 +56,6 @@ impl DeviceType {
             DeviceType::Net => "virtio-net",
             DeviceType::Block => "virtio-blk",
             DeviceType::Console => "virtio-console",
-            DeviceType::Rng => "virtio-rng",
         }
     }
 }
@@ -75,7 +69,6 @@ mod tests {
         assert_eq!(DeviceType::Net.pci_device_id(), 0x1041);
         assert_eq!(DeviceType::Block.pci_device_id(), 0x1042);
         assert_eq!(DeviceType::Console.pci_device_id(), 0x1043);
-        assert_eq!(DeviceType::Rng.pci_device_id(), 0x1044);
     }
 
     #[test]
@@ -90,6 +83,5 @@ mod tests {
         assert_eq!(DeviceType::Net.min_queues(), 2);
         assert_eq!(DeviceType::Block.min_queues(), 1);
         assert_eq!(DeviceType::Console.min_queues(), 2);
-        assert_eq!(DeviceType::Rng.min_queues(), 1);
     }
 }

@@ -166,11 +166,17 @@ impl DeviceRing {
 
     /// Take the next chain of this walk, if any, into a recycled buffer
     /// list when one is spare. A chain that cannot be resolved (a
-    /// descriptor loop, a bad index, a malformed indirect table) is an
-    /// error and is left in place.
+    /// descriptor loop, a bad index, a malformed indirect table, an
+    /// avail index that jumped past the queue size) is an error and is
+    /// left in place.
     pub fn next_chain<M: GuestMemory>(&mut self, mem: &M) -> Result<Option<RingChain>, ChainError> {
         let mut bufs = self.spare.pop().unwrap_or_default();
         let chain = match &mut self.kind {
+            RingKind::Split { q, avail }
+                if avail.wrapping_sub(q.last_avail()) > q.layout().size =>
+            {
+                Err(ChainError::AvailJump(avail.wrapping_sub(q.last_avail())))
+            }
             RingKind::Split { q, avail } if q.last_avail() != *avail => q
                 .resolve_into(mem, q.last_avail(), &mut bufs)
                 .map(|(id, fetches)| {
@@ -203,6 +209,16 @@ impl DeviceRing {
     /// Hand a finished chain's buffer list back for the next chains.
     pub fn recycle(&mut self, chain: RingChain) {
         self.spare.push(chain.bufs);
+    }
+
+    /// Put back `chain`, the last one taken, without consuming it: the
+    /// next walk takes it again.
+    pub fn requeue(&mut self, chain: RingChain) {
+        match &mut self.kind {
+            RingKind::Split { q, .. } => q.retreat(),
+            RingKind::Packed { q, .. } => q.rewind(chain.used_slot),
+        }
+        self.recycle(chain);
     }
 
     /// Publish `chain`'s completion with `written` bytes: update the

@@ -71,7 +71,6 @@ pub mod net;
 pub mod packed;
 pub mod pci;
 pub mod ring;
-pub mod rng;
 
 pub use device_queue::{ChainBuf, ChainError};
 pub use device_type::DeviceType;

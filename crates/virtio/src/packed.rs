@@ -289,7 +289,7 @@ impl PackedDeviceQueue {
         bufs.clear();
         loop {
             if bufs.len() >= self.size as usize {
-                (self.slot, self.wrap) = start;
+                self.rewind(start);
                 return Err(ChainError::TooLong);
             }
             let d = PackedDesc::read_at(mem, self.ring, self.slot);
@@ -304,6 +304,11 @@ impl PackedDeviceQueue {
                 return Ok(Some((d.id, start.0, start.1)));
             }
         }
+    }
+
+    /// Step back to `start`, the `(slot, wrap)` a taken chain began at.
+    pub(crate) fn rewind(&mut self, start: (u16, bool)) {
+        (self.slot, self.wrap) = start;
     }
 
     fn advance(&mut self) {

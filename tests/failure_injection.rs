@@ -211,39 +211,54 @@ fn firewall_contains_spoofed_traffic() {
 }
 
 #[test]
-fn oversized_rx_frame_panics_loudly() {
-    // A response larger than the posted buffer is a contract violation
-    // the device asserts on (it would corrupt host memory on silicon).
-    let result = std::panic::catch_unwind(|| {
-        let mut device = VirtioFpgaDevice::new(
-            Persona::Net {
-                cfg: VirtioNetConfig::testbed_default(),
-            },
-            0,
-            &[8, 8],
-            Box::new(UdpEcho::default()),
-        );
-        let mut mem = HostMemory::testbed_default();
-        let mut link = PcieLink::new(LinkConfig::gen2_x2());
-        let base = mem.alloc(
-            VirtqueueLayout::contiguous(0, 8).total_bytes() as usize,
-            4096,
-        );
-        let layout = VirtqueueLayout::contiguous(base, 8);
-        negotiate(&mut device, 0, 0).expect("VERSION_1 is always offered");
-        program_queue(&mut device, 0, layout);
-        let mut rx = DriverQueue::new(&mut mem, layout, false);
-        let tiny = mem.alloc(64, 64);
-        rx.add_and_publish(&mut mem, &[BufferSpec::writable(tiny, 64)])
-            .unwrap();
-        let resp = vf_fpga::PendingResponse {
-            data: vec![0u8; 500], // 500 + 12 > 64
-            ready_at: Time::ZERO,
-            csum_valid: false,
-        };
-        device.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link)
-    });
-    assert!(result.is_err(), "oversized delivery must not pass silently");
+fn oversized_rx_frame_is_dropped() {
+    // A response larger than the posted buffer is dropped, as a NIC
+    // without MRG_RXBUF drops it: no byte of host memory is written and
+    // the buffer stays posted for the next, smaller frame.
+    let mut device = VirtioFpgaDevice::new(
+        Persona::Net {
+            cfg: VirtioNetConfig::testbed_default(),
+        },
+        0,
+        &[8, 8],
+        Box::new(UdpEcho::default()),
+    );
+    let mut mem = HostMemory::testbed_default();
+    let mut link = PcieLink::new(LinkConfig::gen2_x2());
+    let base = mem.alloc(
+        VirtqueueLayout::contiguous(0, 8).total_bytes() as usize,
+        4096,
+    );
+    let layout = VirtqueueLayout::contiguous(base, 8);
+    negotiate(&mut device, 0, 0).expect("VERSION_1 is always offered");
+    program_queue(&mut device, 0, layout);
+    let mut rx = DriverQueue::new(&mut mem, layout, false);
+    let tiny = mem.alloc(64, 64);
+    let after = mem.alloc(1024, 64);
+    HostMemory::write(&mut mem, after, &[0x5A; 1024]);
+    rx.add_and_publish(&mut mem, &[BufferSpec::writable(tiny, 64)])
+        .unwrap();
+    let mut resp = vf_fpga::PendingResponse {
+        data: vec![0xEE; 500], // 500 + 12 > 64
+        ready_at: Time::ZERO,
+        csum_valid: false,
+    };
+    let out = device.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+    assert!(!out.delivered);
+    assert_eq!(device.stats.rx_dropped, 1);
+    assert_eq!(mem.slice(tiny, 64), &[0; 64], "the buffer is untouched");
+    assert_eq!(
+        mem.slice(after, 1024),
+        &[0x5A; 1024],
+        "and so is what follows"
+    );
+    assert!(rx.pop_used(&mut mem).is_none(), "no used entry was written");
+
+    // The buffer is still posted: a frame that fits lands in it.
+    resp.data.truncate(40);
+    let out = device.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+    assert!(out.delivered);
+    assert_eq!(rx.pop_used(&mut mem).map(|u| u.len), Some(52));
 }
 
 /// The posted-credit conservation watchdog catches a leaked credit.
