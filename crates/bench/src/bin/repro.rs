@@ -485,13 +485,15 @@ fn run_metrics_artifact(
     use virtio_fpga::experiments::MQ_SWEEP_DEPTH;
     use virtio_fpga::{metered, run_mq, run_tenants, TestbedConfig};
 
+    // Queue pairs (tenants) per world; each pair's core is one CPU.
+    const PAIRS: u16 = 4;
     println!("E23 — sampled per-layer metrics + invariant watchdogs ({packets} packets/world)");
     let worlds: [MeteredWorld; 3] = [
         (
             "mq",
             Box::new(move || {
                 let mut cfg = TestbedConfig::paper(DriverKind::VirtioMq, 256, packets, seed);
-                cfg.options.mq_queue_pairs = 4;
+                cfg.options.mq_queue_pairs = PAIRS;
                 run_mq(&cfg, MQ_SWEEP_DEPTH).verify_failures
             }),
         ),
@@ -500,7 +502,7 @@ fn run_metrics_artifact(
             Box::new(move || {
                 let mut cfg =
                     TestbedConfig::paper(DriverKind::VirtioMq, 256, packets, seed.wrapping_add(1));
-                cfg.options.mq_queue_pairs = 4;
+                cfg.options.mq_queue_pairs = PAIRS;
                 cfg.options.pipeline_depth = 4;
                 run_mq(&cfg, MQ_SWEEP_DEPTH).verify_failures
             }),
@@ -514,7 +516,7 @@ fn run_metrics_artifact(
                     packets,
                     seed.wrapping_add(2),
                 );
-                cfg.options.mq_queue_pairs = 4;
+                cfg.options.mq_queue_pairs = PAIRS;
                 cfg.options.tenant_vhost = true;
                 cfg.options.tenant_policy = virtio_fpga::ArbiterPolicy::WeightedShare;
                 run_tenants(&cfg, MQ_SWEEP_DEPTH).verify_failures
@@ -538,6 +540,12 @@ fn run_metrics_artifact(
             "{name}: watchdogs flagged a healthy world: {:?}",
             report.violations
         );
+        for cpu in 0..PAIRS as u32 {
+            assert!(
+                report.get("hostsw.irq.count", cpu).is_some(),
+                "{name}: no hostsw.irq.count series for CPU {cpu}"
+            );
+        }
         println!();
         print!("{}", report.render(name));
         assert!(report.samples > 0, "{name}: sampler never fired");

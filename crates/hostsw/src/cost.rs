@@ -156,6 +156,16 @@ struct HostMetrics {
     syscall_blocks: Counter,
 }
 
+impl HostMetrics {
+    fn new(index: u32) -> HostMetrics {
+        HostMetrics {
+            irqs: Counter::new("hostsw.irq.count", index),
+            irq_entry: Histogram::new("hostsw.irq.entry_ps", index),
+            syscall_blocks: Counter::new("hostsw.syscall.blocks", index),
+        }
+    }
+}
+
 impl CostEngine {
     /// Build from parts.
     pub fn new(costs: HostCosts, noise: NoiseModel, rng: SimRng) -> Self {
@@ -167,12 +177,15 @@ impl CostEngine {
             steps_charged: 0,
             poll_cpu_burnt: Time::ZERO,
             poll_peeks: 0,
-            metrics: HostMetrics {
-                irqs: Counter::new("hostsw.irq.count", 0),
-                irq_entry: Histogram::new("hostsw.irq.entry_ps", 0),
-                syscall_blocks: Counter::new("hostsw.syscall.blocks", 0),
-            },
+            metrics: HostMetrics::new(0),
         }
+    }
+
+    /// Publish this engine's `hostsw.*` instruments under `index`, the
+    /// simulated core it models, instead of 0.
+    pub fn on_cpu(mut self, index: u32) -> Self {
+        self.metrics = HostMetrics::new(index);
+        self
     }
 
     /// Count one interrupt delivery whose entry path took `d`.

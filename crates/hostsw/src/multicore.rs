@@ -40,7 +40,8 @@ pub struct MultiCoreHost {
 
 impl MultiCoreHost {
     /// Build `num_cpus` cores sharing one cost calibration but each
-    /// drawing noise from its own derived RNG stream.
+    /// drawing noise from its own derived RNG stream. Core *i* publishes
+    /// its `hostsw.*` instruments under index *i*.
     pub fn new(num_cpus: usize, costs: &HostCosts, noise: &NoiseModel, rng: &SimRng) -> Self {
         assert!(num_cpus >= 1, "a host has at least one core");
         let cpus = (0..num_cpus)
@@ -49,7 +50,8 @@ impl MultiCoreHost {
                     costs.clone(),
                     noise.clone(),
                     rng.derive(CPU_RNG_TAG_BASE + i as u64),
-                ),
+                )
+                .on_cpu(i as u32),
                 free: Time::ZERO,
                 blocked: false,
             })
@@ -133,6 +135,19 @@ mod tests {
         let _ = b.cpu(1).cost.step(base);
         let y0 = b.cpu(0).cost.step(base);
         assert_eq!(x0, y0, "cpu0's stream perturbed by cpu1 activity");
+    }
+
+    #[test]
+    fn each_core_publishes_under_its_own_index() {
+        vf_metrics::install(vf_metrics::MetricsConfig::default());
+        let mut h = host(3);
+        h.cpu(2).cost.irq_entry(Time::ZERO);
+        h.cpu(2).cost.irq_entry(Time::ZERO);
+        h.cpu(1).cost.irq_entry(Time::ZERO);
+        let report = vf_metrics::finish();
+        let irqs = |cpu| report.get("hostsw.irq.count", cpu).map(|i| i.last);
+        assert_eq!([irqs(0), irqs(1), irqs(2)], [None, Some(1), Some(2)]);
+        assert_eq!(report.counter_total("hostsw.irq.count"), 3);
     }
 
     #[test]

@@ -32,14 +32,16 @@ pub struct VhostWorker {
 
 impl VhostWorker {
     /// Build the worker for tenant `index`, deriving its noise stream
-    /// from `rng` at [`WORKER_RNG_TAG_BASE`]` + index`.
+    /// from `rng` at [`WORKER_RNG_TAG_BASE`]` + index`. Its `hostsw.*`
+    /// instruments publish under the tenant's index.
     pub fn new(index: u16, costs: &HostCosts, noise: &NoiseModel, rng: &SimRng) -> Self {
         VhostWorker {
             cost: CostEngine::new(
                 costs.clone(),
                 noise.clone(),
                 rng.derive(WORKER_RNG_TAG_BASE + index as u64),
-            ),
+            )
+            .on_cpu(index as u32),
             free: Time::ZERO,
         }
     }
