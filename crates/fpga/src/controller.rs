@@ -14,14 +14,10 @@
 //!   ring and descriptor chains in host memory through timed PCIe DMA
 //!   reads, stages payloads in BRAM, and completes used entries —
 //!   device-side data movement, the work-allocation difference (§IV-A)
-//!   that shifts latency from software into hardware. Every walker (TX,
-//!   RX, blk, ctrl) runs the same per-chain steps: take the chain and
-//!   fetch its descriptors (`take_chain`), move its bytes, publish the
-//!   used entry and recycle the chain (`complete_chain`). A chain the
-//!   ring cannot resolve, or one without the buffers the walker must
-//!   write, ends the walk in `DEVICE_NEEDS_RESET` plus a
-//!   configuration-change interrupt (VirtIO 1.2 §2.1.2), never in a
-//!   panic; a doorbell to a queue the driver never enabled is ignored;
+//!   that shifts latency from software into hardware. Every walker
+//!   takes chains through `take_chain` and finishes them through
+//!   `complete_chain`; a malformed chain ends the walk in
+//!   `DEVICE_NEEDS_RESET` (VirtIO 1.2 §2.1.2), never in a panic;
 //! * a virtqueue-semantics interface to pluggable **user logic** (echo,
 //!   checksum offload, firewall), plus the driver-bypass DMA port;
 //! * the hardware **performance counters** of §III-B3.
@@ -2113,6 +2109,21 @@ mod tests {
         assert!(needs_reset(&mut dev));
         assert!(dev.is_live(), "NEEDS_RESET leaves DRIVER_OK set");
         assert_eq!(dev.stats.irqs_sent, irqs + 1, "config-change interrupt");
+    }
+
+    #[test]
+    fn tx_frame_larger_than_the_staging_memory_raises_needs_reset() {
+        let mut dev = net_device();
+        let mut mem = HostMemory::testbed_default();
+        let mut link = PcieLink::new(LinkConfig::gen2_x2());
+        let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64, false);
+        let len = dev.staging.len() + 1;
+        let buf = mem.alloc(len, 64);
+        tx.publish(&mut mem, &[BufferSpec::readable(buf, len as u32)])
+            .unwrap();
+        let out = dev.process_tx_notify(Time::ZERO, 1, &mut mem, &mut link);
+        assert_eq!(out.chains, 0);
+        assert!(needs_reset(&mut dev));
     }
 
     #[test]
