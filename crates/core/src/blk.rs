@@ -2,14 +2,9 @@
 //!
 //! The block persona stopped being a stub: this module brings the
 //! controller's request-queue walker, the in-kernel virtio-blk front
-//! end (`vf_hostsw::virtio_blk`), and the shared [`DriverModel`]
-//! harness together into two workloads:
+//! end (`vf_hostsw::virtio_blk`), and the shared windowed-run harness
+//! together into two workloads:
 //!
-//! * `BlkWorld` — the serial request-response world behind
-//!   `Testbed::run` for `DriverKind::VirtioBlk`: one synchronous
-//!   `pwrite`/`pread` round trip per packet, alternating a write with a
-//!   read-back-verify of the same sectors, measured exactly like the
-//!   net worlds (total / hw / sw / proc per request);
 //! * [`run_blk`] — the queue-depth throughput runner: a
 //!   [`BlkPattern`] workload (4K random read/write, 128K sequential)
 //!   keeps `depth` requests outstanding through one request queue,
@@ -39,7 +34,7 @@ use vf_virtio::block::{self, blk_status, SECTOR_SIZE};
 use vf_virtio::feature;
 use vf_xdma::{CardMemory, ChannelDir};
 
-use crate::driver_model::{run_windowed, DriverModel, RoundTripRecorder, RunStats};
+use crate::driver_model::{run_windowed, RunStats};
 use crate::testbed::{
     build_blk_device, link_util, ring_doorbell, DriverKind, TestbedConfig, XdmaEv, XdmaParts,
 };
@@ -48,6 +43,11 @@ use crate::testbed::{
 /// 128 KiB request therefore crosses the link as 4 × 32 KiB
 /// descriptors plus header and status.
 pub const BLK_SEG_MAX: u32 = 4;
+
+/// Disk capacity in 512-byte sectors: 32 768 sectors = 16 MiB, which
+/// leaves the random-I/O sweeps room to address distinct slots at
+/// every I/O size.
+pub(crate) const BLK_CAPACITY_SECTORS: u64 = 32_768;
 
 /// Deterministic disk image byte at absolute disk offset `i`.
 fn pattern_at(i: u64) -> u8 {
@@ -120,8 +120,7 @@ impl BlkParts {
             rng.derive(1),
         );
 
-        let capacity = cfg.options.blk_capacity_sectors;
-        let image = pattern_image(capacity);
+        let image = pattern_image(BLK_CAPACITY_SECTORS);
         let mut device = build_blk_device(cfg, image.clone());
 
         let mut alloc = MmioAllocator::new();
@@ -143,7 +142,7 @@ impl BlkParts {
         );
         let negotiated = probe_blk(&mut device, &driver, want).expect("blk probe must succeed");
         driver.features = negotiated.features;
-        assert_eq!(negotiated.capacity, capacity);
+        assert_eq!(negotiated.capacity, BLK_CAPACITY_SECTORS);
 
         device.msix_enable();
         device.msix.program(0, MSI_ADDR_BASE, 0x40);
@@ -176,192 +175,18 @@ impl BlkParts {
 }
 
 // ---------------------------------------------------------------------
-// Serial world (Testbed::run / DriverModel)
+// Queue-depth throughput runner
 // ---------------------------------------------------------------------
 
-/// Events of both virtio-blk worlds.
+/// Events of the virtio-blk world.
 pub(crate) enum BlkEv {
-    /// Application issues the next synchronous request (serial world) or
-    /// tops up its window (pipelined world).
+    /// Application tops up its window of outstanding requests.
     AppSend,
     /// Doorbell TLP lands in the device.
     Doorbell(u16),
     /// Completion MSI-X reaches the host.
     Irq,
 }
-
-/// The serial virtio-blk world: one outstanding request, alternating a
-/// write with a read-back-verify of the same sectors — so every other
-/// round trip checks data integrity end to end, and both DMA
-/// directions are exercised like the echo worlds do.
-pub(crate) struct BlkWorld {
-    parts: BlkParts,
-    io_bytes: usize,
-    /// Requests issued so far (even → write, odd → read-back).
-    issued: usize,
-    /// Payload of the last write, which the next read verifies; refilled
-    /// in place for each write.
-    expected: Vec<u8>,
-    /// Disk slots the workload cycles through.
-    slots: u64,
-    sectors_per_io: u64,
-    pending_read: bool,
-    cpu_free: Time,
-    rec: RoundTripRecorder,
-}
-
-impl BlkWorld {
-    fn new(cfg: &TestbedConfig) -> Self {
-        let io_bytes = cfg.payload.max(1);
-        let parts = BlkParts::new(cfg, 1, io_bytes);
-        let sectors_per_io = (io_bytes as u64).div_ceil(SECTOR_SIZE as u64);
-        let slots = parts.negotiated.capacity / sectors_per_io;
-        assert!(slots > 0, "I/O size exceeds the disk");
-        BlkWorld {
-            parts,
-            io_bytes,
-            issued: 0,
-            expected: vec![0; io_bytes],
-            slots,
-            sectors_per_io,
-            pending_read: false,
-            cpu_free: Time::ZERO,
-            rec: RoundTripRecorder::new(cfg.packets),
-        }
-    }
-}
-
-impl World for BlkWorld {
-    type Msg = BlkEv;
-
-    fn deliver(&mut self, now: Time, msg: BlkEv, sched: &mut Scheduler<BlkEv>) {
-        match msg {
-            BlkEv::AppSend => {
-                if self.rec.packets_left == 0 {
-                    return;
-                }
-                self.rec
-                    .begin_rtt(now, "rtt_virtio_blk", self.io_bytes as u64);
-                let mut t = now;
-                let d = self.parts.cost.step(self.parts.cost.costs.syscall_entry);
-                vf_trace::span_at(vf_trace::Layer::Syscall, "io_submit_entry", t, t + d, 0, 0);
-                t += d;
-                let sector = (self.issued as u64 / 2 % self.slots) * self.sectors_per_io;
-                let sub = if self.issued.is_multiple_of(2) {
-                    self.parts.payload_rng.fill_bytes(&mut self.expected);
-                    self.pending_read = false;
-                    self.parts
-                        .driver
-                        .submit_write(
-                            &mut self.parts.mem,
-                            sector,
-                            &self.expected,
-                            &mut self.parts.cost,
-                        )
-                        .expect("serial world never exceeds depth 1")
-                } else {
-                    self.pending_read = true;
-                    self.parts
-                        .driver
-                        .submit_read(
-                            &mut self.parts.mem,
-                            sector,
-                            self.io_bytes as u32,
-                            &mut self.parts.cost,
-                        )
-                        .expect("serial world never exceeds depth 1")
-                };
-                vf_trace::span_at(
-                    vf_trace::Layer::Driver,
-                    "virtio_blk_submit",
-                    t,
-                    t + sub.cpu,
-                    self.io_bytes as u64,
-                    0,
-                );
-                t += sub.cpu;
-                self.issued += 1;
-                if sub.notify {
-                    let p = &mut self.parts;
-                    let (d, arrival) = ring_doorbell(
-                        &mut p.device,
-                        &mut p.link,
-                        &mut p.cost,
-                        block::REQUEST_QUEUE,
-                        t,
-                        true,
-                    );
-                    t += d;
-                    sched.at(arrival, BlkEv::Doorbell(block::REQUEST_QUEUE));
-                }
-                // The synchronous caller blocks until the completion IRQ.
-                t += self.parts.cost.step(self.parts.cost.costs.block_schedule);
-                self.cpu_free = t;
-            }
-            BlkEv::Doorbell(queue) => self.parts.service_doorbell(now, queue, sched),
-            BlkEv::Irq => {
-                let mut t = self.parts.cost.irq_to_napi(now.max(self.cpu_free));
-                let (done, cpu) = self
-                    .parts
-                    .driver
-                    .poll_completions(&mut self.parts.mem, &mut self.parts.cost);
-                vf_trace::span_at(vf_trace::Layer::Driver, "blk_poll_done", t, t + cpu, 0, 0);
-                t += cpu;
-                if done.is_empty() {
-                    return;
-                }
-                for d in &done {
-                    if d.status != blk_status::OK {
-                        self.rec.verify_failures += 1;
-                    }
-                    if self.pending_read && d.data(&self.parts.mem) != self.expected {
-                        self.rec.verify_failures += 1;
-                    }
-                }
-                let d = self.parts.cost.step(self.parts.cost.costs.wakeup_to_run);
-                vf_trace::span_at(vf_trace::Layer::Irq, "wakeup_to_run", t, t + d, 0, 0);
-                t += d;
-                let d = self.parts.cost.step(self.parts.cost.costs.syscall_exit);
-                vf_trace::span_at(vf_trace::Layer::Syscall, "io_submit_exit", t, t + d, 0, 0);
-                t += d;
-                self.cpu_free = t;
-                let hw = self.parts.device.counters.last_hw();
-                let proc = self.parts.device.counters.processing.last;
-                if let Some(next) = self.rec.close(t, hw, proc, &mut self.parts.cost) {
-                    sched.at(next, BlkEv::AppSend);
-                }
-            }
-        }
-    }
-}
-
-impl DriverModel for BlkWorld {
-    type Telemetry = ();
-
-    fn build(cfg: &TestbedConfig) -> Self {
-        BlkWorld::new(cfg)
-    }
-
-    fn initial_event() -> BlkEv {
-        BlkEv::AppSend
-    }
-
-    fn describe(msg: &BlkEv) -> Option<(vf_trace::Layer, &'static str)> {
-        match msg {
-            BlkEv::AppSend => Some((vf_trace::Layer::App, "app_submit")),
-            BlkEv::Doorbell(_) => Some((vf_trace::Layer::Device, "doorbell")),
-            BlkEv::Irq => Some((vf_trace::Layer::Irq, "msix_blk")),
-        }
-    }
-
-    fn finish(self) -> (RoundTripRecorder, RunStats, ()) {
-        (self.rec, RunStats::from(&self.parts.device.stats), ())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Queue-depth throughput runner
-// ---------------------------------------------------------------------
 
 /// Storage access pattern of one [`run_blk`] / [`run_xdma_storage`]
 /// sweep point.
@@ -812,7 +637,6 @@ pub fn run_xdma_storage(cfg: &TestbedConfig, pattern: BlkPattern, io_bytes: u32)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::Testbed;
 
     fn cfg(packets: usize) -> TestbedConfig {
         TestbedConfig::paper(DriverKind::VirtioBlk, 4096, packets, 91)
@@ -820,7 +644,7 @@ mod tests {
 
     #[test]
     fn pattern_image_is_the_pattern_and_built_once() {
-        let sectors = cfg(1).options.blk_capacity_sectors;
+        let sectors = BLK_CAPACITY_SECTORS;
         let image = pattern_image(sectors);
         let len = sectors as usize * SECTOR_SIZE;
         assert!(image.len() >= len);
@@ -849,15 +673,9 @@ mod tests {
     }
 
     #[test]
-    fn serial_blk_world_round_trips() {
-        let r = Testbed::new(cfg(200)).run();
-        assert_eq!(r.verify_failures, 0);
-        // Serial request-response: one doorbell and one completion IRQ
-        // per request, bring-up excluded (the probe rings nothing).
-        assert_eq!(r.notifications, 200);
-        assert_eq!(r.irqs, 200);
-        assert!(r.total.mean() > 0.0);
-        assert!(r.hw.mean() > 0.0, "FPGA counters must cover the DMA phase");
+    #[should_panic(expected = "run_blk")]
+    fn testbed_run_points_virtio_blk_at_run_blk() {
+        crate::testbed::Testbed::new(cfg(1)).run();
     }
 
     /// Regression for the feature-offer bug: the block persona used to
@@ -871,20 +689,8 @@ mod tests {
         assert_ne!(parts.negotiated.features & block::feature::FLUSH, 0);
         assert_eq!(parts.negotiated.seg_max, BLK_SEG_MAX);
         assert_eq!(parts.driver.seg_max, BLK_SEG_MAX);
-        // Not read-only by default → RO must not be offered.
+        // The disk is writable → RO must not be offered.
         assert_eq!(parts.negotiated.features & block::feature::RO, 0);
-    }
-
-    #[test]
-    fn read_only_disk_negotiates_ro_and_serves_reads() {
-        let mut c = cfg(300);
-        c.options.blk_read_only = true;
-        let parts = BlkParts::new(&c, 1, 4096);
-        assert_ne!(parts.negotiated.features & block::feature::RO, 0);
-        drop(parts);
-        let r = run_blk(&c, BlkPattern::RandomRead, 4096, 4);
-        assert_eq!(r.verify_failures, 0);
-        assert_eq!(r.requests, 300);
     }
 
     #[test]

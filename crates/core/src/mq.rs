@@ -147,10 +147,9 @@ impl MqParts {
         let mut link_cfg = cfg.calibration.link.clone();
         link_cfg.multi_tag = true;
         // E20: each walker tag may keep `pipeline_depth` non-posted
-        // reads in flight; beyond depth 1 the completions relax their
-        // ordering (safe for descriptor reads — see DESIGN.md).
+        // reads in flight, completing under relaxed ordering (safe for
+        // descriptor reads — see DESIGN.md).
         link_cfg.max_outstanding_np = cfg.options.pipeline_depth.max(1);
-        link_cfg.relaxed_ordering = link_cfg.max_outstanding_np > 1;
         let mut link = PcieLink::new(link_cfg.clone());
         let rng = SimRng::new(cfg.seed);
         let host = MultiCoreHost::new(
@@ -181,10 +180,8 @@ impl MqParts {
         let info = enumerate(&mut device.config_space, &mut alloc);
         assert_eq!(info.vendor, vf_pcie::VIRTIO_VENDOR_ID);
 
-        // E21's tenant front ends pick their ring layout per option, not
-        // per driver kind; the dedicated MQ kinds keep the fused mapping.
-        let packed = cfg.driver == DriverKind::VirtioMqPacked
-            || (cfg.driver == DriverKind::VirtioTenant && cfg.options.tenant_packed);
+        // E21's tenant front ends run split rings like `VirtioMq`.
+        let packed = cfg.driver == DriverKind::VirtioMqPacked;
         let mut want = feature::VERSION_1;
         if cfg.options.event_idx && !packed {
             // The packed front end runs without EVENT_IDX (every TX

@@ -91,24 +91,6 @@ impl RunResult {
     pub fn histogram(&self, lo: f64, hi: f64, bins: usize) -> Histogram {
         self.total.histogram(lo, hi, bins)
     }
-
-    /// One line of the Fig. 3-style distribution report.
-    pub fn fig3_line(&mut self) -> String {
-        let s = self.total_summary();
-        format!(
-            "{:<7} {:>5}B  mean {:>6.1}  sd {:>5.1}  min {:>6.1}  p25 {:>6.1}  med {:>6.1}  p75 {:>6.1}  p95 {:>6.1}  max {:>7.1}",
-            self.driver.name(),
-            self.payload,
-            s.mean_us,
-            s.std_us,
-            s.min_us,
-            s.p25_us,
-            s.median_us,
-            s.p75_us,
-            s.p95_us,
-            s.max_us
-        )
-    }
 }
 
 /// Render a Table I-style block from `(payload, virtio, xdma)` summaries.
@@ -166,16 +148,6 @@ pub fn jain_fairness(allocations: &[f64]) -> f64 {
     }
 }
 
-/// Percentile `p` (nearest-rank, 0–100) of each group's sample set.
-/// Empty groups report `0.0` — a tenant that never completed a round
-/// trip has no latency to rank (the caller decides what zero means).
-pub fn per_group_percentile(groups: &mut [SampleSet], p: f64) -> Vec<f64> {
-    groups
-        .iter_mut()
-        .map(|g| if g.is_empty() { 0.0 } else { g.percentile(p) })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,14 +182,6 @@ mod tests {
         assert_eq!(t.n, 4);
         // total ≈ hw + sw + proc in the mean.
         assert!((t.mean_us - (h.mean_us + s.mean_us + p.mean_us)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fig3_line_contains_fields() {
-        let mut r = result();
-        let line = r.fig3_line();
-        assert!(line.contains("VirtIO"));
-        assert!(line.contains("64B"));
     }
 
     #[test]
@@ -260,24 +224,6 @@ mod tests {
         // Degenerate inputs.
         assert_eq!(jain_fairness(&[]), 1.0);
         assert_eq!(jain_fairness(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn per_group_percentile_exact_values() {
-        let mut groups = vec![
-            sample_set(&[10.0, 20.0, 30.0, 40.0]),
-            sample_set(&[5.0]),
-            SampleSet::with_capacity(0),
-        ];
-        // Nearest-rank p50 of {10,20,30,40} is the 2nd sample = 20.
-        assert_eq!(
-            per_group_percentile(&mut groups, 50.0),
-            vec![20.0, 5.0, 0.0]
-        );
-        assert_eq!(
-            per_group_percentile(&mut groups, 99.0),
-            vec![40.0, 5.0, 0.0]
-        );
     }
 
     #[test]

@@ -462,13 +462,4 @@ mod tests {
              strict priority's {strict_victim} µs"
         );
     }
-
-    #[test]
-    fn packed_tenant_front_ends_round_trip() {
-        let mut c = vhost_cfg(2, 400);
-        c.options.tenant_packed = true;
-        let r = run_tenants(&c, 8);
-        assert_eq!(r.verify_failures, 0);
-        assert_eq!(r.packets, 400);
-    }
 }

@@ -94,7 +94,8 @@ pub enum DriverKind {
     /// In-kernel virtio-blk driver over the block persona (E24): 3-part
     /// request chains against the controller's in-fabric disk, with
     /// `queue-depth` requests kept outstanding by the front end. The
-    /// storage counterpart of [`DriverKind::Virtio`]; see `crate::blk`.
+    /// storage counterpart of [`DriverKind::Virtio`], driven by
+    /// [`crate::run_blk`], not [`Testbed::run`]; see `crate::blk`.
     VirtioBlk,
 }
 
@@ -169,21 +170,10 @@ pub struct TestbedOptions {
     /// tenants ring the device directly — which is what makes the
     /// 1-tenant run reproduce the E19 single-pair numbers.
     pub tenant_vhost: bool,
-    /// E21: bring the tenant front ends up on packed rings instead of
-    /// split rings.
-    pub tenant_packed: bool,
     /// E21: per-tenant scheduling/workload overrides. Empty (default)
     /// means uniform [`TenantConfig::default`] tenants; otherwise the
     /// length must equal [`TestbedOptions::mq_queue_pairs`].
     pub tenant_configs: Vec<TenantConfig>,
-    /// E24 (`DriverKind::VirtioBlk` only): expose the disk read-only.
-    /// The device then offers `VIRTIO_BLK_F_RO` and fails guest writes
-    /// with `IOERR`.
-    pub blk_read_only: bool,
-    /// E24: disk capacity in 512-byte sectors. The default (32 768 =
-    /// 16 MiB) leaves the random-I/O sweeps room to address distinct
-    /// slots at every I/O size.
-    pub blk_capacity_sectors: u64,
     /// Unused: nothing reads it. It exists only because the `vfbench`
     /// benchmark package sets it, and a later change to that package
     /// drops it together with [`ExperimentParams::shards`].
@@ -208,10 +198,7 @@ impl Default for TestbedOptions {
             pipeline_depth: 1,
             tenant_policy: ArbiterPolicy::RoundRobin,
             tenant_vhost: false,
-            tenant_packed: false,
             tenant_configs: Vec::new(),
-            blk_read_only: false,
-            blk_capacity_sectors: 32_768,
             shards: 1,
         }
     }
@@ -595,22 +582,15 @@ pub(crate) fn link_util(link: &PcieLink, elapsed: Time) -> (f64, f64) {
 
 /// Build the block-persona FPGA device for E24, offering the storage
 /// feature bits the persona actually implements: `SEG_MAX` (the config
-/// field is valid), `FLUSH` (the disk counts cache flushes), and `RO`
-/// when the disk is exposed read-only. The stub persona used to offer
-/// `0` here, so no front end could ever negotiate multi-segment
-/// requests — `blk_feature_offer_includes_seg_max_and_flush` in
-/// `crate::blk` regresses that. The disk reads `image` until the guest
-/// writes a sector.
+/// field is valid) and `FLUSH` (the disk counts cache flushes). The stub
+/// persona used to offer `0` here, so no front end could ever negotiate
+/// multi-segment requests — `blk_feature_offer_includes_seg_max_and_flush`
+/// in `crate::blk` regresses that. The disk is writable and reads
+/// `image` until the guest writes a sector.
 pub(crate) fn build_blk_device(cfg: &TestbedConfig, image: Arc<[u8]>) -> VirtioFpgaDevice {
-    let disk = vf_virtio::block::MemDisk::with_image(
-        cfg.options.blk_capacity_sectors,
-        image,
-        cfg.options.blk_read_only,
-    );
-    let mut extra = vf_virtio::block::feature::SEG_MAX | vf_virtio::block::feature::FLUSH;
-    if cfg.options.blk_read_only {
-        extra |= vf_virtio::block::feature::RO;
-    }
+    let disk =
+        vf_virtio::block::MemDisk::with_image(crate::blk::BLK_CAPACITY_SECTORS, image, false);
+    let extra = vf_virtio::block::feature::SEG_MAX | vf_virtio::block::feature::FLUSH;
     let mut device = VirtioFpgaDevice::new(
         Persona::Block {
             cfg: VirtioBlkConfig {
@@ -1276,8 +1256,10 @@ impl Testbed {
 
     /// Run the configured number of round trips and collect the result.
     ///
-    /// Pure dispatch: every driver goes through the same generic
-    /// [`run_world`] harness — only the world type differs.
+    /// Pure dispatch: every round-trip driver goes through the same
+    /// generic [`run_world`] harness — only the world type differs.
+    /// [`DriverKind::VirtioBlk`] has no round-trip world and panics:
+    /// storage runs through [`crate::run_blk`].
     pub fn run(self) -> RunResult {
         match self.cfg.driver {
             DriverKind::Virtio | DriverKind::VirtioPacked => run_world::<VirtioWorld>(&self.cfg).0,
@@ -1285,7 +1267,9 @@ impl Testbed {
             DriverKind::VirtioMq | DriverKind::VirtioMqPacked | DriverKind::VirtioTenant => {
                 run_world::<crate::mq::MqWorld>(&self.cfg).0
             }
-            DriverKind::VirtioBlk => run_world::<crate::blk::BlkWorld>(&self.cfg).0,
+            DriverKind::VirtioBlk => {
+                panic!("DriverKind::VirtioBlk has no round-trip world; run it through run_blk")
+            }
             DriverKind::Xdma => run_world::<XdmaWorld>(&self.cfg).0,
         }
     }

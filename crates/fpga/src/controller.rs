@@ -1893,7 +1893,6 @@ mod tests {
             let mut mem = HostMemory::testbed_default();
             let mut cfg = LinkConfig::gen2_x2();
             cfg.max_outstanding_np = np;
-            cfg.relaxed_ordering = np > 1;
             let mut link = PcieLink::new(cfg);
             let (_rx, mut tx) = bring_up(&mut dev, &mut mem, 64, packed);
             for _ in 0..8 {
@@ -2132,7 +2131,6 @@ mod tests {
         let mut mem = HostMemory::testbed_default();
         let mut cfg = LinkConfig::gen2_x2();
         cfg.max_outstanding_np = 4;
-        cfg.relaxed_ordering = true;
         let mut link = PcieLink::new(cfg);
         let (_rx, tx) = bring_up(&mut dev, &mut mem, 8, true);
         // Every descriptor is available and chains on: no chain ends.
@@ -2171,6 +2169,29 @@ mod tests {
             assert_eq!(dev.stats.rx_dropped, 1);
             assert!(needs_reset(&mut dev), "packed={packed}");
             assert!(mem.slice(buf, 2048).iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn rx_buffer_past_the_end_of_memory_raises_needs_reset() {
+        for packed in LAYOUTS {
+            let mut dev = net_device();
+            let mut mem = HostMemory::testbed_default();
+            let mut link = PcieLink::new(LinkConfig::gen2_x2());
+            let (mut rx, _tx) = bring_up(&mut dev, &mut mem, 64, packed);
+            // The buffer starts inside memory and runs 1984 bytes past it.
+            let buf = mem.end() - 64;
+            rx.publish(&mut mem, &[BufferSpec::writable(buf, 2048)])
+                .unwrap();
+            let resp = PendingResponse {
+                data: udp_frame(64),
+                ready_at: Time::ZERO,
+                csum_valid: false,
+            };
+            let out = dev.deliver_response(Time::ZERO, 0, &resp, &mut mem, &mut link);
+            assert!(!out.delivered, "packed={packed}");
+            assert!(needs_reset(&mut dev), "packed={packed}");
+            assert!(mem.slice(buf, 64).iter().all(|&b| b == 0));
         }
     }
 

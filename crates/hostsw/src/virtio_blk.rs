@@ -139,11 +139,6 @@ impl VirtioBlkDriver {
         *self.queue.layout()
     }
 
-    /// Request slots currently free.
-    pub fn free_depth(&self) -> usize {
-        self.free_slots.len()
-    }
-
     /// Split `len` data bytes into bio-style segments: 4 KiB pages,
     /// merged down to at most `seg_max` contiguous runs.
     fn segments(&self, len: u32) -> Vec<u32> {
@@ -395,7 +390,6 @@ mod tests {
         assert_eq!(done[0].len, 4097);
         assert!(cpu > Time::ZERO);
         assert_eq!(drv.inflight, 0);
-        assert_eq!(drv.free_depth(), 8);
     }
 
     #[test]

@@ -202,15 +202,6 @@ impl ConfigSpace {
         }
     }
 
-    /// Size of BAR `n`, if implemented.
-    pub fn bar_size(&self, n: usize) -> Option<u64> {
-        match self.bars[n] {
-            BarDef::None | BarDef::Mem64Hi => None,
-            BarDef::Mem32 { size } => Some(size as u64),
-            BarDef::Mem64 { size } => Some(size),
-        }
-    }
-
     /// True if memory decoding is enabled (command bit 1).
     pub fn mem_enabled(&self) -> bool {
         self.read_u16(reg::COMMAND) & cmd::MEM_ENABLE != 0
@@ -375,7 +366,6 @@ mod tests {
         cfg.write_u32(reg::BAR0 + 8, 0xD000_0000);
         cfg.write_u32(reg::BAR0 + 12, 0x1);
         assert_eq!(cfg.bar_address(2), Some(0x1_D000_0000));
-        assert_eq!(cfg.bar_size(2), Some(64 * 1024));
     }
 
     #[test]

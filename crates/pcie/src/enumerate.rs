@@ -42,11 +42,6 @@ impl EnumeratedDevice {
         self.bars.iter().find(|b| b.index == index)
     }
 
-    /// First capability with the given ID.
-    pub fn find_cap(&self, id: u8) -> Option<&FoundCap> {
-        self.caps.iter().find(|c| c.id == id)
-    }
-
     /// Parse every VirtIO vendor capability (empty for non-VirtIO devices
     /// such as the XDMA design — this emptiness is how the virtio-pci
     /// driver would refuse to bind it).
@@ -237,7 +232,6 @@ mod tests {
         let dev = enumerate(&mut cfg, &mut MmioAllocator::new());
         assert_eq!(dev.caps.len(), 5);
         assert_eq!(dev.caps[0].id, CAP_ID_MSIX);
-        assert!(dev.find_cap(CAP_ID_MSIX).is_some());
         let vcaps = dev.virtio_caps(&cfg);
         assert_eq!(vcaps.len(), 4);
         assert_eq!(vcaps[0].cfg_type, VirtioCfgType::Common);

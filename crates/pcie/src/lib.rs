@@ -45,7 +45,7 @@ pub use caps::{
 };
 pub use config::{BarDef, ConfigSpace, ConfigSpaceBuilder};
 pub use enumerate::{enumerate, BarAssignment, EnumeratedDevice, MmioAllocator};
-pub use link::{Direction, LinkConfig, PcieGen, PcieLink};
+pub use link::{Direction, LinkConfig, PcieGen, PcieLink, REORDER_WINDOW};
 pub use memory::{HostMemory, ZeroedBuf};
 pub use msix::{MsixEntry, MsixTable, MSI_ADDR_BASE};
 pub use tlp::TlpKind;

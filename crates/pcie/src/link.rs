@@ -52,6 +52,12 @@ impl PcieGen {
     }
 }
 
+/// Bound on the reordering of non-posted completions within one DMA tag
+/// context (PCIe relaxed ordering, TLP attr RO): a completion of
+/// [`PcieLink::dma_read_np`] may pass at most this many older reads on
+/// the same tag (the completion-buffer depth of the DMA engine).
+pub const REORDER_WINDOW: usize = 4;
+
 /// Static configuration of the endpoint link and the host behind it.
 #[derive(Clone, Debug)]
 pub struct LinkConfig {
@@ -85,17 +91,9 @@ pub struct LinkConfig {
     /// flight across [`PcieLink::dma_read_np`] calls (E20). `1` keeps
     /// the strict one-read-at-a-time FIFO behaviour of the serial
     /// walker; real DMA engines hide the ~1.55 µs RC read latency by
-    /// allocating several tags per channel.
+    /// allocating several tags per channel, and complete the reads under
+    /// relaxed ordering, bounded by [`REORDER_WINDOW`].
     pub max_outstanding_np: usize,
-    /// Allow out-of-order completion of non-posted reads within one tag
-    /// context (PCIe relaxed ordering, TLP attr RO). When off, a read's
-    /// completion is held back until every older read on the tag has
-    /// completed, even if its data arrived earlier.
-    pub relaxed_ordering: bool,
-    /// Bound on relaxed-ordering reordering: a completion may pass at
-    /// most this many older reads on the same tag (completion-buffer
-    /// depth in the DMA engine). Inert unless `relaxed_ordering` is on.
-    pub reorder_window: usize,
     /// Model independent DMA tag contexts (multi-queue controllers):
     /// a TLP issued later in *call* order but earlier in *simulated*
     /// time may backfill an idle wire gap another context's latency
@@ -122,8 +120,6 @@ impl LinkConfig {
             posted_window: 1,
             credit_return: Time::from_ns(350),
             max_outstanding_np: 1,
-            relaxed_ordering: false,
-            reorder_window: 4,
             multi_tag: false,
         }
     }
@@ -443,8 +439,7 @@ struct NpContext {
     /// Completion instants of in-flight reads, issue order.
     inflight: VecDeque<Time>,
     /// Completion instants of the most recent reads (issue order),
-    /// kept to enforce the reorder window; bounded by
-    /// [`LinkConfig::reorder_window`].
+    /// kept to enforce the reorder window; at most [`REORDER_WINDOW`].
     history: VecDeque<Time>,
     /// Deepest the in-flight window ever got on this tag.
     peak: usize,
@@ -868,11 +863,8 @@ impl PcieLink {
     /// for round-trip *k+1* while the payload read of round-trip *k* is
     /// still waiting on the root complex.
     ///
-    /// Completion ordering is governed by
-    /// [`LinkConfig::relaxed_ordering`]: when off, a read's completion
-    /// is held until every older read on the tag has completed (strict
-    /// producer order); when on, a completion may pass at most
-    /// [`LinkConfig::reorder_window`] older reads. With
+    /// Completions are relaxed-ordered: one may pass at most
+    /// [`REORDER_WINDOW`] older reads on the tag. With
     /// `max_outstanding_np == 1` every request waits for its
     /// predecessor, which is bit-identical to chaining
     /// [`PcieLink::dma_read`] calls (the FIFO path the determinism
@@ -883,8 +875,6 @@ impl PcieLink {
         }
         let on = Observe::now();
         let window = self.cfg.max_outstanding_np.max(1);
-        let relaxed = self.cfg.relaxed_ordering;
-        let reorder = self.cfg.reorder_window.max(1);
         let tag = if self.cfg.multi_tag {
             self.active_tag
         } else {
@@ -918,21 +908,13 @@ impl PcieLink {
             }
             let mut done = self.read_request(earliest, chunk_addr, chunk, on);
             let ctx = &mut self.np_contexts[tag];
-            if relaxed {
-                // Bounded reordering: this completion may pass at most
-                // `reorder_window` older reads on the tag.
-                if ctx.history.len() >= reorder {
-                    done = done.max(ctx.history[ctx.history.len() - reorder]);
-                }
-            } else if let Some(&last) = ctx.history.back() {
-                // Strict ordering: completions leave the tag in issue
-                // order even when the data raced ahead.
-                done = done.max(last);
-            }
-            ctx.history.push_back(done);
-            while ctx.history.len() > reorder {
+            // Bounded reordering: this completion may pass at most
+            // `REORDER_WINDOW` older reads on the tag.
+            if ctx.history.len() == REORDER_WINDOW {
+                done = done.max(ctx.history[0]);
                 ctx.history.pop_front();
             }
+            ctx.history.push_back(done);
             ctx.inflight.push_back(done);
             ctx.peak = ctx.peak.max(ctx.inflight.len());
             last_done = done;
@@ -1241,7 +1223,6 @@ mod tests {
     fn np_deeper_window_overlaps_reads() {
         let mut cfg = LinkConfig::gen2_x2();
         cfg.max_outstanding_np = 4;
-        cfg.relaxed_ordering = true;
         let mut deep = PcieLink::new(cfg);
         let deep_done = (0..4)
             .map(|i| deep.dma_read_np(Time::ZERO, i * 0x1000, 128))
@@ -1265,30 +1246,12 @@ mod tests {
     fn np_window_never_exceeds_configured_depth() {
         let mut cfg = LinkConfig::gen2_x2();
         cfg.max_outstanding_np = 3;
-        cfg.relaxed_ordering = true;
         let mut link = PcieLink::new(cfg);
         for i in 0..32 {
             link.dma_read_np(Time::ZERO, i * 0x40, 64);
             assert!(link.np_in_flight(0) <= 3);
         }
         assert!(link.np_peak_in_flight() <= 3);
-    }
-
-    #[test]
-    fn np_strict_ordering_never_faster_than_relaxed() {
-        let mut strict_cfg = LinkConfig::gen2_x2();
-        strict_cfg.max_outstanding_np = 8;
-        let mut relaxed_cfg = strict_cfg.clone();
-        relaxed_cfg.relaxed_ordering = true;
-        relaxed_cfg.reorder_window = 8;
-        let mut strict = PcieLink::new(strict_cfg);
-        let mut relaxed = PcieLink::new(relaxed_cfg);
-        // Mixed sizes so completion serialization differs per read.
-        for (i, len) in [128usize, 16, 128, 16, 128, 16].into_iter().enumerate() {
-            let s = strict.dma_read_np(Time::ZERO, i as u64 * 0x1000, len);
-            let r = relaxed.dma_read_np(Time::ZERO, i as u64 * 0x1000, len);
-            assert!(r <= s, "read {i}: relaxed {r} vs strict {s}");
-        }
     }
 
     #[test]

@@ -87,18 +87,6 @@ impl MsixTable {
         }
     }
 
-    /// Host sets/clears the function-wide mask. Returns the messages for
-    /// all vectors whose pending bits release.
-    pub fn set_function_mask(&mut self, masked: bool) -> Vec<(u64, u32)> {
-        self.function_masked = masked;
-        if masked {
-            return Vec::new();
-        }
-        (0..self.entries.len())
-            .filter_map(|v| self.release(v))
-            .collect()
-    }
-
     fn deliverable(&self, vec: usize) -> bool {
         self.enabled && !self.function_masked && !self.entries[vec].masked
     }
@@ -189,11 +177,9 @@ mod tests {
     #[test]
     fn function_mask_blocks_all() {
         let mut t = armed();
-        let _ = t.set_function_mask(true);
+        t.function_masked = true;
         assert_eq!(t.fire(0), None);
         assert_eq!(t.fire(2), None);
-        let released = t.set_function_mask(false);
-        assert_eq!(released.len(), 2);
     }
 
     #[test]

@@ -87,7 +87,6 @@ fn warm_multi_tag_link_does_not_allocate() {
     cfg.outstanding_reads = 2;
     cfg.posted_window = 2;
     cfg.max_outstanding_np = 4;
-    cfg.relaxed_ordering = true;
     let mut link = PcieLink::new(cfg);
     for k in 0..1_000 {
         round(&mut link, k);

@@ -62,7 +62,6 @@ fn link(multi_tag: bool) -> PcieLink {
         cfg.outstanding_reads = 2;
         cfg.posted_window = 2;
         cfg.max_outstanding_np = 4;
-        cfg.relaxed_ordering = true;
     }
     PcieLink::new(cfg)
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use vf_pcie::caps::{VirtioCfgType, VirtioPciCap};
 use vf_pcie::config::{BarDef, ConfigSpaceBuilder};
 use vf_pcie::enumerate::{enumerate, MmioAllocator};
-use vf_pcie::link::{LinkConfig, PcieGen, PcieLink};
+use vf_pcie::link::{LinkConfig, PcieGen, PcieLink, REORDER_WINDOW};
 use vf_pcie::tlp::{chunk_count, split_aligned};
 use vf_sim::Time;
 
@@ -141,7 +141,7 @@ proptest! {
         lens in vec(1usize..=128, 1..24),
     ) {
         // The determinism golden (E20): with the default config
-        // (max_outstanding_np = 1, strict ordering), eagerly issuing
+        // (max_outstanding_np = 1), eagerly issuing
         // aligned single-chunk reads through the persistent non-posted
         // pipeline is bit-identical to manually chaining dma_read —
         // same completion instants, same wire bytes, window never
@@ -164,13 +164,10 @@ proptest! {
     #[test]
     fn np_in_flight_never_exceeds_configured_depth(
         depth in 1usize..=8,
-        reorder in 1usize..=8,
         lens in vec(1usize..=128, 1..48),
     ) {
         let mut cfg = LinkConfig::gen2_x2();
         cfg.max_outstanding_np = depth;
-        cfg.relaxed_ordering = true;
-        cfg.reorder_window = reorder;
         let mut link = PcieLink::new(cfg);
         for (i, &len) in lens.iter().enumerate() {
             link.dma_read_np(Time::ZERO, i as u64 * 0x1000, len);
@@ -182,16 +179,13 @@ proptest! {
     #[test]
     fn posted_order_and_bounded_read_reorder_under_ooo(
         depth in 2usize..=8,
-        reorder in 1usize..=8,
         ops in vec((any::<bool>(), 1usize..=128), 2..40),
     ) {
         // Relaxed ordering licenses *non-posted completions* to pass
-        // each other (by at most reorder_window); posted writes on the
+        // each other (by at most REORDER_WINDOW); posted writes on the
         // tag must still land in issue order.
         let mut cfg = LinkConfig::gen2_x2();
         cfg.max_outstanding_np = depth;
-        cfg.relaxed_ordering = true;
-        cfg.reorder_window = reorder;
         let mut link = PcieLink::new(cfg);
         let mut writes = Vec::new();
         let mut reads = Vec::new();
@@ -206,11 +200,11 @@ proptest! {
         for (i, w) in writes.windows(2).enumerate() {
             prop_assert!(w[1] >= w[0], "posted writes {} and {} reordered", i, i + 1);
         }
-        // A read completion may pass at most `reorder` older reads:
-        // completion i can never land before completion i - reorder.
-        for i in reorder..reads.len() {
+        // A read completion may pass at most REORDER_WINDOW older
+        // reads: completion i never lands before completion i - 4.
+        for i in REORDER_WINDOW..reads.len() {
             prop_assert!(
-                reads[i] >= reads[i - reorder],
+                reads[i] >= reads[i - REORDER_WINDOW],
                 "read {} outran the reorder window", i
             );
         }

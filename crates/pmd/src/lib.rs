@@ -27,10 +27,10 @@
 //! spin itself lives in `vf-hostsw::cost` (`poll_wait` / `burn`); this
 //! crate contributes the structural driver model.
 //!
-//! An optional adaptive mode ([`VirtioPmd::arm_rx_interrupt`] /
-//! [`VirtioPmd::park_rx`]) lets a runtime fall back to MSI-X after an
-//! idle threshold — the poll-vs-interrupt crossover experiment (E16)
-//! drives it.
+//! An optional adaptive mode ([`VirtioPmd::arm_rx_interrupt`]; the
+//! next harvest by [`VirtioPmd::rx_burst`] parks the interrupt again)
+//! lets a runtime fall back to MSI-X after an idle threshold — the
+//! poll-vs-interrupt crossover experiment (E16) drives it.
 
 #![warn(missing_docs)]
 
@@ -262,23 +262,12 @@ impl VirtioPmd {
         (frames, cpu)
     }
 
-    /// Received completions visible right now (one peek of the used
-    /// index; charge it via `CostEngine::poll_wait`/`burn`).
-    pub fn rx_pending(&self, mem: &HostMemory) -> u16 {
-        self.rx.used_pending(mem)
-    }
-
     /// Adaptive fallback: arm the RX interrupt by moving `used_event` to
     /// the consumption point, so the **next** completion raises MSI-X.
     /// Counted in [`PmdStats::irq_fallbacks`].
     pub fn arm_rx_interrupt(&mut self, mem: &mut HostMemory) {
         mem.write_u16(self.rx.layout().used_event_addr(), self.rx.last_used());
         self.stats.irq_fallbacks += 1;
-    }
-
-    /// Return to pure polling: park the RX `used_event` again.
-    pub fn park_rx(&self, mem: &mut HostMemory) {
-        self.rx.park_used_event(mem);
     }
 }
 
@@ -420,7 +409,7 @@ mod tests {
             // interrupt.
             assert!(!used.irq, "suppression must hold");
         }
-        assert_eq!(drv.rx_pending(&mem), 3);
+        assert_eq!(drv.rx.used_pending(&mem), 3);
 
         let (frames, cpu) = drv.rx_burst(&mut mem, usize::MAX, &mut cost);
         assert_eq!(frames.len(), 3);
@@ -450,7 +439,8 @@ mod tests {
             drv.rx.last_used()
         ));
         assert_eq!(drv.stats.irq_fallbacks, 1);
-        drv.park_rx(&mut mem);
+        // What each non-empty harvest does to return to pure polling.
+        drv.rx.park_used_event(&mut mem);
         assert!(parked(&mem, &drv.rx));
     }
 

@@ -110,12 +110,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    #[inline]
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Lognormal parameterized by its **median** and log-space sigma:
     /// `median * exp(sigma * N(0,1))`. This parameterization is used
     /// throughout the noise model because medians are what the calibration
@@ -123,12 +117,6 @@ impl SimRng {
     #[inline]
     pub fn lognormal_median(&mut self, median: f64, sigma: f64) -> f64 {
         median * (sigma * self.standard_normal()).exp()
-    }
-
-    /// Exponential with the given mean (inverse-CDF method).
-    #[inline]
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        -mean * (1.0 - self.uniform()).ln()
     }
 
     /// Pareto (type I) with scale `x_min` and shape `alpha` — heavy-tailed;
@@ -197,11 +185,11 @@ mod tests {
     fn normal_moments() {
         let mut rng = SimRng::new(4);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 3.0)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean = {mean}");
-        assert!((var.sqrt() - 3.0).abs() < 0.05, "std = {}", var.sqrt());
+        assert!(mean.abs() < 0.02, "mean = {mean}");
+        assert!((var.sqrt() - 1.0).abs() < 0.02, "std = {}", var.sqrt());
     }
 
     #[test]
@@ -213,14 +201,6 @@ mod tests {
         let median = samples[n / 2];
         assert!((median - 2.5).abs() < 0.08, "median = {median}");
         assert!(samples.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = SimRng::new(6);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(7.0)).sum::<f64>() / n as f64;
-        assert!((mean - 7.0).abs() < 0.1, "mean = {mean}");
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl SampleSet {
         self.sorted_valid = false;
     }
 
-    /// Record one sample already in microseconds.
-    pub fn push_us(&mut self, us: f64) {
-        debug_assert!(us.is_finite() && us >= 0.0);
-        self.samples.push(us);
-        self.sorted_valid = false;
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -193,16 +186,6 @@ impl Summary {
     pub fn iqr_us(&self) -> f64 {
         self.p75_us - self.p25_us
     }
-
-    /// Coefficient of variation (σ/µ), the scale-free variance measure used
-    /// when comparing the two drivers' spread across payload sizes.
-    pub fn cv(&self) -> f64 {
-        if self.mean_us == 0.0 {
-            0.0
-        } else {
-            self.std_us / self.mean_us
-        }
-    }
 }
 
 /// Streaming mean/variance (Welford's online algorithm) for counters that
@@ -300,11 +283,6 @@ impl Histogram {
     /// Total samples.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Bin width.
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
     }
 
     /// Render as a compact ASCII sparkline, useful in harness output.
@@ -414,7 +392,6 @@ mod tests {
         assert_eq!(h.total(), 7); // clamped samples still counted
         assert_eq!(h.counts[0], 2); // -5.0 clamps in, 0.0 lands in bin 0
         assert_eq!(h.counts[9], 3); // 9.99 plus clamped 10.0 and 100.0
-        assert!((h.bin_width() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -434,11 +411,11 @@ mod tests {
         // vector in place, so `raw()` afterwards returned a monotone
         // ramp instead of the recorded time series.
         let mut s = SampleSet::with_capacity(8);
-        s.push_us(30.0);
-        s.push_us(10.0);
+        s.push(Time::from_us(30));
+        s.push(Time::from_us(10));
         assert_eq!(s.percentile(50.0), 10.0);
         assert_eq!(s.raw(), &[30.0, 10.0], "percentile must not reorder raw");
-        s.push_us(20.0);
+        s.push(Time::from_us(20));
         let sum = s.summary();
         assert_eq!(sum.min_us, 10.0);
         assert_eq!(sum.max_us, 30.0);
@@ -462,14 +439,6 @@ mod tests {
         assert_eq!(line[1], '▄', "half-max bin renders mid height");
         assert_eq!(line[2], '▁', "tiny bin still visible");
         assert_eq!(line[3], ' ');
-    }
-
-    #[test]
-    fn cv_scale_free() {
-        let mut a = set_of(&[10.0, 12.0, 14.0]);
-        let mut b = set_of(&[100.0, 120.0, 140.0]);
-        let (sa, sb) = (a.summary(), b.summary());
-        assert!((sa.cv() - sb.cv()).abs() < 1e-12);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl Time {
         Time(round_u64(ns * 1_000.0))
     }
 
-    /// Construct from floating-point microseconds.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        Self::from_ns_f64(us * 1_000.0)
-    }
-
     /// Raw picosecond count.
     #[inline]
     pub const fn as_ps(self) -> u64 {
@@ -257,7 +251,6 @@ mod tests {
         let t = Time::from_ns_f64(1234.5678);
         assert_eq!(t.as_ps(), 1_234_568);
         assert!((t.as_ns_f64() - 1234.568).abs() < 1e-9);
-        assert_eq!(Time::from_us_f64(2.5), Time::from_ns(2500));
     }
 
     /// `round_u64` against both library forms it replaces.

@@ -28,7 +28,7 @@ fn push_common(out: &mut String, name: &str, ph: char, pid: usize, tid: usize, t
     );
 }
 
-fn push_event(out: &mut String, pid: usize, ev: &TraceEvent) {
+fn push_event(out: &mut String, pid: usize, seq: usize, ev: &TraceEvent) {
     let tid = ev.layer.idx() + 1;
     let name = if ev.name.is_empty() { "span" } else { ev.name };
     match ev.kind {
@@ -39,7 +39,7 @@ fn push_event(out: &mut String, pid: usize, ev: &TraceEvent) {
                 ",\"dur\":{:.6},\"cat\":\"{}\",\"args\":{{\"seq\":{},\"id\":{},\"parent\":{},\"a\":{},\"b\":{}}}}}",
                 ts_us(end.saturating_sub(ev.t)),
                 ev.layer.name(),
-                ev.seq,
+                seq,
                 id.0,
                 parent.0,
                 ev.a,
@@ -52,7 +52,7 @@ fn push_event(out: &mut String, pid: usize, ev: &TraceEvent) {
                 out,
                 ",\"cat\":\"{}\",\"args\":{{\"seq\":{},\"id\":{},\"parent\":{},\"a\":{},\"b\":{}}}}}",
                 ev.layer.name(),
-                ev.seq,
+                seq,
                 id.0,
                 parent.0,
                 ev.a,
@@ -69,7 +69,7 @@ fn push_event(out: &mut String, pid: usize, ev: &TraceEvent) {
                 out,
                 ",\"s\":\"t\",\"cat\":\"{}\",\"args\":{{\"seq\":{},\"a\":{},\"b\":{}}}}}",
                 ev.layer.name(),
-                ev.seq,
+                seq,
                 ev.a,
                 ev.b
             );
@@ -134,6 +134,10 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// with its counter series merged in as `"C"` tracks under the same
 /// process. This is how `repro -- trace` folds the metrics sampler's
 /// time-series into the span view.
+///
+/// An event's `seq` argument is its 0-based position in its track, not
+/// the session-wide [`TraceEvent::seq`], so events a caller leaves out
+/// of a track do not renumber the ones it keeps.
 pub fn chrome_trace_json_full(tracks: &[(&str, &[TraceEvent], &[CounterTrack])]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -144,9 +148,9 @@ pub fn chrome_trace_json_full(tracks: &[(&str, &[TraceEvent], &[CounterTrack])])
         }
         first = false;
         push_metadata(&mut out, pid, track);
-        for ev in *events {
+        for (seq, ev) in events.iter().enumerate() {
             out.push(',');
-            push_event(&mut out, pid, ev);
+            push_event(&mut out, pid, seq, ev);
         }
         push_counters(&mut out, pid, counters);
     }
@@ -160,6 +164,10 @@ mod tests {
     use crate::SpanId;
 
     fn span(t_ns: u64, end_ns: u64) -> TraceEvent {
+        span_seq(t_ns, end_ns, 0)
+    }
+
+    fn span_seq(t_ns: u64, end_ns: u64, seq: u64) -> TraceEvent {
         TraceEvent {
             t: Time::from_ns(t_ns),
             layer: Layer::Link,
@@ -169,7 +177,7 @@ mod tests {
                 end: Time::from_ns(end_ns),
             },
             name: "tlp_mem_write",
-            seq: 0,
+            seq,
             a: 24,
             b: 1,
         }
@@ -200,6 +208,20 @@ mod tests {
         assert!(json.contains("{\"name\":\"xdma\"}"));
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("\"pid\":2"));
+    }
+
+    #[test]
+    fn seq_is_the_position_in_the_exported_track() {
+        // Session events 0 and 1 were left out of the export (bring-up
+        // a track does not show); the kept ones number from 0.
+        let evs = vec![span_seq(0, 10, 2), span_seq(20, 30, 3), span_seq(40, 50, 4)];
+        let json = chrome_trace_json(&evs);
+        let seqs: Vec<u64> = json
+            .split("\"seq\":")
+            .skip(1)
+            .map(|rest| rest[..rest.find(',').unwrap()].parse().unwrap())
+            .collect();
+        assert_eq!(seqs, [0, 1, 2], "{json}");
     }
 
     #[test]

@@ -48,6 +48,22 @@ pub enum ChainError {
     /// than the queue holds: the driver never made that many buffers
     /// available.
     AvailJump(u16),
+    /// A buffer or an indirect table does not lie inside guest memory.
+    OutsideMemory {
+        /// Its guest-physical address.
+        addr: u64,
+        /// Its length in bytes.
+        len: u32,
+    },
+}
+
+/// `Err(OutsideMemory)` unless `mem` holds all `len` bytes at `addr`.
+pub(crate) fn check_inside<M: GuestMemory>(mem: &M, addr: u64, len: u32) -> Result<(), ChainError> {
+    let bounds = mem.bounds();
+    match addr.checked_add(u64::from(len)) {
+        Some(end) if addr >= bounds.start && end <= bounds.end => Ok(()),
+        _ => Err(ChainError::OutsideMemory { addr, len }),
+    }
 }
 
 /// Device-side state of one split virtqueue.
@@ -181,6 +197,7 @@ impl DeviceQueue {
                 if count == 0 || count > limit {
                     return Err(ChainError::TooLong);
                 }
+                check_inside(mem, d.addr, d.len)?;
                 for i in 0..count {
                     let e = Desc::read_at(mem, d.addr, i as u16);
                     self.metrics.desc_reads.add(1);
@@ -188,6 +205,7 @@ impl DeviceQueue {
                     if e.flags & DESC_F_INDIRECT != 0 {
                         return Err(ChainError::NestedIndirect);
                     }
+                    check_inside(mem, e.addr, e.len)?;
                     bufs.push(ChainBuf {
                         addr: e.addr,
                         len: e.len,
@@ -196,6 +214,7 @@ impl DeviceQueue {
                 }
                 break;
             }
+            check_inside(mem, d.addr, d.len)?;
             bufs.push(ChainBuf {
                 addr: d.addr,
                 len: d.len,
@@ -469,6 +488,39 @@ mod tests {
             take_all(&mut dev, &mem).unwrap_err(),
             ChainError::NestedIndirect
         );
+    }
+
+    #[test]
+    fn buffer_or_table_outside_memory_is_malformed() {
+        let (mut mem, mut drv, mut dev) = setup(8, false);
+        drv.add_and_publish(&mut mem, &[BufferSpec::writable(u64::MAX - 8, 16)])
+            .unwrap();
+        let outside = ChainError::OutsideMemory {
+            addr: u64::MAX - 8,
+            len: 16,
+        };
+        assert_eq!(take_all(&mut dev, &mem).unwrap_err(), outside);
+        // Left in place: the next walk meets it again.
+        assert_eq!(take_all(&mut dev, &mem).unwrap_err(), outside);
+
+        // An indirect table past the end, and one whose entry is.
+        for (table, entry) in [(1 << 20, 0x100), (0x8000, 1 << 20)] {
+            let mut mem = VecMemory::new(1 << 20);
+            let layout = VirtqueueLayout::contiguous(0x1000, 8);
+            let mut drv = DriverQueue::new(&mut mem, layout, false);
+            let mut dev = DeviceRing::split(layout, false, true, 0);
+            publish_indirect(&mut mem, &mut drv, &[(entry, 16, false)], 16);
+            let mut d = Desc::read_at(&mem, layout.desc, 0);
+            d.addr = table;
+            d.write_at(&mut mem, layout.desc, 0);
+            assert_eq!(
+                take_all(&mut dev, &mem).unwrap_err(),
+                ChainError::OutsideMemory {
+                    addr: 1 << 20,
+                    len: 16
+                }
+            );
+        }
     }
 
     #[test]

@@ -166,9 +166,9 @@ impl DeviceRing {
 
     /// Take the next chain of this walk, if any, into a recycled buffer
     /// list when one is spare. A chain that cannot be resolved (a
-    /// descriptor loop, a bad index, a malformed indirect table, an
-    /// avail index that jumped past the queue size) is an error and is
-    /// left in place.
+    /// descriptor loop, a bad index, a malformed indirect table, a
+    /// buffer or table outside guest memory, an avail index that jumped
+    /// past the queue size) is an error and is left in place.
     pub fn next_chain<M: GuestMemory>(&mut self, mem: &M) -> Result<Option<RingChain>, ChainError> {
         let mut bufs = self.spare.pop().unwrap_or_default();
         let chain = match &mut self.kind {

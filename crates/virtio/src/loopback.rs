@@ -88,6 +88,9 @@ impl GuestMemory for MemHandle {
             self.mem.cells[base + i].store(b, Ordering::Relaxed);
         }
     }
+    fn bounds(&self) -> std::ops::Range<u64> {
+        0..self.mem.len() as u64
+    }
 }
 
 /// The producer-side barrier: everything written before this fence

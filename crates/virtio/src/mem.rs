@@ -12,6 +12,8 @@
 //! accessors are little-endian, as the VirtIO spec requires for modern
 //! devices regardless of guest endianness.
 
+use std::ops::Range;
+
 use vf_pcie::HostMemory;
 
 /// Byte-addressable little-endian memory, as seen from a bus master.
@@ -20,6 +22,8 @@ pub trait GuestMemory {
     fn read(&self, addr: u64, buf: &mut [u8]);
     /// Write `data` at `addr`.
     fn write(&mut self, addr: u64, data: &[u8]);
+    /// The addresses backed by memory: its base and its size.
+    fn bounds(&self) -> Range<u64>;
 
     /// Read a little-endian `u16`.
     fn read_u16(&self, addr: u64) -> u16 {
@@ -73,6 +77,10 @@ impl GuestMemory for HostMemory {
     fn write(&mut self, addr: u64, data: &[u8]) {
         HostMemory::write(self, addr, data);
     }
+
+    fn bounds(&self) -> Range<u64> {
+        self.base()..self.end()
+    }
 }
 
 /// A simple vector-backed memory for unit and property tests.
@@ -104,6 +112,10 @@ impl GuestMemory for VecMemory {
     fn write(&mut self, addr: u64, data: &[u8]) {
         let a = addr as usize;
         self.bytes[a..a + data.len()].copy_from_slice(data);
+    }
+
+    fn bounds(&self) -> Range<u64> {
+        0..self.bytes.len() as u64
     }
 }
 

@@ -20,7 +20,7 @@
 //! * driver makes a descriptor available: `AVAIL = wrap`, `USED = !wrap`;
 //! * device marks it used: `AVAIL = USED = wrap(device)`.
 
-use crate::device_queue::{ChainBuf, ChainError, QueueMetrics};
+use crate::device_queue::{check_inside, ChainBuf, ChainError, QueueMetrics};
 use crate::driver_queue::BufferSpec;
 use crate::mem::GuestMemory;
 
@@ -275,7 +275,8 @@ impl PackedDeviceQueue {
     /// avail structure (the packed layout's advantage for DMA devices).
     /// Returns the buffer id, the start slot and its wrap value. A chain
     /// longer than the ring (every descriptor chaining on) is
-    /// [`ChainError::TooLong`] and is left in place.
+    /// [`ChainError::TooLong`], one with a buffer outside guest memory
+    /// [`ChainError::OutsideMemory`]; either is left in place.
     pub(crate) fn take_into<M: GuestMemory>(
         &mut self,
         mem: &M,
@@ -287,13 +288,15 @@ impl PackedDeviceQueue {
         }
         let start = (self.slot, self.wrap);
         bufs.clear();
-        loop {
+        let err = loop {
             if bufs.len() >= self.size as usize {
-                self.rewind(start);
-                return Err(ChainError::TooLong);
+                break ChainError::TooLong;
             }
             let d = PackedDesc::read_at(mem, self.ring, self.slot);
             self.metrics.desc_reads.add(1);
+            if let Err(e) = check_inside(mem, d.addr, d.len) {
+                break e;
+            }
             bufs.push(ChainBuf {
                 addr: d.addr,
                 len: d.len,
@@ -303,7 +306,9 @@ impl PackedDeviceQueue {
             if d.flags & PACKED_F_NEXT == 0 {
                 return Ok(Some((d.id, start.0, start.1)));
             }
-        }
+        };
+        self.rewind(start);
+        Err(err)
     }
 
     /// Step back to `start`, the `(slot, wrap)` a taken chain began at.
@@ -415,6 +420,29 @@ mod tests {
         let used = drv.pop_used(&mem).unwrap();
         assert_eq!(used.len, 500);
         assert_eq!(drv.num_free(), 8);
+    }
+
+    #[test]
+    fn buffer_outside_memory_is_rejected_and_left_in_place() {
+        let (mut mem, mut drv, mut dev) = setup(8);
+        // The second buffer ends one byte past the 1 MiB of memory.
+        drv.add(
+            &mut mem,
+            &[
+                BufferSpec::readable(0x5000, 64),
+                BufferSpec::writable((1 << 20) - 63, 64),
+            ],
+        )
+        .unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                dev.next_chain(&mem).unwrap_err(),
+                ChainError::OutsideMemory {
+                    addr: (1 << 20) - 63,
+                    len: 64
+                }
+            );
+        }
     }
 
     #[test]

@@ -172,39 +172,8 @@ fn e15_pmd_cell_matches_pre_refactor_golden() {
     );
 }
 
-/// E24 serial virtio-blk cell: 4 KiB requests, write/read-back
-/// alternation, seed 42·1000+24. Captured when the block persona was
-/// promoted to a full `DriverModel` device class; pins the blk request
-/// walker's DMA chain, the front end's chain layout, and the EVENT_IDX
-/// choreography down to the bit.
-#[test]
-fn e24_blk_cell_matches_promotion_golden() {
-    let r = Testbed::new(TestbedConfig::paper(
-        DriverKind::VirtioBlk,
-        4096,
-        2000,
-        42_024,
-    ))
-    .run();
-    assert_golden(
-        r,
-        &Fingerprint {
-            mean: 0x4050213fbbd7b204,
-            p99: 0x4057449ba5e353f8,
-            max: 0x405dd428f5c28f5c,
-            hw_mean: 0x4047d2817763e4c4,
-            sw_mean: 0x40297e6ec9e236ca,
-            proc_mean: 0x401083126e978cd3,
-            sum: 0x40ff80f07ae147b0,
-            notifications: 2000,
-            irqs: 2000,
-            verify_failures: 0,
-        },
-    );
-}
-
-/// E24 pipelined storage runner: 4 KiB random reads at QD 8, same seed
-/// derivation. Pins throughput, the per-request latency sum, and the
+/// E24 pipelined storage runner: 4 KiB random reads at QD 8, seed
+/// 42·1000+24. Pins throughput, the per-request latency sum, and the
 /// doorbell/IRQ coalescing counts (exactly one doorbell and one MSI-X
 /// per 8-deep window at this depth: 250 each for 2000 requests).
 #[test]
@@ -327,14 +296,12 @@ fn mq_packed_pipelined_walker_matches_golden() {
     );
 }
 
-/// Bit-exact fingerprint of a pipelined tenant run: throughput, pooled
-/// latency sum and Jain index as raw f64 bits, plus the counters and
-/// the arbiter's grant/queue totals.
-fn tenant_cell(vhost: bool, packed: bool) -> [u64; 7] {
+/// Bit-exact fingerprint of a pipelined run of 4 directly ringing
+/// tenants: throughput, pooled latency sum and Jain index as raw f64
+/// bits, plus the counters and the arbiter's grant/queue totals.
+fn tenant_direct_cell() -> [u64; 7] {
     let mut cfg = TestbedConfig::paper(DriverKind::VirtioTenant, 256, 2000, 42);
     cfg.options.mq_queue_pairs = 4;
-    cfg.options.tenant_vhost = vhost;
-    cfg.options.tenant_packed = packed;
     let r = virtio_fpga::run_tenants(&cfg, 16);
     assert_eq!(r.verify_failures, 0);
     let latency_sum: f64 = r
@@ -353,26 +320,6 @@ fn tenant_cell(vhost: bool, packed: bool) -> [u64; 7] {
     ]
 }
 
-/// E21 tenant cell on packed rings: 4 vhost-relayed tenants, 256 B,
-/// 2000 packets, seed 42. Pins the packed tenant front ends, the
-/// packed ctrl queue and the arbiter's grant sequence.
-#[test]
-fn tenant_packed_cell_matches_golden() {
-    assert_eq!(
-        tenant_cell(true, true),
-        [
-            0x40f48958243712b0,
-            0x41346a654dd2f1ab,
-            0x3feffff46d9c35ca,
-            2000,
-            2000,
-            128,
-            127,
-        ],
-        "packed tenant cell drifted"
-    );
-}
-
 /// E21 tenant cell on split rings with the vhost backend off: the
 /// tenants ring the device directly while the arbiter still queues
 /// their doorbells. Captured before the MQ and tenant worlds merged;
@@ -380,7 +327,7 @@ fn tenant_packed_cell_matches_golden() {
 #[test]
 fn tenant_split_direct_cell_matches_golden() {
     assert_eq!(
-        tenant_cell(false, false),
+        tenant_direct_cell(),
         [
             0x40f352b7f8c4e972,
             0x41364e0fb1a9fbe8,

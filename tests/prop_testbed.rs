@@ -60,7 +60,7 @@ proptest! {
         prop_assert!(r.irqs <= 3 * packets as u64);
     }
 
-    /// E21: under any arbiter policy, ring layout, and vhost setting, a
+    /// E21: under any arbiter policy and vhost setting, a
     /// paused tenant must stay completely silent — no completions, no
     /// latency samples, zero service rate — while its active co-tenants
     /// drain the entire offered load between them.
@@ -70,7 +70,6 @@ proptest! {
         paused_mask in 1u8..255,
         payload in 64usize..1024,
         vhost in any::<bool>(),
-        packed in any::<bool>(),
         policy_idx in 0usize..3,
         seed in any::<u64>(),
     ) {
@@ -79,7 +78,6 @@ proptest! {
         let mut cfg = TestbedConfig::paper(DriverKind::VirtioTenant, payload, packets, seed);
         cfg.options.mq_queue_pairs = tenants;
         cfg.options.tenant_vhost = vhost;
-        cfg.options.tenant_packed = packed;
         cfg.options.tenant_policy = ArbiterPolicy::all()[policy_idx];
         let mut tenant_cfgs = vec![TenantConfig::default(); tenants as usize];
         // Pause the masked subset; tenant 0 always stays active so the
