@@ -5,8 +5,8 @@
 //! `0xFEE0_0000`). The device model keeps the vector table and the
 //! pending-bit array; when user logic or a DMA engine asserts a vector,
 //! [`MsixTable::fire`] either yields the `(address, data)` pair to put on
-//! the wire or latches the pending bit if the vector (or the whole
-//! function) is masked — exactly the masking semantics drivers rely on
+//! the wire or latches the pending bit if the vector is masked or the
+//! table disabled — exactly the masking semantics drivers rely on
 //! while servicing interrupts.
 
 /// Base of the x86 LAPIC MSI address window; writes here are interrupts,
@@ -31,8 +31,6 @@ pub struct MsixTable {
     pending: Vec<bool>,
     /// MSI-X enable bit from the capability's message control word.
     pub enabled: bool,
-    /// Function-mask bit from the message control word.
-    pub function_masked: bool,
     /// Count of messages actually put on the wire (for reports).
     pub fired: u64,
 }
@@ -51,7 +49,6 @@ impl MsixTable {
             ],
             pending: vec![false; n],
             enabled: false,
-            function_masked: false,
             fired: 0,
         }
     }
@@ -88,7 +85,7 @@ impl MsixTable {
     }
 
     fn deliverable(&self, vec: usize) -> bool {
-        self.enabled && !self.function_masked && !self.entries[vec].masked
+        self.enabled && !self.entries[vec].masked
     }
 
     fn release(&mut self, vec: usize) -> Option<(u64, u32)> {
@@ -172,14 +169,6 @@ mod tests {
         assert_eq!(released, Some((MSI_ADDR_BASE, 0x43)));
         // Releasing consumed the pending bit; nothing further.
         assert_eq!(t.set_mask(3, false), None);
-    }
-
-    #[test]
-    fn function_mask_blocks_all() {
-        let mut t = armed();
-        t.function_masked = true;
-        assert_eq!(t.fire(0), None);
-        assert_eq!(t.fire(2), None);
     }
 
     #[test]
