@@ -12,6 +12,7 @@
 //!
 //! One buffer or table address in eight is drawn anywhere in `u64`, so
 //! almost always outside guest memory, where the ring must refuse it.
+//! Two further cases place a ring area itself outside guest memory.
 //!
 //! The expectation comes from a shadow [`DeviceRing`] walking a copy of
 //! the same memory the way the walker does: it takes chains in the same
@@ -196,6 +197,34 @@ fn go_live(dev: &mut VirtioFpgaDevice, features: u64, queue: u16, layout: Virtqu
     }
 }
 
+/// The device behind walker `w`: a block persona with one queue, or a
+/// net persona with one queue pair and the control queue.
+fn device(w: Walker) -> VirtioFpgaDevice {
+    if w.kind == Kind::Blk {
+        VirtioFpgaDevice::new(
+            Persona::Block {
+                cfg: VirtioBlkConfig {
+                    capacity: 64,
+                    seg_max: SIZE as u32,
+                },
+                disk: MemDisk::new(64, false),
+            },
+            0,
+            &[SIZE],
+            Box::new(ConsoleEcho::default()),
+        )
+    } else {
+        VirtioFpgaDevice::new(
+            Persona::Net {
+                cfg: VirtioNetConfig::with_queue_pairs(1),
+            },
+            0,
+            &[SIZE; 3],
+            Box::new(UdpEcho::default()),
+        )
+    }
+}
+
 /// What the shadow ring predicts for one doorbell: chains the walker
 /// serves, and whether it must raise NEEDS_RESET.
 fn expect(w: Walker, ring: &mut DeviceRing, mem: &mut VecMemory) -> (usize, bool) {
@@ -231,6 +260,16 @@ fn expect(w: Walker, ring: &mut DeviceRing, mem: &mut VecMemory) -> (usize, bool
         }
     }
     (served.len(), reset)
+}
+
+/// The link behind walker `w`: four non-posted reads per tag for the
+/// pipelined walker, one otherwise.
+fn link(w: Walker) -> PcieLink {
+    let mut cfg = LinkConfig::gen2_x2();
+    if w.pipelined {
+        cfg.max_outstanding_np = 4;
+    }
+    PcieLink::new(cfg)
 }
 
 /// Ring `w`'s doorbell once: the chains it served and the walk's end.
@@ -314,30 +353,9 @@ proptest! {
         shadow_mem.write(0, mem.slice(0, MEM));
         let (served, reset) = expect(w, &mut shadow, &mut shadow_mem);
 
-        let mut dev = if w.kind == Kind::Blk {
-            VirtioFpgaDevice::new(
-                Persona::Block {
-                    cfg: VirtioBlkConfig { capacity: 64, seg_max: SIZE as u32 },
-                    disk: MemDisk::new(64, false),
-                },
-                0,
-                &[SIZE],
-                Box::new(ConsoleEcho::default()),
-            )
-        } else {
-            VirtioFpgaDevice::new(
-                Persona::Net { cfg: VirtioNetConfig::with_queue_pairs(1) },
-                0,
-                &[SIZE; 3],
-                Box::new(UdpEcho::default()),
-            )
-        };
+        let mut dev = device(w);
         go_live(&mut dev, features, w.queue(), layout);
-        let mut cfg = LinkConfig::gen2_x2();
-        if w.pipelined {
-            cfg.max_outstanding_np = 4;
-            }
-        let mut link = PcieLink::new(cfg);
+        let mut link = link(w);
 
         vf_metrics::install(vf_metrics::MetricsConfig::default());
         let (taken, done_at) = ring_doorbell(w, &mut dev, &mut mem, &mut link);
@@ -351,4 +369,82 @@ proptest! {
         prop_assert_eq!(needs_reset, reset, "{:?}", w);
         prop_assert!(report.violations.is_empty(), "{:?}: {:?}", w, report.violations);
     }
+}
+
+/// Every walker of one layout against a ring with an area outside guest
+/// memory: each `(features, layout)` publishes one chain of a writable
+/// 256-byte buffer, and the doorbell must take no chain and end in
+/// NEEDS_RESET plus the configuration-change interrupt.
+fn ring_outside_memory_needs_reset(packed: bool, rings: &[(u64, VirtqueueLayout)]) {
+    for w in (0..10).map(Walker::nth).filter(|w| w.packed == packed) {
+        for &(features, layout) in rings {
+            let mut mem = HostMemory::new(0, MEM);
+            let inside = |addr: u64| addr < MEM as u64;
+            if packed && inside(layout.desc) {
+                let d = PackedDesc {
+                    addr: DATA,
+                    len: 256,
+                    id: 0,
+                    flags: PACKED_F_AVAIL | PACKED_F_WRITE,
+                };
+                d.write_at(&mut mem, layout.desc, 0);
+            }
+            if !packed && inside(layout.desc) {
+                let d = Desc {
+                    addr: DATA,
+                    len: 256,
+                    flags: DESC_F_WRITE,
+                    next: 0,
+                };
+                d.write_at(&mut mem, layout.desc, 0);
+            }
+            if !packed && inside(layout.avail) {
+                mem.write_u16(layout.avail_ring_addr(0), 0);
+                mem.write_u16(layout.avail_idx_addr(), 1);
+            }
+            let mut dev = device(w);
+            go_live(&mut dev, features, w.queue(), layout);
+            let (taken, _) = ring_doorbell(w, &mut dev, &mut mem, &mut link(w));
+            let needs_reset =
+                dev.common_read(common::DEVICE_STATUS, 1) as u8 & status::NEEDS_RESET != 0;
+            assert_eq!(taken, 0, "{w:?} {layout:?}");
+            assert!(needs_reset, "{w:?} {layout:?}");
+            assert_eq!(
+                dev.stats.irqs_sent, 1,
+                "{w:?} {layout:?}: config-change vector"
+            );
+        }
+    }
+}
+
+/// A split ring whose descriptor table, avail area or used area starts
+/// at the end of guest memory, or whose used area runs past it.
+#[test]
+fn split_ring_outside_memory_ends_in_needs_reset() {
+    let at = VirtqueueLayout::contiguous(RING, SIZE);
+    let end = MEM as u64;
+    let rings = [
+        VirtqueueLayout { desc: end, ..at },
+        VirtqueueLayout { avail: end, ..at },
+        VirtqueueLayout { used: end, ..at },
+        VirtqueueLayout {
+            used: end - 8,
+            ..at
+        },
+    ];
+    ring_outside_memory_needs_reset(false, &rings.map(|l| (0, l)));
+}
+
+/// A packed descriptor ring that starts at the end of guest memory, or
+/// runs past it.
+#[test]
+fn packed_ring_outside_memory_ends_in_needs_reset() {
+    let ring = |desc| VirtqueueLayout {
+        desc,
+        avail: 0,
+        used: 0,
+        size: SIZE,
+    };
+    let rings = [ring(MEM as u64), ring(MEM as u64 - 64)];
+    ring_outside_memory_needs_reset(true, &rings.map(|l| (feature::RING_PACKED, l)));
 }

@@ -22,11 +22,11 @@
 
 use vf_pcie::HostMemory;
 
-use crate::device_queue::{ChainBuf, ChainError, DeviceQueue};
+use crate::device_queue::{check_inside, ChainBuf, ChainError, DeviceQueue};
 use crate::driver_queue::{BufferSpec, DriverQueue};
 use crate::mem::GuestMemory;
 use crate::packed::{PackedDesc, PackedDeviceQueue, PackedDriverQueue};
-use crate::ring::{UsedElem, VirtqueueLayout};
+use crate::ring::{Desc, UsedElem, VirtqueueLayout};
 
 /// Bytes of one packed descriptor burst: a short chain plus the
 /// look-ahead slot whose stale AVAIL phase ends the walk, in one read.
@@ -86,6 +86,9 @@ pub struct DeviceRing {
     kind: RingKind,
     /// Buffer lists of recycled chains, reused by the next chains.
     spare: Vec<Vec<ChainBuf>>,
+    /// The ring area the last prologue found outside guest memory: the
+    /// walk it opened takes no chain.
+    fault: Option<ChainError>,
 }
 
 #[derive(Clone, Debug)]
@@ -103,6 +106,7 @@ impl DeviceRing {
         DeviceRing {
             kind,
             spare: Vec::new(),
+            fault: None,
         }
     }
 
@@ -147,7 +151,16 @@ impl DeviceRing {
     /// descriptor carries its own availability; for `one_chain` it reads
     /// the next 16-byte slot, which says both *whether* a buffer is
     /// posted and *where* it is.
+    ///
+    /// The prologue first checks that the ring's areas lie inside guest
+    /// memory, once per walk: if one does not, it reads nothing and the
+    /// walk's first [`next_chain`](Self::next_chain) returns
+    /// [`ChainError::OutsideMemory`].
     pub fn prologue<M: GuestMemory>(&mut self, mem: &M, one_chain: bool) -> Option<(u64, usize)> {
+        self.fault = self.check_areas(mem).err();
+        if self.fault.is_some() {
+            return None;
+        }
         match &mut self.kind {
             RingKind::Split { q, avail } => {
                 *avail = q.fetch_avail_idx(mem);
@@ -168,8 +181,13 @@ impl DeviceRing {
     /// list when one is spare. A chain that cannot be resolved (a
     /// descriptor loop, a bad index, a malformed indirect table, a
     /// buffer or table outside guest memory, an avail index that jumped
-    /// past the queue size) is an error and is left in place.
+    /// past the queue size) is an error and is left in place, and so is
+    /// every chain of a walk whose prologue found a ring area outside
+    /// guest memory.
     pub fn next_chain<M: GuestMemory>(&mut self, mem: &M) -> Result<Option<RingChain>, ChainError> {
+        if let Some(fault) = self.fault {
+            return Err(fault);
+        }
         let mut bufs = self.spare.pop().unwrap_or_default();
         let chain = match &mut self.kind {
             RingKind::Split { q, avail }
@@ -204,6 +222,21 @@ impl DeviceRing {
             self.spare.push(bufs);
         }
         chain
+    }
+
+    /// `Err(OutsideMemory)` for the first of the ring's areas (split:
+    /// descriptor table, avail and used areas; packed: the descriptor
+    /// ring) that does not lie inside `mem`.
+    fn check_areas<M: GuestMemory>(&self, mem: &M) -> Result<(), ChainError> {
+        match &self.kind {
+            RingKind::Split { q, .. } => {
+                let l = q.layout();
+                check_inside(mem, l.desc, Desc::SIZE as u32 * u32::from(l.size))?;
+                check_inside(mem, l.avail, VirtqueueLayout::avail_bytes(l.size) as u32)?;
+                check_inside(mem, l.used, VirtqueueLayout::used_bytes(l.size) as u32)
+            }
+            RingKind::Packed { q, .. } => q.check_ring(mem),
+        }
     }
 
     /// Hand a finished chain's buffer list back for the next chains.

@@ -265,6 +265,15 @@ impl PackedDeviceQueue {
         self.ring + slot as u64 * PackedDesc::SIZE
     }
 
+    /// `Err(OutsideMemory)` unless the descriptor ring lies inside `mem`.
+    pub(crate) fn check_ring<M: GuestMemory>(&self, mem: &M) -> Result<(), ChainError> {
+        check_inside(
+            mem,
+            self.ring,
+            PackedDesc::SIZE as u32 * u32::from(self.size),
+        )
+    }
+
     /// The slot the device will examine next.
     pub(crate) fn next_slot(&self) -> u16 {
         self.slot
