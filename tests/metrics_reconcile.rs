@@ -10,7 +10,15 @@
 //! `f64::to_bits` equality on every sample set plus exact counter
 //! equality, not approximate agreement.
 
-use virtio_fpga::{metered, metered_run, run_mq, run_tenants, DriverKind, Testbed, TestbedConfig};
+mod golden;
+
+use golden::Row;
+use vf_metrics::MetricsReport;
+use virtio_fpga::{
+    metered, metered_run, run_mq, run_tenants, DriverKind, RunResult, Testbed, TestbedConfig,
+};
+
+const TABLE: &str = "metrics_reports";
 
 const PACKETS: usize = 40;
 
@@ -20,6 +28,10 @@ fn cfg(driver: DriverKind, seed: u64) -> TestbedConfig {
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn set_bits(sets: &[vf_sim::SampleSet]) -> Vec<Vec<u64>> {
+    sets.iter().map(|s| bits(s.raw())).collect()
 }
 
 /// Metering must be a pure observer of the single-queue round-trip
@@ -35,32 +47,18 @@ fn metering_does_not_perturb_timestamps() {
     ] {
         let plain = Testbed::new(cfg(driver, seed)).run();
         let metered = metered_run(&cfg(driver, seed));
-        assert_eq!(
-            bits(plain.total.raw()),
-            bits(metered.result.total.raw()),
-            "{driver:?}: total samples perturbed by metering"
-        );
-        assert_eq!(
-            bits(plain.hw.raw()),
-            bits(metered.result.hw.raw()),
-            "{driver:?}: hw samples perturbed by metering"
-        );
-        assert_eq!(
-            bits(plain.sw.raw()),
-            bits(metered.result.sw.raw()),
-            "{driver:?}: sw samples perturbed by metering"
-        );
-        assert_eq!(
-            bits(plain.proc.raw()),
-            bits(metered.result.proc.raw()),
-            "{driver:?}: proc samples perturbed by metering"
-        );
-        assert_eq!(
-            plain.notifications, metered.result.notifications,
-            "{driver:?}"
-        );
-        assert_eq!(plain.irqs, metered.result.irqs, "{driver:?}");
-        assert_eq!(plain.desc_reads, metered.result.desc_reads, "{driver:?}");
+        let o = &metered.result;
+        for (set, a, b) in [
+            ("total", &plain.total, &o.total),
+            ("hw", &plain.hw, &o.hw),
+            ("sw", &plain.sw, &o.sw),
+            ("proc", &plain.proc, &o.proc),
+        ] {
+            let msg = format!("{driver:?}: {set} samples perturbed by metering");
+            assert_eq!(bits(a.raw()), bits(b.raw()), "{msg}");
+        }
+        let counters = |r: &RunResult| (r.notifications, r.irqs, r.desc_reads);
+        assert_eq!(counters(&plain), counters(o), "{driver:?}");
         // And the observation itself was real: the sampler fired and
         // the watchdogs stayed quiet on a healthy world.
         assert!(
@@ -89,18 +87,11 @@ fn mq_metering_does_not_perturb_throughput() {
     assert_eq!(plain.irqs, metered.irqs);
     assert_eq!(plain.verify_failures, 0);
     assert_eq!(metered.verify_failures, 0);
-    for (q, (p, m)) in plain
-        .per_queue_latency
-        .iter()
-        .zip(&metered.per_queue_latency)
-        .enumerate()
-    {
-        assert_eq!(
-            bits(p.raw()),
-            bits(m.raw()),
-            "queue {q} latency samples perturbed"
-        );
-    }
+    assert_eq!(
+        set_bits(&plain.per_queue_latency),
+        set_bits(&metered.per_queue_latency),
+        "queue latency samples perturbed"
+    );
     assert!(report.samples > 0);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     for layer in ["pcie", "virtio", "fpga", "sim"] {
@@ -137,18 +128,11 @@ fn tenant_metering_does_not_perturb_throughput() {
     );
     assert_eq!(plain.verify_failures, 0);
     assert_eq!(metered.verify_failures, 0);
-    for (t, (p, m)) in plain
-        .per_tenant_latency
-        .iter()
-        .zip(&metered.per_tenant_latency)
-        .enumerate()
-    {
-        assert_eq!(
-            bits(p.raw()),
-            bits(m.raw()),
-            "tenant {t} latency samples perturbed"
-        );
-    }
+    assert_eq!(
+        set_bits(&plain.per_tenant_latency),
+        set_bits(&metered.per_tenant_latency),
+        "tenant latency samples perturbed"
+    );
     assert!(report.samples > 0);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     assert!(
@@ -168,25 +152,20 @@ fn tenant_metering_does_not_perturb_throughput() {
 
 /// A metered run is itself deterministic: two metered runs of the same
 /// seed produce identical sample series — every `(t, value)` point —
-/// not just identical world results. This is the bit-reproducibility
-/// claim of the sampler itself.
+/// not just identical world results (the JSON holds every point; the
+/// report rows name the instruments that differ). This is the
+/// bit-reproducibility claim of the sampler itself.
 #[test]
 fn metered_reports_are_bit_reproducible() {
-    let a = metered_run(&cfg(DriverKind::Virtio, 77));
-    let b = metered_run(&cfg(DriverKind::Virtio, 77));
-    assert_eq!(a.report.samples, b.report.samples);
-    assert_eq!(a.report.instruments.len(), b.report.instruments.len());
-    for (ia, ib) in a.report.instruments.iter().zip(&b.report.instruments) {
-        assert_eq!((ia.name, ia.index), (ib.name, ib.index));
-        assert_eq!(
-            ia.series().collect::<Vec<_>>(),
-            ib.series().collect::<Vec<_>>(),
-            "{}[{}] series differ",
-            ia.name,
-            ia.index
-        );
-    }
-    assert_eq!(a.report.to_json(), b.report.to_json());
+    let run = || metered_run(&cfg(DriverKind::Virtio, 77)).report;
+    let (a, b) = (run(), run());
+    let table: String = report_rows("a", &a)
+        .into_iter()
+        .map(|r| r.0 + "\n")
+        .collect();
+    let moved = golden::diff(&table, &report_rows("a", &b));
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+    assert_eq!(a.to_json(), b.to_json());
 }
 
 /// Sampling boundaries land strictly before the event that crossed
@@ -220,9 +199,9 @@ fn sample_instants_are_monotone_and_on_grid() {
     }
 }
 
-/// FNV-1a 64 of `text`.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+/// FNV-1a 64 of `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
@@ -230,29 +209,49 @@ fn fnv1a(text: &str) -> u64 {
 /// Packets per paper cell in the report goldens.
 const GOLDEN_PACKETS: usize = 300;
 
-/// `(world, to_json digest, to_csv digest)` of the seed-42 report goldens.
-/// `mq4` and `tenants_wfq` were re-pinned when each simulated core began
-/// publishing its `hostsw.*` instruments under its own index; no other
-/// instrument of those reports moved.
-const REPORT_GOLDENS: [(&str, u64, u64); 7] = [
-    ("virtio", 0xcf61_19a9_ebae_aeac, 0xff4d_3188_097c_aa34),
-    ("xdma", 0xd124_14dd_8eac_ab21, 0xbb62_fd33_7a59_d547),
-    ("pmd", 0xdb89_7e57_0946_a2ac, 0x56dd_bfb1_6f6c_e25d),
-    ("mq4", 0xfe75_b01e_484a_b0a2, 0x1d64_ec42_ac24_a64e),
-    ("tenants_wfq", 0x67dc_42fa_390a_32c1, 0x6546_038e_6f11_14ba),
-    ("blk_rr4k", 0xcaef_f2e7_9081_dbc4, 0xd317_a3cc_c1af_3c08),
-    ("blk_sw128k", 0xe1ea_297e_085d_5aa2, 0x0a5f_02c7_3cdb_b8fc),
-];
-
-fn paper_cell_report(driver: DriverKind) -> vf_metrics::MetricsReport {
+fn paper_cell_report(driver: DriverKind) -> MetricsReport {
     metered_run(&TestbedConfig::paper(driver, 256, GOLDEN_PACKETS, 42)).report
 }
 
-/// The report bytes themselves, pinned across commits: registration
-/// order, every change point, every histogram bucket and every
-/// violation of seed-42 metered runs. `metered_reports_are_bit_reproducible`
-/// compares two runs of one build; these goldens catch a change to how
-/// instruments are resolved, sampled or exported that moves a byte.
+/// The golden rows of `world`'s report: its JSON and CSV digests, then
+/// one row per instrument with its final value and either its series
+/// (length and digest) or its histogram totals.
+fn report_rows(world: &str, report: &MetricsReport) -> Vec<Row> {
+    let bytes = Row(world.to_string())
+        .hex("json", fnv1a(report.to_json().bytes()))
+        .hex("csv", fnv1a(report.to_csv().bytes()));
+    let instruments = report.instruments.iter().map(|i| {
+        let row = Row(format!("{world}/{}[{}]", i.name, i.index))
+            .field("kind", i.kind.name())
+            .field("last", i.last);
+        match &i.histogram {
+            Some(h) => row
+                .field("count", h.count())
+                .field("sum", h.sum())
+                .field("min", h.min())
+                .field("max", h.max()),
+            None => {
+                let points = i
+                    .series()
+                    .flat_map(|(t, v)| t.to_le_bytes().into_iter().chain(v.to_le_bytes()));
+                row.field("len", i.series().len())
+                    .hex("series", fnv1a(points))
+            }
+        }
+    });
+    std::iter::once(bytes).chain(instruments).collect()
+}
+
+/// The reports themselves, pinned across commits in
+/// `tests/golden/metrics_reports.txt`: registration order, every change
+/// point, every histogram bucket and every violation of seed-42 metered
+/// runs, as whole-report digests, and each instrument's totals beside a
+/// digest of its series, so a moved byte names the instruments that
+/// moved. `metered_reports_are_bit_reproducible` compares two runs of
+/// one build; these goldens catch a change to how instruments are
+/// resolved, sampled or exported. `mq4` and `tenants_wfq` were re-pinned
+/// when each simulated core began publishing its `hostsw.*` instruments
+/// under its own index.
 #[test]
 fn metered_report_bytes_match_goldens() {
     let mcfg = vf_metrics::MetricsConfig::default;
@@ -279,20 +278,26 @@ fn metered_report_bytes_match_goldens() {
         report
     };
     let reports = [
-        paper_cell_report(DriverKind::Virtio),
-        paper_cell_report(DriverKind::Xdma),
-        paper_cell_report(DriverKind::VirtioPmd),
-        mq(),
-        tenants(),
-        blk(virtio_fpga::BlkPattern::RandomRead, 4096, 120),
+        ("virtio", paper_cell_report(DriverKind::Virtio)),
+        ("xdma", paper_cell_report(DriverKind::Xdma)),
+        ("pmd", paper_cell_report(DriverKind::VirtioPmd)),
+        ("mq4", mq()),
+        ("tenants_wfq", tenants()),
+        (
+            "blk_rr4k",
+            blk(virtio_fpga::BlkPattern::RandomRead, 4096, 120),
+        ),
         // Each 128 KiB write is a 1,024-chunk device read; the 4 KiB
         // reads above are 32-TLP posted writes.
-        blk(virtio_fpga::BlkPattern::SequentialWrite, 128 << 10, 40),
+        (
+            "blk_sw128k",
+            blk(virtio_fpga::BlkPattern::SequentialWrite, 128 << 10, 40),
+        ),
     ];
-    let got: Vec<(&str, u64, u64)> = REPORT_GOLDENS
+    let rows: Vec<Row> = reports
         .iter()
-        .zip(&reports)
-        .map(|(&(world, _, _), r)| (world, fnv1a(&r.to_json()), fnv1a(&r.to_csv())))
+        .flat_map(|(w, r)| report_rows(w, r))
         .collect();
-    assert_eq!(got, REPORT_GOLDENS, "metrics report bytes moved");
+    golden::check(TABLE, &rows);
+    golden::no_orphans(TABLE, &rows.iter().map(Row::name).collect::<Vec<_>>());
 }

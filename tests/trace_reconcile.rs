@@ -18,7 +18,9 @@
 
 use vf_sim::Time;
 use vf_trace::{Kind, Layer, RingBufferSink};
-use virtio_fpga::{reconcile, run_blk, traced_run, BlkPattern, DriverKind, Testbed, TestbedConfig};
+use virtio_fpga::{
+    reconcile, run_blk, traced_run, BlkPattern, DriverKind, RunResult, Testbed, TestbedConfig,
+};
 
 const PACKETS: usize = 40;
 
@@ -140,31 +142,19 @@ fn tracing_does_not_perturb_timestamps() {
         (DriverKind::VirtioPmd, 42_002),
     ] {
         let plain = Testbed::new(cfg(driver, seed)).run();
-        let traced = traced_run(&cfg(driver, seed)).result;
+        let o = &traced_run(&cfg(driver, seed)).result;
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(plain.total.raw()),
-            bits(traced.total.raw()),
-            "{driver:?}: total samples perturbed by tracing"
-        );
-        assert_eq!(
-            bits(plain.hw.raw()),
-            bits(traced.hw.raw()),
-            "{driver:?}: hw samples perturbed by tracing"
-        );
-        assert_eq!(
-            bits(plain.sw.raw()),
-            bits(traced.sw.raw()),
-            "{driver:?}: sw samples perturbed by tracing"
-        );
-        assert_eq!(
-            bits(plain.proc.raw()),
-            bits(traced.proc.raw()),
-            "{driver:?}: proc samples perturbed by tracing"
-        );
-        assert_eq!(plain.notifications, traced.notifications, "{driver:?}");
-        assert_eq!(plain.irqs, traced.irqs, "{driver:?}");
-        assert_eq!(plain.desc_reads, traced.desc_reads, "{driver:?}");
+        for (set, a, b) in [
+            ("total", &plain.total, &o.total),
+            ("hw", &plain.hw, &o.hw),
+            ("sw", &plain.sw, &o.sw),
+            ("proc", &plain.proc, &o.proc),
+        ] {
+            let msg = format!("{driver:?}: {set} samples perturbed by tracing");
+            assert_eq!(bits(a.raw()), bits(b.raw()), "{msg}");
+        }
+        let counters = |r: &RunResult| (r.notifications, r.irqs, r.desc_reads);
+        assert_eq!(counters(&plain), counters(o), "{driver:?}");
     }
 }
 
