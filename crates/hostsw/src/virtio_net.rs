@@ -135,15 +135,20 @@ impl VirtioNetDriver {
             .collect();
 
         // RX buffers: post every one (header written inline by the
-        // device, VERSION_1 single-buffer layout).
+        // device, VERSION_1 single-buffer layout), then publish them
+        // all with one avail-index store.
         let mut rx_buf_of_id = vec![None; queue_size as usize];
+        let mut heads = Vec::with_capacity(queue_size as usize);
         for _ in 0..queue_size {
             let buf = mem.alloc(RX_BUF_SIZE as usize, align);
             let id = rx
-                .publish(mem, &[BufferSpec::writable(buf, RX_BUF_SIZE)])
+                .add(mem, &[BufferSpec::writable(buf, RX_BUF_SIZE)])
                 .expect("fresh queue cannot be full");
             rx_buf_of_id[id as usize] = Some(buf);
+            heads.push(id);
         }
+        rx.publish_batch(mem, &heads)
+            .expect("a fresh queue holds every buffer");
         VirtioNetDriver {
             tx,
             rx,

@@ -98,8 +98,8 @@ impl XdmaCharDriver {
             ChannelDir::H2C => (host_addr, card_addr),
             ChannelDir::C2H => (card_addr, host_addr),
         };
-        let descs = build_list(mem, desc_base, src, dst, len, DESC_CHUNK);
-        cpu += cost.step(cost.costs.xdma_desc_build) * descs.len() as u64;
+        let descriptors = build_list(mem, desc_base, src, dst, len, DESC_CHUNK);
+        cpu += cost.step(cost.costs.xdma_desc_build) * u64::from(descriptors);
 
         // Program the engine: SGDMA descriptor address, adjacent count,
         // then RUN.
@@ -117,7 +117,7 @@ impl XdmaCharDriver {
             mmio_writes,
             cpu,
             desc_addr: desc_base,
-            descriptors: descs.len() as u32,
+            descriptors,
         }
     }
 

@@ -176,23 +176,40 @@ impl HostMemory {
     }
 
     /// First address of the window.
+    #[inline]
     pub fn base(&self) -> u64 {
         self.base
     }
 
     /// One past the last valid address.
+    #[inline]
     pub fn end(&self) -> u64 {
         self.base + self.data.len() as u64
     }
 
+    /// Offset of `addr` in the buffer, after checking that all `len`
+    /// bytes from it lie in the window. An access whose end wraps past
+    /// `u64::MAX` is out of range too.
+    #[inline]
     fn offset(&self, addr: u64, len: usize) -> usize {
-        assert!(
-            addr >= self.base && addr + len as u64 <= self.end(),
+        let inside = addr >= self.base
+            && addr
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= self.end());
+        if !inside {
+            self.out_of_range(addr, len);
+        }
+        (addr - self.base) as usize
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, addr: u64, len: usize) -> ! {
+        panic!(
             "host memory access out of range: {addr:#x}+{len:#x} not in [{:#x}, {:#x})",
             self.base,
             self.end()
         );
-        (addr - self.base) as usize
     }
 
     /// Allocate `len` bytes aligned to `align` (power of two). Returns the
@@ -215,18 +232,20 @@ impl HostMemory {
     }
 
     /// Read `buf.len()` bytes from `addr`.
+    #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        let o = self.offset(addr, buf.len());
-        buf.copy_from_slice(&self.data[o..o + buf.len()]);
+        buf.copy_from_slice(self.slice(addr, buf.len()));
     }
 
     /// Borrow a slice of memory (read-only views for packet parsing).
+    #[inline]
     pub fn slice(&self, addr: u64, len: usize) -> &[u8] {
         let o = self.offset(addr, len);
         &self.data[o..o + len]
     }
 
     /// Write `bytes` at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
         let o = self.offset(addr, bytes.len());
         self.data
@@ -240,38 +259,46 @@ impl HostMemory {
         self.data.zero(o..o + len);
     }
 
-    /// Read a little-endian `u16`.
-    pub fn read_u16(&self, addr: u64) -> u16 {
-        let mut b = [0u8; 2];
+    /// The `N` bytes at `addr`: one fixed-size load.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
+        let mut b = [0u8; N];
         self.read(addr, &mut b);
-        u16::from_le_bytes(b)
+        b
+    }
+
+    /// Read a little-endian `u16`.
+    #[inline]
+    pub fn read_u16(&self, addr: u64) -> u16 {
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Read a little-endian `u32`.
+    #[inline]
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Write a little-endian `u16`.
+    #[inline]
     pub fn write_u16(&mut self, addr: u64, v: u16) {
         self.write(addr, &v.to_le_bytes());
     }
 
     /// Write a little-endian `u32`.
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, v: u32) {
         self.write(addr, &v.to_le_bytes());
     }
 
     /// Write a little-endian `u64`.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         self.write(addr, &v.to_le_bytes());
     }
@@ -345,6 +372,40 @@ mod tests {
     fn past_end_panics() {
         let m = HostMemory::new(0, 64);
         let _ = m.read_u32(62);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn read_wrapping_past_u64_max_panics() {
+        let m = HostMemory::new(0, 64);
+        let _ = m.read_u16(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn write_wrapping_past_u64_max_panics() {
+        let mut m = HostMemory::new(0, 64);
+        m.write_u64(u64::MAX - 3, 0);
+    }
+
+    #[test]
+    fn accesses_straddling_a_page_mark_both_pages() {
+        let page = 1u64 << PAGE_SHIFT;
+        let len = 4 * page as usize;
+        let mut m = HostMemory::new(0x10_0000, len);
+        m.write_u64(0x10_0000 + page - 4, u64::MAX);
+        assert_eq!(m.data.dirty_pages(), 2);
+        // A 16-byte descriptor store across the next boundary.
+        m.write(0x10_0000 + 2 * page - 8, &[0xA5; 16]);
+        assert_eq!(m.data.dirty_pages(), 3);
+        assert_eq!(m.read_u64(0x10_0000 + page - 4), u64::MAX);
+        let bytes = m.data.as_ptr();
+        drop(m);
+        // The same buffer comes back from the pool, all zero again.
+        let recycled = ZeroedBuf::new(len);
+        assert_eq!(recycled.as_ptr(), bytes);
+        assert_eq!(recycled.dirty_pages(), 0);
+        assert!(recycled.iter().all(|&b| b == 0));
     }
 
     #[test]

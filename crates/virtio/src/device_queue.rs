@@ -14,7 +14,9 @@
 use vf_metrics::{names, Counter, Gauge};
 
 use crate::mem::GuestMemory;
-use crate::ring::{vring_need_event, Desc, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT};
+use crate::ring::{
+    vring_need_event, Desc, UsedElem, VirtqueueLayout, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT,
+};
 
 /// A resolved element of a descriptor chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -247,9 +249,11 @@ impl DeviceQueue {
     pub(crate) fn complete<M: GuestMemory>(&mut self, mem: &mut M, head: u16, written: u32) -> u16 {
         let old = self.used_idx;
         let slot = self.used_idx % self.layout.size;
-        let entry = self.layout.used_ring_addr(slot);
-        mem.write_u32(entry, head as u32);
-        mem.write_u32(entry + 4, written);
+        UsedElem {
+            id: head as u32,
+            len: written,
+        }
+        .write_at(mem, self.layout.used_ring_addr(slot));
         self.used_idx = self.used_idx.wrapping_add(1);
         mem.write_u16(self.layout.used_idx_addr(), self.used_idx);
         self.metrics.used.add(1);

@@ -90,15 +90,25 @@ impl DriverQueue {
     /// rings zeroed).
     pub fn new<M: GuestMemory>(mem: &mut M, layout: VirtqueueLayout, event_idx: bool) -> Self {
         let n = layout.size;
-        // Chain every descriptor into the free list: i → i+1.
-        for i in 0..n {
-            Desc {
-                addr: 0,
-                len: 0,
-                flags: if i + 1 < n { DESC_F_NEXT } else { 0 },
-                next: if i + 1 < n { i + 1 } else { 0 },
+        // Chain every descriptor into the free list: i → i+1. The table
+        // goes out in stores of up to `CHUNK` descriptors from a stack
+        // buffer; the bytes are those of one `write_at` per descriptor.
+        const CHUNK: u16 = 64;
+        let mut chunk = [0u8; CHUNK as usize * Desc::SIZE as usize];
+        for start in (0..n).step_by(CHUNK as usize) {
+            let count = (n - start).min(CHUNK);
+            let bytes = &mut chunk[..count as usize * Desc::SIZE as usize];
+            for (i, entry) in (start..).zip(bytes.chunks_exact_mut(Desc::SIZE as usize)) {
+                let last = i + 1 == n;
+                let desc = Desc {
+                    addr: 0,
+                    len: 0,
+                    flags: if last { 0 } else { DESC_F_NEXT },
+                    next: if last { 0 } else { i + 1 },
+                };
+                entry.copy_from_slice(&desc.to_bytes());
             }
-            .write_at(mem, layout.desc, i);
+            mem.write(layout.desc_addr(start), bytes);
         }
         mem.write_u16(layout.avail_flags_addr(), 0);
         mem.write_u16(layout.avail_idx_addr(), 0);
@@ -263,11 +273,7 @@ impl DriverQueue {
             return None;
         }
         let slot = self.last_used % self.layout.size;
-        let entry_addr = self.layout.used_ring_addr(slot);
-        let elem = UsedElem {
-            id: mem.read_u32(entry_addr),
-            len: mem.read_u32(entry_addr + 4),
-        };
+        let elem = UsedElem::read_at(mem, self.layout.used_ring_addr(slot));
         self.last_used = self.last_used.wrapping_add(1);
         self.free_chain(mem, elem.id as u16);
         if self.event_idx {
@@ -293,11 +299,7 @@ impl DriverQueue {
         let mut out = Vec::with_capacity(take);
         for _ in 0..take {
             let slot = self.last_used % self.layout.size;
-            let entry_addr = self.layout.used_ring_addr(slot);
-            let elem = UsedElem {
-                id: mem.read_u32(entry_addr),
-                len: mem.read_u32(entry_addr + 4),
-            };
+            let elem = UsedElem::read_at(mem, self.layout.used_ring_addr(slot));
             self.last_used = self.last_used.wrapping_add(1);
             self.free_chain(mem, elem.id as u16);
             out.push(elem);

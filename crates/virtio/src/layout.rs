@@ -23,7 +23,7 @@
 use vf_pcie::HostMemory;
 
 use crate::device_queue::{check_inside, ChainBuf, ChainError, DeviceQueue};
-use crate::driver_queue::{BufferSpec, DriverQueue};
+use crate::driver_queue::{BufferSpec, DriverQueue, QueueError};
 use crate::mem::GuestMemory;
 use crate::packed::{PackedDesc, PackedDeviceQueue, PackedDriverQueue};
 use crate::ring::{Desc, UsedElem, VirtqueueLayout};
@@ -345,6 +345,30 @@ impl DriverRing {
         match self {
             DriverRing::Split(q) => q.add_and_publish(mem, bufs).ok(),
             DriverRing::Packed(q) => q.add(mem, bufs),
+        }
+    }
+
+    /// Add one chain and return its id, or `None` if the ring is full.
+    /// A split chain stays unpublished until [`Self::publish_batch`]; a
+    /// packed chain is available as soon as it is added.
+    pub fn add<M: GuestMemory>(&mut self, mem: &mut M, bufs: &[BufferSpec]) -> Option<u16> {
+        match self {
+            DriverRing::Split(q) => q.add_chain(mem, bufs).ok(),
+            DriverRing::Packed(q) => q.add(mem, bufs),
+        }
+    }
+
+    /// Publish chains [`Self::add`] built, in order: on a split ring the
+    /// avail entries, then one avail-index store
+    /// ([`DriverQueue::publish_batch`]).
+    pub fn publish_batch<M: GuestMemory>(
+        &mut self,
+        mem: &mut M,
+        heads: &[u16],
+    ) -> Result<(), QueueError> {
+        match self {
+            DriverRing::Split(q) => q.publish_batch(mem, heads).map(drop),
+            DriverRing::Packed(_) => Ok(()),
         }
     }
 

@@ -69,17 +69,52 @@ pub trait GuestMemory {
     }
 }
 
+/// Every access goes to the inherent `#[inline]` accessors, so a ring
+/// field or descriptor costs one range check and one load or store.
 impl GuestMemory for HostMemory {
+    #[inline]
     fn read(&self, addr: u64, buf: &mut [u8]) {
         HostMemory::read(self, addr, buf);
     }
 
+    #[inline]
     fn write(&mut self, addr: u64, data: &[u8]) {
         HostMemory::write(self, addr, data);
     }
 
+    #[inline]
     fn bounds(&self) -> Range<u64> {
         self.base()..self.end()
+    }
+
+    #[inline]
+    fn read_u16(&self, addr: u64) -> u16 {
+        HostMemory::read_u16(self, addr)
+    }
+
+    #[inline]
+    fn read_u32(&self, addr: u64) -> u32 {
+        HostMemory::read_u32(self, addr)
+    }
+
+    #[inline]
+    fn read_u64(&self, addr: u64) -> u64 {
+        HostMemory::read_u64(self, addr)
+    }
+
+    #[inline]
+    fn write_u16(&mut self, addr: u64, v: u16) {
+        HostMemory::write_u16(self, addr, v);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, addr: u64, v: u32) {
+        HostMemory::write_u32(self, addr, v);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, addr: u64, v: u64) {
+        HostMemory::write_u64(self, addr, v);
     }
 }
 

@@ -50,25 +50,27 @@ impl PackedDesc {
     /// Encoded size.
     pub const SIZE: u64 = 16;
 
-    /// Read entry `slot` of the ring at `ring`.
+    /// Read entry `slot` of the ring at `ring`: one 16-byte load.
     pub fn read_at<M: GuestMemory>(mem: &M, ring: u64, slot: u16) -> Self {
-        let base = ring + slot as u64 * Self::SIZE;
+        let mut b = [0u8; 16];
+        mem.read(ring + slot as u64 * Self::SIZE, &mut b);
+        let v = u128::from_le_bytes(b);
         PackedDesc {
-            addr: mem.read_u64(base),
-            len: mem.read_u32(base + 8),
-            id: mem.read_u16(base + 12),
-            flags: mem.read_u16(base + 14),
+            addr: v as u64,
+            len: (v >> 64) as u32,
+            id: (v >> 96) as u16,
+            flags: (v >> 112) as u16,
         }
     }
 
-    /// Write as entry `slot`. The flags word is written last in the
-    /// byte stream (the ownership-publishing store).
+    /// Write as entry `slot`: one 16-byte store. The flags word is
+    /// written last in the byte stream (the ownership-publishing store).
     pub fn write_at<M: GuestMemory>(&self, mem: &mut M, ring: u64, slot: u16) {
-        let base = ring + slot as u64 * Self::SIZE;
-        mem.write_u64(base, self.addr);
-        mem.write_u32(base + 8, self.len);
-        mem.write_u16(base + 12, self.id);
-        mem.write_u16(base + 14, self.flags);
+        let v = u128::from(self.addr)
+            | u128::from(self.len) << 64
+            | u128::from(self.id) << 96
+            | u128::from(self.flags) << 112;
+        mem.write(ring + slot as u64 * Self::SIZE, &v.to_le_bytes());
     }
 
     /// Is this descriptor available to the device, given the device's

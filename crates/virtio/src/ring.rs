@@ -57,24 +57,32 @@ impl Desc {
         self.flags & DESC_F_WRITE != 0
     }
 
-    /// Read descriptor `idx` from the table at `table`.
+    /// The descriptor's 16 bytes as they lie in memory.
+    pub(crate) fn to_bytes(self) -> [u8; 16] {
+        let v = u128::from(self.addr)
+            | u128::from(self.len) << 64
+            | u128::from(self.flags) << 96
+            | u128::from(self.next) << 112;
+        v.to_le_bytes()
+    }
+
+    /// Read descriptor `idx` from the table at `table`: one 16-byte load.
     pub fn read_at<M: GuestMemory>(mem: &M, table: u64, idx: u16) -> Desc {
-        let base = table + idx as u64 * Desc::SIZE;
+        let mut b = [0u8; 16];
+        mem.read(table + idx as u64 * Desc::SIZE, &mut b);
+        let v = u128::from_le_bytes(b);
         Desc {
-            addr: mem.read_u64(base),
-            len: mem.read_u32(base + 8),
-            flags: mem.read_u16(base + 12),
-            next: mem.read_u16(base + 14),
+            addr: v as u64,
+            len: (v >> 64) as u32,
+            flags: (v >> 96) as u16,
+            next: (v >> 112) as u16,
         }
     }
 
-    /// Write this descriptor as entry `idx` of the table at `table`.
+    /// Write this descriptor as entry `idx` of the table at `table`: one
+    /// 16-byte store.
     pub fn write_at<M: GuestMemory>(&self, mem: &mut M, table: u64, idx: u16) {
-        let base = table + idx as u64 * Desc::SIZE;
-        mem.write_u64(base, self.addr);
-        mem.write_u32(base + 8, self.len);
-        mem.write_u16(base + 12, self.flags);
-        mem.write_u16(base + 14, self.next);
+        mem.write(table + idx as u64 * Desc::SIZE, &self.to_bytes());
     }
 }
 
@@ -85,6 +93,22 @@ pub struct UsedElem {
     pub id: u32,
     /// Bytes the device wrote into the chain's writable buffers.
     pub len: u32,
+}
+
+impl UsedElem {
+    /// Read the entry at `addr`: one 8-byte load of `{ le32 id; le32 len; }`.
+    pub fn read_at<M: GuestMemory>(mem: &M, addr: u64) -> UsedElem {
+        let v = mem.read_u64(addr);
+        UsedElem {
+            id: v as u32,
+            len: (v >> 32) as u32,
+        }
+    }
+
+    /// Write this entry at `addr`: one 8-byte store.
+    pub fn write_at<M: GuestMemory>(&self, mem: &mut M, addr: u64) {
+        mem.write_u64(addr, u64::from(self.id) | u64::from(self.len) << 32);
+    }
 }
 
 /// Addresses of a virtqueue's three structures plus its size.

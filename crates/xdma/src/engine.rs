@@ -266,12 +266,15 @@ mod tests {
         let (mut link, mut host, mut card) = setup();
         let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         HostMemory::write(&mut host, 0x1_0000, &payload);
-        build_list(&mut host, 0x2000, 0x1_0000, 0, 1000, 256);
+        let count = build_list(&mut host, 0x2000, 0x1_0000, 0, 1000, 256);
+        assert_eq!(count, 4);
+        let last = XdmaDesc::read_from(&host, 0x2000 + 3 * XdmaDesc::SIZE).unwrap();
+        assert!(last.is_last() && last.len == 1000 - 3 * 256);
         let mut eng = XdmaEngine::new(ChannelDir::H2C);
         let out = eng
             .run(Time::ZERO, 0x2000, &mut link, &mut host, &mut card)
             .unwrap();
-        assert_eq!(out.descriptors, 4);
+        assert_eq!(out.descriptors, count);
         assert_eq!(out.bytes, 1000);
         let mut back = vec![0u8; 1000];
         card.read(0, &mut back);

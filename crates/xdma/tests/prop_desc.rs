@@ -55,7 +55,20 @@ proptest! {
     ) {
         let chunk = 1u32 << chunk_pow;
         let mut mem = HostMemory::new(0, 1 << 21);
-        let descs = build_list(&mut mem, 0x8_0000, src, dst, len, chunk);
+        let count = build_list(&mut mem, 0x8_0000, src, dst, len, chunk);
+        // Walk the list as the engine does: from the base, along `next`.
+        let mut descs = Vec::new();
+        let mut at = 0x8_0000;
+        loop {
+            let desc = XdmaDesc::read_from(&mem, at).unwrap();
+            descs.push(desc);
+            if desc.is_last() {
+                break;
+            }
+            prop_assert_eq!(desc.next, at + XdmaDesc::SIZE);
+            at = desc.next;
+        }
+        prop_assert_eq!(descs.len(), count as usize);
         prop_assert_eq!(descs.iter().map(|d| d.len).sum::<u32>(), len);
         prop_assert!(descs.iter().all(|d| d.len <= chunk));
         // Exactly the last descriptor stops.
@@ -84,11 +97,13 @@ proptest! {
         let mut host = HostMemory::new(0, 1 << 21);
         let mut card = VecCardMemory::new(1 << 16);
         HostMemory::write(&mut host, 0x10_000, &payload);
-        build_list(&mut host, 0x8_0000, 0x10_000, card_dst, payload.len() as u32, 4096);
+        let count =
+            build_list(&mut host, 0x8_0000, 0x10_000, card_dst, payload.len() as u32, 4096);
         let mut eng = XdmaEngine::new(ChannelDir::H2C);
         let out = eng
             .run(Time::ZERO, 0x8_0000, &mut link, &mut host, &mut card)
             .unwrap();
+        prop_assert_eq!(out.descriptors, count);
         prop_assert_eq!(out.bytes, payload.len() as u64);
         let mut back = vec![0u8; payload.len()];
         card.read(card_dst, &mut back);

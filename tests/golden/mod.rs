@@ -52,6 +52,13 @@ impl Row {
     }
 }
 
+/// FNV-1a 64 of `bytes`, for digest fields.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// The name of a table line's row; `None` for a comment or blank line.
 fn row_name(line: &str) -> Option<&str> {
     line.split_whitespace()

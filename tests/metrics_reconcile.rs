@@ -12,7 +12,7 @@
 
 mod golden;
 
-use golden::Row;
+use golden::{fnv1a, Row};
 use vf_metrics::MetricsReport;
 use virtio_fpga::{
     metered, metered_run, run_mq, run_tenants, DriverKind, RunResult, Testbed, TestbedConfig,
@@ -197,13 +197,6 @@ fn sample_instants_are_monotone_and_on_grid() {
             last = Some(t);
         }
     }
-}
-
-/// FNV-1a 64 of `bytes`.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 /// Packets per paper cell in the report goldens.
